@@ -209,6 +209,36 @@ class StubBackend:
         return GenerationResult(continuation, tokens, logprobs, self.backend_id)
 
 
+def _complete_payload(prompt: str, max_tokens: int, seed: int) -> dict:
+    """Request body of a completion; also the key of a recorded exchange."""
+    return {"prompt": prompt, "max_tokens": max_tokens, "seed": seed, "logprobs": True}
+
+
+def _score_payload(prompt: str, continuation: str) -> dict:
+    """Request body that scores ``continuation``; also a recording key."""
+    return {
+        "prompt": prompt,
+        "max_tokens": 0,
+        "seed": 0,
+        "logprobs": True,
+        "echo_score": continuation,
+    }
+
+
+def _result_from_body(body: dict, backend_id: str) -> GenerationResult:
+    """A served or recorded response body as a result; logprobs are required."""
+    tokens = body.get("tokens")
+    logprobs = body.get("token_logprobs")
+    if tokens is None or logprobs is None:
+        raise BackendError("logprobs required: backend response lacks per-token logprobs")
+    return GenerationResult(
+        text=body.get("text", ""),
+        tokens=tuple(tokens),
+        token_logprobs=tuple(float(lp) for lp in logprobs),
+        backend_id=backend_id,
+    )
+
+
 class HttpBackend:
     """JSON-over-HTTP completion client.
 
@@ -254,31 +284,13 @@ class HttpBackend:
         assert last_error is not None
         raise last_error
 
-    def _to_result(self, body: dict) -> GenerationResult:
-        tokens = body.get("tokens")
-        logprobs = body.get("token_logprobs")
-        if tokens is None or logprobs is None:
-            raise BackendError("logprobs required: backend response lacks per-token logprobs")
-        return GenerationResult(
-            text=body.get("text", ""),
-            tokens=tuple(tokens),
-            token_logprobs=tuple(float(lp) for lp in logprobs),
-            backend_id=self.backend_id,
-        )
-
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
-        payload = {"prompt": prompt, "max_tokens": max_tokens, "seed": seed, "logprobs": True}
-        return self._to_result(self._post(payload))
+        body = self._post(_complete_payload(prompt, max_tokens, seed))
+        return _result_from_body(body, self.backend_id)
 
     def score(self, prompt: str, continuation: str) -> GenerationResult:
-        payload = {
-            "prompt": prompt,
-            "max_tokens": 0,
-            "seed": 0,
-            "logprobs": True,
-            "echo_score": continuation,
-        }
-        return self._to_result(self._post(payload))
+        body = self._post(_score_payload(prompt, continuation))
+        return _result_from_body(body, self.backend_id)
 
 
 def _request_key(payload: dict) -> str:
@@ -308,19 +320,13 @@ class RecordingBackend:
             handle.write("\n")
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
-        payload = {"prompt": prompt, "max_tokens": max_tokens, "seed": seed, "logprobs": True}
+        payload = _complete_payload(prompt, max_tokens, seed)
         result = self.inner.complete(prompt, max_tokens=max_tokens, seed=seed)
         self._record(payload, result)
         return result
 
     def score(self, prompt: str, continuation: str) -> GenerationResult:
-        payload = {
-            "prompt": prompt,
-            "max_tokens": 0,
-            "seed": 0,
-            "logprobs": True,
-            "echo_score": continuation,
-        }
+        payload = _score_payload(prompt, continuation)
         result = self.inner.score(prompt, continuation)
         self._record(payload, result)
         return result
@@ -344,27 +350,13 @@ class ReplayBackend:
         key = _request_key(payload)
         if key not in self._responses:
             raise BackendError(f"replay file has no response for request {key[:120]}")
-        body = self._responses[key]
-        return GenerationResult(
-            text=body["text"],
-            tokens=tuple(body["tokens"]),
-            token_logprobs=tuple(body["token_logprobs"]),
-            backend_id=self.backend_id,
-        )
+        return _result_from_body(self._responses[key], self.backend_id)
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
-        payload = {"prompt": prompt, "max_tokens": max_tokens, "seed": seed, "logprobs": True}
-        return self._lookup(payload)
+        return self._lookup(_complete_payload(prompt, max_tokens, seed))
 
     def score(self, prompt: str, continuation: str) -> GenerationResult:
-        payload = {
-            "prompt": prompt,
-            "max_tokens": 0,
-            "seed": 0,
-            "logprobs": True,
-            "echo_score": continuation,
-        }
-        return self._lookup(payload)
+        return self._lookup(_score_payload(prompt, continuation))
 
 
 def resolve_backend(

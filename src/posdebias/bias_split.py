@@ -13,7 +13,6 @@ against a response; ties resolve to the smallest index.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -27,8 +26,9 @@ from .corpus import (
     Task,
     make_document,
     render_input,
+    write_jsonl,
 )
-from .metrics import rouge_l, tokenize
+from .metrics import contains_phrase, rouge_l, tokenize
 
 #: Relative positions treated as biased unless the caller overrides them.
 DEFAULT_BIASED_POSITIONS = frozenset({0, 1})
@@ -212,7 +212,7 @@ def split_by_lexical_bias(corpus: Corpus, triggers: list[str] | tuple[str, ...])
         matched = tuple(
             trig
             for trig, toks in trigger_tokens
-            if _contains_subsequence(hyp_tokens, toks)
+            if contains_phrase(hyp_tokens, toks)
         )
         flags.append(
             (
@@ -223,16 +223,6 @@ def split_by_lexical_bias(corpus: Corpus, triggers: list[str] | tuple[str, ...])
             )
         )
     return _partition(corpus, flags)
-
-
-def _contains_subsequence(tokens: list[str], phrase: list[str]) -> bool:
-    """Whole-token contiguous containment; 'no' never matches inside 'nothing'."""
-    if not phrase or len(phrase) > len(tokens):
-        return False
-    return any(
-        tokens[i : i + len(phrase)] == phrase
-        for i in range(len(tokens) - len(phrase) + 1)
-    )
 
 
 def perturb_positions(sample: Sample, seed: int) -> Sample:
@@ -255,26 +245,22 @@ def perturb_positions(sample: Sample, seed: int) -> Sample:
     return replace(sample, document=document, input_text=rendered)
 
 
+def _evidence_record(sample_id: str, ev: BiasEvidence) -> dict:
+    record = {"id": sample_id, "kind": ev.kind.value, "biased": ev.biased}
+    if ev.relative_position is not None:
+        record["relative_position"] = ev.relative_position
+    if ev.lead_score is not None:
+        record["lead_score"] = ev.lead_score
+    if ev.matched_triggers:
+        record["matched_triggers"] = list(ev.matched_triggers)
+    if ev.detail:
+        record["detail"] = ev.detail
+    return record
+
+
 def write_evidence(partition: BiasPartition, path: str | Path) -> Path:
     """Dump per-sample evidence as JSONL, one record per sample id."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for sample_id in sorted(partition.evidence):
-            ev = partition.evidence[sample_id]
-            record = {
-                "id": sample_id,
-                "kind": ev.kind.value,
-                "biased": ev.biased,
-            }
-            if ev.relative_position is not None:
-                record["relative_position"] = ev.relative_position
-            if ev.lead_score is not None:
-                record["lead_score"] = ev.lead_score
-            if ev.matched_triggers:
-                record["matched_triggers"] = list(ev.matched_triggers)
-            if ev.detail:
-                record["detail"] = ev.detail
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-    return path
+    return write_jsonl(
+        (_evidence_record(sid, partition.evidence[sid]) for sid in sorted(partition.evidence)),
+        path,
+    )

@@ -1,45 +1,46 @@
 """Command-line interface.
 
 Verbs mirror the pipeline stages so each can be run standalone on JSONL
-artifacts, plus ``run`` for the full configured pipeline.
+artifacts, plus ``run`` for the full configured pipeline. Each verb parses
+its options, calls the stage function in ``posdebias.pipeline`` and the
+record codec in ``posdebias.records``, and prints one line.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import click
 
-from .backends import BackendError, GenerationResult, RecordingBackend, resolve_backend
-from .bias_split import (
-    DEFAULT_BIASED_POSITIONS,
-    split_by_lead_bias,
-    split_by_lexical_bias,
-    split_by_relative_position,
-    write_evidence,
-)
-from .corpus import Corpus, CorpusError, Sample, Task, load_corpus, relabel, save_corpus
-from .lowbias_infer import (
-    DEFAULT_N_PER_PROMPT,
-    PromptSpec,
-    PromptStrategy,
-    build_prompt,
-    default_prompt_spec,
-    generate,
-)
-from .metrics import PositionRow
-from .msa_align import (
-    AlignmentConfig,
-    align_responses,
-    calibrate_threshold,
-    gate_statistic,
-)
+from .backends import BackendError, RecordingBackend, resolve_backend
+from .bias_split import BiasKind
+from .corpus import CorpusError, Sample, Task, load_corpus
+from .lowbias_infer import DEFAULT_N_PER_PROMPT, PromptStrategy
+from .msa_align import DEFAULT_LEXICAL_TRIGGERS, AlignmentConfig
 from .objective import LossConfig
-from .pipeline import CONFIG_SCHEMA, PipelineError, parse_config, run_pipeline
-from .report import SystemEval, write_position_chart, write_position_csv, write_scores_csv, write_split_chart
-from .toy_model import ToyModel, evaluate, load_model, save_model, train
+from .pipeline import (
+    CONFIG_SCHEMA,
+    PipelineError,
+    align_corpus,
+    eval_model,
+    infer_corpus,
+    parse_config,
+    run_pipeline,
+    split_corpus,
+    write_report,
+    write_split,
+)
+from .records import (
+    load_aligned,
+    load_candidates,
+    load_eval,
+    write_aligned,
+    write_candidates,
+    write_eval,
+    write_trace,
+)
+from .toy_model import METRICS, ToyModel, load_model, save_model, train
 
 
 def _fail(message: str) -> None:
@@ -70,7 +71,7 @@ def main() -> None:
 @click.option("--task", "task_name", required=True)
 @click.option(
     "--bias",
-    type=click.Choice(["relative_position", "lead", "lexical"]),
+    type=click.Choice([k.value for k in BiasKind]),
     default="relative_position",
     show_default=True,
 )
@@ -81,46 +82,24 @@ def main() -> None:
 def split(corpus_path, task_name, bias, out_dir, positions, min_lead_score, triggers):
     """Partition a corpus into biased / non-biased subsets with evidence."""
     task = _task(task_name)
+    trigger_list = (
+        tuple(t.strip() for t in triggers.split(",") if t.strip())
+        if triggers
+        else DEFAULT_LEXICAL_TRIGGERS
+    )
     try:
         corpus = load_corpus(corpus_path, task)
-        if bias == "relative_position":
-            partition = split_by_relative_position(corpus, _positions(positions))
-        elif bias == "lead":
-            partition = split_by_lead_bias(corpus, min_lead_score=min_lead_score)
-        else:
-            trigger_list = (
-                [t.strip() for t in triggers.split(",") if t.strip()] if triggers else None
-            )
-            partition = (
-                split_by_lexical_bias(corpus, trigger_list)
-                if trigger_list is not None
-                else split_by_lexical_bias_default(corpus)
-            )
+        partition = split_corpus(
+            corpus, bias, _positions(positions), trigger_list, min_lead_score
+        )
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    biased = Corpus(tuple(relabel(s, "biased") for s in partition.biased), task) if partition.biased else None
-    non_biased = (
-        Corpus(tuple(relabel(s, "non_biased") for s in partition.non_biased), task)
-        if partition.non_biased
-        else None
-    )
-    if biased:
-        save_corpus(biased, out / "biased.jsonl")
-    if non_biased:
-        save_corpus(non_biased, out / "non_biased.jsonl")
-    write_evidence(partition, out / "evidence.jsonl")
+    write_split(partition, out)
     click.echo(
         f"split: {len(partition.biased)} biased, {len(partition.non_biased)} non-biased "
         f"-> {out}"
     )
-
-
-def split_by_lexical_bias_default(corpus: Corpus):
-    from .msa_align import DEFAULT_LEXICAL_TRIGGERS
-
-    return split_by_lexical_bias(corpus, list(DEFAULT_LEXICAL_TRIGGERS))
 
 
 @main.command()
@@ -139,68 +118,23 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
     task = _task(task_name)
     try:
         corpus = load_corpus(corpus_path, task)
-        spec = default_prompt_spec(task, corpus=corpus)
-        if strategy is not None and strategy != spec.strategy.value:
-            spec = dataclasses.replace(spec, strategy=PromptStrategy(strategy))
         engine = resolve_backend(backend)
         if record_path:
             engine = RecordingBackend(engine, record_path)
-        records = []
-        for sample in corpus:
-            prompts = build_prompt(sample, spec, allow_strategy_mismatch=strategy is not None)
-            results = generate(
-                prompts,
-                engine,
-                n_per_prompt=n_per_prompt,
-                seed=seed,
-                max_tokens=max_tokens,
-                max_in_flight=max_in_flight,
-            )
-            for k, result in enumerate(results):
-                records.append(
-                    {
-                        "sample_id": sample.id,
-                        "candidate_index": k,
-                        "text": result.text,
-                        "tokens": list(result.tokens),
-                        "token_logprobs": list(result.token_logprobs),
-                        "backend_id": result.backend_id,
-                    }
-                )
+        candidates = infer_corpus(
+            corpus,
+            engine,
+            n_per_prompt=n_per_prompt,
+            seed=seed,
+            max_tokens=max_tokens,
+            strategy=strategy,
+            max_in_flight=max_in_flight,
+        )
     except (CorpusError, BackendError, ValueError) as exc:
         _fail(str(exc))
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-    click.echo(f"infer: {len(records)} candidates -> {out}")
-
-
-def _load_candidates(path: str) -> dict[str, list[GenerationResult]]:
-    grouped: dict[str, list[tuple[int, GenerationResult]]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                result = GenerationResult(
-                    text=record["text"],
-                    tokens=tuple(record["tokens"]),
-                    token_logprobs=tuple(record["token_logprobs"]),
-                    backend_id=record.get("backend_id", "unknown"),
-                )
-                grouped.setdefault(record["sample_id"], []).append(
-                    (record.get("candidate_index", line_no), result)
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    return {
-        sid: [result for _, result in sorted(pairs, key=lambda p: p[0])]
-        for sid, pairs in grouped.items()
-    }
+    out = write_candidates(candidates, out_path)
+    total = sum(len(results) for results in candidates.values())
+    click.echo(f"infer: {total} candidates -> {out}")
 
 
 @main.command()
@@ -212,90 +146,39 @@ def _load_candidates(path: str) -> dict[str, list[GenerationResult]]:
 @click.option("--unreliable-threshold", default=None, type=float)
 @click.option("--calibrate/--no-calibrate", default=False, show_default=True, help="Pick the gate threshold whose keep fraction is nearest the target.")
 def align(candidates_path, task_name, corpus_path, out_path, incoherence_threshold, unreliable_threshold, calibrate):
-    """Filter candidates with the task's rejection gates."""
+    """Filter candidates with the task's rejection gates.
+
+    Verdicts follow the order of --corpus, or of the candidates file when
+    question generation runs without a corpus.
+    """
     task = _task(task_name)
     if task == Task.NLI:
         _fail("align: nli responses are masked, not pruned; no alignment file to produce")
     try:
-        candidates = _load_candidates(candidates_path)
+        candidates = load_candidates(candidates_path)
         if corpus_path:
-            corpus = load_corpus(corpus_path, task)
-            samples = {s.id: s for s in corpus}
+            samples = load_corpus(corpus_path, task).samples
         elif task == Task.CQG:
             # Question-generation gates never look at the reference target.
-            samples = {sid: Sample(id=sid, task=task, target="") for sid in candidates}
+            samples = tuple(Sample(id=sid, task=task, target="") for sid in candidates)
         else:
             _fail(f"align: --corpus is required for task {task.value!r} (gates compare against targets)")
-        config = AlignmentConfig()
-        if incoherence_threshold is not None:
-            config = dataclasses.replace(config, incoherence_threshold=incoherence_threshold)
-        if unreliable_threshold is not None:
-            config = dataclasses.replace(config, unreliable_threshold=unreliable_threshold)
-        if calibrate:
-            stats = [
-                gate_statistic(task, samples[sid], cand)
-                for sid, cands in sorted(candidates.items())
-                if sid in samples
-                for cand in cands
-            ]
-            if not stats:
-                _fail("align: no candidates matched the corpus; nothing to calibrate")
-            chosen = calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction)
-            if task == Task.CQG:
-                config = dataclasses.replace(config, incoherence_threshold=chosen)
-            else:
-                config = dataclasses.replace(config, unreliable_threshold=chosen)
-            click.echo(f"align: calibrated threshold {chosen:g}")
-        records = []
-        kept = 0
-        for sid, cands in sorted(candidates.items()):
-            if sid not in samples:
-                _fail(f"align: candidate sample id {sid!r} not in corpus")
-            for verdict in align_responses(task, samples[sid], cands, config):
-                kept += verdict.kept
-                records.append(
-                    {
-                        "sample_id": verdict.sample_id,
-                        "text": verdict.text,
-                        "token_logprobs": list(verdict.token_logprobs),
-                        "kept": verdict.kept,
-                        "rejection_reasons": sorted(r.value for r in verdict.rejection_reasons),
-                    }
-                )
+        thresholds = {
+            "incoherence_threshold": incoherence_threshold,
+            "unreliable_threshold": unreliable_threshold,
+        }
+        config = AlignmentConfig(**{k: v for k, v in thresholds.items() if v is not None})
+        aligned, threshold = align_corpus(task, samples, candidates, config, calibrate)
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-    click.echo(f"align: kept {kept}/{len(records)} candidates -> {out}")
-
-
-def _load_aligned(path: str) -> dict[str, list]:
-    from .msa_align import AlignedResponse, RejectionReason
-
-    grouped: dict[str, list] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                verdict = AlignedResponse(
-                    sample_id=record["sample_id"],
-                    text=record["text"],
-                    token_logprobs=tuple(record["token_logprobs"]),
-                    kept=record["kept"],
-                    rejection_reasons=frozenset(
-                        RejectionReason(r) for r in record.get("rejection_reasons", ())
-                    ),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-            grouped.setdefault(verdict.sample_id, []).append(verdict)
-    return grouped
+    if calibrate:
+        if threshold is None:
+            _fail("align: no candidates matched the corpus; nothing to calibrate")
+        click.echo(f"align: calibrated threshold {threshold:g}")
+    out = write_aligned(aligned, out_path)
+    verdicts = [v for vs in aligned.values() for v in vs]
+    kept = sum(v.kept for v in verdicts)
+    click.echo(f"align: kept {kept}/{len(verdicts)} candidates -> {out}")
 
 
 @main.command("train-toy")
@@ -315,10 +198,9 @@ def train_toy(train_path, task_name, aligned_path, alpha, epochs, learning_rate,
     task = _task(task_name)
     try:
         corpus = load_corpus(train_path, task)
-        aligned = _load_aligned(aligned_path) if aligned_path else None
-        model = ToyModel.initialize(vocab_size, seed=seed)
+        aligned = load_aligned(aligned_path) if aligned_path else None
         trained, trace = train(
-            model,
+            ToyModel.initialize(vocab_size, seed=seed),
             corpus,
             aligned=aligned,
             config=LossConfig(alpha=alpha),
@@ -331,23 +213,7 @@ def train_toy(train_path, task_name, aligned_path, alpha, epochs, learning_rate,
         _fail(str(exc))
     save_model(trained, out_path)
     if trace_path:
-        trace_file = Path(trace_path)
-        trace_file.parent.mkdir(parents=True, exist_ok=True)
-        with trace_file.open("w", encoding="utf-8") as handle:
-            for entry in trace:
-                handle.write(
-                    json.dumps(
-                        {
-                            "step": entry.step,
-                            "epoch": entry.epoch,
-                            "sample_id": entry.sample_id,
-                            "l_target": entry.l_target,
-                            "l_align": entry.l_align,
-                            "combined": entry.combined,
-                        }
-                    )
-                )
-                handle.write("\n")
+        write_trace(trace, trace_path)
     final = trace[-1].combined if trace else float("nan")
     click.echo(f"train-toy: {len(trace)} updates, final loss {final:.6f} -> {out_path}")
 
@@ -356,7 +222,7 @@ def train_toy(train_path, task_name, aligned_path, alpha, epochs, learning_rate,
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Evaluation pool; re-split by relative position.")
 @click.option("--task", "task_name", default="cqa", show_default=True)
-@click.option("--metric", default="accuracy", show_default=True, type=click.Choice(["accuracy", "rouge_l", "bleu_2"]))
+@click.option("--metric", default="accuracy", show_default=True, type=click.Choice(METRICS))
 @click.option("--positions", default="0,1", show_default=True)
 @click.option("--system", default="model", show_default=True, help="Label used in the report row.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
@@ -366,27 +232,12 @@ def eval_cmd(model_path, corpus_path, task_name, metric, positions, system, out_
     try:
         model = load_model(model_path)
         corpus = load_corpus(corpus_path, task)
-        partition = split_by_relative_position(corpus, _positions(positions))
-        report = evaluate(model, partition, metric=metric)
+        partition = split_corpus(corpus, BiasKind.RELATIVE_POSITION, _positions(positions))
+        result = eval_model(model, partition, metric, system)
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
-    splits = {}
-    for name, side in (("biased", report.biased), ("non_biased", report.non_biased)):
-        if side.score is not None:
-            splits[name] = {"score": side.score, "count": side.count}
-    entry = {
-        "system": system,
-        "metric": metric,
-        "splits": splits,
-        "by_position": [
-            {"position": row.position, "score": row.mean_score, "count": row.count}
-            for row in report.by_relative_position
-        ],
-    }
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(entry, indent=2, sort_keys=True), encoding="utf-8")
-    shown = ", ".join(f"{k}={v['score']:.4f}" for k, v in sorted(splits.items()))
+    out = write_eval(result, out_path)
+    shown = ", ".join(f"{k}={score:.4f}" for k, (score, _) in sorted(result.splits.items()))
     click.echo(f"eval: {shown} -> {out}")
 
 
@@ -395,34 +246,12 @@ def eval_cmd(model_path, corpus_path, task_name, metric, positions, system, out_
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def report(eval_files, out_dir):
     """Combine eval JSON files into CSV tables and SVG charts."""
-    evals = []
-    metric = "score"
     try:
-        for path in eval_files:
-            entry = json.loads(Path(path).read_text(encoding="utf-8"))
-            metric = entry.get("metric", metric)
-            evals.append(
-                SystemEval(
-                    system=entry["system"],
-                    metric=entry.get("metric", "score"),
-                    splits={
-                        k: (v["score"], v["count"]) for k, v in entry.get("splits", {}).items()
-                    },
-                    by_position=tuple(
-                        PositionRow(r["position"], r["score"], r["count"])
-                        for r in entry.get("by_position", ())
-                    ),
-                )
-            )
+        evals = [load_eval(path) for path in eval_files]
     except (KeyError, TypeError, ValueError) as exc:
         _fail(f"report: bad eval file: {exc}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(evals, out / "report.csv")
-    write_position_csv(evals, out / "report_by_relpos.csv")
-    write_split_chart(evals, out / "splits.svg", metric)
-    if any(e.by_position for e in evals):
-        write_position_chart(evals, out / "relpos.svg", metric)
+    write_report(evals, out, evals[-1].metric)
     click.echo(f"report: {len(evals)} systems -> {out}")
 
 

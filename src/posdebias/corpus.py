@@ -7,11 +7,10 @@ shape, with task-specific fields left unset where they do not apply.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class Task(str, Enum):
@@ -23,9 +22,6 @@ class Task(str, Enum):
     SUM = "sum"
     NLI = "nli"
 
-
-#: Tasks whose samples carry a document plus dialogue history.
-GENERATIVE_TASKS = (Task.CQA, Task.CQG, Task.KGC, Task.SUM)
 
 #: Tasks for which a relative position between grounded turns is defined.
 DIALOGUE_TASKS = (Task.CQA, Task.CQG)
@@ -133,12 +129,6 @@ class Corpus:
 
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
-
-    def get(self, sample_id: str) -> Sample:
-        for sample in self.samples:
-            if sample.id == sample_id:
-                return sample
-        raise KeyError(sample_id)
 
 
 def render_input(
@@ -329,21 +319,20 @@ def sample_to_record(sample: Sample) -> dict:
     return record
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> Path:
-    """Write a corpus as JSONL; inverse of ``load_corpus`` on valid corpora."""
+def write_jsonl(records: Iterable[dict], path: str | Path) -> Path:
+    """Write one JSON object per line, creating parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        for sample in corpus:
-            handle.write(json.dumps(sample_to_record(sample), ensure_ascii=False))
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False))
             handle.write("\n")
     return path
 
 
-def corpus_stats(corpus: Corpus) -> dict[str, int]:
-    """Counts of samples per split label; unlabeled samples pool together."""
-    counts = Counter(s.split if s.split is not None else "unlabeled" for s in corpus)
-    return dict(sorted(counts.items()))
+def save_corpus(corpus: Corpus, path: str | Path) -> Path:
+    """Write a corpus as JSONL; inverse of ``load_corpus`` on valid corpora."""
+    return write_jsonl((sample_to_record(sample) for sample in corpus), path)
 
 
 def relabel(sample: Sample, split: str) -> Sample:

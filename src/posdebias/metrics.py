@@ -1,4 +1,4 @@
-"""Overlap metrics, per-position breakdowns, and paired significance testing.
+"""Overlap metrics and per-position breakdowns.
 
 All overlap metrics share one tokenizer: lowercase, ASCII punctuation
 stripped, whitespace split. Keeping the tokenizer here and importing it
@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 #: Weight of recall relative to precision in the ROUGE-L F-score.
@@ -24,6 +22,16 @@ ROUGE_BETA = 1.2
 def tokenize(text: str) -> list[str]:
     """Lowercase, strip ASCII punctuation, split on whitespace."""
     return text.translate(_PUNCT_TABLE).lower().split()
+
+
+def contains_phrase(tokens: list[str], phrase: list[str]) -> bool:
+    """Whole-token contiguous containment; 'no' never matches inside 'nothing'."""
+    if not phrase or len(phrase) > len(tokens):
+        return False
+    return any(
+        tokens[i : i + len(phrase)] == phrase
+        for i in range(len(tokens) - len(phrase) + 1)
+    )
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -104,21 +112,6 @@ def bleu_2(candidate: str, reference: str) -> float:
     return brevity * math.sqrt(p1 * p2)
 
 
-def macro_accuracy(predictions: Sequence[str], gold: Sequence[str]) -> float:
-    """Unweighted mean of per-class accuracy over the classes observed in gold."""
-    if len(predictions) != len(gold):
-        raise ValueError(
-            f"macro_accuracy: length mismatch ({len(predictions)} vs {len(gold)})"
-        )
-    if not gold:
-        raise ValueError("macro_accuracy: empty inputs")
-    per_class: dict[str, list[int]] = {}
-    for pred, label in zip(predictions, gold):
-        per_class.setdefault(label, []).append(int(pred == label))
-    accuracies = [sum(hits) / len(hits) for hits in per_class.values()]
-    return sum(accuracies) / len(accuracies)
-
-
 @dataclass(frozen=True)
 class PositionRow:
     """Mean score and support for one relative position (None = unknown)."""
@@ -154,56 +147,3 @@ def per_position_table(
         values = grouped[None]
         rows.append(PositionRow(None, sum(values) / len(values), len(values)))
     return rows
-
-
-def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
-    """Two-sided paired t-test; returns (t statistic, p-value).
-
-    The statistic is computed directly from the paired differences; only the
-    Student-t tail probability is delegated to scipy. Identical difference
-    vectors have no sampling variance, so they are rejected rather than
-    reported as infinitely significant.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"paired_t_test: length mismatch ({len(a)} vs {len(b)})")
-    n = len(a)
-    if n < 2:
-        raise ValueError("paired_t_test: need at least two pairs")
-    diffs = [x - y for x, y in zip(a, b)]
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
-    if var == 0.0:
-        raise ValueError("paired_t_test: zero variance in differences")
-    t_stat = mean / math.sqrt(var / n)
-    p_value = 2.0 * float(_scipy_stats.t.sf(abs(t_stat), n - 1))
-    return t_stat, p_value
-
-
-@dataclass(frozen=True)
-class ScoreReport:
-    """Aggregate view of one metric over a set of samples."""
-
-    metric: str
-    per_sample: tuple[float, ...]
-    aggregate: float
-    by_position: tuple[PositionRow, ...] | None = None
-    p_value: float | None = None
-
-
-def build_report(
-    metric: str,
-    per_sample: Sequence[float],
-    positions: Sequence[int | None] | None = None,
-    baseline: Sequence[float] | None = None,
-) -> ScoreReport:
-    """Bundle per-sample scores into a report; aggregate is the arithmetic mean."""
-    if not per_sample:
-        raise ValueError("build_report: no per-sample scores")
-    aggregate = sum(per_sample) / len(per_sample)
-    table = None
-    if positions is not None:
-        table = tuple(per_position_table(positions, per_sample))
-    p_value = None
-    if baseline is not None:
-        _, p_value = paired_t_test(per_sample, baseline)
-    return ScoreReport(metric, tuple(per_sample), aggregate, table, p_value)

@@ -23,7 +23,7 @@ from enum import Enum
 from .backends import GenerationResult
 from .corpus import Sample, Task
 from .lowbias_infer import DEFAULTS, ClassDistribution, _masked_argmax
-from .metrics import rouge_l, tokenize
+from .metrics import contains_phrase, rouge_l, tokenize
 
 #: Boilerplate question patterns rejected as dull; user-replaceable.
 DEFAULT_DULL_PATTERNS: tuple[str, ...] = tuple(DEFAULTS["dull_patterns"])
@@ -90,28 +90,18 @@ class AlignedResponse:
             raise ValueError("AlignedResponse: kept flag inconsistent with reasons")
 
 
-def _contains_phrase(tokens: list[str], phrase: str) -> bool:
-    phrase_tokens = tokenize(phrase)
-    if not phrase_tokens or len(phrase_tokens) > len(tokens):
-        return False
-    return any(
-        tokens[i : i + len(phrase_tokens)] == phrase_tokens
-        for i in range(len(tokens) - len(phrase_tokens) + 1)
-    )
-
-
 def identify_noncompliant(response: GenerationResult, keywords: tuple[str, ...]) -> bool:
     """True iff no instruction keyword occurs as a whole token (case folded)."""
     if not keywords:
         raise ValueError("identify_noncompliant: empty keyword list")
     tokens = tokenize(response.text)
-    return not any(_contains_phrase(tokens, kw) for kw in keywords)
+    return not any(contains_phrase(tokens, tokenize(kw)) for kw in keywords)
 
 
 def identify_dull(response: GenerationResult, patterns: tuple[str, ...]) -> bool:
     """True iff the response matches any boilerplate pattern after normalization."""
     tokens = tokenize(response.text)
-    return any(_contains_phrase(tokens, pattern) for pattern in patterns)
+    return any(contains_phrase(tokens, tokenize(pattern)) for pattern in patterns)
 
 
 def identify_incoherent(response: GenerationResult, threshold: float) -> bool:

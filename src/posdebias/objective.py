@@ -13,23 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .corpus import Task
 from .lowbias_infer import ClassDistribution
-from .msa_align import AlignedResponse
-
-
-def default_alpha(task: Task, dataset: str | None = None) -> float:
-    """Recommended alignment weight per task.
-
-    0.2 for NLI, KGC, and CQA on the coqar dataset; 0.1 elsewhere.
-    """
-    if task in (Task.NLI, Task.KGC):
-        return 0.2
-    if task == Task.CQA and (dataset or "").lower() == "coqar":
-        return 0.2
-    return 0.1
 
 
 @dataclass(frozen=True)
@@ -51,27 +36,6 @@ class LossBreakdown:
     l_align: float | None
     combined: float
     alpha: float
-
-
-def nll(logprobs: Sequence[float]) -> float:
-    """Negative log-likelihood of a token sequence: minus the logprob sum."""
-    if len(logprobs) == 0:
-        raise ValueError("nll: empty logprob sequence")
-    total = 0.0
-    for lp in logprobs:
-        if not math.isfinite(lp):
-            raise ValueError(f"nll: non-finite logprob {lp}")
-        if lp > 0.0:
-            raise ValueError(f"nll: positive logprob {lp}")
-        total += lp
-    return -total
-
-
-def nll_grad(logprobs: Sequence[float]) -> list[float]:
-    """Gradient of ``nll`` with respect to each logprob: -1 per position."""
-    if len(logprobs) == 0:
-        raise ValueError("nll_grad: empty logprob sequence")
-    return [-1.0] * len(logprobs)
 
 
 def loss_term_weights(config: LossConfig, align_present: bool) -> tuple[float, float]:
@@ -116,21 +80,3 @@ def nli_align_loss(dist: ClassDistribution, model_class_logprob: float) -> float
         raise ValueError(f"nli_align_loss: positive logprob {model_class_logprob}")
     weight = dist.probs[dist.selected_index]
     return -weight * model_class_logprob
-
-
-def multi_response_align_loss(kept: Sequence[AlignedResponse]) -> float:
-    """Mean NLL over kept responses scored under the current model.
-
-    The ``token_logprobs`` on each response must be model scores (not the
-    generation-time backend scores); the caller rescoring before invoking
-    this is what ties the alignment term to the model being trained.
-    """
-    if len(kept) == 0:
-        raise ValueError("multi_response_align_loss: no kept responses")
-    for response in kept:
-        if not response.kept:
-            raise ValueError(
-                f"multi_response_align_loss: response for sample "
-                f"{response.sample_id!r} was rejected"
-            )
-    return sum(nll(r.token_logprobs) for r in kept) / len(kept)

@@ -11,6 +11,11 @@ Two modes share the same stage machinery:
 Every stage appends its artifacts (with SHA-256 checksums) to
 ``manifest.json`` as soon as it finishes, so a failed run preserves all
 artifacts produced before the failure and marks the failing stage.
+
+Stage bodies are plain functions (``split_corpus``, ``write_split``,
+``infer_corpus``, ``align_corpus``, ``eval_model``, ``pool_evals``,
+``write_report``) that the CLI verbs call as well; record formats live in
+``posdebias.records``.
 """
 from __future__ import annotations
 
@@ -19,11 +24,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from . import report as report_mod
-from .backends import StubBackend, StubMode, resolve_backend
+from .backends import Backend, GenerationResult, StubBackend, StubMode, resolve_backend
 from .bias_split import (
     DEFAULT_BIASED_POSITIONS,
+    BiasKind,
     BiasPartition,
     perturb_positions,
     split_by_lead_bias,
@@ -31,8 +38,9 @@ from .bias_split import (
     split_by_relative_position,
     write_evidence,
 )
-from .corpus import Corpus, Task, load_corpus, relabel, save_corpus
-from .lowbias_infer import build_prompt, default_prompt_spec, generate
+from .corpus import Corpus, Sample, Task, load_corpus, relabel, save_corpus
+from .lowbias_infer import PromptStrategy, build_prompt, default_prompt_spec, generate
+from .metrics import PositionRow
 from .msa_align import (
     DEFAULT_LEXICAL_TRIGGERS,
     AlignedResponse,
@@ -42,7 +50,10 @@ from .msa_align import (
     gate_statistic,
 )
 from .objective import LossConfig
+from .records import write_aligned, write_candidates, write_eval, write_trace
+from .report import SystemEval
 from .toy_model import (
+    METRICS,
     SynthSpec,
     ToyModel,
     build_lowbias_table,
@@ -78,7 +89,7 @@ CONFIG_SCHEMA: dict = {
         "corpus": {"type": "string", "description": "JSONL corpus path (data mode)."},
         "bias": {
             "type": "string",
-            "enum": ["relative_position", "lead", "lexical"],
+            "enum": [k.value for k in BiasKind],
             "default": "relative_position",
         },
         "biased_positions": {"type": "array", "items": {"type": "integer"}, "default": [0, 1]},
@@ -101,7 +112,7 @@ CONFIG_SCHEMA: dict = {
         "n_per_prompt": {"type": "integer", "default": 3},
         "max_tokens": {"type": "integer", "default": 16},
         "garbage_rate": {"type": "number", "default": 0.25},
-        "metric": {"type": "string", "enum": ["accuracy", "rouge_l"], "default": "accuracy"},
+        "metric": {"type": "string", "enum": list(METRICS), "default": "accuracy"},
         "backend": {
             "type": "string",
             "description": "Backend spec: echo | markov | table | table:FILE | replay:FILE | url:ENDPOINT. "
@@ -155,7 +166,10 @@ class PipelineConfig:
 
 
 def parse_config(raw: dict) -> PipelineConfig:
-    """Validate a raw config dict; fails fast on unknown keys and bad combos."""
+    """Validate a raw config dict; fails fast on unknown keys and bad combos.
+
+    Keys left out take the ``PipelineConfig`` defaults.
+    """
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ValueError(f"config: unknown keys {sorted(unknown)}")
@@ -163,44 +177,34 @@ def parse_config(raw: dict) -> PipelineConfig:
         raise ValueError("config: 'out_dir' is required")
     if ("synth" in raw) == ("corpus" in raw):
         raise ValueError("config: exactly one of 'synth' or 'corpus' must be set")
-    synth = SynthSpec(**raw["synth"]) if "synth" in raw else None
     if raw.get("train_sizes") and len(raw.get("alphas", [0.2])) > 1:
         raise ValueError("config: sweep either alphas or train_sizes, not both")
-    align = AlignmentConfig(
+    fields = dict(raw)
+    if "task" in raw:
+        fields["task"] = Task(raw["task"])
+    if "synth" in raw:
+        fields["synth"] = SynthSpec(**raw["synth"])
+    if "biased_positions" in raw:
+        fields["biased_positions"] = frozenset(raw["biased_positions"])
+    for key in ("triggers", "seeds", "systems", "alphas"):
+        if key in raw:
+            fields[key] = tuple(raw[key])
+    fields["train_sizes"] = tuple(raw["train_sizes"]) if raw.get("train_sizes") else None
+    fields["align"] = AlignmentConfig(
         **{
             k: tuple(v) if isinstance(v, list) else v
             for k, v in raw.get("align", {}).items()
         }
     )
-    systems = tuple(raw.get("systems", ("ft", "zoe")))
-    for system in systems:
+    # The internal lookup table only makes sense for synthetic corpora.
+    fields.setdefault("backend", "table" if "synth" in raw else "markov")
+    config = PipelineConfig(**fields)
+    for system in config.systems:
         if system not in ("ft", "zoe", "rp"):
             raise ValueError(f"config: unknown system {system!r}")
-    # The internal lookup table only makes sense for synthetic corpora.
-    default_backend = "table" if "synth" in raw else "markov"
-    return PipelineConfig(
-        out_dir=raw["out_dir"],
-        task=Task(raw.get("task", "cqa")),
-        synth=synth,
-        corpus=raw.get("corpus"),
-        bias=raw.get("bias", "relative_position"),
-        biased_positions=frozenset(raw.get("biased_positions", DEFAULT_BIASED_POSITIONS)),
-        triggers=tuple(raw.get("triggers", DEFAULT_LEXICAL_TRIGGERS)),
-        seeds=tuple(raw.get("seeds", (0,))),
-        systems=systems,
-        alphas=tuple(raw.get("alphas", (0.2,))),
-        train_sizes=tuple(raw["train_sizes"]) if raw.get("train_sizes") else None,
-        epochs=raw.get("epochs", 28),
-        learning_rate=raw.get("learning_rate", 0.1),
-        clip_norm=raw.get("clip_norm", 1.0),
-        n_per_prompt=raw.get("n_per_prompt", 3),
-        max_tokens=raw.get("max_tokens", 16),
-        garbage_rate=raw.get("garbage_rate", 0.25),
-        metric=raw.get("metric", "accuracy"),
-        backend=raw.get("backend", default_backend),
-        calibrate=raw.get("calibrate", True),
-        align=align,
-    )
+    if config.metric not in METRICS:
+        raise ValueError(f"config: unknown metric {config.metric!r}; expected one of {list(METRICS)}")
+    return config
 
 
 def _sha256(path: Path) -> str:
@@ -248,25 +252,6 @@ def _config_echo(config: PipelineConfig) -> dict:
     return json.loads(json.dumps(echo, sort_keys=True, default=list))
 
 
-def _write_jsonl(records: list[dict], path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-    return path
-
-
-def _aligned_to_record(response: AlignedResponse) -> dict:
-    return {
-        "sample_id": response.sample_id,
-        "text": response.text,
-        "token_logprobs": list(response.token_logprobs),
-        "kept": response.kept,
-        "rejection_reasons": sorted(r.value for r in response.rejection_reasons),
-    }
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute all stages; returns the manifest dict.
 
@@ -280,9 +265,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     out_dir = Path(config.out_dir)
     manifest = _Manifest(out_dir, _config_echo(config))
     state: dict = {}
-    stages = (
-        _toy_stages() if config.synth is not None else _data_stages()
-    )
+    stages = _TOY_STAGES if config.synth is not None else _DATA_STAGES
     for name, fn in stages:
         try:
             artifacts = fn(config, out_dir, state)
@@ -293,25 +276,156 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return manifest.data
 
 
-def _toy_stages():
-    return [
-        ("synth", _stage_synth),
-        ("split", _stage_split),
-        ("infer", _stage_infer),
-        ("align", _stage_align),
-        ("train", _stage_train),
-        ("eval", _stage_eval),
-        ("report", _stage_report),
-    ]
+# -- stages, shared by run_pipeline and the CLI verbs ----------------------
 
 
-def _data_stages():
-    return [
-        ("split", _stage_data_split),
-        ("infer", _stage_infer),
-        ("align", _stage_align),
-        ("report", _stage_data_report),
+def split_corpus(
+    corpus: Corpus,
+    bias: str,
+    positions: frozenset[int] = DEFAULT_BIASED_POSITIONS,
+    triggers: tuple[str, ...] = DEFAULT_LEXICAL_TRIGGERS,
+    min_lead_score: float = 0.0,
+) -> BiasPartition:
+    """Partition a corpus by the evidence of one bias kind."""
+    if bias == BiasKind.RELATIVE_POSITION:
+        return split_by_relative_position(corpus, positions)
+    if bias == BiasKind.LEAD:
+        return split_by_lead_bias(corpus, min_lead_score=min_lead_score)
+    if bias == BiasKind.LEXICAL:
+        return split_by_lexical_bias(corpus, triggers)
+    raise ValueError(f"unknown bias kind {bias!r}")
+
+
+def write_split(
+    partition: BiasPartition,
+    out_dir: Path,
+    names: tuple[str, str] = ("biased.jsonl", "non_biased.jsonl"),
+) -> list[Path]:
+    """Save each non-empty side relabelled with its split name, plus the
+    evidence JSONL; ``names`` are the biased and non-biased file names."""
+    artifacts = []
+    sides = (("biased", partition.biased), ("non_biased", partition.non_biased))
+    for (label, side), name in zip(sides, names):
+        if len(side):
+            relabelled = Corpus(tuple(relabel(s, label) for s in side), side.task)
+            artifacts.append(save_corpus(relabelled, out_dir / name))
+    artifacts.append(write_evidence(partition, out_dir / "evidence.jsonl"))
+    return artifacts
+
+
+def infer_corpus(
+    corpus: Corpus,
+    backend: Backend,
+    n_per_prompt: int,
+    seed: int,
+    max_tokens: int,
+    strategy: str | None = None,
+    max_in_flight: int = 1,
+) -> dict[str, list[GenerationResult]]:
+    """Low-bias candidates for every sample, keyed by sample id in corpus order.
+
+    ``strategy`` overrides the task's default prompt strategy.
+    """
+    spec = default_prompt_spec(corpus.task, corpus=corpus)
+    if strategy is not None:
+        spec = dataclasses.replace(spec, strategy=PromptStrategy(strategy))
+    candidates = {}
+    for sample in corpus:
+        prompts = build_prompt(sample, spec, allow_strategy_mismatch=strategy is not None)
+        candidates[sample.id] = generate(
+            prompts,
+            backend,
+            n_per_prompt=n_per_prompt,
+            seed=seed,
+            max_tokens=max_tokens,
+            max_in_flight=max_in_flight,
+        )
+    return candidates
+
+
+def align_corpus(
+    task: Task,
+    samples: Sequence[Sample],
+    candidates: Mapping[str, Sequence[GenerationResult]],
+    config: AlignmentConfig,
+    calibrate: bool,
+) -> tuple[dict[str, list[AlignedResponse]], float | None]:
+    """Verdicts for every candidate, keyed by sample id in ``samples`` order.
+
+    Candidates of an id not in ``samples`` are rejected before anything
+    runs. With ``calibrate``, the gate threshold (incoherence for question
+    generation, unreliability otherwise) is the candidate threshold whose
+    keep fraction lands nearest the target; it is returned, or ``None`` when
+    nothing was calibrated.
+    """
+    unknown = sorted(set(candidates) - {s.id for s in samples})
+    if unknown:
+        raise ValueError(f"align: candidate sample id {unknown[0]!r} not in corpus")
+    threshold = None
+    if calibrate:
+        stats = [
+            gate_statistic(task, sample, cand)
+            for sample in samples
+            for cand in candidates.get(sample.id, ())
+        ]
+        if stats:
+            threshold = calibrate_threshold(
+                stats, config.candidate_thresholds, config.target_keep_fraction
+            )
+            gate = "incoherence_threshold" if task == Task.CQG else "unreliable_threshold"
+            config = dataclasses.replace(config, **{gate: threshold})
+    aligned = {
+        sample.id: align_responses(task, sample, list(candidates[sample.id]), config)
+        for sample in samples
+        if candidates.get(sample.id)
+    }
+    return aligned, threshold
+
+
+def eval_model(model: ToyModel, partition: BiasPartition, metric: str, system: str) -> SystemEval:
+    """Score a model on both partition sides; an empty side is left out."""
+    result = evaluate(model, partition, metric=metric)
+    sides = (("biased", result.biased), ("non_biased", result.non_biased))
+    return SystemEval(
+        system=system,
+        metric=metric,
+        splits={name: (side.score, side.count) for name, side in sides if side.score is not None},
+        by_position=result.by_relative_position,
+    )
+
+
+def pool_evals(system: str, metric: str, evals: Sequence[SystemEval]) -> SystemEval:
+    """Count-weighted mean of several runs' scores, per split and per position."""
+    splits = {}
+    for name in ("biased", "non_biased"):
+        scored = [ev.splits[name] for ev in evals if name in ev.splits]
+        if scored:
+            total = sum(score * count for score, count in scored)
+            count = sum(count for _, count in scored)
+            splits[name] = (total / count, count)
+    pooled: dict[int | None, tuple[float, int]] = {}
+    for ev in evals:
+        for row in ev.by_position:
+            total, count = pooled.get(row.position, (0.0, 0))
+            pooled[row.position] = (total + row.mean_score * row.count, count + row.count)
+    rows = sorted(
+        (PositionRow(pos, total / count, count) for pos, (total, count) in pooled.items() if count),
+        key=lambda r: (r.position is None, r.position or 0),
+    )
+    return SystemEval(system, metric, splits, tuple(rows))
+
+
+def write_report(evals: Sequence[SystemEval], out_dir: Path, metric: str) -> list[Path]:
+    """Score and per-position CSVs, the split chart, and the position chart
+    when any system has per-position rows."""
+    artifacts = [
+        report_mod.write_scores_csv(evals, out_dir / "report.csv"),
+        report_mod.write_position_csv(evals, out_dir / "report_by_relpos.csv"),
+        report_mod.write_split_chart(evals, out_dir / "splits.svg", metric),
     ]
+    if any(ev.by_position for ev in evals):
+        artifacts.append(report_mod.write_position_chart(evals, out_dir / "relpos.svg", metric))
+    return artifacts
 
 
 # -- toy-mode stages -------------------------------------------------------
@@ -335,18 +449,13 @@ def _stage_split(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
     """Re-derive the eval partition with the real splitter (not generator labels)."""
     artifacts = []
     for seed, data in state["data"].items():
-        pool = tuple(data["eval_biased"]) + tuple(data["eval_nonbiased"])
-        corpus = Corpus(pool, config.task)
-        partition = split_by_relative_position(corpus, config.biased_positions)
-        data["partition"] = partition
-        seed_dir = out_dir / "split" / f"seed{seed}"
-        biased = Corpus(tuple(relabel(s, "biased") for s in partition.biased), config.task)
-        non_biased = Corpus(
-            tuple(relabel(s, "non_biased") for s in partition.non_biased), config.task
+        pool = Corpus(tuple(data["eval_biased"]) + tuple(data["eval_nonbiased"]), config.task)
+        data["partition"] = split_by_relative_position(pool, config.biased_positions)
+        artifacts += write_split(
+            data["partition"],
+            out_dir / "split" / f"seed{seed}",
+            names=("eval_biased.jsonl", "eval_nonbiased.jsonl"),
         )
-        artifacts.append(save_corpus(biased, seed_dir / "eval_biased.jsonl"))
-        artifacts.append(save_corpus(non_biased, seed_dir / "eval_nonbiased.jsonl"))
-        artifacts.append(write_evidence(partition, seed_dir / "evidence.jsonl"))
     return artifacts
 
 
@@ -365,89 +474,36 @@ def _resolve_toy_backend(config: PipelineConfig, train_corpus: Corpus, seed: int
 def _stage_infer(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     artifacts = []
     for seed, data in state["data"].items():
-        train_corpus: Corpus = data["train"] if "train" in data else data["corpus"]
-        prompt_spec = default_prompt_spec(config.task, corpus=train_corpus)
-        backend = _resolve_toy_backend(config, train_corpus, seed)
-        records = []
-        candidates: dict[str, list] = {}
-        for sample in train_corpus:
-            prompts = build_prompt(sample, prompt_spec)
-            results = generate(
-                prompts,
-                backend,
-                n_per_prompt=config.n_per_prompt,
-                seed=seed,
-                max_tokens=config.max_tokens,
-            )
-            candidates[sample.id] = results
-            for k, result in enumerate(results):
-                records.append(
-                    {
-                        "sample_id": sample.id,
-                        "candidate_index": k,
-                        "text": result.text,
-                        "tokens": list(result.tokens),
-                        "token_logprobs": list(result.token_logprobs),
-                        "backend_id": result.backend_id,
-                    }
-                )
-        data["candidates"] = candidates
-        artifacts.append(
-            _write_jsonl(records, out_dir / "infer" / f"seed{seed}" / "candidates.jsonl")
+        data["candidates"] = infer_corpus(
+            data["train"],
+            _resolve_toy_backend(config, data["train"], seed),
+            n_per_prompt=config.n_per_prompt,
+            seed=seed,
+            max_tokens=config.max_tokens,
         )
+        path = out_dir / "infer" / f"seed{seed}" / "candidates.jsonl"
+        artifacts.append(write_candidates(data["candidates"], path))
     return artifacts
 
 
 def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     artifacts = []
     for seed, data in state["data"].items():
-        corpus: Corpus = data["train"] if "train" in data else data["corpus"]
         if config.task == Task.NLI:
             # NLI replaces response pruning with class-distribution masking.
             data["aligned"] = {}
-            seed_dir = out_dir / "align" / f"seed{seed}"
-            artifacts.append(_write_jsonl([], seed_dir / "aligned.jsonl"))
-            note_path = seed_dir / "calibration.json"
-            note_path.write_text(
-                json.dumps({"calibrated": False, "note": "nli uses class masking"}, sort_keys=True),
-                encoding="utf-8",
+            calibration: dict = {"calibrated": False, "note": "nli uses class masking"}
+        else:
+            data["aligned"], threshold = align_corpus(
+                config.task, data["train"].samples, data["candidates"], config.align, config.calibrate
             )
-            artifacts.append(note_path)
-            continue
-        candidates = data["candidates"]
-        align_config = config.align
-        calibration: dict = {"calibrated": False}
-        if config.calibrate:
-            stats = [
-                gate_statistic(config.task, sample, cand)
-                for sample in corpus
-                for cand in candidates.get(sample.id, ())
-            ]
-            if stats:
-                chosen = calibrate_threshold(
-                    stats, align_config.candidate_thresholds, align_config.target_keep_fraction
-                )
-                calibration = {"calibrated": True, "threshold": chosen}
-                if config.task == Task.CQG:
-                    align_config = dataclasses.replace(align_config, incoherence_threshold=chosen)
-                else:
-                    align_config = dataclasses.replace(align_config, unreliable_threshold=chosen)
-        aligned: dict[str, list[AlignedResponse]] = {}
-        records = []
-        for sample in corpus:
-            cands = candidates.get(sample.id, ())
-            if not cands:
-                continue
-            verdicts = align_responses(config.task, sample, list(cands), align_config)
-            aligned[sample.id] = verdicts
-            records.extend(_aligned_to_record(v) for v in verdicts)
-        data["aligned"] = aligned
+            calibration = {"calibrated": threshold is not None}
+            if threshold is not None:
+                calibration["threshold"] = threshold
         seed_dir = out_dir / "align" / f"seed{seed}"
-        artifacts.append(_write_jsonl(records, seed_dir / "aligned.jsonl"))
+        artifacts.append(write_aligned(data["aligned"], seed_dir / "aligned.jsonl"))
         calibration_path = seed_dir / "calibration.json"
-        calibration_path.write_text(
-            json.dumps(calibration, sort_keys=True), encoding="utf-8"
-        )
+        calibration_path.write_text(json.dumps(calibration, sort_keys=True), encoding="utf-8")
         artifacts.append(calibration_path)
     return artifacts
 
@@ -485,13 +541,11 @@ def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
                     for i, s in enumerate(train_corpus)
                 )
                 train_corpus = Corpus(perturbed, config.task)
-            aligned = data["aligned"] if point["system"] == "zoe" else None
-            model = ToyModel.initialize(config.synth.vocab_size, seed=seed)
             trained, trace = train(
-                model,
+                ToyModel.initialize(config.synth.vocab_size, seed=seed),
                 train_corpus,
-                aligned=aligned,
-                config=LossConfig(alpha=point["alpha"] if point["system"] == "zoe" else 0.0),
+                aligned=data["aligned"] if point["system"] == "zoe" else None,
+                config=LossConfig(alpha=point["alpha"]),
                 epochs=config.epochs,
                 learning_rate=config.learning_rate,
                 seed=seed,
@@ -500,105 +554,34 @@ def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
             state["models"][(point["label"], seed)] = trained
             run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
             artifacts.append(save_model(trained, run_dir / "model.json"))
-            trace_records = [
-                {
-                    "step": t.step,
-                    "epoch": t.epoch,
-                    "sample_id": t.sample_id,
-                    "l_target": t.l_target,
-                    "l_align": t.l_align,
-                    "combined": t.combined,
-                }
-                for t in trace
-            ]
-            artifacts.append(_write_jsonl(trace_records, run_dir / "trace.jsonl"))
+            artifacts.append(write_trace(trace, run_dir / "trace.jsonl"))
     return artifacts
-
-
-def _pool_positions(reports: list) -> list[dict]:
-    pooled: dict[int | None, tuple[float, int]] = {}
-    for rep in reports:
-        for row in rep.by_relative_position:
-            total, count = pooled.get(row.position, (0.0, 0))
-            pooled[row.position] = (total + row.mean_score * row.count, count + row.count)
-    rows = [
-        {"position": pos, "score": total / count, "count": count}
-        for pos, (total, count) in pooled.items()
-        if count
-    ]
-    rows.sort(key=lambda r: (r["position"] is None, r["position"] if r["position"] is not None else 0))
-    return rows
 
 
 def _stage_eval(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     artifacts = []
     state["evals"] = []
     for point in _sweep_points(config):
-        reports = []
-        for seed, data in state["data"].items():
-            model = state["models"][(point["label"], seed)]
-            reports.append(evaluate(model, data["partition"], metric=config.metric))
-        splits = {}
-        for split_name in ("biased", "non_biased"):
-            sides = [getattr(r, split_name) for r in reports]
-            scored = [(s.score, s.count) for s in sides if s.score is not None]
-            if scored:
-                total = sum(score * count for score, count in scored)
-                count = sum(count for _, count in scored)
-                splits[split_name] = (total / count, count)
-        by_position = _pool_positions(reports)
-        entry = {
-            "system": point["label"],
-            "alpha": point["alpha"],
-            "n_train": point["size"],
-            "metric": config.metric,
-            "splits": {k: {"score": v[0], "count": v[1]} for k, v in splits.items()},
-            "by_position": by_position,
-        }
-        state["evals"].append(entry)
-        path = out_dir / "eval" / f"{point['label']}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(entry, indent=2, sort_keys=True), encoding="utf-8")
-        artifacts.append(path)
+        label = point["label"]
+        per_seed = [
+            eval_model(state["models"][(label, seed)], data["partition"], config.metric, label)
+            for seed, data in state["data"].items()
+        ]
+        pooled = pool_evals(label, config.metric, per_seed)
+        state["evals"].append((point, pooled))
+        path = out_dir / "eval" / f"{label}.json"
+        artifacts.append(write_eval(pooled, path, alpha=point["alpha"], n_train=point["size"]))
     return artifacts
 
 
 def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
-    from .metrics import PositionRow
-
-    evals = []
-    for entry in state["evals"]:
-        evals.append(
-            report_mod.SystemEval(
-                system=entry["system"],
-                metric=entry["metric"],
-                splits={k: (v["score"], v["count"]) for k, v in entry["splits"].items()},
-                by_position=tuple(
-                    PositionRow(r["position"], r["score"], r["count"])
-                    for r in entry["by_position"]
-                ),
-            )
-        )
     report_dir = out_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = [
-        report_mod.write_scores_csv(evals, report_dir / "report.csv"),
-        report_mod.write_position_csv(evals, report_dir / "report_by_relpos.csv"),
-        report_mod.write_split_chart(evals, report_dir / "splits.svg", config.metric),
-        report_mod.write_position_chart(evals, report_dir / "relpos.svg", config.metric),
-    ]
+    artifacts = write_report([ev for _, ev in state["evals"]], report_dir, config.metric)
     if len(config.alphas) > 1:
+        zoe = [(point["alpha"], ev.splits) for point, ev in state["evals"] if point["system"] == "zoe"]
         series = {
-            "non_biased": [
-                (e["alpha"], e["splits"]["non_biased"]["score"])
-                for e in state["evals"]
-                if e["system"].startswith("zoe")
-            ],
-            "biased": [
-                (e["alpha"], e["splits"]["biased"]["score"])
-                for e in state["evals"]
-                if e["system"].startswith("zoe")
-            ],
+            side: [(alpha, splits[side][0]) for alpha, splits in zoe]
+            for side in ("non_biased", "biased")
         }
         artifacts.append(
             report_mod.write_sweep_chart(
@@ -608,10 +591,9 @@ def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pa
         )
     if config.train_sizes and len(config.train_sizes) > 1:
         series = {}
-        for entry in state["evals"]:
-            base = entry["system"].split("@")[0]
-            series.setdefault(base, []).append(
-                (float(entry["n_train"]), entry["splits"]["non_biased"]["score"])
+        for point, ev in state["evals"]:
+            series.setdefault(point["system"], []).append(
+                (float(point["size"]), ev.splits["non_biased"][0])
             )
         artifacts.append(
             report_mod.write_sweep_chart(
@@ -627,27 +609,12 @@ def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pa
 
 def _stage_data_split(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     corpus = load_corpus(config.corpus, config.task)
-    if config.bias == "relative_position":
-        partition = split_by_relative_position(corpus, config.biased_positions)
-    elif config.bias == "lead":
-        partition = split_by_lead_bias(corpus)
-    elif config.bias == "lexical":
-        partition = split_by_lexical_bias(corpus, list(config.triggers))
-    else:
-        raise ValueError(f"unknown bias kind {config.bias!r}")
-    state["data"] = {0: {"corpus": corpus, "partition": partition}}
-    split_dir = out_dir / "split"
-    biased = Corpus(tuple(relabel(s, "biased") for s in partition.biased), config.task)
-    non_biased = Corpus(
-        tuple(relabel(s, "non_biased") for s in partition.non_biased), config.task
+    partition = split_corpus(
+        corpus, config.bias, positions=config.biased_positions, triggers=config.triggers
     )
-    artifacts = []
-    if len(biased):
-        artifacts.append(save_corpus(biased, split_dir / "biased.jsonl"))
-    if len(non_biased):
-        artifacts.append(save_corpus(non_biased, split_dir / "non_biased.jsonl"))
-    artifacts.append(write_evidence(partition, split_dir / "evidence.jsonl"))
-    return artifacts
+    # The whole corpus is the candidate source, as the train split is in toy mode.
+    state["data"] = {0: {"train": corpus, "partition": partition}}
+    return write_split(partition, out_dir / "split")
 
 
 def _stage_data_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
@@ -658,7 +625,7 @@ def _stage_data_report(config: PipelineConfig, out_dir: Path, state: dict) -> li
     verdicts = [v for vs in aligned.values() for v in vs]
     kept = sum(1 for v in verdicts if v.kept)
     evals = [
-        report_mod.SystemEval(
+        SystemEval(
             system="corpus",
             metric="fraction",
             splits={
@@ -669,12 +636,28 @@ def _stage_data_report(config: PipelineConfig, out_dir: Path, state: dict) -> li
     ]
     if verdicts:
         evals.append(
-            report_mod.SystemEval(
+            SystemEval(
                 system="align",
                 metric="kept_fraction",
                 splits={"all": (kept / len(verdicts), len(verdicts))},
             )
         )
-    report_dir = out_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
-    return [report_mod.write_scores_csv(evals, report_dir / "report.csv")]
+    return [report_mod.write_scores_csv(evals, out_dir / "report" / "report.csv")]
+
+
+_TOY_STAGES = (
+    ("synth", _stage_synth),
+    ("split", _stage_split),
+    ("infer", _stage_infer),
+    ("align", _stage_align),
+    ("train", _stage_train),
+    ("eval", _stage_eval),
+    ("report", _stage_report),
+)
+
+_DATA_STAGES = (
+    ("split", _stage_data_split),
+    ("infer", _stage_infer),
+    ("align", _stage_align),
+    ("report", _stage_data_report),
+)

@@ -30,27 +30,29 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def write_scores_csv(evals: Sequence[SystemEval], path: str | Path) -> Path:
-    """Aggregate CSV: one row per system and split, sorted for determinism."""
+def _write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_scores_csv(evals: Sequence[SystemEval], path: str | Path) -> Path:
+    """Aggregate CSV: one row per system and split, sorted for determinism."""
     rows = []
     for ev in evals:
         for split in sorted(ev.splits):
             score, count = ev.splits[split]
             rows.append((ev.system, split, ev.metric, _fmt(score), str(count)))
     rows.sort()
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["system", "split", "metric", "score", "count"])
-        writer.writerows(rows)
-    return path
+    return _write_csv(path, ["system", "split", "metric", "score", "count"], rows)
 
 
 def write_position_csv(evals: Sequence[SystemEval], path: str | Path) -> Path:
     """Per-relative-position CSV with a trailing ``relpos`` column."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for ev in evals:
         for row in ev.by_position:
@@ -59,11 +61,7 @@ def write_position_csv(evals: Sequence[SystemEval], path: str | Path) -> Path:
                 (ev.system, "all", ev.metric, _fmt(row.mean_score), str(row.count), relpos)
             )
     rows.sort(key=lambda r: (r[0], _relpos_sort_key(r[5])))
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["system", "split", "metric", "score", "count", "relpos"])
-        writer.writerows(rows)
-    return path
+    return _write_csv(path, ["system", "split", "metric", "score", "count", "relpos"], rows)
 
 
 def _relpos_sort_key(relpos: str) -> tuple[int, int]:
@@ -96,6 +94,27 @@ def _axes(
     ]
 
 
+def _plot_area(width: int, height: int) -> tuple[int, int, int, int]:
+    """Corners (x0, y0, x1, y1) inside the margins; the legend sits right of x1."""
+    return 70, 40, width - 150, height - 50
+
+
+def _y_ticks(x0: float, values: Sequence[float], sy) -> list[str]:
+    return [
+        f'<text x="{x0 - 8:.1f}" y="{sy(value) + 4:.1f}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="10">{value:.2f}</text>'
+        for value in values
+    ]
+
+
+def _legend_entry(x1: float, legend_y: float, name: str, color: str) -> list[str]:
+    return [
+        f'<rect x="{x1 + 12}" y="{legend_y - 8}" width="10" height="10" fill="{color}"/>',
+        f'<text x="{x1 + 28}" y="{legend_y + 1}" font-family="sans-serif" '
+        f'font-size="11">{name}</text>',
+    ]
+
+
 def line_chart(
     series: Mapping[str, Sequence[tuple[float, float]]],
     title: str,
@@ -105,9 +124,7 @@ def line_chart(
     height: int = 400,
 ) -> str:
     """Multi-series line chart; each series is a list of (x, y) points."""
-    margin_left, margin_right, margin_top, margin_bottom = 70, 150, 40, 50
-    x0, y0 = margin_left, margin_top
-    x1, y1 = width - margin_right, height - margin_bottom
+    x0, y0, x1, y1 = _plot_area(width, height)
     points = [pt for pts in series.values() for pt in pts]
     if not points:
         raise ValueError("line_chart: no data points")
@@ -126,12 +143,7 @@ def line_chart(
 
     parts = _svg_header(width, height, title)
     parts.extend(_axes(x0, y0, x1, y1, x_label, y_label))
-    for i in range(5):
-        y_val = y_min + y_span * i / 4
-        parts.append(
-            f'<text x="{x0 - 8:.1f}" y="{sy(y_val) + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{y_val:.2f}</text>'
-        )
+    parts.extend(_y_ticks(x0, [y_min + y_span * i / 4 for i in range(5)], sy))
     for x_val in sorted({p[0] for p in points}):
         parts.append(
             f'<text x="{sx(x_val):.1f}" y="{y1 + 16:.1f}" text-anchor="middle" '
@@ -148,14 +160,7 @@ def line_chart(
             parts.append(
                 f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="{color}"/>'
             )
-        legend_y = y0 + 16 * i
-        parts.append(
-            f'<rect x="{x1 + 12}" y="{legend_y - 8}" width="10" height="10" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{x1 + 28}" y="{legend_y + 1}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
-        )
+        parts.extend(_legend_entry(x1, y0 + 16 * i, name, color))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -169,9 +174,7 @@ def bar_chart(
     height: int = 400,
 ) -> str:
     """Grouped bar chart; each series maps category labels to heights."""
-    margin_left, margin_right, margin_top, margin_bottom = 70, 150, 40, 50
-    x0, y0 = margin_left, margin_top
-    x1, y1 = width - margin_right, height - margin_bottom
+    x0, y0, x1, y1 = _plot_area(width, height)
     categories: list[str] = []
     for pts in series.values():
         for label, _ in pts:
@@ -189,12 +192,7 @@ def bar_chart(
 
     parts = _svg_header(width, height, title)
     parts.extend(_axes(x0, y0, x1, y1, x_label, y_label))
-    for i in range(5):
-        y_val = y_max * i / 4
-        parts.append(
-            f'<text x="{x0 - 8:.1f}" y="{sy(y_val) + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{y_val:.2f}</text>'
-        )
+    parts.extend(_y_ticks(x0, [y_max * i / 4 for i in range(5)], sy))
     for c, category in enumerate(categories):
         center = x0 + slot * (c + 0.5)
         parts.append(
@@ -214,16 +212,16 @@ def bar_chart(
                 f'<rect x="{left:.1f}" y="{top:.1f}" width="{bar_width:.1f}" '
                 f'height="{y1 - top:.1f}" fill="{color}"/>'
             )
-        legend_y = y0 + 16 * i
-        parts.append(
-            f'<rect x="{x1 + 12}" y="{legend_y - 8}" width="10" height="10" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{x1 + 28}" y="{legend_y + 1}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
-        )
+        parts.extend(_legend_entry(x1, y0 + 16 * i, name, color))
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def _write_svg(path: str | Path, markup: str) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(markup, encoding="utf-8")
+    return path
 
 
 def write_position_chart(evals: Sequence[SystemEval], path: str | Path, metric: str) -> Path:
@@ -237,12 +235,9 @@ def write_position_chart(evals: Sequence[SystemEval], path: str | Path, metric: 
         ]
         if pts:
             series[ev.system] = pts
-    path = Path(path)
-    path.write_text(
-        line_chart(series, f"{metric} by relative position", "relative position", metric),
-        encoding="utf-8",
+    return _write_svg(
+        path, line_chart(series, f"{metric} by relative position", "relative position", metric)
     )
-    return path
 
 
 def write_split_chart(evals: Sequence[SystemEval], path: str | Path, metric: str) -> Path:
@@ -251,11 +246,7 @@ def write_split_chart(evals: Sequence[SystemEval], path: str | Path, metric: str
         ev.system: [(split, ev.splits[split][0]) for split in sorted(ev.splits)]
         for ev in evals
     }
-    path = Path(path)
-    path.write_text(
-        bar_chart(series, f"{metric} by split", "split", metric), encoding="utf-8"
-    )
-    return path
+    return _write_svg(path, bar_chart(series, f"{metric} by split", "split", metric))
 
 
 def write_sweep_chart(
@@ -265,6 +256,4 @@ def write_sweep_chart(
     x_label: str,
     y_label: str,
 ) -> Path:
-    path = Path(path)
-    path.write_text(line_chart(series, title, x_label, y_label), encoding="utf-8")
-    return path
+    return _write_svg(path, line_chart(series, title, x_label, y_label))

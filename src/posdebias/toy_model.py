@@ -443,6 +443,10 @@ def train(
     return replace(model, weights=final), trace
 
 
+#: Evaluation metrics ``evaluate`` accepts.
+METRICS = ("accuracy", "rouge_l", "bleu_2")
+
+
 def _score_prediction(metric: str, prediction: str, target: str) -> float:
     if metric == "accuracy":
         return 1.0 if tokenize(prediction) == tokenize(target) else 0.0

@@ -9,15 +9,11 @@ import math
 import random
 
 import pytest
-from scipy import stats as scipy_stats
 
 from posdebias.metrics import (
     PositionRow,
     bleu_2,
-    build_report,
     lcs_length,
-    macro_accuracy,
-    paired_t_test,
     per_position_table,
     rouge_l,
     tokenize,
@@ -137,30 +133,6 @@ class TestBleu2:
             )
 
 
-class TestMacroAccuracy:
-    def test_hand_counted_example(self):
-        # frozen: class A 2/3 correct, class B 1/1 -> (2/3 + 1)/2 = 5/6
-        gold = ["A", "A", "A", "B"]
-        pred = ["A", "A", "B", "B"]
-        assert macro_accuracy(pred, gold) == pytest.approx(5 / 6, abs=1e-15)
-
-    def test_perfect_and_zero(self):
-        assert macro_accuracy(["x", "y"], ["x", "y"]) == 1.0
-        assert macro_accuracy(["y", "x"], ["x", "y"]) == 0.0
-
-    def test_classes_from_gold_only(self):
-        # A spurious predicted class must not contribute a denominator class.
-        assert macro_accuracy(["C", "A"], ["A", "A"]) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            macro_accuracy(["A"], ["A", "B"])
-
-    def test_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            macro_accuracy([], [])
-
-
 class TestPerPositionTable:
     def test_grouping_and_order(self):
         rows = per_position_table([1, 0, 1, None, -2], [1.0, 0.0, 0.0, 0.5, 1.0])
@@ -182,66 +154,6 @@ class TestPerPositionTable:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             per_position_table([0], [1.0, 2.0])
-
-
-class TestPairedTTest:
-    def test_matches_scipy_oracle(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            n = rng.randint(3, 40)
-            a = [rng.gauss(0.5, 0.2) for _ in range(n)]
-            b = [rng.gauss(0.45, 0.2) for _ in range(n)]
-            t_stat, p_value = paired_t_test(a, b)
-            expected = scipy_stats.ttest_rel(a, b)
-            assert t_stat == pytest.approx(float(expected.statistic), rel=1e-10)
-            assert p_value == pytest.approx(float(expected.pvalue), rel=1e-10)
-
-    def test_large_consistent_difference_is_significant(self):
-        rng = random.Random(9)
-        a = [1.0 + rng.gauss(0, 0.01) for _ in range(100)]
-        b = [0.5 + rng.gauss(0, 0.01) for _ in range(100)]
-        _, p_value = paired_t_test(a, b)
-        assert p_value < 0.001
-
-    def test_null_p_values_uniform(self):
-        # Under the null, p-values are Uniform(0,1); check via one-sample KS.
-        p_values = []
-        for trial in range(1000):
-            rng = random.Random(10_000 + trial)
-            a = [rng.gauss(0, 1) for _ in range(12)]
-            b = [rng.gauss(0, 1) for _ in range(12)]
-            p_values.append(paired_t_test(a, b)[1])
-        ks = scipy_stats.kstest(p_values, "uniform")
-        assert ks.statistic < 0.05
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            paired_t_test([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
-
-    def test_too_short(self):
-        with pytest.raises(ValueError, match="at least two"):
-            paired_t_test([1.0], [2.0])
-
-
-class TestBuildReport:
-    def test_aggregate_is_mean(self):
-        report = build_report("accuracy", [1.0, 0.0, 1.0, 1.0])
-        assert report.aggregate == 0.75
-        assert report.by_position is None
-        assert report.p_value is None
-
-    def test_with_positions_and_baseline(self):
-        rng = random.Random(21)
-        scores = [rng.random() for _ in range(20)]
-        baseline = [s - 0.3 + rng.gauss(0, 0.01) for s in scores]
-        positions = [rng.choice([0, 1, 2]) for _ in range(20)]
-        report = build_report("rouge_l", scores, positions=positions, baseline=baseline)
-        assert sum(r.count for r in report.by_position) == 20
-        assert report.p_value < 0.001
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no per-sample"):
-            build_report("accuracy", [])
 
 
 def test_nll_examples_are_consistent_with_math():

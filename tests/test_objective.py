@@ -6,31 +6,13 @@ import random
 
 import pytest
 
-from posdebias.corpus import Task
 from posdebias.lowbias_infer import make_class_distribution
-from posdebias.msa_align import AlignedResponse, RejectionReason
 from posdebias.objective import (
     LossConfig,
     combined_loss,
-    default_alpha,
     loss_term_weights,
-    multi_response_align_loss,
     nli_align_loss,
-    nll,
-    nll_grad,
 )
-
-
-class TestDefaultAlpha:
-    def test_per_task_values(self):
-        assert default_alpha(Task.NLI) == 0.2
-        assert default_alpha(Task.KGC) == 0.2
-        assert default_alpha(Task.CQA, dataset="coqar") == 0.2
-        assert default_alpha(Task.CQA, dataset="CoQAR") == 0.2
-        assert default_alpha(Task.CQA, dataset="canard") == 0.1
-        assert default_alpha(Task.CQA) == 0.1
-        assert default_alpha(Task.CQG) == 0.1
-        assert default_alpha(Task.SUM) == 0.1
 
 
 class TestLossConfig:
@@ -41,38 +23,6 @@ class TestLossConfig:
             LossConfig(alpha=-0.01)
         with pytest.raises(ValueError, match="alpha"):
             LossConfig(alpha=1.01)
-
-
-class TestNll:
-    def test_certain_sequence(self):
-        assert nll([0.0, 0.0]) == 0.0
-
-    def test_single_half(self):
-        # frozen: -ln(1/2) = ln 2
-        assert nll([math.log(0.5)]) == pytest.approx(0.6931471805599453, abs=1e-15)
-
-    def test_two_tokens(self):
-        # frozen: ln 2 + ln 4
-        assert nll([math.log(0.5), math.log(0.25)]) == pytest.approx(
-            2.0794415416798357, abs=1e-15
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            nll([])
-
-    def test_positive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            nll([0.1])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            nll([float("-inf")])
-
-    def test_grad_is_minus_one_per_token(self):
-        assert nll_grad([-0.5, -0.1, -0.7]) == [-1.0, -1.0, -1.0]
-        with pytest.raises(ValueError, match="empty"):
-            nll_grad([])
 
 
 class TestCombinedLoss:
@@ -152,28 +102,3 @@ class TestNliAlignLoss:
         dist = make_class_distribution(("a", "b"), (0.5, 0.5))
         with pytest.raises(ValueError, match="positive"):
             nli_align_loss(dist, 0.2)
-
-
-class TestMultiResponseAlignLoss:
-    def _kept(self, sid: str, logprobs: tuple[float, ...]) -> AlignedResponse:
-        return AlignedResponse(sid, "text", logprobs, kept=True)
-
-    def test_mean_over_kept(self):
-        responses = [
-            self._kept("s", (math.log(0.5),)),            # nll ln 2
-            self._kept("s", (math.log(0.5), math.log(0.25))),  # nll ln 2 + ln 4
-        ]
-        expected = (math.log(2) + (math.log(2) + math.log(4))) / 2
-        assert multi_response_align_loss(responses) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejected_response_refused(self):
-        bad = AlignedResponse(
-            "s", "text", (math.log(0.5),), kept=False,
-            rejection_reasons=frozenset({RejectionReason.DULL}),
-        )
-        with pytest.raises(ValueError, match="rejected"):
-            multi_response_align_loss([bad])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no kept responses"):
-            multi_response_align_loss([])

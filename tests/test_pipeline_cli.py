@@ -49,6 +49,11 @@ class TestParseConfig:
                 "alphas": [0.1, 0.2], "train_sizes": [100, 200],
             })
 
+    def test_unknown_metric_rejected_before_any_stage(self):
+        with pytest.raises(ValueError, match="unknown metric 'foo'"):
+            parse_config({"out_dir": "x", "synth": {}, "metric": "foo"})
+        assert parse_config({"out_dir": "x", "synth": {}, "metric": "bleu_2"}).metric == "bleu_2"
+
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
             parse_config({"out_dir": "x", "synth": {}, "systems": ["ft", "bert"]})
@@ -374,6 +379,51 @@ class TestCliVerbs:
             return records
 
         assert content(first) == content(second)
+
+    def test_split_infer_align_chain_matches_run_artifacts(self, runner, tmp_path):
+        # Corpus order differs from sample-id order, so an id-sorted verdict
+        # file would not match the one ``run`` writes.
+        spec = SynthSpec(n_utterances=6, n_train=1, n_eval=15, biased_fraction=0.9, vocab_size=12, seed=3)
+        _, eval_b, eval_n = synth_corpus(spec)
+        samples = tuple(eval_n) + tuple(eval_b)
+        corpus_file = save_corpus(Corpus(samples, Task.CQA), tmp_path / "corpus.jsonl")
+        run_dir = tmp_path / "run"
+        run_pipeline(parse_config({
+            "out_dir": str(run_dir), "corpus": str(corpus_file), "task": "cqa", "backend": "markov",
+        }))
+        cli_dir = tmp_path / "cli"
+        invoke_ok(runner, [
+            "split", "--corpus", str(corpus_file), "--task", "cqa", "--out-dir", str(cli_dir),
+        ])
+        invoke_ok(runner, [
+            "infer", "--corpus", str(corpus_file), "--task", "cqa", "--backend", "markov",
+            "--out", str(cli_dir / "candidates.jsonl"),
+        ])
+        invoke_ok(runner, [
+            "align", "--candidates", str(cli_dir / "candidates.jsonl"), "--task", "cqa",
+            "--corpus", str(corpus_file), "--calibrate", "--out", str(cli_dir / "aligned.jsonl"),
+        ])
+        pairs = {
+            "biased.jsonl": "split/biased.jsonl",
+            "non_biased.jsonl": "split/non_biased.jsonl",
+            "evidence.jsonl": "split/evidence.jsonl",
+            "candidates.jsonl": "infer/seed0/candidates.jsonl",
+            "aligned.jsonl": "align/seed0/aligned.jsonl",
+        }
+        for cli_name, run_name in pairs.items():
+            assert (cli_dir / cli_name).read_bytes() == (run_dir / run_name).read_bytes(), cli_name
+
+    def test_align_rejects_unknown_ids_before_calibrating(self, runner, dialogue_corpus_file, tmp_path):
+        candidates = tmp_path / "c.jsonl"
+        candidates.write_text(json.dumps(
+            {"sample_id": "ghost", "candidate_index": 0, "text": "x", "tokens": ["x"], "token_logprobs": [-0.1]}
+        ) + "\n")
+        result = runner.invoke(main, [
+            "align", "--candidates", str(candidates), "--task", "cqa",
+            "--corpus", str(dialogue_corpus_file), "--calibrate", "--out", str(tmp_path / "a.jsonl"),
+        ])
+        assert result.exit_code != 0
+        assert "'ghost' not in corpus" in result.output
 
     def test_align_rejects_nli(self, runner, tmp_path):
         candidates = tmp_path / "c.jsonl"
