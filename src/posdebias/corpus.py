@@ -272,8 +272,8 @@ def load_corpus(path: str | Path, task: Task) -> Corpus:
     """Load a JSONL corpus, one record per line.
 
     Raises ``CorpusError`` naming the offending line for malformed JSON,
-    schema violations, or task mismatches; empty files and invalid UTF-8 are
-    rejected outright.
+    schema violations, task mismatches, or the first ``validate_sample``
+    violation; empty files and invalid UTF-8 are rejected outright.
     """
     path = Path(path)
     try:
@@ -290,6 +290,9 @@ def load_corpus(path: str | Path, task: Task) -> Corpus:
         except json.JSONDecodeError as exc:
             raise CorpusError(f"line {line_no}: malformed JSON: {exc.msg}") from exc
         sample = _sample_from_record(record, task, line_no)
+        violations = validate_sample(sample)
+        if violations:
+            raise CorpusError(f"line {line_no}: {violations[0]}")
         if sample.id in seen:
             raise CorpusError(f"line {line_no}: duplicate sample id {sample.id!r}")
         seen.add(sample.id)

@@ -77,13 +77,17 @@ class PromptSpec:
             raise ValueError("PromptSpec: icl strategy needs at least one exemplar")
 
 
-def default_prompt_spec(task: Task, corpus: Corpus | None = None) -> PromptSpec:
-    """Spec implementing each task's default strategy.
+def default_prompt_spec(
+    task: Task, corpus: Corpus | None = None, strategy: PromptStrategy | None = None
+) -> PromptSpec:
+    """Spec implementing ``strategy`` (default: the task's own) for ``task``.
 
-    NLI needs a corpus to draw exemplars from (the first ``DEFAULT_ICL_K``
-    samples in id order).
+    The spec carries the task's instruction plus what the strategy needs:
+    the diverse prompts, or exemplars drawn from ``corpus`` (the first
+    ``DEFAULT_ICL_K`` samples in id order), which ICL therefore requires.
     """
-    strategy = DEFAULT_STRATEGY_BY_TASK[task]
+    if strategy is None:
+        strategy = DEFAULT_STRATEGY_BY_TASK[task]
     instruction = DEFAULT_INSTRUCTIONS[task]
     if strategy == PromptStrategy.DIVERSE:
         return PromptSpec(strategy, instruction, diverse_prompts=DEFAULT_DIVERSE_PROMPTS)

@@ -41,7 +41,6 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     # Single-row dynamic program; prev holds the previous row of the table.
     prev = [0] * (len(b) + 1)
     for x in a:
-        best = 0
         row = [0]
         for j, y in enumerate(b, start=1):
             if x == y:
@@ -49,7 +48,6 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
             else:
                 value = max(row[-1], prev[j])
             row.append(value)
-            best = max(best, value)
         prev = row
     return prev[-1]
 

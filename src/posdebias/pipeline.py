@@ -326,9 +326,9 @@ def infer_corpus(
 
     ``strategy`` overrides the task's default prompt strategy.
     """
-    spec = default_prompt_spec(corpus.task, corpus=corpus)
-    if strategy is not None:
-        spec = dataclasses.replace(spec, strategy=PromptStrategy(strategy))
+    spec = default_prompt_spec(
+        corpus.task, corpus=corpus, strategy=None if strategy is None else PromptStrategy(strategy)
+    )
     candidates = {}
     for sample in corpus:
         prompts = build_prompt(sample, spec, allow_strategy_mismatch=strategy is not None)

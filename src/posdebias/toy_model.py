@@ -287,18 +287,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _sequence_loss_and_grad(
-    weights: np.ndarray, phi: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """NLL of a sequence and its gradient with respect to the weights."""
-    logits = phi @ weights
-    logp = _log_softmax(logits)
-    loss = -float(logp[np.arange(len(targets)), targets].sum())
-    delta = np.exp(logp)
-    delta[np.arange(len(targets)), targets] -= 1.0
-    return loss, phi.T @ delta
-
-
 def score_tokens(model: ToyModel, sample: Sample, response: str) -> list[float]:
     """Per-token logprobs of a response under the model; one per token."""
     tokens = response.split()
@@ -341,26 +329,74 @@ class TraceEntry:
     combined: float
 
 
+@dataclass(frozen=True)
+class _StackedSequences:
+    """One sample's target and kept aligned sequences as a single row block.
+
+    ``phi`` holds only the ``active`` feature columns (those non-zero on some
+    row), so a step reads and updates just ``weights[active]``. The first
+    ``n_target`` rows are the target sequence, weighted ``w_target``; the
+    rest are the ``k`` aligned sequences, each row weighted ``w_align / k``.
+    """
+
+    phi: np.ndarray
+    active: np.ndarray
+    targets: np.ndarray
+    rows: np.ndarray
+    row_weight: np.ndarray
+    n_target: int
+    k: int
+
+
+def _stack_sequences(
+    model: ToyModel,
+    base: np.ndarray,
+    target_tokens: Sequence[str],
+    align_tokens: Sequence[Sequence[str]],
+    config: LossConfig,
+) -> _StackedSequences:
+    """Stack a target token list and aligned token lists into one block."""
+    k = len(align_tokens)
+    w_target, w_align = loss_term_weights(config, align_present=k > 0)
+    blocks = [_sequence_features(model, base, tokens) for tokens in (target_tokens, *align_tokens)]
+    phi = np.concatenate([block_phi for block_phi, _ in blocks])
+    targets = np.concatenate([block_ids for _, block_ids in blocks])
+    row_weight = np.full((len(targets), 1), w_align / k if k else 0.0)
+    row_weight[: len(target_tokens)] = w_target
+    active = np.flatnonzero(phi.any(axis=0))
+    return _StackedSequences(
+        phi[:, active], active, targets, np.arange(len(targets)), row_weight, len(target_tokens), k
+    )
+
+
+def _stacked_loss_and_grad(
+    weights: np.ndarray, seqs: _StackedSequences
+) -> tuple[float, float | None, np.ndarray]:
+    """Target NLL, mean aligned NLL (``None`` when ``k == 0``) and the gradient
+    of their weighted sum with respect to ``weights[seqs.active]``."""
+    logp = _log_softmax(seqs.phi @ weights.take(seqs.active, axis=0))
+    picked = logp[seqs.rows, seqs.targets]
+    l_target = -float(picked[: seqs.n_target].sum())
+    l_align = -float(picked[seqs.n_target :].sum()) / seqs.k if seqs.k else None
+    delta = np.exp(logp)
+    delta[seqs.rows, seqs.targets] -= 1.0
+    delta *= seqs.row_weight
+    return l_target, l_align, seqs.phi.T @ delta
+
+
 def _encode_training_sequences(
     model: ToyModel,
     corpus: Corpus,
     aligned: Mapping[str, Sequence[AlignedResponse]] | None,
-    use_align: bool,
-) -> dict[str, tuple]:
-    encoded: dict[str, tuple] = {}
+    config: LossConfig,
+) -> dict[str, _StackedSequences]:
+    encoded: dict[str, _StackedSequences] = {}
     for sample in corpus:
-        base = context_features(model, sample)
-        target_tokens = sample.target.split() + [EOS]
-        target_seq = _sequence_features(model, base, target_tokens)
-        align_seqs = []
-        if use_align and aligned:
-            for response in aligned.get(sample.id, ()):
-                if not response.kept:
-                    continue
-                align_seqs.append(
-                    _sequence_features(model, base, response.text.split() + [EOS])
-                )
-        encoded[sample.id] = (target_seq, align_seqs)
+        responses = (aligned or {}).get(sample.id, ()) if config.alpha > 0.0 else ()
+        kept = [response.text.split() + [EOS] for response in responses if response.kept]
+        encoded[sample.id] = _stack_sequences(
+            model, context_features(model, sample), sample.target.split() + [EOS], kept, config
+        )
     return encoded
 
 
@@ -391,8 +427,7 @@ def train(
         raise ValueError(f"train: negative epochs {epochs}")
     if clip_norm <= 0:
         raise ValueError(f"train: clip_norm must be positive, got {clip_norm}")
-    use_align = config.alpha > 0.0
-    encoded = _encode_training_sequences(model, corpus, aligned, use_align)
+    encoded = _encode_training_sequences(model, corpus, aligned, config)
     weights = model.weights.copy()
     rng = random.Random(seed)
     order = [s.id for s in corpus]
@@ -403,32 +438,17 @@ def train(
     for epoch in range(epochs):
         rng.shuffle(order)
         for sample_id in order:
-            (target_phi, target_ids), align_seqs = encoded[sample_id]
-            l_target, grad_target = _sequence_loss_and_grad(weights, target_phi, target_ids)
-            if align_seqs:
-                losses_and_grads = [
-                    _sequence_loss_and_grad(weights, phi, ids) for phi, ids in align_seqs
-                ]
-                l_align = sum(l for l, _ in losses_and_grads) / len(losses_and_grads)
-                grad_align = sum(g for _, g in losses_and_grads) / len(losses_and_grads)
-            else:
-                l_align = None
-                grad_align = None
+            seqs = encoded[sample_id]
+            l_target, l_align, grad = _stacked_loss_and_grad(weights, seqs)
             if not math.isfinite(l_target) or (l_align is not None and not math.isfinite(l_align)):
                 raise TrainingDivergedError(
                     f"non-finite loss at step {step} (sample {sample_id!r})"
                 )
-            if grad_align is not None:
-                breakdown = combined_loss(l_target, l_align, config)
-                w_target, w_align = loss_term_weights(config, align_present=True)
-                grad = w_target * grad_target + w_align * grad_align
-            else:
-                breakdown = combined_loss(l_target, None, config)
-                grad = grad_target
+            breakdown = combined_loss(l_target, l_align, config)
             norm = float(np.linalg.norm(grad))
             if norm > clip_norm:
                 grad = grad * (clip_norm / norm)
-            weights -= learning_rate * grad
+            weights[seqs.active] -= learning_rate * grad
             trace.append(
                 TraceEntry(step, epoch, sample_id, breakdown.l_target, breakdown.l_align, breakdown.combined)
             )
@@ -483,26 +503,20 @@ def finite_diff_check(
     if epsilon <= 0:
         raise ValueError(f"finite_diff_check: epsilon must be positive, got {epsilon}")
     config = config or LossConfig(alpha=0.0)
-    base = context_features(model, sample)
-    target_seq = _sequence_features(model, base, response.split())
-    align_seqs = [_sequence_features(model, base, text.split()) for text in aligned_responses]
-    w_target, w_align = loss_term_weights(config, align_present=bool(align_seqs))
+    seqs = _stack_sequences(
+        model,
+        context_features(model, sample),
+        response.split(),
+        [text.split() for text in aligned_responses],
+        config,
+    )
 
     def loss_of(weights: np.ndarray) -> float:
-        l_target, _ = _sequence_loss_and_grad(weights, *target_seq)
-        total = w_target * l_target
-        if align_seqs:
-            l_align = sum(
-                _sequence_loss_and_grad(weights, phi, ids)[0] for phi, ids in align_seqs
-            ) / len(align_seqs)
-            total += w_align * l_align
-        return total
+        l_target, l_align, _ = _stacked_loss_and_grad(weights, seqs)
+        return combined_loss(l_target, l_align, config).combined
 
-    l_target, grad_target = _sequence_loss_and_grad(model.weights, *target_seq)
-    analytic = w_target * grad_target
-    if align_seqs:
-        grads = [_sequence_loss_and_grad(model.weights, phi, ids)[1] for phi, ids in align_seqs]
-        analytic = analytic + w_align * (sum(grads) / len(grads))
+    analytic = np.zeros_like(model.weights)
+    analytic[seqs.active] = _stacked_loss_and_grad(model.weights, seqs)[2]
 
     rng = np.random.default_rng(seed)
     flat_count = model.weights.size

@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from functools import lru_cache
 
+import numpy as np
+
 
 def lcs_recursive(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     """Longest common subsequence length by memoized recursion."""
@@ -69,3 +71,44 @@ def ground_oracle(response_tokens: tuple[str, ...], utterance_tokens: list[tuple
         if score > best_score:
             best_index, best_score = index, score
     return best_index
+
+
+def sequence_loss_and_grad(
+    weights: np.ndarray, phi: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """NLL of one token sequence and its dense gradient over every weight."""
+    logits = phi @ weights
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(len(targets))
+    delta = np.exp(logp)
+    delta[rows, targets] -= 1.0
+    return -float(logp[rows, targets].sum()), phi.T @ delta
+
+
+def dense_sgd_step(
+    weights: np.ndarray,
+    target_seq: tuple[np.ndarray, np.ndarray],
+    align_seqs: list[tuple[np.ndarray, np.ndarray]],
+    alpha: float,
+    learning_rate: float,
+    clip_norm: float,
+) -> tuple[float, float | None, np.ndarray]:
+    """One clipped SGD step on the combined loss, one sequence at a time.
+
+    Each (features, target ids) sequence gets its own dense gradient; the
+    aligned ones are averaged and mixed with the target's as
+    ``(1 - alpha) * target + alpha * mean(aligned)``. Returns the target
+    loss, the mean aligned loss (``None`` without aligned sequences) and the
+    updated weights.
+    """
+    l_target, grad = sequence_loss_and_grad(weights, *target_seq)
+    l_align = None
+    if align_seqs:
+        pairs = [sequence_loss_and_grad(weights, phi, ids) for phi, ids in align_seqs]
+        l_align = sum(loss for loss, _ in pairs) / len(pairs)
+        grad = (1.0 - alpha) * grad + alpha * (sum(g for _, g in pairs) / len(pairs))
+    norm = float(np.linalg.norm(grad))
+    if norm > clip_norm:
+        grad = grad * (clip_norm / norm)
+    return l_target, l_align, weights - learning_rate * grad

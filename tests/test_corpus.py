@@ -203,6 +203,25 @@ class TestLoadSave:
         with pytest.raises(CorpusError, match="line 2.*duplicate"):
             load_corpus(path, Task.CQA)
 
+    @pytest.mark.parametrize(
+        "edit, violation",
+        [
+            ({"target": ""}, "empty target"),
+            ({"document": []}, "document length >= 1 required"),
+            (
+                {"history": [{"turn_index": 1, "question": "p?", "answer": "u"}, {"turn_index": 0, "question": "q?"}]},
+                "history turn indices not strictly increasing",
+            ),
+        ],
+    )
+    def test_invalid_sample_names_line_and_violation(self, tmp_path, edit, violation):
+        good = sample_to_record(dialogue_sample("a", ["u"], "p?", "u", "q?", "u"))
+        bad = {**sample_to_record(dialogue_sample("b", ["u"], "p?", "u", "q?", "u")), **edit}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"line 2: {violation}"):
+            load_corpus(path, Task.CQA)
+
     def test_invalid_utf8_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b'{"id": "\xff"}\n')

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from conftest import nli_sample
 from posdebias.cli import main
 from posdebias.corpus import Corpus, Task, save_corpus
+from posdebias.lowbias_infer import DEFAULT_DIVERSE_PROMPTS, DEFAULT_ICL_K
 from posdebias.pipeline import PipelineError, parse_config, run_pipeline
 from posdebias.toy_model import SynthSpec, build_lowbias_table, synth_corpus
 
@@ -379,6 +380,27 @@ class TestCliVerbs:
             return records
 
         assert content(first) == content(second)
+
+    @pytest.mark.parametrize("strategy", ["diverse", "icl"])
+    def test_infer_strategy_override_on_instruction_task(self, runner, tmp_path, strategy):
+        spec = SynthSpec(n_utterances=6, n_train=6, n_eval=1, biased_fraction=0.9, vocab_size=12, seed=5)
+        train_c, _, _ = synth_corpus(spec)
+        corpus_file = save_corpus(train_c, tmp_path / "c.jsonl")
+        recording = tmp_path / "traffic.jsonl"
+        invoke_ok(runner, [
+            "infer", "--corpus", str(corpus_file), "--task", "cqa", "--strategy", strategy,
+            "--backend", "markov", "--n-per-prompt", "1", "--record", str(recording),
+            "--out", str(tmp_path / "candidates.jsonl"),
+        ])
+        prompts = [json.loads(line)["request"]["prompt"] for line in recording.read_text().splitlines()]
+        for sample in train_c:
+            own = [p for p in prompts if p.endswith(sample.input_text) or p.endswith(f"{sample.input_text}\noutput:")]
+            if strategy == "diverse":
+                assert len(own) == len(DEFAULT_DIVERSE_PROMPTS)
+                assert all(template in prompt for template, prompt in zip(DEFAULT_DIVERSE_PROMPTS, own))
+            else:
+                (prompt,) = own
+                assert prompt.count("input: ") == DEFAULT_ICL_K + 1
 
     def test_split_infer_align_chain_matches_run_artifacts(self, runner, tmp_path):
         # Corpus order differs from sample-id order, so an id-sorted verdict

@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dense_sgd_step
 from posdebias.bias_split import BiasPartition, relative_position, split_by_relative_position
 from posdebias.corpus import Corpus, Task
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec
 from posdebias.msa_align import AlignedResponse
 from posdebias.objective import LossConfig
 from posdebias.toy_model import (
+    _sequence_features,
     BOS,
     EOS,
     SynthSpec,
@@ -339,6 +343,63 @@ class TestTraining:
             return sum(hits) / len(hits)
 
         assert dev_score(picked) >= dev_score(plain)
+
+
+class TestStackedStep:
+    """One ``train`` step against the dense per-sequence reference step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus_seed=st.integers(0, 1000),
+        sample_index=st.integers(0, 4),
+        alpha=st.floats(0.0, 1.0),
+        responses=st.lists(
+            st.lists(st.sampled_from(build_vocabulary(12)[1:]), min_size=1, max_size=6),
+            max_size=3,
+        ),
+        weight_seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.01, 2.0),
+        learning_rate=st.floats(0.1, 1.0),
+        clip_norm=st.floats(0.5, 50.0),
+    )
+    def test_matches_dense_reference(
+        self, corpus_seed, sample_index, alpha, responses, weight_seed, scale, learning_rate, clip_norm
+    ):
+        train_c, _, _ = synth_corpus(small_spec(n_train=5, n_eval=1, seed=corpus_seed))
+        sample = tuple(train_c)[sample_index]
+        model = random_model(seed=weight_seed, scale=scale)
+        aligned = {
+            sample.id: [
+                AlignedResponse(sample.id, " ".join(tokens), (0.0,) * len(tokens), True, frozenset())
+                for tokens in responses
+            ]
+        }
+        config = LossConfig(alpha=alpha)
+        trained, trace = train(
+            model, Corpus((sample,), Task.CQA), aligned=aligned, config=config, epochs=1,
+            learning_rate=learning_rate, seed=0, clip_norm=clip_norm,
+        )
+
+        base = context_features(model, sample)
+        target_seq = _sequence_features(model, base, sample.target.split() + [EOS])
+        align_seqs = [
+            _sequence_features(model, base, tokens + [EOS]) for tokens in responses
+        ] if alpha > 0 else []
+        ref_target, ref_align, ref_weights = dense_sgd_step(
+            model.weights, target_seq, align_seqs, alpha, learning_rate, clip_norm
+        )
+        (entry,) = trace
+        assert entry.l_target == pytest.approx(ref_target, rel=1e-12, abs=0)
+        if align_seqs:
+            assert entry.l_align == pytest.approx(ref_align, rel=1e-12, abs=0)
+        else:
+            assert entry.l_align is None
+            assert entry.combined == entry.l_target
+        update = trained.weights - model.weights
+        ref_update = ref_weights - model.weights
+        assert np.abs(update - ref_update).max() <= 1e-12 * np.abs(ref_update).max()
+        inactive = ~np.concatenate([target_seq[0], *(phi for phi, _ in align_seqs)]).any(axis=0)
+        assert np.array_equal(trained.weights[inactive], model.weights[inactive])
 
 
 class TestFiniteDifference:
