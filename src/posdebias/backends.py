@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import random
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -305,6 +306,8 @@ class RecordingBackend:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.backend_id = inner.backend_id
+        # Concurrent ``generate`` calls record from several threads at once.
+        self._lock = threading.Lock()
 
     def _record(self, payload: dict, result: GenerationResult) -> None:
         entry = {
@@ -315,9 +318,9 @@ class RecordingBackend:
                 "token_logprobs": list(result.token_logprobs),
             },
         }
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, ensure_ascii=False))
-            handle.write("\n")
+        line = json.dumps(entry, ensure_ascii=False) + "\n"
+        with self._lock, self.path.open("a", encoding="utf-8") as handle:
+            handle.write(line)
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
         payload = _complete_payload(prompt, max_tokens, seed)

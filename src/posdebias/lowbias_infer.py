@@ -61,7 +61,11 @@ DEFAULT_STRATEGY_BY_TASK: dict[Task, PromptStrategy] = {
 
 @dataclass(frozen=True)
 class PromptSpec:
-    """Strategy plus the text pieces it needs."""
+    """Strategy plus the text pieces it needs.
+
+    An ICL prompt shows the first ``DEFAULT_ICL_K`` exemplars other than
+    the prompted sample's own (input, target) pair.
+    """
 
     strategy: PromptStrategy
     instruction: str = ""
@@ -83,8 +87,10 @@ def default_prompt_spec(
     """Spec implementing ``strategy`` (default: the task's own) for ``task``.
 
     The spec carries the task's instruction plus what the strategy needs:
-    the diverse prompts, or exemplars drawn from ``corpus`` (the first
-    ``DEFAULT_ICL_K`` samples in id order), which ICL therefore requires.
+    the diverse prompts, or exemplars drawn from ``corpus``, which ICL
+    therefore requires. ICL draws the first ``DEFAULT_ICL_K + 1`` samples in
+    id order, one more than a prompt shows, so a sample that is one of them
+    still sees ``DEFAULT_ICL_K`` others instead of its own gold pair.
     """
     if strategy is None:
         strategy = DEFAULT_STRATEGY_BY_TASK[task]
@@ -94,7 +100,7 @@ def default_prompt_spec(
     if strategy == PromptStrategy.ICL:
         if corpus is None:
             raise ValueError("default_prompt_spec: icl strategy needs a corpus for exemplars")
-        return PromptSpec(strategy, instruction, exemplars=make_icl_exemplars(corpus))
+        return PromptSpec(strategy, instruction, exemplars=make_icl_exemplars(corpus, k=DEFAULT_ICL_K + 1))
     return PromptSpec(strategy, instruction)
 
 
@@ -129,7 +135,8 @@ def build_prompt(
         head = f"{spec.instruction}\n\n" if spec.instruction.strip() else ""
         return [f"{head}{dp}\n\n{sample.input_text}" for dp in spec.diverse_prompts]
     blocks = [spec.instruction] if spec.instruction.strip() else []
-    for ex_input, ex_output in spec.exemplars:
+    shown = [pair for pair in spec.exemplars if pair != (sample.input_text, sample.target)]
+    for ex_input, ex_output in shown[:DEFAULT_ICL_K]:
         blocks.append(f"input: {ex_input}\noutput: {ex_output}")
     blocks.append(f"input: {sample.input_text}\noutput:")
     return ["\n\n".join(blocks)]

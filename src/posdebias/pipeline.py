@@ -22,6 +22,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -527,34 +529,79 @@ def _sweep_points(config: PipelineConfig) -> list[dict]:
     return points
 
 
+#: The train stage's jobs in a forked pool worker, set by ``_set_train_jobs``.
+_train_jobs: list[tuple] = []
+
+
+def _set_train_jobs(jobs: list[tuple]) -> None:
+    global _train_jobs
+    _train_jobs = jobs
+
+
+def _train_job(index: int) -> tuple[ToyModel, list[Path]]:
+    """Train one (sweep point, seed) job and write its run directory."""
+    config, out_dir, point, seed, data = _train_jobs[index]
+    train_corpus: Corpus = data["train"]
+    if point["size"] is not None:
+        train_corpus = Corpus(train_corpus.samples[: point["size"]], config.task)
+    if point["system"] == "rp":
+        perturbed = tuple(
+            perturb_positions(s, seed=seed * 100003 + i)
+            for i, s in enumerate(train_corpus)
+        )
+        train_corpus = Corpus(perturbed, config.task)
+    trained, trace = train(
+        ToyModel.initialize(config.synth.vocab_size, seed=seed),
+        train_corpus,
+        aligned=data["aligned"] if point["system"] == "zoe" else None,
+        config=LossConfig(alpha=point["alpha"]),
+        epochs=config.epochs,
+        learning_rate=config.learning_rate,
+        seed=seed,
+        clip_norm=config.clip_norm,
+    )
+    run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
+    paths = [save_model(trained, run_dir / "model.json"), write_trace(trace, run_dir / "trace.jsonl")]
+    return trained, paths
+
+
 def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
-    artifacts = []
+    """Train every (sweep point, seed) job on a forked process pool.
+
+    Workers inherit the job list at fork (the pipeline holds no thread of
+    its own by then), so nothing but job indices and trained models crosses
+    a process boundary, and each worker writes its own run directory. Jobs
+    with aligned responses (the slowest) go first; results are kept in
+    sweep-point x seed order, so every artifact matches a serial run. The
+    first failure cancels the jobs not yet started.
+    """
+    # Imported here: a module-level import slows every ``posdebias`` start-up.
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    jobs = [
+        (config, out_dir, point, seed, data)
+        for point in _sweep_points(config)
+        for seed, data in state["data"].items()
+    ]
+    dispatch = sorted(range(len(jobs)), key=lambda i: jobs[i][2]["system"] != "zoe")
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_train_jobs,
+        initargs=(jobs,),
+    ) as pool:
+        futures = {i: pool.submit(_train_job, i) for i in dispatch}
+        wait(futures.values(), return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)
+    # In sweep order: a failure raises the error of the first failed job that ran.
+    results = [futures[i].result() for i in range(len(jobs)) if not futures[i].cancelled()]
     state["models"] = {}
-    for point in _sweep_points(config):
-        for seed, data in state["data"].items():
-            train_corpus: Corpus = data["train"]
-            if point["size"] is not None:
-                train_corpus = Corpus(train_corpus.samples[: point["size"]], config.task)
-            if point["system"] == "rp":
-                perturbed = tuple(
-                    perturb_positions(s, seed=seed * 100003 + i)
-                    for i, s in enumerate(train_corpus)
-                )
-                train_corpus = Corpus(perturbed, config.task)
-            trained, trace = train(
-                ToyModel.initialize(config.synth.vocab_size, seed=seed),
-                train_corpus,
-                aligned=data["aligned"] if point["system"] == "zoe" else None,
-                config=LossConfig(alpha=point["alpha"]),
-                epochs=config.epochs,
-                learning_rate=config.learning_rate,
-                seed=seed,
-                clip_norm=config.clip_norm,
-            )
-            state["models"][(point["label"], seed)] = trained
-            run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
-            artifacts.append(save_model(trained, run_dir / "model.json"))
-            artifacts.append(write_trace(trace, run_dir / "trace.jsonl"))
+    artifacts = []
+    for (_, _, point, seed, _), (trained, paths) in zip(jobs, results):
+        state["models"][(point["label"], seed)] = trained
+        artifacts += paths
     return artifacts
 
 

@@ -497,8 +497,9 @@ def finite_diff_check(
     """Max relative error between analytic and central-difference gradients.
 
     The probed loss is the combined objective of ``response`` (target term)
-    and ``aligned_responses`` (alignment term) under ``config``; probes are
-    drawn uniformly over weight entries.
+    and ``aligned_responses`` (alignment term) under ``config``. Probes are
+    drawn uniformly over the entries of the active feature rows, the only
+    rows the loss depends on; the gradient of every other row is zero.
     """
     if epsilon <= 0:
         raise ValueError(f"finite_diff_check: epsilon must be positive, got {epsilon}")
@@ -519,11 +520,13 @@ def finite_diff_check(
     analytic[seqs.active] = _stacked_loss_and_grad(model.weights, seqs)[2]
 
     rng = np.random.default_rng(seed)
-    flat_count = model.weights.size
+    n_cols = model.weights.shape[1]
+    flat_count = len(seqs.active) * n_cols
     probes = rng.choice(flat_count, size=min(n_probes, flat_count), replace=False)
     worst = 0.0
     for flat_index in probes:
-        row, col = divmod(int(flat_index), model.weights.shape[1])
+        active_index, col = divmod(int(flat_index), n_cols)
+        row = seqs.active[active_index]
         plus = model.weights.copy()
         plus[row, col] += epsilon
         minus = model.weights.copy()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -20,6 +21,7 @@ from posdebias.backends import (
     StubMode,
     resolve_backend,
 )
+from posdebias.lowbias_infer import generate
 
 
 class TestGenerationResult:
@@ -283,6 +285,39 @@ class TestRecordReplay:
         replay.complete("p q r", seed=0)
         with pytest.raises(BackendError):
             replay.complete("p q r", seed=1)
+
+
+class _LongAnswerBackend:
+    """Answers every prompt with 3,000 tokens, so each record is long."""
+
+    backend_id = "long-answer"
+
+    def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
+        tokens = tuple(f"{prompt}.{seed}.{i}" for i in range(3000))
+        return GenerationResult(" ".join(tokens), tokens, (-0.5,) * len(tokens), self.backend_id)
+
+    def score(self, prompt: str, continuation: str) -> GenerationResult:
+        raise NotImplementedError
+
+
+class TestConcurrentRecording:
+    def test_every_concurrent_call_records_one_whole_line(self, tmp_path):
+        record_path = tmp_path / "tape.jsonl"
+        backend = RecordingBackend(_LongAnswerBackend(), record_path)
+        prompts = [f"p{i}" for i in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = generate(prompts, backend, n_per_prompt=4, max_in_flight=8)
+        finally:
+            sys.setswitchinterval(interval)
+        lines = record_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(results) == 128
+        requests = sorted(
+            (entry["request"]["prompt"], entry["request"]["seed"])
+            for entry in map(json.loads, lines)
+        )
+        assert requests == sorted((p, k) for p in prompts for k in range(4))
 
 
 class TestResolveBackend:

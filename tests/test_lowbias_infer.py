@@ -126,6 +126,20 @@ class TestBuildPrompt:
         assert blocks[1].endswith("output: entailment")
         assert blocks[-1].endswith("output:")
 
+    def test_icl_never_shows_a_sample_its_own_pair(self):
+        corpus = Corpus(
+            tuple(
+                nli_sample(f"s{i}", f"premise {i}", f"hyp {i}", "entailment")
+                for i in range(6)
+            ),
+            Task.NLI,
+        )
+        spec = default_prompt_spec(Task.NLI, corpus=corpus)
+        for sample in corpus:
+            (prompt,) = build_prompt(sample, spec)
+            assert f"input: {sample.input_text}\noutput: {sample.target}" not in prompt
+            assert prompt.count("input: ") == DEFAULT_ICL_K + 1
+
     def test_non_default_strategy_requires_flag(self):
         sample = dialogue_sample("s", ["u"], "pq", "u", "q", "u")
         spec = PromptSpec(PromptStrategy.DIVERSE, diverse_prompts=("d?",))

@@ -1,16 +1,29 @@
 """End-to-end pipeline and CLI tests on small corpora."""
 import hashlib
 import json
+import multiprocessing
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import nli_sample
+from posdebias.backends import RecordingBackend, StubBackend, StubMode
 from posdebias.cli import main
-from posdebias.corpus import Corpus, Task, save_corpus
+from posdebias.corpus import Corpus, Task, load_corpus, save_corpus
 from posdebias.lowbias_infer import DEFAULT_DIVERSE_PROMPTS, DEFAULT_ICL_K
-from posdebias.pipeline import PipelineError, parse_config, run_pipeline
-from posdebias.toy_model import SynthSpec, build_lowbias_table, synth_corpus
+from posdebias.objective import LossConfig
+from posdebias.pipeline import PipelineError, infer_corpus, parse_config, run_pipeline
+from posdebias.records import load_aligned, write_trace
+from posdebias.toy_model import (
+    SynthSpec,
+    ToyModel,
+    TrainingDivergedError,
+    build_lowbias_table,
+    save_model,
+    synth_corpus,
+    train,
+)
 
 TOY_RAW = {
     "synth": {"n_utterances": 6, "n_train": 12, "n_eval": 12, "biased_fraction": 0.9, "vocab_size": 12, "seed": 0},
@@ -209,6 +222,53 @@ class TestSweeps:
         assert (out_dir / "report" / "train_size_sweep.svg").exists()
 
 
+class TestParallelTrain:
+    """The train stage's process pool against training done in-process."""
+
+    def test_run_artifacts_match_in_process_training_for_unordered_seeds(self, tmp_path):
+        out_dir = tmp_path / "out"
+        run_toy(out_dir, seeds=[1, 0], systems=["ft", "zoe"], epochs=3)
+        for seed in (1, 0):
+            train_c = load_corpus(out_dir / "data" / f"seed{seed}" / "train.jsonl", Task.CQA)
+            aligned = load_aligned(out_dir / "align" / f"seed{seed}" / "aligned.jsonl")
+            for system in ("ft", "zoe"):
+                model, trace = train(
+                    ToyModel.initialize(12, seed=seed),
+                    train_c,
+                    aligned=aligned if system == "zoe" else None,
+                    config=LossConfig(alpha=0.2 if system == "zoe" else 0.0),
+                    epochs=3,
+                    learning_rate=0.5,
+                    seed=seed,
+                    clip_norm=1.0,
+                )
+                run_dir = out_dir / "runs" / system / f"seed{seed}"
+                direct = tmp_path / "direct" / system / f"seed{seed}"
+                expected_model = save_model(model, direct / "model.json").read_bytes()
+                expected_trace = write_trace(trace, direct / "trace.jsonl").read_bytes()
+                assert (run_dir / "model.json").read_bytes() == expected_model
+                assert (run_dir / "trace.jsonl").read_bytes() == expected_trace
+
+    def test_diverging_job_fails_train_with_its_own_error_and_leaves_no_worker(self, tmp_path):
+        out_dir = tmp_path / "out"
+        with pytest.raises(PipelineError, match="stage 'train' failed: non-finite loss at step"):
+            run_toy(out_dir, systems=["zoe", "ft"], learning_rate=1e308)
+        assert multiprocessing.active_children() == []
+        # The first job in sweep order (zoe, seed 0), trained in-process.
+        train_c = load_corpus(out_dir / "data" / "seed0" / "train.jsonl", Task.CQA)
+        aligned = load_aligned(out_dir / "align" / "seed0" / "aligned.jsonl")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as serial:
+                train(
+                    ToyModel.initialize(12, seed=0), train_c, aligned=aligned,
+                    config=LossConfig(alpha=0.2), epochs=2, learning_rate=1e308, seed=0,
+                )
+        by_stage = {s["stage"]: s for s in json.loads((out_dir / "manifest.json").read_text())["stages"]}
+        assert by_stage["train"]["status"] == "failed"
+        assert by_stage["train"]["error"] == str(serial.value)
+        assert "eval" not in by_stage
+
+
 @pytest.fixture
 def dialogue_corpus_file(tmp_path):
     spec = SynthSpec(n_utterances=6, n_train=10, n_eval=1, biased_fraction=0.5, vocab_size=12, seed=5)
@@ -401,6 +461,19 @@ class TestCliVerbs:
             else:
                 (prompt,) = own
                 assert prompt.count("input: ") == DEFAULT_ICL_K + 1
+
+    def test_icl_prompts_never_hold_the_samples_own_pair(self, tmp_path):
+        spec = SynthSpec(n_utterances=6, n_train=6, n_eval=1, biased_fraction=0.9, vocab_size=12, seed=5)
+        train_c, _, _ = synth_corpus(spec)
+        recording = tmp_path / "traffic.jsonl"
+        backend = RecordingBackend(StubBackend(StubMode.MARKOV), recording)
+        infer_corpus(train_c, backend, n_per_prompt=1, seed=0, max_tokens=8, strategy="icl")
+        prompts = [json.loads(line)["request"]["prompt"] for line in recording.read_text().splitlines()]
+        assert len(prompts) == len(train_c) == 6
+        for sample, prompt in zip(train_c, prompts):
+            assert prompt.endswith(f"input: {sample.input_text}\noutput:")
+            assert f"input: {sample.input_text}\noutput: {sample.target}" not in prompt
+            assert prompt.count("input: ") == DEFAULT_ICL_K + 1
 
     def test_split_infer_align_chain_matches_run_artifacts(self, runner, tmp_path):
         # Corpus order differs from sample-id order, so an id-sorted verdict

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_sgd_step
+from oracles import dense_sgd_step, sequence_loss_and_grad
+from posdebias import toy_model
 from posdebias.bias_split import BiasPartition, relative_position, split_by_relative_position
 from posdebias.corpus import Corpus, Task
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec
@@ -14,6 +15,7 @@ from posdebias.msa_align import AlignedResponse
 from posdebias.objective import LossConfig
 from posdebias.toy_model import (
     _sequence_features,
+    _stack_sequences,
     BOS,
     EOS,
     SynthSpec,
@@ -415,6 +417,37 @@ class TestFiniteDifference:
             n_probes=100, seed=2,
         )
         assert err < 1e-4
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    def test_dense_gradient_is_exactly_zero_off_the_active_rows(self, alpha):
+        model = random_model()
+        train_c, _, _ = synth_corpus(small_spec())
+        sample = next(iter(train_c))
+        base = context_features(model, sample)
+        target = sample.target.split() + [EOS]
+        aligned = [["ans", "t3", "is", "c5", EOS], ["ans", "t1", "is", "c2", EOS]] if alpha > 0 else []
+        active = _stack_sequences(model, base, target, aligned, LossConfig(alpha=alpha)).active
+        _, grad = sequence_loss_and_grad(model.weights, *_sequence_features(model, base, target))
+        for tokens in aligned:
+            grad = grad + sequence_loss_and_grad(model.weights, *_sequence_features(model, base, tokens))[1]
+        inactive = np.setdiff1d(np.arange(model.n_features), active)
+        assert np.all(grad[inactive] == 0.0)
+        assert np.all(np.abs(grad[active]).sum(axis=1) > 0.0)
+
+    def test_one_probe_finds_an_error_on_any_active_entry(self, monkeypatch):
+        model = random_model()
+        train_c, _, _ = synth_corpus(small_spec())
+        sample = next(iter(train_c))
+        exact = toy_model._stacked_loss_and_grad
+
+        def off_by_a_hundredth(weights, seqs):
+            l_target, l_align, grad = exact(weights, seqs)
+            return l_target, l_align, grad + 1e-2
+
+        monkeypatch.setattr(toy_model, "_stacked_loss_and_grad", off_by_a_hundredth)
+        for seed in range(10):
+            err = finite_diff_check(model, sample, sample.target + " " + EOS, n_probes=1, seed=seed)
+            assert err > 1e-3
 
     def test_saturated_model_has_vanishing_gradient(self):
         model = always_gold_model()
