@@ -1,14 +1,12 @@
 """Generation backends: a thin HTTP completion client plus offline stubs.
 
-Every backend speaks the same two-verb protocol: ``complete`` produces a
-continuation for a prompt, ``score`` returns per-token log-probabilities for
-a caller-supplied continuation. Per-token log-probabilities are mandatory in
-both directions; a backend that cannot produce them is unusable here.
+Every backend speaks one verb: ``complete`` produces a continuation for a
+prompt together with its per-token log-probabilities. The log-probabilities
+are mandatory; a backend that cannot produce them is unusable here.
 
 Wire format (HTTP, JSON bodies):
 
     request:  {"prompt": str, "max_tokens": int, "seed": int, "logprobs": true}
-              scoring requests additionally carry {"echo_score": str}
     response: {"text": str, "tokens": [str, ...], "token_logprobs": [float, ...]}
 """
 from __future__ import annotations
@@ -77,13 +75,17 @@ class Backend(Protocol):
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
         ...
 
-    def score(self, prompt: str, continuation: str) -> GenerationResult:
-        ...
 
-
-def _stable_hash(*parts: str) -> int:
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
+def _stable_hash(text: str) -> int:
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+#: Per-token logprob of table entries that carry none (probability 0.5).
+STUB_DEFAULT_LOGPROB = math.log(0.5)
+
+#: Longest markov-mode completion, in tokens.
+STUB_MARKOV_LENGTH = 8
 
 
 class StubMode(str, Enum):
@@ -103,32 +105,17 @@ class StubBackend:
     * ``table``: looks the prompt up in a caller-supplied table. Values may
       be a string, a ``{"text": ..., "token_logprobs": [...]}`` record, or a
       list of either; list entries are cycled by seed so repeated calls with
-      increasing seeds walk the list deterministically.
+      increasing seeds walk the list deterministically. Entries without
+      logprobs get ``STUB_DEFAULT_LOGPROB`` per token.
     * ``markov``: emits a seeded pseudo-random walk over the prompt's own
-      vocabulary; useful as a nonsense generator with stable outputs.
-
-    Scoring consults ``score_table`` mapping ``(prompt, continuation)`` to a
-    probability or an explicit per-token logprob list; echo mode scores any
-    continuation with certainty and markov mode derives pseudo-probabilities
-    from a hash, so both can score arbitrary strings.
+      vocabulary, at most ``STUB_MARKOV_LENGTH`` tokens; useful as a
+      nonsense generator with stable outputs.
     """
 
-    def __init__(
-        self,
-        mode: StubMode | str = StubMode.ECHO,
-        table: dict | None = None,
-        score_table: dict | None = None,
-        default_logprob: float = math.log(0.5),
-        markov_length: int = 8,
-    ) -> None:
+    def __init__(self, mode: StubMode | str = StubMode.ECHO, table: dict | None = None) -> None:
         self.mode = StubMode(mode)
         self.table = dict(table or {})
-        self.score_table = dict(score_table or {})
-        self.default_logprob = default_logprob
-        self.markov_length = markov_length
         self.backend_id = f"stub-{self.mode.value}"
-
-    # -- completion ------------------------------------------------------
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
         if self.mode == StubMode.ECHO:
@@ -141,7 +128,7 @@ class StubBackend:
             return self._from_table_value(self.table[prompt], seed)
         rng = random.Random(_stable_hash(prompt) ^ (seed & 0xFFFFFFFF))
         vocab = sorted(set(prompt.split())) or ["the"]
-        length = max(1, min(max_tokens, self.markov_length))
+        length = max(1, min(max_tokens, STUB_MARKOV_LENGTH))
         tokens = tuple(rng.choice(vocab) for _ in range(length))
         logprobs = tuple(-rng.uniform(0.05, 1.5) for _ in tokens)
         return GenerationResult(" ".join(tokens), tokens, logprobs, self.backend_id)
@@ -161,69 +148,21 @@ class StubBackend:
             value = value[seed % len(value)]
         if isinstance(value, str):
             tokens = tuple(value.split())
-            logprobs = (self.default_logprob,) * len(tokens)
+            logprobs = (STUB_DEFAULT_LOGPROB,) * len(tokens)
             return GenerationResult(value, tokens, logprobs, self.backend_id)
         if isinstance(value, dict):
             text = value["text"]
             tokens = tuple(value.get("tokens") or text.split())
             logprobs = value.get("token_logprobs")
             if logprobs is None:
-                logprobs = (self.default_logprob,) * len(tokens)
+                logprobs = (STUB_DEFAULT_LOGPROB,) * len(tokens)
             return GenerationResult(text, tokens, tuple(logprobs), self.backend_id)
         raise BackendError(f"stub table entry of unsupported type {type(value).__name__}")
-
-    # -- scoring ---------------------------------------------------------
-
-    def score(self, prompt: str, continuation: str) -> GenerationResult:
-        tokens = tuple(continuation.split())
-        if not tokens:
-            raise BackendError("score: empty continuation")
-        if self.mode == StubMode.ECHO:
-            return GenerationResult(continuation, tokens, (0.0,) * len(tokens), self.backend_id)
-        if self.mode == StubMode.TABLE:
-            key = (prompt, continuation)
-            if key not in self.score_table:
-                raise BackendError(
-                    f"stub score table cannot score {continuation!r} for this prompt"
-                )
-            value = self.score_table[key]
-            if isinstance(value, (int, float)):
-                if not 0.0 < float(value) <= 1.0:
-                    raise BackendError(f"score table probability {value} outside (0, 1]")
-                logprobs = (math.log(float(value)),) + (0.0,) * (len(tokens) - 1)
-            else:
-                logprobs = tuple(value)
-                if len(logprobs) != len(tokens):
-                    raise BackendError("score table logprobs not parallel to tokens")
-            return GenerationResult(continuation, tokens, logprobs, self.backend_id)
-        logprobs = tuple(
-            math.log(
-                0.05
-                + 0.9
-                * (
-                    _stable_hash(prompt, continuation, token, str(i)) % 1000
-                )
-                / 1000.0
-            )
-            for i, token in enumerate(tokens)
-        )
-        return GenerationResult(continuation, tokens, logprobs, self.backend_id)
 
 
 def _complete_payload(prompt: str, max_tokens: int, seed: int) -> dict:
     """Request body of a completion; also the key of a recorded exchange."""
     return {"prompt": prompt, "max_tokens": max_tokens, "seed": seed, "logprobs": True}
-
-
-def _score_payload(prompt: str, continuation: str) -> dict:
-    """Request body that scores ``continuation``; also a recording key."""
-    return {
-        "prompt": prompt,
-        "max_tokens": 0,
-        "seed": 0,
-        "logprobs": True,
-        "echo_score": continuation,
-    }
 
 
 def _result_from_body(body: dict, backend_id: str) -> GenerationResult:
@@ -248,17 +187,11 @@ class HttpBackend:
     downstream can work without them.
     """
 
-    def __init__(
-        self,
-        url: str,
-        timeout: float = 30.0,
-        retries: int = 0,
-        session: requests.Session | None = None,
-    ) -> None:
+    def __init__(self, url: str, timeout: float = 30.0, retries: int = 0) -> None:
         self.url = url
         self.timeout = timeout
         self.retries = retries
-        self.session = session or requests.Session()
+        self.session = requests.Session()
         self.backend_id = f"http:{url}"
 
     def _post(self, payload: dict) -> dict:
@@ -287,10 +220,6 @@ class HttpBackend:
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
         body = self._post(_complete_payload(prompt, max_tokens, seed))
-        return _result_from_body(body, self.backend_id)
-
-    def score(self, prompt: str, continuation: str) -> GenerationResult:
-        body = self._post(_score_payload(prompt, continuation))
         return _result_from_body(body, self.backend_id)
 
 
@@ -328,12 +257,6 @@ class RecordingBackend:
         self._record(payload, result)
         return result
 
-    def score(self, prompt: str, continuation: str) -> GenerationResult:
-        payload = _score_payload(prompt, continuation)
-        result = self.inner.score(prompt, continuation)
-        self._record(payload, result)
-        return result
-
 
 class ReplayBackend:
     """Serve previously recorded exchanges; unknown requests are errors."""
@@ -358,23 +281,12 @@ class ReplayBackend:
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
         return self._lookup(_complete_payload(prompt, max_tokens, seed))
 
-    def score(self, prompt: str, continuation: str) -> GenerationResult:
-        return self._lookup(_score_payload(prompt, continuation))
 
-
-def resolve_backend(
-    spec: str,
-    *,
-    env: dict | None = None,
-    table: dict | None = None,
-    score_table: dict | None = None,
-    retries: int = 0,
-) -> Backend:
+def resolve_backend(spec: str, *, env: dict | None = None, retries: int = 0) -> Backend:
     """Build a backend from a config string.
 
-    Accepted specs: ``echo``, ``markov``, ``table``, ``table:FILE`` (JSON
-    table on disk), ``replay:FILE``, ``url:ENDPOINT`` or a bare ``http(s)``
-    URL. When the ``POSDEBIAS_BACKEND_URL`` environment variable is set it
+    Accepted specs: ``echo``, ``markov``, ``table:FILE`` (JSON table on
+    disk), ``replay:FILE``, ``url:ENDPOINT`` or a bare ``http(s)`` URL. When the ``POSDEBIAS_BACKEND_URL`` environment variable is set it
     overrides any configured endpoint.
     """
     import os
@@ -390,8 +302,6 @@ def resolve_backend(
     if spec.startswith("table:"):
         loaded = json.loads(Path(spec[len("table:") :]).read_text(encoding="utf-8"))
         return StubBackend(StubMode.TABLE, table=loaded)
-    if spec == "table":
-        return StubBackend(StubMode.TABLE, table=table, score_table=score_table)
     if spec in (StubMode.ECHO.value, StubMode.MARKOV.value):
         return StubBackend(StubMode(spec))
     raise ValueError(f"resolve_backend: unknown backend spec {spec!r}")

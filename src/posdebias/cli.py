@@ -153,7 +153,7 @@ def align(candidates_path, task_name, corpus_path, out_path, incoherence_thresho
     """
     task = _task(task_name)
     if task == Task.NLI:
-        _fail("align: nli responses are masked, not pruned; no alignment file to produce")
+        _fail("align: nli candidates are not pruned; no alignment file to produce")
     try:
         candidates = load_candidates(candidates_path)
         if corpus_path:

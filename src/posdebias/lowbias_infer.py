@@ -10,7 +10,6 @@ be explicit, since accidentally swapping strategies changes the experiment.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -178,100 +177,3 @@ def generate(
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(run_one, jobs))
 
-
-@dataclass(frozen=True)
-class ClassDistribution:
-    """A normalized distribution over NLI classes with a selection mask.
-
-    ``masked`` is the elementwise product of ``probs`` and ``mask``;
-    ``selected_index`` is the argmax over the unmasked entries with ties
-    resolved to the smallest index.
-    """
-
-    classes: tuple[str, ...]
-    probs: tuple[float, ...]
-    mask: tuple[int, ...]
-    masked: tuple[float, ...]
-    selected_index: int
-
-    def __post_init__(self) -> None:
-        n = len(self.classes)
-        if not (len(self.probs) == len(self.mask) == len(self.masked) == n):
-            raise ValueError("ClassDistribution: parallel fields have unequal lengths")
-        if n < 1:
-            raise ValueError("ClassDistribution: no classes")
-        if any(m not in (0, 1) for m in self.mask):
-            raise ValueError("ClassDistribution: mask entries must be 0 or 1")
-        if not any(self.mask):
-            raise ValueError("ClassDistribution: all classes masked out")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("ClassDistribution: negative probability")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValueError(f"ClassDistribution: probs sum to {sum(self.probs)}, not 1")
-        for p, m, pm in zip(self.probs, self.mask, self.masked):
-            if pm != p * m:
-                raise ValueError("ClassDistribution: masked != probs * mask")
-        expected = _masked_argmax(self.masked, self.mask)
-        if self.selected_index != expected:
-            raise ValueError(
-                f"ClassDistribution: selected_index {self.selected_index} "
-                f"inconsistent with masked argmax {expected}"
-            )
-
-    def selected_class(self) -> str:
-        return self.classes[self.selected_index]
-
-
-def _masked_argmax(masked: tuple[float, ...], mask: tuple[int, ...]) -> int:
-    best_index = -1
-    best_value = -math.inf
-    for i, (value, m) in enumerate(zip(masked, mask)):
-        if m == 1 and value > best_value:
-            best_index = i
-            best_value = value
-    return best_index
-
-
-def make_class_distribution(classes: tuple[str, ...], probs: tuple[float, ...]) -> ClassDistribution:
-    """Distribution with an all-ones mask (nothing excluded yet)."""
-    mask = (1,) * len(classes)
-    return ClassDistribution(
-        classes=classes,
-        probs=probs,
-        mask=mask,
-        masked=probs,
-        selected_index=_masked_argmax(probs, mask),
-    )
-
-
-def nli_class_distribution(
-    sample: Sample,
-    classes: tuple[str, ...] | list[str],
-    backend: Backend,
-    prompt: str | None = None,
-) -> ClassDistribution:
-    """Score each class string under the backend and normalize.
-
-    The class probability is the product of its token probabilities under
-    the backend, accumulated in log space; normalization divides by the sum
-    over classes, so any common scaling of the raw scores cancels.
-    """
-    if sample.task != Task.NLI:
-        raise ValueError("nli_class_distribution: sample task must be nli")
-    classes = tuple(classes)
-    if not classes:
-        raise ValueError("nli_class_distribution: empty class set")
-    if len(set(classes)) != len(classes):
-        raise ValueError("nli_class_distribution: duplicate class names")
-    if prompt is None:
-        instruction = DEFAULT_INSTRUCTIONS[Task.NLI]
-        prompt = f"{instruction}\n\n{sample.input_text}\nanswer:"
-    log_scores = []
-    for cls in classes:
-        result = backend.score(prompt, cls)
-        log_scores.append(sum(result.token_logprobs))
-    peak = max(log_scores)
-    unnormalized = [math.exp(s - peak) for s in log_scores]
-    total = sum(unnormalized)
-    probs = tuple(u / total for u in unnormalized)
-    return make_class_distribution(classes, probs)

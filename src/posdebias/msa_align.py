@@ -11,8 +11,8 @@ filtered by task-appropriate gates:
 
 Question generation keeps flexible responses and rejects on form
 (non-compliant / dull / incoherent); answer-style tasks reject only on
-unreliability against the target. NLI responses are distributions, not
-strings, so they are aligned by masking instead (``nli_mask``).
+unreliability against the target. NLI has no gate here: its candidates
+are not pruned.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from enum import Enum
 
 from .backends import GenerationResult
 from .corpus import Sample, Task
-from .lowbias_infer import DEFAULTS, ClassDistribution, _masked_argmax
+from .lowbias_infer import DEFAULTS
 from .metrics import contains_phrase, rouge_l, tokenize
 
 #: Boilerplate question patterns rejected as dull; user-replaceable.
@@ -139,7 +139,7 @@ def align_responses(
     candidate receives a verdict, kept or not.
     """
     if task == Task.NLI:
-        raise ValueError("align_responses: nli responses are masked; use nli_mask")
+        raise ValueError("align_responses: nli candidates are not pruned")
     if not candidates:
         raise ValueError("align_responses: no candidates")
     out: list[AlignedResponse] = []
@@ -207,26 +207,3 @@ def calibrate_threshold(
     assert best_threshold is not None
     return best_threshold
 
-
-def nli_mask(dist: ClassDistribution, target_class: str) -> ClassDistribution:
-    """Zero out the target class and reselect among the remaining classes.
-
-    The masked distribution keeps every non-target probability bitwise
-    intact; the selected class is the highest-probability unmasked class, so
-    it can never equal the target.
-    """
-    if target_class not in dist.classes:
-        raise ValueError(
-            f"nli_mask: target class {target_class!r} not in {dist.classes}"
-        )
-    if len(dist.classes) < 2:
-        raise ValueError("nli_mask: need at least two classes to mask one out")
-    mask = tuple(0 if cls == target_class else 1 for cls in dist.classes)
-    masked = tuple(p * m for p, m in zip(dist.probs, mask))
-    return ClassDistribution(
-        classes=dist.classes,
-        probs=dist.probs,
-        mask=mask,
-        masked=masked,
-        selected_index=_masked_argmax(masked, mask),
-    )

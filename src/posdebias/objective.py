@@ -5,16 +5,13 @@ The combined loss is the convex combination
     combined = (1 - alpha) * l_target + alpha * l_align
 
 where ``l_target`` scores the reference response and ``l_align`` scores the
-kept unsupervised responses (or, for NLI, the backend-weighted selected
-class). When a sample has no alignment signal the combined loss is exactly
-the target loss, not a down-weighted copy of it.
+kept unsupervised responses. When a sample has no alignment signal the
+combined loss is exactly the target loss, not a down-weighted copy of it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .lowbias_infer import ClassDistribution
 
 
 @dataclass(frozen=True)
@@ -66,17 +63,3 @@ def combined_loss(
     combined = min(max(combined, low), high)
     return LossBreakdown(l_target, l_align, combined, alpha)
 
-
-def nli_align_loss(dist: ClassDistribution, model_class_logprob: float) -> float:
-    """Alignment loss for NLI: backend weight times model surprisal.
-
-    The weight is the backend probability of the selected (masked-argmax)
-    class before masking; the surprisal is the trained model's logprob for
-    that class.
-    """
-    if not math.isfinite(model_class_logprob):
-        raise ValueError(f"nli_align_loss: non-finite logprob {model_class_logprob}")
-    if model_class_logprob > 0.0:
-        raise ValueError(f"nli_align_loss: positive logprob {model_class_logprob}")
-    weight = dist.probs[dist.selected_index]
-    return -weight * model_class_logprob

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
@@ -75,7 +76,12 @@ CONFIG_SCHEMA: dict = {
     "description": "Pipeline run configuration; exactly one of 'synth' or 'corpus' must be set.",
     "properties": {
         "out_dir": {"type": "string", "description": "Directory for artifacts and manifest."},
-        "task": {"type": "string", "enum": [t.value for t in Task], "default": "cqa"},
+        "task": {
+            "type": "string",
+            "enum": [t.value for t in Task],
+            "default": "cqa",
+            "description": "Toy mode takes only 'cqa'.",
+        },
         "synth": {
             "type": "object",
             "description": "Synthetic corpus shape (toy mode).",
@@ -93,32 +99,40 @@ CONFIG_SCHEMA: dict = {
             "type": "string",
             "enum": [k.value for k in BiasKind],
             "default": "relative_position",
+            "description": "Toy mode takes only 'relative_position'.",
         },
         "biased_positions": {"type": "array", "items": {"type": "integer"}, "default": [0, 1]},
         "triggers": {"type": "array", "items": {"type": "string"}},
-        "seeds": {"type": "array", "items": {"type": "integer"}, "default": [0]},
+        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1, "uniqueItems": True, "default": [0]},
         "systems": {
             "type": "array",
             "items": {"type": "string", "enum": ["ft", "zoe", "rp"]},
+            "minItems": 1,
             "default": ["ft", "zoe"],
         },
-        "alphas": {"type": "array", "items": {"type": "number"}, "default": [0.2]},
+        "alphas": {
+            "type": "array",
+            "items": {"type": "number", "minimum": 0, "maximum": 1},
+            "minItems": 1,
+            "default": [0.2],
+        },
         "train_sizes": {
             "type": "array",
-            "items": {"type": "integer"},
+            "items": {"type": "integer", "minimum": 1},
             "description": "Optional training-size sweep; incompatible with a multi-alpha sweep.",
         },
-        "epochs": {"type": "integer", "default": 28},
-        "learning_rate": {"type": "number", "default": 0.1},
-        "clip_norm": {"type": "number", "default": 1.0},
-        "n_per_prompt": {"type": "integer", "default": 3},
-        "max_tokens": {"type": "integer", "default": 16},
-        "garbage_rate": {"type": "number", "default": 0.25},
+        "epochs": {"type": "integer", "minimum": 0, "default": 28},
+        "learning_rate": {"type": "number", "minimum": 0, "default": 0.1},
+        "clip_norm": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        "n_per_prompt": {"type": "integer", "minimum": 1, "default": 3},
+        "max_tokens": {"type": "integer", "minimum": 1, "default": 16},
+        "garbage_rate": {"type": "number", "minimum": 0, "maximum": 1, "default": 0.25},
         "metric": {"type": "string", "enum": list(METRICS), "default": "accuracy"},
         "backend": {
             "type": "string",
             "description": "Backend spec: echo | markov | table | table:FILE | replay:FILE | url:ENDPOINT. "
-            "Toy mode defaults to an internally built lookup table. "
+            "'table' is the lookup table built from the synthetic corpus, toy mode's default; "
+            "data mode cannot take it. "
             "POSDEBIAS_BACKEND_URL overrides any configured endpoint.",
             "default": "table",
         },
@@ -139,7 +153,37 @@ CONFIG_SCHEMA: dict = {
     "required": ["out_dir"],
 }
 
-_KNOWN_KEYS = set(CONFIG_SCHEMA["properties"])
+_JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool, "array": list, "object": dict}
+
+_BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"), ("maximum", operator.le, "<="))
+
+
+def _check_schema(name: str, value, schema: dict) -> None:
+    """Reject ``value`` unless it has the schema's type, enum member, bounds,
+    item count, distinct items where asked and (for objects) only known
+    keys; errors name the field."""
+    kind = schema["type"]
+    if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "boolean"):
+        raise ValueError(f"config: {name or 'config'} must be of type {kind}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ValueError(f"config: unknown {name} {value!r}; expected one of {schema['enum']}")
+    for key, holds, sign in _BOUNDS:
+        if key in schema and not holds(value, schema[key]):
+            raise ValueError(f"config: {name} must be {sign} {schema[key]}, got {value!r}")
+    if kind == "array":
+        if len(value) < schema.get("minItems", 0):
+            raise ValueError(f"config: {name} must not be empty")
+        for i, item in enumerate(value):
+            _check_schema(f"{name}[{i}]", item, schema["items"])
+        if schema.get("uniqueItems") and len(set(value)) < len(value):
+            raise ValueError(f"config: {name} must not repeat an entry, got {value!r}")
+    if kind == "object":
+        prefix = f"{name}." if name else ""
+        unknown = sorted(set(value) - set(schema["properties"]))
+        if unknown:
+            raise ValueError(f"config: unknown keys {[prefix + key for key in unknown]}")
+        for key, item in value.items():
+            _check_schema(prefix + key, item, schema["properties"][key])
 
 
 @dataclass
@@ -168,17 +212,23 @@ class PipelineConfig:
 
 
 def parse_config(raw: dict) -> PipelineConfig:
-    """Validate a raw config dict; fails fast on unknown keys and bad combos.
+    """Validate a raw config dict against ``CONFIG_SCHEMA`` and the modes.
 
+    Every problem is raised here, naming the field, before any stage runs.
     Keys left out take the ``PipelineConfig`` defaults.
     """
-    unknown = set(raw) - _KNOWN_KEYS
-    if unknown:
-        raise ValueError(f"config: unknown keys {sorted(unknown)}")
+    _check_schema("", raw, CONFIG_SCHEMA)
     if "out_dir" not in raw:
         raise ValueError("config: 'out_dir' is required")
     if ("synth" in raw) == ("corpus" in raw):
         raise ValueError("config: exactly one of 'synth' or 'corpus' must be set")
+    if "synth" in raw:
+        # The synthetic corpus is dialogue QA, split by relative position.
+        for key, only in (("task", "cqa"), ("bias", "relative_position")):
+            if raw.get(key, only) != only:
+                raise ValueError(f"config: {key} must be {only!r} in toy mode (synth), got {raw[key]!r}")
+    elif raw.get("backend") == "table":
+        raise ValueError("config: backend 'table' needs a synth corpus; data mode takes table:FILE")
     if raw.get("train_sizes") and len(raw.get("alphas", [0.2])) > 1:
         raise ValueError("config: sweep either alphas or train_sizes, not both")
     fields = dict(raw)
@@ -200,13 +250,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     )
     # The internal lookup table only makes sense for synthetic corpora.
     fields.setdefault("backend", "table" if "synth" in raw else "markov")
-    config = PipelineConfig(**fields)
-    for system in config.systems:
-        if system not in ("ft", "zoe", "rp"):
-            raise ValueError(f"config: unknown system {system!r}")
-    if config.metric not in METRICS:
-        raise ValueError(f"config: unknown metric {config.metric!r}; expected one of {list(METRICS)}")
-    return config
+    return PipelineConfig(**fields)
 
 
 def _sha256(path: Path) -> str:
@@ -492,9 +536,9 @@ def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
     artifacts = []
     for seed, data in state["data"].items():
         if config.task == Task.NLI:
-            # NLI replaces response pruning with class-distribution masking.
+            # No gate applies to NLI candidates, so none is kept for training.
             data["aligned"] = {}
-            calibration: dict = {"calibrated": False, "note": "nli uses class masking"}
+            calibration: dict = {"calibrated": False, "note": "nli candidates are not pruned"}
         else:
             data["aligned"], threshold = align_corpus(
                 config.task, data["train"].samples, data["candidates"], config.align, config.calibrate

@@ -287,17 +287,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def score_tokens(model: ToyModel, sample: Sample, response: str) -> list[float]:
-    """Per-token logprobs of a response under the model; one per token."""
-    tokens = response.split()
-    if not tokens:
-        return []
-    base = context_features(model, sample)
-    phi, targets = _sequence_features(model, base, tokens)
-    logp = _log_softmax(phi @ model.weights)
-    return [float(logp[i, t]) for i, t in enumerate(targets)]
-
-
 def generate_response(model: ToyModel, sample: Sample, max_len: int = 8) -> str:
     """Greedy decode until the end token or ``max_len`` tokens."""
     v = len(model.vocabulary)
@@ -409,17 +398,12 @@ def train(
     learning_rate: float = 0.1,
     seed: int = 0,
     clip_norm: float = 1.0,
-    dev_corpus: Corpus | None = None,
-    dev_metric: str = "bleu_2",
-    select_every: int = 0,
 ) -> tuple[ToyModel, list[TraceEntry]]:
     """Gradient descent on the combined loss.
 
     One update per sample per epoch, in an order reshuffled each epoch under
     ``seed``; each update's gradient is clipped to ``clip_norm`` (Frobenius).
     Samples without kept aligned responses train on the target loss alone.
-    With ``dev_corpus`` and ``select_every > 0`` the weights scoring best on
-    the dev split (by ``dev_metric``) are returned instead of the final ones.
     """
     if learning_rate < 0:
         raise ValueError(f"train: negative learning_rate {learning_rate}")
@@ -432,8 +416,6 @@ def train(
     rng = random.Random(seed)
     order = [s.id for s in corpus]
     trace: list[TraceEntry] = []
-    best_score = -math.inf
-    best_weights: np.ndarray | None = None
     step = 0
     for epoch in range(epochs):
         rng.shuffle(order)
@@ -453,14 +435,7 @@ def train(
                 TraceEntry(step, epoch, sample_id, breakdown.l_target, breakdown.l_align, breakdown.combined)
             )
             step += 1
-        if dev_corpus is not None and select_every > 0 and (epoch + 1) % select_every == 0:
-            candidate = replace(model, weights=weights.copy())
-            score = _mean_score(candidate, dev_corpus, dev_metric)
-            if score > best_score:
-                best_score = score
-                best_weights = weights.copy()
-    final = best_weights if best_weights is not None else weights
-    return replace(model, weights=final), trace
+    return replace(model, weights=weights), trace
 
 
 #: Evaluation metrics ``evaluate`` accepts.
@@ -475,13 +450,6 @@ def _score_prediction(metric: str, prediction: str, target: str) -> float:
     if metric == "bleu_2":
         return bleu_2(prediction, target)
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def _mean_score(model: ToyModel, corpus: Corpus, metric: str) -> float:
-    scores = [
-        _score_prediction(metric, generate_response(model, s), s.target) for s in corpus
-    ]
-    return sum(scores) / len(scores)
 
 
 def finite_diff_check(

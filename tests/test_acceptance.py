@@ -21,9 +21,8 @@ from posdebias.bias_split import (
     split_by_relative_position,
 )
 from posdebias.corpus import Corpus, Sample, Task, make_document
-from posdebias.lowbias_infer import ClassDistribution
 from posdebias.metrics import ROUGE_BETA, rouge_l
-from posdebias.msa_align import calibrate_threshold, nli_mask
+from posdebias.msa_align import calibrate_threshold
 from posdebias.objective import LossConfig, combined_loss
 from posdebias.pipeline import parse_config, run_pipeline
 from posdebias.toy_model import (
@@ -88,41 +87,6 @@ def test_rouge_l_matches_brute_force_lcs_oracle():
         "rouge-l-lcs-oracle",
         mismatches == 0 and elapsed < 5.0,
         f"1000 pairs, {mismatches} mismatches, {elapsed:.2f}s < 5s",
-    )
-
-
-# -- class-distribution masking ---------------------------------------------
-
-
-def test_class_masking_zeroes_target_and_preserves_rest():
-    rng = random.Random(202)
-    classes = ("entailment", "neutral", "contradiction")
-    bad = 0
-    for _ in range(1000):
-        raw = [rng.random() + 1e-9 for _ in classes]
-        total = sum(raw)
-        probs = tuple(x / total for x in raw)
-        selected = max(range(len(classes)), key=lambda i: probs[i])
-        dist = ClassDistribution(classes, probs, (1, 1, 1), probs, selected)
-        target = rng.choice(classes)
-        target_idx = classes.index(target)
-        masked = nli_mask(dist, target)
-        ok = (
-            abs(sum(masked.probs) - 1.0) <= 1e-9
-            and masked.masked[target_idx] == 0.0
-            and all(
-                masked.masked[j] == probs[j]
-                for j in range(len(classes))
-                if j != target_idx
-            )
-            and masked.classes[masked.selected_index] != target
-        )
-        if not ok:
-            bad += 1
-    _verdict(
-        "class-masking",
-        bad == 0,
-        f"1000 random distributions, {bad} property violations",
     )
 
 

@@ -63,15 +63,6 @@ class TestEchoStub:
         backend = StubBackend(StubMode.ECHO)
         assert backend.complete("  plain prompt ").text == "plain prompt"
 
-    def test_score_is_certain(self):
-        backend = StubBackend(StubMode.ECHO)
-        result = backend.score("any prompt", "some continuation")
-        assert result.token_logprobs == (0.0, 0.0)
-
-    def test_score_empty_continuation_rejected(self):
-        with pytest.raises(BackendError, match="empty continuation"):
-            StubBackend(StubMode.ECHO).score("p", "   ")
-
 
 class TestTableStub:
     def test_string_value(self):
@@ -99,25 +90,6 @@ class TestTableStub:
         with pytest.raises(BackendError, match="no entry"):
             backend.complete("unknown")
 
-    def test_score_probability(self):
-        backend = StubBackend(
-            StubMode.TABLE, score_table={("p", "a b"): 0.25}
-        )
-        result = backend.score("p", "a b")
-        assert result.token_logprobs[0] == pytest.approx(math.log(0.25))
-        assert result.token_logprobs[1:] == (0.0,)
-
-    def test_score_explicit_logprobs(self):
-        backend = StubBackend(
-            StubMode.TABLE, score_table={("p", "a b"): [-0.3, -0.4]}
-        )
-        assert backend.score("p", "a b").token_logprobs == (-0.3, -0.4)
-
-    def test_score_unknown_continuation(self):
-        backend = StubBackend(StubMode.TABLE)
-        with pytest.raises(BackendError, match="cannot score"):
-            backend.score("p", "zzz")
-
 
 class TestMarkovStub:
     def test_deterministic_per_prompt_and_seed(self):
@@ -140,13 +112,6 @@ class TestMarkovStub:
         backend = StubBackend(StubMode.MARKOV)
         assert len(backend.complete("a b c", seed=0, max_tokens=3).tokens) == 3
 
-    def test_score_produces_valid_logprobs(self):
-        backend = StubBackend(StubMode.MARKOV)
-        result = backend.score("prompt text", "some continuation tokens")
-        assert len(result.token_logprobs) == 3
-        assert all(lp <= 0 for lp in result.token_logprobs)
-        assert result == backend.score("prompt text", "some continuation tokens")
-
 
 class _Handler(BaseHTTPRequestHandler):
     """Scriptable completion server; behavior is keyed on the prompt text."""
@@ -167,13 +132,6 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if prompt == "no-logprobs":
             body = {"text": "x", "tokens": ["x"]}
-        elif "echo_score" in payload:
-            tokens = payload["echo_score"].split()
-            body = {
-                "text": payload["echo_score"],
-                "tokens": tokens,
-                "token_logprobs": [-0.25] * len(tokens),
-            }
         else:
             body = {
                 "text": f"reply to {prompt}",
@@ -200,6 +158,7 @@ def local_server():
     thread.start()
     yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/complete"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -215,13 +174,6 @@ class TestHttpBackend:
             "seed": 3,
             "logprobs": True,
         }
-
-    def test_score_round_trip(self, local_server):
-        server, url = local_server
-        result = HttpBackend(url).score("hello", "a b c")
-        assert result.token_logprobs == (-0.25,) * 3
-        assert server.requests[-1]["echo_score"] == "a b c"
-        assert server.requests[-1]["max_tokens"] == 0
 
     def test_5xx_retries_then_succeeds(self, local_server):
         server, url = local_server
@@ -261,14 +213,12 @@ class TestRecordReplay:
         record_path = tmp_path / "tape.jsonl"
         live = RecordingBackend(HttpBackend(url), record_path)
         first = live.complete("hello", max_tokens=8, seed=3)
-        scored = live.score("hello", "a b")
 
         replay = ReplayBackend(record_path)
         replayed = replay.complete("hello", max_tokens=8, seed=3)
         assert replayed.text == first.text
         assert replayed.tokens == first.tokens
         assert replayed.token_logprobs == first.token_logprobs
-        assert replay.score("hello", "a b").token_logprobs == scored.token_logprobs
 
     def test_replay_unknown_request_is_error(self, tmp_path):
         record_path = tmp_path / "tape.jsonl"
@@ -296,9 +246,6 @@ class _LongAnswerBackend:
         tokens = tuple(f"{prompt}.{seed}.{i}" for i in range(3000))
         return GenerationResult(" ".join(tokens), tokens, (-0.5,) * len(tokens), self.backend_id)
 
-    def score(self, prompt: str, continuation: str) -> GenerationResult:
-        raise NotImplementedError
-
 
 class TestConcurrentRecording:
     def test_every_concurrent_call_records_one_whole_line(self, tmp_path):
@@ -324,7 +271,11 @@ class TestResolveBackend:
     def test_stub_specs(self):
         assert resolve_backend("echo", env={}).mode == StubMode.ECHO
         assert resolve_backend("markov", env={}).mode == StubMode.MARKOV
-        assert resolve_backend("table", env={}, table={"p": "x"}).mode == StubMode.TABLE
+
+    def test_bare_table_spec_rejected(self):
+        # A table needs entries; the toy pipeline builds its own.
+        with pytest.raises(ValueError, match="unknown backend spec 'table'"):
+            resolve_backend("table", env={})
 
     def test_table_file(self, tmp_path):
         table_path = tmp_path / "table.json"

@@ -1,8 +1,5 @@
-"""Prompt construction per strategy, candidate generation, and NLI
-class-distribution scoring."""
+"""Prompt construction per strategy and candidate generation."""
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -13,15 +10,12 @@ from posdebias.lowbias_infer import (
     DEFAULT_ICL_K,
     DEFAULT_INSTRUCTIONS,
     DEFAULT_STRATEGY_BY_TASK,
-    ClassDistribution,
     PromptSpec,
     PromptStrategy,
     build_prompt,
     default_prompt_spec,
     generate,
-    make_class_distribution,
     make_icl_exemplars,
-    nli_class_distribution,
 )
 
 from conftest import dialogue_sample, nli_sample
@@ -185,85 +179,3 @@ class TestGenerate:
         with pytest.raises(ValueError, match=">= 1"):
             generate(["p"], StubBackend(StubMode.ECHO), n_per_prompt=0)
 
-
-class TestClassDistribution:
-    def test_masked_argmax_tie_smallest(self):
-        dist = ClassDistribution(
-            classes=("a", "b", "c"),
-            probs=(0.1, 0.8, 0.1),
-            mask=(1, 0, 1),
-            masked=(0.1, 0.0, 0.1),
-            selected_index=0,
-        )
-        assert dist.selected_class() == "a"
-
-    def test_bad_mask_entry(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            ClassDistribution(("a",), (1.0,), (2,), (2.0,), 0)
-
-    def test_all_masked_rejected(self):
-        with pytest.raises(ValueError, match="all classes masked"):
-            ClassDistribution(("a", "b"), (0.5, 0.5), (0, 0), (0.0, 0.0), 0)
-
-    def test_probs_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            make_class_distribution(("a", "b"), (0.7, 0.7))
-
-    def test_masked_product_checked(self):
-        with pytest.raises(ValueError, match="masked != probs"):
-            ClassDistribution(("a", "b"), (0.5, 0.5), (1, 1), (0.5, 0.4), 0)
-
-    def test_selected_index_checked(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            ClassDistribution(("a", "b"), (0.2, 0.8), (1, 1), (0.2, 0.8), 0)
-
-
-class TestNliClassDistribution:
-    def test_normalized_from_score_table(self):
-        sample = nli_sample("s", "a premise", "a hypothesis", "entailment")
-        prompt = "score this"
-        backend = StubBackend(
-            StubMode.TABLE,
-            score_table={
-                (prompt, "entailment"): 0.5,
-                (prompt, "neutral"): 0.25,
-                (prompt, "contradiction"): 0.25,
-            },
-        )
-        dist = nli_class_distribution(
-            sample, ("entailment", "neutral", "contradiction"), backend, prompt=prompt
-        )
-        assert dist.probs == pytest.approx((0.5, 0.25, 0.25))
-        assert dist.selected_index == 0
-        assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
-
-    def test_multi_token_classes_sum_logprobs(self):
-        sample = nli_sample("s", "p", "h", "entailment")
-        prompt = "score this"
-        backend = StubBackend(
-            StubMode.TABLE,
-            score_table={
-                # two tokens at 0.5 each -> product 0.25; one token at 0.5
-                (prompt, "not entail"): [math.log(0.5), math.log(0.5)],
-                (prompt, "entail"): [math.log(0.5)],
-            },
-        )
-        dist = nli_class_distribution(sample, ("not entail", "entail"), backend, prompt=prompt)
-        assert dist.probs == pytest.approx((1 / 3, 2 / 3))
-
-    def test_default_prompt_used_when_none(self):
-        sample = nli_sample("s", "p", "h", "entailment")
-        backend = StubBackend(StubMode.MARKOV)
-        dist = nli_class_distribution(sample, ("entailment", "neutral"), backend)
-        assert len(dist.probs) == 2
-        assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_nli_sample(self):
-        sample = dialogue_sample("s", ["u"], "pq", "u", "q", "u")
-        with pytest.raises(ValueError, match="must be nli"):
-            nli_class_distribution(sample, ("a", "b"), StubBackend(StubMode.ECHO))
-
-    def test_rejects_duplicate_classes(self):
-        sample = nli_sample("s", "p", "h", "entailment")
-        with pytest.raises(ValueError, match="duplicate"):
-            nli_class_distribution(sample, ("a", "a"), StubBackend(StubMode.ECHO))

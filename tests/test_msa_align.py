@@ -1,5 +1,5 @@
-"""Rejection gates, task-specific gate combinations, threshold calibration,
-and NLI class masking."""
+"""Rejection gates, task-specific gate combinations and threshold
+calibration."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,6 @@ import pytest
 
 from posdebias.backends import GenerationResult
 from posdebias.corpus import Sample, Task
-from posdebias.lowbias_infer import make_class_distribution
 from posdebias.msa_align import (
     DEFAULT_CANDIDATE_THRESHOLDS,
     DEFAULT_DULL_PATTERNS,
@@ -24,7 +23,6 @@ from posdebias.msa_align import (
     identify_incoherent,
     identify_noncompliant,
     identify_unreliable,
-    nli_mask,
 )
 
 from conftest import dialogue_sample
@@ -194,9 +192,9 @@ class TestAlignResponses:
             )
             assert verdicts[0].rejection_reasons == frozenset({RejectionReason.UNRELIABLE})
 
-    def test_nli_directed_to_mask(self):
+    def test_nli_rejected(self):
         sample = self._sample(Task.CQA)
-        with pytest.raises(ValueError, match="nli_mask"):
+        with pytest.raises(ValueError, match="nli candidates are not pruned"):
             align_responses(Task.NLI, sample, [result("x")], self._config())
 
     def test_empty_candidates_rejected(self):
@@ -252,40 +250,6 @@ class TestCalibrateThreshold:
     def test_defaults(self):
         assert DEFAULT_CANDIDATE_THRESHOLDS == (0.1, 0.15, 0.2)
         assert DEFAULT_TARGET_KEEP_FRACTION == 0.2
-
-
-class TestNliMask:
-    def test_worked_example(self):
-        # probs [0.1, 0.8, 0.1], target class 1 -> masked [0.1, 0, 0.1],
-        # selected index 0 (argmax tie resolves to the smallest index)
-        dist = make_class_distribution(("e", "n", "c"), (0.1, 0.8, 0.1))
-        masked = nli_mask(dist, "n")
-        assert masked.masked == (0.1, 0.0, 0.1)
-        assert masked.mask == (1, 0, 1)
-        assert masked.selected_index == 0
-
-    def test_non_target_probs_preserved_bitwise(self):
-        probs = (0.123456789, 0.7, 0.176543211)
-        dist = make_class_distribution(("e", "n", "c"), probs)
-        masked = nli_mask(dist, "e")
-        assert masked.probs == probs
-        assert masked.masked[1] == probs[1]
-        assert masked.masked[2] == probs[2]
-
-    def test_selected_never_target(self):
-        dist = make_class_distribution(("e", "n"), (0.9999999999, 1e-10))
-        masked = nli_mask(dist, "e")
-        assert masked.selected_class() == "n"
-
-    def test_unknown_target_rejected(self):
-        dist = make_class_distribution(("e", "n"), (0.5, 0.5))
-        with pytest.raises(ValueError, match="not in"):
-            nli_mask(dist, "zzz")
-
-    def test_single_class_rejected(self):
-        dist = make_class_distribution(("only",), (1.0,))
-        with pytest.raises(ValueError, match="at least two"):
-            nli_mask(dist, "only")
 
 
 class TestAlignmentConfig:

@@ -1,17 +1,14 @@
 """Loss terms, the alpha-weighted combination, and its algebraic properties."""
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
-from posdebias.lowbias_infer import make_class_distribution
 from posdebias.objective import (
     LossConfig,
     combined_loss,
     loss_term_weights,
-    nli_align_loss,
 )
 
 
@@ -73,32 +70,3 @@ class TestCombinedLoss:
         assert loss_term_weights(LossConfig(alpha=0.2), align_present=True) == (0.8, 0.2)
         assert loss_term_weights(LossConfig(alpha=0.2), align_present=False) == (1.0, 0.0)
 
-
-class TestNliAlignLoss:
-    def test_certain_selection(self):
-        # frozen: weight 1, model prob 0.5 -> ln 2
-        dist = make_class_distribution(("a", "b"), (1.0, 0.0))
-        assert nli_align_loss(dist, math.log(0.5)) == pytest.approx(
-            0.6931471805599453, abs=1e-15
-        )
-
-    def test_weighted_selection(self):
-        # frozen: weight 0.25, model prob 0.25 -> 0.25 * ln 4 = 0.34657...
-        dist = make_class_distribution(("a", "b", "c", "d"), (0.25, 0.25, 0.25, 0.25))
-        assert nli_align_loss(dist, math.log(0.25)) == pytest.approx(
-            0.34657359027997264, abs=1e-15
-        )
-
-    def test_weight_is_selected_class_prob(self):
-        from posdebias.msa_align import nli_mask
-
-        dist = nli_mask(make_class_distribution(("e", "n", "c"), (0.6, 0.3, 0.1)), "e")
-        # selected is "n" with backend prob 0.3
-        assert dist.selected_class() == "n"
-        loss = nli_align_loss(dist, math.log(0.5))
-        assert loss == pytest.approx(0.3 * math.log(2), abs=1e-15)
-
-    def test_positive_logprob_rejected(self):
-        dist = make_class_distribution(("a", "b"), (0.5, 0.5))
-        with pytest.raises(ValueError, match="positive"):
-            nli_align_loss(dist, 0.2)

@@ -68,6 +68,30 @@ class TestParseConfig:
             parse_config({"out_dir": "x", "synth": {}, "metric": "foo"})
         assert parse_config({"out_dir": "x", "synth": {}, "metric": "bleu_2"}).metric == "bleu_2"
 
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"synth": {}, "alphas": [1.5]}, "alphas"),
+            ({"synth": {}, "systems": []}, "systems"),
+            ({"synth": {}, "seeds": ["a"]}, "seeds"),
+            ({"synth": {}, "seeds": [0, 0]}, "seeds"),
+            ({"synth": {}, "task": "nli"}, "task"),
+            ({"synth": {}, "train_sizes": [0]}, "train_sizes"),
+            ({"synth": {}, "bias": "weird"}, "bias"),
+            ({"synth": {}, "bias": "lead"}, "bias"),
+            ({"corpus": "c.jsonl", "backend": "table"}, "backend"),
+        ],
+        ids=[
+            "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
+            "train-sizes-zero", "bias-unknown", "bias-lead-in-toy", "backend-table-in-data-mode",
+        ],
+    )
+    def test_bad_field_rejected_before_any_stage(self, tmp_path, raw, field):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match=rf"config: .*\b{field}\b"):
+            parse_config({**raw, "out_dir": str(out_dir)})
+        assert not out_dir.exists()
+
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
             parse_config({"out_dir": "x", "synth": {}, "systems": ["ft", "bert"]})
@@ -307,7 +331,7 @@ class TestDataModePipeline:
         assert "corpus,biased,fraction" in report
         assert "align,all,kept_fraction" in report
 
-    def test_nli_corpus_uses_masking_not_pruning(self, nli_corpus_file, tmp_path):
+    def test_nli_corpus_candidates_are_not_pruned(self, nli_corpus_file, tmp_path):
         out_dir = tmp_path / "out"
         run_pipeline(parse_config({
             "out_dir": str(out_dir),
@@ -318,7 +342,7 @@ class TestDataModePipeline:
             "max_tokens": 4,
         }))
         note = json.loads((out_dir / "align" / "seed0" / "calibration.json").read_text())
-        assert note == {"calibrated": False, "note": "nli uses class masking"}
+        assert note == {"calibrated": False, "note": "nli candidates are not pruned"}
         assert (out_dir / "align" / "seed0" / "aligned.jsonl").read_text() == ""
         evidence = [
             json.loads(line)
@@ -528,7 +552,7 @@ class TestCliVerbs:
             "--out", str(tmp_path / "a.jsonl"),
         ])
         assert result.exit_code != 0
-        assert "masked" in result.output
+        assert "nli candidates are not pruned" in result.output
 
     def test_align_cqg_needs_no_corpus(self, runner, tmp_path):
         candidates = tmp_path / "c.jsonl"

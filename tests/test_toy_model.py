@@ -16,6 +16,7 @@ from posdebias.objective import LossConfig
 from posdebias.toy_model import (
     _sequence_features,
     _stack_sequences,
+    _stacked_loss_and_grad,
     BOS,
     EOS,
     SynthSpec,
@@ -29,7 +30,6 @@ from posdebias.toy_model import (
     generate_response,
     load_model,
     save_model,
-    score_tokens,
     synth_corpus,
     train,
 )
@@ -67,6 +67,18 @@ def random_model(vocab_size: int = 12, seed: int = 5, scale: float = 0.1) -> Toy
     v = len(vocabulary)
     rng = np.random.default_rng(seed)
     return ToyModel(vocabulary, rng.normal(scale=scale, size=(3 * v + 1, v)))
+
+
+def target_nll(model: ToyModel, sample, tokens: list[str]) -> float:
+    """Target loss of ``tokens`` as a training step computes it."""
+    seqs = _stack_sequences(model, context_features(model, sample), tokens, [], LossConfig(alpha=0.0))
+    return _stacked_loss_and_grad(model.weights, seqs)[0]
+
+
+def step_logprobs(model: ToyModel, sample, tokens: list[str]) -> list[float]:
+    """Per-token logprobs on the training-loss path, as prefix-loss differences."""
+    losses = [target_nll(model, sample, tokens[:i]) for i in range(len(tokens) + 1)]
+    return [before - after for before, after in zip(losses, losses[1:])]
 
 
 class TestSynthSpec:
@@ -181,35 +193,53 @@ class TestLowBiasTable:
 
 
 class TestScoring:
+    """Token scoring on the path training takes: ``_stack_sequences`` and
+    ``_stacked_loss_and_grad``."""
+
     def test_uniform_initialization_scores_every_token_equally(self):
         model = ToyModel.initialize(12)
         v = len(model.vocabulary)
         train_c, _, _ = synth_corpus(small_spec())
         sample = next(iter(train_c))
-        logprobs = score_tokens(model, sample, sample.target + " " + EOS)
+        logprobs = step_logprobs(model, sample, sample.target.split() + [EOS])
         assert len(logprobs) == 5
-        assert all(lp == logprobs[0] for lp in logprobs)
-        assert logprobs[0] == pytest.approx(-math.log(v), abs=1e-12)
+        assert logprobs == pytest.approx([-math.log(v)] * 5, abs=1e-12)
 
     def test_distribution_sums_to_one_at_each_step(self):
         model = random_model()
         train_c, _, _ = synth_corpus(small_spec())
         sample = next(iter(train_c))
-        total = sum(math.exp(score_tokens(model, sample, tok)[0]) for tok in model.vocabulary)
-        assert total == pytest.approx(1.0, abs=1e-9)
+        tokens = sample.target.split() + [EOS]
+        for i in range(len(tokens)):
+            prefix = tokens[:i]
+            before = target_nll(model, sample, prefix)
+            total = sum(
+                math.exp(before - target_nll(model, sample, prefix + [tok]))
+                for tok in model.vocabulary
+            )
+            assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_one_logprob_per_token(self):
         model = random_model()
         train_c, _, _ = synth_corpus(small_spec())
         sample = next(iter(train_c))
-        assert score_tokens(model, sample, "") == []
-        assert len(score_tokens(model, sample, "ans t0 is c1")) == 4
+        base = context_features(model, sample)
+        empty = _stack_sequences(model, base, [], [], LossConfig(alpha=0.0))
+        assert len(empty.targets) == empty.n_target == 0
+        assert target_nll(model, sample, []) == 0.0
+        tokens = "ans t0 is c1".split()
+        seqs = _stack_sequences(model, base, tokens, [], LossConfig(alpha=0.0))
+        assert len(seqs.targets) == seqs.n_target == seqs.phi.shape[0] == 4
+        # Each step's term equals the dense reference's loss of that one row.
+        phi, ids = _sequence_features(model, base, tokens)
+        expected = [-sequence_loss_and_grad(model.weights, phi[i : i + 1], ids[i : i + 1])[0] for i in range(4)]
+        assert step_logprobs(model, sample, tokens) == pytest.approx(expected, abs=1e-12)
 
     def test_out_of_vocabulary_token_rejected(self):
         model = ToyModel.initialize(12)
         train_c, _, _ = synth_corpus(small_spec())
         with pytest.raises(ValueError, match="out-of-vocabulary"):
-            score_tokens(model, next(iter(train_c)), "zebra")
+            target_nll(model, next(iter(train_c)), ["zebra"])
 
     def test_weight_shape_and_finiteness_validated(self):
         vocab = build_vocabulary(4)
@@ -330,22 +360,6 @@ class TestTraining:
         with pytest.raises(ValueError, match="clip_norm"):
             train(model, train_c, clip_norm=0.0)
 
-    def test_checkpoint_selection_never_scores_worse_on_dev(self):
-        # An oversized step makes late epochs regress; selection must shield dev score.
-        train_c, eval_b, _ = synth_corpus(small_spec(n_eval=20))
-        model = ToyModel.initialize(12)
-        plain, _ = train(model, train_c, epochs=6, learning_rate=5.0, seed=0)
-        picked, _ = train(
-            model, train_c, epochs=6, learning_rate=5.0, seed=0,
-            dev_corpus=eval_b, dev_metric="accuracy", select_every=1,
-        )
-
-        def dev_score(m):
-            hits = [generate_response(m, s) == s.target for s in eval_b]
-            return sum(hits) / len(hits)
-
-        assert dev_score(picked) >= dev_score(plain)
-
 
 class TestStackedStep:
     """One ``train`` step against the dense per-sequence reference step."""
@@ -454,7 +468,7 @@ class TestFiniteDifference:
         _, eval_b, _ = synth_corpus(small_spec(n_eval=30, seed=3))
         sample = next(iter(eval_b))
         response = sample.target + " " + EOS
-        assert -sum(score_tokens(model, sample, response)) < 1e-3
+        assert target_nll(model, sample, response.split()) < 1e-3
         assert finite_diff_check(model, sample, response, n_probes=50, seed=1) < 1e-8
 
     def test_error_grows_with_coarse_epsilon(self):
