@@ -282,26 +282,37 @@ class ReplayBackend:
         return self._lookup(_complete_payload(prompt, max_tokens, seed))
 
 
-def resolve_backend(spec: str, *, env: dict | None = None, retries: int = 0) -> Backend:
-    """Build a backend from a config string.
+def parse_backend_spec(spec: str) -> tuple[str, str]:
+    """Split a backend spec into its kind and argument, building nothing.
 
-    Accepted specs: ``echo``, ``markov``, ``table:FILE`` (JSON table on
-    disk), ``replay:FILE``, ``url:ENDPOINT`` or a bare ``http(s)`` URL. When the ``POSDEBIAS_BACKEND_URL`` environment variable is set it
+    Kinds: ``echo``, ``markov``, ``table`` (``table:FILE``, a JSON table on
+    disk), ``replay`` (``replay:FILE``) and ``url`` (``url:ENDPOINT`` or a
+    bare ``http(s)`` URL). An unknown spec, or a table or replay file that
+    does not exist, raises ``ValueError`` naming the backend.
+    """
+    if spec.startswith(("http://", "https://")):
+        return "url", spec
+    kind, colon, arg = spec.partition(":")
+    if kind not in (("url", "table", "replay") if colon else (StubMode.ECHO.value, StubMode.MARKOV.value)):
+        raise ValueError(f"unknown backend spec {spec!r}")
+    if kind in ("table", "replay") and not Path(arg).is_file():
+        raise ValueError(f"backend {spec!r}: file {arg!r} does not exist")
+    return kind, arg
+
+
+def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
+    """Build the backend a spec names (see ``parse_backend_spec``).
+
+    When the ``POSDEBIAS_BACKEND_URL`` environment variable is set it
     overrides any configured endpoint.
     """
     import os
 
-    env = dict(os.environ if env is None else env)
-    override = env.get(BACKEND_URL_ENV)
-    if spec.startswith("url:"):
-        return HttpBackend(override or spec[len("url:") :], retries=retries)
-    if spec.startswith(("http://", "https://")):
-        return HttpBackend(override or spec, retries=retries)
-    if spec.startswith("replay:"):
-        return ReplayBackend(spec[len("replay:") :])
-    if spec.startswith("table:"):
-        loaded = json.loads(Path(spec[len("table:") :]).read_text(encoding="utf-8"))
-        return StubBackend(StubMode.TABLE, table=loaded)
-    if spec in (StubMode.ECHO.value, StubMode.MARKOV.value):
-        return StubBackend(StubMode(spec))
-    raise ValueError(f"resolve_backend: unknown backend spec {spec!r}")
+    kind, arg = parse_backend_spec(spec)
+    if kind == "url":
+        return HttpBackend(dict(os.environ if env is None else env).get(BACKEND_URL_ENV) or arg)
+    if kind == "replay":
+        return ReplayBackend(arg)
+    if kind == "table":
+        return StubBackend(StubMode.TABLE, table=json.loads(Path(arg).read_text(encoding="utf-8")))
+    return StubBackend(StubMode(kind))

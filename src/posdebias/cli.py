@@ -23,7 +23,6 @@ from .pipeline import (
     CONFIG_SCHEMA,
     PipelineError,
     align_corpus,
-    eval_model,
     infer_corpus,
     parse_config,
     run_pipeline,
@@ -40,7 +39,7 @@ from .records import (
     write_eval,
     write_trace,
 )
-from .toy_model import METRICS, ToyModel, load_model, save_model, train
+from .toy_model import METRICS, ToyModel, evaluate, load_model, save_model, train
 
 
 def _fail(message: str) -> None:
@@ -233,7 +232,7 @@ def eval_cmd(model_path, corpus_path, task_name, metric, positions, system, out_
         model = load_model(model_path)
         corpus = load_corpus(corpus_path, task)
         partition = split_corpus(corpus, BiasKind.RELATIVE_POSITION, _positions(positions))
-        result = eval_model(model, partition, metric, system)
+        result = evaluate(model, partition, metric, system)
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
     out = write_eval(result, out_path)

@@ -11,8 +11,9 @@ filtered by task-appropriate gates:
 
 Question generation keeps flexible responses and rejects on form
 (non-compliant / dull / incoherent); answer-style tasks reject only on
-unreliability against the target. NLI has no gate here: its candidates
-are not pruned.
+unreliability against the target. The incoherent and unreliable gates are
+one predicate, ``gate_statistic`` below the task's threshold, which is what
+calibration counts. NLI has no gate here: its candidates are not pruned.
 """
 from __future__ import annotations
 
@@ -31,10 +32,8 @@ DEFAULT_DULL_PATTERNS: tuple[str, ...] = tuple(DEFAULTS["dull_patterns"])
 #: Whole-token trigger words for the lexical splitter's default list.
 DEFAULT_LEXICAL_TRIGGERS: tuple[str, ...] = tuple(DEFAULTS["lexical_triggers"])
 
-#: Per-task instruction keywords used by the compliance gate.
-DEFAULT_INSTRUCTION_KEYWORDS: dict[str, tuple[str, ...]] = {
-    k: tuple(v) for k, v in DEFAULTS["instruction_keywords"].items()
-}
+#: Question words the question-generation compliance gate looks for.
+DEFAULT_INSTRUCTION_KEYWORDS: tuple[str, ...] = tuple(DEFAULTS["instruction_keywords"])
 
 #: Candidate thresholds considered during calibration.
 DEFAULT_CANDIDATE_THRESHOLDS: tuple[float, ...] = (0.1, 0.15, 0.2)
@@ -54,7 +53,7 @@ class RejectionReason(str, Enum):
 class AlignmentConfig:
     """Thresholds and word lists for the alignment gates."""
 
-    instruction_keywords: tuple[str, ...] = ()
+    instruction_keywords: tuple[str, ...] = DEFAULT_INSTRUCTION_KEYWORDS
     dull_patterns: tuple[str, ...] = DEFAULT_DULL_PATTERNS
     incoherence_threshold: float = 0.15
     unreliable_threshold: float = 0.15
@@ -104,26 +103,9 @@ def identify_dull(response: GenerationResult, patterns: tuple[str, ...]) -> bool
     return any(contains_phrase(tokens, tokenize(pattern)) for pattern in patterns)
 
 
-def identify_incoherent(response: GenerationResult, threshold: float) -> bool:
-    """True iff the minimum per-token probability is strictly below threshold.
-
-    The comparison runs in log space, so a token sitting exactly at the
-    threshold is coherent. Responses with no tokens cannot dip below any
-    threshold and pass.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"identify_incoherent: threshold {threshold} outside (0, 1)")
-    if not response.token_logprobs:
-        return False
-    bound = math.log(threshold)
-    return min(response.token_logprobs) < bound
-
-
-def identify_unreliable(response: str, target: str, threshold: float) -> bool:
-    """True iff ROUGE-L(response, target) is strictly below threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"identify_unreliable: threshold {threshold} outside (0, 1)")
-    return rouge_l(response, target) < threshold
+def gate_threshold_field(task: Task) -> str:
+    """The ``AlignmentConfig`` field holding the task's calibrated threshold."""
+    return "incoherence_threshold" if task == Task.CQG else "unreliable_threshold"
 
 
 def align_responses(
@@ -135,28 +117,27 @@ def align_responses(
     """Apply the task's gate combination to every candidate.
 
     Question generation rejects on non-compliant, dull, or incoherent;
-    answer-style tasks (CQA, SUM, KGC) reject only on unreliable. Every
-    candidate receives a verdict, kept or not.
+    answer-style tasks (CQA, SUM, KGC) reject only on unreliable. A
+    candidate whose ``gate_statistic`` is below the task's threshold is
+    incoherent (CQG) or unreliable (otherwise); one equal to it is kept.
+    Every candidate receives a verdict, kept or not.
     """
     if task == Task.NLI:
         raise ValueError("align_responses: nli candidates are not pruned")
     if not candidates:
         raise ValueError("align_responses: no candidates")
+    threshold = getattr(config, gate_threshold_field(task))
+    below = RejectionReason.INCOHERENT if task == Task.CQG else RejectionReason.UNRELIABLE
     out: list[AlignedResponse] = []
     for cand in candidates:
         reasons: set[RejectionReason] = set()
         if task == Task.CQG:
-            if config.instruction_keywords and identify_noncompliant(
-                cand, config.instruction_keywords
-            ):
+            if identify_noncompliant(cand, config.instruction_keywords):
                 reasons.add(RejectionReason.NON_COMPLIANT)
             if identify_dull(cand, config.dull_patterns):
                 reasons.add(RejectionReason.DULL)
-            if identify_incoherent(cand, config.incoherence_threshold):
-                reasons.add(RejectionReason.INCOHERENT)
-        else:
-            if identify_unreliable(cand.text, sample.target, config.unreliable_threshold):
-                reasons.add(RejectionReason.UNRELIABLE)
+        if gate_statistic(task, sample, cand) < threshold:
+            reasons.add(below)
         out.append(
             AlignedResponse(
                 sample_id=sample.id,

@@ -6,15 +6,16 @@ Two modes share the same stage machinery:
   eval pool, draw low-bias candidates from the stub backend, align them,
   train the configured systems, evaluate, and report;
 * data mode (``corpus`` configured): split a user corpus, draw and align
-  candidates, and report partition and alignment statistics.
+  candidates, and report partition and alignment statistics; an NLI corpus,
+  whose candidates nothing prunes or trains on, is only split and reported.
 
 Every stage appends its artifacts (with SHA-256 checksums) to
 ``manifest.json`` as soon as it finishes, so a failed run preserves all
 artifacts produced before the failure and marks the failing stage.
 
 Stage bodies are plain functions (``split_corpus``, ``write_split``,
-``infer_corpus``, ``align_corpus``, ``eval_model``, ``pool_evals``,
-``write_report``) that the CLI verbs call as well; record formats live in
+``infer_corpus``, ``align_corpus``, ``pool_evals``, ``write_report``, and
+``toy_model.evaluate``) that the CLI verbs call as well; record formats live in
 ``posdebias.records``.
 """
 from __future__ import annotations
@@ -26,11 +27,12 @@ import operator
 import os
 from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import report as report_mod
-from .backends import Backend, GenerationResult, StubBackend, StubMode, resolve_backend
+from .backends import Backend, GenerationResult, StubBackend, StubMode, parse_backend_spec, resolve_backend
 from .bias_split import (
     DEFAULT_BIASED_POSITIONS,
     BiasKind,
@@ -45,12 +47,15 @@ from .corpus import Corpus, Sample, Task, load_corpus, relabel, save_corpus
 from .lowbias_infer import PromptStrategy, build_prompt, default_prompt_spec, generate
 from .metrics import PositionRow
 from .msa_align import (
+    DEFAULT_DULL_PATTERNS,
+    DEFAULT_INSTRUCTION_KEYWORDS,
     DEFAULT_LEXICAL_TRIGGERS,
     AlignedResponse,
     AlignmentConfig,
     align_responses,
     calibrate_threshold,
     gate_statistic,
+    gate_threshold_field,
 )
 from .objective import LossConfig
 from .records import write_aligned, write_candidates, write_eval, write_trace
@@ -102,7 +107,7 @@ CONFIG_SCHEMA: dict = {
             "description": "Toy mode takes only 'relative_position'.",
         },
         "biased_positions": {"type": "array", "items": {"type": "integer"}, "default": [0, 1]},
-        "triggers": {"type": "array", "items": {"type": "string"}},
+        "triggers": {"type": "array", "items": {"type": "string"}, "default": list(DEFAULT_LEXICAL_TRIGGERS)},
         "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1, "uniqueItems": True, "default": [0]},
         "systems": {
             "type": "array",
@@ -141,8 +146,12 @@ CONFIG_SCHEMA: dict = {
             "type": "object",
             "description": "AlignmentConfig overrides.",
             "properties": {
-                "instruction_keywords": {"type": "array", "items": {"type": "string"}},
-                "dull_patterns": {"type": "array", "items": {"type": "string"}},
+                "instruction_keywords": {
+                    "type": "array", "items": {"type": "string"}, "minItems": 1,
+                    "default": list(DEFAULT_INSTRUCTION_KEYWORDS),
+                    "description": "cqg compliance gate: a kept candidate contains one of these words.",
+                },
+                "dull_patterns": {"type": "array", "items": {"type": "string"}, "default": list(DEFAULT_DULL_PATTERNS)},
                 "incoherence_threshold": {"type": "number", "default": 0.15},
                 "unreliable_threshold": {"type": "number", "default": 0.15},
                 "candidate_thresholds": {"type": "array", "items": {"type": "number"}, "default": [0.1, 0.15, 0.2]},
@@ -250,6 +259,11 @@ def parse_config(raw: dict) -> PipelineConfig:
     )
     # The internal lookup table only makes sense for synthetic corpora.
     fields.setdefault("backend", "table" if "synth" in raw else "markov")
+    if fields["backend"] != "table":
+        try:
+            parse_backend_spec(fields["backend"])
+        except ValueError as exc:
+            raise ValueError(f"config: {exc}") from None
     return PipelineConfig(**fields)
 
 
@@ -311,7 +325,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     out_dir = Path(config.out_dir)
     manifest = _Manifest(out_dir, _config_echo(config))
     state: dict = {}
-    stages = _TOY_STAGES if config.synth is not None else _DATA_STAGES
+    if config.synth is not None:
+        stages = _TOY_STAGES
+    elif config.task == Task.NLI:
+        stages = _NLI_DATA_STAGES
+    else:
+        stages = _DATA_STAGES
     for name, fn in stages:
         try:
             artifacts = fn(config, out_dir, state)
@@ -370,23 +389,23 @@ def infer_corpus(
 ) -> dict[str, list[GenerationResult]]:
     """Low-bias candidates for every sample, keyed by sample id in corpus order.
 
-    ``strategy`` overrides the task's default prompt strategy.
+    ``strategy`` overrides the task's default prompt strategy. Every
+    sample's prompts go to one ``generate`` call, so a ``BackendError``'s
+    prompt index counts prompts across the corpus.
     """
     spec = default_prompt_spec(
         corpus.task, corpus=corpus, strategy=None if strategy is None else PromptStrategy(strategy)
     )
-    candidates = {}
-    for sample in corpus:
-        prompts = build_prompt(sample, spec, allow_strategy_mismatch=strategy is not None)
-        candidates[sample.id] = generate(
-            prompts,
-            backend,
-            n_per_prompt=n_per_prompt,
-            seed=seed,
-            max_tokens=max_tokens,
-            max_in_flight=max_in_flight,
-        )
-    return candidates
+    prompts = [build_prompt(s, spec, allow_strategy_mismatch=strategy is not None) for s in corpus]
+    results = iter(generate(
+        [prompt for sample_prompts in prompts for prompt in sample_prompts],
+        backend,
+        n_per_prompt=n_per_prompt,
+        seed=seed,
+        max_tokens=max_tokens,
+        max_in_flight=max_in_flight,
+    ))
+    return {s.id: list(islice(results, len(p) * n_per_prompt)) for s, p in zip(corpus, prompts)}
 
 
 def align_corpus(
@@ -418,26 +437,13 @@ def align_corpus(
             threshold = calibrate_threshold(
                 stats, config.candidate_thresholds, config.target_keep_fraction
             )
-            gate = "incoherence_threshold" if task == Task.CQG else "unreliable_threshold"
-            config = dataclasses.replace(config, **{gate: threshold})
+            config = dataclasses.replace(config, **{gate_threshold_field(task): threshold})
     aligned = {
         sample.id: align_responses(task, sample, list(candidates[sample.id]), config)
         for sample in samples
         if candidates.get(sample.id)
     }
     return aligned, threshold
-
-
-def eval_model(model: ToyModel, partition: BiasPartition, metric: str, system: str) -> SystemEval:
-    """Score a model on both partition sides; an empty side is left out."""
-    result = evaluate(model, partition, metric=metric)
-    sides = (("biased", result.biased), ("non_biased", result.non_biased))
-    return SystemEval(
-        system=system,
-        metric=metric,
-        splits={name: (side.score, side.count) for name, side in sides if side.score is not None},
-        by_position=result.by_relative_position,
-    )
 
 
 def pool_evals(system: str, metric: str, evals: Sequence[SystemEval]) -> SystemEval:
@@ -535,17 +541,12 @@ def _stage_infer(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
 def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     artifacts = []
     for seed, data in state["data"].items():
-        if config.task == Task.NLI:
-            # No gate applies to NLI candidates, so none is kept for training.
-            data["aligned"] = {}
-            calibration: dict = {"calibrated": False, "note": "nli candidates are not pruned"}
-        else:
-            data["aligned"], threshold = align_corpus(
-                config.task, data["train"].samples, data["candidates"], config.align, config.calibrate
-            )
-            calibration = {"calibrated": threshold is not None}
-            if threshold is not None:
-                calibration["threshold"] = threshold
+        data["aligned"], threshold = align_corpus(
+            config.task, data["train"].samples, data["candidates"], config.align, config.calibrate
+        )
+        calibration: dict = {"calibrated": threshold is not None}
+        if threshold is not None:
+            calibration["threshold"] = threshold
         seed_dir = out_dir / "align" / f"seed{seed}"
         artifacts.append(write_aligned(data["aligned"], seed_dir / "aligned.jsonl"))
         calibration_path = seed_dir / "calibration.json"
@@ -655,7 +656,7 @@ def _stage_eval(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path
     for point in _sweep_points(config):
         label = point["label"]
         per_seed = [
-            eval_model(state["models"][(label, seed)], data["partition"], config.metric, label)
+            evaluate(state["models"][(label, seed)], data["partition"], config.metric, label)
             for seed, data in state["data"].items()
         ]
         pooled = pool_evals(label, config.metric, per_seed)
@@ -752,3 +753,7 @@ _DATA_STAGES = (
     ("align", _stage_align),
     ("report", _stage_data_report),
 )
+
+# No gate prunes NLI candidates and data mode does not train, so nothing
+# would read what infer and align produce.
+_NLI_DATA_STAGES = (("split", _stage_data_split), ("report", _stage_data_report))

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bias_split import BiasPartition, relative_position
+from .bias_split import BiasPartition
 from .corpus import (
     Corpus,
     DialogueTurn,
@@ -38,9 +38,10 @@ from .corpus import (
     render_input,
 )
 from .lowbias_infer import build_prompt, default_prompt_spec
-from .metrics import PositionRow, bleu_2, per_position_table, rouge_l, tokenize
+from .metrics import bleu_2, per_position_table, rouge_l, tokenize
 from .msa_align import AlignedResponse
 from .objective import LossConfig, combined_loss, loss_term_weights
+from .report import SystemEval
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -214,14 +215,12 @@ class ToyModel:
         return 3 * len(self.vocabulary) + 1
 
     @classmethod
-    def initialize(
-        cls, vocab_size: int, seed: int = 0, window_scale: float = DEFAULT_WINDOW_SCALE
-    ) -> "ToyModel":
+    def initialize(cls, vocab_size: int, seed: int = 0) -> "ToyModel":
         """Zero-weight model: every next-token distribution is uniform."""
         vocabulary = build_vocabulary(vocab_size)
         v = len(vocabulary)
         weights = np.zeros((3 * v + 1, v), dtype=np.float64)
-        return cls(vocabulary, weights, seed=seed, window_scale=window_scale)
+        return cls(vocabulary, weights, seed=seed)
 
     def token_id(self, token: str) -> int:
         if token not in self._index:
@@ -506,59 +505,23 @@ def finite_diff_check(
     return worst
 
 
-@dataclass(frozen=True)
-class SplitScore:
-    """Aggregate score over one partition side; ``None`` when empty."""
+def evaluate(model: ToyModel, partition: BiasPartition, metric: str, system: str) -> SystemEval:
+    """Score greedy decodes on both partition sides; an empty side is left out.
 
-    score: float | None
-    count: int
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    metric: str
-    biased: SplitScore
-    non_biased: SplitScore
-    by_relative_position: tuple[PositionRow, ...]
-
-
-def evaluate(
-    model: ToyModel,
-    partition: BiasPartition,
-    metric: str = "accuracy",
-    max_len: int = 8,
-) -> EvalReport:
-    """Score greedy decodes on both partition sides.
-
-    Relative positions come from the partition evidence when present and are
-    recomputed from the sample otherwise; samples without either are pooled
-    in the unknown-position row.
+    Each sample's relative position is read from its partition evidence;
+    samples whose evidence has none are pooled in the unknown-position row.
     """
     all_scores: list[float] = []
     all_positions: list[int | None] = []
-    split_scores: dict[str, SplitScore] = {}
+    splits: dict[str, tuple[float, int]] = {}
     for name, corpus in (("biased", partition.biased), ("non_biased", partition.non_biased)):
-        scores: list[float] = []
-        for sample in corpus:
-            prediction = generate_response(model, sample, max_len=max_len)
-            score = _score_prediction(metric, prediction, sample.target)
-            scores.append(score)
-            evidence = partition.evidence.get(sample.id)
-            if evidence is not None and evidence.relative_position is not None:
-                position: int | None = evidence.relative_position
-            else:
-                try:
-                    position = relative_position(sample)
-                except ValueError:
-                    position = None
-            all_positions.append(position)
-        all_scores.extend(scores)
+        scores = [_score_prediction(metric, generate_response(model, s), s.target) for s in corpus]
         if scores:
-            split_scores[name] = SplitScore(sum(scores) / len(scores), len(scores))
-        else:
-            split_scores[name] = SplitScore(None, 0)
+            splits[name] = (sum(scores) / len(scores), len(scores))
+        all_scores.extend(scores)
+        all_positions.extend(partition.evidence[s.id].relative_position for s in corpus)
     rows = tuple(per_position_table(all_positions, all_scores)) if all_scores else ()
-    return EvalReport(metric, split_scores["biased"], split_scores["non_biased"], rows)
+    return SystemEval(system, metric, splits, rows)
 
 
 def save_model(model: ToyModel, path: str | Path) -> Path:

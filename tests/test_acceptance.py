@@ -331,12 +331,8 @@ def test_position_curve_shapes(toy_experiment):
         )
         for label in ("ft", "zoe"):
             model = load_model(out_dir / "runs" / label / f"seed{seed}" / "model.json")
-            report = evaluate(model, partition, metric="accuracy")
-            scores = [
-                row.mean_score
-                for row in report.by_relative_position
-                if row.position is not None
-            ]
+            result = evaluate(model, partition, "accuracy", label)
+            scores = [row.mean_score for row in result.by_position if row.position is not None]
             spreads[label].append(max(scores) - min(scores))
     ft_spread, zoe_spread = mean(spreads["ft"]), mean(spreads["zoe"])
     _verdict(

@@ -19,6 +19,7 @@ from posdebias.backends import (
     ReplayBackend,
     StubBackend,
     StubMode,
+    parse_backend_spec,
     resolve_backend,
 )
 from posdebias.lowbias_infer import generate
@@ -276,6 +277,17 @@ class TestResolveBackend:
         # A table needs entries; the toy pipeline builds its own.
         with pytest.raises(ValueError, match="unknown backend spec 'table'"):
             resolve_backend("table", env={})
+
+    def test_spec_is_parsed_without_building_a_backend(self, tmp_path):
+        table_path = tmp_path / "table.json"
+        table_path.write_text("{}", encoding="utf-8")
+        assert parse_backend_spec("markov") == ("markov", "")
+        assert parse_backend_spec(f"table:{table_path}") == ("table", str(table_path))
+        assert parse_backend_spec("https://host/b") == ("url", "https://host/b")
+        with pytest.raises(ValueError, match="unknown backend spec 'gpt4'"):
+            parse_backend_spec("gpt4")
+        with pytest.raises(ValueError, match="does not exist"):
+            resolve_backend(f"replay:{tmp_path / 'absent.jsonl'}", env={})
 
     def test_table_file(self, tmp_path):
         table_path = tmp_path / "table.json"

@@ -6,6 +6,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posdebias.bias_split import (
     DEFAULT_BIASED_POSITIONS,
@@ -307,3 +309,47 @@ class TestWriteEvidence:
             assert record["kind"] == "relative_position"
             assert record["biased"] == (record["id"] in biased_ids)
             assert record["relative_position"] == expected_rel[record["id"]]
+
+
+_WORDS = st.sampled_from(["alpha", "beta", "gamma", "no", "not"])
+_PHRASES = st.lists(_WORDS, min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def _corpora(draw, task: Task) -> Corpus:
+    """Small corpora of ``task``, dialogue ones with and without an anchor turn."""
+    samples = []
+    for i in range(draw(st.integers(0, 8))):
+        sid, target = f"s{i}", draw(_PHRASES)
+        if task == Task.NLI:
+            samples.append(nli_sample(sid, draw(_PHRASES), draw(_PHRASES), "neutral"))
+            continue
+        utterances = draw(st.lists(_PHRASES, min_size=1, max_size=4))
+        if task == Task.CQA and draw(st.booleans()):
+            samples.append(dialogue_sample(sid, utterances, "pq", draw(_PHRASES), "q", target))
+        else:
+            history = (DialogueTurn(0, "q", None),) if task == Task.CQA else ()
+            samples.append(Sample(sid, task, target, make_document(utterances), history))
+    return Corpus(tuple(samples), task)
+
+
+_SPLITTERS = {
+    "relative_position": (Task.CQA, split_by_relative_position),
+    "lead": (Task.SUM, split_by_lead_bias),
+    "lexical": (Task.NLI, lambda corpus: split_by_lexical_bias(corpus, ("no", "not"))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SPLITTERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_partition_is_disjoint_complete_and_evidenced_once(kind, data):
+    task, split = _SPLITTERS[kind]
+    corpus = data.draw(_corpora(task))
+    partition = split(corpus)
+    biased = [s.id for s in partition.biased]
+    non_biased = [s.id for s in partition.non_biased]
+    assert not set(biased) & set(non_biased)
+    assert sorted(biased + non_biased) == sorted(s.id for s in corpus)
+    assert sorted(partition.evidence) == sorted(s.id for s in corpus)
+    assert all(partition.evidence[sid].biased == (sid in biased) for sid in partition.evidence)

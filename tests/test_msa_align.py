@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posdebias.backends import GenerationResult
 from posdebias.corpus import Sample, Task
@@ -20,9 +22,7 @@ from posdebias.msa_align import (
     calibrate_threshold,
     gate_statistic,
     identify_dull,
-    identify_incoherent,
     identify_noncompliant,
-    identify_unreliable,
 )
 
 from conftest import dialogue_sample
@@ -33,6 +33,17 @@ def result(text: str, logprobs: tuple[float, ...] | None = None) -> GenerationRe
     if logprobs is None:
         logprobs = (math.log(0.5),) * len(tokens)
     return GenerationResult(text, tokens, logprobs, "test")
+
+
+def gate_sample(task: Task) -> Sample:
+    return dialogue_sample(
+        "s", ["the cat sat down"], "pq", "the cat sat down", "q", "the cat sat down", task=task
+    )
+
+
+def reasons(task: Task, cand: GenerationResult, **config) -> frozenset[RejectionReason]:
+    """Rejection reasons of one candidate under ``AlignmentConfig(**config)``."""
+    return align_responses(task, gate_sample(task), [cand], AlignmentConfig(**config))[0].rejection_reasons
 
 
 class TestNonCompliant:
@@ -56,7 +67,7 @@ class TestNonCompliant:
 
     def test_default_keywords_cover_question_words(self):
         for word in ("what", "who", "when", "where", "why", "how"):
-            assert word in DEFAULT_INSTRUCTION_KEYWORDS["cqg"]
+            assert word in DEFAULT_INSTRUCTION_KEYWORDS
 
 
 class TestDull:
@@ -85,43 +96,79 @@ class TestDull:
 
 
 class TestIncoherent:
+    """The question-generation gate: minimum token probability below
+    ``incoherence_threshold``."""
+
     def test_all_above_threshold(self):
         # frozen example: [ln 0.5, ln 0.4] at threshold 0.1 -> coherent
-        assert identify_incoherent(
-            result("a b", (math.log(0.5), math.log(0.4))), 0.1
-        ) is False
+        cand = result("what b", (math.log(0.5), math.log(0.4)))
+        assert reasons(Task.CQG, cand, incoherence_threshold=0.1) == frozenset()
 
     def test_one_below_threshold(self):
         # frozen example: [ln 0.5, ln 0.05] at threshold 0.1 -> incoherent
-        assert identify_incoherent(
-            result("a b", (math.log(0.5), math.log(0.05))), 0.1
-        ) is True
+        cand = result("what b", (math.log(0.5), math.log(0.05)))
+        assert reasons(Task.CQG, cand, incoherence_threshold=0.1) == {RejectionReason.INCOHERENT}
 
     def test_exact_boundary_is_coherent(self):
-        # Comparison happens in log space: ln(0.1) < ln(0.1) is false.
-        assert identify_incoherent(result("a", (math.log(0.1),)), 0.1) is False
+        # A statistic equal to the threshold is kept, as calibration counts it.
+        cand = result("what", (math.log(0.1),))
+        threshold = gate_statistic(Task.CQG, gate_sample(Task.CQG), cand)
+        assert reasons(Task.CQG, cand, incoherence_threshold=threshold) == frozenset()
 
     def test_empty_response_is_coherent(self):
-        assert identify_incoherent(GenerationResult("", (), (), "t"), 0.1) is False
+        empty = GenerationResult("", (), (), "t")
+        assert RejectionReason.INCOHERENT not in reasons(Task.CQG, empty, incoherence_threshold=0.1)
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="outside"):
-            identify_incoherent(result("a"), 0.0)
-        with pytest.raises(ValueError, match="outside"):
-            identify_incoherent(result("a"), 1.0)
+        with pytest.raises(ValueError, match="incoherence_threshold"):
+            AlignmentConfig(incoherence_threshold=0.0)
+        with pytest.raises(ValueError, match="incoherence_threshold"):
+            AlignmentConfig(incoherence_threshold=1.0)
 
 
 class TestUnreliable:
+    """The answer-task gate: ROUGE-L to the target below ``unreliable_threshold``."""
+
     def test_high_overlap_is_reliable(self):
         # frozen: ROUGE-L 0.8356... >= 0.15 -> not unreliable
-        assert identify_unreliable("the cat sat", "the cat sat down", 0.15) is False
+        assert reasons(Task.CQA, result("the cat sat"), unreliable_threshold=0.15) == frozenset()
 
     def test_no_overlap_is_unreliable(self):
-        assert identify_unreliable("zebra counts", "the cat sat down", 0.15) is True
+        cand = result("zebra counts")
+        assert reasons(Task.CQA, cand, unreliable_threshold=0.15) == {RejectionReason.UNRELIABLE}
+
+    def test_exact_boundary_is_reliable(self):
+        cand = result("the cat")
+        threshold = gate_statistic(Task.CQA, gate_sample(Task.CQA), cand)
+        assert reasons(Task.CQA, cand, unreliable_threshold=threshold) == frozenset()
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="outside"):
-            identify_unreliable("a", "a", 0.0)
+        with pytest.raises(ValueError, match="unreliable_threshold"):
+            AlignmentConfig(unreliable_threshold=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(["what", "the", "cat", "sat", "down", "zebra"]), min_size=1, max_size=5),
+        min_size=1,
+        max_size=6,
+    ),
+    probs=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6),
+    threshold=st.sampled_from(DEFAULT_CANDIDATE_THRESHOLDS),
+    task=st.sampled_from([Task.CQA, Task.CQG, Task.SUM]),
+)
+def test_gate_keeps_exactly_what_calibration_counts(texts, probs, threshold, task):
+    # Compliant, non-dull question text so only the thresholded gate can reject.
+    cands = [
+        result(" ".join(["what", *words]), tuple(math.log(p) for p in probs[: len(words) + 1]))
+        for words in texts
+    ]
+    sample = gate_sample(task)
+    config = AlignmentConfig(incoherence_threshold=threshold, unreliable_threshold=threshold)
+    verdicts = align_responses(task, sample, cands, config)
+    stats = [gate_statistic(task, sample, cand) for cand in cands]
+    assert [v.kept for v in verdicts] == [stat >= threshold for stat in stats]
 
 
 class TestAlignResponses:
@@ -132,9 +179,7 @@ class TestAlignResponses:
         )
 
     def _config(self) -> AlignmentConfig:
-        return AlignmentConfig(
-            instruction_keywords=DEFAULT_INSTRUCTION_KEYWORDS["cqg"],
-        )
+        return AlignmentConfig()
 
     def test_cqa_rejects_only_unreliable(self):
         sample = self._sample(Task.CQA)
@@ -178,11 +223,15 @@ class TestAlignResponses:
             {RejectionReason.NON_COMPLIANT, RejectionReason.INCOHERENT}
         )
 
-    def test_cqg_without_keywords_skips_compliance(self):
+    def test_cqg_default_config_checks_compliance(self):
         sample = self._sample(Task.CQG)
-        config = AlignmentConfig()  # no instruction keywords configured
-        verdicts = align_responses(Task.CQG, sample, [result("no keyword here")], config)
-        assert verdicts[0].kept
+        config = AlignmentConfig()
+        assert config.instruction_keywords == DEFAULT_INSTRUCTION_KEYWORDS
+        verdicts = align_responses(
+            Task.CQG, sample, [result("no keyword here"), result("which one")], config
+        )
+        assert verdicts[0].rejection_reasons == frozenset({RejectionReason.NON_COMPLIANT})
+        assert verdicts[1].kept
 
     def test_sum_and_kgc_use_unreliable_gate(self):
         for task in (Task.SUM, Task.KGC):

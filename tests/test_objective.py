@@ -4,12 +4,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posdebias.objective import (
     LossConfig,
     combined_loss,
     loss_term_weights,
 )
+
+
+#: Finite loss values, negative ones included: the algebra must not rely on sign.
+LOSSES = st.floats(-1e12, 1e12)
 
 
 class TestLossConfig:
@@ -51,14 +57,18 @@ class TestCombinedLoss:
             got = combined_loss(l_t, l_a, LossConfig(alpha=alpha)).combined
             assert got == pytest.approx((1 - alpha) * l_t + alpha * l_a, abs=1e-12)
 
-    def test_convexity_bound(self):
-        rng = random.Random(4)
-        for _ in range(200):
-            l_t = rng.uniform(0, 100)
-            l_a = rng.uniform(0, 100)
-            alpha = rng.random()
-            got = combined_loss(l_t, l_a, LossConfig(alpha=alpha)).combined
-            assert min(l_t, l_a) <= got <= max(l_t, l_a)
+    @settings(max_examples=300, deadline=None)
+    @given(l_t=LOSSES, l_a=LOSSES, alpha=st.floats(0.0, 1.0))
+    def test_convexity_bound(self, l_t, l_a, alpha):
+        got = combined_loss(l_t, l_a, LossConfig(alpha=alpha)).combined
+        assert min(l_t, l_a) <= got <= max(l_t, l_a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(l_t=LOSSES, l_a=LOSSES, alpha=st.floats(0.0, 1.0))
+    def test_endpoints_and_missing_term_for_any_losses(self, l_t, l_a, alpha):
+        assert combined_loss(l_t, l_a, LossConfig(alpha=0.0)).combined == l_t
+        assert combined_loss(l_t, l_a, LossConfig(alpha=1.0)).combined == l_a
+        assert combined_loss(l_t, None, LossConfig(alpha=alpha)).combined == l_t
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="l_target"):

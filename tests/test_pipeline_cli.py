@@ -1,4 +1,5 @@
 """End-to-end pipeline and CLI tests on small corpora."""
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -8,12 +9,21 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import nli_sample
-from posdebias.backends import RecordingBackend, StubBackend, StubMode
+from posdebias import lowbias_infer
+from posdebias.backends import BackendError, RecordingBackend, StubBackend, StubMode
 from posdebias.cli import main
 from posdebias.corpus import Corpus, Task, load_corpus, save_corpus
-from posdebias.lowbias_infer import DEFAULT_DIVERSE_PROMPTS, DEFAULT_ICL_K
+from posdebias.lowbias_infer import DEFAULT_DIVERSE_PROMPTS, DEFAULT_ICL_K, build_prompt, default_prompt_spec
+from posdebias.msa_align import AlignmentConfig
 from posdebias.objective import LossConfig
-from posdebias.pipeline import PipelineError, infer_corpus, parse_config, run_pipeline
+from posdebias.pipeline import (
+    CONFIG_SCHEMA,
+    PipelineConfig,
+    PipelineError,
+    infer_corpus,
+    parse_config,
+    run_pipeline,
+)
 from posdebias.records import load_aligned, write_trace
 from posdebias.toy_model import (
     SynthSpec,
@@ -80,17 +90,43 @@ class TestParseConfig:
             ({"synth": {}, "bias": "weird"}, "bias"),
             ({"synth": {}, "bias": "lead"}, "bias"),
             ({"corpus": "c.jsonl", "backend": "table"}, "backend"),
+            ({"synth": {}, "backend": "replay:missing.jsonl"}, "backend"),
+            ({"synth": {}, "backend": "gpt4"}, "backend"),
+            ({"corpus": "c.jsonl", "backend": "table:nope.json"}, "backend"),
+            ({"synth": {}, "align": {"instruction_keywords": []}}, "align.instruction_keywords"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
             "train-sizes-zero", "bias-unknown", "bias-lead-in-toy", "backend-table-in-data-mode",
+            "backend-replay-file-missing", "backend-unknown", "backend-table-file-missing",
+            "instruction-keywords-empty",
         ],
     )
-    def test_bad_field_rejected_before_any_stage(self, tmp_path, raw, field):
+    def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
+        monkeypatch.chdir(tmp_path)  # relative backend files resolve here, and are absent
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match=rf"config: .*\b{field}\b"):
             parse_config({**raw, "out_dir": str(out_dir)})
         assert not out_dir.exists()
+
+    def test_schema_defaults_match_the_dataclass_defaults(self):
+        # ``run --print-schema`` shows these defaults; they must be the ones used.
+        def as_json(value):
+            return json.loads(json.dumps(value, default=sorted))
+
+        owners = [(CONFIG_SCHEMA, PipelineConfig), (CONFIG_SCHEMA["properties"]["synth"], SynthSpec),
+                  (CONFIG_SCHEMA["properties"]["align"], AlignmentConfig)]
+        checked = 0
+        for schema, owner in owners:
+            defaults = {
+                f.name: f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+                for f in dataclasses.fields(owner)
+            }
+            for key, prop in schema["properties"].items():
+                if "default" in prop:
+                    assert prop["default"] == as_json(defaults[key]), key
+                    checked += 1
+        assert checked >= 25
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
@@ -203,8 +239,10 @@ class TestPipelineFailureModes:
 
     def test_failed_stage_is_marked_and_prior_artifacts_survive(self, tmp_path):
         out_dir = tmp_path / "out"
-        with pytest.raises(PipelineError, match="stage 'infer' failed"):
-            run_toy(out_dir, backend=f"table:{tmp_path / 'missing-table.json'}")
+        empty_table = tmp_path / "empty-table.json"
+        empty_table.write_text("{}")
+        with pytest.raises(PipelineError, match="stage 'infer' failed: .*no entry"):
+            run_toy(out_dir, backend=f"table:{empty_table}")
         manifest = json.loads((out_dir / "manifest.json").read_text())
         by_stage = {s["stage"]: s for s in manifest["stages"]}
         assert by_stage["synth"]["status"] == "ok"
@@ -331,9 +369,10 @@ class TestDataModePipeline:
         assert "corpus,biased,fraction" in report
         assert "align,all,kept_fraction" in report
 
-    def test_nli_corpus_candidates_are_not_pruned(self, nli_corpus_file, tmp_path):
+    def test_nli_corpus_runs_split_then_report(self, nli_corpus_file, tmp_path):
+        # No gate prunes NLI candidates and nothing trains, so none is drawn.
         out_dir = tmp_path / "out"
-        run_pipeline(parse_config({
+        manifest = run_pipeline(parse_config({
             "out_dir": str(out_dir),
             "corpus": str(nli_corpus_file),
             "task": "nli",
@@ -341,14 +380,74 @@ class TestDataModePipeline:
             "n_per_prompt": 1,
             "max_tokens": 4,
         }))
-        note = json.loads((out_dir / "align" / "seed0" / "calibration.json").read_text())
-        assert note == {"calibrated": False, "note": "nli candidates are not pruned"}
-        assert (out_dir / "align" / "seed0" / "aligned.jsonl").read_text() == ""
+        assert [s["stage"] for s in manifest["stages"]] == ["split", "report"]
+        assert not (out_dir / "infer").exists() and not (out_dir / "align").exists()
         evidence = [
             json.loads(line)
             for line in (out_dir / "split" / "evidence.jsonl").read_text().splitlines()
         ]
         assert {e["id"] for e in evidence if e["biased"]} == {"n0", "n2", "n4"}
+        assert (out_dir / "report" / "report.csv").read_bytes() == (
+            b"system,split,metric,score,count\r\n"
+            b"corpus,biased,fraction,0.500000,3\r\n"
+            b"corpus,non_biased,fraction,0.500000,3\r\n"
+        )
+
+    def test_cqg_corpus_rejects_a_candidate_without_question_words(self, dialogue_corpus_file, tmp_path):
+        corpus = load_corpus(dialogue_corpus_file, Task.CQA)
+        cqg = Corpus(tuple(dataclasses.replace(s, task=Task.CQG) for s in corpus), Task.CQG)
+        cqg_file = save_corpus(cqg, tmp_path / "cqg.jsonl")
+        spec = default_prompt_spec(Task.CQG)
+        table = {
+            prompt: "tell me more about it" if i == 0 else "what happened next"
+            for s in cqg for i, prompt in enumerate(build_prompt(s, spec))
+        }
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps(table))
+        out_dir = tmp_path / "out"
+        run_pipeline(parse_config({
+            "out_dir": str(out_dir), "corpus": str(cqg_file), "task": "cqg",
+            "backend": f"table:{table_file}", "n_per_prompt": 1,
+        }))
+        aligned = (out_dir / "align" / "seed0" / "aligned.jsonl").read_text()
+        verdicts = [json.loads(line) for line in aligned.splitlines()]
+        assert len(verdicts) == len(cqg) * len(DEFAULT_DIVERSE_PROMPTS)
+        for verdict in verdicts:
+            if verdict["text"] == "tell me more about it":
+                assert verdict["rejection_reasons"] == ["non_compliant"]
+            else:
+                assert verdict["kept"]
+        assert sum(not v["kept"] for v in verdicts) == len(cqg)
+
+
+class TestInferCorpus:
+    def test_one_generate_call_builds_one_thread_pool(self, dialogue_corpus_file, monkeypatch):
+        corpus = load_corpus(dialogue_corpus_file, Task.CQA)
+        pools = []
+
+        class CountingPool(lowbias_infer.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(lowbias_infer, "ThreadPoolExecutor", CountingPool)
+        backend = StubBackend(StubMode.MARKOV)
+        candidates = infer_corpus(corpus, backend, n_per_prompt=2, seed=3, max_tokens=4, max_in_flight=2)
+        assert len(corpus) >= 3 and len(pools) == 1
+        spec = default_prompt_spec(Task.CQA)
+        assert candidates == {
+            s.id: lowbias_infer.generate(build_prompt(s, spec), backend, n_per_prompt=2, seed=3, max_tokens=4)
+            for s in corpus
+        }
+
+    def test_backend_error_counts_prompts_across_the_corpus(self, dialogue_corpus_file):
+        corpus = load_corpus(dialogue_corpus_file, Task.CQA)
+        spec = default_prompt_spec(Task.CQA)
+        table = {build_prompt(s, spec)[0]: "x" for i, s in enumerate(corpus) if i != 2}
+        with pytest.raises(BackendError) as info:
+            backend = StubBackend(StubMode.TABLE, table=table)
+            infer_corpus(corpus, backend, n_per_prompt=1, seed=0, max_tokens=4)
+        assert info.value.prompt_index == 2
 
 
 @pytest.fixture

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from oracles import dense_sgd_step, sequence_loss_and_grad
 from posdebias import toy_model
-from posdebias.bias_split import BiasPartition, relative_position, split_by_relative_position
+from posdebias.bias_split import (
+    BiasEvidence,
+    BiasKind,
+    BiasPartition,
+    relative_position,
+    split_by_relative_position,
+)
 from posdebias.corpus import Corpus, Task
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec
 from posdebias.msa_align import AlignedResponse
@@ -495,37 +501,50 @@ class TestEvaluate:
         _, eval_b, eval_n = synth_corpus(small_spec(n_eval=30, seed=3))
         pooled = Corpus(tuple(eval_b) + tuple(eval_n), Task.CQA)
         partition = split_by_relative_position(pooled)
-        report = evaluate(model, partition, metric="accuracy")
-        assert report.biased.score == 1.0 and report.biased.count == 30
-        assert report.non_biased.score == 1.0 and report.non_biased.count == 30
-        assert report.by_relative_position
-        rouge_report = evaluate(model, partition, metric="rouge_l")
-        assert rouge_report.biased.score == 1.0 and rouge_report.non_biased.score == 1.0
+        result = evaluate(model, partition, "accuracy", "gold")
+        assert (result.system, result.metric) == ("gold", "accuracy")
+        assert result.splits == {"biased": (1.0, 30), "non_biased": (1.0, 30)}
+        assert result.by_position
+        rouge = evaluate(model, partition, "rouge_l", "gold")
+        assert rouge.splits == {"biased": (1.0, 30), "non_biased": (1.0, 30)}
 
     def test_empty_split_reports_absent_score(self):
         model = always_gold_model()
         _, eval_b, _ = synth_corpus(small_spec(n_eval=5, seed=3))
-        partition = BiasPartition(eval_b, Corpus((), Task.CQA), {})
-        report = evaluate(model, partition)
-        assert report.non_biased.score is None and report.non_biased.count == 0
-        assert report.biased.count == 5
+        partition = split_by_relative_position(eval_b)
+        assert len(partition.non_biased) == 0
+        result = evaluate(model, partition, "accuracy", "gold")
+        assert "non_biased" not in result.splits
+        assert result.splits["biased"] == (1.0, 5)
 
     def test_position_rows_cover_observed_positions(self):
         model = ToyModel.initialize(12)
         _, eval_b, eval_n = synth_corpus(small_spec(n_eval=20, seed=3))
         pooled = Corpus(tuple(eval_b) + tuple(eval_n), Task.CQA)
         partition = split_by_relative_position(pooled)
-        report = evaluate(model, partition)
-        positions = {row.position for row in report.by_relative_position}
+        result = evaluate(model, partition, "accuracy", "m")
+        positions = {row.position for row in result.by_position}
         assert {0, 1} <= positions
-        assert sum(row.count for row in report.by_relative_position) == 40
+        assert sum(row.count for row in result.by_position) == 40
+
+    def test_positions_come_from_partition_evidence(self):
+        # The evidence is the only source: a sample is not grounded again,
+        # and one whose evidence has no position lands in the unknown row.
+        model = always_gold_model()
+        _, eval_b, _ = synth_corpus(small_spec(n_eval=4, seed=3))
+        evidence = {
+            s.id: BiasEvidence(BiasKind.RELATIVE_POSITION, True, relative_position=None if i else 7)
+            for i, s in enumerate(eval_b)
+        }
+        result = evaluate(model, BiasPartition(eval_b, Corpus((), Task.CQA), evidence), "accuracy", "m")
+        assert [(row.position, row.count) for row in result.by_position] == [(7, 1), (None, 3)]
 
     def test_unknown_metric_rejected(self):
         model = ToyModel.initialize(12)
         _, eval_b, _ = synth_corpus(small_spec(n_eval=5, seed=3))
         partition = split_by_relative_position(eval_b)
         with pytest.raises(ValueError, match="metric"):
-            evaluate(model, partition, metric="chrf")
+            evaluate(model, partition, "chrf", "m")
 
 
 class TestSerialization:
