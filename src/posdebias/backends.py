@@ -287,8 +287,9 @@ def parse_backend_spec(spec: str) -> tuple[str, str]:
 
     Kinds: ``echo``, ``markov``, ``table`` (``table:FILE``, a JSON table on
     disk), ``replay`` (``replay:FILE``) and ``url`` (``url:ENDPOINT`` or a
-    bare ``http(s)`` URL). An unknown spec, or a table or replay file that
-    does not exist, raises ``ValueError`` naming the backend.
+    bare ``http(s)`` URL). An unknown spec, a table or replay file that does
+    not exist, or a table file that is not a JSON object raises
+    ``ValueError`` naming the backend.
     """
     if spec.startswith(("http://", "https://")):
         return "url", spec
@@ -297,7 +298,19 @@ def parse_backend_spec(spec: str) -> tuple[str, str]:
         raise ValueError(f"unknown backend spec {spec!r}")
     if kind in ("table", "replay") and not Path(arg).is_file():
         raise ValueError(f"backend {spec!r}: file {arg!r} does not exist")
+    if kind == "table":
+        _read_table(spec, arg)
     return kind, arg
+
+
+def _read_table(spec: str, path: str) -> dict:
+    try:
+        table = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"backend {spec!r}: file {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(table, dict):
+        raise ValueError(f"backend {spec!r}: file {path!r} is not a JSON object")
+    return table
 
 
 def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
@@ -314,5 +327,5 @@ def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
     if kind == "replay":
         return ReplayBackend(arg)
     if kind == "table":
-        return StubBackend(StubMode.TABLE, table=json.loads(Path(arg).read_text(encoding="utf-8")))
+        return StubBackend(StubMode.TABLE, table=_read_table(spec, arg))
     return StubBackend(StubMode(kind))

@@ -17,7 +17,7 @@ from .backends import BackendError, RecordingBackend, resolve_backend
 from .bias_split import BiasKind
 from .corpus import CorpusError, Sample, Task, load_corpus
 from .lowbias_infer import DEFAULT_N_PER_PROMPT, PromptStrategy
-from .msa_align import DEFAULT_LEXICAL_TRIGGERS, AlignmentConfig
+from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, DEFAULT_LEXICAL_TRIGGERS, AlignmentConfig
 from .objective import LossConfig
 from .pipeline import (
     CONFIG_SCHEMA,
@@ -141,14 +141,13 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
 @click.option("--task", "task_name", required=True)
 @click.option("--corpus", "corpus_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Required for tasks whose gates compare against the target.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--incoherence-threshold", default=None, type=float)
-@click.option("--unreliable-threshold", default=None, type=float)
-@click.option("--calibrate/--no-calibrate", default=False, show_default=True, help="Pick the gate threshold whose keep fraction is nearest the target.")
-def align(candidates_path, task_name, corpus_path, out_path, incoherence_threshold, unreliable_threshold, calibrate):
+@click.option("--threshold", "thresholds", multiple=True, type=float, default=DEFAULT_CANDIDATE_THRESHOLDS, show_default=True, help="Candidate gate threshold; repeatable, one fixes it.")
+def align(candidates_path, task_name, corpus_path, out_path, thresholds):
     """Filter candidates with the task's rejection gates.
 
-    Verdicts follow the order of --corpus, or of the candidates file when
-    question generation runs without a corpus.
+    The gate threshold is the candidate whose keep fraction is nearest the
+    target. Verdicts follow the order of --corpus, or of the candidates file
+    when question generation runs without a corpus.
     """
     task = _task(task_name)
     if task == Task.NLI:
@@ -162,18 +161,13 @@ def align(candidates_path, task_name, corpus_path, out_path, incoherence_thresho
             samples = tuple(Sample(id=sid, task=task, target="") for sid in candidates)
         else:
             _fail(f"align: --corpus is required for task {task.value!r} (gates compare against targets)")
-        thresholds = {
-            "incoherence_threshold": incoherence_threshold,
-            "unreliable_threshold": unreliable_threshold,
-        }
-        config = AlignmentConfig(**{k: v for k, v in thresholds.items() if v is not None})
-        aligned, threshold = align_corpus(task, samples, candidates, config, calibrate)
+        config = AlignmentConfig(candidate_thresholds=thresholds)
+        aligned, threshold = align_corpus(task, samples, candidates, config)
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
-    if calibrate:
-        if threshold is None:
-            _fail("align: no candidates matched the corpus; nothing to calibrate")
-        click.echo(f"align: calibrated threshold {threshold:g}")
+    if threshold is None:
+        _fail("align: no candidates matched the corpus; nothing to calibrate")
+    click.echo(f"align: calibrated threshold {threshold:g}")
     out = write_aligned(aligned, out_path)
     verdicts = [v for vs in aligned.values() for v in vs]
     kept = sum(v.kept for v in verdicts)

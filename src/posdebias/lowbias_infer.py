@@ -111,23 +111,13 @@ def make_icl_exemplars(corpus: Corpus, k: int = DEFAULT_ICL_K) -> tuple[tuple[st
     return tuple((s.input_text, s.target) for s in chosen)
 
 
-def build_prompt(
-    sample: Sample, spec: PromptSpec, allow_strategy_mismatch: bool = False
-) -> list[str]:
+def build_prompt(sample: Sample, spec: PromptSpec) -> list[str]:
     """Render the prompt(s) for one sample under a strategy.
 
     Instruction-only and ICL yield exactly one prompt; diverse yields one per
-    diverse prompt, in their given order. Using a non-default strategy for a
-    task without ``allow_strategy_mismatch`` is an error.
+    diverse prompt, in their given order.
     """
     spec.validate()
-    default = DEFAULT_STRATEGY_BY_TASK[sample.task]
-    if spec.strategy != default and not allow_strategy_mismatch:
-        raise ValueError(
-            f"build_prompt: strategy {spec.strategy.value!r} is not the default "
-            f"for task {sample.task.value!r} ({default.value!r}); pass "
-            "allow_strategy_mismatch=True to override"
-        )
     if spec.strategy == PromptStrategy.INSTRUCTION_ONLY:
         return [f"{spec.instruction}\n\n{sample.input_text}"]
     if spec.strategy == PromptStrategy.DIVERSE:

@@ -13,13 +13,15 @@ Question generation keeps flexible responses and rejects on form
 (non-compliant / dull / incoherent); answer-style tasks reject only on
 unreliability against the target. The incoherent and unreliable gates are
 one predicate, ``gate_statistic`` below the task's threshold, which is what
-calibration counts. NLI has no gate here: its candidates are not pruned.
+calibration counts; calibration over one candidate threshold fixes it. NLI
+has no gate here: its candidates are not pruned.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 from .backends import GenerationResult
 from .corpus import Sample, Task
@@ -51,20 +53,19 @@ class RejectionReason(str, Enum):
 
 @dataclass(frozen=True)
 class AlignmentConfig:
-    """Thresholds and word lists for the alignment gates."""
+    """Word lists for the alignment gates and the calibration of their
+    threshold; a single candidate threshold fixes it."""
 
     instruction_keywords: tuple[str, ...] = DEFAULT_INSTRUCTION_KEYWORDS
     dull_patterns: tuple[str, ...] = DEFAULT_DULL_PATTERNS
-    incoherence_threshold: float = 0.15
-    unreliable_threshold: float = 0.15
     candidate_thresholds: tuple[float, ...] = DEFAULT_CANDIDATE_THRESHOLDS
     target_keep_fraction: float = DEFAULT_TARGET_KEEP_FRACTION
 
     def __post_init__(self) -> None:
-        for name in ("incoherence_threshold", "unreliable_threshold", "target_keep_fraction"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"AlignmentConfig: {name} must be in (0, 1), got {value}")
+        if not 0.0 < self.target_keep_fraction < 1.0:
+            raise ValueError(
+                f"AlignmentConfig: target_keep_fraction must be in (0, 1), got {self.target_keep_fraction}"
+            )
         if not self.candidate_thresholds:
             raise ValueError("AlignmentConfig: candidate_thresholds must be non-empty")
         for value in self.candidate_thresholds:
@@ -103,40 +104,36 @@ def identify_dull(response: GenerationResult, patterns: tuple[str, ...]) -> bool
     return any(contains_phrase(tokens, tokenize(pattern)) for pattern in patterns)
 
 
-def gate_threshold_field(task: Task) -> str:
-    """The ``AlignmentConfig`` field holding the task's calibrated threshold."""
-    return "incoherence_threshold" if task == Task.CQG else "unreliable_threshold"
-
-
 def align_responses(
     task: Task,
     sample: Sample,
     candidates: list[GenerationResult],
     config: AlignmentConfig,
+    threshold: float,
+    stats: Sequence[float],
 ) -> list[AlignedResponse]:
     """Apply the task's gate combination to every candidate.
 
     Question generation rejects on non-compliant, dull, or incoherent;
     answer-style tasks (CQA, SUM, KGC) reject only on unreliable. A
-    candidate whose ``gate_statistic`` is below the task's threshold is
-    incoherent (CQG) or unreliable (otherwise); one equal to it is kept.
-    Every candidate receives a verdict, kept or not.
+    candidate whose ``gate_statistic`` (``stats``, one per candidate) is
+    below ``threshold`` is incoherent (CQG) or unreliable (otherwise); one
+    equal to it is kept. Every candidate receives a verdict, kept or not.
     """
     if task == Task.NLI:
         raise ValueError("align_responses: nli candidates are not pruned")
     if not candidates:
         raise ValueError("align_responses: no candidates")
-    threshold = getattr(config, gate_threshold_field(task))
     below = RejectionReason.INCOHERENT if task == Task.CQG else RejectionReason.UNRELIABLE
     out: list[AlignedResponse] = []
-    for cand in candidates:
+    for cand, stat in zip(candidates, stats, strict=True):
         reasons: set[RejectionReason] = set()
         if task == Task.CQG:
             if identify_noncompliant(cand, config.instruction_keywords):
                 reasons.add(RejectionReason.NON_COMPLIANT)
             if identify_dull(cand, config.dull_patterns):
                 reasons.add(RejectionReason.DULL)
-        if gate_statistic(task, sample, cand) < threshold:
+        if stat < threshold:
             reasons.add(below)
         out.append(
             AlignedResponse(

@@ -55,7 +55,6 @@ from .msa_align import (
     align_responses,
     calibrate_threshold,
     gate_statistic,
-    gate_threshold_field,
 )
 from .objective import LossConfig
 from .records import write_aligned, write_candidates, write_eval, write_trace
@@ -106,8 +105,8 @@ CONFIG_SCHEMA: dict = {
             "default": "relative_position",
             "description": "Toy mode takes only 'relative_position'.",
         },
-        "biased_positions": {"type": "array", "items": {"type": "integer"}, "default": [0, 1]},
-        "triggers": {"type": "array", "items": {"type": "string"}, "default": list(DEFAULT_LEXICAL_TRIGGERS)},
+        "biased_positions": {"type": "array", "items": {"type": "integer"}, "minItems": 1, "default": [0, 1]},
+        "triggers": {"type": "array", "items": {"type": "string"}, "minItems": 1, "default": list(DEFAULT_LEXICAL_TRIGGERS)},
         "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1, "uniqueItems": True, "default": [0]},
         "systems": {
             "type": "array",
@@ -141,7 +140,6 @@ CONFIG_SCHEMA: dict = {
             "POSDEBIAS_BACKEND_URL overrides any configured endpoint.",
             "default": "table",
         },
-        "calibrate": {"type": "boolean", "default": True},
         "align": {
             "type": "object",
             "description": "AlignmentConfig overrides.",
@@ -152,9 +150,10 @@ CONFIG_SCHEMA: dict = {
                     "description": "cqg compliance gate: a kept candidate contains one of these words.",
                 },
                 "dull_patterns": {"type": "array", "items": {"type": "string"}, "default": list(DEFAULT_DULL_PATTERNS)},
-                "incoherence_threshold": {"type": "number", "default": 0.15},
-                "unreliable_threshold": {"type": "number", "default": 0.15},
-                "candidate_thresholds": {"type": "array", "items": {"type": "number"}, "default": [0.1, 0.15, 0.2]},
+                "candidate_thresholds": {
+                    "type": "array", "items": {"type": "number"}, "default": [0.1, 0.15, 0.2],
+                    "description": "Gate thresholds calibration picks from; one entry fixes the threshold.",
+                },
                 "target_keep_fraction": {"type": "number", "default": 0.2},
             },
         },
@@ -216,7 +215,6 @@ class PipelineConfig:
     garbage_rate: float = 0.25
     metric: str = "accuracy"
     backend: str = "table"
-    calibrate: bool = True
     align: AlignmentConfig = field(default_factory=AlignmentConfig)
 
 
@@ -243,20 +241,23 @@ def parse_config(raw: dict) -> PipelineConfig:
     fields = dict(raw)
     if "task" in raw:
         fields["task"] = Task(raw["task"])
-    if "synth" in raw:
-        fields["synth"] = SynthSpec(**raw["synth"])
+    try:
+        if "synth" in raw:
+            fields["synth"] = SynthSpec(**raw["synth"])
+        fields["align"] = AlignmentConfig(
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in raw.get("align", {}).items()}
+        )
+    except ValueError as exc:
+        raise ValueError(f"config: {exc}") from None
+    for i, size in enumerate(raw.get("train_sizes", [])):
+        if "synth" in raw and size > fields["synth"].n_train:
+            raise ValueError(f"config: train_sizes[{i}] must be <= synth.n_train, got {size}")
     if "biased_positions" in raw:
         fields["biased_positions"] = frozenset(raw["biased_positions"])
     for key in ("triggers", "seeds", "systems", "alphas"):
         if key in raw:
             fields[key] = tuple(raw[key])
     fields["train_sizes"] = tuple(raw["train_sizes"]) if raw.get("train_sizes") else None
-    fields["align"] = AlignmentConfig(
-        **{
-            k: tuple(v) if isinstance(v, list) else v
-            for k, v in raw.get("align", {}).items()
-        }
-    )
     # The internal lookup table only makes sense for synthetic corpora.
     fields.setdefault("backend", "table" if "synth" in raw else "markov")
     if fields["backend"] != "table":
@@ -396,7 +397,7 @@ def infer_corpus(
     spec = default_prompt_spec(
         corpus.task, corpus=corpus, strategy=None if strategy is None else PromptStrategy(strategy)
     )
-    prompts = [build_prompt(s, spec, allow_strategy_mismatch=strategy is not None) for s in corpus]
+    prompts = [build_prompt(s, spec) for s in corpus]
     results = iter(generate(
         [prompt for sample_prompts in prompts for prompt in sample_prompts],
         backend,
@@ -413,36 +414,29 @@ def align_corpus(
     samples: Sequence[Sample],
     candidates: Mapping[str, Sequence[GenerationResult]],
     config: AlignmentConfig,
-    calibrate: bool,
 ) -> tuple[dict[str, list[AlignedResponse]], float | None]:
     """Verdicts for every candidate, keyed by sample id in ``samples`` order.
 
     Candidates of an id not in ``samples`` are rejected before anything
-    runs. With ``calibrate``, the gate threshold (incoherence for question
-    generation, unreliability otherwise) is the candidate threshold whose
-    keep fraction lands nearest the target; it is returned, or ``None`` when
-    nothing was calibrated.
+    runs. Each candidate's ``gate_statistic`` is computed once; the gate
+    threshold (incoherence for question generation, unreliability
+    otherwise) is the candidate threshold whose keep fraction on those
+    statistics lands nearest the target. It is returned, or ``None`` when
+    there was no candidate to calibrate on.
     """
     unknown = sorted(set(candidates) - {s.id for s in samples})
     if unknown:
         raise ValueError(f"align: candidate sample id {unknown[0]!r} not in corpus")
-    threshold = None
-    if calibrate:
-        stats = [
-            gate_statistic(task, sample, cand)
-            for sample in samples
-            for cand in candidates.get(sample.id, ())
-        ]
-        if stats:
-            threshold = calibrate_threshold(
-                stats, config.candidate_thresholds, config.target_keep_fraction
-            )
-            config = dataclasses.replace(config, **{gate_threshold_field(task): threshold})
-    aligned = {
-        sample.id: align_responses(task, sample, list(candidates[sample.id]), config)
-        for sample in samples
-        if candidates.get(sample.id)
-    }
+    present = [sample for sample in samples if candidates.get(sample.id)]
+    stats = [gate_statistic(task, sample, cand) for sample in present for cand in candidates[sample.id]]
+    if not stats:
+        return {}, None
+    threshold = calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction)
+    rows = iter(stats)
+    aligned = {}
+    for sample in present:
+        cands = list(candidates[sample.id])
+        aligned[sample.id] = align_responses(task, sample, cands, config, threshold, list(islice(rows, len(cands))))
     return aligned, threshold
 
 
@@ -542,7 +536,7 @@ def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
     artifacts = []
     for seed, data in state["data"].items():
         data["aligned"], threshold = align_corpus(
-            config.task, data["train"].samples, data["candidates"], config.align, config.calibrate
+            config.task, data["train"].samples, data["candidates"], config.align
         )
         calibration: dict = {"calibrated": threshold is not None}
         if threshold is not None:

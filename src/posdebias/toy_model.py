@@ -67,6 +67,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_utterances < 3:
+            raise ValueError(f"SynthSpec: n_utterances must be >= 3, got {self.n_utterances}")
         if self.n_train < 1 or self.n_eval < 1:
             raise ValueError("SynthSpec: corpus sizes must be >= 1")
         if not 0.0 <= self.biased_fraction <= 1.0:
@@ -121,8 +123,6 @@ def synth_corpus(spec: SynthSpec) -> tuple[Corpus, Corpus, Corpus]:
     Train samples are biased with probability ``biased_fraction``; the eval
     corpora are pure. Identical specs produce identical corpora.
     """
-    if spec.n_utterances < 3:
-        raise ValueError("synth_corpus: n_utterances must be >= 3")
     rng = random.Random(spec.seed)
     train = tuple(
         _make_sample(rng, spec, f"train-{i:05d}", rng.random() < spec.biased_fraction, "train")

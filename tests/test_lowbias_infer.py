@@ -134,14 +134,6 @@ class TestBuildPrompt:
             assert f"input: {sample.input_text}\noutput: {sample.target}" not in prompt
             assert prompt.count("input: ") == DEFAULT_ICL_K + 1
 
-    def test_non_default_strategy_requires_flag(self):
-        sample = dialogue_sample("s", ["u"], "pq", "u", "q", "u")
-        spec = PromptSpec(PromptStrategy.DIVERSE, diverse_prompts=("d?",))
-        with pytest.raises(ValueError, match="not the default"):
-            build_prompt(sample, spec)
-        prompts = build_prompt(sample, spec, allow_strategy_mismatch=True)
-        assert len(prompts) == 1
-
 
 class TestGenerate:
     def test_result_layout_and_seeds(self):

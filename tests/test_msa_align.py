@@ -1,5 +1,6 @@
 """Rejection gates, task-specific gate combinations and threshold
-calibration."""
+calibration; the gates run through ``align_corpus``, which calibrates the
+threshold (one candidate threshold fixes it)."""
 from __future__ import annotations
 
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posdebias import msa_align, pipeline
 from posdebias.backends import GenerationResult
 from posdebias.corpus import Sample, Task
 from posdebias.msa_align import (
@@ -24,6 +26,7 @@ from posdebias.msa_align import (
     identify_dull,
     identify_noncompliant,
 )
+from posdebias.pipeline import align_corpus, parse_config
 
 from conftest import dialogue_sample
 
@@ -41,9 +44,18 @@ def gate_sample(task: Task) -> Sample:
     )
 
 
-def reasons(task: Task, cand: GenerationResult, **config) -> frozenset[RejectionReason]:
-    """Rejection reasons of one candidate under ``AlignmentConfig(**config)``."""
-    return align_responses(task, gate_sample(task), [cand], AlignmentConfig(**config))[0].rejection_reasons
+def align_fixed(task: Task, sample: Sample, cands: list[GenerationResult], threshold: float):
+    """``align_corpus`` verdicts for one sample with the threshold fixed at ``threshold``."""
+    aligned, chosen = align_corpus(
+        task, [sample], {sample.id: cands}, AlignmentConfig(candidate_thresholds=(threshold,))
+    )
+    assert chosen == threshold
+    return aligned[sample.id]
+
+
+def reasons(task: Task, cand: GenerationResult, threshold: float) -> frozenset[RejectionReason]:
+    """Rejection reasons of one candidate with the gate threshold fixed at ``threshold``."""
+    return align_fixed(task, gate_sample(task), [cand], threshold)[0].rejection_reasons
 
 
 class TestNonCompliant:
@@ -96,55 +108,56 @@ class TestDull:
 
 
 class TestIncoherent:
-    """The question-generation gate: minimum token probability below
-    ``incoherence_threshold``."""
+    """The question-generation gate: minimum token probability below the
+    threshold."""
 
     def test_all_above_threshold(self):
         # frozen example: [ln 0.5, ln 0.4] at threshold 0.1 -> coherent
         cand = result("what b", (math.log(0.5), math.log(0.4)))
-        assert reasons(Task.CQG, cand, incoherence_threshold=0.1) == frozenset()
+        assert reasons(Task.CQG, cand, 0.1) == frozenset()
 
     def test_one_below_threshold(self):
         # frozen example: [ln 0.5, ln 0.05] at threshold 0.1 -> incoherent
         cand = result("what b", (math.log(0.5), math.log(0.05)))
-        assert reasons(Task.CQG, cand, incoherence_threshold=0.1) == {RejectionReason.INCOHERENT}
+        assert reasons(Task.CQG, cand, 0.1) == {RejectionReason.INCOHERENT}
 
     def test_exact_boundary_is_coherent(self):
         # A statistic equal to the threshold is kept, as calibration counts it.
         cand = result("what", (math.log(0.1),))
         threshold = gate_statistic(Task.CQG, gate_sample(Task.CQG), cand)
-        assert reasons(Task.CQG, cand, incoherence_threshold=threshold) == frozenset()
+        assert reasons(Task.CQG, cand, threshold) == frozenset()
 
     def test_empty_response_is_coherent(self):
         empty = GenerationResult("", (), (), "t")
-        assert RejectionReason.INCOHERENT not in reasons(Task.CQG, empty, incoherence_threshold=0.1)
+        assert RejectionReason.INCOHERENT not in reasons(Task.CQG, empty, 0.1)
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="incoherence_threshold"):
-            AlignmentConfig(incoherence_threshold=0.0)
-        with pytest.raises(ValueError, match="incoherence_threshold"):
-            AlignmentConfig(incoherence_threshold=1.0)
+        with pytest.raises(ValueError, match="outside"):
+            AlignmentConfig(candidate_thresholds=(0.0,))
+        with pytest.raises(ValueError, match="outside"):
+            AlignmentConfig(candidate_thresholds=(1.0,))
 
 
 class TestUnreliable:
-    """The answer-task gate: ROUGE-L to the target below ``unreliable_threshold``."""
+    """The answer-task gate: ROUGE-L to the target below the threshold."""
 
     def test_high_overlap_is_reliable(self):
         # frozen: ROUGE-L 0.8356... >= 0.15 -> not unreliable
-        assert reasons(Task.CQA, result("the cat sat"), unreliable_threshold=0.15) == frozenset()
+        assert reasons(Task.CQA, result("the cat sat"), 0.15) == frozenset()
 
     def test_no_overlap_is_unreliable(self):
         cand = result("zebra counts")
-        assert reasons(Task.CQA, cand, unreliable_threshold=0.15) == {RejectionReason.UNRELIABLE}
+        assert reasons(Task.CQA, cand, 0.15) == {RejectionReason.UNRELIABLE}
 
     def test_exact_boundary_is_reliable(self):
         cand = result("the cat")
         threshold = gate_statistic(Task.CQA, gate_sample(Task.CQA), cand)
-        assert reasons(Task.CQA, cand, unreliable_threshold=threshold) == frozenset()
+        assert reasons(Task.CQA, cand, threshold) == frozenset()
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="unreliable_threshold"):
-            AlignmentConfig(unreliable_threshold=0.0)
+        # A fixed threshold out of (0, 1) fails when the config is parsed.
+        with pytest.raises(ValueError, match=r"config: .*candidate threshold 0\.0 outside"):
+            parse_config({"out_dir": "x", "synth": {}, "align": {"candidate_thresholds": [0.0]}})
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,20 +168,41 @@ class TestUnreliable:
         max_size=6,
     ),
     probs=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6),
-    threshold=st.sampled_from(DEFAULT_CANDIDATE_THRESHOLDS),
+    thresholds=st.lists(st.sampled_from(DEFAULT_CANDIDATE_THRESHOLDS + (0.3, 0.5)), min_size=1, max_size=4),
     task=st.sampled_from([Task.CQA, Task.CQG, Task.SUM]),
 )
-def test_gate_keeps_exactly_what_calibration_counts(texts, probs, threshold, task):
+def test_gate_keeps_exactly_what_calibration_counts(texts, probs, thresholds, task):
     # Compliant, non-dull question text so only the thresholded gate can reject.
     cands = [
         result(" ".join(["what", *words]), tuple(math.log(p) for p in probs[: len(words) + 1]))
         for words in texts
     ]
-    sample = gate_sample(task)
-    config = AlignmentConfig(incoherence_threshold=threshold, unreliable_threshold=threshold)
-    verdicts = align_responses(task, sample, cands, config)
-    stats = [gate_statistic(task, sample, cand) for cand in cands]
-    assert [v.kept for v in verdicts] == [stat >= threshold for stat in stats]
+    # Two samples, so each sample's verdicts must meet its own statistics.
+    samples = [gate_sample(task), dialogue_sample("t", ["a zebra sat"], "pq", "a", "q", "a zebra sat", task=task)]
+    candidates = {"s": cands[::2], "t": cands[1::2]}
+    config = AlignmentConfig(candidate_thresholds=tuple(thresholds))
+    aligned, threshold = align_corpus(task, samples, candidates, config)
+    stats = [gate_statistic(task, sample, cand) for sample in samples for cand in candidates[sample.id]]
+    assert threshold == calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction)
+    if len(set(thresholds)) == 1:
+        assert threshold == thresholds[0]
+    kept = [v.kept for sample in samples for v in aligned.get(sample.id, [])]
+    assert kept == [stat >= threshold for stat in stats]
+
+
+def test_gate_statistic_runs_once_per_candidate(monkeypatch):
+    calls = []
+
+    def counted(task, sample, cand):
+        calls.append(cand)
+        return gate_statistic(task, sample, cand)
+
+    monkeypatch.setattr(msa_align, "gate_statistic", counted)
+    monkeypatch.setattr(pipeline, "gate_statistic", counted)
+    samples = [gate_sample(Task.CQA), dialogue_sample("t", ["a b"], "pq", "a b", "q", "a b")]
+    candidates = {"s": [result("the cat"), result("zebra")], "t": [result("a"), result("a b"), result("c")]}
+    aligned, _ = align_corpus(Task.CQA, samples, candidates, AlignmentConfig())
+    assert sum(len(v) for v in aligned.values()) == len(calls) == 5
 
 
 class TestAlignResponses:
@@ -179,15 +213,12 @@ class TestAlignResponses:
         )
 
     def _config(self) -> AlignmentConfig:
-        return AlignmentConfig()
+        return AlignmentConfig(candidate_thresholds=(0.15,))
 
     def test_cqa_rejects_only_unreliable(self):
         sample = self._sample(Task.CQA)
-        verdicts = align_responses(
-            Task.CQA,
-            sample,
-            [result("u1 gamma delta"), result("nothing related here")],
-            self._config(),
+        verdicts = align_fixed(
+            Task.CQA, sample, [result("u1 gamma delta"), result("nothing related here")], 0.15
         )
         assert verdicts[0].kept
         assert verdicts[1].rejection_reasons == frozenset({RejectionReason.UNRELIABLE})
@@ -196,9 +227,7 @@ class TestAlignResponses:
         # Zero overlap with the target, but compliant, novel, and confident:
         # the unreliable gate is not consulted for question generation.
         sample = self._sample(Task.CQG)
-        verdicts = align_responses(
-            Task.CQG, sample, [result("why would anyone leave")], self._config()
-        )
+        verdicts = align_fixed(Task.CQG, sample, [result("why would anyone leave")], 0.15)
         assert verdicts[0].kept
 
     def test_cqg_gate_combination(self):
@@ -209,7 +238,7 @@ class TestAlignResponses:
             result("what happened", (math.log(0.5), math.log(0.01))),  # incoherent
             result("what happened next"),  # clean
         ]
-        verdicts = align_responses(Task.CQG, sample, candidates, self._config())
+        verdicts = align_fixed(Task.CQG, sample, candidates, 0.15)
         assert verdicts[0].rejection_reasons == frozenset({RejectionReason.NON_COMPLIANT})
         assert verdicts[1].rejection_reasons == frozenset({RejectionReason.DULL})
         assert verdicts[2].rejection_reasons == frozenset({RejectionReason.INCOHERENT})
@@ -218,7 +247,7 @@ class TestAlignResponses:
     def test_cqg_multiple_reasons_accumulate(self):
         sample = self._sample(Task.CQG)
         bad = result("just some rambling", (math.log(0.5), math.log(0.01), math.log(0.5)))
-        verdicts = align_responses(Task.CQG, sample, [bad], self._config())
+        verdicts = align_fixed(Task.CQG, sample, [bad], 0.15)
         assert verdicts[0].rejection_reasons == frozenset(
             {RejectionReason.NON_COMPLIANT, RejectionReason.INCOHERENT}
         )
@@ -227,28 +256,27 @@ class TestAlignResponses:
         sample = self._sample(Task.CQG)
         config = AlignmentConfig()
         assert config.instruction_keywords == DEFAULT_INSTRUCTION_KEYWORDS
-        verdicts = align_responses(
-            Task.CQG, sample, [result("no keyword here"), result("which one")], config
+        aligned, _ = align_corpus(
+            Task.CQG, [sample], {sample.id: [result("no keyword here"), result("which one")]}, config
         )
+        verdicts = aligned[sample.id]
         assert verdicts[0].rejection_reasons == frozenset({RejectionReason.NON_COMPLIANT})
         assert verdicts[1].kept
 
     def test_sum_and_kgc_use_unreliable_gate(self):
         for task in (Task.SUM, Task.KGC):
             sample = self._sample(task)
-            verdicts = align_responses(
-                task, sample, [result("wildly different text")], self._config()
-            )
+            verdicts = align_fixed(task, sample, [result("wildly different text")], 0.15)
             assert verdicts[0].rejection_reasons == frozenset({RejectionReason.UNRELIABLE})
 
     def test_nli_rejected(self):
         sample = self._sample(Task.CQA)
         with pytest.raises(ValueError, match="nli candidates are not pruned"):
-            align_responses(Task.NLI, sample, [result("x")], self._config())
+            align_responses(Task.NLI, sample, [result("x")], self._config(), 0.15, [0.0])
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="no candidates"):
-            align_responses(Task.CQA, self._sample(), [], self._config())
+            align_responses(Task.CQA, self._sample(), [], self._config(), 0.15, [])
 
     def test_kept_flag_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -303,10 +331,10 @@ class TestCalibrateThreshold:
 
 class TestAlignmentConfig:
     def test_threshold_bounds(self):
-        with pytest.raises(ValueError, match="incoherence_threshold"):
-            AlignmentConfig(incoherence_threshold=0.0)
-        with pytest.raises(ValueError, match="unreliable_threshold"):
-            AlignmentConfig(unreliable_threshold=1.0)
+        with pytest.raises(ValueError, match="target_keep_fraction"):
+            AlignmentConfig(target_keep_fraction=0.0)
+        with pytest.raises(ValueError, match="target_keep_fraction"):
+            AlignmentConfig(target_keep_fraction=1.0)
 
     def test_candidate_threshold_bounds(self):
         with pytest.raises(ValueError, match="non-empty"):

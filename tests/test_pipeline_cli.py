@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from posdebias.pipeline import (
     CONFIG_SCHEMA,
     PipelineConfig,
     PipelineError,
+    align_corpus,
     infer_corpus,
     parse_config,
     run_pipeline,
 )
-from posdebias.records import load_aligned, write_trace
+from posdebias.records import load_aligned, write_aligned, write_candidates, write_trace
 from posdebias.toy_model import (
     SynthSpec,
     ToyModel,
@@ -94,16 +96,27 @@ class TestParseConfig:
             ({"synth": {}, "backend": "gpt4"}, "backend"),
             ({"corpus": "c.jsonl", "backend": "table:nope.json"}, "backend"),
             ({"synth": {}, "align": {"instruction_keywords": []}}, "align.instruction_keywords"),
+            ({"corpus": "c.jsonl", "backend": "table:bad.json"}, "backend"),
+            ({"synth": {"n_utterances": 2}}, "n_utterances"),
+            ({"synth": {}, "biased_positions": []}, "biased_positions"),
+            ({"corpus": "c.jsonl", "task": "nli", "bias": "lexical", "triggers": []}, "triggers"),
+            ({"synth": {"n_train": 20}, "train_sizes": [600, 10]}, r"train_sizes\[0\] must"),
+            ({"synth": {}, "calibrate": False}, "calibrate"),
+            ({"synth": {}, "align": {"incoherence_threshold": 0.15}}, "align.incoherence_threshold"),
+            ({"synth": {}, "align": {"unreliable_threshold": 0.15}}, "align.unreliable_threshold"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
             "train-sizes-zero", "bias-unknown", "bias-lead-in-toy", "backend-table-in-data-mode",
             "backend-replay-file-missing", "backend-unknown", "backend-table-file-missing",
-            "instruction-keywords-empty",
+            "instruction-keywords-empty", "backend-table-file-not-json", "n-utterances-below-three",
+            "biased-positions-empty", "triggers-empty", "train-size-above-n-train", "calibrate-removed",
+            "incoherence-threshold-removed", "unreliable-threshold-removed",
         ],
     )
     def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
-        monkeypatch.chdir(tmp_path)  # relative backend files resolve here, and are absent
+        monkeypatch.chdir(tmp_path)  # relative backend files resolve here; only bad.json exists
+        (tmp_path / "bad.json").write_text("{not json")
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match=rf"config: .*\b{field}\b"):
             parse_config({**raw, "out_dir": str(out_dir)})
@@ -144,11 +157,11 @@ class TestParseConfig:
         config = parse_config({
             "out_dir": "x",
             "synth": {"n_train": 7},
-            "align": {"unreliable_threshold": 0.3, "candidate_thresholds": [0.1, 0.3]},
+            "align": {"target_keep_fraction": 0.3, "candidate_thresholds": [0.1, 0.3]},
             "biased_positions": [0, 1, 2],
         })
         assert config.synth == SynthSpec(n_train=7)
-        assert config.align.unreliable_threshold == 0.3
+        assert config.align.target_keep_fraction == 0.3
         assert config.align.candidate_thresholds == (0.1, 0.3)
         assert config.biased_positions == frozenset({0, 1, 2})
 
@@ -419,6 +432,29 @@ class TestDataModePipeline:
                 assert verdict["kept"]
         assert sum(not v["kept"] for v in verdicts) == len(cqg)
 
+    def test_benchmark_tracer_counts_the_verdicts_written(self, dialogue_corpus_file, tmp_path, monkeypatch):
+        # The benchmark's tracer counts verdicts, and reads the keep target,
+        # through ``align_responses(task, sample, candidates, config)``.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from tracer import Tracer
+
+        out_dir = tmp_path / "out"
+        tracer = Tracer("test")
+        tracer.install()
+        try:
+            run_pipeline(parse_config({
+                "out_dir": str(out_dir), "corpus": str(dialogue_corpus_file), "task": "cqa", "n_per_prompt": 2,
+            }))
+        finally:
+            tracer.restore()
+        aligned = (out_dir / "align" / "seed0" / "aligned.jsonl").read_text().splitlines()
+        verdicts = [json.loads(line) for line in aligned]
+        assert tracer.counts["msa_align.candidates"] == len(verdicts) == 20
+        assert tracer.counts["msa_align.kept"] == sum(v["kept"] for v in verdicts) > 0
+        assert tracer.target_keep_fraction == 0.2
+        gate_spans = [span for span in tracer.spans if tracer.names[span[1]] == "msa_align.gate_statistic"]
+        assert len(gate_spans) == len(verdicts)
+
 
 class TestInferCorpus:
     def test_one_generate_call_builds_one_thread_pool(self, dialogue_corpus_file, monkeypatch):
@@ -507,7 +543,7 @@ class TestCliVerbs:
         aligned = tmp_path / "aligned.jsonl"
         result = invoke_ok(runner, [
             "align", "--candidates", str(candidates), "--task", "cqa",
-            "--corpus", str(train_file), "--out", str(aligned), "--calibrate",
+            "--corpus", str(train_file), "--out", str(aligned),
         ])
         assert "calibrated threshold" in result.output
         verdicts = [json.loads(line) for line in aligned.read_text().splitlines()]
@@ -619,7 +655,7 @@ class TestCliVerbs:
         ])
         invoke_ok(runner, [
             "align", "--candidates", str(cli_dir / "candidates.jsonl"), "--task", "cqa",
-            "--corpus", str(corpus_file), "--calibrate", "--out", str(cli_dir / "aligned.jsonl"),
+            "--corpus", str(corpus_file), "--out", str(cli_dir / "aligned.jsonl"),
         ])
         pairs = {
             "biased.jsonl": "split/biased.jsonl",
@@ -638,7 +674,7 @@ class TestCliVerbs:
         ) + "\n")
         result = runner.invoke(main, [
             "align", "--candidates", str(candidates), "--task", "cqa",
-            "--corpus", str(dialogue_corpus_file), "--calibrate", "--out", str(tmp_path / "a.jsonl"),
+            "--corpus", str(dialogue_corpus_file), "--out", str(tmp_path / "a.jsonl"),
         ])
         assert result.exit_code != 0
         assert "'ghost' not in corpus" in result.output
@@ -679,6 +715,45 @@ class TestCliVerbs:
         ])
         assert result.exit_code != 0
         assert "--corpus is required" in result.output
+
+    def test_align_threshold_option_sets_the_candidates(self, runner, dialogue_corpus_file, tmp_path):
+        corpus = load_corpus(dialogue_corpus_file, Task.CQA)
+        candidates = infer_corpus(corpus, StubBackend(StubMode.MARKOV), n_per_prompt=2, seed=0, max_tokens=8)
+        candidates_file = write_candidates(candidates, tmp_path / "c.jsonl")
+        for thresholds in ((0.15,), (0.1, 0.3)):
+            out = tmp_path / "aligned.jsonl"
+            result = invoke_ok(runner, [
+                "align", "--candidates", str(candidates_file), "--task", "cqa",
+                "--corpus", str(dialogue_corpus_file), "--out", str(out),
+                *(arg for t in thresholds for arg in ("--threshold", str(t))),
+            ])
+            aligned, threshold = align_corpus(
+                Task.CQA, corpus.samples, candidates, AlignmentConfig(candidate_thresholds=thresholds)
+            )
+            assert f"calibrated threshold {threshold:g}\n" in result.output
+            assert out.read_bytes() == write_aligned(aligned, tmp_path / "want.jsonl").read_bytes()
+            if len(thresholds) == 1:
+                assert threshold == thresholds[0]
+
+    def test_align_without_candidates_fails(self, runner, tmp_path):
+        candidates = tmp_path / "c.jsonl"
+        candidates.write_text("")
+        result = runner.invoke(main, [
+            "align", "--candidates", str(candidates), "--task", "cqg", "--out", str(tmp_path / "a.jsonl"),
+        ])
+        assert result.exit_code != 0
+        assert "nothing to calibrate" in result.output
+
+    def test_gate_threshold_has_one_option_and_no_fixed_field(self, runner):
+        help_text = invoke_ok(runner, ["align", "--help"]).output
+        assert "--threshold FLOAT" in help_text
+        for removed in ("--incoherence-threshold", "--unreliable-threshold", "--calibrate", "--no-calibrate"):
+            assert removed not in help_text
+        schema = json.loads(invoke_ok(runner, ["run", "--print-schema"]).output)
+        assert "calibrate" not in schema["properties"]
+        assert sorted(schema["properties"]["align"]["properties"]) == [
+            "candidate_thresholds", "dull_patterns", "instruction_keywords", "target_keep_fraction",
+        ]
 
     def test_run_verb_with_config_file(self, runner, tmp_path):
         config_file = tmp_path / "config.json"
