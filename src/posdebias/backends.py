@@ -291,6 +291,14 @@ def parse_backend_spec(spec: str) -> tuple[str, str]:
     not exist, or a table file that is not a JSON object raises
     ``ValueError`` naming the backend.
     """
+    kind, arg = _split_spec(spec)
+    if kind == "table":
+        _read_table(spec, arg)
+    return kind, arg
+
+
+def _split_spec(spec: str) -> tuple[str, str]:
+    """``parse_backend_spec`` short of reading a table file."""
     if spec.startswith(("http://", "https://")):
         return "url", spec
     kind, colon, arg = spec.partition(":")
@@ -298,8 +306,6 @@ def parse_backend_spec(spec: str) -> tuple[str, str]:
         raise ValueError(f"unknown backend spec {spec!r}")
     if kind in ("table", "replay") and not Path(arg).is_file():
         raise ValueError(f"backend {spec!r}: file {arg!r} does not exist")
-    if kind == "table":
-        _read_table(spec, arg)
     return kind, arg
 
 
@@ -321,7 +327,7 @@ def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
     """
     import os
 
-    kind, arg = parse_backend_spec(spec)
+    kind, arg = _split_spec(spec)
     if kind == "url":
         return HttpBackend(dict(os.environ if env is None else env).get(BACKEND_URL_ENV) or arg)
     if kind == "replay":

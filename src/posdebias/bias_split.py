@@ -1,12 +1,12 @@
 """Bias-aware corpus partitioning.
 
-Three notions of a position-biased sample are supported:
+Three notions of a position-biased sample are supported, one per task
+family (``BIAS_BY_TASK``):
 
 * relative position: the target grounds at utterance offset 0 or 1 from the
-  utterance the previous answer grounds at (dialogue tasks),
-* lead: the target grounds at the very first utterance (summarization-style
-  tasks),
-* lexical: the hypothesis contains a trigger word as a whole token (NLI).
+  utterance the previous answer grounds at (``cqa``, ``cqg``),
+* lead: the target grounds at the very first utterance (``sum``, ``kgc``),
+* lexical: the hypothesis contains a trigger word as a whole token (``nli``).
 
 Grounding means locating the document utterance that maximizes ROUGE-L
 against a response; ties resolve to the smallest index.
@@ -17,21 +17,17 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
-from .corpus import (
-    Corpus,
-    DIALOGUE_TASKS,
-    Document,
-    Sample,
-    Task,
-    make_document,
-    render_input,
-    write_jsonl,
-)
+from .corpus import Corpus, Document, Sample, Task, make_document, render_input, write_jsonl
+from .lowbias_infer import DEFAULTS
 from .metrics import contains_phrase, rouge_l, tokenize
 
 #: Relative positions treated as biased unless the caller overrides them.
 DEFAULT_BIASED_POSITIONS = frozenset({0, 1})
+
+#: Whole-token trigger words for the lexical splitter's default list.
+DEFAULT_LEXICAL_TRIGGERS: tuple[str, ...] = tuple(DEFAULTS["lexical_triggers"])
 
 
 class BiasKind(str, Enum):
@@ -40,12 +36,23 @@ class BiasKind(str, Enum):
     LEXICAL = "lexical"
 
 
+#: The bias kind each task family is split by.
+BIAS_BY_TASK = {
+    Task.CQA: BiasKind.RELATIVE_POSITION,
+    Task.CQG: BiasKind.RELATIVE_POSITION,
+    Task.SUM: BiasKind.LEAD,
+    Task.KGC: BiasKind.LEAD,
+    Task.NLI: BiasKind.LEXICAL,
+}
+
+
 @dataclass(frozen=True)
 class GroundingResult:
-    """Best-matching utterance index and its ROUGE-L score."""
+    """Best-matching utterance index and the ROUGE-L score of every utterance."""
 
     utterance_index: int
     score: float
+    scores: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -85,17 +92,9 @@ def ground_response(response: str, document: Document) -> GroundingResult:
         raise ValueError("ground_response: empty response")
     if len(document) == 0:
         raise ValueError("ground_response: empty document")
-    best_index = 0
-    best_score = -1.0
-    for utt in document.utterances:
-        if tokenize(utt.text):
-            score = rouge_l(response, utt.text)
-        else:
-            score = 0.0
-        if score > best_score:
-            best_index = utt.index
-            best_score = score
-    return GroundingResult(best_index, max(best_score, 0.0))
+    scores = tuple([rouge_l(response, utt.text) if tokenize(utt.text) else 0.0 for utt in document.utterances])
+    best = scores.index(max(scores))
+    return GroundingResult(best, scores[best], scores)
 
 
 def relative_position(sample: Sample) -> int:
@@ -134,11 +133,11 @@ def split_by_relative_position(
     document) are routed to the non-biased side with the reason recorded in
     the evidence.
     """
-    if corpus.task not in DIALOGUE_TASKS:
+    if BIAS_BY_TASK[corpus.task] != BiasKind.RELATIVE_POSITION:
         raise ValueError(
             f"split_by_relative_position: task {corpus.task.value!r} has no "
             "dialogue structure; expected one of "
-            + ", ".join(t.value for t in DIALOGUE_TASKS)
+            + ", ".join(t.value for t, kind in BIAS_BY_TASK.items() if kind == BiasKind.RELATIVE_POSITION)
         )
     if not biased_positions:
         raise ValueError("split_by_relative_position: empty biased position set")
@@ -169,14 +168,10 @@ def split_by_relative_position(
     return _partition(corpus, flags)
 
 
-def split_by_lead_bias(corpus: Corpus, min_lead_score: float = 0.0) -> BiasPartition:
-    """Partition by whether the target grounds at the leading utterance.
-
-    ``min_lead_score`` additionally requires the overlap with utterance 0 to
-    reach a floor before a sample counts as biased; the default of 0 makes
-    grounding alone decisive.
-    """
-    if corpus.task not in (Task.SUM, Task.KGC):
+def split_by_lead_bias(corpus: Corpus) -> BiasPartition:
+    """Partition by whether the target grounds at the leading utterance;
+    the evidence keeps the target's ROUGE-L against that utterance."""
+    if BIAS_BY_TASK[corpus.task] != BiasKind.LEAD:
         raise ValueError(
             f"split_by_lead_bias: task {corpus.task.value!r} not lead-groundable"
         )
@@ -188,18 +183,14 @@ def split_by_lead_bias(corpus: Corpus, min_lead_score: float = 0.0) -> BiasParti
             )
             continue
         grounded = ground_response(sample.target, sample.document)
-        lead_utt = sample.document.utterances[0].text
-        lead_score = rouge_l(sample.target, lead_utt) if tokenize(lead_utt) else 0.0
-        biased = grounded.utterance_index == 0 and lead_score >= min_lead_score
-        flags.append(
-            (sample, BiasEvidence(BiasKind.LEAD, biased=biased, lead_score=lead_score))
-        )
+        evidence = BiasEvidence(BiasKind.LEAD, biased=grounded.utterance_index == 0, lead_score=grounded.scores[0])
+        flags.append((sample, evidence))
     return _partition(corpus, flags)
 
 
 def split_by_lexical_bias(corpus: Corpus, triggers: list[str] | tuple[str, ...]) -> BiasPartition:
     """Partition NLI samples by whole-token trigger occurrence in the hypothesis."""
-    if corpus.task != Task.NLI:
+    if BIAS_BY_TASK[corpus.task] != BiasKind.LEXICAL:
         raise ValueError("split_by_lexical_bias: corpus task must be nli")
     if not triggers:
         raise ValueError("split_by_lexical_bias: empty trigger list")
@@ -223,6 +214,21 @@ def split_by_lexical_bias(corpus: Corpus, triggers: list[str] | tuple[str, ...])
             )
         )
     return _partition(corpus, flags)
+
+
+def split_corpus(
+    corpus: Corpus,
+    positions: frozenset[int] | set[int] = DEFAULT_BIASED_POSITIONS,
+    triggers: Sequence[str] = DEFAULT_LEXICAL_TRIGGERS,
+) -> BiasPartition:
+    """Partition a corpus by the bias kind its task is split by: ``positions``
+    serve the relative-position split, ``triggers`` the lexical one."""
+    kind = BIAS_BY_TASK[corpus.task]
+    if kind == BiasKind.RELATIVE_POSITION:
+        return split_by_relative_position(corpus, positions)
+    if kind == BiasKind.LEAD:
+        return split_by_lead_bias(corpus)
+    return split_by_lexical_bias(corpus, triggers)
 
 
 def perturb_positions(sample: Sample, seed: int) -> Sample:

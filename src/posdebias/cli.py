@@ -14,10 +14,10 @@ from pathlib import Path
 import click
 
 from .backends import BackendError, RecordingBackend, resolve_backend
-from .bias_split import BiasKind
+from .bias_split import DEFAULT_LEXICAL_TRIGGERS, split_by_relative_position, split_corpus
 from .corpus import CorpusError, Sample, Task, load_corpus
 from .lowbias_infer import DEFAULT_N_PER_PROMPT, PromptStrategy
-from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, DEFAULT_LEXICAL_TRIGGERS, AlignmentConfig
+from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, AlignmentConfig
 from .objective import LossConfig
 from .pipeline import (
     CONFIG_SCHEMA,
@@ -26,7 +26,6 @@ from .pipeline import (
     infer_corpus,
     parse_config,
     run_pipeline,
-    split_corpus,
     write_report,
     write_split,
 )
@@ -68,29 +67,16 @@ def main() -> None:
 @main.command()
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--task", "task_name", required=True)
-@click.option(
-    "--bias",
-    type=click.Choice([k.value for k in BiasKind]),
-    default="relative_position",
-    show_default=True,
-)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--positions", default="0,1", show_default=True, help="Biased relative positions.")
-@click.option("--min-lead-score", default=0.0, show_default=True, type=float)
-@click.option("--triggers", default=None, help="Comma-separated lexical triggers (lexical bias).")
-def split(corpus_path, task_name, bias, out_dir, positions, min_lead_score, triggers):
-    """Partition a corpus into biased / non-biased subsets with evidence."""
+@click.option("--positions", default="0,1", show_default=True, help="Biased relative positions (cqa, cqg).")
+@click.option("--triggers", default=",".join(DEFAULT_LEXICAL_TRIGGERS), show_default=True, help="Comma-separated lexical triggers (nli).")
+def split(corpus_path, task_name, out_dir, positions, triggers):
+    """Partition a corpus into biased / non-biased subsets with evidence, by
+    the task's bias kind: relative position (cqa, cqg), lead (sum, kgc) or lexical (nli)."""
     task = _task(task_name)
-    trigger_list = (
-        tuple(t.strip() for t in triggers.split(",") if t.strip())
-        if triggers
-        else DEFAULT_LEXICAL_TRIGGERS
-    )
     try:
         corpus = load_corpus(corpus_path, task)
-        partition = split_corpus(
-            corpus, bias, _positions(positions), trigger_list, min_lead_score
-        )
+        partition = split_corpus(corpus, _positions(positions), tuple(t.strip() for t in triggers.split(",") if t.strip()))
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
     out = Path(out_dir)
@@ -106,9 +92,9 @@ def split(corpus_path, task_name, bias, out_dir, positions, min_lead_score, trig
 @click.option("--task", "task_name", required=True)
 @click.option("--backend", default="markov", show_default=True, help="echo | markov | table:FILE | replay:FILE | url:ENDPOINT")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--n-per-prompt", default=DEFAULT_N_PER_PROMPT, show_default=True, type=int)
+@click.option("--n-per-prompt", default=DEFAULT_N_PER_PROMPT, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--max-tokens", default=16, show_default=True, type=int)
+@click.option("--max-tokens", default=16, show_default=True, type=click.IntRange(min=1))
 @click.option("--max-in-flight", default=1, show_default=True, type=int)
 @click.option("--strategy", default=None, type=click.Choice([s.value for s in PromptStrategy]))
 @click.option("--record", "record_path", default=None, type=click.Path(dir_okay=False), help="Record raw backend traffic to this JSONL file.")
@@ -225,7 +211,7 @@ def eval_cmd(model_path, corpus_path, task_name, metric, positions, system, out_
     try:
         model = load_model(model_path)
         corpus = load_corpus(corpus_path, task)
-        partition = split_corpus(corpus, BiasKind.RELATIVE_POSITION, _positions(positions))
+        partition = split_by_relative_position(corpus, _positions(positions))
         result = evaluate(model, partition, metric, system)
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))

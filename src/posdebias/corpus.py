@@ -23,10 +23,6 @@ class Task(str, Enum):
     NLI = "nli"
 
 
-#: Tasks for which a relative position between grounded turns is defined.
-DIALOGUE_TASKS = (Task.CQA, Task.CQG)
-
-
 class CorpusError(ValueError):
     """Raised when a corpus file or record violates the ingestion contract."""
 

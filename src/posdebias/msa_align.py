@@ -31,9 +31,6 @@ from .metrics import contains_phrase, rouge_l, tokenize
 #: Boilerplate question patterns rejected as dull; user-replaceable.
 DEFAULT_DULL_PATTERNS: tuple[str, ...] = tuple(DEFAULTS["dull_patterns"])
 
-#: Whole-token trigger words for the lexical splitter's default list.
-DEFAULT_LEXICAL_TRIGGERS: tuple[str, ...] = tuple(DEFAULTS["lexical_triggers"])
-
 #: Question words the question-generation compliance gate looks for.
 DEFAULT_INSTRUCTION_KEYWORDS: tuple[str, ...] = tuple(DEFAULTS["instruction_keywords"])
 

@@ -13,7 +13,7 @@ Every stage appends its artifacts (with SHA-256 checksums) to
 ``manifest.json`` as soon as it finishes, so a failed run preserves all
 artifacts produced before the failure and marks the failing stage.
 
-Stage bodies are plain functions (``split_corpus``, ``write_split``,
+Stage bodies are plain functions (``bias_split.split_corpus``, ``write_split``,
 ``infer_corpus``, ``align_corpus``, ``pool_evals``, ``write_report``, and
 ``toy_model.evaluate``) that the CLI verbs call as well; record formats live in
 ``posdebias.records``.
@@ -34,13 +34,13 @@ from typing import Mapping, Sequence
 from . import report as report_mod
 from .backends import Backend, GenerationResult, StubBackend, StubMode, parse_backend_spec, resolve_backend
 from .bias_split import (
+    BIAS_BY_TASK,
     DEFAULT_BIASED_POSITIONS,
+    DEFAULT_LEXICAL_TRIGGERS,
     BiasKind,
     BiasPartition,
     perturb_positions,
-    split_by_lead_bias,
-    split_by_lexical_bias,
-    split_by_relative_position,
+    split_corpus,
     write_evidence,
 )
 from .corpus import Corpus, Sample, Task, load_corpus, relabel, save_corpus
@@ -49,7 +49,6 @@ from .metrics import PositionRow
 from .msa_align import (
     DEFAULT_DULL_PATTERNS,
     DEFAULT_INSTRUCTION_KEYWORDS,
-    DEFAULT_LEXICAL_TRIGGERS,
     AlignedResponse,
     AlignmentConfig,
     align_responses,
@@ -75,9 +74,17 @@ class PipelineError(RuntimeError):
     """A stage failed; the manifest records which one."""
 
 
+#: Keys some runs never read: toy mode's training keys (data mode), the
+#: candidate keys (a data-mode nli run, which only splits and reports) and
+#: the split parameter of each bias kind (a task split by another kind).
+_TOY_ONLY_KEYS = ("seeds", "systems", "alphas", "train_sizes", "epochs", "learning_rate", "clip_norm", "garbage_rate", "metric")
+_CANDIDATE_KEYS = ("n_per_prompt", "max_tokens", "backend", "align")
+_SPLIT_KEYS = {BiasKind.RELATIVE_POSITION: "biased_positions", BiasKind.LEXICAL: "triggers"}
+
+
 CONFIG_SCHEMA: dict = {
     "type": "object",
-    "description": "Pipeline run configuration; exactly one of 'synth' or 'corpus' must be set.",
+    "description": "Pipeline run configuration; exactly one of 'synth' or 'corpus' must be set; unread keys are rejected.",
     "properties": {
         "out_dir": {"type": "string", "description": "Directory for artifacts and manifest."},
         "task": {
@@ -102,8 +109,7 @@ CONFIG_SCHEMA: dict = {
         "bias": {
             "type": "string",
             "enum": [k.value for k in BiasKind],
-            "default": "relative_position",
-            "description": "Toy mode takes only 'relative_position'.",
+            "description": "Optional: the task picks the kind (cqa, cqg: relative_position; sum, kgc: lead; nli: lexical).",
         },
         "biased_positions": {"type": "array", "items": {"type": "integer"}, "minItems": 1, "default": [0, 1]},
         "triggers": {"type": "array", "items": {"type": "string"}, "minItems": 1, "default": list(DEFAULT_LEXICAL_TRIGGERS)},
@@ -200,7 +206,6 @@ class PipelineConfig:
     task: Task = Task.CQA
     synth: SynthSpec | None = None
     corpus: str | None = None
-    bias: str = "relative_position"
     biased_positions: frozenset[int] = DEFAULT_BIASED_POSITIONS
     triggers: tuple[str, ...] = DEFAULT_LEXICAL_TRIGGERS
     seeds: tuple[int, ...] = (0,)
@@ -221,26 +226,34 @@ class PipelineConfig:
 def parse_config(raw: dict) -> PipelineConfig:
     """Validate a raw config dict against ``CONFIG_SCHEMA`` and the modes.
 
-    Every problem is raised here, naming the field, before any stage runs.
-    Keys left out take the ``PipelineConfig`` defaults.
+    Every problem, a key the run never reads too, is raised here, naming
+    the field, before any stage runs. Keys left out take the
+    ``PipelineConfig`` defaults; ``bias`` may only repeat ``BIAS_BY_TASK``.
     """
     _check_schema("", raw, CONFIG_SCHEMA)
     if "out_dir" not in raw:
         raise ValueError("config: 'out_dir' is required")
     if ("synth" in raw) == ("corpus" in raw):
         raise ValueError("config: exactly one of 'synth' or 'corpus' must be set")
-    if "synth" in raw:
-        # The synthetic corpus is dialogue QA, split by relative position.
-        for key, only in (("task", "cqa"), ("bias", "relative_position")):
-            if raw.get(key, only) != only:
-                raise ValueError(f"config: {key} must be {only!r} in toy mode (synth), got {raw[key]!r}")
-    elif raw.get("backend") == "table":
+    task = Task(raw.get("task", "cqa"))
+    kind = BIAS_BY_TASK[task]
+    if "synth" in raw and task != Task.CQA:
+        raise ValueError(f"config: task must be 'cqa' in toy mode (synth), got {task.value!r}")
+    if raw.get("bias", kind.value) != kind.value:
+        raise ValueError(f"config: bias must be {kind.value!r} for task {task.value!r}, got {raw['bias']!r}")
+    unread = [key for other, key in _SPLIT_KEYS.items() if other != kind]
+    if "corpus" in raw:
+        unread += _TOY_ONLY_KEYS + (_CANDIDATE_KEYS if task == Task.NLI else ())
+    unread = [key for key in unread if key in raw]
+    if unread:
+        raise ValueError(f"config: keys {unread} are not read by a {'toy' if 'synth' in raw else 'data-mode'} {task.value} run")
+    if "corpus" in raw and raw.get("backend") == "table":
         raise ValueError("config: backend 'table' needs a synth corpus; data mode takes table:FILE")
     if raw.get("train_sizes") and len(raw.get("alphas", [0.2])) > 1:
         raise ValueError("config: sweep either alphas or train_sizes, not both")
     fields = dict(raw)
-    if "task" in raw:
-        fields["task"] = Task(raw["task"])
+    fields.pop("bias", None)
+    fields["task"] = task
     try:
         if "synth" in raw:
             fields["synth"] = SynthSpec(**raw["synth"])
@@ -250,7 +263,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     except ValueError as exc:
         raise ValueError(f"config: {exc}") from None
     for i, size in enumerate(raw.get("train_sizes", [])):
-        if "synth" in raw and size > fields["synth"].n_train:
+        if size > fields["synth"].n_train:
             raise ValueError(f"config: train_sizes[{i}] must be <= synth.n_train, got {size}")
     if "biased_positions" in raw:
         fields["biased_positions"] = frozenset(raw["biased_positions"])
@@ -343,23 +356,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 
 # -- stages, shared by run_pipeline and the CLI verbs ----------------------
-
-
-def split_corpus(
-    corpus: Corpus,
-    bias: str,
-    positions: frozenset[int] = DEFAULT_BIASED_POSITIONS,
-    triggers: tuple[str, ...] = DEFAULT_LEXICAL_TRIGGERS,
-    min_lead_score: float = 0.0,
-) -> BiasPartition:
-    """Partition a corpus by the evidence of one bias kind."""
-    if bias == BiasKind.RELATIVE_POSITION:
-        return split_by_relative_position(corpus, positions)
-    if bias == BiasKind.LEAD:
-        return split_by_lead_bias(corpus, min_lead_score=min_lead_score)
-    if bias == BiasKind.LEXICAL:
-        return split_by_lexical_bias(corpus, triggers)
-    raise ValueError(f"unknown bias kind {bias!r}")
 
 
 def write_split(
@@ -496,7 +492,7 @@ def _stage_split(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
     artifacts = []
     for seed, data in state["data"].items():
         pool = Corpus(tuple(data["eval_biased"]) + tuple(data["eval_nonbiased"]), config.task)
-        data["partition"] = split_by_relative_position(pool, config.biased_positions)
+        data["partition"] = split_corpus(pool, config.biased_positions, config.triggers)
         artifacts += write_split(
             data["partition"],
             out_dir / "split" / f"seed{seed}",
@@ -695,9 +691,7 @@ def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pa
 
 def _stage_data_split(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     corpus = load_corpus(config.corpus, config.task)
-    partition = split_corpus(
-        corpus, config.bias, positions=config.biased_positions, triggers=config.triggers
-    )
+    partition = split_corpus(corpus, config.biased_positions, config.triggers)
     # The whole corpus is the candidate source, as the train split is in toy mode.
     state["data"] = {0: {"train": corpus, "partition": partition}}
     return write_split(partition, out_dir / "split")

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -289,10 +290,13 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="does not exist"):
             resolve_backend(f"replay:{tmp_path / 'absent.jsonl'}", env={})
 
-    def test_table_file(self, tmp_path):
+    def test_table_file(self, tmp_path, monkeypatch):
         table_path = tmp_path / "table.json"
         table_path.write_text(json.dumps({"p": "from disk"}), encoding="utf-8")
+        reads, read_text = [], Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda path, *a, **k: reads.append(path) or read_text(path, *a, **k))
         backend = resolve_backend(f"table:{table_path}", env={})
+        assert reads == [table_path]
         assert backend.complete("p").text == "from disk"
 
     def test_replay_file(self, tmp_path):

@@ -4,12 +4,15 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posdebias import bias_split
 from posdebias.bias_split import (
+    BIAS_BY_TASK,
     DEFAULT_BIASED_POSITIONS,
     BiasKind,
     ground_response,
@@ -18,9 +21,12 @@ from posdebias.bias_split import (
     split_by_lead_bias,
     split_by_lexical_bias,
     split_by_relative_position,
+    split_corpus,
     write_evidence,
 )
 from posdebias.corpus import Corpus, DialogueTurn, Sample, Task, make_document
+
+from posdebias.metrics import rouge_l
 
 from conftest import dialogue_sample, nli_sample
 from oracles import ground_oracle
@@ -178,14 +184,18 @@ class TestSplitByLeadBias:
         for i in range(4):
             assert partition.evidence[f"lead{i}"].lead_score > 0
 
-    def test_min_lead_score_floor(self):
-        # Target shares one token of three with the lead; grounded at 0 but
-        # the overlap can be held below a floor.
-        sample = self._sum_sample("weak", "lead unrelated thing")
-        loose = split_by_lead_bias(Corpus((sample,), Task.SUM))
-        strict = split_by_lead_bias(Corpus((sample,), Task.SUM), min_lead_score=0.9)
-        assert len(loose.biased) == 1
-        assert len(strict.biased) == 0
+    def test_grounds_once_per_utterance(self, monkeypatch):
+        # The lead score comes from the grounding pass, not a second ROUGE-L
+        # against utterance 0.
+        samples = [self._sum_sample(f"s{i}", t) for i, t in enumerate(["lead unrelated thing", "tail extra"])]
+        calls = []
+        monkeypatch.setattr(bias_split, "rouge_l", lambda *args: calls.append(args) or rouge_l(*args))
+        partition = split_by_lead_bias(Corpus(tuple(samples), Task.SUM))
+        assert len(calls) == 2 * 3
+        assert [s.id for s in partition.biased] == ["s0"]
+        for sample in samples:
+            lead = sample.document.utterances[0].text
+            assert partition.evidence[sample.id].lead_score == rouge_l(sample.target, lead)
 
     def test_rejects_dialogue_task(self):
         corpus = Corpus(
@@ -240,6 +250,31 @@ class TestSplitByLexicalBias:
         )
         with pytest.raises(ValueError, match="nli"):
             split_by_lexical_bias(corpus, ["no"])
+
+
+def test_split_corpus_runs_the_tasks_own_splitter(planted_relpos_corpus):
+    dialogue, _, _ = planted_relpos_corpus
+
+    def retasked(task):
+        return Corpus(tuple(replace(s, task=task) for s in dialogue), task)
+
+    nli = Corpus(
+        tuple(nli_sample(f"n{i}", "p", h, "neutral") for i, h in enumerate(["there is no cake", "nothing here", "never"])),
+        Task.NLI,
+    )
+    positions, triggers = frozenset({-2, 0}), ("no", "never")
+    cases = {
+        Task.CQA: (dialogue, lambda c: split_by_relative_position(c, positions)),
+        Task.CQG: (retasked(Task.CQG), lambda c: split_by_relative_position(c, positions)),
+        Task.SUM: (retasked(Task.SUM), split_by_lead_bias),
+        Task.KGC: (retasked(Task.KGC), split_by_lead_bias),
+        Task.NLI: (nli, lambda c: split_by_lexical_bias(c, triggers)),
+    }
+    assert set(BIAS_BY_TASK) == set(cases) == set(Task)
+    for task, (corpus, split) in cases.items():
+        want = split(corpus)
+        assert 0 < len(want.biased) < len(corpus), task
+        assert split_corpus(corpus, positions, triggers) == want, task
 
 
 class TestPerturbPositions:

@@ -3,15 +3,19 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import nli_sample
 from posdebias import lowbias_infer
 from posdebias.backends import BackendError, RecordingBackend, StubBackend, StubMode
+from posdebias.bias_split import BIAS_BY_TASK, BiasKind
 from posdebias.cli import main
 from posdebias.corpus import Corpus, Task, load_corpus, save_corpus
 from posdebias.lowbias_infer import DEFAULT_DIVERSE_PROMPTS, DEFAULT_ICL_K, build_prompt, default_prompt_spec
@@ -104,6 +108,23 @@ class TestParseConfig:
             ({"synth": {}, "calibrate": False}, "calibrate"),
             ({"synth": {}, "align": {"incoherence_threshold": 0.15}}, "align.incoherence_threshold"),
             ({"synth": {}, "align": {"unreliable_threshold": 0.15}}, "align.unreliable_threshold"),
+            ({"corpus": "c.jsonl", "seeds": [3, 4]}, "seeds"),
+            ({"corpus": "c.jsonl", "systems": ["ft"]}, "systems"),
+            ({"corpus": "c.jsonl", "alphas": [0.2]}, "alphas"),
+            ({"corpus": "c.jsonl", "train_sizes": [10]}, "train_sizes"),
+            ({"corpus": "c.jsonl", "epochs": 5}, "epochs"),
+            ({"corpus": "c.jsonl", "learning_rate": 0.1}, "learning_rate"),
+            ({"corpus": "c.jsonl", "clip_norm": 1.0}, "clip_norm"),
+            ({"corpus": "c.jsonl", "garbage_rate": 0.25}, "garbage_rate"),
+            ({"corpus": "c.jsonl", "metric": "accuracy"}, "metric"),
+            ({"synth": {}, "triggers": ["no"]}, "triggers"),
+            ({"corpus": "c.jsonl", "task": "sum", "triggers": ["no"]}, "triggers"),
+            ({"corpus": "c.jsonl", "task": "sum", "biased_positions": [0]}, "biased_positions"),
+            ({"corpus": "c.jsonl", "task": "nli", "biased_positions": [0]}, "biased_positions"),
+            ({"corpus": "c.jsonl", "task": "nli", "n_per_prompt": 1}, "n_per_prompt"),
+            ({"corpus": "c.jsonl", "task": "nli", "max_tokens": 4}, "max_tokens"),
+            ({"corpus": "c.jsonl", "task": "nli", "backend": "markov"}, "backend"),
+            ({"corpus": "c.jsonl", "task": "nli", "align": {}}, "align"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
@@ -112,6 +133,10 @@ class TestParseConfig:
             "instruction-keywords-empty", "backend-table-file-not-json", "n-utterances-below-three",
             "biased-positions-empty", "triggers-empty", "train-size-above-n-train", "calibrate-removed",
             "incoherence-threshold-removed", "unreliable-threshold-removed",
+            "data-mode-seeds", "data-mode-systems", "data-mode-alphas", "data-mode-train-sizes",
+            "data-mode-epochs", "data-mode-learning-rate", "data-mode-clip-norm", "data-mode-garbage-rate",
+            "data-mode-metric", "triggers-in-toy", "triggers-on-sum", "biased-positions-on-sum",
+            "biased-positions-on-nli", "nli-n-per-prompt", "nli-max-tokens", "nli-backend", "nli-align",
         ],
     )
     def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
@@ -139,7 +164,33 @@ class TestParseConfig:
                 if "default" in prop:
                     assert prop["default"] == as_json(defaults[key]), key
                     checked += 1
-        assert checked >= 25
+        assert checked >= 24
+
+    @given(task=st.sampled_from(Task), kind=st.sampled_from(BiasKind))
+    def test_bias_is_accepted_only_as_the_tasks_own_kind(self, task, kind):
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "out"
+            raw = {"out_dir": str(out_dir), "corpus": "c.jsonl", "task": task.value, "bias": kind.value}
+            if kind == BIAS_BY_TASK[task]:
+                config = parse_config(raw)
+                assert config.task == task and not hasattr(config, "bias")
+            else:
+                with pytest.raises(ValueError, match=rf"config: bias must be '{BIAS_BY_TASK[task].value}'"):
+                    parse_config(raw)
+            assert not out_dir.exists()
+
+    def test_benchmark_configs_parse(self, tmp_path, monkeypatch):
+        # A config the benchmark runs must never be rejected before its first stage.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import WORKLOADS
+
+        for name in ("toy", "data-relpos", "data-lead-long"):
+            workload = WORKLOADS[name]()
+            workload.samples = 10
+            work = tmp_path / name
+            work.mkdir()
+            workload.prepare(work, seed=0)
+            parse_config({**workload.raw, "out_dir": str(work / "out")})
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
@@ -390,8 +441,6 @@ class TestDataModePipeline:
             "corpus": str(nli_corpus_file),
             "task": "nli",
             "bias": "lexical",
-            "n_per_prompt": 1,
-            "max_tokens": 4,
         }))
         assert [s["stage"] for s in manifest["stages"]] == ["split", "report"]
         assert not (out_dir / "infer").exists() and not (out_dir / "align").exists()
@@ -513,6 +562,33 @@ class TestCliVerbs:
         assert "biased" in result.output
         assert (out / "evidence.jsonl").exists()
         assert (out / "biased.jsonl").exists() and (out / "non_biased.jsonl").exists()
+
+    def test_split_task_picks_the_kind_as_run_does(self, runner, dialogue_corpus_file, tmp_path):
+        help_text = invoke_ok(runner, ["split", "--help"]).output
+        assert "--bias" not in help_text and "--min-lead-score" not in help_text
+        corpus = load_corpus(dialogue_corpus_file, Task.CQA)
+        sum_file = save_corpus(
+            Corpus(tuple(dataclasses.replace(s, task=Task.SUM) for s in corpus), Task.SUM), tmp_path / "sum.jsonl"
+        )
+        run_dir = tmp_path / "run"
+        run_pipeline(parse_config({"out_dir": str(run_dir), "corpus": str(sum_file), "task": "sum", "bias": "lead"}))
+        cli_dir = tmp_path / "cli"
+        invoke_ok(runner, ["split", "--corpus", str(sum_file), "--task", "sum", "--out-dir", str(cli_dir)])
+        evidence = [json.loads(line) for line in (cli_dir / "evidence.jsonl").read_text().splitlines()]
+        assert {e["kind"] for e in evidence} == {"lead"} and len(evidence) == len(corpus)
+        for name in ("biased.jsonl", "non_biased.jsonl", "evidence.jsonl"):
+            assert (cli_dir / name).read_bytes() == (run_dir / "split" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("option", ["--max-tokens", "--n-per-prompt"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_infer_rejects_counts_below_one(self, runner, dialogue_corpus_file, tmp_path, option, value):
+        out = tmp_path / "candidates.jsonl"
+        result = runner.invoke(main, [
+            "infer", "--corpus", str(dialogue_corpus_file), "--task", "cqa", "--out", str(out), option, value,
+        ])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert not out.exists()
 
     def test_split_rejects_unknown_task(self, runner, dialogue_corpus_file, tmp_path):
         result = runner.invoke(main, [
