@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from .backends import BackendError, RecordingBackend, resolve_backend
-from .bias_split import DEFAULT_LEXICAL_TRIGGERS, split_by_relative_position, split_corpus
+from .bias_split import BIAS_BY_TASK, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position, split_corpus
 from .corpus import CorpusError, Sample, Task, load_corpus
 from .lowbias_infer import DEFAULT_N_PER_PROMPT, PromptStrategy
 from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, AlignmentConfig
@@ -68,15 +68,25 @@ def main() -> None:
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--task", "task_name", required=True)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--positions", default="0,1", show_default=True, help="Biased relative positions (cqa, cqg).")
-@click.option("--triggers", default=",".join(DEFAULT_LEXICAL_TRIGGERS), show_default=True, help="Comma-separated lexical triggers (nli).")
+@click.option("--positions", default=None, help="Biased relative positions (cqa, cqg).  [default: 0,1]")
+@click.option("--triggers", default=None, help=f"Comma-separated lexical triggers (nli).  [default: {','.join(DEFAULT_LEXICAL_TRIGGERS)}]")
 def split(corpus_path, task_name, out_dir, positions, triggers):
     """Partition a corpus into biased / non-biased subsets with evidence, by
     the task's bias kind: relative position (cqa, cqg), lead (sum, kgc) or lexical (nli)."""
     task = _task(task_name)
+    kind = BIAS_BY_TASK[task]
+    # Each option is read by one bias kind only, as parse_config reads its keys.
+    for option, value, reader in (("--positions", positions, BiasKind.RELATIVE_POSITION), ("--triggers", triggers, BiasKind.LEXICAL)):
+        if value is not None and reader != kind:
+            _fail(f"split: {option} is not read by a {task.value} split (bias kind {kind.value})")
+    options = {}
+    if positions is not None:
+        options["positions"] = _positions(positions)
+    if triggers is not None:
+        options["triggers"] = tuple(t.strip() for t in triggers.split(",") if t.strip())
     try:
         corpus = load_corpus(corpus_path, task)
-        partition = split_corpus(corpus, _positions(positions), tuple(t.strip() for t in triggers.split(",") if t.strip()))
+        partition = split_corpus(corpus, **options)
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
     out = Path(out_dir)
@@ -95,7 +105,7 @@ def split(corpus_path, task_name, out_dir, positions, triggers):
 @click.option("--n-per-prompt", default=DEFAULT_N_PER_PROMPT, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--max-tokens", default=16, show_default=True, type=click.IntRange(min=1))
-@click.option("--max-in-flight", default=1, show_default=True, type=int)
+@click.option("--max-in-flight", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--strategy", default=None, type=click.Choice([s.value for s in PromptStrategy]))
 @click.option("--record", "record_path", default=None, type=click.Path(dir_okay=False), help="Record raw backend traffic to this JSONL file.")
 def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tokens, max_in_flight, strategy, record_path):

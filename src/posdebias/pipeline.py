@@ -56,17 +56,19 @@ from .msa_align import (
     gate_statistic,
 )
 from .objective import LossConfig
-from .records import write_aligned, write_candidates, write_eval, write_trace
+from .records import write_aligned, write_candidates, write_epochs, write_eval
 from .report import SystemEval
 from .toy_model import (
     METRICS,
     SynthSpec,
     ToyModel,
+    TrainJob,
     build_lowbias_table,
     evaluate,
     save_model,
     synth_corpus,
-    train,
+    train,  # not called here; perfbench's tracer rebinds ``pipeline.train``
+    train_lockstep,
 )
 
 
@@ -75,8 +77,9 @@ class PipelineError(RuntimeError):
 
 
 #: Keys some runs never read: toy mode's training keys (data mode), the
-#: candidate keys (a data-mode nli run, which only splits and reports) and
-#: the split parameter of each bias kind (a task split by another kind).
+#: candidate keys (a data-mode nli run, which only splits and reports), the
+#: split parameter of each bias kind (a task split by another kind), and in
+#: toy mode ``max_tokens`` on the table backend, ``garbage_rate`` off it.
 _TOY_ONLY_KEYS = ("seeds", "systems", "alphas", "train_sizes", "epochs", "learning_rate", "clip_norm", "garbage_rate", "metric")
 _CANDIDATE_KEYS = ("n_per_prompt", "max_tokens", "backend", "align")
 _SPLIT_KEYS = {BiasKind.RELATIVE_POSITION: "biased_positions", BiasKind.LEXICAL: "triggers"}
@@ -244,9 +247,15 @@ def parse_config(raw: dict) -> PipelineConfig:
     unread = [key for other, key in _SPLIT_KEYS.items() if other != kind]
     if "corpus" in raw:
         unread += _TOY_ONLY_KEYS + (_CANDIDATE_KEYS if task == Task.NLI else ())
+        run = f"data-mode {task.value} run"
+    else:
+        backend = raw.get("backend", "table")
+        # Table candidates have no length, and garbage_rate only shapes the table.
+        unread.append("max_tokens" if backend == "table" else "garbage_rate")
+        run = f"toy {task.value} run on backend {backend!r}"
     unread = [key for key in unread if key in raw]
     if unread:
-        raise ValueError(f"config: keys {unread} are not read by a {'toy' if 'synth' in raw else 'data-mode'} {task.value} run")
+        raise ValueError(f"config: keys {unread} are not read by a {run}")
     if "corpus" in raw and raw.get("backend") == "table":
         raise ValueError("config: backend 'table' needs a synth corpus; data mode takes table:FILE")
     if raw.get("train_sizes") and len(raw.get("alphas", [0.2])) > 1:
@@ -564,18 +573,19 @@ def _sweep_points(config: PipelineConfig) -> list[dict]:
     return points
 
 
-#: The train stage's jobs in a forked pool worker, set by ``_set_train_jobs``.
-_train_jobs: list[tuple] = []
+#: The train stage's config, output directory and (sweep point, seed, data)
+#: jobs in a forked pool worker, set by ``_set_train_jobs``.
+_train_jobs: tuple = ()
 
 
-def _set_train_jobs(jobs: list[tuple]) -> None:
+def _set_train_jobs(config: PipelineConfig, out_dir: Path, jobs: list[tuple]) -> None:
     global _train_jobs
-    _train_jobs = jobs
+    _train_jobs = (config, out_dir, jobs)
 
 
-def _train_job(index: int) -> tuple[ToyModel, list[Path]]:
-    """Train one (sweep point, seed) job and write its run directory."""
-    config, out_dir, point, seed, data = _train_jobs[index]
+def _train_job(config: PipelineConfig, point: dict, seed: int, data: dict) -> TrainJob:
+    """One (sweep point, seed) job: the seed's train corpus, cut to the point's
+    size and position-perturbed for ``rp``, with aligned responses for ``zoe``."""
     train_corpus: Corpus = data["train"]
     if point["size"] is not None:
         train_corpus = Corpus(train_corpus.samples[: point["size"]], config.task)
@@ -585,58 +595,89 @@ def _train_job(index: int) -> tuple[ToyModel, list[Path]]:
             for i, s in enumerate(train_corpus)
         )
         train_corpus = Corpus(perturbed, config.task)
-    trained, trace = train(
+    return TrainJob(
         ToyModel.initialize(config.synth.vocab_size, seed=seed),
         train_corpus,
         aligned=data["aligned"] if point["system"] == "zoe" else None,
         config=LossConfig(alpha=point["alpha"]),
+        seed=seed,
+    )
+
+
+def _train_group(group: list[int]) -> list[tuple[ToyModel, list[Path]]]:
+    """Train one lockstep group of jobs and write each job's run directory."""
+    config, out_dir, jobs = _train_jobs
+    runs = train_lockstep(
+        [_train_job(config, *jobs[i]) for i in group],
         epochs=config.epochs,
         learning_rate=config.learning_rate,
-        seed=seed,
         clip_norm=config.clip_norm,
     )
-    run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
-    paths = [save_model(trained, run_dir / "model.json"), write_trace(trace, run_dir / "trace.jsonl")]
-    return trained, paths
+    results = []
+    for i, run in zip(group, runs):
+        point, seed, _ = jobs[i]
+        run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
+        paths = [save_model(run.model, run_dir / "model.json"), write_epochs(run.epoch_summaries(), run_dir / "epochs.jsonl")]
+        results.append((run.model, paths))
+    return results
+
+
+def _lockstep_groups(sizes: Sequence[int], n_groups: int) -> list[list[int]]:
+    """Job indices in lockstep groups: the jobs whose corpora have one size
+    (so one step count), in job order, cut into chunks of at most
+    ``ceil(len(sizes) / n_groups)`` jobs."""
+    per_group = -(-len(sizes) // n_groups)
+    by_size: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(i)
+    return [
+        indices[start : start + per_group]
+        for indices in by_size.values()
+        for start in range(0, len(indices), per_group)
+    ]
 
 
 def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     """Train every (sweep point, seed) job on a forked process pool.
 
-    Workers inherit the job list at fork (the pipeline holds no thread of
-    its own by then), so nothing but job indices and trained models crosses
-    a process boundary, and each worker writes its own run directory. Jobs
-    with aligned responses (the slowest) go first; results are kept in
-    sweep-point x seed order, so every artifact matches a serial run. The
-    first failure cancels the jobs not yet started.
+    The jobs are cut into one lockstep group per worker (see
+    ``_lockstep_groups``), and each worker advances its group's jobs
+    together, one batched SGD step at a time. Workers inherit the job list
+    at fork (the pipeline holds no thread of its own by then), so nothing
+    but job indices and trained models crosses a process boundary, and each
+    worker writes its jobs' run directories. The first failure cancels the
+    groups not yet started; the stage then raises the error of the first
+    failed job in sweep order.
     """
     # Imported here: a module-level import slows every ``posdebias`` start-up.
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
-    jobs = [
-        (config, out_dir, point, seed, data)
-        for point in _sweep_points(config)
-        for seed, data in state["data"].items()
-    ]
-    dispatch = sorted(range(len(jobs)), key=lambda i: jobs[i][2]["system"] != "zoe")
+    jobs = [(point, seed, data) for point in _sweep_points(config) for seed, data in state["data"].items()]
+    sizes = [point["size"] or len(data["train"]) for point, _, data in jobs]
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    groups = _lockstep_groups(sizes, workers)
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_set_train_jobs,
-        initargs=(jobs,),
+        initargs=(config, out_dir, jobs),
     ) as pool:
-        futures = {i: pool.submit(_train_job, i) for i in dispatch}
-        wait(futures.values(), return_when=FIRST_EXCEPTION)
+        futures = [pool.submit(_train_group, group) for group in groups]
+        wait(futures, return_when=FIRST_EXCEPTION)
         pool.shutdown(cancel_futures=True)
-    # In sweep order: a failure raises the error of the first failed job that ran.
-    results = [futures[i].result() for i in range(len(jobs)) if not futures[i].cancelled()]
+    errors = [(group, future.exception()) for group, future in zip(groups, futures) if not future.cancelled()]
+    # A diverged group names its job; any other error counts as its first job's.
+    failed = [(group[getattr(exc, "job", 0)], exc) for group, exc in errors if exc is not None]
+    if failed:
+        raise min(failed, key=operator.itemgetter(0))[1]
     state["models"] = {}
     artifacts = []
-    for (_, _, point, seed, _), (trained, paths) in zip(jobs, results):
-        state["models"][(point["label"], seed)] = trained
-        artifacts += paths
+    for group, future in zip(groups, futures):
+        for i, (trained, paths) in zip(group, future.result()):
+            point, seed, _ = jobs[i]
+            state["models"][(point["label"], seed)] = trained
+            artifacts += paths
     return artifacts
 
 

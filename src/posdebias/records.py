@@ -1,12 +1,14 @@
 """JSONL and JSON record formats shared by ``posdebias run`` and the CLI verbs.
 
 One encoder and one decoder per artifact kind: low-bias candidates,
-aligned verdicts, training traces, and eval entries (the JSON form of a
-``report.SystemEval``). Writers emit records in the order given; readers
-name the file and line of the first bad record.
+aligned verdicts, per-step training traces, per-epoch training summaries,
+and eval entries (the JSON form of a ``report.SystemEval``). Writers emit
+records in the order given; readers name the file and line of the first
+bad record.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -16,7 +18,7 @@ from .corpus import write_jsonl
 from .metrics import PositionRow
 from .msa_align import AlignedResponse, RejectionReason
 from .report import SystemEval
-from .toy_model import TraceEntry
+from .toy_model import EpochSummary, TraceEntry
 
 
 def _read_jsonl(path: str | Path, decode) -> Iterator[tuple[int, object]]:
@@ -129,6 +131,12 @@ def write_trace(trace: Iterable[TraceEntry], path: str | Path) -> Path:
         ),
         path,
     )
+
+
+def write_epochs(summaries: Iterable[EpochSummary], path: str | Path) -> Path:
+    """Epochs JSONL: one line per epoch with its mean loss terms, mean and
+    max gradient norm and clip fraction (the ``EpochSummary`` fields)."""
+    return write_jsonl((dataclasses.asdict(e) for e in summaries), path)
 
 
 def write_eval(ev: SystemEval, path: str | Path, **extra) -> Path:

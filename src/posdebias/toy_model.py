@@ -52,7 +52,13 @@ DEFAULT_WINDOW_SCALE = 2.0
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the loss stops being finite; names the offending step."""
+    """Raised when the loss stops being finite; names the offending step and
+    sample. ``job`` is the diverged job's index among those trained in
+    lockstep."""
+
+    def __init__(self, message: str, job: int = 0) -> None:
+        super().__init__(message)
+        self.job = job
 
 
 @dataclass(frozen=True)
@@ -266,26 +272,6 @@ def context_features(model: ToyModel, sample: Sample) -> np.ndarray:
     return feats
 
 
-def _sequence_features(
-    model: ToyModel, base: np.ndarray, tokens: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step feature matrix and target-id vector for a token sequence."""
-    v = len(model.vocabulary)
-    phi = np.tile(base, (len(tokens), 1))
-    prev = BOS
-    targets = np.empty(len(tokens), dtype=np.int64)
-    for step, token in enumerate(tokens):
-        phi[step, 2 * v + model.token_id(prev)] = 1.0
-        targets[step] = model.token_id(token)
-        prev = token
-    return phi, targets
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def generate_response(model: ToyModel, sample: Sample, max_len: int = 8) -> str:
     """Greedy decode until the end token or ``max_len`` tokens."""
     v = len(model.vocabulary)
@@ -318,22 +304,52 @@ class TraceEntry:
 
 
 @dataclass(frozen=True)
+class EpochSummary:
+    """One epoch of one job: mean loss terms over its steps (``l_align`` over
+    the steps that had one, ``None`` when none did), the mean and max gradient
+    norm before clipping, and the fraction of steps whose gradient was clipped."""
+
+    epoch: int
+    l_target: float
+    l_align: float | None
+    combined: float
+    grad_norm_mean: float
+    grad_norm_max: float
+    clip_fraction: float
+
+
+@dataclass(frozen=True)
 class _StackedSequences:
     """One sample's target and kept aligned sequences as a single row block.
 
-    ``phi`` holds only the ``active`` feature columns (those non-zero on some
-    row), so a step reads and updates just ``weights[active]``. The first
-    ``n_target`` rows are the target sequence, weighted ``w_target``; the
-    rest are the ``k`` aligned sequences, each row weighted ``w_align / k``.
+    The block lives on its ``active`` feature columns (those non-zero on some
+    row). Every row holds the context features ``base`` on those columns plus
+    a one-hot previous-token feature at column ``prev[row]``. The first
+    ``n_target`` rows are the target sequence. A row's three ``masks``
+    weights add its negative log-probability into the target loss, the mean
+    aligned loss and the combined loss: ``(1, 0, w_target)`` on target rows,
+    ``(0, 1/k, w_align/k)`` on the rows of the ``k`` aligned sequences.
     """
 
-    phi: np.ndarray
     active: np.ndarray
+    base: np.ndarray
+    prev: np.ndarray
     targets: np.ndarray
-    rows: np.ndarray
-    row_weight: np.ndarray
+    masks: np.ndarray
     n_target: int
-    k: int
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Row features on the active columns."""
+        phi = np.tile(self.base, (len(self.targets), 1))
+        phi[np.arange(len(self.targets)), self.prev] = 1.0
+        return phi
+
+    def as_batch(self, vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``phi``, flat target indices and ``masks`` of a batch of this one
+        block, as ``_stacked_loss_and_grad`` takes them."""
+        flat_targets = np.arange(len(self.targets)) * vocab_size + self.targets
+        return self.phi[None], flat_targets[None], self.masks[None]
 
 
 def _stack_sequences(
@@ -346,46 +362,252 @@ def _stack_sequences(
     """Stack a target token list and aligned token lists into one block."""
     k = len(align_tokens)
     w_target, w_align = loss_term_weights(config, align_present=k > 0)
-    blocks = [_sequence_features(model, base, tokens) for tokens in (target_tokens, *align_tokens)]
-    phi = np.concatenate([block_phi for block_phi, _ in blocks])
-    targets = np.concatenate([block_ids for _, block_ids in blocks])
-    row_weight = np.full((len(targets), 1), w_align / k if k else 0.0)
-    row_weight[: len(target_tokens)] = w_target
-    active = np.flatnonzero(phi.any(axis=0))
+    prev_offset, bos = 2 * len(model.vocabulary), model.token_id(BOS)
+    prev_cols: list[int] = []
+    targets: list[int] = []
+    masks: list[tuple[float, float, float]] = []
+    sequences = [(target_tokens, (1.0, 0.0, w_target))]
+    sequences += [(tokens, (0.0, 1.0 / k, w_align / k)) for tokens in align_tokens]
+    for tokens, mask in sequences:
+        prev = bos
+        for token in tokens:
+            prev_cols.append(prev_offset + prev)
+            prev = model.token_id(token)
+            targets.append(prev)
+        masks += [mask] * len(tokens)
+    base_cols = np.flatnonzero(base).tolist()
+    active = sorted({*base_cols, *prev_cols})
+    column = {col: i for i, col in enumerate(active)}
     return _StackedSequences(
-        phi[:, active], active, targets, np.arange(len(targets)), row_weight, len(target_tokens), k
+        np.array(active, dtype=np.intp),
+        base[active],
+        np.array([column[col] for col in prev_cols], dtype=np.intp),
+        np.array(targets, dtype=np.intp),
+        np.array(masks, dtype=np.float64).reshape(-1, 3),
+        len(target_tokens),
     )
 
 
 def _stacked_loss_and_grad(
-    weights: np.ndarray, seqs: _StackedSequences
-) -> tuple[float, float | None, np.ndarray]:
-    """Target NLL, mean aligned NLL (``None`` when ``k == 0``) and the gradient
-    of their weighted sum with respect to ``weights[seqs.active]``."""
-    logp = _log_softmax(seqs.phi @ weights.take(seqs.active, axis=0))
-    picked = logp[seqs.rows, seqs.targets]
-    l_target = -float(picked[: seqs.n_target].sum())
-    l_align = -float(picked[seqs.n_target :].sum()) / seqs.k if seqs.k else None
-    delta = np.exp(logp)
-    delta[seqs.rows, seqs.targets] -= 1.0
-    delta *= seqs.row_weight
-    return l_target, l_align, seqs.phi.T @ delta
+    weights: np.ndarray, phi: np.ndarray, targets: np.ndarray, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loss terms of J blocks and the gradient of their combined losses.
+
+    ``weights`` (J, A, V) holds each block's weight rows at its active
+    columns, ``phi`` (J, R, A) its row features, ``targets`` (J, R) the index
+    of each row's target in the flattened (J, R, V) logits and ``masks``
+    (J, R, 3) its row weights. Returns the (J, 3) target, mean aligned and
+    combined losses, and the (J, A, V) gradient of the combined losses.
+    """
+    shifted = phi @ weights
+    shifted -= shifted.max(axis=2, keepdims=True)
+    delta = np.exp(shifted)
+    total = delta.sum(axis=2)
+    logp = shifted.take(targets) - np.log(total)
+    losses = -(logp[:, None, :] @ masks)[:, 0]
+    # delta = (softmax - one-hot target) times each row's combined-loss weight.
+    delta *= (masks[:, :, 2] / total)[:, :, None]
+    delta.reshape(-1)[targets] -= masks[:, :, 2]
+    return losses, phi.transpose(0, 2, 1) @ delta
 
 
-def _encode_training_sequences(
-    model: ToyModel,
-    corpus: Corpus,
-    aligned: Mapping[str, Sequence[AlignedResponse]] | None,
-    config: LossConfig,
-) -> dict[str, _StackedSequences]:
-    encoded: dict[str, _StackedSequences] = {}
-    for sample in corpus:
-        responses = (aligned or {}).get(sample.id, ()) if config.alpha > 0.0 else ()
-        kept = [response.text.split() + [EOS] for response in responses if response.kept]
-        encoded[sample.id] = _stack_sequences(
-            model, context_features(model, sample), sample.target.split() + [EOS], kept, config
+@dataclass(frozen=True)
+class TrainJob:
+    """One model to train: start weights, corpus, aligned responses (read
+    when ``config.alpha > 0``) and the seed of its epoch shuffles."""
+
+    model: ToyModel
+    corpus: Corpus
+    aligned: Mapping[str, Sequence[AlignedResponse]] | None = None
+    config: LossConfig = LossConfig(alpha=0.0)
+    seed: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class TrainingRun:
+    """A trained job and its steps. ``order`` holds the index into
+    ``sample_ids`` (the corpus order) of the sample each step trained on,
+    ``losses`` the step's target, mean aligned (NaN when the sample had no
+    kept aligned response) and combined losses, ``grad_norms`` its gradient
+    norm before clipping."""
+
+    model: ToyModel
+    sample_ids: tuple[str, ...]
+    order: np.ndarray
+    losses: np.ndarray
+    grad_norms: np.ndarray
+    clip_norm: float
+
+    def epoch_summaries(self) -> list[EpochSummary]:
+        """One summary per epoch of the steps."""
+        n = len(self.sample_ids)
+        summaries = []
+        for epoch in range(len(self.order) // n if n else 0):
+            losses = self.losses[epoch * n : (epoch + 1) * n]
+            norms = self.grad_norms[epoch * n : (epoch + 1) * n]
+            aligned = losses[~np.isnan(losses[:, 1]), 1]
+            summaries.append(
+                EpochSummary(
+                    epoch,
+                    float(losses[:, 0].mean()),
+                    float(aligned.mean()) if len(aligned) else None,
+                    float(losses[:, 2].mean()),
+                    float(norms.mean()),
+                    float(norms.max()),
+                    float((norms > self.clip_norm).mean()),
+                )
+            )
+        return summaries
+
+
+@dataclass(frozen=True)
+class _LockstepBatch:
+    """Every job's blocks padded to R rows and A active columns, one entry per
+    (job, sample) at index ``job * N + sample``.
+
+    ``rows`` are flat weight-row indices into the jobs' stacked weights (a
+    padded column points at its job's spare all-zero row), ``base`` the
+    context features on them; ``onehot`` and ``targets`` are each row's flat
+    index into a (J, R, A) feature and a (J, R, V) logit array. Padded rows
+    have all-zero ``masks``, so they add nothing to a loss or gradient.
+    """
+
+    rows: np.ndarray
+    base: np.ndarray
+    onehot: np.ndarray
+    targets: np.ndarray
+    masks: np.ndarray
+    aligned: np.ndarray
+
+
+def _job_sequences(job: TrainJob, sample: Sample) -> list[list[str]]:
+    """A sample's target token list, then those of its kept aligned responses."""
+    responses = (job.aligned or {}).get(sample.id, ()) if job.config.alpha > 0.0 else ()
+    return [sample.target.split() + [EOS]] + [r.text.split() + [EOS] for r in responses if r.kept]
+
+
+def _pack_jobs(jobs: Sequence[TrainJob], n_rows: int) -> _LockstepBatch:
+    """Encode every job's samples into one padded batch, one sample at a time.
+
+    A first pass sizes the batch: a block has a row per token and an active
+    column per non-zero context feature and per distinct previous token (the
+    context features leave the previous-token block zero). It keeps only
+    each sample's non-zero context features, so no job's blocks are ever
+    held beside the batch.
+    """
+    contexts, r, a = [], 0, 0
+    for job in jobs:
+        for sample in job.corpus:
+            base = context_features(job.model, sample)
+            cols = np.flatnonzero(base)
+            contexts.append((cols, base[cols]))
+            sequences = _job_sequences(job, sample)
+            prevs = {BOS}.union(*(tokens[:-1] for tokens in sequences))
+            r = max(r, sum(map(len, sequences)))
+            a = max(a, len(cols) + len(prevs))
+    n_samples, (n_features, v) = len(jobs[0].corpus), jobs[0].model.weights.shape
+    job_of = np.repeat(np.arange(len(jobs)), n_samples)[:, None]
+    row_starts = job_of * r + np.arange(r)
+    batch = _LockstepBatch(
+        rows=np.repeat(job_of * n_rows + n_rows - 1, a, axis=1),
+        base=np.zeros((len(job_of), a)),
+        onehot=row_starts * a,
+        targets=row_starts * v,
+        masks=np.zeros((len(job_of), r, 3)),
+        aligned=np.zeros(len(job_of), dtype=bool),
+    )
+    samples = ((j, job, sample) for j, job in enumerate(jobs) for sample in job.corpus)
+    for s, ((j, job, sample), (cols, values)) in enumerate(zip(samples, contexts)):
+        base = np.zeros(n_features)
+        base[cols] = values
+        sequences = _job_sequences(job, sample)
+        b = _stack_sequences(job.model, base, sequences[0], sequences[1:], job.config)
+        n_active, n_block_rows = len(b.active), len(b.targets)
+        batch.rows[s, :n_active] = j * n_rows + b.active
+        batch.base[s, :n_active] = b.base
+        batch.onehot[s, :n_block_rows] += b.prev
+        batch.targets[s, :n_block_rows] += b.targets
+        batch.masks[s, :n_block_rows] = b.masks
+        batch.aligned[s] = len(sequences) > 1
+    return batch
+
+
+def train_lockstep(
+    jobs: Sequence[TrainJob],
+    epochs: int = 10,
+    learning_rate: float = 0.1,
+    clip_norm: float = 1.0,
+) -> list[TrainingRun]:
+    """Gradient descent on the combined loss for several jobs at once.
+
+    Each job makes one update per sample per epoch, in an order reshuffled
+    each epoch under its own seed; each update's gradient is clipped to
+    ``clip_norm`` (Frobenius). Samples without kept aligned responses train
+    on the target loss alone. One batched step advances every job, so the
+    jobs must have corpora of one size; a job's updates are the ones it
+    would make trained alone, up to float summation order. At the first
+    step where any job's loss is not finite, the ``TrainingDivergedError``
+    of the first such job in ``jobs`` order is raised.
+    """
+    if learning_rate < 0:
+        raise ValueError(f"train: negative learning_rate {learning_rate}")
+    if epochs < 0:
+        raise ValueError(f"train: negative epochs {epochs}")
+    if clip_norm <= 0:
+        raise ValueError(f"train: clip_norm must be positive, got {clip_norm}")
+    if not jobs:
+        return []
+    if len({len(job.corpus) for job in jobs}) > 1 or len({job.model.weights.shape for job in jobs}) > 1:
+        raise ValueError("train_lockstep: jobs need corpora of one size and models of one shape")
+    n_jobs, n_samples = len(jobs), len(jobs[0].corpus)
+    n_features, v = jobs[0].model.weights.shape
+    n_rows = n_features + 1  # each job's weights plus its spare all-zero row
+    batch = _pack_jobs(jobs, n_rows)
+    weights = np.zeros((n_jobs * n_rows, v))
+    for j, job in enumerate(jobs):
+        weights[j * n_rows : j * n_rows + n_features] = job.model.weights
+
+    orders = [list(range(n_samples)) for _ in jobs]
+    rngs = [random.Random(job.seed) for job in jobs]
+    order = np.empty((epochs * n_samples, n_jobs), dtype=np.intp)
+    losses = np.empty((len(order), n_jobs, 3))
+    grad_norms = np.empty((len(order), n_jobs))
+    phi = np.empty((n_jobs, batch.onehot.shape[1], batch.base.shape[1]))
+    phi_flat = phi.reshape(-1)
+    for epoch in range(epochs):
+        start = epoch * n_samples
+        epoch_order = order[start : start + n_samples]
+        for j, rng in enumerate(rngs):
+            rng.shuffle(orders[j])
+            epoch_order[:, j] = orders[j]
+        for step, entry in enumerate(epoch_order + np.arange(n_jobs) * n_samples, start=start):
+            rows = batch.rows[entry]
+            active_weights = weights[rows]
+            phi[...] = batch.base[entry][:, None, :]
+            phi_flat[batch.onehot[entry]] = 1.0
+            step_losses, grad = _stacked_loss_and_grad(active_weights, phi, batch.targets[entry], batch.masks[entry])
+            if not np.isfinite(step_losses).all():
+                j = int(np.argmin(np.isfinite(step_losses).all(axis=1)))
+                sample_id = jobs[j].corpus.samples[order[step, j]].id
+                raise TrainingDivergedError(f"non-finite loss at step {step} (sample {sample_id!r})", job=j)
+            norm = np.sqrt(np.einsum("jav,jav->j", grad, grad))
+            grad *= (learning_rate * (clip_norm / np.maximum(norm, clip_norm)))[:, None, None]
+            active_weights -= grad
+            weights[rows] = active_weights
+            losses[step] = step_losses
+            grad_norms[step] = norm
+    losses[~batch.aligned[order + np.arange(n_jobs) * n_samples], 1] = np.nan
+    return [
+        TrainingRun(
+            replace(job.model, weights=weights[j * n_rows : j * n_rows + n_features].copy()),
+            tuple(s.id for s in job.corpus),
+            order[:, j],
+            losses[:, j],
+            grad_norms[:, j],
+            clip_norm,
         )
-    return encoded
+        for j, job in enumerate(jobs)
+    ]
 
 
 def train(
@@ -398,43 +620,19 @@ def train(
     seed: int = 0,
     clip_norm: float = 1.0,
 ) -> tuple[ToyModel, list[TraceEntry]]:
-    """Gradient descent on the combined loss.
-
-    One update per sample per epoch, in an order reshuffled each epoch under
-    ``seed``; each update's gradient is clipped to ``clip_norm`` (Frobenius).
-    Samples without kept aligned responses train on the target loss alone.
-    """
-    if learning_rate < 0:
-        raise ValueError(f"train: negative learning_rate {learning_rate}")
-    if epochs < 0:
-        raise ValueError(f"train: negative epochs {epochs}")
-    if clip_norm <= 0:
-        raise ValueError(f"train: clip_norm must be positive, got {clip_norm}")
-    encoded = _encode_training_sequences(model, corpus, aligned, config)
-    weights = model.weights.copy()
-    rng = random.Random(seed)
-    order = [s.id for s in corpus]
-    trace: list[TraceEntry] = []
-    step = 0
-    for epoch in range(epochs):
-        rng.shuffle(order)
-        for sample_id in order:
-            seqs = encoded[sample_id]
-            l_target, l_align, grad = _stacked_loss_and_grad(weights, seqs)
-            if not math.isfinite(l_target) or (l_align is not None and not math.isfinite(l_align)):
-                raise TrainingDivergedError(
-                    f"non-finite loss at step {step} (sample {sample_id!r})"
-                )
-            breakdown = combined_loss(l_target, l_align, config)
-            norm = float(np.linalg.norm(grad))
-            if norm > clip_norm:
-                grad = grad * (clip_norm / norm)
-            weights[seqs.active] -= learning_rate * grad
-            trace.append(
-                TraceEntry(step, epoch, sample_id, breakdown.l_target, breakdown.l_align, breakdown.combined)
+    """``train_lockstep`` with one job; returns the model and one trace entry
+    per step."""
+    (run,) = train_lockstep([TrainJob(model, corpus, aligned, config, seed)], epochs, learning_rate, clip_norm)
+    trace = []
+    for step, (index, (l_target, l_align, _)) in enumerate(zip(run.order.tolist(), run.losses.tolist())):
+        breakdown = combined_loss(l_target, None if math.isnan(l_align) else l_align, config)
+        trace.append(
+            TraceEntry(
+                step, step // len(corpus), run.sample_ids[index],
+                breakdown.l_target, breakdown.l_align, breakdown.combined,
             )
-            step += 1
-    return replace(model, weights=weights), trace
+        )
+    return run.model, trace
 
 
 #: Evaluation metrics ``evaluate`` accepts.
@@ -479,12 +677,14 @@ def finite_diff_check(
         config,
     )
 
-    def loss_of(weights: np.ndarray) -> float:
-        l_target, l_align, _ = _stacked_loss_and_grad(weights, seqs)
-        return combined_loss(l_target, l_align, config).combined
+    batch = seqs.as_batch(model.weights.shape[1])
+
+    def loss_and_grad(weights: np.ndarray) -> tuple[float, np.ndarray]:
+        losses, grad = _stacked_loss_and_grad(weights[seqs.active][None], *batch)
+        return float(losses[0, 2]), grad[0]
 
     analytic = np.zeros_like(model.weights)
-    analytic[seqs.active] = _stacked_loss_and_grad(model.weights, seqs)[2]
+    analytic[seqs.active] = loss_and_grad(model.weights)[1]
 
     rng = np.random.default_rng(seed)
     n_cols = model.weights.shape[1]
@@ -498,7 +698,7 @@ def finite_diff_check(
         plus[row, col] += epsilon
         minus = model.weights.copy()
         minus[row, col] -= epsilon
-        numeric = (loss_of(plus) - loss_of(minus)) / (2 * epsilon)
+        numeric = (loss_and_grad(plus)[0] - loss_and_grad(minus)[0]) / (2 * epsilon)
         ana = float(analytic[row, col])
         rel = abs(numeric - ana) / max(1.0, abs(numeric), abs(ana))
         worst = max(worst, rel)

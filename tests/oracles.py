@@ -73,6 +73,20 @@ def ground_oracle(response_tokens: tuple[str, ...], utterance_tokens: list[tuple
     return best_index
 
 
+def sequence_features(model, base: np.ndarray, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """Dense per-step features of one token sequence (the context features
+    ``base`` plus a previous-token one-hot) and its target ids."""
+    v = len(model.vocabulary)
+    phi = np.tile(base, (len(tokens), 1))
+    targets = np.empty(len(tokens), dtype=np.int64)
+    prev = "<bos>"
+    for step, token in enumerate(tokens):
+        phi[step, 2 * v + model.token_id(prev)] = 1.0
+        targets[step] = model.token_id(token)
+        prev = token
+    return phi, targets
+
+
 def sequence_loss_and_grad(
     weights: np.ndarray, phi: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:

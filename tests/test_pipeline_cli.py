@@ -3,8 +3,10 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
 import tempfile
 from pathlib import Path
+from statistics import mean
 
 import numpy as np
 import pytest
@@ -25,20 +27,23 @@ from posdebias.pipeline import (
     CONFIG_SCHEMA,
     PipelineConfig,
     PipelineError,
+    _lockstep_groups,
     align_corpus,
     infer_corpus,
     parse_config,
     run_pipeline,
 )
-from posdebias.records import load_aligned, write_aligned, write_candidates, write_trace
+from posdebias.records import load_aligned, write_aligned, write_candidates, write_epochs
 from posdebias.toy_model import (
     SynthSpec,
     ToyModel,
     TrainingDivergedError,
+    TrainJob,
     build_lowbias_table,
     save_model,
     synth_corpus,
     train,
+    train_lockstep,
 )
 
 TOY_RAW = {
@@ -125,6 +130,8 @@ class TestParseConfig:
             ({"corpus": "c.jsonl", "task": "nli", "max_tokens": 4}, "max_tokens"),
             ({"corpus": "c.jsonl", "task": "nli", "backend": "markov"}, "backend"),
             ({"corpus": "c.jsonl", "task": "nli", "align": {}}, "align"),
+            ({"synth": {}, "max_tokens": 16}, "max_tokens"),
+            ({"synth": {}, "backend": "markov", "garbage_rate": 0.25}, "garbage_rate"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
@@ -137,6 +144,7 @@ class TestParseConfig:
             "data-mode-epochs", "data-mode-learning-rate", "data-mode-clip-norm", "data-mode-garbage-rate",
             "data-mode-metric", "triggers-in-toy", "triggers-on-sum", "biased-positions-on-sum",
             "biased-positions-on-nli", "nli-n-per-prompt", "nli-max-tokens", "nli-backend", "nli-align",
+            "toy-table-max-tokens", "toy-markov-garbage-rate",
         ],
     )
     def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
@@ -354,26 +362,41 @@ class TestParallelTrain:
     def test_run_artifacts_match_in_process_training_for_unordered_seeds(self, tmp_path):
         out_dir = tmp_path / "out"
         run_toy(out_dir, seeds=[1, 0], systems=["ft", "zoe"], epochs=3)
-        for seed in (1, 0):
-            train_c = load_corpus(out_dir / "data" / f"seed{seed}" / "train.jsonl", Task.CQA)
-            aligned = load_aligned(out_dir / "align" / f"seed{seed}" / "aligned.jsonl")
-            for system in ("ft", "zoe"):
-                model, trace = train(
-                    ToyModel.initialize(12, seed=seed),
-                    train_c,
-                    aligned=aligned if system == "zoe" else None,
-                    config=LossConfig(alpha=0.2 if system == "zoe" else 0.0),
-                    epochs=3,
-                    learning_rate=0.5,
-                    seed=seed,
-                    clip_norm=1.0,
-                )
+        data = {
+            seed: (
+                load_corpus(out_dir / "data" / f"seed{seed}" / "train.jsonl", Task.CQA),
+                load_aligned(out_dir / "align" / f"seed{seed}" / "aligned.jsonl"),
+            )
+            for seed in (1, 0)
+        }
+        jobs = [(system, seed) for system in ("ft", "zoe") for seed in (1, 0)]
+        groups = _lockstep_groups([12] * len(jobs), min(len(jobs), len(os.sched_getaffinity(0))))
+        assert sorted(i for group in groups for i in group) == list(range(len(jobs)))
+        for group in groups:
+            runs = train_lockstep(
+                [
+                    TrainJob(
+                        ToyModel.initialize(12, seed=seed),
+                        data[seed][0],
+                        aligned=data[seed][1] if system == "zoe" else None,
+                        config=LossConfig(alpha=0.2 if system == "zoe" else 0.0),
+                        seed=seed,
+                    )
+                    for system, seed in (jobs[i] for i in group)
+                ],
+                epochs=3,
+                learning_rate=0.5,
+                clip_norm=1.0,
+            )
+            for i, run in zip(group, runs):
+                system, seed = jobs[i]
                 run_dir = out_dir / "runs" / system / f"seed{seed}"
                 direct = tmp_path / "direct" / system / f"seed{seed}"
-                expected_model = save_model(model, direct / "model.json").read_bytes()
-                expected_trace = write_trace(trace, direct / "trace.jsonl").read_bytes()
+                expected_model = save_model(run.model, direct / "model.json").read_bytes()
+                expected_epochs = write_epochs(run.epoch_summaries(), direct / "epochs.jsonl").read_bytes()
                 assert (run_dir / "model.json").read_bytes() == expected_model
-                assert (run_dir / "trace.jsonl").read_bytes() == expected_trace
+                assert (run_dir / "epochs.jsonl").read_bytes() == expected_epochs
+                assert sorted(p.name for p in run_dir.iterdir()) == ["epochs.jsonl", "model.json"]
 
     def test_diverging_job_fails_train_with_its_own_error_and_leaves_no_worker(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -393,6 +416,48 @@ class TestParallelTrain:
         assert by_stage["train"]["status"] == "failed"
         assert by_stage["train"]["error"] == str(serial.value)
         assert "eval" not in by_stage
+
+
+class TestEpochSummaries:
+    """``runs/<label>/seed<N>/epochs.jsonl`` against the per-step trace of
+    ``train-toy --trace`` on the same job."""
+
+    def test_epoch_means_match_the_per_step_trace(self, runner, tmp_path):
+        out_dir = tmp_path / "out"
+        run_toy(out_dir, seeds=[0], systems=["ft", "zoe"], epochs=3)
+        for system in ("ft", "zoe"):
+            epochs_file = out_dir / "runs" / system / "seed0" / "epochs.jsonl"
+            summaries = [json.loads(line) for line in epochs_file.read_text().splitlines()]
+            assert [s["epoch"] for s in summaries] == [0, 1, 2]
+            trace_file = tmp_path / f"{system}-trace.jsonl"
+            args = [
+                "train-toy", "--train", str(out_dir / "data" / "seed0" / "train.jsonl"), "--vocab-size", "12",
+                "--epochs", "3", "--learning-rate", "0.5", "--seed", "0",
+                "--out", str(tmp_path / f"{system}.json"), "--trace", str(trace_file),
+            ]
+            if system == "zoe":
+                args += ["--aligned", str(out_dir / "align" / "seed0" / "aligned.jsonl"), "--alpha", "0.2"]
+            invoke_ok(runner, args)
+            trace = [json.loads(line) for line in trace_file.read_text().splitlines()]
+            for summary in summaries:
+                steps = [t for t in trace if t["epoch"] == summary["epoch"]]
+                assert summary["l_target"] == pytest.approx(mean(t["l_target"] for t in steps), rel=1e-12)
+                assert summary["combined"] == pytest.approx(mean(t["combined"] for t in steps), rel=1e-12)
+                aligned = [t["l_align"] for t in steps if t["l_align"] is not None]
+                if aligned:
+                    assert summary["l_align"] == pytest.approx(mean(aligned), rel=1e-12)
+                else:
+                    assert summary["l_align"] is None
+                assert 0.0 <= summary["clip_fraction"] <= 1.0
+                assert 0.0 < summary["grad_norm_mean"] <= summary["grad_norm_max"]
+            assert summaries[0]["clip_fraction"] > 0.0
+            assert any(s["l_align"] is not None for s in summaries) == (system == "zoe")
+
+    def test_clip_fraction_is_zero_under_a_huge_clip_norm(self, tmp_path):
+        out_dir = tmp_path / "out"
+        run_toy(out_dir, seeds=[0], systems=["ft"], epochs=2, clip_norm=1e9)
+        epochs_file = out_dir / "runs" / "ft" / "seed0" / "epochs.jsonl"
+        assert [json.loads(line)["clip_fraction"] for line in epochs_file.read_text().splitlines()] == [0.0, 0.0]
 
 
 @pytest.fixture
@@ -579,7 +644,35 @@ class TestCliVerbs:
         for name in ("biased.jsonl", "non_biased.jsonl", "evidence.jsonl"):
             assert (cli_dir / name).read_bytes() == (run_dir / "split" / name).read_bytes(), name
 
-    @pytest.mark.parametrize("option", ["--max-tokens", "--n-per-prompt"])
+    @pytest.mark.parametrize(
+        ("task", "option"),
+        [("sum", "--positions"), ("sum", "--triggers"), ("cqa", "--triggers"), ("nli", "--positions")],
+    )
+    def test_split_rejects_the_option_of_another_bias_kind(self, runner, dialogue_corpus_file, tmp_path, task, option):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "split", "--corpus", str(dialogue_corpus_file), "--task", task, "--out-dir", str(out), option, "5",
+        ])
+        assert result.exit_code != 0
+        assert f"split: {option} is not read by a {task} split" in result.output
+        assert not out.exists()
+
+    def test_split_reads_the_option_of_its_own_bias_kind(self, runner, dialogue_corpus_file, nli_corpus_file, tmp_path):
+        invoke_ok(runner, [
+            "split", "--corpus", str(dialogue_corpus_file), "--task", "cqa", "--out-dir", str(tmp_path / "cqa"),
+            "--positions", "2,3",
+        ])
+        evidence = [json.loads(line) for line in (tmp_path / "cqa" / "evidence.jsonl").read_text().splitlines()]
+        assert {e["relative_position"] in (2, 3) for e in evidence if "relative_position" in e} == {True, False}
+        assert all(e["biased"] == (e.get("relative_position") in (2, 3)) for e in evidence)
+        invoke_ok(runner, [
+            "split", "--corpus", str(nli_corpus_file), "--task", "nli", "--out-dir", str(tmp_path / "nli"),
+            "--triggers", "sky",
+        ])
+        evidence = [json.loads(line) for line in (tmp_path / "nli" / "evidence.jsonl").read_text().splitlines()]
+        assert {e["id"] for e in evidence if e["biased"]} == {"n3"}
+
+    @pytest.mark.parametrize("option", ["--max-tokens", "--n-per-prompt", "--max-in-flight"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_infer_rejects_counts_below_one(self, runner, dialogue_corpus_file, tmp_path, option, value):
         out = tmp_path / "candidates.jsonl"

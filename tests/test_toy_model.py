@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_sgd_step, sequence_loss_and_grad
+from oracles import dense_sgd_step, sequence_features, sequence_loss_and_grad
 from posdebias import toy_model
 from posdebias.bias_split import (
     BiasEvidence,
@@ -20,7 +20,6 @@ from posdebias.lowbias_infer import build_prompt, default_prompt_spec
 from posdebias.msa_align import AlignedResponse
 from posdebias.objective import LossConfig
 from posdebias.toy_model import (
-    _sequence_features,
     _stack_sequences,
     _stacked_loss_and_grad,
     BOS,
@@ -28,6 +27,7 @@ from posdebias.toy_model import (
     SynthSpec,
     ToyModel,
     TrainingDivergedError,
+    TrainJob,
     build_lowbias_table,
     build_vocabulary,
     context_features,
@@ -38,6 +38,7 @@ from posdebias.toy_model import (
     save_model,
     synth_corpus,
     train,
+    train_lockstep,
 )
 
 
@@ -78,7 +79,8 @@ def random_model(vocab_size: int = 12, seed: int = 5, scale: float = 0.1) -> Toy
 def target_nll(model: ToyModel, sample, tokens: list[str]) -> float:
     """Target loss of ``tokens`` as a training step computes it."""
     seqs = _stack_sequences(model, context_features(model, sample), tokens, [], LossConfig(alpha=0.0))
-    return _stacked_loss_and_grad(model.weights, seqs)[0]
+    losses, _ = _stacked_loss_and_grad(model.weights[seqs.active][None], *seqs.as_batch(len(model.vocabulary)))
+    return float(losses[0, 0])
 
 
 def step_logprobs(model: ToyModel, sample, tokens: list[str]) -> list[float]:
@@ -237,7 +239,7 @@ class TestScoring:
         seqs = _stack_sequences(model, base, tokens, [], LossConfig(alpha=0.0))
         assert len(seqs.targets) == seqs.n_target == seqs.phi.shape[0] == 4
         # Each step's term equals the dense reference's loss of that one row.
-        phi, ids = _sequence_features(model, base, tokens)
+        phi, ids = sequence_features(model, base, tokens)
         expected = [-sequence_loss_and_grad(model.weights, phi[i : i + 1], ids[i : i + 1])[0] for i in range(4)]
         assert step_logprobs(model, sample, tokens) == pytest.approx(expected, abs=1e-12)
 
@@ -403,9 +405,9 @@ class TestStackedStep:
         )
 
         base = context_features(model, sample)
-        target_seq = _sequence_features(model, base, sample.target.split() + [EOS])
+        target_seq = sequence_features(model, base, sample.target.split() + [EOS])
         align_seqs = [
-            _sequence_features(model, base, tokens + [EOS]) for tokens in responses
+            sequence_features(model, base, tokens + [EOS]) for tokens in responses
         ] if alpha > 0 else []
         ref_target, ref_align, ref_weights = dense_sgd_step(
             model.weights, target_seq, align_seqs, alpha, learning_rate, clip_norm
@@ -422,6 +424,107 @@ class TestStackedStep:
         assert np.abs(update - ref_update).max() <= 1e-12 * np.abs(ref_update).max()
         inactive = ~np.concatenate([target_seq[0], *(phi for phi, _ in align_seqs)]).any(axis=0)
         assert np.array_equal(trained.weights[inactive], model.weights[inactive])
+
+
+class TestLockstep:
+    """Jobs trained together against the dense reference and training alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.floats(0.0, 1.0),
+                st.lists(
+                    st.lists(st.sampled_from(build_vocabulary(12)[1:]), min_size=1, max_size=6),
+                    max_size=3,
+                ),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        corpus_seed=st.integers(0, 1000),
+        learning_rate=st.floats(0.1, 1.0),
+        clip_norm=st.floats(0.5, 50.0),
+    )
+    def test_one_step_matches_dense_reference_for_every_job(self, jobs, corpus_seed, learning_rate, clip_norm):
+        # Jobs mix target-only and aligned samples of different lengths, so
+        # every job's block is padded differently.
+        samples = tuple(synth_corpus(small_spec(n_train=5, n_eval=1, seed=corpus_seed))[0])
+        train_jobs, references = [], []
+        for sample_index, alpha, responses, weight_seed in jobs:
+            sample = samples[sample_index]
+            model = random_model(seed=weight_seed, scale=0.5)
+            aligned = {
+                sample.id: [
+                    AlignedResponse(sample.id, " ".join(tokens), (0.0,) * len(tokens), True, frozenset())
+                    for tokens in responses
+                ]
+            }
+            train_jobs.append(TrainJob(model, Corpus((sample,), Task.CQA), aligned, LossConfig(alpha=alpha)))
+            base = context_features(model, sample)
+            target_seq = sequence_features(model, base, sample.target.split() + [EOS])
+            align_seqs = [sequence_features(model, base, tokens + [EOS]) for tokens in responses] if alpha > 0 else []
+            references.append(
+                (alpha, dense_sgd_step(model.weights, target_seq, align_seqs, alpha, learning_rate, clip_norm))
+            )
+        runs = train_lockstep(train_jobs, epochs=1, learning_rate=learning_rate, clip_norm=clip_norm)
+        for job, run, (alpha, (ref_target, ref_align, ref_weights)) in zip(train_jobs, runs, references):
+            (l_target, l_align, combined), = run.losses
+            assert l_target == pytest.approx(ref_target, rel=1e-12, abs=0)
+            if ref_align is None:
+                assert math.isnan(l_align)
+                assert combined == pytest.approx(l_target, rel=1e-12, abs=0)
+            else:
+                assert l_align == pytest.approx(ref_align, rel=1e-12, abs=0)
+                expected = (1 - alpha) * ref_target + alpha * ref_align
+                assert combined == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            update = run.model.weights - job.model.weights
+            ref_update = ref_weights - job.model.weights
+            assert np.abs(update - ref_update).max() <= 1e-12 * np.abs(ref_update).max()
+
+    def test_jobs_trained_together_match_each_trained_alone(self):
+        corpora = [synth_corpus(small_spec(seed=seed))[0] for seed in (7, 8)]
+        aligned = {
+            s.id: [AlignedResponse(s.id, f"ans t{i % 12} is c{i % 7}", (0.0,) * 4, True)]
+            for corpus in corpora
+            for i, s in enumerate(corpus)
+            if i % 3
+        }
+        jobs = [
+            TrainJob(ToyModel.initialize(12, seed=0), corpora[0], None, LossConfig(alpha=0.0), seed=0),
+            TrainJob(ToyModel.initialize(12, seed=1), corpora[1], aligned, LossConfig(alpha=0.2), seed=1),
+            TrainJob(random_model(seed=3), corpora[0], aligned, LossConfig(alpha=0.5), seed=2),
+        ]
+        runs = train_lockstep(jobs, epochs=3, learning_rate=0.3, clip_norm=1.0)
+        for job, run in zip(jobs, runs):
+            alone, trace = train(
+                job.model, job.corpus, job.aligned, job.config, epochs=3, learning_rate=0.3, seed=job.seed, clip_norm=1.0
+            )
+            assert np.abs(run.model.weights - alone.weights).max() <= 1e-12
+            assert [run.sample_ids[i] for i in run.order] == [e.sample_id for e in trace]
+
+    def test_first_diverged_job_in_order_raises_its_own_error(self):
+        train_c, _, _ = synth_corpus(small_spec())
+        vocab = build_vocabulary(12)
+        v = len(vocab)
+        huge = ToyModel(vocab, np.full((3 * v + 1, v), 1e308))
+        jobs = [TrainJob(ToyModel.initialize(12), train_c), TrainJob(huge, train_c, seed=1), TrainJob(huge, train_c, seed=2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="step 0") as together:
+                train_lockstep(jobs, epochs=1)
+            with pytest.raises(TrainingDivergedError) as alone:
+                train(huge, train_c, epochs=1, seed=1)
+        assert together.value.job == 1
+        assert str(together.value) == str(alone.value)
+
+    def test_jobs_need_corpora_of_one_size(self):
+        train_c, _, _ = synth_corpus(small_spec())
+        short = Corpus(train_c.samples[:5], Task.CQA)
+        model = ToyModel.initialize(12)
+        with pytest.raises(ValueError, match="one size"):
+            train_lockstep([TrainJob(model, train_c), TrainJob(model, short)])
 
 
 class TestFiniteDifference:
@@ -447,9 +550,9 @@ class TestFiniteDifference:
         target = sample.target.split() + [EOS]
         aligned = [["ans", "t3", "is", "c5", EOS], ["ans", "t1", "is", "c2", EOS]] if alpha > 0 else []
         active = _stack_sequences(model, base, target, aligned, LossConfig(alpha=alpha)).active
-        _, grad = sequence_loss_and_grad(model.weights, *_sequence_features(model, base, target))
+        _, grad = sequence_loss_and_grad(model.weights, *sequence_features(model, base, target))
         for tokens in aligned:
-            grad = grad + sequence_loss_and_grad(model.weights, *_sequence_features(model, base, tokens))[1]
+            grad = grad + sequence_loss_and_grad(model.weights, *sequence_features(model, base, tokens))[1]
         inactive = np.setdiff1d(np.arange(model.n_features), active)
         assert np.all(grad[inactive] == 0.0)
         assert np.all(np.abs(grad[active]).sum(axis=1) > 0.0)
@@ -460,9 +563,9 @@ class TestFiniteDifference:
         sample = next(iter(train_c))
         exact = toy_model._stacked_loss_and_grad
 
-        def off_by_a_hundredth(weights, seqs):
-            l_target, l_align, grad = exact(weights, seqs)
-            return l_target, l_align, grad + 1e-2
+        def off_by_a_hundredth(*args):
+            losses, grad = exact(*args)
+            return losses, grad + 1e-2
 
         monkeypatch.setattr(toy_model, "_stacked_loss_and_grad", off_by_a_hundredth)
         for seed in range(10):
