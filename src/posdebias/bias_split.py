@@ -21,7 +21,12 @@ from typing import Sequence
 
 from .corpus import Corpus, Document, Sample, Task, make_document, render_input, write_jsonl
 from .lowbias_infer import DEFAULTS
-from .metrics import contains_phrase, rouge_l, tokenize
+from .metrics import (
+    contains_phrase,
+    rouge_l,  # not called here; perfbench's harness self-test reads ``bias_split.rouge_l``
+    rouge_l_tokens,
+    tokenize,
+)
 
 #: Relative positions treated as biased unless the caller overrides them.
 DEFAULT_BIASED_POSITIONS = frozenset({0, 1})
@@ -81,34 +86,43 @@ class BiasPartition:
     evidence: dict[str, BiasEvidence]
 
 
-def ground_response(response: str, document: Document) -> GroundingResult:
-    """Find the utterance maximizing ROUGE-L(response, utterance).
+def ground_response(
+    response_tokens: Sequence[str], utterance_tokens: Sequence[Sequence[str]]
+) -> GroundingResult:
+    """Find the utterance maximizing ROUGE-L(response, utterance), both given
+    as tokens, so a document tokenized once serves every grounding against it.
 
-    Ties break toward the smallest index. Utterances that tokenize to nothing
-    score 0 rather than erroring, so one odd utterance cannot poison a
-    document.
+    Ties break toward the smallest index. Utterances with no tokens score 0
+    rather than erroring, so one odd utterance cannot poison a document.
     """
-    if not tokenize(response):
+    if not response_tokens:
         raise ValueError("ground_response: empty response")
-    if len(document) == 0:
+    if not utterance_tokens:
         raise ValueError("ground_response: empty document")
-    scores = tuple([rouge_l(response, utt.text) if tokenize(utt.text) else 0.0 for utt in document.utterances])
+    scores = tuple([rouge_l_tokens(response_tokens, utt) if utt else 0.0 for utt in utterance_tokens])
     best = scores.index(max(scores))
     return GroundingResult(best, scores[best], scores)
+
+
+def _utterance_tokens(document: Document) -> list[list[str]]:
+    """The tokens of each utterance, in document order."""
+    return [tokenize(utt.text) for utt in document.utterances]
 
 
 def relative_position(sample: Sample) -> int:
     """Grounded index of the target minus grounded index of the last answer.
 
     Requires a document and at least one prior answered turn (the anchor).
+    Both groundings share one tokenization of the document.
     """
     if sample.document is None or len(sample.document) == 0:
         raise ValueError(f"relative_position: sample {sample.id!r} has no document")
     anchor = sample.last_answered_turn()
     if anchor is None:
         raise ValueError(f"relative_position: sample {sample.id!r} has no anchor turn")
-    target_ground = ground_response(sample.target, sample.document)
-    anchor_ground = ground_response(anchor.answer or "", sample.document)
+    utterances = _utterance_tokens(sample.document)
+    target_ground = ground_response(tokenize(sample.target), utterances)
+    anchor_ground = ground_response(tokenize(anchor.answer or ""), utterances)
     return target_ground.utterance_index - anchor_ground.utterance_index
 
 
@@ -182,7 +196,7 @@ def split_by_lead_bias(corpus: Corpus) -> BiasPartition:
                 (sample, BiasEvidence(BiasKind.LEAD, biased=False, detail="no document"))
             )
             continue
-        grounded = ground_response(sample.target, sample.document)
+        grounded = ground_response(tokenize(sample.target), _utterance_tokens(sample.document))
         evidence = BiasEvidence(BiasKind.LEAD, biased=grounded.utterance_index == 0, lead_score=grounded.scores[0])
         flags.append((sample, evidence))
     return _partition(corpus, flags)

@@ -4,6 +4,13 @@ All overlap metrics share one tokenizer: lowercase, ASCII punctuation
 stripped, whitespace split. Keeping the tokenizer here and importing it
 everywhere guarantees that splitting, alignment, and evaluation agree on
 what a token is.
+
+ROUGE-L has a token-level core, ``rouge_l_tokens``, for callers that score
+one text against many (grounding tokenizes each document utterance once
+per sample); ``rouge_l`` on strings tokenizes both sides and calls it.
+``lcs_length`` is bit-parallel (Allison & Dix 1986; Hyyrö 2004,
+"Bit-parallel LCS-length computation revisited"): one Python-int step per
+token of ``a`` instead of one dynamic-programming cell per token pair.
 """
 from __future__ import annotations
 
@@ -35,25 +42,29 @@ def contains_phrase(tokens: list[str], phrase: list[str]) -> bool:
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence, O(len(a) * len(b))."""
-    if not a or not b:
-        return 0
-    # Single-row dynamic program; prev holds the previous row of the table.
-    prev = [0] * (len(b) + 1)
+    """Length of the longest common subsequence, O(len(a)) integer operations
+    on len(b)-bit integers.
+
+    Bit j of ``masks[y]`` is set where ``b[j] == y``. After a prefix of
+    ``a``, the zero bits among the low j + 1 bits of ``v`` count the LCS of
+    that prefix and ``b[:j + 1]``; each token of ``a`` updates every column
+    at once (Hyyrö 2004).
+    """
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        row = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                value = prev[j - 1] + 1
-            else:
-                value = max(row[-1], prev[j])
-            row.append(value)
-        prev = row
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
-def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
-    """ROUGE-L F-score between a candidate and a reference string.
+def rouge_l_tokens(
+    cand_tokens: Sequence[str], ref_tokens: Sequence[str], beta: float = ROUGE_BETA
+) -> float:
+    """ROUGE-L F-score between a tokenized candidate and reference.
 
     P = LCS/|candidate|, R = LCS/|reference|,
     F = (1 + beta^2) * P * R / (R + beta^2 * P).
@@ -61,10 +72,8 @@ def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
     An empty candidate scores 0; an empty reference is an error because the
     score would be undefined.
     """
-    ref_tokens = tokenize(reference)
     if not ref_tokens:
         raise ValueError("rouge_l: empty reference")
-    cand_tokens = tokenize(candidate)
     if not cand_tokens:
         return 0.0
     lcs = lcs_length(cand_tokens, ref_tokens)
@@ -73,6 +82,11 @@ def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
     precision = lcs / len(cand_tokens)
     recall = lcs / len(ref_tokens)
     return ((1 + beta * beta) * precision * recall) / (recall + beta * beta * precision)
+
+
+def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
+    """``rouge_l_tokens`` on the tokens of two strings."""
+    return rouge_l_tokens(tokenize(candidate), tokenize(reference), beta)
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:

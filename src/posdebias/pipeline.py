@@ -25,6 +25,7 @@ import hashlib
 import json
 import operator
 import os
+import sys
 from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
 from itertools import islice
@@ -78,11 +79,16 @@ class PipelineError(RuntimeError):
 
 #: Keys some runs never read: toy mode's training keys (data mode), the
 #: candidate keys (a data-mode nli run, which only splits and reports), the
-#: split parameter of each bias kind (a task split by another kind), and in
-#: toy mode ``max_tokens`` on the table backend, ``garbage_rate`` off it.
+#: split parameter of each bias kind (a task split by another kind),
+#: ``max_tokens`` on the echo and table backends, whose candidates have no
+#: length to cap, and in toy mode ``garbage_rate`` off the internal table.
 _TOY_ONLY_KEYS = ("seeds", "systems", "alphas", "train_sizes", "epochs", "learning_rate", "clip_norm", "garbage_rate", "metric")
 _CANDIDATE_KEYS = ("n_per_prompt", "max_tokens", "backend", "align")
 _SPLIT_KEYS = {BiasKind.RELATIVE_POSITION: "biased_positions", BiasKind.LEXICAL: "triggers"}
+
+#: How far calibration's keep fraction may miss its target before
+#: ``align_corpus`` reports the miss on stderr.
+KEEP_FRACTION_SLACK = 0.025
 
 
 CONFIG_SCHEMA: dict = {
@@ -245,19 +251,24 @@ def parse_config(raw: dict) -> PipelineConfig:
     if raw.get("bias", kind.value) != kind.value:
         raise ValueError(f"config: bias must be {kind.value!r} for task {task.value!r}, got {raw['bias']!r}")
     unread = [key for other, key in _SPLIT_KEYS.items() if other != kind]
+    # The internal lookup table only makes sense for synthetic corpora.
+    backend = raw.get("backend", "markov" if "corpus" in raw else "table")
+    if "corpus" in raw and backend == "table":
+        raise ValueError("config: backend 'table' needs a synth corpus; data mode takes table:FILE")
     if "corpus" in raw:
         unread += _TOY_ONLY_KEYS + (_CANDIDATE_KEYS if task == Task.NLI else ())
         run = f"data-mode {task.value} run"
     else:
-        backend = raw.get("backend", "table")
-        # Table candidates have no length, and garbage_rate only shapes the table.
-        unread.append("max_tokens" if backend == "table" else "garbage_rate")
-        run = f"toy {task.value} run on backend {backend!r}"
-    unread = [key for key in unread if key in raw]
+        run = f"toy {task.value} run"
+        if backend != "table":
+            unread.append("garbage_rate")
+    if backend in ("echo", "table") or backend.startswith("table:"):
+        unread.append("max_tokens")
+    if "backend" not in unread:
+        run += f" on backend {backend!r}"
+    unread = [key for key in dict.fromkeys(unread) if key in raw]
     if unread:
         raise ValueError(f"config: keys {unread} are not read by a {run}")
-    if "corpus" in raw and raw.get("backend") == "table":
-        raise ValueError("config: backend 'table' needs a synth corpus; data mode takes table:FILE")
     if raw.get("train_sizes") and len(raw.get("alphas", [0.2])) > 1:
         raise ValueError("config: sweep either alphas or train_sizes, not both")
     fields = dict(raw)
@@ -280,11 +291,10 @@ def parse_config(raw: dict) -> PipelineConfig:
         if key in raw:
             fields[key] = tuple(raw[key])
     fields["train_sizes"] = tuple(raw["train_sizes"]) if raw.get("train_sizes") else None
-    # The internal lookup table only makes sense for synthetic corpora.
-    fields.setdefault("backend", "table" if "synth" in raw else "markov")
-    if fields["backend"] != "table":
+    fields["backend"] = backend
+    if backend != "table":
         try:
-            parse_backend_spec(fields["backend"])
+            parse_backend_spec(backend)
         except ValueError as exc:
             raise ValueError(f"config: {exc}") from None
     return PipelineConfig(**fields)
@@ -427,7 +437,9 @@ def align_corpus(
     threshold (incoherence for question generation, unreliability
     otherwise) is the candidate threshold whose keep fraction on those
     statistics lands nearest the target. It is returned, or ``None`` when
-    there was no candidate to calibrate on.
+    there was no candidate to calibrate on. When the share of statistics
+    at or above it misses the target by more than ``KEEP_FRACTION_SLACK``,
+    one line on stderr says so.
     """
     unknown = sorted(set(candidates) - {s.id for s in samples})
     if unknown:
@@ -437,6 +449,13 @@ def align_corpus(
     if not stats:
         return {}, None
     threshold = calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction)
+    kept = sum(1 for stat in stats if stat >= threshold) / len(stats)
+    if abs(kept - config.target_keep_fraction) > KEEP_FRACTION_SLACK:
+        print(
+            f"align: kept {kept:.1%} of {len(stats)} candidates against a "
+            f"{config.target_keep_fraction:.1%} calibration target",
+            file=sys.stderr,
+        )
     rows = iter(stats)
     aligned = {}
     for sample in present:

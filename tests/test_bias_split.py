@@ -26,39 +26,42 @@ from posdebias.bias_split import (
 )
 from posdebias.corpus import Corpus, DialogueTurn, Sample, Task, make_document
 
-from posdebias.metrics import rouge_l
+from posdebias.metrics import rouge_l, rouge_l_tokens, tokenize
 
 from conftest import dialogue_sample, nli_sample
-from oracles import ground_oracle
+from oracles import ground_oracle, rouge_l_oracle
+
+
+def ground(response: str, utterances: list[str]):
+    return ground_response(tokenize(response), [tokenize(u) for u in utterances])
+
+
+_WORDS = st.sampled_from(["red", "blue", "green", "gold"])
 
 
 class TestGroundResponse:
     def test_best_overlap_wins(self):
         # frozen: oracle grounds "delta eps" at index 1
-        doc = make_document(["alpha beta gamma", "delta eps zeta"])
-        assert ground_response("delta eps", doc).utterance_index == 1
+        assert ground("delta eps", ["alpha beta gamma", "delta eps zeta"]).utterance_index == 1
 
     def test_tie_breaks_to_smallest_index(self):
-        doc = make_document(["same words", "same words"])
-        assert ground_response("same words", doc).utterance_index == 0
+        assert ground("same words", ["same words", "same words"]).utterance_index == 0
 
     def test_no_overlap_defaults_to_first(self):
-        doc = make_document(["aaa", "bbb"])
-        result = ground_response("zzz", doc)
+        result = ground("zzz", ["aaa", "bbb"])
         assert result.utterance_index == 0
         assert result.score == 0.0
 
     def test_empty_utterance_does_not_poison(self):
-        doc = make_document(["...", "real content"])
-        assert ground_response("real content", doc).utterance_index == 1
+        assert ground("real content", ["...", "real content"]).utterance_index == 1
 
     def test_empty_response_rejected(self):
         with pytest.raises(ValueError, match="empty response"):
-            ground_response("  ", make_document(["a"]))
+            ground("  ", ["a"])
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError, match="empty document"):
-            ground_response("a", make_document([]))
+            ground("a", [])
 
     def test_matches_brute_force_oracle(self):
         import random
@@ -71,11 +74,22 @@ class TestGroundResponse:
                 for _ in range(rng.randint(1, 4))
             ]
             response = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
-            got = ground_response(response, make_document(utterances)).utterance_index
+            got = ground(response, utterances).utterance_index
             want = ground_oracle(
                 tuple(response.split()), [tuple(u.split()) for u in utterances]
             )
             assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        response=st.lists(_WORDS, min_size=1, max_size=6),
+        utterances=st.lists(st.lists(_WORDS, max_size=6), min_size=1, max_size=5),
+    )
+    def test_token_grounding_agrees_with_oracle(self, response, utterances):
+        # A four-word vocabulary makes ties common; empty utterances score 0.
+        result = ground_response(response, utterances)
+        assert result.utterance_index == ground_oracle(tuple(response), [tuple(u) for u in utterances])
+        assert result.scores == tuple(rouge_l_oracle(tuple(response), tuple(u)) if u else 0.0 for u in utterances)
 
 
 class TestRelativePosition:
@@ -160,6 +174,17 @@ class TestSplitByRelativePosition:
         with pytest.raises(ValueError, match="empty biased position set"):
             split_by_relative_position(corpus, biased_positions=set())
 
+    def test_tokenizes_each_utterance_once_per_sample(self, planted_relpos_corpus, monkeypatch):
+        # The target and anchor groundings share one tokenization of the document.
+        corpus, _, _ = planted_relpos_corpus
+        texts = Counter()
+        monkeypatch.setattr(bias_split, "tokenize", lambda text: texts.update([text]) or tokenize(text))
+        split_by_relative_position(corpus)
+        want = Counter()
+        for sample in corpus:
+            want.update(sample.document.texts() + [sample.target, sample.last_answered_turn().answer])
+        assert texts == want
+
     def test_default_positions_are_zero_and_one(self):
         assert DEFAULT_BIASED_POSITIONS == frozenset({0, 1})
 
@@ -189,7 +214,7 @@ class TestSplitByLeadBias:
         # against utterance 0.
         samples = [self._sum_sample(f"s{i}", t) for i, t in enumerate(["lead unrelated thing", "tail extra"])]
         calls = []
-        monkeypatch.setattr(bias_split, "rouge_l", lambda *args: calls.append(args) or rouge_l(*args))
+        monkeypatch.setattr(bias_split, "rouge_l_tokens", lambda *args: calls.append(args) or rouge_l_tokens(*args))
         partition = split_by_lead_bias(Corpus(tuple(samples), Task.SUM))
         assert len(calls) == 2 * 3
         assert [s.id for s in partition.biased] == ["s0"]

@@ -9,6 +9,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posdebias.metrics import (
     PositionRow,
@@ -16,10 +18,13 @@ from posdebias.metrics import (
     lcs_length,
     per_position_table,
     rouge_l,
+    rouge_l_tokens,
     tokenize,
 )
 
 from oracles import bleu_2_oracle, lcs_recursive, rouge_l_oracle
+
+_TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 
 
 class TestTokenize:
@@ -51,6 +56,16 @@ class TestLcs:
             a = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
             b = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
             assert lcs_length(a, b) == lcs_recursive(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.lists(_TOKENS, max_size=80), b=st.lists(_TOKENS, max_size=80))
+    def test_matches_oracle_symmetric_and_bounded(self, a, b):
+        # Up to 80 tokens, so the bit vectors pass one machine word.
+        got = lcs_length(a, b)
+        assert got == lcs_recursive(tuple(a), tuple(b))
+        assert got == lcs_length(b, a)
+        assert got <= min(len(a), len(b))
+        assert (got == 0) == (not set(a) & set(b))
 
 
 class TestRougeL:
@@ -90,6 +105,16 @@ class TestRougeL:
             assert rouge_l(cand, ref) == rouge_l_oracle(
                 tuple(cand.split()), tuple(ref.split())
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cand=st.text(alphabet="abcAB .,!", max_size=30),
+        ref=st.text(alphabet="abcAB .,!", max_size=30).filter(tokenize),
+    )
+    def test_string_form_is_the_token_core_in_unit_range(self, cand, ref):
+        score = rouge_l(cand, ref)
+        assert 0.0 <= score <= 1.0
+        assert score == rouge_l_tokens(tokenize(cand), tokenize(ref))
 
 
 class TestBleu2:

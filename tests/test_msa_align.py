@@ -205,6 +205,16 @@ def test_gate_statistic_runs_once_per_candidate(monkeypatch):
     assert sum(len(v) for v in aligned.values()) == len(calls) == 5
 
 
+def test_keep_fraction_miss_is_reported_on_stderr(capsys):
+    samples = [dialogue_sample("t", ["a b"], "pq", "a b", "q", "a b")]
+    # Every candidate threshold keeps "a b" and "a" alone: 40% against 20%.
+    align_corpus(Task.CQA, samples, {"t": [result(t) for t in ("a b", "a", "c", "c d", "x")]}, AlignmentConfig())
+    assert capsys.readouterr() == ("", "align: kept 40.0% of 5 candidates against a 20.0% calibration target\n")
+    # 1 of 5 meets the target exactly: nothing is printed.
+    align_corpus(Task.CQA, samples, {"t": [result(t) for t in ("a b", "c", "c d", "x", "y")]}, AlignmentConfig())
+    assert capsys.readouterr() == ("", "")
+
+
 class TestAlignResponses:
     def _sample(self, task: Task = Task.CQA) -> Sample:
         return dialogue_sample(

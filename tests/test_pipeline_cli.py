@@ -132,6 +132,10 @@ class TestParseConfig:
             ({"corpus": "c.jsonl", "task": "nli", "align": {}}, "align"),
             ({"synth": {}, "max_tokens": 16}, "max_tokens"),
             ({"synth": {}, "backend": "markov", "garbage_rate": 0.25}, "garbage_rate"),
+            ({"synth": {}, "backend": "echo", "max_tokens": 8}, "max_tokens"),
+            ({"synth": {}, "backend": "table:table.json", "max_tokens": 8}, "max_tokens"),
+            ({"corpus": "c.jsonl", "backend": "echo", "max_tokens": 8}, "max_tokens"),
+            ({"corpus": "c.jsonl", "backend": "table:table.json", "max_tokens": 8}, "max_tokens"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
@@ -144,12 +148,14 @@ class TestParseConfig:
             "data-mode-epochs", "data-mode-learning-rate", "data-mode-clip-norm", "data-mode-garbage-rate",
             "data-mode-metric", "triggers-in-toy", "triggers-on-sum", "biased-positions-on-sum",
             "biased-positions-on-nli", "nli-n-per-prompt", "nli-max-tokens", "nli-backend", "nli-align",
-            "toy-table-max-tokens", "toy-markov-garbage-rate",
+            "toy-table-max-tokens", "toy-markov-garbage-rate", "toy-echo-max-tokens",
+            "toy-table-file-max-tokens", "data-mode-echo-max-tokens", "data-mode-table-file-max-tokens",
         ],
     )
     def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
-        monkeypatch.chdir(tmp_path)  # relative backend files resolve here; only bad.json exists
+        monkeypatch.chdir(tmp_path)  # relative backend files resolve here; only these two exist
         (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "table.json").write_text("{}")
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match=rf"config: .*\b{field}\b"):
             parse_config({**raw, "out_dir": str(out_dir)})
