@@ -237,7 +237,7 @@ def report(eval_files, out_dir):
     """Combine eval JSON files into CSV tables and SVG charts."""
     try:
         evals = [load_eval(path) for path in eval_files]
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         _fail(f"report: bad eval file: {exc}")
     out = Path(out_dir)
     write_report(evals, out, evals[-1].metric)
@@ -257,9 +257,9 @@ def run(config_path, out_dir, print_schema):
         _fail("run: --config is required (or use --print-schema)")
     try:
         raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         _fail(f"run: config is not valid JSON: {exc}")
-    if out_dir:
+    if out_dir and isinstance(raw, dict):  # parse_config names any other top level
         raw["out_dir"] = out_dir
     try:
         config = parse_config(raw)

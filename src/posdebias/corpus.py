@@ -264,6 +264,23 @@ def _sample_from_record(record: dict, task: Task, line_no: int) -> Sample:
     return with_rendered_input(sample)
 
 
+def json_field(record: object, key: str, kinds: type | tuple[type, ...], default=..., where: str = ""):
+    """``record[key]``, or ``default`` when the key is absent and a default is
+    given. Raises ``ValueError`` naming the field (``where`` + ``key``) when
+    ``record`` is not an object, the key is missing, or the value is not one
+    of ``kinds`` (never a bool: JSON ``true`` is no number)."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where.rstrip('.') or 'record'} must be a JSON object, got {record!r}")
+    if key not in record:
+        if default is ...:
+            raise ValueError(f"missing field {where + key!r}")
+        return default
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"field {where + key!r} has the wrong type: {value!r}")
+    return value
+
+
 def load_corpus(path: str | Path, task: Task) -> Corpus:
     """Load a JSONL corpus, one record per line.
 

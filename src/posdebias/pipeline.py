@@ -127,17 +127,20 @@ CONFIG_SCHEMA: dict = {
             "type": "array",
             "items": {"type": "string", "enum": ["ft", "zoe", "rp"]},
             "minItems": 1,
+            "uniqueItems": True,
             "default": ["ft", "zoe"],
         },
         "alphas": {
             "type": "array",
             "items": {"type": "number", "minimum": 0, "maximum": 1},
             "minItems": 1,
+            "uniqueItems": True,
             "default": [0.2],
         },
         "train_sizes": {
             "type": "array",
             "items": {"type": "integer", "minimum": 1},
+            "uniqueItems": True,
             "description": "Optional training-size sweep; incompatible with a multi-alpha sweep.",
         },
         "epochs": {"type": "integer", "minimum": 0, "default": 28},

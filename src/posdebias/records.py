@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .backends import GenerationResult
-from .corpus import write_jsonl
+from .corpus import json_field, write_jsonl
 from .metrics import PositionRow
 from .msa_align import AlignedResponse, RejectionReason
 from .report import SystemEval
@@ -158,18 +158,29 @@ def write_eval(ev: SystemEval, path: str | Path, **extra) -> Path:
     return path
 
 
+def _score_and_count(record: object, where: str) -> tuple[float, int]:
+    return json_field(record, "score", (int, float), where=where), json_field(record, "count", int, where=where)
+
+
 def load_eval(path: str | Path) -> SystemEval:
     """Inverse of ``write_eval``; missing optional keys default to empty.
 
-    Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a malformed file.
+    Raises ``ValueError`` naming the file and the first bad field.
     """
-    entry = json.loads(Path(path).read_text(encoding="utf-8"))
-    return SystemEval(
-        system=entry["system"],
-        metric=entry.get("metric", "score"),
-        splits={k: (v["score"], v["count"]) for k, v in entry.get("splits", {}).items()},
-        by_position=tuple(
-            PositionRow(r["position"], r["score"], r["count"])
-            for r in entry.get("by_position", ())
-        ),
-    )
+    try:
+        entry = json.loads(Path(path).read_text(encoding="utf-8"))
+        splits, rows = json_field(entry, "splits", dict, {}), json_field(entry, "by_position", list, [])
+        return SystemEval(
+            system=json_field(entry, "system", str),
+            metric=json_field(entry, "metric", str, "score"),
+            splits={k: _score_and_count(v, f"splits.{k}.") for k, v in splits.items()},
+            by_position=tuple(
+                PositionRow(
+                    json_field(r, "position", (int, type(None)), where=f"by_position[{i}]."),
+                    *_score_and_count(r, f"by_position[{i}]."),
+                )
+                for i, r in enumerate(rows)
+            ),
+        )
+    except ValueError as exc:  # a JSON or UTF-8 decoding error too
+        raise ValueError(f"{path}: {exc}") from None

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .corpus import (
     DialogueTurn,
     Sample,
     Task,
+    json_field,
     make_document,
     render_input,
 )
@@ -318,76 +319,6 @@ class EpochSummary:
     clip_fraction: float
 
 
-@dataclass(frozen=True)
-class _StackedSequences:
-    """One sample's target and kept aligned sequences as a single row block.
-
-    The block lives on its ``active`` feature columns (those non-zero on some
-    row). Every row holds the context features ``base`` on those columns plus
-    a one-hot previous-token feature at column ``prev[row]``. The first
-    ``n_target`` rows are the target sequence. A row's three ``masks``
-    weights add its negative log-probability into the target loss, the mean
-    aligned loss and the combined loss: ``(1, 0, w_target)`` on target rows,
-    ``(0, 1/k, w_align/k)`` on the rows of the ``k`` aligned sequences.
-    """
-
-    active: np.ndarray
-    base: np.ndarray
-    prev: np.ndarray
-    targets: np.ndarray
-    masks: np.ndarray
-    n_target: int
-
-    @property
-    def phi(self) -> np.ndarray:
-        """Row features on the active columns."""
-        phi = np.tile(self.base, (len(self.targets), 1))
-        phi[np.arange(len(self.targets)), self.prev] = 1.0
-        return phi
-
-    def as_batch(self, vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``phi``, flat target indices and ``masks`` of a batch of this one
-        block, as ``_stacked_loss_and_grad`` takes them."""
-        flat_targets = np.arange(len(self.targets)) * vocab_size + self.targets
-        return self.phi[None], flat_targets[None], self.masks[None]
-
-
-def _stack_sequences(
-    model: ToyModel,
-    base: np.ndarray,
-    target_tokens: Sequence[str],
-    align_tokens: Sequence[Sequence[str]],
-    config: LossConfig,
-) -> _StackedSequences:
-    """Stack a target token list and aligned token lists into one block."""
-    k = len(align_tokens)
-    w_target, w_align = loss_term_weights(config, align_present=k > 0)
-    prev_offset, bos = 2 * len(model.vocabulary), model.token_id(BOS)
-    prev_cols: list[int] = []
-    targets: list[int] = []
-    masks: list[tuple[float, float, float]] = []
-    sequences = [(target_tokens, (1.0, 0.0, w_target))]
-    sequences += [(tokens, (0.0, 1.0 / k, w_align / k)) for tokens in align_tokens]
-    for tokens, mask in sequences:
-        prev = bos
-        for token in tokens:
-            prev_cols.append(prev_offset + prev)
-            prev = model.token_id(token)
-            targets.append(prev)
-        masks += [mask] * len(tokens)
-    base_cols = np.flatnonzero(base).tolist()
-    active = sorted({*base_cols, *prev_cols})
-    column = {col: i for i, col in enumerate(active)}
-    return _StackedSequences(
-        np.array(active, dtype=np.intp),
-        base[active],
-        np.array([column[col] for col in prev_cols], dtype=np.intp),
-        np.array(targets, dtype=np.intp),
-        np.array(masks, dtype=np.float64).reshape(-1, 3),
-        len(target_tokens),
-    )
-
-
 def _stacked_loss_and_grad(
     weights: np.ndarray, phi: np.ndarray, targets: np.ndarray, masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -468,8 +399,8 @@ class _LockstepBatch:
     ``rows`` are flat weight-row indices into the jobs' stacked weights (a
     padded column points at its job's spare all-zero row), ``base`` the
     context features on them; ``onehot`` and ``targets`` are each row's flat
-    index into a (J, R, A) feature and a (J, R, V) logit array. Padded rows
-    have all-zero ``masks``, so they add nothing to a loss or gradient.
+    index into the (J, R, A) step features ``phi`` and a (J, R, V) logit
+    array. Padded rows have all-zero ``masks``: they add to no loss or gradient.
     """
 
     rows: np.ndarray
@@ -478,35 +409,41 @@ class _LockstepBatch:
     targets: np.ndarray
     masks: np.ndarray
     aligned: np.ndarray
+    phi: np.ndarray
 
 
-def _job_sequences(job: TrainJob, sample: Sample) -> list[list[str]]:
-    """A sample's target token list, then those of its kept aligned responses."""
-    responses = (job.aligned or {}).get(sample.id, ()) if job.config.alpha > 0.0 else ()
-    return [sample.target.split() + [EOS]] + [r.text.split() + [EOS] for r in responses if r.kept]
-
-
-def _pack_jobs(jobs: Sequence[TrainJob], n_rows: int) -> _LockstepBatch:
-    """Encode every job's samples into one padded batch, one sample at a time.
-
-    A first pass sizes the batch: a block has a row per token and an active
-    column per non-zero context feature and per distinct previous token (the
-    context features leave the previous-token block zero). It keeps only
-    each sample's non-zero context features, so no job's blocks are ever
-    held beside the batch.
-    """
-    contexts, r, a = [], 0, 0
-    for job in jobs:
+def _job_blocks(jobs: Sequence[TrainJob]):
+    """Each job's samples in batch order, as ``_pack`` reads them: job index,
+    model, loss config, sample and token lists (target, then kept aligned)."""
+    for j, job in enumerate(jobs):
         for sample in job.corpus:
-            base = context_features(job.model, sample)
-            cols = np.flatnonzero(base)
-            contexts.append((cols, base[cols]))
-            sequences = _job_sequences(job, sample)
-            prevs = {BOS}.union(*(tokens[:-1] for tokens in sequences))
-            r = max(r, sum(map(len, sequences)))
-            a = max(a, len(cols) + len(prevs))
-    n_samples, (n_features, v) = len(jobs[0].corpus), jobs[0].model.weights.shape
-    job_of = np.repeat(np.arange(len(jobs)), n_samples)[:, None]
+            responses = (job.aligned or {}).get(sample.id, ()) if job.config.alpha > 0.0 else ()
+            sequences = [sample.target.split() + [EOS]] + [r.text.split() + [EOS] for r in responses if r.kept]
+            yield j, job.model, job.config, sample, sequences
+
+
+def _pack(blocks: Callable[[], Iterable[tuple]], n_rows: int) -> _LockstepBatch:
+    """Encode blocks into one padded batch, one sample at a time.
+
+    ``blocks()`` yields each block as ``_job_blocks`` does; it is read twice.
+    The first pass sizes the batch, keeping only each sample's job and
+    non-zero context features; the second writes each block into it. A block
+    has a row per token, and an active column per non-zero context feature
+    and per distinct previous token (the context features leave the
+    previous-token block zero). A row's ``masks`` weigh it into the target,
+    mean aligned and combined losses: ``(1, 0, w_target)`` on target rows,
+    ``(0, 1/k, w_align/k)`` on the rows of ``k`` aligned sequences.
+    """
+    contexts, r, a, v = [], 0, 0, 0
+    for j, model, _, sample, sequences in blocks():
+        v = model.weights.shape[1]
+        base = context_features(model, sample)
+        cols = np.flatnonzero(base).tolist()
+        contexts.append((j, cols, base[cols]))
+        prevs = {BOS}.union(*(tokens[:-1] for tokens in sequences))
+        r = max(r, sum(map(len, sequences)))
+        a = max(a, len(cols) + len(prevs))
+    job_of = np.array([j for j, _, _ in contexts], dtype=np.intp)[:, None]
     row_starts = job_of * r + np.arange(r)
     batch = _LockstepBatch(
         rows=np.repeat(job_of * n_rows + n_rows - 1, a, axis=1),
@@ -515,21 +452,42 @@ def _pack_jobs(jobs: Sequence[TrainJob], n_rows: int) -> _LockstepBatch:
         targets=row_starts * v,
         masks=np.zeros((len(job_of), r, 3)),
         aligned=np.zeros(len(job_of), dtype=bool),
+        phi=np.empty((contexts[-1][0] + 1 if contexts else 0, r, a)),  # one block per job
     )
-    samples = ((j, job, sample) for j, job in enumerate(jobs) for sample in job.corpus)
-    for s, ((j, job, sample), (cols, values)) in enumerate(zip(samples, contexts)):
-        base = np.zeros(n_features)
-        base[cols] = values
-        sequences = _job_sequences(job, sample)
-        b = _stack_sequences(job.model, base, sequences[0], sequences[1:], job.config)
-        n_active, n_block_rows = len(b.active), len(b.targets)
-        batch.rows[s, :n_active] = j * n_rows + b.active
-        batch.base[s, :n_active] = b.base
-        batch.onehot[s, :n_block_rows] += b.prev
-        batch.targets[s, :n_block_rows] += b.targets
-        batch.masks[s, :n_block_rows] = b.masks
-        batch.aligned[s] = len(sequences) > 1
+    for s, ((_, model, config, _, sequences), (j, cols, values)) in enumerate(zip(blocks(), contexts)):
+        k, bos = len(sequences) - 1, model.token_id(BOS)
+        w_target, w_align = loss_term_weights(config, align_present=k > 0)
+        prev_cols, targets, row = [], [], 0
+        for i, tokens in enumerate(sequences):
+            prev = bos
+            for token in tokens:
+                prev_cols.append(2 * v + prev)
+                prev = model.token_id(token)
+                targets.append(prev)
+            batch.masks[s, row : row + len(tokens)] = (0.0, 1.0 / k, w_align / k) if i else (1.0, 0.0, w_target)
+            row += len(tokens)
+        active = sorted({*cols, *prev_cols})
+        column = {col: i for i, col in enumerate(active)}
+        batch.rows[s, : len(active)] = [j * n_rows + col for col in active]
+        batch.base[s, [column[col] for col in cols]] = values
+        batch.onehot[s, :row] += np.array([column[col] for col in prev_cols], dtype=np.intp)
+        batch.targets[s, :row] += np.array(targets, dtype=np.intp)
+        batch.aligned[s] = k > 0
     return batch
+
+
+def _lockstep_step(weights: np.ndarray, batch: _LockstepBatch, entry) -> tuple[np.ndarray, ...]:
+    """The training step at the stacked ``weights`` for the blocks ``entry``,
+    one per job: gathers their weight rows, fills ``batch.phi`` with their
+    context plus previous-token features, and returns the rows, the gathered
+    weights and ``_stacked_loss_and_grad``'s (J, 3) losses and (J, A, V)
+    gradient."""
+    rows = batch.rows[entry]
+    active_weights = weights[rows]
+    batch.phi[...] = batch.base[entry][:, None, :]
+    batch.phi.reshape(-1)[batch.onehot[entry]] = 1.0
+    losses, grad = _stacked_loss_and_grad(active_weights, batch.phi, batch.targets[entry], batch.masks[entry])
+    return rows, active_weights, losses, grad
 
 
 def train_lockstep(
@@ -562,7 +520,7 @@ def train_lockstep(
     n_jobs, n_samples = len(jobs), len(jobs[0].corpus)
     n_features, v = jobs[0].model.weights.shape
     n_rows = n_features + 1  # each job's weights plus its spare all-zero row
-    batch = _pack_jobs(jobs, n_rows)
+    batch = _pack(lambda: _job_blocks(jobs), n_rows)
     weights = np.zeros((n_jobs * n_rows, v))
     for j, job in enumerate(jobs):
         weights[j * n_rows : j * n_rows + n_features] = job.model.weights
@@ -572,8 +530,6 @@ def train_lockstep(
     order = np.empty((epochs * n_samples, n_jobs), dtype=np.intp)
     losses = np.empty((len(order), n_jobs, 3))
     grad_norms = np.empty((len(order), n_jobs))
-    phi = np.empty((n_jobs, batch.onehot.shape[1], batch.base.shape[1]))
-    phi_flat = phi.reshape(-1)
     for epoch in range(epochs):
         start = epoch * n_samples
         epoch_order = order[start : start + n_samples]
@@ -581,19 +537,14 @@ def train_lockstep(
             rng.shuffle(orders[j])
             epoch_order[:, j] = orders[j]
         for step, entry in enumerate(epoch_order + np.arange(n_jobs) * n_samples, start=start):
-            rows = batch.rows[entry]
-            active_weights = weights[rows]
-            phi[...] = batch.base[entry][:, None, :]
-            phi_flat[batch.onehot[entry]] = 1.0
-            step_losses, grad = _stacked_loss_and_grad(active_weights, phi, batch.targets[entry], batch.masks[entry])
+            rows, active_weights, step_losses, grad = _lockstep_step(weights, batch, entry)
             if not np.isfinite(step_losses).all():
                 j = int(np.argmin(np.isfinite(step_losses).all(axis=1)))
                 sample_id = jobs[j].corpus.samples[order[step, j]].id
                 raise TrainingDivergedError(f"non-finite loss at step {step} (sample {sample_id!r})", job=j)
             norm = np.sqrt(np.einsum("jav,jav->j", grad, grad))
             grad *= (learning_rate * (clip_norm / np.maximum(norm, clip_norm)))[:, None, None]
-            active_weights -= grad
-            weights[rows] = active_weights
+            weights[rows] = active_weights - grad
             losses[step] = step_losses
             grad_norms[step] = norm
     losses[~batch.aligned[order + np.arange(n_jobs) * n_samples], 1] = np.nan
@@ -662,44 +613,34 @@ def finite_diff_check(
     """Max relative error between analytic and central-difference gradients.
 
     The probed loss is the combined objective of ``response`` (target term)
-    and ``aligned_responses`` (alignment term) under ``config``. Probes are
-    drawn uniformly over the entries of the active feature rows, the only
-    rows the loss depends on; the gradient of every other row is zero.
+    and ``aligned_responses`` (alignment term) under ``config``, as the
+    training step computes it on a one-block batch. Probes are drawn
+    uniformly over the entries of the active feature rows, the only rows the
+    loss depends on; the gradient of every other row is zero.
     """
     if epsilon <= 0:
         raise ValueError(f"finite_diff_check: epsilon must be positive, got {epsilon}")
     config = config or LossConfig(alpha=0.0)
-    seqs = _stack_sequences(
-        model,
-        context_features(model, sample),
-        response.split(),
-        [text.split() for text in aligned_responses],
-        config,
-    )
+    n_features, n_cols = model.weights.shape
+    sequences = [response.split(), *(text.split() for text in aligned_responses)]
+    batch = _pack(lambda: [(0, model, config, sample, sequences)], n_features + 1)
+    active = batch.rows[0][batch.rows[0] < n_features]
+    weights = np.vstack([model.weights, np.zeros((1, n_cols))])  # plus the spare row
 
-    batch = seqs.as_batch(model.weights.shape[1])
+    def combined(weights: np.ndarray) -> float:
+        return float(_lockstep_step(weights, batch, [0])[2][0, 2])
 
-    def loss_and_grad(weights: np.ndarray) -> tuple[float, np.ndarray]:
-        losses, grad = _stacked_loss_and_grad(weights[seqs.active][None], *batch)
-        return float(losses[0, 2]), grad[0]
-
-    analytic = np.zeros_like(model.weights)
-    analytic[seqs.active] = loss_and_grad(model.weights)[1]
-
+    analytic = _lockstep_step(weights, batch, [0])[3][0]  # the active rows, then padding
     rng = np.random.default_rng(seed)
-    n_cols = model.weights.shape[1]
-    flat_count = len(seqs.active) * n_cols
+    flat_count = len(active) * n_cols
     probes = rng.choice(flat_count, size=min(n_probes, flat_count), replace=False)
     worst = 0.0
     for flat_index in probes:
         active_index, col = divmod(int(flat_index), n_cols)
-        row = seqs.active[active_index]
-        plus = model.weights.copy()
-        plus[row, col] += epsilon
-        minus = model.weights.copy()
-        minus[row, col] -= epsilon
-        numeric = (loss_and_grad(plus)[0] - loss_and_grad(minus)[0]) / (2 * epsilon)
-        ana = float(analytic[row, col])
+        bump = np.zeros_like(weights)
+        bump[active[active_index], col] = epsilon
+        numeric = (combined(weights + bump) - combined(weights - bump)) / (2 * epsilon)
+        ana = float(analytic[active_index, col])
         rel = abs(numeric - ana) / max(1.0, abs(numeric), abs(ana))
         worst = max(worst, rel)
     return worst
@@ -739,10 +680,19 @@ def save_model(model: ToyModel, path: str | Path) -> Path:
 
 
 def load_model(path: str | Path) -> ToyModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ToyModel(
-        vocabulary=tuple(payload["vocabulary"]),
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        seed=payload.get("seed", 0),
-        window_scale=payload.get("window_scale", DEFAULT_WINDOW_SCALE),
-    )
+    """Inverse of ``save_model``; raises ``ValueError`` naming the file and
+    the first bad field."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        vocabulary, rows = json_field(payload, "vocabulary", list), json_field(payload, "weights", list)
+        if not all(isinstance(tok, str) for tok in vocabulary):
+            raise ValueError(f"field 'vocabulary' must hold strings, got {vocabulary!r}")
+        try:
+            weights = np.asarray(rows, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("field 'weights' must be a matrix of numbers") from None
+        seed = json_field(payload, "seed", int, 0)
+        window_scale = json_field(payload, "window_scale", (int, float), DEFAULT_WINDOW_SCALE)
+        return ToyModel(tuple(vocabulary), weights, seed, window_scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -136,6 +136,9 @@ class TestParseConfig:
             ({"synth": {}, "backend": "table:table.json", "max_tokens": 8}, "max_tokens"),
             ({"corpus": "c.jsonl", "backend": "echo", "max_tokens": 8}, "max_tokens"),
             ({"corpus": "c.jsonl", "backend": "table:table.json", "max_tokens": 8}, "max_tokens"),
+            ({"synth": {}, "systems": ["ft", "ft"]}, "systems"),
+            ({"synth": {}, "alphas": [0.2, 0.2, 0.5]}, "alphas"),
+            ({"synth": {}, "train_sizes": [10, 10, 20]}, "train_sizes"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
@@ -150,6 +153,7 @@ class TestParseConfig:
             "biased-positions-on-nli", "nli-n-per-prompt", "nli-max-tokens", "nli-backend", "nli-align",
             "toy-table-max-tokens", "toy-markov-garbage-rate", "toy-echo-max-tokens",
             "toy-table-file-max-tokens", "data-mode-echo-max-tokens", "data-mode-table-file-max-tokens",
+            "systems-repeated", "alphas-repeated", "train-sizes-repeated",
         ],
     )
     def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
@@ -951,6 +955,51 @@ class TestCliVerbs:
         result = runner.invoke(main, ["run", "--config", str(config_file)])
         assert result.exit_code != 0
         assert "not valid JSON" in result.output
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [(b"[1, 2]", "config must be of type object"), (b'{"out_dir": "\xff"}', "can't decode byte 0xff")],
+        ids=["top-level-not-an-object", "not-utf8"],
+    )
+    def test_run_rejects_an_unreadable_config_in_one_line(self, runner, tmp_path, content, problem):
+        config_file = tmp_path / "config.json"
+        config_file.write_bytes(content)
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(config_file), "--out-dir", str(out_dir)])
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        assert problem in result.output and len(result.output.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "verb, artifact, field",
+        [
+            ("eval", {}, "'vocabulary'"),
+            ("eval", {"vocabulary": ["a"], "weights": [["x"]]}, "'weights'"),
+            ("eval", {"vocabulary": [], "weights": [], "window_scale": "2"}, "'window_scale'"),
+            ("report", {"system": "ft", "splits": []}, "'splits'"),
+            ("report", {"system": "ft", "splits": {"biased": {"score": "0.5", "count": 3}}}, "'splits.biased.score'"),
+            ("report", {"system": "ft", "by_position": [{"position": 0, "score": 1.0}]}, "'by_position[0].count'"),
+            ("report", [], "must be a JSON object"),
+        ],
+        ids=[
+            "model-empty-object", "model-weights-not-numbers", "model-window-scale-string",
+            "eval-splits-a-list", "eval-score-a-string", "eval-position-row-without-count", "eval-not-an-object",
+        ],
+    )
+    def test_bad_model_or_eval_file_fails_in_one_line_naming_the_field(
+        self, runner, tmp_path, dialogue_corpus_file, verb, artifact, field
+    ):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(artifact))
+        if verb == "eval":
+            args = ["eval", "--model", str(path), "--corpus", str(dialogue_corpus_file), "--out", str(tmp_path / "e.json")]
+        else:
+            args = ["report", str(path), "--out-dir", str(tmp_path / "report")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert str(path) in line and field in line
+        assert not (tmp_path / "e.json").exists() and not (tmp_path / "report").exists()
 
     def test_run_requires_config(self, runner):
         result = runner.invoke(main, ["run"])

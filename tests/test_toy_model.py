@@ -20,8 +20,6 @@ from posdebias.lowbias_infer import build_prompt, default_prompt_spec
 from posdebias.msa_align import AlignedResponse
 from posdebias.objective import LossConfig
 from posdebias.toy_model import (
-    _stack_sequences,
-    _stacked_loss_and_grad,
     BOS,
     EOS,
     SynthSpec,
@@ -76,11 +74,18 @@ def random_model(vocab_size: int = 12, seed: int = 5, scale: float = 0.1) -> Toy
     return ToyModel(vocabulary, rng.normal(scale=scale, size=(3 * v + 1, v)))
 
 
+def packed_block(model: ToyModel, sample, sequences, config=LossConfig(alpha=0.0)):
+    """One sample's token lists packed as training packs them, and the (3,)
+    losses the training step computes at the model's weights (plus the spare
+    zero row that padded columns point at)."""
+    batch = toy_model._pack(lambda: [(0, model, config, sample, sequences)], model.n_features + 1)
+    weights = np.vstack([model.weights, np.zeros((1, len(model.vocabulary)))])
+    return batch, toy_model._lockstep_step(weights, batch, [0])[2][0]
+
+
 def target_nll(model: ToyModel, sample, tokens: list[str]) -> float:
     """Target loss of ``tokens`` as a training step computes it."""
-    seqs = _stack_sequences(model, context_features(model, sample), tokens, [], LossConfig(alpha=0.0))
-    losses, _ = _stacked_loss_and_grad(model.weights[seqs.active][None], *seqs.as_batch(len(model.vocabulary)))
-    return float(losses[0, 0])
+    return float(packed_block(model, sample, [tokens])[1][0])
 
 
 def step_logprobs(model: ToyModel, sample, tokens: list[str]) -> list[float]:
@@ -201,8 +206,8 @@ class TestLowBiasTable:
 
 
 class TestScoring:
-    """Token scoring on the path training takes: ``_stack_sequences`` and
-    ``_stacked_loss_and_grad``."""
+    """Token scoring on the path training takes: ``_pack`` and
+    ``_lockstep_step``."""
 
     def test_uniform_initialization_scores_every_token_equally(self):
         model = ToyModel.initialize(12)
@@ -232,12 +237,13 @@ class TestScoring:
         train_c, _, _ = synth_corpus(small_spec())
         sample = next(iter(train_c))
         base = context_features(model, sample)
-        empty = _stack_sequences(model, base, [], [], LossConfig(alpha=0.0))
-        assert len(empty.targets) == empty.n_target == 0
+        empty, _ = packed_block(model, sample, [[]])
+        assert empty.masks.shape == (1, 0, 3) and empty.phi.shape[1] == 0
         assert target_nll(model, sample, []) == 0.0
         tokens = "ans t0 is c1".split()
-        seqs = _stack_sequences(model, base, tokens, [], LossConfig(alpha=0.0))
-        assert len(seqs.targets) == seqs.n_target == seqs.phi.shape[0] == 4
+        batch, _ = packed_block(model, sample, [tokens])
+        assert batch.masks.shape[1] == batch.phi.shape[1] == 4
+        assert batch.masks[0, :, 0].tolist() == [1.0] * 4
         # Each step's term equals the dense reference's loss of that one row.
         phi, ids = sequence_features(model, base, tokens)
         expected = [-sequence_loss_and_grad(model.weights, phi[i : i + 1], ids[i : i + 1])[0] for i in range(4)]
@@ -519,6 +525,12 @@ class TestLockstep:
         assert together.value.job == 1
         assert str(together.value) == str(alone.value)
 
+    def test_jobs_with_empty_corpora_make_no_steps(self):
+        model = random_model()
+        runs = train_lockstep([TrainJob(model, Corpus((), Task.CQA)), TrainJob(model, Corpus((), Task.CQA), seed=1)], epochs=2)
+        assert [len(run.order) for run in runs] == [0, 0]
+        assert all(np.array_equal(run.model.weights, model.weights) for run in runs)
+
     def test_jobs_need_corpora_of_one_size(self):
         train_c, _, _ = synth_corpus(small_spec())
         short = Corpus(train_c.samples[:5], Task.CQA)
@@ -549,7 +561,8 @@ class TestFiniteDifference:
         base = context_features(model, sample)
         target = sample.target.split() + [EOS]
         aligned = [["ans", "t3", "is", "c5", EOS], ["ans", "t1", "is", "c2", EOS]] if alpha > 0 else []
-        active = _stack_sequences(model, base, target, aligned, LossConfig(alpha=alpha)).active
+        batch, _ = packed_block(model, sample, [target, *aligned], LossConfig(alpha=alpha))
+        active = batch.rows[0][batch.rows[0] < model.n_features]  # without the spare row
         _, grad = sequence_loss_and_grad(model.weights, *sequence_features(model, base, target))
         for tokens in aligned:
             grad = grad + sequence_loss_and_grad(model.weights, *sequence_features(model, base, tokens))[1]
