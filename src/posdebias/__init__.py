@@ -5,158 +5,5 @@ responses with prompt-side mitigations, prunes them with multi-strategy
 alignment gates, and fine-tunes against a target/alignment mixture loss.
 Includes a synthetic end-to-end demonstration on a toy sequence model.
 """
-from .backends import (
-    BackendError,
-    GenerationResult,
-    HttpBackend,
-    RecordingBackend,
-    ReplayBackend,
-    StubBackend,
-    StubMode,
-    resolve_backend,
-)
-from .bias_split import (
-    BiasEvidence,
-    BiasKind,
-    BiasPartition,
-    GroundingResult,
-    ground_response,
-    perturb_positions,
-    relative_position,
-    split_by_lead_bias,
-    split_by_lexical_bias,
-    split_by_relative_position,
-    write_evidence,
-)
-from .corpus import (
-    Corpus,
-    CorpusError,
-    DialogueTurn,
-    Document,
-    Sample,
-    Task,
-    Utterance,
-    load_corpus,
-    make_document,
-    render_input,
-    save_corpus,
-    validate_sample,
-)
-from .lowbias_infer import (
-    PromptSpec,
-    PromptStrategy,
-    build_prompt,
-    default_prompt_spec,
-    generate,
-)
-from .metrics import (
-    bleu_2,
-    lcs_length,
-    per_position_table,
-    rouge_l,
-    rouge_l_tokens,
-    tokenize,
-)
-from .msa_align import (
-    AlignedResponse,
-    AlignmentConfig,
-    RejectionReason,
-    align_responses,
-    calibrate_threshold,
-    identify_dull,
-    identify_noncompliant,
-)
-from .objective import (
-    LossBreakdown,
-    LossConfig,
-    combined_loss,
-)
-from .pipeline import CONFIG_SCHEMA, PipelineConfig, PipelineError, parse_config, run_pipeline
-from .toy_model import (
-    SynthSpec,
-    ToyModel,
-    TrainingDivergedError,
-    TrainJob,
-    evaluate,
-    finite_diff_check,
-    generate_response,
-    load_model,
-    save_model,
-    synth_corpus,
-    train,
-    train_lockstep,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignedResponse",
-    "AlignmentConfig",
-    "BackendError",
-    "BiasEvidence",
-    "BiasKind",
-    "BiasPartition",
-    "CONFIG_SCHEMA",
-    "Corpus",
-    "CorpusError",
-    "DialogueTurn",
-    "Document",
-    "GenerationResult",
-    "GroundingResult",
-    "HttpBackend",
-    "LossBreakdown",
-    "LossConfig",
-    "PipelineConfig",
-    "PipelineError",
-    "PromptSpec",
-    "PromptStrategy",
-    "RecordingBackend",
-    "RejectionReason",
-    "ReplayBackend",
-    "Sample",
-    "StubBackend",
-    "StubMode",
-    "SynthSpec",
-    "Task",
-    "ToyModel",
-    "TrainJob",
-    "TrainingDivergedError",
-    "Utterance",
-    "align_responses",
-    "bleu_2",
-    "build_prompt",
-    "calibrate_threshold",
-    "combined_loss",
-    "default_prompt_spec",
-    "evaluate",
-    "finite_diff_check",
-    "generate",
-    "generate_response",
-    "ground_response",
-    "identify_dull",
-    "identify_noncompliant",
-    "lcs_length",
-    "load_corpus",
-    "load_model",
-    "make_document",
-    "parse_config",
-    "per_position_table",
-    "perturb_positions",
-    "relative_position",
-    "render_input",
-    "resolve_backend",
-    "rouge_l",
-    "rouge_l_tokens",
-    "run_pipeline",
-    "save_corpus",
-    "save_model",
-    "split_by_lead_bias",
-    "split_by_lexical_bias",
-    "split_by_relative_position",
-    "synth_corpus",
-    "tokenize",
-    "train",
-    "train_lockstep",
-    "validate_sample",
-    "write_evidence",
-]

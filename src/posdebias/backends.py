@@ -23,6 +23,8 @@ from typing import Protocol, runtime_checkable
 
 import requests
 
+from .corpus import json_field, read_jsonl
+
 #: Environment variable that overrides any configured HTTP endpoint.
 BACKEND_URL_ENV = "POSDEBIAS_BACKEND_URL"
 
@@ -165,16 +167,14 @@ def _complete_payload(prompt: str, max_tokens: int, seed: int) -> dict:
     return {"prompt": prompt, "max_tokens": max_tokens, "seed": seed, "logprobs": True}
 
 
-def _result_from_body(body: dict, backend_id: str) -> GenerationResult:
-    """A served or recorded response body as a result; logprobs are required."""
-    tokens = body.get("tokens")
-    logprobs = body.get("token_logprobs")
-    if tokens is None or logprobs is None:
-        raise BackendError("logprobs required: backend response lacks per-token logprobs")
+def _result_from_body(body: object, backend_id: str) -> GenerationResult:
+    """A served or recorded response body as a result. ``tokens`` and
+    ``token_logprobs`` are required; a missing or bad field raises
+    ``ValueError`` naming it."""
     return GenerationResult(
-        text=body.get("text", ""),
-        tokens=tuple(tokens),
-        token_logprobs=tuple(float(lp) for lp in logprobs),
+        text=json_field(body, "text", str, ""),
+        tokens=tuple(json_field(body, "tokens", list)),
+        token_logprobs=tuple(float(lp) for lp in json_field(body, "token_logprobs", list)),
         backend_id=backend_id,
     )
 
@@ -220,7 +220,10 @@ class HttpBackend:
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
         body = self._post(_complete_payload(prompt, max_tokens, seed))
-        return _result_from_body(body, self.backend_id)
+        try:
+            return _result_from_body(body, self.backend_id)
+        except (TypeError, ValueError) as exc:
+            raise BackendError(f"bad backend response, tokens and logprobs required: {exc}") from None
 
 
 def _request_key(payload: dict) -> str:
@@ -259,46 +262,42 @@ class RecordingBackend:
 
 
 class ReplayBackend:
-    """Serve previously recorded exchanges; unknown requests are errors."""
+    """Serve previously recorded exchanges; unknown requests are errors. The
+    file is read up front (``corpus.read_jsonl``), so a bad line fails at once."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.backend_id = f"replay:{self.path.name}"
-        self._responses: dict[str, dict] = {}
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                self._responses[_request_key(entry["request"])] = entry["response"]
+        self._results = dict(exchange for _, exchange in read_jsonl(self.path, self._exchange))
 
-    def _lookup(self, payload: dict) -> GenerationResult:
-        key = _request_key(payload)
-        if key not in self._responses:
-            raise BackendError(f"replay file has no response for request {key[:120]}")
-        return _result_from_body(self._responses[key], self.backend_id)
+    def _exchange(self, entry: object) -> tuple[str, GenerationResult]:
+        key = _request_key(json_field(entry, "request", dict))
+        return key, _result_from_body(json_field(entry, "response", dict), self.backend_id)
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
-        return self._lookup(_complete_payload(prompt, max_tokens, seed))
+        key = _request_key(_complete_payload(prompt, max_tokens, seed))
+        if key not in self._results:
+            raise BackendError(f"replay file has no response for request {key[:120]}")
+        return self._results[key]
 
 
 def parse_backend_spec(spec: str) -> tuple[str, str]:
-    """Split a backend spec into its kind and argument, building nothing.
+    """Split a backend spec into its kind and argument, opening no connection.
 
     Kinds: ``echo``, ``markov``, ``table`` (``table:FILE``, a JSON table on
     disk), ``replay`` (``replay:FILE``) and ``url`` (``url:ENDPOINT`` or a
     bare ``http(s)`` URL). An unknown spec, a table or replay file that does
-    not exist, or a table file that is not a JSON object raises
-    ``ValueError`` naming the backend.
+    not exist, a table file that is not a JSON object, or a replay file that
+    ``ReplayBackend`` cannot read raises ``ValueError`` naming the backend.
     """
     kind, arg = _split_spec(spec)
-    if kind == "table":
-        _read_table(spec, arg)
+    if kind in ("table", "replay"):
+        resolve_backend(spec)
     return kind, arg
 
 
 def _split_spec(spec: str) -> tuple[str, str]:
-    """``parse_backend_spec`` short of reading a table file."""
+    """``parse_backend_spec`` short of reading a table or replay file."""
     if spec.startswith(("http://", "https://")):
         return "url", spec
     kind, colon, arg = spec.partition(":")
@@ -309,13 +308,13 @@ def _split_spec(spec: str) -> tuple[str, str]:
     return kind, arg
 
 
-def _read_table(spec: str, path: str) -> dict:
+def _read_table(path: str) -> dict:
     try:
         table = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"backend {spec!r}: file {path!r} is not valid JSON: {exc}") from None
+        raise ValueError(f"file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(table, dict):
-        raise ValueError(f"backend {spec!r}: file {path!r} is not a JSON object")
+        raise ValueError(f"file {path!r} is not a JSON object")
     return table
 
 
@@ -330,8 +329,11 @@ def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
     kind, arg = _split_spec(spec)
     if kind == "url":
         return HttpBackend(dict(os.environ if env is None else env).get(BACKEND_URL_ENV) or arg)
-    if kind == "replay":
-        return ReplayBackend(arg)
-    if kind == "table":
-        return StubBackend(StubMode.TABLE, table=_read_table(spec, arg))
+    try:
+        if kind == "replay":
+            return ReplayBackend(arg)
+        if kind == "table":
+            return StubBackend(StubMode.TABLE, table=_read_table(arg))
+    except ValueError as exc:
+        raise ValueError(f"backend {spec!r}: {exc}") from None
     return StubBackend(StubMode(kind))

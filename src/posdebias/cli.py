@@ -14,13 +14,14 @@ from pathlib import Path
 import click
 
 from .backends import BackendError, RecordingBackend, resolve_backend
-from .bias_split import BIAS_BY_TASK, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position, split_corpus
+from .bias_split import BIAS_BY_TASK, DEFAULT_BIASED_POSITIONS, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position, split_corpus
 from .corpus import CorpusError, Sample, Task, load_corpus
-from .lowbias_infer import DEFAULT_N_PER_PROMPT, PromptStrategy
+from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy
 from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, AlignmentConfig
 from .objective import LossConfig
 from .pipeline import (
     CONFIG_SCHEMA,
+    PipelineConfig,
     PipelineError,
     align_corpus,
     infer_corpus,
@@ -38,7 +39,10 @@ from .records import (
     write_eval,
     write_trace,
 )
-from .toy_model import METRICS, ToyModel, evaluate, load_model, save_model, train
+from .toy_model import METRICS, SynthSpec, ToyModel, evaluate, load_model, save_model, train
+
+#: ``--positions`` default of ``split`` and ``eval``.
+_DEFAULT_POSITIONS = ",".join(map(str, sorted(DEFAULT_BIASED_POSITIONS)))
 
 
 def _fail(message: str) -> None:
@@ -68,7 +72,7 @@ def main() -> None:
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--task", "task_name", required=True)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--positions", default=None, help="Biased relative positions (cqa, cqg).  [default: 0,1]")
+@click.option("--positions", default=None, help=f"Biased relative positions (cqa, cqg).  [default: {_DEFAULT_POSITIONS}]")
 @click.option("--triggers", default=None, help=f"Comma-separated lexical triggers (nli).  [default: {','.join(DEFAULT_LEXICAL_TRIGGERS)}]")
 def split(corpus_path, task_name, out_dir, positions, triggers):
     """Partition a corpus into biased / non-biased subsets with evidence, by
@@ -104,7 +108,7 @@ def split(corpus_path, task_name, out_dir, positions, triggers):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--n-per-prompt", default=DEFAULT_N_PER_PROMPT, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--max-tokens", default=16, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-tokens", default=DEFAULT_MAX_TOKENS, show_default=True, type=click.IntRange(min=1))
 @click.option("--max-in-flight", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--strategy", default=None, type=click.Choice([s.value for s in PromptStrategy]))
 @click.option("--record", "record_path", default=None, type=click.Path(dir_okay=False), help="Record raw backend traffic to this JSONL file.")
@@ -175,19 +179,27 @@ def align(candidates_path, task_name, corpus_path, out_path, thresholds):
 @click.option("--task", "task_name", default="cqa", show_default=True)
 @click.option("--aligned", "aligned_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--alpha", default=0.0, show_default=True, type=float)
-@click.option("--epochs", default=28, show_default=True, type=int)
-@click.option("--learning-rate", default=0.1, show_default=True, type=float)
-@click.option("--clip-norm", default=1.0, show_default=True, type=float)
+@click.option("--epochs", default=PipelineConfig.epochs, show_default=True, type=int)
+@click.option("--learning-rate", default=PipelineConfig.learning_rate, show_default=True, type=float)
+@click.option("--clip-norm", default=PipelineConfig.clip_norm, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--vocab-size", default=24, show_default=True, type=int)
+@click.option("--vocab-size", default=SynthSpec.vocab_size, show_default=True, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--trace", "trace_path", default=None, type=click.Path(dir_okay=False))
 def train_toy(train_path, task_name, aligned_path, alpha, epochs, learning_rate, clip_norm, seed, vocab_size, out_path, trace_path):
     """Train the toy sequence model, optionally with an alignment loss term."""
     task = _task(task_name)
+    # The align term weighs alpha and reads the aligned responses: each needs the other.
+    if aligned_path and alpha == 0:
+        _fail("train-toy: --aligned is not read with --alpha 0")
+    if alpha != 0 and not aligned_path:
+        _fail(f"train-toy: --alpha {alpha:g} is not read without --aligned")
     try:
         corpus = load_corpus(train_path, task)
         aligned = load_aligned(aligned_path) if aligned_path else None
+        unknown = sorted(set(aligned or ()) - {s.id for s in corpus})
+        if unknown:
+            raise ValueError(f"train-toy: aligned sample id {unknown[0]!r} not in --train")
         trained, trace = train(
             ToyModel.initialize(vocab_size, seed=seed),
             corpus,
@@ -211,8 +223,8 @@ def train_toy(train_path, task_name, aligned_path, alpha, epochs, learning_rate,
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Evaluation pool; re-split by relative position.")
 @click.option("--task", "task_name", default="cqa", show_default=True)
-@click.option("--metric", default="accuracy", show_default=True, type=click.Choice(METRICS))
-@click.option("--positions", default="0,1", show_default=True)
+@click.option("--metric", default=PipelineConfig.metric, show_default=True, type=click.Choice(METRICS))
+@click.option("--positions", default=_DEFAULT_POSITIONS, show_default=True)
 @click.option("--system", default="model", show_default=True, help="Label used in the report row.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def eval_cmd(model_path, corpus_path, task_name, metric, positions, system, out_path):

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class Task(str, Enum):
@@ -201,65 +201,39 @@ def validate_sample(sample: Sample) -> list[str]:
     return violations
 
 
-def _sample_from_record(record: dict, task: Task, line_no: int) -> Sample:
-    def fail(message: str) -> CorpusError:
-        return CorpusError(f"line {line_no}: {message}")
-
-    if not isinstance(record, dict):
-        raise fail("record is not a JSON object")
-    for key in ("id", "task", "target"):
-        if key not in record:
-            raise fail(f"missing {key!r} field")
-    try:
-        record_task = Task(record["task"])
-    except ValueError:
-        raise fail(f"unknown task {record['task']!r}") from None
-    if record_task != task:
-        raise fail(
-            f"task mismatch: record is {record_task.value!r}, expected {task.value!r}"
-        )
-    if not isinstance(record["id"], str):
-        raise fail("'id' must be a string")
-    if not isinstance(record["target"], str):
-        raise fail("'target' must be a string")
-
+def _sample_from_record(record: object, task: Task) -> Sample:
+    sample_id, target = json_field(record, "id", str), json_field(record, "target", str)
+    if json_field(record, "task", str) != task.value:
+        raise CorpusError(f"task mismatch: record is {record['task']!r}, expected {task.value!r}")
     document = None
     history: tuple[DialogueTurn, ...] = ()
     premise = hypothesis = None
     if task == Task.NLI:
-        for key in ("premise", "hypothesis"):
-            if not isinstance(record.get(key), str):
-                raise fail(f"missing or non-string {key!r} field")
-        premise = record["premise"]
-        hypothesis = record["hypothesis"]
+        premise, hypothesis = json_field(record, "premise", str), json_field(record, "hypothesis", str)
     else:
-        doc = record.get("document")
-        if not isinstance(doc, list) or not all(isinstance(t, str) for t in doc):
-            raise fail("'document' must be a list of strings")
+        doc = json_field(record, "document", list)
+        if not all(isinstance(t, str) for t in doc):
+            raise CorpusError("'document' must be a list of strings")
         document = make_document(doc)
-        turns = record.get("history", [])
-        if not isinstance(turns, list):
-            raise fail("'history' must be a list")
         built = []
-        for i, turn in enumerate(turns):
-            if not isinstance(turn, dict) or "question" not in turn:
-                raise fail(f"history entry {i} must be an object with 'question'")
+        for i, turn in enumerate(json_field(record, "history", list, [])):
+            if not isinstance(turn, dict) or not isinstance(turn.get("question"), str):
+                raise CorpusError(f"history entry {i} must be an object with a string 'question'")
             answer = turn.get("answer")
             if answer is not None and not isinstance(answer, str):
-                raise fail(f"history entry {i}: 'answer' must be a string or null")
+                raise CorpusError(f"history entry {i}: 'answer' must be a string or null")
             built.append(DialogueTurn(turn.get("turn_index", i), turn["question"], answer))
         history = tuple(built)
-
     sample = Sample(
-        id=record["id"],
+        id=sample_id,
         task=task,
-        target=record["target"],
+        target=target,
         document=document,
         history=history,
-        input_text=record.get("input_text", ""),
+        input_text=json_field(record, "input_text", str, ""),
         nli_premise=premise,
         nli_hypothesis=hypothesis,
-        split=record.get("split"),
+        split=json_field(record, "split", (str, type(None)), None),
     )
     return with_rendered_input(sample)
 
@@ -268,7 +242,7 @@ def json_field(record: object, key: str, kinds: type | tuple[type, ...], default
     """``record[key]``, or ``default`` when the key is absent and a default is
     given. Raises ``ValueError`` naming the field (``where`` + ``key``) when
     ``record`` is not an object, the key is missing, or the value is not one
-    of ``kinds`` (never a bool: JSON ``true`` is no number)."""
+    of ``kinds`` (a bool only for ``kinds`` ``bool``: JSON ``true`` is no number)."""
     if not isinstance(record, dict):
         raise ValueError(f"{where.rstrip('.') or 'record'} must be a JSON object, got {record!r}")
     if key not in record:
@@ -276,43 +250,34 @@ def json_field(record: object, key: str, kinds: type | tuple[type, ...], default
             raise ValueError(f"missing field {where + key!r}")
         return default
     value = record[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
         raise ValueError(f"field {where + key!r} has the wrong type: {value!r}")
     return value
 
 
 def load_corpus(path: str | Path, task: Task) -> Corpus:
-    """Load a JSONL corpus, one record per line.
-
-    Raises ``CorpusError`` naming the offending line for malformed JSON,
-    schema violations, task mismatches, or the first ``validate_sample``
-    violation; empty files and invalid UTF-8 are rejected outright.
-    """
-    path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
-    samples: list[Sample] = []
+    """Load a JSONL corpus through ``read_jsonl``. A record that breaks the
+    schema, the task, id uniqueness or ``validate_sample`` raises
+    ``CorpusError`` naming the file and line, as do bad UTF-8 and no records."""
     seen: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {line_no}: malformed JSON: {exc.msg}") from exc
-        sample = _sample_from_record(record, task, line_no)
+
+    def decode(record: object) -> Sample:
+        sample = _sample_from_record(record, task)
         violations = validate_sample(sample)
         if violations:
-            raise CorpusError(f"line {line_no}: {violations[0]}")
+            raise CorpusError(violations[0])
         if sample.id in seen:
-            raise CorpusError(f"line {line_no}: duplicate sample id {sample.id!r}")
+            raise CorpusError(f"duplicate sample id {sample.id!r}")
         seen.add(sample.id)
-        samples.append(sample)
+        return sample
+
+    try:
+        samples = tuple(sample for _, sample in read_jsonl(path, decode))
+    except ValueError as exc:
+        raise CorpusError(str(exc)) from exc
     if not samples:
         raise CorpusError(f"{path}: empty corpus")
-    return Corpus(tuple(samples), task)
+    return Corpus(samples, task)
 
 
 def sample_to_record(sample: Sample) -> dict:
@@ -344,6 +309,36 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> Path:
             handle.write(json.dumps(record, ensure_ascii=False))
             handle.write("\n")
     return path
+
+
+def read_jsonl(path: str | Path, decode: Callable[[object], object]) -> Iterator[tuple[int, object]]:
+    """``(line number, decode(record))`` for every non-blank line of a JSONL
+    file; the one reader of what ``write_jsonl`` writes.
+
+    The file is decoded as UTF-8 once; bad UTF-8 raises ``ValueError``
+    naming the file. Malformed JSON, and a ``KeyError`` (read as a missing
+    field), ``TypeError`` or ``ValueError`` from ``decode``, raise
+    ``ValueError`` naming the file and the line. Lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r`` only, so a string may hold the other line
+    separators (U+2028, U+0085, ...) that ``write_jsonl`` leaves unescaped.
+    """
+    path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+    for line_no, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            item = decode(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {line_no}: malformed JSON: {exc.msg}") from exc
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {line_no}: missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+        yield line_no, item
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> Path:

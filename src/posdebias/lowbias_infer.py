@@ -42,6 +42,9 @@ DEFAULT_ICL_K = 4
 #: How many candidates to draw per prompt by default.
 DEFAULT_N_PER_PROMPT = 3
 
+#: Longest candidate to ask a backend for by default, in tokens.
+DEFAULT_MAX_TOKENS = 16
+
 
 class PromptStrategy(str, Enum):
     INSTRUCTION_ONLY = "instruction_only"
@@ -136,7 +139,7 @@ def generate(
     backend: Backend,
     n_per_prompt: int = DEFAULT_N_PER_PROMPT,
     seed: int = 0,
-    max_tokens: int = 16,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
     max_in_flight: int = 1,
 ) -> list[GenerationResult]:
     """Draw ``n_per_prompt`` candidates for every prompt.

@@ -45,7 +45,7 @@ from .bias_split import (
     write_evidence,
 )
 from .corpus import Corpus, Sample, Task, load_corpus, relabel, save_corpus
-from .lowbias_infer import PromptStrategy, build_prompt, default_prompt_spec, generate
+from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
 from .metrics import PositionRow
 from .msa_align import (
     DEFAULT_DULL_PATTERNS,
@@ -81,7 +81,8 @@ class PipelineError(RuntimeError):
 #: candidate keys (a data-mode nli run, which only splits and reports), the
 #: split parameter of each bias kind (a task split by another kind),
 #: ``max_tokens`` on the echo and table backends, whose candidates have no
-#: length to cap, and in toy mode ``garbage_rate`` off the internal table.
+#: length to cap, and in toy mode ``garbage_rate`` off the internal table
+#: and ``alphas`` without the ``zoe`` system.
 _TOY_ONLY_KEYS = ("seeds", "systems", "alphas", "train_sizes", "epochs", "learning_rate", "clip_norm", "garbage_rate", "metric")
 _CANDIDATE_KEYS = ("n_per_prompt", "max_tokens", "backend", "align")
 _SPLIT_KEYS = {BiasKind.RELATIVE_POSITION: "biased_positions", BiasKind.LEXICAL: "triggers"}
@@ -227,8 +228,8 @@ class PipelineConfig:
     epochs: int = 28
     learning_rate: float = 0.1
     clip_norm: float = 1.0
-    n_per_prompt: int = 3
-    max_tokens: int = 16
+    n_per_prompt: int = DEFAULT_N_PER_PROMPT
+    max_tokens: int = DEFAULT_MAX_TOKENS
     garbage_rate: float = 0.25
     metric: str = "accuracy"
     backend: str = "table"
@@ -265,6 +266,9 @@ def parse_config(raw: dict) -> PipelineConfig:
         run = f"toy {task.value} run"
         if backend != "table":
             unread.append("garbage_rate")
+        if "zoe" not in raw.get("systems", PipelineConfig.systems):
+            unread.append("alphas")
+            run += " without system 'zoe'"
     if backend in ("echo", "table") or backend.startswith("table:"):
         unread.append("max_tokens")
     if "backend" not in unread:

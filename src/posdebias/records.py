@@ -3,34 +3,22 @@
 One encoder and one decoder per artifact kind: low-bias candidates,
 aligned verdicts, per-step training traces, per-epoch training summaries,
 and eval entries (the JSON form of a ``report.SystemEval``). Writers emit
-records in the order given; readers name the file and line of the first
-bad record.
+records in the order given; the JSONL readers (``corpus.read_jsonl``)
+name the file and line of the first bad record.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .backends import GenerationResult
-from .corpus import json_field, write_jsonl
+from .corpus import json_field, read_jsonl, write_jsonl
 from .metrics import PositionRow
 from .msa_align import AlignedResponse, RejectionReason
 from .report import SystemEval
 from .toy_model import EpochSummary, TraceEntry
-
-
-def _read_jsonl(path: str | Path, decode) -> Iterator[tuple[int, object]]:
-    """``(line number, decode(record))`` for every non-blank line."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield line_no, decode(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
 
 
 def write_candidates(candidates: Mapping[str, Sequence[GenerationResult]], path: str | Path) -> Path:
@@ -52,14 +40,14 @@ def write_candidates(candidates: Mapping[str, Sequence[GenerationResult]], path:
     )
 
 
-def _candidate_from_record(record: dict) -> tuple[str, int | None, GenerationResult]:
+def _candidate_from_record(record: object) -> tuple[str, int | None, GenerationResult]:
     result = GenerationResult(
-        text=record["text"],
-        tokens=tuple(record["tokens"]),
-        token_logprobs=tuple(record["token_logprobs"]),
-        backend_id=record.get("backend_id", "unknown"),
+        text=json_field(record, "text", str),
+        tokens=tuple(json_field(record, "tokens", list)),
+        token_logprobs=tuple(json_field(record, "token_logprobs", list)),
+        backend_id=json_field(record, "backend_id", str, "unknown"),
     )
-    return record["sample_id"], record.get("candidate_index"), result
+    return json_field(record, "sample_id", str), json_field(record, "candidate_index", int, None), result
 
 
 def load_candidates(path: str | Path) -> dict[str, list[GenerationResult]]:
@@ -69,7 +57,7 @@ def load_candidates(path: str | Path) -> dict[str, list[GenerationResult]]:
     when absent).
     """
     grouped: dict[str, list[tuple[int, GenerationResult]]] = {}
-    for line_no, (sample_id, index, result) in _read_jsonl(path, _candidate_from_record):
+    for line_no, (sample_id, index, result) in read_jsonl(path, _candidate_from_record):
         grouped.setdefault(sample_id, []).append((line_no if index is None else index, result))
     return {
         sid: [result for _, result in sorted(pairs, key=lambda p: p[0])]
@@ -95,22 +83,20 @@ def write_aligned(aligned: Mapping[str, Sequence[AlignedResponse]], path: str | 
     )
 
 
-def _aligned_from_record(record: dict) -> AlignedResponse:
+def _aligned_from_record(record: object) -> AlignedResponse:
     return AlignedResponse(
-        sample_id=record["sample_id"],
-        text=record["text"],
-        token_logprobs=tuple(record["token_logprobs"]),
-        kept=record["kept"],
-        rejection_reasons=frozenset(
-            RejectionReason(r) for r in record.get("rejection_reasons", ())
-        ),
+        sample_id=json_field(record, "sample_id", str),
+        text=json_field(record, "text", str),
+        token_logprobs=tuple(json_field(record, "token_logprobs", list)),
+        kept=json_field(record, "kept", bool),
+        rejection_reasons=frozenset(map(RejectionReason, json_field(record, "rejection_reasons", list, []))),
     )
 
 
 def load_aligned(path: str | Path) -> dict[str, list[AlignedResponse]]:
     """Verdicts by sample id, in file order."""
     grouped: dict[str, list[AlignedResponse]] = {}
-    for _, verdict in _read_jsonl(path, _aligned_from_record):
+    for _, verdict in read_jsonl(path, _aligned_from_record):
         grouped.setdefault(verdict.sample_id, []).append(verdict)
     return grouped
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -228,6 +229,17 @@ class TestRecordReplay:
         replay = ReplayBackend(record_path)
         with pytest.raises(BackendError, match="no response"):
             replay.complete("different prompt")
+
+    def test_replay_response_without_logprobs_fails_when_the_file_is_read(self, tmp_path):
+        record_path = tmp_path / "tape.jsonl"
+        live = RecordingBackend(StubBackend(StubMode.MARKOV), record_path)
+        live.complete("p q r", seed=0)
+        live.complete("p q r", seed=1)
+        first, second = (json.loads(line) for line in record_path.read_text().splitlines())
+        del second["response"]["token_logprobs"]
+        record_path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(record_path))}: line 2: missing field 'token_logprobs'$"):
+            ReplayBackend(record_path)
 
     def test_replay_distinguishes_seeds(self, tmp_path):
         record_path = tmp_path / "tape.jsonl"

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from posdebias.backends import ReplayBackend
 from posdebias.corpus import (
     Corpus,
     CorpusError,
@@ -19,8 +21,33 @@ from posdebias.corpus import (
     validate_sample,
     with_rendered_input,
 )
+from posdebias.records import load_aligned, load_candidates
 
 from conftest import dialogue_sample, nli_sample
+
+#: Each JSONL reader, with one good record and a field it requires.
+READERS = {
+    "corpus": (
+        lambda path: load_corpus(path, Task.CQA),
+        sample_to_record(dialogue_sample("a", ["u"], "p?", "u", "q?", "u")),
+        "target",
+    ),
+    "candidates": (
+        load_candidates,
+        {"sample_id": "a", "candidate_index": 0, "text": "u", "tokens": ["u"], "token_logprobs": [-0.1], "backend_id": "b"},
+        "text",
+    ),
+    "aligned": (
+        load_aligned,
+        {"sample_id": "a", "text": "u", "token_logprobs": [-0.1], "kept": True, "rejection_reasons": []},
+        "kept",
+    ),
+    "replay": (
+        ReplayBackend,
+        {"request": {"prompt": "p"}, "response": {"text": "u", "tokens": ["u"], "token_logprobs": [-0.1]}},
+        "response",
+    ),
+}
 
 
 class TestDataModel:
@@ -241,3 +268,52 @@ class TestLoadSave:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         loaded = load_corpus(path, Task.CQA)
         assert loaded.samples[0].input_text.startswith("document: u")
+
+
+class TestReadJsonl:
+    """The one JSONL reader's error contract, through each reader that calls it."""
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("defect", ["malformed-json", "missing-field", "wrong-type", "not-an-object"])
+    def test_bad_line_fails_in_one_line_naming_file_and_line(self, tmp_path, reader, defect):
+        read, good, key = READERS[reader]
+        bad = {
+            "malformed-json": "{not json",
+            "missing-field": json.dumps({k: v for k, v in good.items() if k != key}),
+            "wrong-type": json.dumps({**good, key: 3}),
+            "not-an-object": "[1]",
+        }[defect]
+        path = tmp_path / "f.jsonl"
+        path.write_text(json.dumps(good) + "\n\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError if reader == "corpus" else ValueError) as info:
+            read(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: line 3: ") and "\n" not in message
+        assert {
+            "malformed-json": "malformed JSON",
+            "missing-field": f"missing field {key!r}",
+            "wrong-type": f"field {key!r} has the wrong type",
+            "not-an-object": "must be a JSON object",
+        }[defect] in message
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_utf8_names_the_file(self, tmp_path, reader):
+        read, good, _ = READERS[reader]
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(json.dumps(good).encode() + b"\n\xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not valid UTF-8"):
+            read(path)
+
+    def test_line_separators_inside_strings_round_trip(self, tmp_path):
+        # write_jsonl leaves U+2028, U+2029 and U+0085 unescaped; only \n, \r\n and \r end a line.
+        corpus = Corpus((dialogue_sample("a", ["u\u2028v"], "p?", "u\x85w", "q?", "x\u2029y"),), Task.CQA)
+        path = save_corpus(corpus, tmp_path / "c.jsonl")
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        assert load_corpus(path, Task.CQA) == corpus
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_lines(self, tmp_path, newline):
+        read, good, _ = READERS["candidates"]
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(newline.join([json.dumps(good), json.dumps({**good, "candidate_index": 1}), ""]).encode())
+        assert [r.text for r in read(path)["a"]] == ["u", "u"]

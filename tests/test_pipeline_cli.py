@@ -1,9 +1,11 @@
 """End-to-end pipeline and CLI tests on small corpora."""
 import dataclasses
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
+import re
 import tempfile
 from pathlib import Path
 from statistics import mean
@@ -50,7 +52,6 @@ TOY_RAW = {
     "synth": {"n_utterances": 6, "n_train": 12, "n_eval": 12, "biased_fraction": 0.9, "vocab_size": 12, "seed": 0},
     "seeds": [0, 1],
     "systems": ["ft", "zoe", "rp"],
-    "alphas": [0.2],
     "epochs": 2,
     "learning_rate": 0.5,
     "n_per_prompt": 3,
@@ -139,6 +140,9 @@ class TestParseConfig:
             ({"synth": {}, "systems": ["ft", "ft"]}, "systems"),
             ({"synth": {}, "alphas": [0.2, 0.2, 0.5]}, "alphas"),
             ({"synth": {}, "train_sizes": [10, 10, 20]}, "train_sizes"),
+            ({"synth": {}, "backend": "replay:bad.json"}, r"backend.*bad\.json: line 1: malformed JSON"),
+            ({"synth": {}, "backend": "replay:tape.jsonl"}, r"backend.*tape\.jsonl: line 2: missing field 'response"),
+            ({"synth": {}, "systems": ["ft"], "alphas": [0.5, 0.7]}, "alphas"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
@@ -154,12 +158,14 @@ class TestParseConfig:
             "toy-table-max-tokens", "toy-markov-garbage-rate", "toy-echo-max-tokens",
             "toy-table-file-max-tokens", "data-mode-echo-max-tokens", "data-mode-table-file-max-tokens",
             "systems-repeated", "alphas-repeated", "train-sizes-repeated",
+            "backend-replay-file-not-jsonl", "backend-replay-line-without-response", "alphas-without-zoe",
         ],
     )
     def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
-        monkeypatch.chdir(tmp_path)  # relative backend files resolve here; only these two exist
+        monkeypatch.chdir(tmp_path)  # relative backend files resolve here; only these three exist
         (tmp_path / "bad.json").write_text("{not json")
         (tmp_path / "table.json").write_text("{}")
+        (tmp_path / "tape.jsonl").write_text('{"request": {}, "response": {"tokens": [], "token_logprobs": []}}\n{"request": {}}\n')
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match=rf"config: .*\b{field}\b"):
             parse_config({**raw, "out_dir": str(out_dir)})
@@ -1001,7 +1007,73 @@ class TestCliVerbs:
         assert str(path) in line and field in line
         assert not (tmp_path / "e.json").exists() and not (tmp_path / "report").exists()
 
+    def test_infer_rejects_a_replay_line_without_response_in_one_line(self, runner, tmp_path, dialogue_corpus_file):
+        tape = tmp_path / "tape.jsonl"
+        tape.write_text('{"request": {}, "response": {"tokens": [], "token_logprobs": []}}\n{"request": {}}\n')
+        out = tmp_path / "candidates.jsonl"
+        result = runner.invoke(main, [
+            "infer", "--corpus", str(dialogue_corpus_file), "--task", "cqa",
+            "--backend", f"replay:{tape}", "--out", str(out),
+        ])
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert f"{tape}: line 2: missing field 'response'" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["align", "train-toy"])
+    def test_non_utf8_jsonl_artifact_fails_in_one_line_naming_the_file(self, runner, tmp_path, dialogue_corpus_file, verb):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\n")
+        out = tmp_path / "out.jsonl"
+        if verb == "align":
+            args = ["align", "--candidates", str(bad), "--task", "cqg", "--out", str(out)]
+        else:
+            args = ["train-toy", "--train", str(dialogue_corpus_file), "--aligned", str(bad), "--alpha", "0.2", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert f"{bad}: not valid UTF-8" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "options, problem",
+        [
+            (["--aligned", "known.jsonl", "--alpha", "0"], "train-toy: --aligned is not read with --alpha 0"),
+            (["--alpha", "0.2"], "train-toy: --alpha 0.2 is not read without --aligned"),
+            (["--aligned", "unknown.jsonl", "--alpha", "0.2"], "train-toy: aligned sample id 'nope' not in --train"),
+        ],
+        ids=["aligned-with-alpha-zero", "alpha-without-aligned", "aligned-id-not-in-train"],
+    )
+    def test_train_toy_rejects_alignment_inputs_it_would_not_read(
+        self, runner, tmp_path, dialogue_corpus_file, options, problem
+    ):
+        known = load_corpus(dialogue_corpus_file, Task.CQA).samples[0].id
+        for name, sample_id in (("known.jsonl", known), ("unknown.jsonl", "nope")):
+            verdict = {"sample_id": sample_id, "text": "a b", "token_logprobs": [-0.1, -0.2], "kept": True}
+            (tmp_path / name).write_text(json.dumps(verdict) + "\n")
+        out = tmp_path / "model.json"
+        result = runner.invoke(main, [
+            "train-toy", "--train", str(dialogue_corpus_file), "--epochs", "1", "--out", str(out),
+            *(str(tmp_path / o) if o.endswith(".jsonl") else o for o in options),
+        ])
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert problem in line
+        assert not out.exists()
+
     def test_run_requires_config(self, runner):
         result = runner.invoke(main, ["run"])
         assert result.exit_code != 0
         assert "--config is required" in result.output
+
+
+def test_every_readme_import_resolves():
+    # The package root re-exports nothing: module paths are the one documented way in.
+    import posdebias
+
+    assert all(name.startswith("_") or inspect.ismodule(value) for name, value in vars(posdebias).items())
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    imports = re.findall(r"^\s*(from posdebias\S* import .+)$", readme, flags=re.MULTILINE)
+    assert imports
+    for line in imports:
+        exec(line, {})
