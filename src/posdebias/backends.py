@@ -14,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import requests
 
@@ -30,17 +31,10 @@ BACKEND_URL_ENV = "POSDEBIAS_BACKEND_URL"
 
 
 class BackendError(RuntimeError):
-    """Backend failure; ``retryable`` marks transient transport problems."""
+    """Backend failure; ``prompt_index`` is the failing prompt's, when known."""
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        retryable: bool = False,
-        prompt_index: int | None = None,
-    ) -> None:
+    def __init__(self, message: str, *, prompt_index: int | None = None) -> None:
         super().__init__(message)
-        self.retryable = retryable
         self.prompt_index = prompt_index
 
 
@@ -63,6 +57,11 @@ class GenerationResult:
             if not math.isfinite(lp) or lp > 0.0:
                 raise ValueError(f"GenerationResult: invalid token logprob {lp}")
 
+    def body(self) -> dict:
+        """The wire-format response body: ``text``, ``tokens`` and
+        ``token_logprobs``, in that order (``_result_from_body`` reads it)."""
+        return {"text": self.text, "tokens": list(self.tokens), "token_logprobs": list(self.token_logprobs)}
+
     def min_token_prob(self) -> float:
         """Probability of the least likely token; 1.0 for an empty result."""
         if not self.token_logprobs:
@@ -70,7 +69,6 @@ class GenerationResult:
         return math.exp(min(self.token_logprobs))
 
 
-@runtime_checkable
 class Backend(Protocol):
     backend_id: str
 
@@ -105,10 +103,12 @@ class StubBackend:
       prompt (the whole prompt when no marker is present) with logprob 0 per
       token, i.e. certainty.
     * ``table``: looks the prompt up in a caller-supplied table. Values may
-      be a string, a ``{"text": ..., "token_logprobs": [...]}`` record, or a
-      list of either; list entries are cycled by seed so repeated calls with
+      be a string, a ``{"text": ..., "tokens": [...], "token_logprobs": [...]}``
+      record (``tokens`` and ``token_logprobs`` optional), or a non-empty list
+      of either; list entries are cycled by seed so repeated calls with
       increasing seeds walk the list deterministically. Entries without
-      logprobs get ``STUB_DEFAULT_LOGPROB`` per token.
+      logprobs get ``STUB_DEFAULT_LOGPROB`` per token. Every entry becomes
+      its result here, so a bad one raises ``ValueError`` naming its prompt.
     * ``markov``: emits a seeded pseudo-random walk over the prompt's own
       vocabulary, at most ``STUB_MARKOV_LENGTH`` tokens; useful as a
       nonsense generator with stable outputs.
@@ -116,8 +116,8 @@ class StubBackend:
 
     def __init__(self, mode: StubMode | str = StubMode.ECHO, table: dict | None = None) -> None:
         self.mode = StubMode(mode)
-        self.table = dict(table or {})
         self.backend_id = f"stub-{self.mode.value}"
+        self.table = {prompt: self._table_results(prompt, value) for prompt, value in (table or {}).items()}
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
         if self.mode == StubMode.ECHO:
@@ -127,7 +127,8 @@ class StubBackend:
         if self.mode == StubMode.TABLE:
             if prompt not in self.table:
                 raise BackendError(f"stub table has no entry for prompt {prompt[:80]!r}")
-            return self._from_table_value(self.table[prompt], seed)
+            results = self.table[prompt]
+            return results[seed % len(results)]
         rng = random.Random(_stable_hash(prompt) ^ (seed & 0xFFFFFFFF))
         vocab = sorted(set(prompt.split())) or ["the"]
         length = max(1, min(max_tokens, STUB_MARKOV_LENGTH))
@@ -143,23 +144,36 @@ class StubBackend:
             return prompt.strip()
         return prompt[pos + len(marker) :].strip()
 
-    def _from_table_value(self, value, seed: int) -> GenerationResult:
-        if isinstance(value, list):
-            if not value:
-                raise BackendError("stub table entry is an empty list")
-            value = value[seed % len(value)]
-        if isinstance(value, str):
-            tokens = tuple(value.split())
+    def _table_results(self, prompt: str, value: object) -> tuple[GenerationResult, ...]:
+        entries = value if isinstance(value, list) else [value]
+        try:
+            if not entries:
+                raise ValueError("empty list")
+            return tuple(map(self._table_result, entries))
+        except ValueError as exc:
+            raise ValueError(f"table entry for prompt {prompt[:80]!r}: {exc}") from None
+
+    def _table_result(self, entry: object) -> GenerationResult:
+        if isinstance(entry, str):
+            text, tokens, logprobs = entry, entry.split(), None
+        elif isinstance(entry, dict):
+            text = json_field(entry, "text", str)
+            tokens = _json_list(entry, "tokens", str, None) or text.split()
+            logprobs = _json_list(entry, "token_logprobs", (int, float), None)
+        else:
+            raise ValueError(f"entry must be a string or a JSON object, got {entry!r}")
+        if logprobs is None:
             logprobs = (STUB_DEFAULT_LOGPROB,) * len(tokens)
-            return GenerationResult(value, tokens, logprobs, self.backend_id)
-        if isinstance(value, dict):
-            text = value["text"]
-            tokens = tuple(value.get("tokens") or text.split())
-            logprobs = value.get("token_logprobs")
-            if logprobs is None:
-                logprobs = (STUB_DEFAULT_LOGPROB,) * len(tokens)
-            return GenerationResult(text, tokens, tuple(logprobs), self.backend_id)
-        raise BackendError(f"stub table entry of unsupported type {type(value).__name__}")
+        return GenerationResult(text, tuple(tokens), tuple(logprobs), self.backend_id)
+
+
+def _json_list(record: object, key: str, kinds: type | tuple[type, ...], default=...):
+    """``json_field`` for a list whose every item is one of ``kinds`` (no bools)."""
+    items = json_field(record, key, list, default)
+    for item in items or ():
+        if not isinstance(item, kinds) or isinstance(item, bool):
+            raise ValueError(f"field {key!r} has an item of the wrong type: {item!r}")
+    return items
 
 
 def _complete_payload(prompt: str, max_tokens: int, seed: int) -> dict:
@@ -173,56 +187,43 @@ def _result_from_body(body: object, backend_id: str) -> GenerationResult:
     ``ValueError`` naming it."""
     return GenerationResult(
         text=json_field(body, "text", str, ""),
-        tokens=tuple(json_field(body, "tokens", list)),
-        token_logprobs=tuple(float(lp) for lp in json_field(body, "token_logprobs", list)),
+        tokens=tuple(_json_list(body, "tokens", str)),
+        token_logprobs=tuple(float(lp) for lp in _json_list(body, "token_logprobs", (int, float))),
         backend_id=backend_id,
     )
 
 
 class HttpBackend:
-    """JSON-over-HTTP completion client.
+    """JSON-over-HTTP completion client; each completion is one request.
 
-    Transport failures and 5xx responses raise retryable ``BackendError``s;
-    responses without per-token logprobs are a hard error because nothing
-    downstream can work without them.
+    A transport failure, a status other than 200 or a response without
+    per-token logprobs raises ``BackendError``: nothing downstream can work
+    without the logprobs.
     """
 
-    def __init__(self, url: str, timeout: float = 30.0, retries: int = 0) -> None:
+    def __init__(self, url: str, timeout: float = 30.0) -> None:
         self.url = url
         self.timeout = timeout
-        self.retries = retries
         self.session = requests.Session()
         self.backend_id = f"http:{url}"
 
-    def _post(self, payload: dict) -> dict:
-        last_error: BackendError | None = None
-        for _ in range(self.retries + 1):
-            try:
-                response = self.session.post(self.url, json=payload, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = BackendError(f"transport failure: {exc}", retryable=True)
-                continue
-            if response.status_code >= 500:
-                last_error = BackendError(
-                    f"server error {response.status_code}", retryable=True
-                )
-                continue
-            if response.status_code != 200:
-                raise BackendError(
-                    f"backend rejected request with status {response.status_code}"
-                )
-            try:
-                return response.json()
-            except ValueError as exc:
-                raise BackendError(f"backend returned invalid JSON: {exc}") from exc
-        assert last_error is not None
-        raise last_error
-
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
-        body = self._post(_complete_payload(prompt, max_tokens, seed))
+        payload = _complete_payload(prompt, max_tokens, seed)
+        try:
+            response = self.session.post(self.url, json=payload, timeout=self.timeout)
+        except requests.RequestException as exc:
+            raise BackendError(f"transport failure: {exc}") from exc
+        if response.status_code >= 500:
+            raise BackendError(f"server error {response.status_code}")
+        if response.status_code != 200:
+            raise BackendError(f"backend rejected request with status {response.status_code}")
+        try:
+            body = response.json()
+        except ValueError as exc:
+            raise BackendError(f"backend returned invalid JSON: {exc}") from exc
         try:
             return _result_from_body(body, self.backend_id)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise BackendError(f"bad backend response, tokens and logprobs required: {exc}") from None
 
 
@@ -242,15 +243,7 @@ class RecordingBackend:
         self._lock = threading.Lock()
 
     def _record(self, payload: dict, result: GenerationResult) -> None:
-        entry = {
-            "request": payload,
-            "response": {
-                "text": result.text,
-                "tokens": list(result.tokens),
-                "token_logprobs": list(result.token_logprobs),
-            },
-        }
-        line = json.dumps(entry, ensure_ascii=False) + "\n"
+        line = json.dumps({"request": payload, "response": result.body()}, ensure_ascii=False) + "\n"
         with self._lock, self.path.open("a", encoding="utf-8") as handle:
             handle.write(line)
 
@@ -281,31 +274,11 @@ class ReplayBackend:
         return self._results[key]
 
 
-def parse_backend_spec(spec: str) -> tuple[str, str]:
-    """Split a backend spec into its kind and argument, opening no connection.
-
-    Kinds: ``echo``, ``markov``, ``table`` (``table:FILE``, a JSON table on
-    disk), ``replay`` (``replay:FILE``) and ``url`` (``url:ENDPOINT`` or a
-    bare ``http(s)`` URL). An unknown spec, a table or replay file that does
-    not exist, a table file that is not a JSON object, or a replay file that
-    ``ReplayBackend`` cannot read raises ``ValueError`` naming the backend.
-    """
-    kind, arg = _split_spec(spec)
-    if kind in ("table", "replay"):
-        resolve_backend(spec)
-    return kind, arg
-
-
-def _split_spec(spec: str) -> tuple[str, str]:
-    """``parse_backend_spec`` short of reading a table or replay file."""
-    if spec.startswith(("http://", "https://")):
-        return "url", spec
-    kind, colon, arg = spec.partition(":")
-    if kind not in (("url", "table", "replay") if colon else (StubMode.ECHO.value, StubMode.MARKOV.value)):
-        raise ValueError(f"unknown backend spec {spec!r}")
-    if kind in ("table", "replay") and not Path(arg).is_file():
-        raise ValueError(f"backend {spec!r}: file {arg!r} does not exist")
-    return kind, arg
+def reads_max_tokens(spec: str) -> bool:
+    """Whether the backend ``spec`` names reads ``max_tokens``: the echo stub
+    and the table lookups (``table:FILE``, and the toy run's own ``table``)
+    return their texts whole."""
+    return not (spec in (StubMode.ECHO.value, StubMode.TABLE.value) or spec.startswith("table:"))
 
 
 def _read_table(path: str) -> dict:
@@ -319,21 +292,29 @@ def _read_table(path: str) -> dict:
 
 
 def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
-    """Build the backend a spec names (see ``parse_backend_spec``).
+    """Build the backend a spec names; the one parser of backend specs.
 
-    When the ``POSDEBIAS_BACKEND_URL`` environment variable is set it
-    overrides any configured endpoint.
+    Specs: ``echo``, ``markov``, ``table:FILE`` (a JSON object from prompt
+    to ``StubBackend`` table value), ``replay:FILE`` (a ``RecordingBackend``
+    file) and ``url:ENDPOINT`` or a bare ``http(s)`` URL, which the
+    ``POSDEBIAS_BACKEND_URL`` environment variable overrides when set. A
+    table or replay file is decoded whole here, so an unknown spec, a missing
+    or unreadable file or a bad entry raises ``ValueError`` naming the spec.
     """
-    import os
-
-    kind, arg = _split_spec(spec)
+    kind, colon, arg = spec.partition(":")
+    if spec.startswith(("http://", "https://")):
+        kind, arg = "url", spec
+    elif kind not in (("url", "table", "replay") if colon else (StubMode.ECHO.value, StubMode.MARKOV.value)):
+        raise ValueError(f"unknown backend spec {spec!r}")
     if kind == "url":
-        return HttpBackend(dict(os.environ if env is None else env).get(BACKEND_URL_ENV) or arg)
+        return HttpBackend((os.environ if env is None else env).get(BACKEND_URL_ENV) or arg)
+    if not colon:
+        return StubBackend(StubMode(kind))
+    if not Path(arg).is_file():
+        raise ValueError(f"backend {spec!r}: file {arg!r} does not exist")
     try:
         if kind == "replay":
             return ReplayBackend(arg)
-        if kind == "table":
-            return StubBackend(StubMode.TABLE, table=_read_table(arg))
+        return StubBackend(StubMode.TABLE, table=_read_table(arg))
     except ValueError as exc:
         raise ValueError(f"backend {spec!r}: {exc}") from None
-    return StubBackend(StubMode(kind))

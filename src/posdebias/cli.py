@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .backends import BackendError, RecordingBackend, resolve_backend
+from .backends import BackendError, RecordingBackend, reads_max_tokens, resolve_backend
 from .bias_split import BIAS_BY_TASK, DEFAULT_BIASED_POSITIONS, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position, split_corpus
 from .corpus import CorpusError, Sample, Task, load_corpus
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy
@@ -108,16 +108,19 @@ def split(corpus_path, task_name, out_dir, positions, triggers):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--n-per-prompt", default=DEFAULT_N_PER_PROMPT, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--max-tokens", default=DEFAULT_MAX_TOKENS, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-tokens", default=None, type=click.IntRange(min=1), help=f"Longest candidate in tokens (markov, replay, url).  [default: {DEFAULT_MAX_TOKENS}]")
 @click.option("--max-in-flight", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--strategy", default=None, type=click.Choice([s.value for s in PromptStrategy]))
 @click.option("--record", "record_path", default=None, type=click.Path(dir_okay=False), help="Record raw backend traffic to this JSONL file.")
 def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tokens, max_in_flight, strategy, record_path):
     """Generate low-bias candidate responses for every sample."""
     task = _task(task_name)
+    # Only backends that cap a length read it, as parse_config reads max_tokens.
+    if max_tokens is not None and not reads_max_tokens(backend):
+        _fail(f"infer: --max-tokens is not read by backend {backend!r}")
     try:
-        corpus = load_corpus(corpus_path, task)
         engine = resolve_backend(backend)
+        corpus = load_corpus(corpus_path, task)
         if record_path:
             engine = RecordingBackend(engine, record_path)
         candidates = infer_corpus(
@@ -125,7 +128,7 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
             engine,
             n_per_prompt=n_per_prompt,
             seed=seed,
-            max_tokens=max_tokens,
+            max_tokens=max_tokens or DEFAULT_MAX_TOKENS,
             strategy=strategy,
             max_in_flight=max_in_flight,
         )

@@ -63,7 +63,7 @@ DEFAULT_STRATEGY_BY_TASK: dict[Task, PromptStrategy] = {
 
 @dataclass(frozen=True)
 class PromptSpec:
-    """Strategy plus the text pieces it needs.
+    """Strategy plus the text pieces it needs, checked once when built.
 
     An ICL prompt shows the first ``DEFAULT_ICL_K`` exemplars other than
     the prompted sample's own (input, target) pair.
@@ -74,7 +74,7 @@ class PromptSpec:
     diverse_prompts: tuple[str, ...] = ()
     exemplars: tuple[tuple[str, str], ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.strategy == PromptStrategy.INSTRUCTION_ONLY and not self.instruction.strip():
             raise ValueError("PromptSpec: instruction_only strategy needs an instruction")
         if self.strategy == PromptStrategy.DIVERSE and not self.diverse_prompts:
@@ -120,7 +120,6 @@ def build_prompt(sample: Sample, spec: PromptSpec) -> list[str]:
     Instruction-only and ICL yield exactly one prompt; diverse yields one per
     diverse prompt, in their given order.
     """
-    spec.validate()
     if spec.strategy == PromptStrategy.INSTRUCTION_ONLY:
         return [f"{spec.instruction}\n\n{sample.input_text}"]
     if spec.strategy == PromptStrategy.DIVERSE:
@@ -160,9 +159,7 @@ def generate(
         try:
             return backend.complete(prompt, max_tokens=max_tokens, seed=seed + k)
         except BackendError as exc:
-            raise BackendError(
-                f"prompt {index}: {exc}", retryable=exc.retryable, prompt_index=index
-            ) from exc
+            raise BackendError(f"prompt {index}: {exc}", prompt_index=index) from exc
 
     jobs = [(i, k, p) for i, p in enumerate(prompts) for k in range(n_per_prompt)]
     if max_in_flight <= 1:

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import report as report_mod
-from .backends import Backend, GenerationResult, StubBackend, StubMode, parse_backend_spec, resolve_backend
+from .backends import Backend, GenerationResult, StubBackend, StubMode, reads_max_tokens, resolve_backend
 from .bias_split import (
     BIAS_BY_TASK,
     DEFAULT_BIASED_POSITIONS,
@@ -269,7 +269,7 @@ def parse_config(raw: dict) -> PipelineConfig:
         if "zoe" not in raw.get("systems", PipelineConfig.systems):
             unread.append("alphas")
             run += " without system 'zoe'"
-    if backend in ("echo", "table") or backend.startswith("table:"):
+    if not reads_max_tokens(backend):
         unread.append("max_tokens")
     if "backend" not in unread:
         run += f" on backend {backend!r}"
@@ -301,7 +301,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     fields["backend"] = backend
     if backend != "table":
         try:
-            parse_backend_spec(backend)
+            resolve_backend(backend)
         except ValueError as exc:
             raise ValueError(f"config: {exc}") from None
     return PipelineConfig(**fields)

@@ -28,9 +28,7 @@ def write_candidates(candidates: Mapping[str, Sequence[GenerationResult]], path:
             {
                 "sample_id": sample_id,
                 "candidate_index": k,
-                "text": result.text,
-                "tokens": list(result.tokens),
-                "token_logprobs": list(result.token_logprobs),
+                **result.body(),
                 "backend_id": result.backend_id,
             }
             for sample_id, results in candidates.items()

@@ -11,6 +11,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from posdebias.backends import (
     BACKEND_URL_ENV,
@@ -21,10 +23,23 @@ from posdebias.backends import (
     ReplayBackend,
     StubBackend,
     StubMode,
-    parse_backend_spec,
     resolve_backend,
 )
 from posdebias.lowbias_infer import generate
+from posdebias.records import load_candidates, write_candidates
+
+#: Text that JSON, JSONL line splitting or UTF-8 could mangle: non-ASCII,
+#: quotes, backslashes and the line separators U+2028, U+2029 and U+0085
+#: (any character UTF-8 can encode, so no lone surrogates).
+TRICKY_TEXT = st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from('"\\\n\r\u2028\u2029\u0085é')), max_size=12)
+
+
+@st.composite
+def generation_results(draw, backend_id=st.just("stub-x")):
+    """Arbitrary valid results: empty text allowed, logprobs finite and <= 0."""
+    tokens = draw(st.lists(TRICKY_TEXT, max_size=5))
+    logprobs = draw(st.lists(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False), min_size=len(tokens), max_size=len(tokens)))
+    return GenerationResult(draw(TRICKY_TEXT), tuple(tokens), tuple(logprobs), draw(backend_id))
 
 
 class TestGenerationResult:
@@ -92,6 +107,11 @@ class TestTableStub:
         backend = StubBackend(StubMode.TABLE, table={})
         with pytest.raises(BackendError, match="no entry"):
             backend.complete("unknown")
+
+    def test_entries_become_results_once_when_built(self):
+        backend = StubBackend(StubMode.TABLE, table={"p": ["a", {"text": "b c", "tokens": ["b", "c"]}]})
+        assert backend.complete("p", seed=1) is backend.complete("p", seed=3)
+        assert backend.complete("p", seed=1).tokens == ("b", "c")
 
 
 class TestMarkovStub:
@@ -178,36 +198,30 @@ class TestHttpBackend:
             "logprobs": True,
         }
 
-    def test_5xx_retries_then_succeeds(self, local_server):
-        server, url = local_server
-        server.failures_left = 2
-        result = HttpBackend(url, retries=2).complete("flaky")
-        assert result.text == "reply to flaky"
-        assert len(server.requests) == 3
-
-    def test_5xx_exhausted_is_retryable_error(self, local_server):
+    def test_5xx_is_an_error_after_one_request(self, local_server):
         server, url = local_server
         server.failures_left = 10
-        with pytest.raises(BackendError, match="server error 503") as info:
-            HttpBackend(url, retries=1).complete("flaky")
-        assert info.value.retryable
+        with pytest.raises(BackendError, match="server error 503"):
+            HttpBackend(url).complete("flaky")
+        assert len(server.requests) == 1
 
     def test_4xx_is_hard_error(self, local_server):
         _, url = local_server
-        with pytest.raises(BackendError, match="status 403") as info:
+        with pytest.raises(BackendError, match="status 403"):
             HttpBackend(url).complete("forbidden")
-        assert not info.value.retryable
 
     def test_missing_logprobs_is_hard_error(self, local_server):
         _, url = local_server
         with pytest.raises(BackendError, match="logprobs required"):
             HttpBackend(url).complete("no-logprobs")
 
-    def test_unreachable_host_is_retryable(self):
+    def test_unreachable_host_is_an_error_after_one_request(self, monkeypatch):
         backend = HttpBackend("http://127.0.0.1:9/nope", timeout=0.2)
-        with pytest.raises(BackendError, match="transport failure") as info:
+        posts, post = [], backend.session.post
+        monkeypatch.setattr(backend.session, "post", lambda *a, **k: posts.append(a) or post(*a, **k))
+        with pytest.raises(BackendError, match="transport failure"):
             backend.complete("x")
-        assert info.value.retryable
+        assert len(posts) == 1
 
 
 class TestRecordReplay:
@@ -241,6 +255,24 @@ class TestRecordReplay:
         with pytest.raises(ValueError, match=f"^{re.escape(str(record_path))}: line 2: missing field 'token_logprobs'$"):
             ReplayBackend(record_path)
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(results=st.lists(generation_results(), min_size=1, max_size=4))
+    def test_any_result_round_trips_through_record_and_replay(self, tmp_path, results):
+        record_path = tmp_path / "tape.jsonl"
+        record_path.unlink(missing_ok=True)
+        live = RecordingBackend(_ScriptedBackend(results), record_path)
+        for seed in range(len(results)):
+            live.complete("p", seed=seed)
+        replay = ReplayBackend(record_path)
+        for seed, want in enumerate(results):
+            got = replay.complete("p", seed=seed)
+            assert (got.text, got.tokens, got.token_logprobs) == (want.text, want.tokens, want.token_logprobs)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(candidates=st.dictionaries(TRICKY_TEXT, st.lists(generation_results(TRICKY_TEXT), min_size=1, max_size=3), max_size=3))
+    def test_any_result_round_trips_through_the_candidates_file(self, tmp_path, candidates):
+        assert load_candidates(write_candidates(candidates, tmp_path / "c.jsonl")) == candidates
+
     def test_replay_distinguishes_seeds(self, tmp_path):
         record_path = tmp_path / "tape.jsonl"
         live = RecordingBackend(StubBackend(StubMode.MARKOV), record_path)
@@ -249,6 +281,18 @@ class TestRecordReplay:
         replay.complete("p q r", seed=0)
         with pytest.raises(BackendError):
             replay.complete("p q r", seed=1)
+
+
+class _ScriptedBackend:
+    """Answers any prompt with ``results[seed]``."""
+
+    backend_id = "scripted"
+
+    def __init__(self, results: list[GenerationResult]) -> None:
+        self.results = results
+
+    def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
+        return self.results[seed]
 
 
 class _LongAnswerBackend:
@@ -291,14 +335,10 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="unknown backend spec 'table'"):
             resolve_backend("table", env={})
 
-    def test_spec_is_parsed_without_building_a_backend(self, tmp_path):
-        table_path = tmp_path / "table.json"
-        table_path.write_text("{}", encoding="utf-8")
-        assert parse_backend_spec("markov") == ("markov", "")
-        assert parse_backend_spec(f"table:{table_path}") == ("table", str(table_path))
-        assert parse_backend_spec("https://host/b") == ("url", "https://host/b")
-        with pytest.raises(ValueError, match="unknown backend spec 'gpt4'"):
-            parse_backend_spec("gpt4")
+    def test_kinds_with_an_argument_take_it_after_a_colon(self, tmp_path):
+        for spec in ("gpt4", "echo:x", "markov:", "url", "replay"):
+            with pytest.raises(ValueError, match=f"unknown backend spec '{spec}'"):
+                resolve_backend(spec, env={})
         with pytest.raises(ValueError, match="does not exist"):
             resolve_backend(f"replay:{tmp_path / 'absent.jsonl'}", env={})
 

@@ -41,12 +41,13 @@ class TestDefaults:
 
 class TestPromptSpec:
     def test_validation(self):
+        # A spec is checked when it is built, not when a prompt is rendered.
         with pytest.raises(ValueError, match="needs an instruction"):
-            PromptSpec(PromptStrategy.INSTRUCTION_ONLY).validate()
+            PromptSpec(PromptStrategy.INSTRUCTION_ONLY)
         with pytest.raises(ValueError, match="needs diverse_prompts"):
-            PromptSpec(PromptStrategy.DIVERSE, instruction="i").validate()
+            PromptSpec(PromptStrategy.DIVERSE, instruction="i")
         with pytest.raises(ValueError, match="at least one exemplar"):
-            PromptSpec(PromptStrategy.ICL, instruction="i").validate()
+            PromptSpec(PromptStrategy.ICL, instruction="i")
 
     def test_default_spec_nli_needs_corpus(self):
         with pytest.raises(ValueError, match="needs a corpus"):

@@ -58,6 +58,29 @@ TOY_RAW = {
 }
 
 
+#: ``table:FILE`` entries that fail when the file is read, each with the error it names.
+BAD_TABLE_ENTRIES = pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"token_logprobs": [-0.5]}, "missing field 'text'"),
+        ({"text": ["a"]}, "field 'text' has the wrong type"),
+        ([], "empty list"),
+        ({"text": "a", "token_logprobs": [0.5]}, "invalid token logprob 0.5"),
+        ({"text": "a b", "tokens": ["a", 2]}, "field 'tokens' has an item of the wrong type: 2"),
+        ({"text": "a", "token_logprobs": [True]}, "field 'token_logprobs' has an item of the wrong type: True"),
+        (["a b", 7], "entry must be a string or a JSON object, got 7"),
+    ],
+    ids=["missing-text", "wrong-type", "empty-list", "positive-logprob", "non-string-token", "bool-logprob", "number-entry"],
+)
+
+
+def write_bad_table(path: Path, entry) -> str:
+    """Write a table file whose entry for a two-line prompt is ``entry``;
+    return the pattern of that prompt as errors quote it, on one line."""
+    path.write_text(json.dumps({"fine": "a b", "bad\nprompt": entry}), encoding="utf-8")
+    return rf"table entry for prompt 'bad\\nprompt'"
+
+
 def run_toy(out_dir, **overrides) -> dict:
     raw = {**TOY_RAW, **overrides, "out_dir": str(out_dir)}
     return run_pipeline(parse_config(raw))
@@ -169,6 +192,16 @@ class TestParseConfig:
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match=rf"config: .*\b{field}\b"):
             parse_config({**raw, "out_dir": str(out_dir)})
+        assert not out_dir.exists()
+
+    @BAD_TABLE_ENTRIES
+    def test_bad_table_file_entry_rejected_before_any_stage(self, tmp_path, entry, message):
+        table = tmp_path / "table.json"
+        prompt = write_bad_table(table, entry)
+        out_dir = tmp_path / "out"
+        raw = {"out_dir": str(out_dir), "corpus": "c.jsonl", "backend": f"table:{table}"}
+        with pytest.raises(ValueError, match=rf"^config: backend 'table:{re.escape(str(table))}': {prompt}: .*{re.escape(message)}"):
+            parse_config(raw)
         assert not out_dir.exists()
 
     def test_schema_defaults_match_the_dataclass_defaults(self):
@@ -721,7 +754,7 @@ class TestCliVerbs:
         invoke_ok(runner, [
             "infer", "--corpus", str(train_file), "--task", "cqa",
             "--backend", f"table:{table_file}", "--out", str(candidates),
-            "--n-per-prompt", "2", "--max-tokens", "6",
+            "--n-per-prompt", "2",
         ])
         assert len(candidates.read_text().splitlines()) == 16
 
@@ -1006,6 +1039,33 @@ class TestCliVerbs:
         (line,) = result.output.strip().splitlines()
         assert str(path) in line and field in line
         assert not (tmp_path / "e.json").exists() and not (tmp_path / "report").exists()
+
+    @BAD_TABLE_ENTRIES
+    def test_infer_rejects_a_bad_table_file_entry_in_one_line(self, runner, tmp_path, dialogue_corpus_file, entry, message):
+        table = tmp_path / "table.json"
+        prompt = write_bad_table(table, entry)
+        out = tmp_path / "candidates.jsonl"
+        result = runner.invoke(main, [
+            "infer", "--corpus", str(dialogue_corpus_file), "--task", "cqa",
+            "--backend", f"table:{table}", "--out", str(out),
+        ])
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert re.match(rf"Error: backend 'table:{re.escape(str(table))}': {prompt}: .*{re.escape(message)}", line)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backend", ["echo", "table:table.json"])
+    def test_infer_rejects_max_tokens_on_a_backend_that_never_reads_it(self, runner, tmp_path, dialogue_corpus_file, monkeypatch, backend):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table.json").write_text("{}")
+        out = tmp_path / "candidates.jsonl"
+        result = runner.invoke(main, [
+            "infer", "--corpus", str(dialogue_corpus_file), "--task", "cqa",
+            "--backend", backend, "--out", str(out), "--max-tokens", "1",
+        ])
+        assert result.exit_code == 1
+        assert result.output == f"Error: infer: --max-tokens is not read by backend {backend!r}\n"
+        assert not out.exists()
 
     def test_infer_rejects_a_replay_line_without_response_in_one_line(self, runner, tmp_path, dialogue_corpus_file):
         tape = tmp_path / "tape.jsonl"
