@@ -155,9 +155,9 @@ class StubBackend:
 
     def _table_result(self, entry: object) -> GenerationResult:
         if isinstance(entry, str):
-            text, tokens, logprobs = entry, entry.split(), None
+            text, tokens, logprobs = _utf8_text("text", entry), entry.split(), None
         elif isinstance(entry, dict):
-            text = json_field(entry, "text", str)
+            text = _utf8_text("text", json_field(entry, "text", str))
             tokens = _json_list(entry, "tokens", str, None) or text.split()
             logprobs = _json_list(entry, "token_logprobs", (int, float), None)
         else:
@@ -167,12 +167,31 @@ class StubBackend:
         return GenerationResult(text, tuple(tokens), tuple(logprobs), self.backend_id)
 
 
+def _utf8_text(key: str, text: str) -> str:
+    """``text``, or ``ValueError`` naming field ``key`` when it does not
+    encode as UTF-8: a JSON escape such as ``"\\ud800"`` decodes to a lone
+    surrogate, which no output file can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"field {key!r} does not encode as UTF-8 ({exc.reason}): {text[:80]!r}") from None
+    return text
+
+
 def _json_list(record: object, key: str, kinds: type | tuple[type, ...], default=...):
-    """``json_field`` for a list whose every item is one of ``kinds`` (no bools)."""
+    """``json_field`` for a list whose every item is one of ``kinds`` (no
+    bools). A string item must encode as UTF-8, and a number must fit a float."""
     items = json_field(record, key, list, default)
     for item in items or ():
         if not isinstance(item, kinds) or isinstance(item, bool):
             raise ValueError(f"field {key!r} has an item of the wrong type: {item!r}")
+        if isinstance(item, str):
+            _utf8_text(key, item)
+        elif isinstance(item, int):
+            try:
+                float(item)
+            except OverflowError:
+                raise ValueError(f"field {key!r} has a number too large for a float: {str(item)[:20]}...") from None
     return items
 
 
@@ -183,10 +202,10 @@ def _complete_payload(prompt: str, max_tokens: int, seed: int) -> dict:
 
 def _result_from_body(body: object, backend_id: str) -> GenerationResult:
     """A served or recorded response body as a result. ``tokens`` and
-    ``token_logprobs`` are required; a missing or bad field raises
-    ``ValueError`` naming it."""
+    ``token_logprobs`` are required; a missing or bad field, text that does
+    not encode as UTF-8 among them, raises ``ValueError`` naming it."""
     return GenerationResult(
-        text=json_field(body, "text", str, ""),
+        text=_utf8_text("text", json_field(body, "text", str, "")),
         tokens=tuple(_json_list(body, "tokens", str)),
         token_logprobs=tuple(float(lp) for lp in _json_list(body, "token_logprobs", (int, float))),
         backend_id=backend_id,
@@ -264,8 +283,11 @@ class ReplayBackend:
         self._results = dict(exchange for _, exchange in read_jsonl(self.path, self._exchange))
 
     def _exchange(self, entry: object) -> tuple[str, GenerationResult]:
-        key = _request_key(json_field(entry, "request", dict))
-        return key, _result_from_body(json_field(entry, "response", dict), self.backend_id)
+        request, response = json_field(entry, "request", dict), json_field(entry, "response", dict)
+        try:
+            return _request_key(request), _result_from_body(response, self.backend_id)
+        except ValueError as exc:
+            raise ValueError(f"response to prompt {str(request.get('prompt'))[:80]!r}: {exc}") from None
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
         key = _request_key(_complete_payload(prompt, max_tokens, seed))

@@ -7,7 +7,7 @@ shape, with task-specific fields left unset where they do not apply.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -156,19 +156,6 @@ def render_input(
     return "\n".join(parts)
 
 
-def with_rendered_input(sample: Sample) -> Sample:
-    if sample.input_text:
-        return sample
-    rendered = render_input(
-        sample.task,
-        sample.document,
-        sample.history,
-        sample.nli_premise,
-        sample.nli_hypothesis,
-    )
-    return replace(sample, input_text=rendered)
-
-
 def validate_sample(sample: Sample) -> list[str]:
     """Return a list of invariant violations; empty means the sample is valid."""
     violations: list[str] = []
@@ -224,18 +211,18 @@ def _sample_from_record(record: object, task: Task) -> Sample:
                 raise CorpusError(f"history entry {i}: 'answer' must be a string or null")
             built.append(DialogueTurn(turn.get("turn_index", i), turn["question"], answer))
         history = tuple(built)
-    sample = Sample(
+    input_text = json_field(record, "input_text", str, "") or render_input(task, document, history, premise, hypothesis)
+    return Sample(
         id=sample_id,
         task=task,
         target=target,
         document=document,
         history=history,
-        input_text=json_field(record, "input_text", str, ""),
+        input_text=input_text,
         nli_premise=premise,
         nli_hypothesis=hypothesis,
         split=json_field(record, "split", (str, type(None)), None),
     )
-    return with_rendered_input(sample)
 
 
 def json_field(record: object, key: str, kinds: type | tuple[type, ...], default=..., where: str = ""):
@@ -300,13 +287,17 @@ def sample_to_record(sample: Sample) -> dict:
     return record
 
 
+#: ``json.dumps(record, ensure_ascii=False)`` without building an encoder per record.
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_jsonl(records: Iterable[dict], path: str | Path) -> Path:
     """Write one JSON object per line, creating parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False))
+            handle.write(_encode_json(record))
             handle.write("\n")
     return path
 
@@ -345,6 +336,3 @@ def save_corpus(corpus: Corpus, path: str | Path) -> Path:
     """Write a corpus as JSONL; inverse of ``load_corpus`` on valid corpora."""
     return write_jsonl((sample_to_record(sample) for sample in corpus), path)
 
-
-def relabel(sample: Sample, split: str) -> Sample:
-    return replace(sample, split=split)

@@ -44,7 +44,7 @@ from .bias_split import (
     split_corpus,
     write_evidence,
 )
-from .corpus import Corpus, Sample, Task, load_corpus, relabel, save_corpus
+from .corpus import Corpus, Sample, Task, load_corpus, sample_to_record, save_corpus, write_jsonl
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
 from .metrics import PositionRow
 from .msa_align import (
@@ -389,14 +389,14 @@ def write_split(
     out_dir: Path,
     names: tuple[str, str] = ("biased.jsonl", "non_biased.jsonl"),
 ) -> list[Path]:
-    """Save each non-empty side relabelled with its split name, plus the
-    evidence JSONL; ``names`` are the biased and non-biased file names."""
+    """Save each non-empty side with its split name in every record, plus
+    the evidence JSONL; ``names`` are the biased and non-biased file names."""
     artifacts = []
     sides = (("biased", partition.biased), ("non_biased", partition.non_biased))
     for (label, side), name in zip(sides, names):
         if len(side):
-            relabelled = Corpus(tuple(relabel(s, label) for s in side), side.task)
-            artifacts.append(save_corpus(relabelled, out_dir / name))
+            records = ({**sample_to_record(s), "split": label} for s in side)
+            artifacts.append(write_jsonl(records, out_dir / name))
     artifacts.append(write_evidence(partition, out_dir / "evidence.jsonl"))
     return artifacts
 
@@ -630,8 +630,11 @@ def _train_job(config: PipelineConfig, point: dict, seed: int, data: dict) -> Tr
     )
 
 
-def _train_group(group: list[int]) -> list[tuple[ToyModel, list[Path]]]:
-    """Train one lockstep group of jobs and write each job's run directory."""
+def _train_group(group: list[int]) -> list[tuple[SystemEval | Exception, list[Path]]]:
+    """Train one lockstep group of jobs, write each job's run directory and
+    score each trained model on its seed's partition. A job whose scoring
+    raised carries the exception in place of its ``SystemEval``, for the eval
+    stage to raise."""
     config, out_dir, jobs = _train_jobs
     runs = train_lockstep(
         [_train_job(config, *jobs[i]) for i in group],
@@ -641,10 +644,14 @@ def _train_group(group: list[int]) -> list[tuple[ToyModel, list[Path]]]:
     )
     results = []
     for i, run in zip(group, runs):
-        point, seed, _ = jobs[i]
+        point, seed, data = jobs[i]
         run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
         paths = [save_model(run.model, run_dir / "model.json"), write_epochs(run.epoch_summaries(), run_dir / "epochs.jsonl")]
-        results.append((run.model, paths))
+        try:
+            scored: SystemEval | Exception = evaluate(run.model, data["partition"], config.metric, point["label"])
+        except Exception as exc:  # noqa: BLE001 - a scoring failure is the eval stage's, not training's
+            scored = exc
+        results.append((scored, paths))
     return results
 
 
@@ -670,10 +677,11 @@ def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
     ``_lockstep_groups``), and each worker advances its group's jobs
     together, one batched SGD step at a time. Workers inherit the job list
     at fork (the pipeline holds no thread of its own by then), so nothing
-    but job indices and trained models crosses a process boundary, and each
-    worker writes its jobs' run directories. The first failure cancels the
-    groups not yet started; the stage then raises the error of the first
-    failed job in sweep order.
+    but job indices and ``SystemEval``s (or scoring errors) crosses a
+    process boundary: each worker writes its jobs' run directories and
+    scores their models on their seeds' partitions for the eval stage. A
+    training failure cancels the groups not yet started; the stage then
+    raises the error of the first failed job in sweep order.
     """
     # Imported here: a module-level import slows every ``posdebias`` start-up.
     import multiprocessing
@@ -697,25 +705,27 @@ def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
     failed = [(group[getattr(exc, "job", 0)], exc) for group, exc in errors if exc is not None]
     if failed:
         raise min(failed, key=operator.itemgetter(0))[1]
-    state["models"] = {}
+    state["scores"] = {}
     artifacts = []
     for group, future in zip(groups, futures):
-        for i, (trained, paths) in zip(group, future.result()):
+        for i, (scored, paths) in zip(group, future.result()):
             point, seed, _ = jobs[i]
-            state["models"][(point["label"], seed)] = trained
+            state["scores"][(point["label"], seed)] = scored
             artifacts += paths
     return artifacts
 
 
 def _stage_eval(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
+    """Pool the per-seed scores the train workers computed; the first
+    scoring error in sweep and seed order is raised here."""
     artifacts = []
     state["evals"] = []
     for point in _sweep_points(config):
         label = point["label"]
-        per_seed = [
-            evaluate(state["models"][(label, seed)], data["partition"], config.metric, label)
-            for seed, data in state["data"].items()
-        ]
+        per_seed = [state["scores"][(label, seed)] for seed in state["data"]]
+        for scored in per_seed:
+            if isinstance(scored, Exception):
+                raise scored
         pooled = pool_evals(label, config.metric, per_seed)
         state["evals"].append((point, pooled))
         path = out_dir / "eval" / f"{label}.json"

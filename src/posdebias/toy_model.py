@@ -273,23 +273,37 @@ def context_features(model: ToyModel, sample: Sample) -> np.ndarray:
     return feats
 
 
-def generate_response(model: ToyModel, sample: Sample, max_len: int = 8) -> str:
-    """Greedy decode until the end token or ``max_len`` tokens."""
+def _greedy_decode(model: ToyModel, samples: Sequence[Sample], max_len: int = 8) -> list[str]:
+    """Greedy decodes of ``samples`` as one batch, until the end token or
+    ``max_len`` tokens. Each step sets the previous-token column of every row
+    still decoding, takes one (live, F) @ (F, V) product and an argmax per
+    row, and drops the rows that emitted the end token."""
     v = len(model.vocabulary)
-    base = context_features(model, sample)
     eos_id = model.token_id(EOS)
-    prev_id = model.token_id(BOS)
-    out: list[str] = []
+    feats = np.empty((len(samples), model.n_features))
+    for row, sample in enumerate(samples):
+        feats[row] = context_features(model, sample)
+    live = np.arange(len(samples))
+    prev = np.full(len(samples), model.token_id(BOS))
+    out: list[list[str]] = [[] for _ in samples]
     for _ in range(max_len):
-        feats = base.copy()
-        feats[2 * v + prev_id] = 1.0
-        logits = feats @ model.weights
-        next_id = int(np.argmax(logits))
-        if next_id == eos_id:
+        if not len(live):
             break
-        out.append(model.vocabulary[next_id])
-        prev_id = next_id
-    return " ".join(out)
+        rows = np.arange(len(live))
+        feats[rows, 2 * v + prev] = 1.0
+        next_ids = (feats @ model.weights).argmax(axis=1)
+        feats[rows, 2 * v + prev] = 0.0
+        going = next_ids != eos_id
+        live, prev, feats = live[going], next_ids[going], feats[going]
+        for row, token_id in zip(live.tolist(), prev.tolist()):
+            out[row].append(model.vocabulary[token_id])
+    return [" ".join(tokens) for tokens in out]
+
+
+def generate_response(model: ToyModel, sample: Sample, max_len: int = 8) -> str:
+    """Greedy decode of one sample until the end token or ``max_len``
+    tokens: ``_greedy_decode`` on a one-row batch."""
+    return _greedy_decode(model, [sample], max_len)[0]
 
 
 @dataclass(frozen=True)
@@ -647,7 +661,8 @@ def finite_diff_check(
 
 
 def evaluate(model: ToyModel, partition: BiasPartition, metric: str, system: str) -> SystemEval:
-    """Score greedy decodes on both partition sides; an empty side is left out.
+    """Score greedy decodes on both partition sides, each decoded as one
+    batch; an empty side is left out.
 
     Each sample's relative position is read from its partition evidence;
     samples whose evidence has none are pooled in the unknown-position row.
@@ -656,7 +671,8 @@ def evaluate(model: ToyModel, partition: BiasPartition, metric: str, system: str
     all_positions: list[int | None] = []
     splits: dict[str, tuple[float, int]] = {}
     for name, corpus in (("biased", partition.biased), ("non_biased", partition.non_biased)):
-        scores = [_score_prediction(metric, generate_response(model, s), s.target) for s in corpus]
+        predictions = _greedy_decode(model, corpus.samples)
+        scores = [_score_prediction(metric, p, s.target) for p, s in zip(predictions, corpus)]
         if scores:
             splits[name] = (sum(scores) / len(scores), len(scores))
         all_scores.extend(scores)

@@ -9,7 +9,7 @@ from posdebias.corpus import (
     Sample,
     Task,
     make_document,
-    with_rendered_input,
+    render_input,
 )
 
 
@@ -23,29 +23,26 @@ def dialogue_sample(
     task: Task = Task.CQA,
 ) -> Sample:
     """One two-turn dialogue sample: an answered turn then the current turn."""
-    return with_rendered_input(
-        Sample(
-            id=sample_id,
-            task=task,
-            target=target,
-            document=make_document(utterances),
-            history=(
-                DialogueTurn(0, prev_question, prev_answer),
-                DialogueTurn(1, question, None),
-            ),
-        )
+    document = make_document(utterances)
+    history = (DialogueTurn(0, prev_question, prev_answer), DialogueTurn(1, question, None))
+    return Sample(
+        id=sample_id,
+        task=task,
+        target=target,
+        document=document,
+        history=history,
+        input_text=render_input(task, document, history),
     )
 
 
 def nli_sample(sample_id: str, premise: str, hypothesis: str, label: str) -> Sample:
-    return with_rendered_input(
-        Sample(
-            id=sample_id,
-            task=Task.NLI,
-            target=label,
-            nli_premise=premise,
-            nli_hypothesis=hypothesis,
-        )
+    return Sample(
+        id=sample_id,
+        task=Task.NLI,
+        target=label,
+        nli_premise=premise,
+        nli_hypothesis=hypothesis,
+        input_text=render_input(Task.NLI, nli_premise=premise, nli_hypothesis=hypothesis),
     )
 
 

@@ -126,3 +126,21 @@ def dense_sgd_step(
     if norm > clip_norm:
         grad = grad * (clip_norm / norm)
     return l_target, l_align, weights - learning_rate * grad
+
+
+def greedy_decode_one(model, base: np.ndarray, max_len: int = 8) -> str:
+    """Greedy decode of one sample from its context features ``base``, one
+    (F,) @ (F, V) product per step, until ``<eos>`` or ``max_len`` tokens."""
+    v = len(model.vocabulary)
+    eos_id = model.token_id("<eos>")
+    prev_id = model.token_id("<bos>")
+    out: list[str] = []
+    for _ in range(max_len):
+        feats = base.copy()
+        feats[2 * v + prev_id] = 1.0
+        next_id = int(np.argmax(feats @ model.weights))
+        if next_id == eos_id:
+            break
+        out.append(model.vocabulary[next_id])
+        prev_id = next_id
+    return " ".join(out)

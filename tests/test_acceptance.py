@@ -29,7 +29,9 @@ from posdebias.toy_model import (
     EOS,
     SynthSpec,
     ToyModel,
+    _greedy_decode,
     build_vocabulary,
+    context_features,
     evaluate,
     finite_diff_check,
     load_model,
@@ -37,6 +39,7 @@ from posdebias.toy_model import (
 )
 
 from conftest import dialogue_sample, nli_sample
+from oracles import greedy_decode_one
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -340,6 +343,27 @@ def test_position_curve_shapes(toy_experiment):
         peak_ok and zoe_spread < ft_spread,
         f"ft curve peaks at {{0,1}}: {peak_ok}; mean spread zoe {zoe_spread:.3f} "
         f"< ft {ft_spread:.3f} over 5 seeds",
+    )
+
+
+def test_batched_decode_matches_the_per_sample_reference(toy_experiment):
+    out_dir, _, _ = toy_experiment
+    base = SynthSpec(**EXPERIMENT_SYNTH)
+    total = matched = 0
+    for seed in EXPERIMENT_RAW["seeds"]:
+        _, eval_b, eval_n = synth_corpus(dataclasses.replace(base, seed=base.seed + seed))
+        partition = split_by_relative_position(Corpus(tuple(eval_b) + tuple(eval_n), Task.CQA))
+        for label in ("ft", "zoe"):
+            model = load_model(out_dir / "runs" / label / f"seed{seed}" / "model.json")
+            for side in (partition.biased, partition.non_biased):  # as ``evaluate`` batches them
+                want = [greedy_decode_one(model, context_features(model, s)) for s in side]
+                got = _greedy_decode(model, side.samples)
+                total += len(want)
+                matched += sum(g == w for g, w in zip(got, want, strict=True))
+    _verdict(
+        "batched-decode",
+        matched == total == 10 * 2 * EXPERIMENT_SYNTH["n_eval"],
+        f"{matched} of {total} batched decodes of the 10 trained models match the per-sample reference",
     )
 
 

@@ -108,6 +108,21 @@ class TestTableStub:
         with pytest.raises(BackendError, match="no entry"):
             backend.complete("unknown")
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("bad \ud800 text", "field 'text' does not encode as UTF-8"),
+            ({"text": "a b", "tokens": ["a", "\udc80"]}, "field 'tokens' does not encode as UTF-8"),
+            ({"text": "a", "token_logprobs": [-(10**400)]}, "field 'token_logprobs' has a number too large for a float"),
+        ],
+        ids=["surrogate-text", "surrogate-token", "huge-logprob"],
+    )
+    def test_entry_no_run_can_write_names_its_prompt(self, entry, message):
+        # A JSON escape such as "\ud800" decodes to a lone surrogate, which
+        # UTF-8 cannot encode; a JSON integer can overflow a float.
+        with pytest.raises(ValueError, match=rf"^table entry for prompt 'p': {re.escape(message)}"):
+            StubBackend(StubMode.TABLE, table={"p": entry})
+
     def test_entries_become_results_once_when_built(self):
         backend = StubBackend(StubMode.TABLE, table={"p": ["a", {"text": "b c", "tokens": ["b", "c"]}]})
         assert backend.complete("p", seed=1) is backend.complete("p", seed=3)
@@ -155,6 +170,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if prompt == "no-logprobs":
             body = {"text": "x", "tokens": ["x"]}
+        elif prompt == "surrogate":
+            body = {"text": "x \ud800", "tokens": ["x"], "token_logprobs": [-0.1]}
+        elif prompt == "huge-logprob":
+            body = {"text": "x", "tokens": ["x"], "token_logprobs": [-(10**400)]}
         else:
             body = {
                 "text": f"reply to {prompt}",
@@ -215,6 +234,15 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="logprobs required"):
             HttpBackend(url).complete("no-logprobs")
 
+    @pytest.mark.parametrize(
+        "prompt, message",
+        [("surrogate", "field 'text' does not encode as UTF-8"), ("huge-logprob", "field 'token_logprobs' has a number too large")],
+    )
+    def test_response_no_run_can_write_is_an_error(self, local_server, prompt, message):
+        _, url = local_server
+        with pytest.raises(BackendError, match=re.escape(message)):
+            HttpBackend(url).complete(prompt)
+
     def test_unreachable_host_is_an_error_after_one_request(self, monkeypatch):
         backend = HttpBackend("http://127.0.0.1:9/nope", timeout=0.2)
         posts, post = [], backend.session.post
@@ -252,7 +280,23 @@ class TestRecordReplay:
         first, second = (json.loads(line) for line in record_path.read_text().splitlines())
         del second["response"]["token_logprobs"]
         record_path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(record_path))}: line 2: missing field 'token_logprobs'$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(record_path))}: line 2: response to prompt 'p q r': missing field 'token_logprobs'$"):
+            ReplayBackend(record_path)
+
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            ({"text": "bad \ud800", "tokens": [], "token_logprobs": []}, "field 'text' does not encode as UTF-8"),
+            ({"tokens": ["\udc80"], "token_logprobs": [-0.5]}, "field 'tokens' does not encode as UTF-8"),
+            ({"tokens": ["a"], "token_logprobs": [-(10**400)]}, "field 'token_logprobs' has a number too large for a float"),
+        ],
+        ids=["surrogate-text", "surrogate-token", "huge-logprob"],
+    )
+    def test_replay_response_no_run_can_write_fails_when_the_file_is_read(self, tmp_path, response, message):
+        record_path = tmp_path / "tape.jsonl"
+        record_path.write_text(json.dumps({"request": {"prompt": "p q r"}, "response": response}) + "\n")
+        prefix = f"{re.escape(str(record_path))}: line 1: response to prompt 'p q r': "
+        with pytest.raises(ValueError, match=f"^{prefix}{re.escape(message)}"):
             ReplayBackend(record_path)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

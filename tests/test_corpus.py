@@ -19,7 +19,6 @@ from posdebias.corpus import (
     sample_to_record,
     save_corpus,
     validate_sample,
-    with_rendered_input,
 )
 from posdebias.records import load_aligned, load_candidates
 
@@ -126,10 +125,6 @@ class TestRenderInput:
     def test_summarization_document_only(self):
         rendered = render_input(Task.SUM, document=make_document(["only utt"]))
         assert rendered == "document: only utt"
-
-    def test_with_rendered_input_preserves_existing(self):
-        sample = Sample(id="x", task=Task.SUM, target="t", input_text="already here")
-        assert with_rendered_input(sample).input_text == "already here"
 
 
 class TestValidateSample:
@@ -268,6 +263,13 @@ class TestLoadSave:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         loaded = load_corpus(path, Task.CQA)
         assert loaded.samples[0].input_text.startswith("document: u")
+
+    def test_recorded_input_text_is_kept(self, tmp_path):
+        record = sample_to_record(dialogue_sample("a", ["u"], "p?", "u", "q?", "u"))
+        record["input_text"] = "already here"
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert load_corpus(path, Task.CQA).samples[0].input_text == "already here"
 
 
 class TestReadJsonl:

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nli_sample
-from posdebias import lowbias_infer
+from posdebias import lowbias_infer, pipeline
 from posdebias.backends import BackendError, RecordingBackend, StubBackend, StubMode
 from posdebias.bias_split import BIAS_BY_TASK, BiasKind
 from posdebias.cli import main
@@ -69,9 +69,35 @@ BAD_TABLE_ENTRIES = pytest.mark.parametrize(
         ({"text": "a b", "tokens": ["a", 2]}, "field 'tokens' has an item of the wrong type: 2"),
         ({"text": "a", "token_logprobs": [True]}, "field 'token_logprobs' has an item of the wrong type: True"),
         (["a b", 7], "entry must be a string or a JSON object, got 7"),
+        # JSON escapes of lone surrogates decode, but no output file can hold them.
+        ("bad \ud800 text", "field 'text' does not encode as UTF-8"),
+        ({"text": "a b", "tokens": ["a", "\udc80"]}, "field 'tokens' does not encode as UTF-8"),
+        ({"text": "a", "token_logprobs": [-(10**400)]}, "field 'token_logprobs' has a number too large for a float"),
     ],
-    ids=["missing-text", "wrong-type", "empty-list", "positive-logprob", "non-string-token", "bool-logprob", "number-entry"],
+    ids=[
+        "missing-text", "wrong-type", "empty-list", "positive-logprob", "non-string-token", "bool-logprob",
+        "number-entry", "surrogate-text", "surrogate-token", "huge-logprob",
+    ],
 )
+
+#: Replay responses no run can use, and the error each raises.
+BAD_REPLAY_RESPONSES = pytest.mark.parametrize(
+    "response, message",
+    [
+        ({"text": "bad \ud800", "tokens": [], "token_logprobs": []}, "field 'text' does not encode as UTF-8"),
+        ({"tokens": ["\ud800"], "token_logprobs": [-0.5]}, "field 'tokens' does not encode as UTF-8"),
+        ({"tokens": ["a"], "token_logprobs": [-(10**400)]}, "field 'token_logprobs' has a number too large for a float"),
+    ],
+    ids=["surrogate-text", "surrogate-token", "huge-logprob"],
+)
+
+
+def write_bad_replay(path: Path, response: dict) -> None:
+    """Write a replay file whose second exchange, for prompt ``p q``, answers
+    with ``response``."""
+    good = {"request": {"prompt": "fine"}, "response": {"tokens": [], "token_logprobs": []}}
+    bad = {"request": {"prompt": "p q"}, "response": response}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
 
 
 def write_bad_table(path: Path, entry) -> str:
@@ -201,6 +227,17 @@ class TestParseConfig:
         out_dir = tmp_path / "out"
         raw = {"out_dir": str(out_dir), "corpus": "c.jsonl", "backend": f"table:{table}"}
         with pytest.raises(ValueError, match=rf"^config: backend 'table:{re.escape(str(table))}': {prompt}: .*{re.escape(message)}"):
+            parse_config(raw)
+        assert not out_dir.exists()
+
+    @BAD_REPLAY_RESPONSES
+    def test_bad_replay_response_rejected_before_any_stage(self, tmp_path, response, message):
+        tape = tmp_path / "tape.jsonl"
+        write_bad_replay(tape, response)
+        out_dir = tmp_path / "out"
+        raw = {"out_dir": str(out_dir), "synth": {}, "backend": f"replay:{tape}"}
+        pattern = rf"^config: backend 'replay:{re.escape(str(tape))}': .*line 2: response to prompt 'p q': {re.escape(message)}"
+        with pytest.raises(ValueError, match=pattern):
             parse_config(raw)
         assert not out_dir.exists()
 
@@ -446,6 +483,27 @@ class TestParallelTrain:
                 assert (run_dir / "model.json").read_bytes() == expected_model
                 assert (run_dir / "epochs.jsonl").read_bytes() == expected_epochs
                 assert sorted(p.name for p in run_dir.iterdir()) == ["epochs.jsonl", "model.json"]
+
+    def test_scoring_error_in_a_worker_fails_eval_not_train_and_leaves_no_worker(self, tmp_path, monkeypatch):
+        def evaluate(model, partition, metric, system):
+            if system != "ft":
+                raise ValueError(f"cannot score {system}")
+            return pipeline.evaluate.__wrapped__(model, partition, metric, system)
+
+        evaluate.__wrapped__ = pipeline.evaluate
+        monkeypatch.setattr(pipeline, "evaluate", evaluate)  # forked workers inherit the patch
+        out_dir = tmp_path / "out"
+        # The first failure in sweep order (ft, zoe, rp) is zoe's.
+        with pytest.raises(PipelineError, match="^stage 'eval' failed: cannot score zoe$"):
+            run_toy(out_dir)
+        assert multiprocessing.active_children() == []
+        stages = json.loads((out_dir / "manifest.json").read_text())["stages"]
+        assert [(s["stage"], s["status"]) for s in stages][-2:] == [("train", "ok"), ("eval", "failed")]
+        assert stages[-1]["error"] == "cannot score zoe"
+        assert len(stages[-2]["artifacts"]) == 2 * 3 * 2  # model.json and epochs.jsonl per job
+        for artifact in stages[-2]["artifacts"]:
+            assert (out_dir / artifact["path"]).exists()
+        assert [p.name for p in (out_dir / "eval").iterdir()] == ["ft.json"]  # pooled before zoe failed
 
     def test_diverging_job_fails_train_with_its_own_error_and_leaves_no_worker(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -1052,6 +1110,20 @@ class TestCliVerbs:
         assert result.exit_code == 1 and result.exception.__class__ is SystemExit
         (line,) = result.output.strip().splitlines()
         assert re.match(rf"Error: backend 'table:{re.escape(str(table))}': {prompt}: .*{re.escape(message)}", line)
+        assert not out.exists()
+
+    @BAD_REPLAY_RESPONSES
+    def test_infer_rejects_a_bad_replay_response_in_one_line(self, runner, tmp_path, dialogue_corpus_file, response, message):
+        tape = tmp_path / "tape.jsonl"
+        write_bad_replay(tape, response)
+        out = tmp_path / "candidates.jsonl"
+        result = runner.invoke(main, [
+            "infer", "--corpus", str(dialogue_corpus_file), "--task", "cqa",
+            "--backend", f"replay:{tape}", "--out", str(out),
+        ])
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert f"Error: backend 'replay:{tape}': {tape}: line 2: response to prompt 'p q': {message}" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("backend", ["echo", "table:table.json"])

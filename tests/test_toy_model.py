@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_sgd_step, sequence_features, sequence_loss_and_grad
+from oracles import dense_sgd_step, greedy_decode_one, sequence_features, sequence_loss_and_grad
 from posdebias import toy_model
 from posdebias.bias_split import (
     BiasEvidence,
@@ -286,6 +286,49 @@ class TestGeneration:
         for corpus in (eval_b, eval_n):
             for sample in corpus:
                 assert generate_response(model, sample) == sample.target
+
+
+class TestBatchedDecode:
+    """The batched greedy decoder against the per-sample reference decoder."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        corpus_seed=st.integers(0, 1000),
+        weight_seed=st.integers(0, 2**32 - 1),
+        levels=st.integers(0, 4),
+        eos_boost=st.integers(0, 8),
+        window_scale=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+        max_len=st.integers(0, 10),
+    )
+    def test_matches_the_per_sample_reference(self, corpus_seed, weight_seed, levels, eos_boost, window_scale, max_len):
+        # Weights are multiples of 1/8, so every logit is exact in whatever
+        # order its terms are added (the batch's (N, F) @ (F, V) product and
+        # the reference's (F,) @ (F, V) one need not add them alike), and ties
+        # are common: ``levels`` 0 is the zero-weight model, where every logit
+        # ties. ``eos_boost`` makes the end token win after some previous
+        # tokens, so rows leave the batch at different steps.
+        vocabulary = build_vocabulary(12)
+        v = len(vocabulary)
+        rng = np.random.default_rng(weight_seed)
+        weights = rng.integers(-levels, levels + 1, size=(3 * v + 1, v)) / 8
+        weights[2 * v : 3 * v, vocabulary.index(EOS)] += eos_boost * rng.integers(0, 2, size=v) / 8
+        model = ToyModel(vocabulary, weights, window_scale=window_scale)
+        _, eval_b, eval_n = synth_corpus(small_spec(n_eval=15, seed=corpus_seed))
+        samples = eval_b.samples + eval_n.samples
+        expected = [greedy_decode_one(model, context_features(model, s), max_len) for s in samples]
+        assert toy_model._greedy_decode(model, samples, max_len) == expected
+        assert generate_response(model, samples[0], max_len) == expected[0]
+
+    def test_matches_the_per_sample_reference_on_float_weights(self):
+        _, eval_b, eval_n = synth_corpus(small_spec(n_eval=40, seed=11))
+        samples = eval_b.samples + eval_n.samples
+        for seed in range(5):
+            model = random_model(seed=seed, scale=2.0)
+            expected = [greedy_decode_one(model, context_features(model, s)) for s in samples]
+            assert toy_model._greedy_decode(model, samples) == expected
+
+    def test_no_samples_decode_to_no_responses(self):
+        assert toy_model._greedy_decode(always_gold_model(), ()) == []
 
 
 class TestTraining:
@@ -632,6 +675,11 @@ class TestEvaluate:
         result = evaluate(model, partition, "accuracy", "gold")
         assert "non_biased" not in result.splits
         assert result.splits["biased"] == (1.0, 5)
+
+    def test_two_empty_sides_give_no_scores_and_no_rows(self):
+        empty = Corpus((), Task.CQA)
+        result = evaluate(always_gold_model(), BiasPartition(empty, empty, {}), "accuracy", "gold")
+        assert (result.splits, result.by_position) == ({}, ())
 
     def test_position_rows_cover_observed_positions(self):
         model = ToyModel.initialize(12)
