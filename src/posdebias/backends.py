@@ -11,6 +11,7 @@ Wire format (HTTP, JSON bodies):
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ from typing import Protocol
 
 import requests
 
-from .corpus import json_field, read_jsonl
+from .corpus import encode_json, json_field, read_jsonl
 
 #: Environment variable that overrides any configured HTTP endpoint.
 BACKEND_URL_ENV = "POSDEBIAS_BACKEND_URL"
@@ -62,6 +63,12 @@ class GenerationResult:
         ``token_logprobs``, in that order (``_result_from_body`` reads it)."""
         return {"text": self.text, "tokens": list(self.tokens), "token_logprobs": list(self.token_logprobs)}
 
+    @functools.cached_property
+    def logprobs_json(self) -> str:
+        """``token_logprobs`` as JSON text, encoded once for every line that
+        holds them (its candidate line and its verdict line)."""
+        return encode_json(self.token_logprobs)
+
     def min_token_prob(self) -> float:
         """Probability of the least likely token; 1.0 for an empty result."""
         if not self.token_logprobs:
@@ -79,6 +86,14 @@ class Backend(Protocol):
 def _stable_hash(text: str) -> int:
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+@functools.lru_cache(maxsize=1024)
+def _markov_state(prompt: str) -> tuple[int, tuple[str, ...]]:
+    """The markov stub's per-prompt state, built once per prompt rather than
+    once per seed: the prompt's stable hash and its sorted distinct tokens
+    (``the`` for a blank prompt)."""
+    return _stable_hash(prompt), tuple(sorted(set(prompt.split()))) or ("the",)
 
 
 #: Per-token logprob of table entries that carry none (probability 0.5).
@@ -109,9 +124,11 @@ class StubBackend:
       increasing seeds walk the list deterministically. Entries without
       logprobs get ``STUB_DEFAULT_LOGPROB`` per token. Every entry becomes
       its result here, so a bad one raises ``ValueError`` naming its prompt.
-    * ``markov``: emits a seeded pseudo-random walk over the prompt's own
-      vocabulary, at most ``STUB_MARKOV_LENGTH`` tokens; useful as a
-      nonsense generator with stable outputs.
+    * ``markov``: emits ``min(max_tokens, STUB_MARKOV_LENGTH)`` tokens (at
+      least one), each drawn independently and uniformly from the prompt's
+      distinct tokens, with logprobs drawn uniformly from [-1.5, -0.05],
+      all seeded by the prompt and the seed; a nonsense generator with
+      stable outputs.
     """
 
     def __init__(self, mode: StubMode | str = StubMode.ECHO, table: dict | None = None) -> None:
@@ -129,11 +146,12 @@ class StubBackend:
                 raise BackendError(f"stub table has no entry for prompt {prompt[:80]!r}")
             results = self.table[prompt]
             return results[seed % len(results)]
-        rng = random.Random(_stable_hash(prompt) ^ (seed & 0xFFFFFFFF))
-        vocab = sorted(set(prompt.split())) or ["the"]
-        length = max(1, min(max_tokens, STUB_MARKOV_LENGTH))
-        tokens = tuple(rng.choice(vocab) for _ in range(length))
-        logprobs = tuple(-rng.uniform(0.05, 1.5) for _ in tokens)
+        key, vocab = _markov_state(prompt)
+        rng = random.Random(key ^ (seed & 0xFFFFFFFF))
+        choice, draw = rng.choice, rng.random
+        tokens = tuple([choice(vocab) for _ in range(max(1, min(max_tokens, STUB_MARKOV_LENGTH)))])
+        # -uniform(0.05, 1.5), spelled as ``random.uniform`` documents it.
+        logprobs = tuple([-(0.05 + (1.5 - 0.05) * draw()) for _ in tokens])
         return GenerationResult(" ".join(tokens), tokens, logprobs, self.backend_id)
 
     @staticmethod

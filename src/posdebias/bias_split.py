@@ -24,7 +24,7 @@ from .lowbias_infer import DEFAULTS
 from .metrics import (
     contains_phrase,
     rouge_l,  # not called here; perfbench's harness self-test reads ``bias_split.rouge_l``
-    rouge_l_tokens,
+    rouge_l_scores,
     tokenize,
 )
 
@@ -90,7 +90,8 @@ def ground_response(
     response_tokens: Sequence[str], utterance_tokens: Sequence[Sequence[str]]
 ) -> GroundingResult:
     """Find the utterance maximizing ROUGE-L(response, utterance), both given
-    as tokens, so a document tokenized once serves every grounding against it.
+    as tokens, so a document tokenized once serves every grounding against it;
+    the response's LCS bit masks are built once for all utterances.
 
     Ties break toward the smallest index. Utterances with no tokens score 0
     rather than erroring, so one odd utterance cannot poison a document.
@@ -99,14 +100,14 @@ def ground_response(
         raise ValueError("ground_response: empty response")
     if not utterance_tokens:
         raise ValueError("ground_response: empty document")
-    scores = tuple([rouge_l_tokens(response_tokens, utt) if utt else 0.0 for utt in utterance_tokens])
+    scores = tuple(rouge_l_scores(response_tokens, utterance_tokens))
     best = scores.index(max(scores))
     return GroundingResult(best, scores[best], scores)
 
 
 def _utterance_tokens(document: Document) -> list[list[str]]:
     """The tokens of each utterance, in document order."""
-    return [tokenize(utt.text) for utt in document.utterances]
+    return [tokenize(text) for text in document.utterances]
 
 
 def relative_position(sample: Sample) -> int:

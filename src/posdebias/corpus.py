@@ -28,33 +28,26 @@ class CorpusError(ValueError):
 
 
 @dataclass(frozen=True)
-class Utterance:
-    """One positioned unit of a source document."""
-
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
 class Document:
-    """An ordered sequence of utterances.
+    """An ordered sequence of utterance texts; an utterance's index is its
+    position.
 
     Construction does not reject degenerate documents; ``validate_sample``
     reports them so that malformed records can still be inspected.
     """
 
-    utterances: tuple[Utterance, ...]
+    utterances: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.utterances)
 
     def texts(self) -> list[str]:
-        return [u.text for u in self.utterances]
+        return list(self.utterances)
 
 
 def make_document(texts: list[str] | tuple[str, ...]) -> Document:
-    """Build a document with contiguous utterance indices starting at 0."""
-    return Document(tuple(Utterance(i, t) for i, t in enumerate(texts)))
+    """Build a document from its utterance texts, in order."""
+    return Document(tuple(texts))
 
 
 @dataclass(frozen=True)
@@ -143,7 +136,7 @@ def render_input(
         return f"premise: {nli_premise or ''}\nhypothesis: {nli_hypothesis or ''}"
     parts: list[str] = []
     if document is not None and len(document) > 0:
-        parts.append("document: " + " | ".join(document.texts()))
+        parts.append("document: " + " | ".join(document.utterances))
     exchanges = [
         f"q: {t.question} a: {t.answer}" for t in history if t.answer is not None
     ]
@@ -176,12 +169,9 @@ def validate_sample(sample: Sample) -> list[str]:
         elif len(sample.document) < 1:
             violations.append("document length >= 1 required")
         else:
-            for utt in sample.document.utterances:
-                if not utt.text.strip():
-                    violations.append(f"empty utterance at index {utt.index}")
-            indices = [u.index for u in sample.document.utterances]
-            if indices != list(range(len(indices))):
-                violations.append("utterance indices not contiguous from 0")
+            for index, text in enumerate(sample.document.utterances):
+                if not text.strip():
+                    violations.append(f"empty utterance at index {index}")
     turn_indices = [t.turn_index for t in sample.history]
     if any(b <= a for a, b in zip(turn_indices, turn_indices[1:])):
         violations.append("history turn indices not strictly increasing")
@@ -274,7 +264,7 @@ def sample_to_record(sample: Sample) -> dict:
         record["premise"] = sample.nli_premise
         record["hypothesis"] = sample.nli_hypothesis
     else:
-        record["document"] = sample.document.texts() if sample.document else []
+        record["document"] = list(sample.document.utterances) if sample.document else []
         record["history"] = [
             {"turn_index": t.turn_index, "question": t.question, "answer": t.answer}
             for t in sample.history
@@ -287,19 +277,44 @@ def sample_to_record(sample: Sample) -> dict:
     return record
 
 
-#: ``json.dumps(record, ensure_ascii=False)`` without building an encoder per record.
-_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+#: ``json.dumps(value, ensure_ascii=False)`` without building an encoder per value.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def write_lines(lines: Iterable[str], path: str | Path) -> Path:
+    """Write each line (encoded JSON) and a newline, creating parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
+    return path
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> Path:
     """Write one JSON object per line, creating parent directories."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(_encode_json(record))
-            handle.write("\n")
-    return path
+    return write_lines(map(encode_json, records), path)
+
+
+def _check_utf8(value: object, where: str = "") -> None:
+    """Raise ``ValueError`` naming the first key or string of a decoded JSON
+    value that does not encode as UTF-8: a JSON escape such as ``"\\ud800"``
+    decodes to a lone surrogate, which no output file can hold. ``where``
+    is the value's field path (``history[0].answer``)."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"field {where!r} does not encode as UTF-8 ({exc.reason}): {value[:80]!r}") from None
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            field = f"{where}.{key}" if where else key
+            _check_utf8(key, field)
+            _check_utf8(item, field)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_utf8(item, f"{where}[{i}]")
 
 
 def read_jsonl(path: str | Path, decode: Callable[[object], object]) -> Iterator[tuple[int, object]]:
@@ -309,9 +324,11 @@ def read_jsonl(path: str | Path, decode: Callable[[object], object]) -> Iterator
     The file is decoded as UTF-8 once; bad UTF-8 raises ``ValueError``
     naming the file. Malformed JSON, and a ``KeyError`` (read as a missing
     field), ``TypeError`` or ``ValueError`` from ``decode``, raise
-    ``ValueError`` naming the file and the line. Lines end at ``\\n``,
-    ``\\r\\n`` or ``\\r`` only, so a string may hold the other line
-    separators (U+2028, U+0085, ...) that ``write_jsonl`` leaves unescaped.
+    ``ValueError`` naming the file and the line, as does a string that no
+    output file could hold (``_check_utf8``; only a line with a ``\\u``
+    escape can have one). Lines end at ``\\n``, ``\\r\\n`` or ``\\r``
+    only, so a string may hold the other line separators (U+2028, U+0085,
+    ...) that ``write_jsonl`` leaves unescaped.
     """
     path = Path(path)
     try:
@@ -322,7 +339,10 @@ def read_jsonl(path: str | Path, decode: Callable[[object], object]) -> Iterator
         if not line.strip():
             continue
         try:
-            item = decode(json.loads(line))
+            record = json.loads(line)
+            item = decode(record)
+            if "\\u" in line:
+                _check_utf8(record)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {line_no}: malformed JSON: {exc.msg}") from exc
         except KeyError as exc:

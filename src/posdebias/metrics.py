@@ -5,12 +5,14 @@ stripped, whitespace split. Keeping the tokenizer here and importing it
 everywhere guarantees that splitting, alignment, and evaluation agree on
 what a token is.
 
-ROUGE-L has a token-level core, ``rouge_l_tokens``, for callers that score
-one text against many (grounding tokenizes each document utterance once
-per sample); ``rouge_l`` on strings tokenizes both sides and calls it.
-``lcs_length`` is bit-parallel (Allison & Dix 1986; Hyyrö 2004,
-"Bit-parallel LCS-length computation revisited"): one Python-int step per
-token of ``a`` instead of one dynamic-programming cell per token pair.
+ROUGE-L has a token-level core, ``rouge_l_tokens``; ``rouge_l`` on strings
+tokenizes both sides and calls it, and ``rouge_l_scores`` scores one text
+against many (grounding scores a response against every utterance of a
+document tokenized once per sample). All of them count the LCS with
+``lcs_lengths``, bit-parallel (Allison & Dix 1986; Hyyrö 2004,
+"Bit-parallel LCS-length computation revisited"): the pattern's bit masks
+are built once, then one Python-int step per token of each text instead of
+one dynamic-programming cell per token pair.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -41,33 +43,50 @@ def contains_phrase(tokens: list[str], phrase: list[str]) -> bool:
     )
 
 
-def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence, O(len(a)) integer operations
-    on len(b)-bit integers.
+def lcs_lengths(pattern: Sequence[str], texts: Iterable[Sequence[str]]) -> list[int]:
+    """Length of the longest common subsequence of ``pattern`` with each of
+    ``texts``, O(len(text)) integer operations on len(pattern)-bit integers
+    per text.
 
-    Bit j of ``masks[y]`` is set where ``b[j] == y``. After a prefix of
-    ``a``, the zero bits among the low j + 1 bits of ``v`` count the LCS of
-    that prefix and ``b[:j + 1]``; each token of ``a`` updates every column
-    at once (Hyyrö 2004).
+    Bit j of ``masks[y]`` is set where ``pattern[j] == y``; they are built
+    once for all texts. After a prefix of a text, the zero bits among the
+    low j + 1 bits of ``v`` count the LCS of that prefix and
+    ``pattern[:j + 1]``; each token of the text updates every column at once
+    (Hyyrö 2004).
     """
     masks: dict[str, int] = {}
-    for j, y in enumerate(b):
+    for j, y in enumerate(pattern):
         masks[y] = masks.get(y, 0) | (1 << j)
-    full = (1 << len(b)) - 1
-    v = full
-    for x in a:
-        u = v & masks.get(x, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+    full = (1 << len(pattern)) - 1
+    lengths = []
+    for text in texts:
+        v = full
+        for x in text:
+            u = v & masks.get(x, 0)
+            v = ((v + u) | (v - u)) & full
+        lengths.append(len(pattern) - v.bit_count())
+    return lengths
+
+
+def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Length of the longest common subsequence of ``a`` and ``b``."""
+    return lcs_lengths(b, (a,))[0]
+
+
+def _f_score(lcs: int, n_cand: int, n_ref: int, beta: float) -> float:
+    """P = LCS/|candidate|, R = LCS/|reference|,
+    F = (1 + beta^2) * P * R / (R + beta^2 * P); 0 without a common token."""
+    if lcs == 0:
+        return 0.0
+    precision = lcs / n_cand
+    recall = lcs / n_ref
+    return ((1 + beta * beta) * precision * recall) / (recall + beta * beta * precision)
 
 
 def rouge_l_tokens(
     cand_tokens: Sequence[str], ref_tokens: Sequence[str], beta: float = ROUGE_BETA
 ) -> float:
     """ROUGE-L F-score between a tokenized candidate and reference.
-
-    P = LCS/|candidate|, R = LCS/|reference|,
-    F = (1 + beta^2) * P * R / (R + beta^2 * P).
 
     An empty candidate scores 0; an empty reference is an error because the
     score would be undefined.
@@ -76,12 +95,20 @@ def rouge_l_tokens(
         raise ValueError("rouge_l: empty reference")
     if not cand_tokens:
         return 0.0
-    lcs = lcs_length(cand_tokens, ref_tokens)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(cand_tokens)
-    recall = lcs / len(ref_tokens)
-    return ((1 + beta * beta) * precision * recall) / (recall + beta * beta * precision)
+    return _f_score(lcs_length(cand_tokens, ref_tokens), len(cand_tokens), len(ref_tokens), beta)
+
+
+def rouge_l_scores(
+    cand_tokens: Sequence[str], refs: Sequence[Sequence[str]], beta: float = ROUGE_BETA
+) -> list[float]:
+    """``rouge_l_tokens`` of one tokenized candidate against each of
+    ``refs`` in one ``lcs_lengths`` call (LCS is symmetric, so the candidate
+    is the pattern). An empty reference scores 0 here."""
+    n = len(cand_tokens)
+    return [
+        _f_score(lcs, n, len(ref), beta) if ref else 0.0
+        for lcs, ref in zip(lcs_lengths(cand_tokens, refs), refs)
+    ]
 
 
 def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:

@@ -26,7 +26,7 @@ from typing import Sequence
 from .backends import GenerationResult
 from .corpus import Sample, Task
 from .lowbias_infer import DEFAULTS
-from .metrics import contains_phrase, rouge_l, tokenize
+from .metrics import contains_phrase, rouge_l_tokens, tokenize
 
 #: Boilerplate question patterns rejected as dull; user-replaceable.
 DEFAULT_DULL_PATTERNS: tuple[str, ...] = tuple(DEFAULTS["dull_patterns"])
@@ -74,13 +74,19 @@ class AlignmentConfig:
 
 @dataclass(frozen=True)
 class AlignedResponse:
-    """One candidate with its verdict; kept iff no gate rejected it."""
+    """One candidate with its verdict; kept iff no gate rejected it.
+
+    ``candidate`` is the judged result when the verdict came from
+    ``align_responses`` (not from a file); writing the verdict reuses its
+    encoded logprobs.
+    """
 
     sample_id: str
     text: str
     token_logprobs: tuple[float, ...]
     kept: bool
     rejection_reasons: frozenset[RejectionReason] = field(default_factory=frozenset)
+    candidate: GenerationResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kept != (not self.rejection_reasons):
@@ -139,22 +145,24 @@ def align_responses(
                 token_logprobs=cand.token_logprobs,
                 kept=not reasons,
                 rejection_reasons=frozenset(reasons),
+                candidate=cand,
             )
         )
     return out
 
 
-def gate_statistic(task: Task, sample: Sample, candidate: GenerationResult) -> float:
+def gate_statistic(task: Task, target_tokens: Sequence[str], candidate: GenerationResult) -> float:
     """The per-candidate quantity the task's calibrated gate thresholds.
 
-    Answer-style tasks threshold target overlap; question generation
-    thresholds the minimum token probability.
+    Answer-style tasks threshold ROUGE-L against the sample's target, given
+    as ``target_tokens`` so a sample's candidates share one tokenization;
+    question generation thresholds the minimum token probability.
     """
     if task == Task.NLI:
         raise ValueError("gate_statistic: nli has no thresholded gate")
     if task == Task.CQG:
         return candidate.min_token_prob()
-    return rouge_l(candidate.text, sample.target)
+    return rouge_l_tokens(tokenize(candidate.text), target_tokens)
 
 
 def calibrate_threshold(

@@ -46,7 +46,7 @@ from .bias_split import (
 )
 from .corpus import Corpus, Sample, Task, load_corpus, sample_to_record, save_corpus, write_jsonl
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
-from .metrics import PositionRow
+from .metrics import PositionRow, tokenize
 from .msa_align import (
     DEFAULT_DULL_PATTERNS,
     DEFAULT_INSTRUCTION_KEYWORDS,
@@ -440,19 +440,22 @@ def align_corpus(
     """Verdicts for every candidate, keyed by sample id in ``samples`` order.
 
     Candidates of an id not in ``samples`` are rejected before anything
-    runs. Each candidate's ``gate_statistic`` is computed once; the gate
-    threshold (incoherence for question generation, unreliability
-    otherwise) is the candidate threshold whose keep fraction on those
-    statistics lands nearest the target. It is returned, or ``None`` when
-    there was no candidate to calibrate on. When the share of statistics
-    at or above it misses the target by more than ``KEEP_FRACTION_SLACK``,
-    one line on stderr says so.
+    runs. Each target is tokenized once, and each candidate's
+    ``gate_statistic`` is computed once; the gate threshold (incoherence
+    for question generation, unreliability otherwise) is the candidate
+    threshold whose keep fraction on those statistics lands nearest the
+    target. It is returned, or ``None`` when there was no candidate to
+    calibrate on. When the share of statistics at or above it misses the
+    target by more than ``KEEP_FRACTION_SLACK``, one line on stderr says so.
     """
     unknown = sorted(set(candidates) - {s.id for s in samples})
     if unknown:
         raise ValueError(f"align: candidate sample id {unknown[0]!r} not in corpus")
     present = [sample for sample in samples if candidates.get(sample.id)]
-    stats = [gate_statistic(task, sample, cand) for sample in present for cand in candidates[sample.id]]
+    stats = []
+    for sample in present:
+        target_tokens = tokenize(sample.target)
+        stats += [gate_statistic(task, target_tokens, cand) for cand in candidates[sample.id]]
     if not stats:
         return {}, None
     threshold = calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction)

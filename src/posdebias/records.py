@@ -9,28 +9,35 @@ name the file and line of the first bad record.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .backends import GenerationResult
-from .corpus import json_field, read_jsonl, write_jsonl
+from .corpus import encode_json, json_field, read_jsonl, write_jsonl, write_lines
 from .metrics import PositionRow
 from .msa_align import AlignedResponse, RejectionReason
 from .report import SystemEval
 from .toy_model import EpochSummary, TraceEntry
 
 
+def candidate_line(sample_id: str, index: int, result: GenerationResult) -> str:
+    """One candidates JSONL line: ``json.dumps`` (``ensure_ascii=False``) of
+    ``sample_id``, ``candidate_index``, the ``body`` fields and
+    ``backend_id``, with the logprobs as the result's cached text."""
+    return (
+        f'{{"sample_id": {encode_json(sample_id)}, "candidate_index": {index:d}, '
+        f'"text": {encode_json(result.text)}, "tokens": {encode_json(result.tokens)}, '
+        f'"token_logprobs": {result.logprobs_json}, "backend_id": {encode_json(result.backend_id)}}}'
+    )
+
+
 def write_candidates(candidates: Mapping[str, Sequence[GenerationResult]], path: str | Path) -> Path:
     """Candidates JSONL: one line per candidate, grouped by sample."""
-    return write_jsonl(
+    return write_lines(
         (
-            {
-                "sample_id": sample_id,
-                "candidate_index": k,
-                **result.body(),
-                "backend_id": result.backend_id,
-            }
+            candidate_line(sample_id, k, result)
             for sample_id, results in candidates.items()
             for k, result in enumerate(results)
         ),
@@ -63,22 +70,31 @@ def load_candidates(path: str | Path) -> dict[str, list[GenerationResult]]:
     }
 
 
-def write_aligned(aligned: Mapping[str, Sequence[AlignedResponse]], path: str | Path) -> Path:
-    """Aligned JSONL: one verdict per candidate, reasons sorted by name."""
-    return write_jsonl(
-        (
-            {
-                "sample_id": verdict.sample_id,
-                "text": verdict.text,
-                "token_logprobs": list(verdict.token_logprobs),
-                "kept": verdict.kept,
-                "rejection_reasons": sorted(r.value for r in verdict.rejection_reasons),
-            }
-            for verdicts in aligned.values()
-            for verdict in verdicts
-        ),
-        path,
+@functools.lru_cache(maxsize=16)
+def _reasons_json(reasons: frozenset[RejectionReason]) -> str:
+    return encode_json(sorted(r.value for r in reasons))
+
+
+def verdict_line(verdict: AlignedResponse) -> str:
+    """One aligned JSONL line: ``json.dumps`` (``ensure_ascii=False``) of
+    ``sample_id``, ``text``, ``token_logprobs``, ``kept`` and
+    ``rejection_reasons`` sorted by name. The logprobs are the judged
+    candidate's cached text when the verdict holds that candidate's."""
+    candidate = verdict.candidate
+    if candidate is not None and candidate.token_logprobs is verdict.token_logprobs:
+        logprobs = candidate.logprobs_json
+    else:
+        logprobs = encode_json(verdict.token_logprobs)
+    return (
+        f'{{"sample_id": {encode_json(verdict.sample_id)}, "text": {encode_json(verdict.text)}, '
+        f'"token_logprobs": {logprobs}, "kept": {"true" if verdict.kept else "false"}, '
+        f'"rejection_reasons": {_reasons_json(verdict.rejection_reasons)}}}'
     )
+
+
+def write_aligned(aligned: Mapping[str, Sequence[AlignedResponse]], path: str | Path) -> Path:
+    """Aligned JSONL: one ``verdict_line`` per candidate."""
+    return write_lines((verdict_line(v) for verdicts in aligned.values() for v in verdicts), path)
 
 
 def _aligned_from_record(record: object) -> AlignedResponse:

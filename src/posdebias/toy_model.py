@@ -170,7 +170,7 @@ def build_lowbias_table(
     table: dict[str, list[dict]] = {}
     for sample in corpus:
         assert sample.document is not None
-        doc_texts = sample.document.texts()
+        doc_texts = sample.document.utterances
         target_tokens = set(sample.target.split())
         noise_pool = [
             tok for text in doc_texts for tok in text.split() if tok not in target_tokens
@@ -239,10 +239,10 @@ def _overlap_index(document, tokens: set[str]) -> int | None:
     """Index of the utterance sharing the most tokens; ties to the smallest."""
     best_index: int | None = None
     best_overlap = 0
-    for utt in document.utterances:
-        overlap = len(set(utt.text.split()) & tokens)
+    for index, text in enumerate(document.utterances):
+        overlap = len(set(text.split()) & tokens)
         if overlap > best_overlap:
-            best_index = utt.index
+            best_index = index
             best_overlap = overlap
     return best_index
 
@@ -260,14 +260,14 @@ def context_features(model: ToyModel, sample: Sample) -> np.ndarray:
         if anchor is not None:
             for pos in (anchor, anchor + 1):
                 if pos < len(sample.document):
-                    for tok in sample.document.utterances[pos].text.split():
+                    for tok in sample.document.utterances[pos].split():
                         if tok in model._index:
                             feats[model._index[tok]] = model.window_scale
     question = sample.current_question()
     if question:
         matched = _overlap_index(sample.document, set(question.split()))
         if matched is not None:
-            for tok in sample.document.utterances[matched].text.split():
+            for tok in sample.document.utterances[matched].split():
                 if tok in model._index:
                     feats[v + model._index[tok]] = 1.0
     return feats

@@ -6,7 +6,9 @@ force search) so agreement is meaningful.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from collections import Counter
 from functools import lru_cache
 
@@ -71,6 +73,20 @@ def ground_oracle(response_tokens: tuple[str, ...], utterance_tokens: list[tuple
         if score > best_score:
             best_index, best_score = index, score
     return best_index
+
+
+def markov_complete(prompt: str, max_tokens: int, seed: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """Tokens and logprobs of the markov stub, recomputed from scratch on
+    every call as the stub first did: the prompt's SHA-256 and sorted
+    vocabulary per call, ``choice`` per token, ``-uniform(0.05, 1.5)`` per
+    logprob, at most 8 tokens."""
+    key = int.from_bytes(hashlib.sha256(prompt.encode("utf-8")).digest()[:8], "big")
+    rng = random.Random(key ^ (seed & 0xFFFFFFFF))
+    vocab = sorted(set(prompt.split())) or ["the"]
+    length = max(1, min(max_tokens, 8))
+    tokens = tuple(rng.choice(vocab) for _ in range(length))
+    logprobs = tuple(-rng.uniform(0.05, 1.5) for _ in tokens)
+    return tokens, logprobs
 
 
 def sequence_features(model, base: np.ndarray, tokens) -> tuple[np.ndarray, np.ndarray]:

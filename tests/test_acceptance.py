@@ -21,7 +21,7 @@ from posdebias.bias_split import (
     split_by_relative_position,
 )
 from posdebias.corpus import Corpus, Sample, Task, make_document
-from posdebias.metrics import ROUGE_BETA, rouge_l
+from posdebias.metrics import ROUGE_BETA, rouge_l, rouge_l_scores
 from posdebias.msa_align import calibrate_threshold
 from posdebias.objective import LossConfig, combined_loss
 from posdebias.pipeline import parse_config, run_pipeline
@@ -64,6 +64,15 @@ def _lcs_full_table(a: list[str], b: list[str]) -> int:
     return table[-1][-1]
 
 
+def _brute_rouge_l(cand_tokens: list[str], ref_tokens: list[str]) -> float:
+    lcs = _lcs_full_table(cand_tokens, ref_tokens)
+    if not cand_tokens or lcs == 0:
+        return 0.0
+    precision = lcs / len(cand_tokens)
+    recall = lcs / len(ref_tokens)
+    return ((1 + ROUGE_BETA * ROUGE_BETA) * precision * recall) / (recall + ROUGE_BETA * ROUGE_BETA * precision)
+
+
 def test_rouge_l_matches_brute_force_lcs_oracle():
     rng = random.Random(101)
     vocab = ["va", "vb", "vc", "vd", "ve"]
@@ -72,24 +81,19 @@ def test_rouge_l_matches_brute_force_lcs_oracle():
     for _ in range(1000):
         cand = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 10)))
         ref = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 10)))
-        got = rouge_l(cand, ref)
-        cand_tokens, ref_tokens = cand.split(), ref.split()
-        lcs = _lcs_full_table(cand_tokens, ref_tokens)
-        if not cand_tokens or lcs == 0:
-            want = 0.0
-        else:
-            precision = lcs / len(cand_tokens)
-            recall = lcs / len(ref_tokens)
-            want = ((1 + ROUGE_BETA * ROUGE_BETA) * precision * recall) / (
-                recall + ROUGE_BETA * ROUGE_BETA * precision
-            )
-        if got != want:
+        if rouge_l(cand, ref) != _brute_rouge_l(cand.split(), ref.split()):
             mismatches += 1
+    # Grounding's path: one candidate against ten references in one call.
+    for _ in range(100):
+        cand = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
+        refs = [[rng.choice(vocab) for _ in range(rng.randint(1, 10))] for _ in range(10)]
+        got = rouge_l_scores(cand, refs)
+        mismatches += sum(g != _brute_rouge_l(cand, ref) for g, ref in zip(got, refs))
     elapsed = time.perf_counter() - start
     _verdict(
         "rouge-l-lcs-oracle",
         mismatches == 0 and elapsed < 5.0,
-        f"1000 pairs, {mismatches} mismatches, {elapsed:.2f}s < 5s",
+        f"1000 pairs, then 100 candidates x 10 references at once, {mismatches} mismatches, {elapsed:.2f}s < 5s",
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from posdebias import backends
 from posdebias.backends import (
     BACKEND_URL_ENV,
     BackendError,
@@ -27,6 +28,8 @@ from posdebias.backends import (
 )
 from posdebias.lowbias_infer import generate
 from posdebias.records import load_candidates, write_candidates
+
+from oracles import markov_complete
 
 #: Text that JSON, JSONL line splitting or UTF-8 could mangle: non-ASCII,
 #: quotes, backslashes and the line separators U+2028, U+2029 and U+0085
@@ -149,6 +152,27 @@ class TestMarkovStub:
     def test_max_tokens_respected(self):
         backend = StubBackend(StubMode.MARKOV)
         assert len(backend.complete("a b c", seed=0, max_tokens=3).tokens) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prompt=st.one_of(TRICKY_TEXT, st.lists(st.sampled_from(["a", "b", "Zed", "é", "😀", " ", "\n"])).map("".join)),
+        seed=st.integers(-(2**40), 2**40),
+        max_tokens=st.integers(-2, 20),
+    )
+    def test_matches_the_per_call_reference(self, prompt, seed, max_tokens):
+        result = StubBackend(StubMode.MARKOV).complete(prompt, max_tokens=max_tokens, seed=seed)
+        tokens, logprobs = markov_complete(prompt, max_tokens, seed)
+        assert (result.text, result.tokens, result.token_logprobs) == (" ".join(tokens), tokens, logprobs)
+        # Equal floats could still differ in sign or representation; the text cannot.
+        assert list(map(repr, result.token_logprobs)) == list(map(repr, logprobs))
+
+    def test_prompt_state_is_built_once_per_prompt(self, monkeypatch):
+        hashed, original = [], backends._stable_hash
+        monkeypatch.setattr(backends, "_stable_hash", lambda text: hashed.append(text) or original(text))
+        backends._markov_state.cache_clear()
+        prompts = ["p q r", "s t", "p q r u"]
+        results = generate(prompts, StubBackend(StubMode.MARKOV), n_per_prompt=3, seed=5, max_tokens=4)
+        assert len(results) == 9 and hashed == prompts
 
 
 class _Handler(BaseHTTPRequestHandler):

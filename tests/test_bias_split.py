@@ -26,7 +26,7 @@ from posdebias.bias_split import (
 )
 from posdebias.corpus import Corpus, DialogueTurn, Sample, Task, make_document
 
-from posdebias.metrics import rouge_l, rouge_l_tokens, tokenize
+from posdebias.metrics import rouge_l, rouge_l_scores, tokenize
 
 from conftest import dialogue_sample, nli_sample
 from oracles import ground_oracle, rouge_l_oracle
@@ -214,12 +214,13 @@ class TestSplitByLeadBias:
         # against utterance 0.
         samples = [self._sum_sample(f"s{i}", t) for i, t in enumerate(["lead unrelated thing", "tail extra"])]
         calls = []
-        monkeypatch.setattr(bias_split, "rouge_l_tokens", lambda *args: calls.append(args) or rouge_l_tokens(*args))
+        monkeypatch.setattr(bias_split, "rouge_l_scores", lambda *args: calls.append(args) or rouge_l_scores(*args))
         partition = split_by_lead_bias(Corpus(tuple(samples), Task.SUM))
-        assert len(calls) == 2 * 3
+        # One ROUGE-L pass per sample, over its three utterances.
+        assert [len(refs) for _, refs in calls] == [3, 3]
         assert [s.id for s in partition.biased] == ["s0"]
         for sample in samples:
-            lead = sample.document.utterances[0].text
+            lead = sample.document.utterances[0]
             assert partition.evidence[sample.id].lead_score == rouge_l(sample.target, lead)
 
     def test_rejects_dialogue_task(self):

@@ -55,7 +55,7 @@ class TestDataModel:
 
     def test_make_document_indices(self):
         doc = make_document(["a", "b", "c"])
-        assert [u.index for u in doc.utterances] == [0, 1, 2]
+        assert doc.utterances == ("a", "b", "c")
         assert doc.texts() == ["a", "b", "c"]
         assert len(doc) == 3
 
@@ -145,17 +145,6 @@ class TestValidateSample:
         violations = validate_sample(sample)
         assert "missing nli_premise" in violations
         assert "missing nli_hypothesis" in violations
-
-    def test_noncontiguous_indices_flagged(self):
-        from posdebias.corpus import Document, Utterance
-
-        sample = Sample(
-            id="x",
-            task=Task.SUM,
-            target="t",
-            document=Document((Utterance(0, "a"), Utterance(2, "b"))),
-        )
-        assert "utterance indices not contiguous from 0" in validate_sample(sample)
 
     def test_history_order_flagged(self):
         sample = Sample(
@@ -305,6 +294,37 @@ class TestReadJsonl:
         path.write_bytes(json.dumps(good).encode() + b"\n\xff\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not valid UTF-8"):
             read(path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_lone_surrogate_escape_fails_naming_the_field(self, tmp_path, reader):
+        # A string the reader's decoder passes through unchecked, then an unknown key.
+        read, good, _ = READERS[reader]
+        field, set_bad = {
+            "corpus": ("history[0].answer", lambda r: r["history"][0].update(answer="u \ud800")),
+            "candidates": ("tokens[0]", lambda r: r.update(tokens=["\ud800"])),
+            "aligned": ("text", lambda r: r.update(text="\udc00 u")),
+            "replay": ("request.prompt", lambda r: r["request"].update(prompt="p\ud800")),
+        }[reader]
+        for bad_field, record in ((field, json.loads(json.dumps(good))), ("k\ud800", dict(good, **{"k\ud800": 1}))):
+            if bad_field == field:
+                set_bad(record)
+            path = tmp_path / "f.jsonl"
+            path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+            with pytest.raises(ValueError) as info:
+                read(path)
+            message = str(info.value)
+            assert message.startswith(f"{path}: line 2: field {bad_field!r} does not encode as UTF-8")
+            assert "\n" not in message
+
+    def test_escaped_and_raw_non_ascii_text_loads(self, tmp_path):
+        # A surrogate pair escape is one non-BMP character; only a lone surrogate is refused.
+        corpus = Corpus((dialogue_sample("a", ["caf\u00e9 \U0001f600"], "p?", "u", "q?", "\u65e5"),), Task.CQA)
+        for ensure_ascii in (True, False):
+            path = tmp_path / "c.jsonl"
+            record = sample_to_record(corpus.samples[0])
+            path.write_text(json.dumps(record, ensure_ascii=ensure_ascii) + "\n", encoding="utf-8")
+            assert ("\\ud83d\\ude00" in path.read_text(encoding="utf-8")) == ensure_ascii
+            assert load_corpus(path, Task.CQA) == corpus
 
     def test_line_separators_inside_strings_round_trip(self, tmp_path):
         # write_jsonl leaves U+2028, U+2029 and U+0085 unescaped; only \n, \r\n and \r end a line.

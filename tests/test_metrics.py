@@ -9,15 +9,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posdebias.metrics import (
     PositionRow,
     bleu_2,
     lcs_length,
+    lcs_lengths,
     per_position_table,
     rouge_l,
+    rouge_l_scores,
     rouge_l_tokens,
     tokenize,
 )
@@ -115,6 +117,30 @@ class TestRougeL:
         score = rouge_l(cand, ref)
         assert 0.0 <= score <= 1.0
         assert score == rouge_l_tokens(tokenize(cand), tokenize(ref))
+
+
+class TestOnePatternManyReferences:
+    """``rouge_l_scores`` and ``lcs_lengths`` build the pattern's masks once
+    and must score every reference exactly as the one-reference calls do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cand=st.lists(_TOKENS, max_size=90),
+        refs=st.lists(st.lists(_TOKENS, max_size=90), max_size=6),
+    )
+    @example(cand=["a"] * 70, refs=[["a", "b"] * 40, [], ["a"]])
+    @example(cand=[], refs=[["a"], []])
+    def test_equals_the_per_pair_calls(self, cand, refs):
+        # Empty references score 0, as grounding scores an empty utterance.
+        assert rouge_l_scores(cand, refs) == [rouge_l_tokens(cand, ref) if ref else 0.0 for ref in refs]
+        assert lcs_lengths(cand, refs) == [lcs_length(ref, cand) for ref in refs]
+
+    def test_lengths_match_the_recursive_oracle_past_64_tokens(self):
+        rng = random.Random(5)
+        vocab = ["a", "b", "c"]
+        pattern = tuple(rng.choice(vocab) for _ in range(75))
+        texts = [tuple(rng.choice(vocab) for _ in range(rng.randint(0, 70))) for _ in range(8)]
+        assert lcs_lengths(pattern, texts) == [lcs_recursive(pattern, text) for text in texts]
 
 
 class TestBleu2:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from posdebias import msa_align, pipeline
 from posdebias.backends import GenerationResult
 from posdebias.corpus import Sample, Task
+from posdebias.metrics import tokenize
 from posdebias.msa_align import (
     DEFAULT_CANDIDATE_THRESHOLDS,
     DEFAULT_DULL_PATTERNS,
@@ -124,7 +125,7 @@ class TestIncoherent:
     def test_exact_boundary_is_coherent(self):
         # A statistic equal to the threshold is kept, as calibration counts it.
         cand = result("what", (math.log(0.1),))
-        threshold = gate_statistic(Task.CQG, gate_sample(Task.CQG), cand)
+        threshold = gate_statistic(Task.CQG, tokenize(gate_sample(Task.CQG).target), cand)
         assert reasons(Task.CQG, cand, threshold) == frozenset()
 
     def test_empty_response_is_coherent(self):
@@ -151,7 +152,7 @@ class TestUnreliable:
 
     def test_exact_boundary_is_reliable(self):
         cand = result("the cat")
-        threshold = gate_statistic(Task.CQA, gate_sample(Task.CQA), cand)
+        threshold = gate_statistic(Task.CQA, tokenize(gate_sample(Task.CQA).target), cand)
         assert reasons(Task.CQA, cand, threshold) == frozenset()
 
     def test_threshold_validation(self):
@@ -182,7 +183,7 @@ def test_gate_keeps_exactly_what_calibration_counts(texts, probs, thresholds, ta
     candidates = {"s": cands[::2], "t": cands[1::2]}
     config = AlignmentConfig(candidate_thresholds=tuple(thresholds))
     aligned, threshold = align_corpus(task, samples, candidates, config)
-    stats = [gate_statistic(task, sample, cand) for sample in samples for cand in candidates[sample.id]]
+    stats = [gate_statistic(task, tokenize(sample.target), cand) for sample in samples for cand in candidates[sample.id]]
     assert threshold == calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction)
     if len(set(thresholds)) == 1:
         assert threshold == thresholds[0]
@@ -193,9 +194,9 @@ def test_gate_keeps_exactly_what_calibration_counts(texts, probs, thresholds, ta
 def test_gate_statistic_runs_once_per_candidate(monkeypatch):
     calls = []
 
-    def counted(task, sample, cand):
+    def counted(task, target_tokens, cand):
         calls.append(cand)
-        return gate_statistic(task, sample, cand)
+        return gate_statistic(task, target_tokens, cand)
 
     monkeypatch.setattr(msa_align, "gate_statistic", counted)
     monkeypatch.setattr(pipeline, "gate_statistic", counted)
@@ -203,6 +204,19 @@ def test_gate_statistic_runs_once_per_candidate(monkeypatch):
     candidates = {"s": [result("the cat"), result("zebra")], "t": [result("a"), result("a b"), result("c")]}
     aligned, _ = align_corpus(Task.CQA, samples, candidates, AlignmentConfig())
     assert sum(len(v) for v in aligned.values()) == len(calls) == 5
+
+
+def test_align_corpus_tokenizes_each_target_once(monkeypatch):
+    # Targets go through the pipeline's tokenize, once per sample with
+    # candidates; candidate texts through the gate's, once per candidate.
+    targets, texts = [], []
+    monkeypatch.setattr(pipeline, "tokenize", lambda text: targets.append(text) or tokenize(text))
+    monkeypatch.setattr(msa_align, "tokenize", lambda text: texts.append(text) or tokenize(text))
+    samples = [gate_sample(Task.CQA), dialogue_sample("t", ["a b"], "pq", "a b", "q", "a b c"), dialogue_sample("u", ["d"], "pq", "d", "q", "d")]
+    candidates = {"s": [result("the cat"), result("zebra")], "t": [result("a"), result("a b"), result("c")]}
+    align_corpus(Task.CQA, samples, candidates, AlignmentConfig())
+    assert targets == [samples[0].target, "a b c"]
+    assert texts == ["the cat", "zebra", "a", "a b", "c"]
 
 
 def test_keep_fraction_miss_is_reported_on_stderr(capsys):
@@ -297,17 +311,17 @@ class TestGateStatistic:
     def test_cqg_uses_min_token_prob(self):
         cand = result("what now", (math.log(0.5), math.log(0.3)))
         sample = dialogue_sample("s", ["u"], "pq", "u", "q", "u", task=Task.CQG)
-        assert gate_statistic(Task.CQG, sample, cand) == pytest.approx(0.3)
+        assert gate_statistic(Task.CQG, tokenize(sample.target), cand) == pytest.approx(0.3)
 
     def test_answer_tasks_use_target_overlap(self):
         sample = dialogue_sample("s", ["the cat sat down"], "pq", "the cat sat down", "q", "the cat sat down")
         cand = result("the cat sat")
-        assert gate_statistic(Task.CQA, sample, cand) == pytest.approx(0.8356164383561644)
+        assert gate_statistic(Task.CQA, tokenize(sample.target), cand) == pytest.approx(0.8356164383561644)
 
     def test_nli_rejected(self):
         sample = dialogue_sample("s", ["u"], "pq", "u", "q", "u")
         with pytest.raises(ValueError, match="no thresholded gate"):
-            gate_statistic(Task.NLI, sample, result("x"))
+            gate_statistic(Task.NLI, tokenize(sample.target), result("x"))
 
 
 class TestCalibrateThreshold:

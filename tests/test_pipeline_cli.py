@@ -1167,6 +1167,28 @@ class TestCliVerbs:
         assert f"{bad}: not valid UTF-8" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["split", "infer", "align"])
+    def test_lone_surrogate_escape_fails_at_read_in_one_line(self, runner, tmp_path, verb):
+        # json.dumps escapes the lone surrogate as "\ud800", which loads
+        # but no output file can hold.
+        record = {"id": "s0", "task": "cqa", "document": ["t1 c1", "t2 \ud800"], "target": "t1 c1"}
+        field = "document[1]"
+        if verb == "align":
+            record, field = {"sample_id": "s0", "text": "x \ud800", "tokens": ["x"], "token_logprobs": [-0.1]}, "text"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = {
+            "split": ["split", "--corpus", str(bad), "--task", "cqa", "--out-dir", str(out)],
+            "infer": ["infer", "--corpus", str(bad), "--task", "cqa", "--backend", "echo", "--out", str(out)],
+            "align": ["align", "--candidates", str(bad), "--task", "cqg", "--out", str(out)],
+        }[verb]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert line.startswith(f"Error: {bad}: line 1: field {field!r} does not encode as UTF-8")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "options, problem",
         [

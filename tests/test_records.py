@@ -1,0 +1,76 @@
+"""Candidate and verdict lines: spliced from cached logprob text, equal to
+``json.dumps(record, ensure_ascii=False)`` byte for byte."""
+from __future__ import annotations
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from posdebias.backends import GenerationResult
+from posdebias.msa_align import AlignedResponse, RejectionReason
+from posdebias.records import candidate_line, load_candidates, verdict_line, write_candidates
+
+#: Quotes, backslashes, control characters, line separators, non-ASCII and
+#: non-BMP characters (no lone surrogates: no output file can hold one).
+TEXT = st.text(
+    st.one_of(st.characters(codec="utf-8"), st.sampled_from('"\\\x00\x1f\x7f\n\r\t  \u0085é日😀')),
+    max_size=12,
+)
+
+#: Finite logprobs <= 0: -0.0, subnormals, the extremes, and the integers a
+#: candidates file can hold (``load_candidates`` keeps them as ints).
+LOGPROB = st.one_of(
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, -5e-324, -2.2250738585072014e-308, -1.7976931348623157e308]),
+    st.integers(-(10**6), 0),
+)
+
+
+@st.composite
+def results(draw) -> GenerationResult:
+    tokens = draw(st.lists(TEXT, max_size=5))
+    logprobs = draw(st.lists(LOGPROB, min_size=len(tokens), max_size=len(tokens)))
+    return GenerationResult(draw(TEXT), tuple(tokens), tuple(logprobs), draw(TEXT))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_id=TEXT, index=st.integers(0, 10**6), result=results())
+def test_candidate_line_is_json_dumps_of_the_record(sample_id, index, result):
+    record = {"sample_id": sample_id, "candidate_index": index, **result.body(), "backend_id": result.backend_id}
+    assert candidate_line(sample_id, index, result) == json.dumps(record, ensure_ascii=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_id=TEXT, result=results(), reasons=st.frozensets(st.sampled_from(list(RejectionReason))), linked=st.booleans())
+def test_verdict_line_is_json_dumps_of_the_record(sample_id, result, reasons, linked):
+    # A verdict from align_responses reuses its candidate's cached text; one
+    # read from a file encodes its own logprobs.
+    verdict = AlignedResponse(
+        sample_id, result.text, result.token_logprobs, not reasons, reasons, result if linked else None
+    )
+    record = {
+        "sample_id": sample_id,
+        "text": result.text,
+        "token_logprobs": list(result.token_logprobs),
+        "kept": not reasons,
+        "rejection_reasons": sorted(r.value for r in reasons),
+    }
+    assert verdict_line(verdict) == json.dumps(record, ensure_ascii=False)
+
+
+def test_verdict_with_other_logprobs_than_its_candidate_encodes_its_own():
+    result = GenerationResult("a", ("a",), (-0.5,), "b")
+    verdict = AlignedResponse("s", "a", (-0.25,), True, frozenset(), result)
+    assert json.loads(verdict_line(verdict))["token_logprobs"] == [-0.25]
+
+
+@settings(max_examples=40, deadline=None)
+@given(candidates=st.dictionaries(TEXT, st.lists(results(), min_size=1, max_size=3), max_size=3))
+def test_integer_and_signed_zero_logprobs_round_trip(tmp_path_factory, candidates):
+    path = write_candidates(candidates, tmp_path_factory.mktemp("c") / "c.jsonl")
+    loaded = load_candidates(path)
+    assert loaded == candidates
+    for sample_id, got in loaded.items():
+        for a, b in zip(got, candidates[sample_id]):
+            assert list(map(repr, a.token_logprobs)) == list(map(repr, b.token_logprobs))

@@ -372,7 +372,7 @@ class TestTraining:
         train_c, _, _ = synth_corpus(small_spec())
         aligned = {}
         for sample in train_c:
-            doc_line = sample.document.utterances[2].text
+            doc_line = sample.document.utterances[2]
             topic_tok, content_tok = doc_line.split()
             aligned[sample.id] = [
                 AlignedResponse(sample.id, f"ans {topic_tok} is {content_tok}", (math.log(0.5),) * 4, True),
