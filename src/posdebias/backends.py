@@ -25,7 +25,7 @@ from typing import Protocol
 
 import requests
 
-from .corpus import encode_json, json_field, read_jsonl
+from .corpus import _check_utf8, encode_json, json_field, json_list, read_jsonl
 
 #: Environment variable that overrides any configured HTTP endpoint.
 BACKEND_URL_ENV = "POSDEBIAS_BACKEND_URL"
@@ -173,44 +173,15 @@ class StubBackend:
 
     def _table_result(self, entry: object) -> GenerationResult:
         if isinstance(entry, str):
-            text, tokens, logprobs = _utf8_text("text", entry), entry.split(), None
-        elif isinstance(entry, dict):
-            text = _utf8_text("text", json_field(entry, "text", str))
-            tokens = _json_list(entry, "tokens", str, None) or text.split()
-            logprobs = _json_list(entry, "token_logprobs", (int, float), None)
-        else:
+            entry = {"text": entry}
+        elif not isinstance(entry, dict):
             raise ValueError(f"entry must be a string or a JSON object, got {entry!r}")
+        text = _check_utf8(json_field(entry, "text", str), "text")
+        tokens = json_list(entry, "tokens", str, None) or text.split()
+        logprobs = json_list(entry, "token_logprobs", (int, float), None)
         if logprobs is None:
             logprobs = (STUB_DEFAULT_LOGPROB,) * len(tokens)
         return GenerationResult(text, tuple(tokens), tuple(logprobs), self.backend_id)
-
-
-def _utf8_text(key: str, text: str) -> str:
-    """``text``, or ``ValueError`` naming field ``key`` when it does not
-    encode as UTF-8: a JSON escape such as ``"\\ud800"`` decodes to a lone
-    surrogate, which no output file can hold."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValueError(f"field {key!r} does not encode as UTF-8 ({exc.reason}): {text[:80]!r}") from None
-    return text
-
-
-def _json_list(record: object, key: str, kinds: type | tuple[type, ...], default=...):
-    """``json_field`` for a list whose every item is one of ``kinds`` (no
-    bools). A string item must encode as UTF-8, and a number must fit a float."""
-    items = json_field(record, key, list, default)
-    for item in items or ():
-        if not isinstance(item, kinds) or isinstance(item, bool):
-            raise ValueError(f"field {key!r} has an item of the wrong type: {item!r}")
-        if isinstance(item, str):
-            _utf8_text(key, item)
-        elif isinstance(item, int):
-            try:
-                float(item)
-            except OverflowError:
-                raise ValueError(f"field {key!r} has a number too large for a float: {str(item)[:20]}...") from None
-    return items
 
 
 def _complete_payload(prompt: str, max_tokens: int, seed: int) -> dict:
@@ -219,13 +190,15 @@ def _complete_payload(prompt: str, max_tokens: int, seed: int) -> dict:
 
 
 def _result_from_body(body: object, backend_id: str) -> GenerationResult:
-    """A served or recorded response body as a result. ``tokens`` and
-    ``token_logprobs`` are required; a missing or bad field, text that does
-    not encode as UTF-8 among them, raises ``ValueError`` naming it."""
+    """A served or recorded response body, or a candidates line, as a result:
+    the one decoder of a result from JSON. ``tokens`` and ``token_logprobs``
+    are required; a missing or bad field, text that does not encode as UTF-8
+    among them, raises ``ValueError`` naming it. Each logprob is kept as JSON
+    decoded it (``-1`` stays an int), so a replay writes the bytes recorded."""
     return GenerationResult(
-        text=_utf8_text("text", json_field(body, "text", str, "")),
-        tokens=tuple(_json_list(body, "tokens", str)),
-        token_logprobs=tuple(float(lp) for lp in _json_list(body, "token_logprobs", (int, float))),
+        text=_check_utf8(json_field(body, "text", str, ""), "text"),
+        tokens=tuple(json_list(body, "tokens", str)),
+        token_logprobs=tuple(json_list(body, "token_logprobs", (int, float))),
         backend_id=backend_id,
     )
 

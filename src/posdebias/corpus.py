@@ -215,11 +215,26 @@ def _sample_from_record(record: object, task: Task) -> Sample:
     )
 
 
+def json_value(value: object, kinds: type | tuple[type, ...], field: str, item: bool = False):
+    """``value``, decoded JSON from outside the program, if it is one of
+    ``kinds``, else ``ValueError`` naming ``field`` (``item``: an item of that
+    list). The one type rule: a bool is one only of ``kinds`` ``bool``, and an
+    integer must fit a float (RFC 8259 section 6), as readers convert it."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+        raise ValueError(f"field {field!r} has {'an item of ' if item else ''}the wrong type: {value!r}")
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"field {field!r} has a number too large for a float: {str(value)[:20]}...") from None
+    return value
+
+
 def json_field(record: object, key: str, kinds: type | tuple[type, ...], default=..., where: str = ""):
     """``record[key]``, or ``default`` when the key is absent and a default is
     given. Raises ``ValueError`` naming the field (``where`` + ``key``) when
-    ``record`` is not an object, the key is missing, or the value is not one
-    of ``kinds`` (a bool only for ``kinds`` ``bool``: JSON ``true`` is no number)."""
+    ``record`` is not an object, the key is missing, or the value breaks
+    ``json_value`` for ``kinds``."""
     if not isinstance(record, dict):
         raise ValueError(f"{where.rstrip('.') or 'record'} must be a JSON object, got {record!r}")
     if key not in record:
@@ -227,9 +242,20 @@ def json_field(record: object, key: str, kinds: type | tuple[type, ...], default
             raise ValueError(f"missing field {where + key!r}")
         return default
     value = record[key]
-    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
-        raise ValueError(f"field {where + key!r} has the wrong type: {value!r}")
+    exact = type(value)  # a str, float, None, ... of a kind asked for passes as it is: no call
+    if exact is int or not (exact is kinds or type(kinds) is tuple and exact in kinds):
+        json_value(value, kinds, where + key)
     return value
+
+
+def json_list(record: object, key: str, kinds: type | tuple[type, ...], default=...):
+    """``json_field`` for a list whose every item passes ``json_value`` for
+    ``kinds``; a string item must also encode as UTF-8 (``_check_utf8``)."""
+    items = json_field(record, key, list, default)
+    for item in items or ():
+        if type(json_value(item, kinds, key, item=True)) is str:
+            _check_utf8(item, key)
+    return items
 
 
 def load_corpus(path: str | Path, task: Task) -> Corpus:
@@ -297,11 +323,11 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> Path:
     return write_lines(map(encode_json, records), path)
 
 
-def _check_utf8(value: object, where: str = "") -> None:
-    """Raise ``ValueError`` naming the first key or string of a decoded JSON
-    value that does not encode as UTF-8: a JSON escape such as ``"\\ud800"``
-    decodes to a lone surrogate, which no output file can hold. ``where``
-    is the value's field path (``history[0].answer``)."""
+def _check_utf8(value, where: str = ""):
+    """``value``, or ``ValueError`` naming the first key or string of this
+    decoded JSON value that does not encode as UTF-8: a JSON escape such as
+    ``"\\ud800"`` decodes to a lone surrogate, which no output file can hold.
+    ``where`` is the value's field path (``history[0].answer``)."""
     if isinstance(value, str):
         try:
             value.encode("utf-8")
@@ -315,6 +341,7 @@ def _check_utf8(value: object, where: str = "") -> None:
     elif isinstance(value, list):
         for i, item in enumerate(value):
             _check_utf8(item, f"{where}[{i}]")
+    return value
 
 
 def read_jsonl(path: str | Path, decode: Callable[[object], object]) -> Iterator[tuple[int, object]]:

@@ -25,6 +25,7 @@ import hashlib
 import json
 import operator
 import os
+import stat
 import sys
 from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from .bias_split import (
     split_corpus,
     write_evidence,
 )
-from .corpus import Corpus, Sample, Task, load_corpus, sample_to_record, save_corpus, write_jsonl
+from .corpus import Corpus, Sample, Task, json_value, load_corpus, sample_to_record, save_corpus, write_jsonl
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
 from .metrics import PositionRow, tokenize
 from .msa_align import (
@@ -186,12 +187,14 @@ _BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"
 
 
 def _check_schema(name: str, value, schema: dict) -> None:
-    """Reject ``value`` unless it has the schema's type, enum member, bounds,
-    item count, distinct items where asked and (for objects) only known
-    keys; errors name the field."""
+    """Reject ``value`` unless it has the schema's type (by ``json_value``),
+    enum member, bounds, item count, distinct items where asked and (for
+    objects) only known keys; errors name the field."""
     kind = schema["type"]
-    if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "boolean"):
-        raise ValueError(f"config: {name or 'config'} must be of type {kind}, got {value!r}")
+    try:
+        json_value(value, _JSON_TYPES[kind], name or "config")
+    except ValueError as exc:
+        raise ValueError(f"config: {exc} (expected {kind})") from None
     if "enum" in schema and value not in schema["enum"]:
         raise ValueError(f"config: unknown {name} {value!r}; expected one of {schema['enum']}")
     for key, holds, sign in _BOUNDS:
@@ -307,8 +310,9 @@ def parse_config(raw: dict) -> PipelineConfig:
     return PipelineConfig(**fields)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _file_stats(root: Path) -> dict[Path, tuple[int, int]]:
+    """``(mtime in ns, size)`` of every file under ``root``."""
+    return {p: (st.st_mtime_ns, st.st_size) for p in root.rglob("*") if stat.S_ISREG((st := p.stat()).st_mode)}
 
 
 class _Manifest:
@@ -317,27 +321,24 @@ class _Manifest:
     def __init__(self, out_dir: Path, config_echo: dict) -> None:
         self.out_dir = out_dir
         self.path = out_dir / "manifest.json"
+        self.before = _file_stats(out_dir)  # what an earlier run left: no stage of this one wrote it
         self.data: dict = {"config": config_echo, "stages": []}
         self._write()
 
     def _write(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(self.data, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True), encoding="utf-8")
+
+    def written(self) -> list[Path]:
+        """Files this run wrote under ``out_dir`` that no entry lists, bar the manifest."""
+        listed = {self.path, *(self.out_dir / a["path"] for s in self.data["stages"] for a in s["artifacts"])}
+        return [p for p, seen in _file_stats(self.out_dir).items() if p not in listed and self.before.get(p) != seen]
 
     def record(self, stage: str, status: str, artifacts: list[Path], error: str | None = None) -> None:
-        entry: dict = {
-            "stage": stage,
-            "status": status,
-            "artifacts": [
-                {
-                    "path": str(p.relative_to(self.out_dir)),
-                    "sha256": _sha256(p),
-                }
-                for p in sorted(artifacts)
-            ],
-        }
+        entry: dict = {"stage": stage, "status": status, "artifacts": [
+            {"path": str(p.relative_to(self.out_dir)), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+            for p in sorted(artifacts)
+        ]}
         if error:
             entry["error"] = error
         self.data["stages"].append(entry)
@@ -375,7 +376,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
         try:
             artifacts = fn(config, out_dir, state)
         except Exception as exc:  # noqa: BLE001 - every failure must land in the manifest
-            manifest.record(name, "failed", [], error=str(exc))
+            try:
+                manifest.record(name, "failed", manifest.written(), error=str(exc))
+            except OSError:  # a partial file vanished or cannot be read: list none
+                manifest.record(name, "failed", [], error=str(exc))
             raise PipelineError(f"stage {name!r} failed: {exc}") from exc
         manifest.record(name, "ok", artifacts)
     return manifest.data

@@ -14,8 +14,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .backends import GenerationResult
-from .corpus import encode_json, json_field, read_jsonl, write_jsonl, write_lines
+from .backends import GenerationResult, _result_from_body
+from .corpus import encode_json, json_field, json_list, read_jsonl, write_jsonl, write_lines
 from .metrics import PositionRow
 from .msa_align import AlignedResponse, RejectionReason
 from .report import SystemEval
@@ -46,12 +46,8 @@ def write_candidates(candidates: Mapping[str, Sequence[GenerationResult]], path:
 
 
 def _candidate_from_record(record: object) -> tuple[str, int | None, GenerationResult]:
-    result = GenerationResult(
-        text=json_field(record, "text", str),
-        tokens=tuple(json_field(record, "tokens", list)),
-        token_logprobs=tuple(json_field(record, "token_logprobs", list)),
-        backend_id=json_field(record, "backend_id", str, "unknown"),
-    )
+    json_field(record, "text", str)  # required here; a response body may leave it out
+    result = _result_from_body(record, json_field(record, "backend_id", str, "unknown"))
     return json_field(record, "sample_id", str), json_field(record, "candidate_index", int, None), result
 
 
@@ -101,9 +97,9 @@ def _aligned_from_record(record: object) -> AlignedResponse:
     return AlignedResponse(
         sample_id=json_field(record, "sample_id", str),
         text=json_field(record, "text", str),
-        token_logprobs=tuple(json_field(record, "token_logprobs", list)),
+        token_logprobs=tuple(json_list(record, "token_logprobs", (int, float))),
         kept=json_field(record, "kept", bool),
-        rejection_reasons=frozenset(map(RejectionReason, json_field(record, "rejection_reasons", list, []))),
+        rejection_reasons=frozenset(map(RejectionReason, json_list(record, "rejection_reasons", str, []))),
     )
 
 

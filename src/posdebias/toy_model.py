@@ -35,6 +35,7 @@ from .corpus import (
     Sample,
     Task,
     json_field,
+    json_list,
     make_document,
     render_input,
 )
@@ -700,12 +701,10 @@ def load_model(path: str | Path) -> ToyModel:
     the first bad field."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        vocabulary, rows = json_field(payload, "vocabulary", list), json_field(payload, "weights", list)
-        if not all(isinstance(tok, str) for tok in vocabulary):
-            raise ValueError(f"field 'vocabulary' must hold strings, got {vocabulary!r}")
+        vocabulary, rows = json_list(payload, "vocabulary", str), json_field(payload, "weights", list)
         try:
             weights = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an integer too large for a float too
             raise ValueError("field 'weights' must be a matrix of numbers") from None
         seed = json_field(payload, "seed", int, 0)
         window_scale = json_field(payload, "window_scale", (int, float), DEFAULT_WINDOW_SCALE)

@@ -297,11 +297,11 @@ class TestReadJsonl:
 
     @pytest.mark.parametrize("reader", READERS)
     def test_lone_surrogate_escape_fails_naming_the_field(self, tmp_path, reader):
-        # A string the reader's decoder passes through unchecked, then an unknown key.
+        # A lone surrogate in a field's string, then in an unknown key.
         read, good, _ = READERS[reader]
         field, set_bad = {
             "corpus": ("history[0].answer", lambda r: r["history"][0].update(answer="u \ud800")),
-            "candidates": ("tokens[0]", lambda r: r.update(tokens=["\ud800"])),
+            "candidates": ("tokens", lambda r: r.update(tokens=["\ud800"])),
             "aligned": ("text", lambda r: r.update(text="\udc00 u")),
             "replay": ("request.prompt", lambda r: r["request"].update(prompt="p\ud800")),
         }[reader]

@@ -192,6 +192,7 @@ class TestParseConfig:
             ({"synth": {}, "backend": "replay:bad.json"}, r"backend.*bad\.json: line 1: malformed JSON"),
             ({"synth": {}, "backend": "replay:tape.jsonl"}, r"backend.*tape\.jsonl: line 2: missing field 'response"),
             ({"synth": {}, "systems": ["ft"], "alphas": [0.5, 0.7]}, "alphas"),
+            ({"synth": {}, "learning_rate": 10**400}, "learning_rate"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
@@ -208,6 +209,7 @@ class TestParseConfig:
             "toy-table-file-max-tokens", "data-mode-echo-max-tokens", "data-mode-table-file-max-tokens",
             "systems-repeated", "alphas-repeated", "train-sizes-repeated",
             "backend-replay-file-not-jsonl", "backend-replay-line-without-response", "alphas-without-zoe",
+            "learning-rate-too-large-for-a-float",
         ],
     )
     def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
@@ -385,6 +387,55 @@ class TestToyPipeline:
 
 
 class TestPipelineFailureModes:
+    @pytest.mark.parametrize(
+        "mode, failing",
+        [(mode, name) for mode, stages in (("toy", pipeline._TOY_STAGES), ("data", pipeline._DATA_STAGES))
+         for name in (None, *(name for name, _ in stages))],
+    )
+    def test_manifest_lists_every_file_once_with_its_checksum(self, tmp_path, dialogue_corpus_file, monkeypatch, mode, failing):
+        # ``failing`` writes all it would, then raises: the failed entry lists what it wrote.
+        stages_name = "_TOY_STAGES" if mode == "toy" else "_DATA_STAGES"
+        real_stages = getattr(pipeline, stages_name)
+
+        def fail_after(fn):
+            def stage(*args):
+                fn(*args)
+                raise RuntimeError("injected")
+            return stage
+
+        def run(out_dir, failing):
+            stages = tuple((name, fail_after(fn) if name == failing else fn) for name, fn in real_stages)
+            monkeypatch.setattr(pipeline, stages_name, stages)
+            raw = {"out_dir": str(out_dir), "n_per_prompt": 2}
+            if mode == "toy":
+                raw.update(synth={**TOY_RAW["synth"], "n_train": 8, "n_eval": 8}, seeds=[0], systems=["ft", "zoe"], epochs=1)
+            else:
+                raw.update(corpus=str(dialogue_corpus_file), task="cqa", max_tokens=8)
+            if failing:
+                with pytest.raises(PipelineError, match=f"^stage '{failing}' failed: injected$"):
+                    run_pipeline(parse_config(raw))
+            else:
+                run_pipeline(parse_config(raw))
+            entries = json.loads((out_dir / "manifest.json").read_text())["stages"]
+            assert (entries[-1]["stage"], entries[-1]["status"]) == (failing or stages[-1][0], "failed" if failing else "ok")
+            listed = [a for e in entries for a in e["artifacts"]]
+            for artifact in listed:
+                assert hashlib.sha256((out_dir / artifact["path"]).read_bytes()).hexdigest() == artifact["sha256"]
+            written = [  # an earlier run's files carry mtime 0
+                str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
+                if p.is_file() and p.name != "manifest.json" and p.stat().st_mtime_ns
+            ]
+            assert sorted(a["path"] for a in listed) == sorted(written)
+
+        run(tmp_path / "fresh", failing)
+        # Again into a directory that holds a whole earlier run: a file that
+        # this run does not rewrite (a later stage's) must not be listed.
+        out_dir = tmp_path / "again"
+        run(out_dir, None)
+        for path in out_dir.rglob("*"):
+            os.utime(path, ns=(0, 0))
+        run(out_dir, failing)
+
     def test_missing_corpus_fails_before_any_stage(self, tmp_path):
         out_dir = tmp_path / "out"
         config = parse_config({
@@ -504,6 +555,7 @@ class TestParallelTrain:
         for artifact in stages[-2]["artifacts"]:
             assert (out_dir / artifact["path"]).exists()
         assert [p.name for p in (out_dir / "eval").iterdir()] == ["ft.json"]  # pooled before zoe failed
+        assert [a["path"] for a in stages[-1]["artifacts"]] == ["eval/ft.json"]
 
     def test_diverging_job_fails_train_with_its_own_error_and_leaves_no_worker(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -852,29 +904,35 @@ class TestCliVerbs:
         assert len(lines) == 3
         assert (report_dir / "relpos.svg").exists()
 
-    def test_infer_record_then_replay(self, runner, tmp_path):
+    @pytest.mark.parametrize("backend", ["markov", "table"])
+    def test_infer_record_then_replay_writes_the_same_bytes(self, runner, tmp_path, backend):
         spec = SynthSpec(n_utterances=6, n_train=4, n_eval=1, biased_fraction=0.9, vocab_size=12, seed=5)
         train_c, _, _ = synth_corpus(spec)
         corpus_file = save_corpus(train_c, tmp_path / "c.jsonl")
+        if backend == "table":
+            # Integer, signed-zero and float logprobs, each written back as JSON gave it.
+            entries = [{"text": "a b c d", "token_logprobs": [-1, -0.0, -0.25, 0]}, "e f", {"text": "g", "token_logprobs": [-2]}]
+            prompts = {p for s in train_c for p in build_prompt(s, default_prompt_spec(Task.CQA))}
+            (tmp_path / "table.json").write_text(json.dumps(dict.fromkeys(prompts, entries)))
+            backend = f"table:{tmp_path / 'table.json'}"
         recording = tmp_path / "traffic.jsonl"
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
         invoke_ok(runner, [
             "infer", "--corpus", str(corpus_file), "--task", "cqa",
-            "--backend", "markov", "--record", str(recording), "--out", str(first),
+            "--backend", backend, "--record", str(recording), "--out", str(first),
         ])
         invoke_ok(runner, [
             "infer", "--corpus", str(corpus_file), "--task", "cqa",
             "--backend", f"replay:{recording}", "--out", str(second),
         ])
 
-        def content(path):
-            records = [json.loads(line) for line in path.read_text().splitlines()]
-            for record in records:
-                record.pop("backend_id")
-            return records
+        def content(path):  # each line up to its last key, backend_id
+            return [line.rpartition(', "backend_id": ')[0] for line in path.read_text().splitlines()]
 
         assert content(first) == content(second)
+        if backend != "markov":  # the table's logprobs reach both files as written
+            assert '"token_logprobs": [-1, -0.0, -0.25, 0]' in second.read_text()
 
     @pytest.mark.parametrize("strategy", ["diverse", "icl"])
     def test_infer_strategy_override_on_instruction_task(self, runner, tmp_path, strategy):
@@ -1055,7 +1113,7 @@ class TestCliVerbs:
 
     @pytest.mark.parametrize(
         "content, problem",
-        [(b"[1, 2]", "config must be of type object"), (b'{"out_dir": "\xff"}', "can't decode byte 0xff")],
+        [(b"[1, 2]", "config: field 'config' has the wrong type: [1, 2] (expected object)"), (b'{"out_dir": "\xff"}', "can't decode byte 0xff")],
         ids=["top-level-not-an-object", "not-utf8"],
     )
     def test_run_rejects_an_unreadable_config_in_one_line(self, runner, tmp_path, content, problem):
@@ -1073,14 +1131,17 @@ class TestCliVerbs:
             ("eval", {}, "'vocabulary'"),
             ("eval", {"vocabulary": ["a"], "weights": [["x"]]}, "'weights'"),
             ("eval", {"vocabulary": [], "weights": [], "window_scale": "2"}, "'window_scale'"),
+            ("eval", {"vocabulary": ["a"], "weights": [[-(10**400)]]}, "'weights'"),
             ("report", {"system": "ft", "splits": []}, "'splits'"),
             ("report", {"system": "ft", "splits": {"biased": {"score": "0.5", "count": 3}}}, "'splits.biased.score'"),
+            ("report", {"system": "ft", "splits": {"biased": {"score": 10**400, "count": 3}}}, "'splits.biased.score'"),
             ("report", {"system": "ft", "by_position": [{"position": 0, "score": 1.0}]}, "'by_position[0].count'"),
             ("report", [], "must be a JSON object"),
         ],
         ids=[
-            "model-empty-object", "model-weights-not-numbers", "model-window-scale-string",
-            "eval-splits-a-list", "eval-score-a-string", "eval-position-row-without-count", "eval-not-an-object",
+            "model-empty-object", "model-weights-not-numbers", "model-window-scale-string", "model-weight-too-large",
+            "eval-splits-a-list", "eval-score-a-string", "eval-score-too-large", "eval-position-row-without-count",
+            "eval-not-an-object",
         ],
     )
     def test_bad_model_or_eval_file_fails_in_one_line_naming_the_field(
@@ -1167,14 +1228,34 @@ class TestCliVerbs:
         assert f"{bad}: not valid UTF-8" in line
         assert not out.exists()
 
-    @pytest.mark.parametrize("verb", ["split", "infer", "align"])
-    def test_lone_surrogate_escape_fails_at_read_in_one_line(self, runner, tmp_path, verb):
-        # json.dumps escapes the lone surrogate as "\ud800", which loads
-        # but no output file can hold.
-        record = {"id": "s0", "task": "cqa", "document": ["t1 c1", "t2 \ud800"], "target": "t1 c1"}
-        field = "document[1]"
-        if verb == "align":
-            record, field = {"sample_id": "s0", "text": "x \ud800", "tokens": ["x"], "token_logprobs": [-0.1]}, "text"
+    @pytest.mark.parametrize(
+        "verb, edit, message",
+        [
+            # json.dumps escapes a lone surrogate as "\ud800", which loads
+            # but no output file can hold.
+            ("split", {"document": ["t1 c1", "t2 \ud800"]}, "field 'document[1]' does not encode as UTF-8"),
+            ("infer", {"document": ["t1 c1", "t2 \ud800"]}, "field 'document[1]' does not encode as UTF-8"),
+            ("align", {"text": "x \ud800"}, "field 'text' does not encode as UTF-8"),
+            ("align", {"tokens": ["\ud800"]}, "field 'tokens' does not encode as UTF-8"),
+            ("align", {"token_logprobs": [False]}, "field 'token_logprobs' has an item of the wrong type: False"),
+            ("align", {"token_logprobs": ["-0.1"]}, "field 'token_logprobs' has an item of the wrong type: '-0.1'"),
+            ("align", {"token_logprobs": [-(10**400)]}, "field 'token_logprobs' has a number too large for a float"),
+            ("align", {"text": None}, "missing field 'text'"),
+            ("train-toy", {"token_logprobs": ["x", {}]}, "field 'token_logprobs' has an item of the wrong type: 'x'"),
+        ],
+        ids=[
+            "split-surrogate", "infer-surrogate", "align-surrogate-text", "align-surrogate-token",
+            "align-bool-logprob", "align-string-logprob", "align-huge-logprob", "align-no-text",
+            "train-toy-non-number-logprobs",
+        ],
+    )
+    def test_bad_jsonl_record_fails_at_read_in_one_line(self, runner, tmp_path, dialogue_corpus_file, verb, edit, message):
+        # A corpus record for split and infer, a candidate for align, a verdict for train-toy; ``None`` drops a key.
+        record = {
+            "align": {"sample_id": "s0", "text": "x", "tokens": ["x"], "token_logprobs": [-0.1]},
+            "train-toy": {"sample_id": "s0", "text": "x", "token_logprobs": [-0.1], "kept": True},
+        }.get(verb, {"id": "s0", "task": "cqa", "document": ["t1 c1"], "target": "t1 c1"})
+        record = {k: v for k, v in {**record, **edit}.items() if v is not None}
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
         out = tmp_path / "out"
@@ -1182,11 +1263,12 @@ class TestCliVerbs:
             "split": ["split", "--corpus", str(bad), "--task", "cqa", "--out-dir", str(out)],
             "infer": ["infer", "--corpus", str(bad), "--task", "cqa", "--backend", "echo", "--out", str(out)],
             "align": ["align", "--candidates", str(bad), "--task", "cqg", "--out", str(out)],
+            "train-toy": ["train-toy", "--train", str(dialogue_corpus_file), "--aligned", str(bad), "--alpha", "0.2", "--out", str(out)],
         }[verb]
         result = runner.invoke(main, args)
         assert result.exit_code == 1 and result.exception.__class__ is SystemExit
         (line,) = result.output.strip().splitlines()
-        assert line.startswith(f"Error: {bad}: line 1: field {field!r} does not encode as UTF-8")
+        assert line.startswith(f"Error: {bad}: line 1: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize(
