@@ -77,6 +77,10 @@ class GenerationResult:
 
 
 class Backend(Protocol):
+    """A completion source. A backend that holds no connection, lock or
+    per-call state sets ``forks_safely = True``, and the pipeline may then
+    call it from forked workers; any other runs in the calling process."""
+
     backend_id: str
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
@@ -130,6 +134,8 @@ class StubBackend:
       all seeded by the prompt and the seed; a nonsense generator with
       stable outputs.
     """
+
+    forks_safely = True
 
     def __init__(self, mode: StubMode | str = StubMode.ECHO, table: dict | None = None) -> None:
         self.mode = StubMode(mode)
@@ -267,6 +273,8 @@ class RecordingBackend:
 class ReplayBackend:
     """Serve previously recorded exchanges; unknown requests are errors. The
     file is read up front (``corpus.read_jsonl``), so a bad line fails at once."""
+
+    forks_safely = True
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)

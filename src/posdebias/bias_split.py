@@ -266,7 +266,8 @@ def perturb_positions(sample: Sample, seed: int) -> Sample:
     return replace(sample, document=document, input_text=rendered)
 
 
-def _evidence_record(sample_id: str, ev: BiasEvidence) -> dict:
+def evidence_record(sample_id: str, ev: BiasEvidence) -> dict:
+    """The evidence JSONL record of one sample: id, kind, side and the kind's fields."""
     record = {"id": sample_id, "kind": ev.kind.value, "biased": ev.biased}
     if ev.relative_position is not None:
         record["relative_position"] = ev.relative_position
@@ -282,6 +283,6 @@ def _evidence_record(sample_id: str, ev: BiasEvidence) -> dict:
 def write_evidence(partition: BiasPartition, path: str | Path) -> Path:
     """Dump per-sample evidence as JSONL, one record per sample id."""
     return write_jsonl(
-        (_evidence_record(sid, partition.evidence[sid]) for sid in sorted(partition.evidence)),
+        (evidence_record(sid, partition.evidence[sid]) for sid in sorted(partition.evidence)),
         path,
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from .backends import BackendError, RecordingBackend, reads_max_tokens, resolve_backend
-from .bias_split import BIAS_BY_TASK, DEFAULT_BIASED_POSITIONS, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position, split_corpus
+from .bias_split import BIAS_BY_TASK, DEFAULT_BIASED_POSITIONS, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position
 from .corpus import CorpusError, Sample, Task, load_corpus
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy
 from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, AlignmentConfig
@@ -23,19 +23,20 @@ from .pipeline import (
     CONFIG_SCHEMA,
     PipelineConfig,
     PipelineError,
-    align_corpus,
-    infer_corpus,
+    align_shards,
+    infer_shards,
     parse_config,
     run_pipeline,
+    split_shards,
+    write_blocks,
     write_report,
     write_split,
+    write_verdicts,
 )
 from .records import (
     load_aligned,
     load_candidates,
     load_eval,
-    write_aligned,
-    write_candidates,
     write_eval,
     write_trace,
 )
@@ -90,15 +91,13 @@ def split(corpus_path, task_name, out_dir, positions, triggers):
         options["triggers"] = tuple(t.strip() for t in triggers.split(",") if t.strip())
     try:
         corpus = load_corpus(corpus_path, task)
-        partition = split_corpus(corpus, **options)
+        shards = split_shards(corpus, **options)
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
     out = Path(out_dir)
-    write_split(partition, out)
-    click.echo(
-        f"split: {len(partition.biased)} biased, {len(partition.non_biased)} non-biased "
-        f"-> {out}"
-    )
+    write_split(shards, corpus.samples, out)
+    biased = sum(shard.n_biased for shard in shards)
+    click.echo(f"split: {biased} biased, {len(corpus) - biased} non-biased -> {out}")
 
 
 @main.command()
@@ -123,7 +122,7 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
         corpus = load_corpus(corpus_path, task)
         if record_path:
             engine = RecordingBackend(engine, record_path)
-        candidates = infer_corpus(
+        shards = infer_shards(
             corpus,
             engine,
             n_per_prompt=n_per_prompt,
@@ -134,8 +133,8 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
         )
     except (CorpusError, BackendError, ValueError) as exc:
         _fail(str(exc))
-    out = write_candidates(candidates, out_path)
-    total = sum(len(results) for results in candidates.values())
+    out = write_blocks((shard.candidates for shard in shards), Path(out_path))
+    total = sum(shard.candidates.count("\n") for shard in shards)
     click.echo(f"infer: {total} candidates -> {out}")
 
 
@@ -165,16 +164,15 @@ def align(candidates_path, task_name, corpus_path, out_path, thresholds):
         else:
             _fail(f"align: --corpus is required for task {task.value!r} (gates compare against targets)")
         config = AlignmentConfig(candidate_thresholds=thresholds)
-        aligned, threshold = align_corpus(task, samples, candidates, config)
+        shards = align_shards(task, samples, candidates, config)
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
-    if threshold is None:
+    if not any(shard.stats for shard in shards):
         _fail("align: no candidates matched the corpus; nothing to calibrate")
+    out = Path(out_path)
+    threshold, kept, total = write_verdicts(task, shards, config, out)
     click.echo(f"align: calibrated threshold {threshold:g}")
-    out = write_aligned(aligned, out_path)
-    verdicts = [v for vs in aligned.values() for v in vs]
-    kept = sum(v.kept for v in verdicts)
-    click.echo(f"align: kept {kept}/{len(verdicts)} candidates -> {out}")
+    click.echo(f"align: kept {kept}/{total} candidates -> {out}")
 
 
 @main.command("train-toy")

@@ -199,7 +199,10 @@ def _sample_from_record(record: object, task: Task) -> Sample:
             answer = turn.get("answer")
             if answer is not None and not isinstance(answer, str):
                 raise CorpusError(f"history entry {i}: 'answer' must be a string or null")
-            built.append(DialogueTurn(turn.get("turn_index", i), turn["question"], answer))
+            turn_index = turn.get("turn_index", i)
+            if type(turn_index) is not int:
+                raise CorpusError(f"field 'history[{i}].turn_index' must be an integer, got {turn_index!r}")
+            built.append(DialogueTurn(turn_index, turn["question"], answer))
         history = tuple(built)
     input_text = json_field(record, "input_text", str, "") or render_input(task, document, history, premise, hypothesis)
     return Sample(

@@ -140,6 +140,7 @@ def generate(
     seed: int = 0,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     max_in_flight: int = 1,
+    prompt_offset: int = 0,
 ) -> list[GenerationResult]:
     """Draw ``n_per_prompt`` candidates for every prompt.
 
@@ -147,7 +148,8 @@ def generate(
     sits at index ``i * n_per_prompt + k``. Candidate k uses seed ``seed + k``
     so outputs are a pure function of (prompt, seed) and never of list
     position. ``max_in_flight`` bounds concurrent backend requests; results
-    are reassembled in deterministic order regardless.
+    are reassembled in deterministic order regardless. A ``BackendError``
+    names its prompt as ``prompt_offset`` plus its index in ``prompts``.
     """
     if n_per_prompt < 1:
         raise ValueError("generate: n_per_prompt must be >= 1")
@@ -161,7 +163,7 @@ def generate(
         except BackendError as exc:
             raise BackendError(f"prompt {index}: {exc}", prompt_index=index) from exc
 
-    jobs = [(i, k, p) for i, p in enumerate(prompts) for k in range(n_per_prompt)]
+    jobs = [(i, k, p) for i, p in enumerate(prompts, start=prompt_offset) for k in range(n_per_prompt)]
     if max_in_flight <= 1:
         return [run_one(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:

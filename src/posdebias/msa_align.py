@@ -127,28 +127,42 @@ def align_responses(
         raise ValueError("align_responses: nli candidates are not pruned")
     if not candidates:
         raise ValueError("align_responses: no candidates")
-    below = RejectionReason.INCOHERENT if task == Task.CQG else RejectionReason.UNRELIABLE
+    below = frozenset({threshold_reason(task)})
     out: list[AlignedResponse] = []
     for cand, stat in zip(candidates, stats, strict=True):
-        reasons: set[RejectionReason] = set()
-        if task == Task.CQG:
-            if identify_noncompliant(cand, config.instruction_keywords):
-                reasons.add(RejectionReason.NON_COMPLIANT)
-            if identify_dull(cand, config.dull_patterns):
-                reasons.add(RejectionReason.DULL)
+        reasons = form_reasons(task, cand, config)
         if stat < threshold:
-            reasons.add(below)
+            reasons |= below
         out.append(
             AlignedResponse(
                 sample_id=sample.id,
                 text=cand.text,
                 token_logprobs=cand.token_logprobs,
                 kept=not reasons,
-                rejection_reasons=frozenset(reasons),
+                rejection_reasons=reasons,
                 candidate=cand,
             )
         )
     return out
+
+
+def threshold_reason(task: Task) -> RejectionReason:
+    """The reason a candidate whose ``gate_statistic`` is below the threshold
+    is rejected for: incoherent (question generation) or unreliable."""
+    return RejectionReason.INCOHERENT if task == Task.CQG else RejectionReason.UNRELIABLE
+
+
+def form_reasons(task: Task, candidate: GenerationResult, config: AlignmentConfig) -> frozenset[RejectionReason]:
+    """The reasons no threshold decides: question generation's non-compliant
+    and dull gates; none for the other tasks."""
+    if task != Task.CQG:
+        return frozenset()
+    reasons = set()
+    if identify_noncompliant(candidate, config.instruction_keywords):
+        reasons.add(RejectionReason.NON_COMPLIANT)
+    if identify_dull(candidate, config.dull_patterns):
+        reasons.add(RejectionReason.DULL)
+    return frozenset(reasons)
 
 
 def gate_statistic(task: Task, target_tokens: Sequence[str], candidate: GenerationResult) -> float:

@@ -13,10 +13,10 @@ Every stage appends its artifacts (with SHA-256 checksums) to
 ``manifest.json`` as soon as it finishes, so a failed run preserves all
 artifacts produced before the failure and marks the failing stage.
 
-Stage bodies are plain functions (``bias_split.split_corpus``, ``write_split``,
-``infer_corpus``, ``align_corpus``, ``pool_evals``, ``write_report``, and
-``toy_model.evaluate``) that the CLI verbs call as well; record formats live in
-``posdebias.records``.
+Stage bodies are plain functions (``split_shards``, ``write_split``,
+``infer_shards``, ``align_shards``, ``write_verdicts``, ``pool_evals``,
+``write_report``, and ``toy_model.evaluate``) that the CLI verbs call as well;
+record formats live in ``posdebias.records``.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import report as report_mod
 from .backends import Backend, GenerationResult, StubBackend, StubMode, reads_max_tokens, resolve_backend
@@ -41,11 +41,11 @@ from .bias_split import (
     DEFAULT_LEXICAL_TRIGGERS,
     BiasKind,
     BiasPartition,
+    evidence_record,
     perturb_positions,
     split_corpus,
-    write_evidence,
 )
-from .corpus import Corpus, Sample, Task, json_value, load_corpus, sample_to_record, save_corpus, write_jsonl
+from .corpus import Corpus, Sample, Task, encode_json, json_value, load_corpus, sample_to_record, save_corpus
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
 from .metrics import PositionRow, tokenize
 from .msa_align import (
@@ -53,12 +53,15 @@ from .msa_align import (
     DEFAULT_INSTRUCTION_KEYWORDS,
     AlignedResponse,
     AlignmentConfig,
+    RejectionReason,
     align_responses,
     calibrate_threshold,
+    form_reasons,
     gate_statistic,
+    threshold_reason,
 )
 from .objective import LossConfig
-from .records import write_aligned, write_candidates, write_epochs, write_eval
+from .records import candidate_line, verdict_head, verdict_tail, write_epochs, write_eval
 from .report import SystemEval
 from .toy_model import (
     METRICS,
@@ -353,11 +356,14 @@ def _config_echo(config: PipelineConfig) -> dict:
     return json.loads(json.dumps(echo, sort_keys=True, default=list))
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
+def run_pipeline(config: PipelineConfig, _shards: int | None = None) -> dict:
     """Execute all stages; returns the manifest dict.
 
     Configuration problems (missing corpus file, bad mode combinations) are
-    raised before any stage runs or any artifact is written.
+    raised before any stage runs or any artifact is written. Data mode
+    splits, infers and aligns per sample range on every usable CPU, or on
+    ``_shards`` ranges; toy mode runs them in-process, since training reads
+    their objects.
     """
     if (config.synth is None) == (config.corpus is None):
         raise ValueError("run_pipeline: exactly one of synth/corpus must be configured")
@@ -365,7 +371,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         raise ValueError(f"run_pipeline: corpus path {config.corpus!r} does not exist")
     out_dir = Path(config.out_dir)
     manifest = _Manifest(out_dir, _config_echo(config))
-    state: dict = {}
+    state: dict = {"shard_count": 1 if config.synth is not None else _shards}
     if config.synth is not None:
         stages = _TOY_STAGES
     elif config.task == Task.NLI:
@@ -386,26 +392,256 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 
 # -- stages, shared by run_pipeline and the CLI verbs ----------------------
+#
+# Split, infer and align do per-sample work only; the one decision that spans
+# samples is the calibrated gate threshold. ``_run_shards`` cuts the samples
+# into contiguous ranges, one per usable CPU, and runs ``_shard`` on each in a
+# forked worker (or, for one range, in-process). A worker sends back encoded
+# lines, one text block per output file, and its gate statistics; the parent
+# calibrates on the statistics in sample order, completes the verdict lines at
+# that threshold and writes each file as the blocks in range order.
+
+
+@dataclass(frozen=True)
+class _Job:
+    """The per-sample work of one pass over ``samples``: the split's
+    ``(positions, triggers)``; the backend, prompt spec and ``generate``
+    keywords to infer with; the ``candidates`` to align when nothing is
+    inferred; the gate config to align with. A part left ``None`` is skipped."""
+
+    task: Task
+    samples: tuple[Sample, ...]
+    split: tuple | None = None
+    infer: tuple | None = None
+    candidates: Mapping[str, Sequence[GenerationResult]] | None = None
+    align: AlignmentConfig | None = None
+
+
+@dataclass
+class Shard:
+    """What a pass yields for one contiguous sample range.
+
+    Each text block holds the range's lines of one output file, each ending
+    in a newline: the biased, non-biased and evidence lines of the split,
+    the candidates, and the head of each verdict line (``verdict_head``).
+    ``stats`` holds each candidate's gate statistic (an ``array('d')``) and
+    ``reasons`` the bits of its threshold-free reasons (``form_reasons``).
+    ``error`` is ``(stage, exception)`` for the first failure; no later part
+    ran. ``partition`` and ``results`` are the objects; a worker drops them.
+    """
+
+    split: tuple[str, str, str] = ("", "", "")
+    n_biased: int = 0
+    candidates: str = ""
+    heads: str = ""
+    stats: Sequence[float] = ()
+    reasons: bytes = b""
+    error: tuple[str, Exception] | None = None
+    partition: BiasPartition | None = None
+    results: Mapping[str, Sequence[GenerationResult]] | None = None
+
+
+_REASONS = tuple(RejectionReason)
+
+
+def _reason_bits(reasons: frozenset[RejectionReason]) -> int:
+    return sum(1 << _REASONS.index(reason) for reason in reasons)
+
+
+def _shard(job: _Job, lo: int, hi: int) -> Shard:
+    """Run ``job`` on ``job.samples[lo:hi]``. An exception is caught and
+    kept with the stage it belongs to."""
+    from array import array
+
+    shard = Shard()
+    samples = job.samples[lo:hi]
+    stage = "split"
+    try:
+        if job.split is not None:
+            corpus = Corpus(samples, job.task)
+            partition = split_corpus(corpus, *job.split)
+            shard.split = (
+                _lines(encode_json({**sample_to_record(s), "split": "biased"}) for s in partition.biased),
+                _lines(encode_json({**sample_to_record(s), "split": "non_biased"}) for s in partition.non_biased),
+                _lines(encode_json(evidence_record(s.id, partition.evidence[s.id])) for s in corpus),
+            )
+            shard.n_biased, shard.partition = len(partition.biased), partition
+        stage = "infer"
+        results = job.candidates
+        if job.infer is not None:
+            backend, spec, options = job.infer
+            prompts = [build_prompt(s, spec) for s in samples]
+            # Every sample has as many prompts as the first (``build_prompt``).
+            flat = iter(generate(
+                [prompt for sample_prompts in prompts for prompt in sample_prompts],
+                backend,
+                prompt_offset=lo * len(prompts[0]) if prompts else 0,
+                **options,
+            ))
+            results = {s.id: list(islice(flat, len(p) * options["n_per_prompt"])) for s, p in zip(samples, prompts)}
+            shard.candidates = _lines(
+                candidate_line(sample_id, k, result) for sample_id, rs in results.items() for k, result in enumerate(rs)
+            )
+        shard.results = results
+        stage = "align"
+        if job.align is not None:
+            heads, stats, reasons = [], array("d"), bytearray()
+            for sample in samples:
+                candidates = results.get(sample.id)
+                if not candidates:
+                    continue
+                target_tokens = tokenize(sample.target)
+                for candidate in candidates:
+                    stats.append(gate_statistic(job.task, target_tokens, candidate))
+                    reasons.append(_reason_bits(form_reasons(job.task, candidate, job.align)))
+                    heads.append(verdict_head(sample.id, candidate.text, candidate.logprobs_json))
+            shard.heads, shard.stats, shard.reasons = _lines(heads), stats, bytes(reasons)
+    except Exception as exc:  # noqa: BLE001 - raised by the stage it belongs to
+        shard.error = (stage, exc)
+    return shard
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _shard_in_worker(job: _Job, bounds: tuple[int, int]) -> Shard:
+    """``_shard`` in a forked worker, without its objects and with its error
+    ``_portable``."""
+    shard = _shard(job, *bounds)
+    shard.partition = shard.results = None
+    if shard.error is not None:
+        shard.error = (shard.error[0], _portable(shard.error[1]))
+    return shard
+
+
+#: The names of what a pass calls per sample. One that wraps another
+#: (``functools.wraps`` sets ``__wrapped__``) is a tracer's or a profiler's,
+#: recording in this process, where a forked worker's calls never reach.
+_PER_SAMPLE = ("split_corpus", "build_prompt", "generate", "gate_statistic", "tokenize", "form_reasons")
+
+
+def _run_shards(job: _Job, shards: int | None = None) -> list[Shard]:
+    """``_shard`` over ``shards`` contiguous ranges of ``job.samples`` (every
+    usable CPU when ``None``, never more ranges than samples), in range
+    order, in forked workers (``_fork_map``). One range runs in-process, and
+    so does the whole pass when its backend does not set ``forks_safely``
+    or a per-sample function is wrapped (``_PER_SAMPLE``)."""
+    if shards is None:
+        shards = len(os.sched_getaffinity(0))
+    n = len(job.samples)
+    shards = max(1, min(shards, n))
+    if job.infer is not None and not getattr(job.infer[0], "forks_safely", False):
+        shards = 1
+    if any(hasattr(globals()[name], "__wrapped__") for name in _PER_SAMPLE):
+        shards = 1
+    if shards == 1:
+        return [_shard(job, 0, n)]
+    bounds = [(n * i // shards, n * (i + 1) // shards) for i in range(shards)]
+    return [future.result() for future in _fork_map(_shard_in_worker, job, bounds, shards)]
+
+
+#: What the workers of a ``_fork_map`` inherit: the ``state`` it was given.
+_inherited = None
+
+
+def _fork_map(fn, state, items: Sequence, workers: int) -> list:
+    """Call ``fn(state, item)`` for every item on ``workers`` forked
+    processes; return the done futures, in item order.
+
+    The workers inherit ``state`` and all else the parent holds at the fork,
+    after ``gc.freeze()``, so they neither traverse nor copy it. The first
+    call that raises cancels the calls not yet started; its exception comes
+    back ``_portable``. Every worker has exited when this returns or raises.
+    """
+    global _inherited
+    # Imported here: a module-level import slows every ``posdebias`` start-up.
+    import gc
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    _inherited = state
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_call_inherited, fn, item) for item in items]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
+    finally:
+        gc.unfreeze()
+        _inherited = None
+    return futures
+
+
+def _call_inherited(fn, item):
+    try:
+        return fn(_inherited, item)
+    except Exception as exc:  # noqa: BLE001 - any exception must come back whole
+        raise _portable(exc) from None
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or a ``RuntimeError`` with its message when it would not
+    survive the pipe back from a worker (pickled, then unpickled)."""
+    import pickle
+
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any pickling failure
+        return RuntimeError(str(exc))
+    return exc
+
+
+def _raise_for(shards: Sequence[Shard], stage: str) -> None:
+    """Raise the first error of ``stage``, in range order: the first failing
+    sample's in corpus order."""
+    for shard in shards:
+        if shard.error is not None and shard.error[0] == stage:
+            raise shard.error[1]
+
+
+def write_blocks(blocks: Iterable[str], path: Path) -> Path:
+    """Write the text blocks in order, creating parent directories."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(blocks)
+    return path
+
+
+def split_shards(
+    corpus: Corpus,
+    positions: frozenset[int] = DEFAULT_BIASED_POSITIONS,
+    triggers: Sequence[str] = DEFAULT_LEXICAL_TRIGGERS,
+    shards: int | None = None,
+) -> list[Shard]:
+    """``split_corpus`` run per sample range (see ``_run_shards``); raises
+    the first error in corpus order."""
+    result = _run_shards(_Job(corpus.task, corpus.samples, split=(positions, triggers)), shards)
+    _raise_for(result, "split")
+    return result
 
 
 def write_split(
-    partition: BiasPartition,
+    shards: Sequence[Shard],
+    samples: Sequence[Sample],
     out_dir: Path,
     names: tuple[str, str] = ("biased.jsonl", "non_biased.jsonl"),
 ) -> list[Path]:
-    """Save each non-empty side with its split name in every record, plus
-    the evidence JSONL; ``names`` are the biased and non-biased file names."""
+    """Save each non-empty side of the split of ``samples`` with its split
+    name in every record, plus the evidence JSONL in id order; ``names`` are
+    the biased and non-biased file names."""
     artifacts = []
-    sides = (("biased", partition.biased), ("non_biased", partition.non_biased))
-    for (label, side), name in zip(sides, names):
-        if len(side):
-            records = ({**sample_to_record(s), "split": label} for s in side)
-            artifacts.append(write_jsonl(records, out_dir / name))
-    artifacts.append(write_evidence(partition, out_dir / "evidence.jsonl"))
+    for side, name in enumerate(names):
+        blocks = [shard.split[side] for shard in shards]
+        if any(blocks):
+            artifacts.append(write_blocks(blocks, out_dir / name))
+    evidence = "".join(shard.split[2] for shard in shards).split("\n")
+    by_id = sorted(range(len(samples)), key=lambda i: samples[i].id)
+    artifacts.append(write_blocks((evidence[i] + "\n" for i in by_id), out_dir / "evidence.jsonl"))
     return artifacts
 
 
-def infer_corpus(
+def infer_shards(
     corpus: Corpus,
     backend: Backend,
     n_per_prompt: int,
@@ -413,55 +649,54 @@ def infer_corpus(
     max_tokens: int,
     strategy: str | None = None,
     max_in_flight: int = 1,
-) -> dict[str, list[GenerationResult]]:
-    """Low-bias candidates for every sample, keyed by sample id in corpus order.
+    align: AlignmentConfig | None = None,
+    shards: int | None = None,
+) -> list[Shard]:
+    """Low-bias candidates for every sample, drawn per sample range (see
+    ``_run_shards``; one range for a backend that does not set
+    ``forks_safely``).
 
-    ``strategy`` overrides the task's default prompt strategy. Every
-    sample's prompts go to one ``generate`` call, so a ``BackendError``'s
-    prompt index counts prompts across the corpus.
+    ``strategy`` overrides the task's default prompt strategy, whose spec
+    is built once from the whole corpus. A ``BackendError``'s prompt index
+    counts prompts across the corpus, and the first failing prompt's is
+    raised. With ``align`` each range also computes its gate statistics and
+    verdict heads; an error there is ``align_shards``' to raise.
     """
     spec = default_prompt_spec(
         corpus.task, corpus=corpus, strategy=None if strategy is None else PromptStrategy(strategy)
     )
-    prompts = [build_prompt(s, spec) for s in corpus]
-    results = iter(generate(
-        [prompt for sample_prompts in prompts for prompt in sample_prompts],
-        backend,
-        n_per_prompt=n_per_prompt,
-        seed=seed,
-        max_tokens=max_tokens,
-        max_in_flight=max_in_flight,
-    ))
-    return {s.id: list(islice(results, len(p) * n_per_prompt)) for s, p in zip(corpus, prompts)}
+    options = {"n_per_prompt": n_per_prompt, "seed": seed, "max_tokens": max_tokens, "max_in_flight": max_in_flight}
+    result = _run_shards(_Job(corpus.task, corpus.samples, infer=(backend, spec, options), align=align), shards)
+    _raise_for(result, "infer")
+    return result
 
 
-def align_corpus(
+def align_shards(
     task: Task,
     samples: Sequence[Sample],
     candidates: Mapping[str, Sequence[GenerationResult]],
     config: AlignmentConfig,
-) -> tuple[dict[str, list[AlignedResponse]], float | None]:
-    """Verdicts for every candidate, keyed by sample id in ``samples`` order.
-
-    Candidates of an id not in ``samples`` are rejected before anything
-    runs. Each target is tokenized once, and each candidate's
-    ``gate_statistic`` is computed once; the gate threshold (incoherence
-    for question generation, unreliability otherwise) is the candidate
-    threshold whose keep fraction on those statistics lands nearest the
-    target. It is returned, or ``None`` when there was no candidate to
-    calibrate on. When the share of statistics at or above it misses the
-    target by more than ``KEEP_FRACTION_SLACK``, one line on stderr says so.
-    """
+    shards: int | None = None,
+) -> list[Shard]:
+    """Gate statistics and verdict heads of ``candidates`` per sample range
+    (see ``_run_shards``), in ``samples`` order. Candidates of an id not in
+    ``samples`` are rejected before anything runs."""
     unknown = sorted(set(candidates) - {s.id for s in samples})
     if unknown:
         raise ValueError(f"align: candidate sample id {unknown[0]!r} not in corpus")
-    present = [sample for sample in samples if candidates.get(sample.id)]
-    stats = []
-    for sample in present:
-        target_tokens = tokenize(sample.target)
-        stats += [gate_statistic(task, target_tokens, cand) for cand in candidates[sample.id]]
+    result = _run_shards(_Job(task, tuple(samples), candidates=candidates, align=config), shards)
+    _raise_for(result, "align")
+    return result
+
+
+def _calibrate(stats: Sequence[float], config: AlignmentConfig) -> float | None:
+    """The gate threshold (incoherence for question generation, unreliability
+    otherwise): the candidate threshold whose keep fraction on ``stats`` lands
+    nearest the target, or ``None`` with no statistic to calibrate on. When
+    the share of statistics at or above it misses the target by more than
+    ``KEEP_FRACTION_SLACK``, one line on stderr says so."""
     if not stats:
-        return {}, None
+        return None
     threshold = calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction)
     kept = sum(1 for stat in stats if stat >= threshold) / len(stats)
     if abs(kept - config.target_keep_fraction) > KEEP_FRACTION_SLACK:
@@ -470,12 +705,47 @@ def align_corpus(
             f"{config.target_keep_fraction:.1%} calibration target",
             file=sys.stderr,
         )
-    rows = iter(stats)
+    return threshold
+
+
+def write_verdicts(task: Task, shards: Sequence[Shard], config: AlignmentConfig, path: Path) -> tuple[float | None, int, int]:
+    """Calibrate on the statistics of ``shards`` in sample order, complete
+    every verdict line at that threshold and write the aligned JSONL.
+    Returns the threshold (``None`` with no candidate), the kept count and
+    the verdict count."""
+    from array import array
+
+    stats = array("d")
+    for shard in shards:
+        stats.extend(shard.stats)
+    threshold = _calibrate(stats, config)
+    below = _reason_bits(frozenset({threshold_reason(task)}))
+    tails = {
+        bits: verdict_tail(frozenset(r for i, r in enumerate(_REASONS) if bits >> i & 1))
+        for bits in range(1 << len(_REASONS))
+    }
+    kept = 0
+
+    def blocks():
+        nonlocal kept
+        for shard in shards:
+            tail_of = [tails[bits | below] if stat < threshold else tails[bits] for stat, bits in zip(shard.stats, shard.reasons)]
+            kept += tail_of.count(tails[0])
+            yield _lines(map(operator.add, shard.heads.split("\n"), tail_of))
+
+    write_blocks(blocks(), path)
+    return threshold, kept, len(stats)
+
+
+def _verdicts(task: Task, samples: Sequence[Sample], shard: Shard, config: AlignmentConfig, threshold: float) -> dict[str, list[AlignedResponse]]:
+    """The verdict objects of an in-process range at ``threshold``."""
+    rows = iter(shard.stats)
     aligned = {}
-    for sample in present:
-        cands = list(candidates[sample.id])
-        aligned[sample.id] = align_responses(task, sample, cands, config, threshold, list(islice(rows, len(cands))))
-    return aligned, threshold
+    for sample in samples:
+        candidates = list(shard.results.get(sample.id) or ())
+        if candidates:
+            aligned[sample.id] = align_responses(task, sample, candidates, config, threshold, list(islice(rows, len(candidates))))
+    return aligned
 
 
 def pool_evals(system: str, metric: str, evals: Sequence[SystemEval]) -> SystemEval:
@@ -534,11 +804,10 @@ def _stage_split(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
     artifacts = []
     for seed, data in state["data"].items():
         pool = Corpus(tuple(data["eval_biased"]) + tuple(data["eval_nonbiased"]), config.task)
-        data["partition"] = split_corpus(pool, config.biased_positions, config.triggers)
+        (shard,) = split_shards(pool, config.biased_positions, config.triggers, shards=1)
+        data["partition"] = shard.partition
         artifacts += write_split(
-            data["partition"],
-            out_dir / "split" / f"seed{seed}",
-            names=("eval_biased.jsonl", "eval_nonbiased.jsonl"),
+            [shard], pool.samples, out_dir / "split" / f"seed{seed}", names=("eval_biased.jsonl", "eval_nonbiased.jsonl")
         )
     return artifacts
 
@@ -556,31 +825,41 @@ def _resolve_toy_backend(config: PipelineConfig, train_corpus: Corpus, seed: int
 
 
 def _stage_infer(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
+    """Draw each seed's candidates, with their gate statistics and verdict
+    heads for the align stage, which raises any error of that work."""
     artifacts = []
     for seed, data in state["data"].items():
-        data["candidates"] = infer_corpus(
+        data["shards"] = infer_shards(
             data["train"],
             _resolve_toy_backend(config, data["train"], seed),
             n_per_prompt=config.n_per_prompt,
             seed=seed,
             max_tokens=config.max_tokens,
+            align=config.align,
+            shards=state["shard_count"],
         )
         path = out_dir / "infer" / f"seed{seed}" / "candidates.jsonl"
-        artifacts.append(write_candidates(data["candidates"], path))
+        artifacts.append(write_blocks((shard.candidates for shard in data["shards"]), path))
     return artifacts
 
 
 def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     artifacts = []
     for seed, data in state["data"].items():
-        data["aligned"], threshold = align_corpus(
-            config.task, data["train"].samples, data["candidates"], config.align
+        shards = data.pop("shards")
+        _raise_for(shards, "align")
+        seed_dir = out_dir / "align" / f"seed{seed}"
+        threshold, data["kept"], data["verdicts"] = write_verdicts(
+            config.task, shards, config.align, seed_dir / "aligned.jsonl"
         )
+        artifacts.append(seed_dir / "aligned.jsonl")
+        # A range that ran in-process keeps its objects: training reads its
+        # verdicts, and a tracer in this process counts them.
+        if shards[0].results is not None:
+            data["aligned"] = _verdicts(config.task, data["train"].samples, shards[0], config.align, threshold)
         calibration: dict = {"calibrated": threshold is not None}
         if threshold is not None:
             calibration["threshold"] = threshold
-        seed_dir = out_dir / "align" / f"seed{seed}"
-        artifacts.append(write_aligned(data["aligned"], seed_dir / "aligned.jsonl"))
         calibration_path = seed_dir / "calibration.json"
         calibration_path.write_text(json.dumps(calibration, sort_keys=True), encoding="utf-8")
         artifacts.append(calibration_path)
@@ -606,16 +885,6 @@ def _sweep_points(config: PipelineConfig) -> list[dict]:
     return points
 
 
-#: The train stage's config, output directory and (sweep point, seed, data)
-#: jobs in a forked pool worker, set by ``_set_train_jobs``.
-_train_jobs: tuple = ()
-
-
-def _set_train_jobs(config: PipelineConfig, out_dir: Path, jobs: list[tuple]) -> None:
-    global _train_jobs
-    _train_jobs = (config, out_dir, jobs)
-
-
 def _train_job(config: PipelineConfig, point: dict, seed: int, data: dict) -> TrainJob:
     """One (sweep point, seed) job: the seed's train corpus, cut to the point's
     size and position-perturbed for ``rp``, with aligned responses for ``zoe``."""
@@ -637,12 +906,13 @@ def _train_job(config: PipelineConfig, point: dict, seed: int, data: dict) -> Tr
     )
 
 
-def _train_group(group: list[int]) -> list[tuple[SystemEval | Exception, list[Path]]]:
-    """Train one lockstep group of jobs, write each job's run directory and
-    score each trained model on its seed's partition. A job whose scoring
-    raised carries the exception in place of its ``SystemEval``, for the eval
-    stage to raise."""
-    config, out_dir, jobs = _train_jobs
+def _train_group(stage: tuple, group: list[int]) -> list[tuple[SystemEval | Exception, list[Path]]]:
+    """Train one lockstep group of the stage's ``(config, out_dir, jobs)``,
+    write each job's run directory and score each trained model on its
+    seed's partition. A job whose scoring raised carries the exception
+    (``_portable``) in place of its ``SystemEval``, for the eval stage to
+    raise."""
+    config, out_dir, jobs = stage
     runs = train_lockstep(
         [_train_job(config, *jobs[i]) for i in group],
         epochs=config.epochs,
@@ -657,7 +927,7 @@ def _train_group(group: list[int]) -> list[tuple[SystemEval | Exception, list[Pa
         try:
             scored: SystemEval | Exception = evaluate(run.model, data["partition"], config.metric, point["label"])
         except Exception as exc:  # noqa: BLE001 - a scoring failure is the eval stage's, not training's
-            scored = exc
+            scored = _portable(exc)
         results.append((scored, paths))
     return results
 
@@ -678,7 +948,7 @@ def _lockstep_groups(sizes: Sequence[int], n_groups: int) -> list[list[int]]:
 
 
 def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
-    """Train every (sweep point, seed) job on a forked process pool.
+    """Train every (sweep point, seed) job on forked workers (``_fork_map``).
 
     The jobs are cut into one lockstep group per worker (see
     ``_lockstep_groups``), and each worker advances its group's jobs
@@ -690,23 +960,11 @@ def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
     training failure cancels the groups not yet started; the stage then
     raises the error of the first failed job in sweep order.
     """
-    # Imported here: a module-level import slows every ``posdebias`` start-up.
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
     jobs = [(point, seed, data) for point in _sweep_points(config) for seed, data in state["data"].items()]
     sizes = [point["size"] or len(data["train"]) for point, _, data in jobs]
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
     groups = _lockstep_groups(sizes, workers)
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_train_jobs,
-        initargs=(config, out_dir, jobs),
-    ) as pool:
-        futures = [pool.submit(_train_group, group) for group in groups]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        pool.shutdown(cancel_futures=True)
+    futures = _fork_map(_train_group, (config, out_dir, jobs), groups, workers)
     errors = [(group, future.exception()) for group, future in zip(groups, futures) if not future.cancelled()]
     # A diverged group names its job; any other error counts as its first job's.
     failed = [(group[getattr(exc, "job", 0)], exc) for group, exc in errors if exc is not None]
@@ -775,35 +1033,28 @@ def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pa
 
 def _stage_data_split(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     corpus = load_corpus(config.corpus, config.task)
-    partition = split_corpus(corpus, config.biased_positions, config.triggers)
+    shards = split_shards(corpus, config.biased_positions, config.triggers, shards=state["shard_count"])
     # The whole corpus is the candidate source, as the train split is in toy mode.
-    state["data"] = {0: {"train": corpus, "partition": partition}}
-    return write_split(partition, out_dir / "split")
+    state["data"] = {0: {"train": corpus, "biased": sum(shard.n_biased for shard in shards)}}
+    return write_split(shards, corpus.samples, out_dir / "split")
 
 
 def _stage_data_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     data = state["data"][0]
-    partition: BiasPartition = data["partition"]
-    total = len(partition.biased) + len(partition.non_biased)
-    aligned = data.get("aligned", {})
-    verdicts = [v for vs in aligned.values() for v in vs]
-    kept = sum(1 for v in verdicts if v.kept)
+    total, biased = len(data["train"]), data["biased"]
     evals = [
         SystemEval(
             system="corpus",
             metric="fraction",
-            splits={
-                "biased": (len(partition.biased) / total, len(partition.biased)),
-                "non_biased": (len(partition.non_biased) / total, len(partition.non_biased)),
-            },
+            splits={"biased": (biased / total, biased), "non_biased": ((total - biased) / total, total - biased)},
         )
     ]
-    if verdicts:
+    if data.get("verdicts"):
         evals.append(
             SystemEval(
                 system="align",
                 metric="kept_fraction",
-                splits={"all": (kept / len(verdicts), len(verdicts))},
+                splits={"all": (data["kept"] / data["verdicts"], data["verdicts"])},
             )
         )
     return [report_mod.write_scores_csv(evals, out_dir / "report" / "report.csv")]

@@ -71,6 +71,17 @@ def _reasons_json(reasons: frozenset[RejectionReason]) -> str:
     return encode_json(sorted(r.value for r in reasons))
 
 
+def verdict_head(sample_id: str, text: str, logprobs_json: str) -> str:
+    """The part of a ``verdict_line`` that no threshold decides: up to and
+    including the space before ``"kept"``."""
+    return f'{{"sample_id": {encode_json(sample_id)}, "text": {encode_json(text)}, "token_logprobs": {logprobs_json}, '
+
+
+def verdict_tail(reasons: frozenset[RejectionReason]) -> str:
+    """The rest of a ``verdict_line``: ``kept`` (no reason) and the reasons."""
+    return f'"kept": {"false" if reasons else "true"}, "rejection_reasons": {_reasons_json(reasons)}}}'
+
+
 def verdict_line(verdict: AlignedResponse) -> str:
     """One aligned JSONL line: ``json.dumps`` (``ensure_ascii=False``) of
     ``sample_id``, ``text``, ``token_logprobs``, ``kept`` and
@@ -81,11 +92,7 @@ def verdict_line(verdict: AlignedResponse) -> str:
         logprobs = candidate.logprobs_json
     else:
         logprobs = encode_json(verdict.token_logprobs)
-    return (
-        f'{{"sample_id": {encode_json(verdict.sample_id)}, "text": {encode_json(verdict.text)}, '
-        f'"token_logprobs": {logprobs}, "kept": {"true" if verdict.kept else "false"}, '
-        f'"rejection_reasons": {_reasons_json(verdict.rejection_reasons)}}}'
-    )
+    return verdict_head(verdict.sample_id, verdict.text, logprobs) + verdict_tail(verdict.rejection_reasons)
 
 
 def write_aligned(aligned: Mapping[str, Sequence[AlignedResponse]], path: str | Path) -> Path:
@@ -99,8 +106,17 @@ def _aligned_from_record(record: object) -> AlignedResponse:
         text=json_field(record, "text", str),
         token_logprobs=tuple(json_list(record, "token_logprobs", (int, float))),
         kept=json_field(record, "kept", bool),
-        rejection_reasons=frozenset(map(RejectionReason, json_list(record, "rejection_reasons", str, []))),
+        rejection_reasons=frozenset(
+            _reason(value, i) for i, value in enumerate(json_list(record, "rejection_reasons", str, []))
+        ),
     )
+
+
+def _reason(value: str, i: int) -> RejectionReason:
+    try:
+        return RejectionReason(value)
+    except ValueError:
+        raise ValueError(f"field 'rejection_reasons[{i}]' is not a rejection reason: {value!r}") from None
 
 
 def load_aligned(path: str | Path) -> dict[str, list[AlignedResponse]]:

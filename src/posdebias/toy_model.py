@@ -36,6 +36,7 @@ from .corpus import (
     Task,
     json_field,
     json_list,
+    json_value,
     make_document,
     render_input,
 )
@@ -702,9 +703,12 @@ def load_model(path: str | Path) -> ToyModel:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         vocabulary, rows = json_list(payload, "vocabulary", str), json_field(payload, "weights", list)
+        for row in rows:
+            for value in row if isinstance(row, list) else (row,):
+                json_value(value, (int, float), "weights", item=True)
         try:
             weights = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # an integer too large for a float too
+        except ValueError:  # ragged rows
             raise ValueError("field 'weights' must be a matrix of numbers") from None
         seed = json_field(payload, "seed", int, 0)
         window_scale = json_field(payload, "window_scale", (int, float), DEFAULT_WINDOW_SCALE)

@@ -233,6 +233,16 @@ class TestLoadSave:
         with pytest.raises(CorpusError, match=f"line 2: {violation}"):
             load_corpus(path, Task.CQA)
 
+    @pytest.mark.parametrize("turn_index", ["0", True, 0.0, None])
+    def test_a_turn_index_that_is_not_an_integer_names_its_field(self, tmp_path, turn_index):
+        record = {**sample_to_record(dialogue_sample("a", ["u"], "p?", "u", "q?", "u")), "history": [
+            {"turn_index": 0, "question": "p?", "answer": "u"}, {"turn_index": turn_index, "question": "q?"},
+        ]}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"line 1: field 'history\[1\]\.turn_index' must be an integer, got "):
+            load_corpus(path, Task.CQA)
+
     def test_invalid_utf8_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b'{"id": "\xff"}\n')

@@ -1,6 +1,7 @@
 """Rejection gates, task-specific gate combinations and threshold
-calibration; the gates run through ``align_corpus``, which calibrates the
-threshold (one candidate threshold fixes it)."""
+calibration; the gates run through ``align_corpus``, the pipeline's align
+pass on one in-process range, which calibrates the threshold (one candidate
+threshold fixes it)."""
 from __future__ import annotations
 
 import math
@@ -27,9 +28,20 @@ from posdebias.msa_align import (
     identify_dull,
     identify_noncompliant,
 )
-from posdebias.pipeline import align_corpus, parse_config
+from posdebias.pipeline import align_shards, parse_config
 
 from conftest import dialogue_sample
+
+
+def align_corpus(task: Task, samples, candidates, config: AlignmentConfig):
+    """Verdicts for every candidate, keyed by sample id in ``samples`` order,
+    and the calibrated threshold (``None``, with no verdict, when there is
+    no candidate), from ``align_shards`` on one in-process range."""
+    (shard,) = align_shards(task, samples, candidates, config, shards=1)
+    threshold = pipeline._calibrate(shard.stats, config)
+    if threshold is None:
+        return {}, None
+    return pipeline._verdicts(task, samples, shard, config, threshold), threshold
 
 
 def result(text: str, logprobs: tuple[float, ...] | None = None) -> GenerationResult:

@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nli_sample
+from test_msa_align import align_corpus
 from posdebias import lowbias_infer, pipeline
 from posdebias.backends import BackendError, RecordingBackend, StubBackend, StubMode
 from posdebias.bias_split import BIAS_BY_TASK, BiasKind
@@ -30,8 +31,7 @@ from posdebias.pipeline import (
     PipelineConfig,
     PipelineError,
     _lockstep_groups,
-    align_corpus,
-    infer_corpus,
+    infer_shards,
     parse_config,
     run_pipeline,
 )
@@ -105,6 +105,13 @@ def write_bad_table(path: Path, entry) -> str:
     return the pattern of that prompt as errors quote it, on one line."""
     path.write_text(json.dumps({"fine": "a b", "bad\nprompt": entry}), encoding="utf-8")
     return rf"table entry for prompt 'bad\\nprompt'"
+
+
+def infer_in_process(corpus: Corpus, backend, **options) -> dict:
+    """The candidates of every sample, keyed by sample id, from
+    ``infer_shards`` on one in-process range."""
+    (shard,) = infer_shards(corpus, backend, shards=1, **options)
+    return shard.results
 
 
 def run_toy(out_dir, **overrides) -> dict:
@@ -385,6 +392,31 @@ class TestToyPipeline:
         for name in ("report/report.csv", "report/report_by_relpos.csv"):
             assert (tmp_path / "out2" / name).read_bytes() == (out_dir / name).read_bytes()
 
+    def test_benchmark_tracer_counts_the_verdicts_written(self, tmp_path, monkeypatch):
+        # The benchmark's tracer counts verdicts, and reads the keep target,
+        # through ``align_responses(task, sample, candidates, config)``, which
+        # toy mode calls per seed for the verdicts training reads.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from tracer import Tracer
+
+        out_dir = tmp_path / "out"
+        tracer = Tracer("test")
+        tracer.install()
+        try:
+            run_toy(out_dir, systems=["ft"], epochs=1)
+        finally:
+            tracer.restore()
+        verdicts = [
+            json.loads(line)
+            for seed in TOY_RAW["seeds"]
+            for line in (out_dir / "align" / f"seed{seed}" / "aligned.jsonl").read_text().splitlines()
+        ]
+        assert tracer.counts["msa_align.candidates"] == len(verdicts) == 2 * 12 * 3
+        assert tracer.counts["msa_align.kept"] == sum(v["kept"] for v in verdicts) > 0
+        assert tracer.target_keep_fraction == 0.2
+        gate_spans = [span for span in tracer.spans if tracer.names[span[1]] == "msa_align.gate_statistic"]
+        assert len(gate_spans) == len(verdicts)
+
 
 class TestPipelineFailureModes:
     @pytest.mark.parametrize(
@@ -556,6 +588,20 @@ class TestParallelTrain:
             assert (out_dir / artifact["path"]).exists()
         assert [p.name for p in (out_dir / "eval").iterdir()] == ["ft.json"]  # pooled before zoe failed
         assert [a["path"] for a in stages[-1]["artifacts"]] == ["eval/ft.json"]
+
+    @pytest.mark.parametrize("stage, name", [("train", "train_lockstep"), ("eval", "evaluate")])
+    def test_an_error_that_cannot_be_pickled_keeps_its_stage_and_message(self, tmp_path, monkeypatch, stage, name):
+        class TwoPartError(Exception):
+            def __init__(self, left, right):
+                super().__init__(f"{left}/{right}")
+
+        def fail(*args, **kwargs):
+            raise TwoPartError(name, "broken")
+
+        monkeypatch.setattr(pipeline, name, fail)  # forked workers inherit the patch
+        with pytest.raises(PipelineError, match=f"^stage '{stage}' failed: {name}/broken$"):
+            run_toy(tmp_path / "out", systems=["ft"])
+        assert multiprocessing.active_children() == []
 
     def test_diverging_job_fails_train_with_its_own_error_and_leaves_no_worker(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -741,7 +787,7 @@ class TestInferCorpus:
 
         monkeypatch.setattr(lowbias_infer, "ThreadPoolExecutor", CountingPool)
         backend = StubBackend(StubMode.MARKOV)
-        candidates = infer_corpus(corpus, backend, n_per_prompt=2, seed=3, max_tokens=4, max_in_flight=2)
+        candidates = infer_in_process(corpus, backend, n_per_prompt=2, seed=3, max_tokens=4, max_in_flight=2)
         assert len(corpus) >= 3 and len(pools) == 1
         spec = default_prompt_spec(Task.CQA)
         assert candidates == {
@@ -755,7 +801,7 @@ class TestInferCorpus:
         table = {build_prompt(s, spec)[0]: "x" for i, s in enumerate(corpus) if i != 2}
         with pytest.raises(BackendError) as info:
             backend = StubBackend(StubMode.TABLE, table=table)
-            infer_corpus(corpus, backend, n_per_prompt=1, seed=0, max_tokens=4)
+            infer_in_process(corpus, backend, n_per_prompt=1, seed=0, max_tokens=4)
         assert info.value.prompt_index == 2
 
 
@@ -960,7 +1006,7 @@ class TestCliVerbs:
         train_c, _, _ = synth_corpus(spec)
         recording = tmp_path / "traffic.jsonl"
         backend = RecordingBackend(StubBackend(StubMode.MARKOV), recording)
-        infer_corpus(train_c, backend, n_per_prompt=1, seed=0, max_tokens=8, strategy="icl")
+        infer_in_process(train_c, backend, n_per_prompt=1, seed=0, max_tokens=8, strategy="icl")
         prompts = [json.loads(line)["request"]["prompt"] for line in recording.read_text().splitlines()]
         assert len(prompts) == len(train_c) == 6
         for sample, prompt in zip(train_c, prompts):
@@ -1052,7 +1098,7 @@ class TestCliVerbs:
 
     def test_align_threshold_option_sets_the_candidates(self, runner, dialogue_corpus_file, tmp_path):
         corpus = load_corpus(dialogue_corpus_file, Task.CQA)
-        candidates = infer_corpus(corpus, StubBackend(StubMode.MARKOV), n_per_prompt=2, seed=0, max_tokens=8)
+        candidates = infer_in_process(corpus, StubBackend(StubMode.MARKOV), n_per_prompt=2, seed=0, max_tokens=8)
         candidates_file = write_candidates(candidates, tmp_path / "c.jsonl")
         for thresholds in ((0.15,), (0.1, 0.3)):
             out = tmp_path / "aligned.jsonl"
@@ -1132,6 +1178,7 @@ class TestCliVerbs:
             ("eval", {"vocabulary": ["a"], "weights": [["x"]]}, "'weights'"),
             ("eval", {"vocabulary": [], "weights": [], "window_scale": "2"}, "'window_scale'"),
             ("eval", {"vocabulary": ["a"], "weights": [[-(10**400)]]}, "'weights'"),
+            ("eval", {"vocabulary": ["a"], "weights": [[True], [True], [True], [True]]}, "'weights'"),
             ("report", {"system": "ft", "splits": []}, "'splits'"),
             ("report", {"system": "ft", "splits": {"biased": {"score": "0.5", "count": 3}}}, "'splits.biased.score'"),
             ("report", {"system": "ft", "splits": {"biased": {"score": 10**400, "count": 3}}}, "'splits.biased.score'"),
@@ -1140,6 +1187,7 @@ class TestCliVerbs:
         ],
         ids=[
             "model-empty-object", "model-weights-not-numbers", "model-window-scale-string", "model-weight-too-large",
+            "model-weights-booleans",
             "eval-splits-a-list", "eval-score-a-string", "eval-score-too-large", "eval-position-row-without-count",
             "eval-not-an-object",
         ],
@@ -1242,11 +1290,12 @@ class TestCliVerbs:
             ("align", {"token_logprobs": [-(10**400)]}, "field 'token_logprobs' has a number too large for a float"),
             ("align", {"text": None}, "missing field 'text'"),
             ("train-toy", {"token_logprobs": ["x", {}]}, "field 'token_logprobs' has an item of the wrong type: 'x'"),
+            ("train-toy", {"kept": False, "rejection_reasons": ["bogus"]}, "field 'rejection_reasons[0]' is not a rejection reason: 'bogus'"),
         ],
         ids=[
             "split-surrogate", "infer-surrogate", "align-surrogate-text", "align-surrogate-token",
             "align-bool-logprob", "align-string-logprob", "align-huge-logprob", "align-no-text",
-            "train-toy-non-number-logprobs",
+            "train-toy-non-number-logprobs", "train-toy-unknown-reason",
         ],
     )
     def test_bad_jsonl_record_fails_at_read_in_one_line(self, runner, tmp_path, dialogue_corpus_file, verb, edit, message):
