@@ -15,7 +15,7 @@ import click
 
 from .backends import BackendError, RecordingBackend, reads_max_tokens, resolve_backend
 from .bias_split import BIAS_BY_TASK, DEFAULT_BIASED_POSITIONS, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position
-from .corpus import CorpusError, Sample, Task, load_corpus
+from .corpus import CorpusError, Sample, Task, load_corpus, write_blocks
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy
 from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, AlignmentConfig
 from .objective import LossConfig
@@ -28,7 +28,6 @@ from .pipeline import (
     parse_config,
     run_pipeline,
     split_shards,
-    write_blocks,
     write_report,
     write_split,
     write_verdicts,

@@ -310,20 +310,19 @@ def sample_to_record(sample: Sample) -> dict:
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def write_lines(lines: Iterable[str], path: str | Path) -> Path:
-    """Write each line (encoded JSON) and a newline, creating parent directories."""
+def write_blocks(blocks: Iterable[str], path: str | Path) -> Path:
+    """Write the text blocks in order as UTF-8, newlines untranslated,
+    creating parent directories; the one writer of every artifact file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        handle.writelines(blocks)
     return path
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> Path:
     """Write one JSON object per line, creating parent directories."""
-    return write_lines(map(encode_json, records), path)
+    return write_blocks((encode_json(record) + "\n" for record in records), path)
 
 
 def _check_utf8(value, where: str = ""):

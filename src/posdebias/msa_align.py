@@ -74,19 +74,13 @@ class AlignmentConfig:
 
 @dataclass(frozen=True)
 class AlignedResponse:
-    """One candidate with its verdict; kept iff no gate rejected it.
-
-    ``candidate`` is the judged result when the verdict came from
-    ``align_responses`` (not from a file); writing the verdict reuses its
-    encoded logprobs.
-    """
+    """One candidate with its verdict; kept iff no gate rejected it."""
 
     sample_id: str
     text: str
     token_logprobs: tuple[float, ...]
     kept: bool
     rejection_reasons: frozenset[RejectionReason] = field(default_factory=frozenset)
-    candidate: GenerationResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kept != (not self.rejection_reasons):
@@ -140,7 +134,6 @@ def align_responses(
                 token_logprobs=cand.token_logprobs,
                 kept=not reasons,
                 rejection_reasons=reasons,
-                candidate=cand,
             )
         )
     return out

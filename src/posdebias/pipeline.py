@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import operator
 import os
 import stat
@@ -31,7 +32,7 @@ from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import report as report_mod
 from .backends import Backend, GenerationResult, StubBackend, StubMode, reads_max_tokens, resolve_backend
@@ -45,7 +46,7 @@ from .bias_split import (
     perturb_positions,
     split_corpus,
 )
-from .corpus import Corpus, Sample, Task, encode_json, json_value, load_corpus, sample_to_record, save_corpus
+from .corpus import Corpus, Sample, Task, encode_json, json_value, load_corpus, sample_to_record, save_corpus, write_blocks
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
 from .metrics import PositionRow, tokenize
 from .msa_align import (
@@ -92,7 +93,7 @@ _CANDIDATE_KEYS = ("n_per_prompt", "max_tokens", "backend", "align")
 _SPLIT_KEYS = {BiasKind.RELATIVE_POSITION: "biased_positions", BiasKind.LEXICAL: "triggers"}
 
 #: How far calibration's keep fraction may miss its target before
-#: ``align_corpus`` reports the miss on stderr.
+#: ``_calibrate`` reports the miss on stderr.
 KEEP_FRACTION_SLACK = 0.025
 
 
@@ -284,6 +285,14 @@ def parse_config(raw: dict) -> PipelineConfig:
         raise ValueError(f"config: keys {unread} are not read by a {run}")
     if raw.get("train_sizes") and len(raw.get("alphas", [0.2])) > 1:
         raise ValueError("config: sweep either alphas or train_sizes, not both")
+    # A word that tokenizes to nothing matches nothing: a trigger fails the
+    # split, a question word rejects every candidate, a pattern never matches.
+    align = raw.get("align", {})
+    words = {"triggers": raw.get("triggers", ()), **{f"align.{k}": align.get(k, ()) for k in ("instruction_keywords", "dull_patterns")}}
+    for name, entries in words.items():
+        for i, word in enumerate(entries):
+            if not tokenize(word):
+                raise ValueError(f"config: {name}[{i}] tokenizes to nothing: {word!r}")
     fields = dict(raw)
     fields.pop("bias", None)
     fields["task"] = task
@@ -329,8 +338,7 @@ class _Manifest:
         self._write()
 
     def _write(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True), encoding="utf-8")
+        write_blocks([json.dumps(self.data, indent=2, sort_keys=True)], self.path)
 
     def written(self) -> list[Path]:
         """Files this run wrote under ``out_dir`` that no entry lists, bar the manifest."""
@@ -356,14 +364,13 @@ def _config_echo(config: PipelineConfig) -> dict:
     return json.loads(json.dumps(echo, sort_keys=True, default=list))
 
 
-def run_pipeline(config: PipelineConfig, _shards: int | None = None) -> dict:
+def run_pipeline(config: PipelineConfig) -> dict:
     """Execute all stages; returns the manifest dict.
 
     Configuration problems (missing corpus file, bad mode combinations) are
     raised before any stage runs or any artifact is written. Data mode
-    splits, infers and aligns per sample range on every usable CPU, or on
-    ``_shards`` ranges; toy mode runs them in-process, since training reads
-    their objects.
+    splits, infers and aligns per sample range on every usable CPU; toy
+    mode runs them in-process, since training reads their objects.
     """
     if (config.synth is None) == (config.corpus is None):
         raise ValueError("run_pipeline: exactly one of synth/corpus must be configured")
@@ -371,7 +378,7 @@ def run_pipeline(config: PipelineConfig, _shards: int | None = None) -> dict:
         raise ValueError(f"run_pipeline: corpus path {config.corpus!r} does not exist")
     out_dir = Path(config.out_dir)
     manifest = _Manifest(out_dir, _config_echo(config))
-    state: dict = {"shard_count": 1 if config.synth is not None else _shards}
+    state: dict = {}
     if config.synth is not None:
         stages = _TOY_STAGES
     elif config.task == Task.NLI:
@@ -600,14 +607,6 @@ def _raise_for(shards: Sequence[Shard], stage: str) -> None:
             raise shard.error[1]
 
 
-def write_blocks(blocks: Iterable[str], path: Path) -> Path:
-    """Write the text blocks in order, creating parent directories."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.writelines(blocks)
-    return path
-
-
 def split_shards(
     corpus: Corpus,
     positions: frozenset[int] = DEFAULT_BIASED_POSITIONS,
@@ -748,22 +747,27 @@ def _verdicts(task: Task, samples: Sequence[Sample], shard: Shard, config: Align
     return aligned
 
 
+def _weighted_mean(pairs: Sequence[tuple[float, int]]) -> tuple[float, int]:
+    """Count-weighted mean of ``(score, count)`` pairs, and their total count.
+    The sum is exactly rounded (``math.fsum``): the pairs' order changes no bit."""
+    count = sum(n for _, n in pairs)
+    return math.fsum(score * n for score, n in pairs) / count, count
+
+
 def pool_evals(system: str, metric: str, evals: Sequence[SystemEval]) -> SystemEval:
-    """Count-weighted mean of several runs' scores, per split and per position."""
+    """Count-weighted mean of several runs' scores, per split and per
+    position, the same in any order of ``evals`` (``_weighted_mean``)."""
     splits = {}
     for name in ("biased", "non_biased"):
         scored = [ev.splits[name] for ev in evals if name in ev.splits]
         if scored:
-            total = sum(score * count for score, count in scored)
-            count = sum(count for _, count in scored)
-            splits[name] = (total / count, count)
-    pooled: dict[int | None, tuple[float, int]] = {}
+            splits[name] = _weighted_mean(scored)
+    pooled: dict[int | None, list[tuple[float, int]]] = {}
     for ev in evals:
         for row in ev.by_position:
-            total, count = pooled.get(row.position, (0.0, 0))
-            pooled[row.position] = (total + row.mean_score * row.count, count + row.count)
+            pooled.setdefault(row.position, []).append((row.mean_score, row.count))
     rows = sorted(
-        (PositionRow(pos, total / count, count) for pos, (total, count) in pooled.items() if count),
+        (PositionRow(pos, *_weighted_mean(pairs)) for pos, pairs in pooled.items() if any(n for _, n in pairs)),
         key=lambda r: (r.position is None, r.position or 0),
     )
     return SystemEval(system, metric, splits, tuple(rows))
@@ -836,7 +840,7 @@ def _stage_infer(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
             seed=seed,
             max_tokens=config.max_tokens,
             align=config.align,
-            shards=state["shard_count"],
+            shards=1 if config.synth is not None else None,
         )
         path = out_dir / "infer" / f"seed{seed}" / "candidates.jsonl"
         artifacts.append(write_blocks((shard.candidates for shard in data["shards"]), path))
@@ -860,9 +864,7 @@ def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
         calibration: dict = {"calibrated": threshold is not None}
         if threshold is not None:
             calibration["threshold"] = threshold
-        calibration_path = seed_dir / "calibration.json"
-        calibration_path.write_text(json.dumps(calibration, sort_keys=True), encoding="utf-8")
-        artifacts.append(calibration_path)
+        artifacts.append(write_blocks([json.dumps(calibration, sort_keys=True)], seed_dir / "calibration.json"))
     return artifacts
 
 
@@ -1033,7 +1035,7 @@ def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pa
 
 def _stage_data_split(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
     corpus = load_corpus(config.corpus, config.task)
-    shards = split_shards(corpus, config.biased_positions, config.triggers, shards=state["shard_count"])
+    shards = split_shards(corpus, config.biased_positions, config.triggers)
     # The whole corpus is the candidate source, as the train split is in toy mode.
     state["data"] = {0: {"train": corpus, "biased": sum(shard.n_biased for shard in shards)}}
     return write_split(shards, corpus.samples, out_dir / "split")

@@ -12,10 +12,10 @@ import dataclasses
 import functools
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .backends import GenerationResult, _result_from_body
-from .corpus import encode_json, json_field, json_list, read_jsonl, write_jsonl, write_lines
+from .corpus import encode_json, json_field, json_list, read_jsonl, write_blocks, write_jsonl
 from .metrics import PositionRow
 from .msa_align import AlignedResponse, RejectionReason
 from .report import SystemEval
@@ -30,18 +30,6 @@ def candidate_line(sample_id: str, index: int, result: GenerationResult) -> str:
         f'{{"sample_id": {encode_json(sample_id)}, "candidate_index": {index:d}, '
         f'"text": {encode_json(result.text)}, "tokens": {encode_json(result.tokens)}, '
         f'"token_logprobs": {result.logprobs_json}, "backend_id": {encode_json(result.backend_id)}}}'
-    )
-
-
-def write_candidates(candidates: Mapping[str, Sequence[GenerationResult]], path: str | Path) -> Path:
-    """Candidates JSONL: one line per candidate, grouped by sample."""
-    return write_lines(
-        (
-            candidate_line(sample_id, k, result)
-            for sample_id, results in candidates.items()
-            for k, result in enumerate(results)
-        ),
-        path,
     )
 
 
@@ -72,32 +60,15 @@ def _reasons_json(reasons: frozenset[RejectionReason]) -> str:
 
 
 def verdict_head(sample_id: str, text: str, logprobs_json: str) -> str:
-    """The part of a ``verdict_line`` that no threshold decides: up to and
-    including the space before ``"kept"``."""
+    """The part of an aligned JSONL line that no threshold decides, up to the
+    space before ``"kept"``. With ``verdict_tail`` it is ``json.dumps``
+    (``ensure_ascii=False``) of the verdict, its reasons sorted by name."""
     return f'{{"sample_id": {encode_json(sample_id)}, "text": {encode_json(text)}, "token_logprobs": {logprobs_json}, '
 
 
 def verdict_tail(reasons: frozenset[RejectionReason]) -> str:
-    """The rest of a ``verdict_line``: ``kept`` (no reason) and the reasons."""
+    """The rest of an aligned JSONL line: ``kept`` (no reason) and the reasons."""
     return f'"kept": {"false" if reasons else "true"}, "rejection_reasons": {_reasons_json(reasons)}}}'
-
-
-def verdict_line(verdict: AlignedResponse) -> str:
-    """One aligned JSONL line: ``json.dumps`` (``ensure_ascii=False``) of
-    ``sample_id``, ``text``, ``token_logprobs``, ``kept`` and
-    ``rejection_reasons`` sorted by name. The logprobs are the judged
-    candidate's cached text when the verdict holds that candidate's."""
-    candidate = verdict.candidate
-    if candidate is not None and candidate.token_logprobs is verdict.token_logprobs:
-        logprobs = candidate.logprobs_json
-    else:
-        logprobs = encode_json(verdict.token_logprobs)
-    return verdict_head(verdict.sample_id, verdict.text, logprobs) + verdict_tail(verdict.rejection_reasons)
-
-
-def write_aligned(aligned: Mapping[str, Sequence[AlignedResponse]], path: str | Path) -> Path:
-    """Aligned JSONL: one ``verdict_line`` per candidate."""
-    return write_lines((verdict_line(v) for verdicts in aligned.values() for v in verdicts), path)
 
 
 def _aligned_from_record(record: object) -> AlignedResponse:
@@ -164,10 +135,7 @@ def write_eval(ev: SystemEval, path: str | Path, **extra) -> Path:
         ],
         **extra,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(entry, indent=2, sort_keys=True), encoding="utf-8")
-    return path
+    return write_blocks([json.dumps(entry, indent=2, sort_keys=True)], path)
 
 
 def _score_and_count(record: object, where: str) -> tuple[float, int]:

@@ -7,10 +7,12 @@ checksums rely on.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import write_blocks
 from .metrics import PositionRow
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -31,13 +33,11 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return write_blocks([text.getvalue()], path)
 
 
 def write_scores_csv(evals: Sequence[SystemEval], path: str | Path) -> Path:
@@ -217,13 +217,6 @@ def bar_chart(
     return "\n".join(parts)
 
 
-def _write_svg(path: str | Path, markup: str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(markup, encoding="utf-8")
-    return path
-
-
 def write_position_chart(evals: Sequence[SystemEval], path: str | Path, metric: str) -> Path:
     """Score-versus-relative-position line chart, one series per system."""
     series: dict[str, list[tuple[float, float]]] = {}
@@ -235,9 +228,7 @@ def write_position_chart(evals: Sequence[SystemEval], path: str | Path, metric: 
         ]
         if pts:
             series[ev.system] = pts
-    return _write_svg(
-        path, line_chart(series, f"{metric} by relative position", "relative position", metric)
-    )
+    return write_blocks([line_chart(series, f"{metric} by relative position", "relative position", metric)], path)
 
 
 def write_split_chart(evals: Sequence[SystemEval], path: str | Path, metric: str) -> Path:
@@ -246,7 +237,7 @@ def write_split_chart(evals: Sequence[SystemEval], path: str | Path, metric: str
         ev.system: [(split, ev.splits[split][0]) for split in sorted(ev.splits)]
         for ev in evals
     }
-    return _write_svg(path, bar_chart(series, f"{metric} by split", "split", metric))
+    return write_blocks([bar_chart(series, f"{metric} by split", "split", metric)], path)
 
 
 def write_sweep_chart(
@@ -256,4 +247,4 @@ def write_sweep_chart(
     x_label: str,
     y_label: str,
 ) -> Path:
-    return _write_svg(path, line_chart(series, title, x_label, y_label))
+    return write_blocks([line_chart(series, title, x_label, y_label)], path)

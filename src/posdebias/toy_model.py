@@ -39,6 +39,7 @@ from .corpus import (
     json_value,
     make_document,
     render_input,
+    write_blocks,
 )
 from .lowbias_infer import build_prompt, default_prompt_spec
 from .metrics import bleu_2, per_position_table, rouge_l, tokenize
@@ -685,16 +686,13 @@ def evaluate(model: ToyModel, partition: BiasPartition, metric: str, system: str
 
 def save_model(model: ToyModel, path: str | Path) -> Path:
     """Write the model as JSON: vocabulary, seed, window scale, weight rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "vocabulary": list(model.vocabulary),
         "seed": model.seed,
         "window_scale": model.window_scale,
         "weights": model.weights.tolist(),
     }
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return path
+    return write_blocks([json.dumps(payload)], path)
 
 
 def load_model(path: str | Path) -> ToyModel:

@@ -7,6 +7,7 @@ force search) so agreement is meaningful.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -160,3 +161,47 @@ def greedy_decode_one(model, base: np.ndarray, max_len: int = 8) -> str:
         out.append(model.vocabulary[next_id])
         prev_id = next_id
     return " ".join(out)
+
+
+def candidates_jsonl(candidates) -> str:
+    """The text of a candidates file by ``json.dumps`` (``ensure_ascii=False``):
+    one line per ``GenerationResult`` of each sample id, grouped by sample,
+    ``candidate_index`` its place in the sample's list."""
+    return "".join(
+        json.dumps(
+            {
+                "sample_id": sample_id,
+                "candidate_index": index,
+                "text": result.text,
+                "tokens": list(result.tokens),
+                "token_logprobs": list(result.token_logprobs),
+                "backend_id": result.backend_id,
+            },
+            ensure_ascii=False,
+        )
+        + "\n"
+        for sample_id, results in candidates.items()
+        for index, result in enumerate(results)
+    )
+
+
+def verdict_record(sample_id: str, text: str, token_logprobs, reasons) -> dict:
+    """One aligned line's record: kept iff no rejection reason, the reasons
+    by name, sorted."""
+    return {
+        "sample_id": sample_id,
+        "text": text,
+        "token_logprobs": list(token_logprobs),
+        "kept": not reasons,
+        "rejection_reasons": sorted(reason.value for reason in reasons),
+    }
+
+
+def aligned_jsonl(aligned) -> str:
+    """The text of an aligned file by ``json.dumps`` (``ensure_ascii=False``):
+    one ``verdict_record`` line per ``AlignedResponse`` of each sample id."""
+    return "".join(
+        json.dumps(verdict_record(v.sample_id, v.text, v.token_logprobs, v.rejection_reasons), ensure_ascii=False) + "\n"
+        for verdicts in aligned.values()
+        for v in verdicts
+    )

@@ -27,9 +27,9 @@ from posdebias.backends import (
     resolve_backend,
 )
 from posdebias.lowbias_infer import generate
-from posdebias.records import load_candidates, write_candidates
+from posdebias.records import load_candidates
 
-from oracles import markov_complete
+from oracles import candidates_jsonl, markov_complete
 
 #: Text that JSON, JSONL line splitting or UTF-8 could mangle: non-ASCII,
 #: quotes, backslashes and the line separators U+2028, U+2029 and U+0085
@@ -339,7 +339,9 @@ class TestRecordReplay:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(candidates=st.dictionaries(TRICKY_TEXT, st.lists(generation_results(TRICKY_TEXT), min_size=1, max_size=3), max_size=3))
     def test_any_result_round_trips_through_the_candidates_file(self, tmp_path, candidates):
-        assert load_candidates(write_candidates(candidates, tmp_path / "c.jsonl")) == candidates
+        path = tmp_path / "c.jsonl"
+        path.write_text(candidates_jsonl(candidates), encoding="utf-8")
+        assert load_candidates(path) == candidates
 
     def test_replay_distinguishes_seeds(self, tmp_path):
         record_path = tmp_path / "tape.jsonl"

@@ -1,11 +1,14 @@
 """Data model, JSONL ingestion, rendering, validation, and stats."""
 from __future__ import annotations
 
+import ast
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+import posdebias
 from posdebias.backends import ReplayBackend
 from posdebias.corpus import (
     Corpus,
@@ -349,3 +352,65 @@ class TestReadJsonl:
         path = tmp_path / "c.jsonl"
         path.write_bytes(newline.join([json.dumps(good), json.dumps({**good, "candidate_index": 1}), ""]).encode())
         assert [r.text for r in read(path)["a"]] == ["u", "u"]
+
+
+def file_writes(source: str) -> list[tuple[str, str]]:
+    """``(function, call)`` for every call in ``source`` that writes a file:
+    ``write_text``, ``write_bytes``, and ``open`` (the builtin's second
+    argument, a method's first, or ``mode=``) with a mode that is not a
+    string constant or that holds ``w``, ``a``, ``x`` or ``+``."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("write_text", "write_bytes"):
+                    found.append((".".join(scope), name))
+                elif name == "open":
+                    args = child.args[1:] if isinstance(func, ast.Name) else child.args
+                    mode = next((kw.value for kw in child.keywords if kw.arg == "mode"), args[0] if args else None)
+                    reads = isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+")
+                    if mode is not None and not reads:
+                        found.append((".".join(scope), f"open({ast.unparse(mode)})"))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+@pytest.mark.parametrize(
+    "call, found",
+    [
+        ("open(p, 'w')", "open('w')"),
+        ("open(p, mode='ab')", "open('ab')"),
+        ("p.open('r+')", "open('r+')"),
+        ("p.open('x', encoding='utf-8')", "open('x')"),
+        ("p.open(mode)", "open(mode)"),
+        ("p.write_text('x')", "write_text"),
+        ("p.parent.write_bytes(b'')", "write_bytes"),
+        ("print(p.open('w').name)", "open('w')"),
+        ("open(p)", None),
+        ("open(p, 'rb')", None),
+        ("p.open(encoding='utf-8')", None),
+        ("p.read_text()", None),
+    ],
+)
+def test_file_writes_finds_each_way_to_write_a_file(call, found):
+    source = f"class C:\n    def f(self, p, mode):\n        return {call}\n"
+    assert file_writes(source) == ([("C.f", found)] if found else [])
+
+
+def test_write_blocks_is_the_one_code_that_writes_a_file():
+    # One writer decides how an artifact is encoded and where its directory
+    # comes from; a recording appends one exchange at a time.
+    writes = {
+        (path.stem, *write)
+        for path in sorted(Path(posdebias.__file__).parent.glob("*.py"))
+        for write in file_writes(path.read_text(encoding="utf-8"))
+    }
+    assert writes == {("corpus", "write_blocks", "open('w')"), ("backends", "RecordingBackend._record", "open('a')")}

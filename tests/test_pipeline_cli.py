@@ -13,10 +13,11 @@ from statistics import mean
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nli_sample
+from oracles import aligned_jsonl, candidates_jsonl
 from test_msa_align import align_corpus
 from posdebias import lowbias_infer, pipeline
 from posdebias.backends import BackendError, RecordingBackend, StubBackend, StubMode
@@ -35,7 +36,7 @@ from posdebias.pipeline import (
     parse_config,
     run_pipeline,
 )
-from posdebias.records import load_aligned, write_aligned, write_candidates, write_epochs
+from posdebias.records import load_aligned, write_epochs
 from posdebias.toy_model import (
     SynthSpec,
     ToyModel,
@@ -200,6 +201,9 @@ class TestParseConfig:
             ({"synth": {}, "backend": "replay:tape.jsonl"}, r"backend.*tape\.jsonl: line 2: missing field 'response"),
             ({"synth": {}, "systems": ["ft"], "alphas": [0.5, 0.7]}, "alphas"),
             ({"synth": {}, "learning_rate": 10**400}, "learning_rate"),
+            ({"corpus": "c.jsonl", "task": "nli", "triggers": ["not", "!!"]}, r"triggers\[1\] tokenizes"),
+            ({"synth": {}, "align": {"instruction_keywords": ["?"]}}, r"align\.instruction_keywords\[0\] tokenizes"),
+            ({"corpus": "c.jsonl", "task": "cqg", "align": {"dull_patterns": ["what", " ..."]}}, r"align\.dull_patterns\[1\] tokenizes"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
@@ -216,7 +220,8 @@ class TestParseConfig:
             "toy-table-file-max-tokens", "data-mode-echo-max-tokens", "data-mode-table-file-max-tokens",
             "systems-repeated", "alphas-repeated", "train-sizes-repeated",
             "backend-replay-file-not-jsonl", "backend-replay-line-without-response", "alphas-without-zoe",
-            "learning-rate-too-large-for-a-float",
+            "learning-rate-too-large-for-a-float", "trigger-without-a-word", "instruction-keyword-without-a-word",
+            "dull-pattern-without-a-word",
         ],
     )
     def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
@@ -416,6 +421,44 @@ class TestToyPipeline:
         assert tracer.target_keep_fraction == 0.2
         gate_spans = [span for span in tracer.spans if tracer.names[span[1]] == "msa_align.gate_statistic"]
         assert len(gate_spans) == len(verdicts)
+
+
+#: The stages whose files a seed writes alone, in its own ``seed*`` directory.
+PER_SEED_STAGES = ("data", "split", "infer", "align")
+
+#: The files that pool every seed: they may depend on the set of seeds, not on their order.
+POOLED = ("eval/", "report/report.csv", "report/report_by_relpos.csv")
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 30), min_size=2, max_size=3, unique=True),
+    epochs=st.integers(1, 2),
+    systems=st.sampled_from([["ft"], ["ft", "zoe"], ["zoe", "rp"]]),
+    metric=st.sampled_from(["rouge_l", "bleu_2"]),
+    data=st.data(),
+)
+def test_a_seed_outputs_do_not_depend_on_the_other_seeds(seeds, epochs, systems, metric, data):
+    # Trained this little, every model scores 0 on accuracy; on the overlap
+    # metrics the seeds' scores differ, so pooling them in another order can show.
+    reordered = data.draw(st.permutations(seeds).filter(lambda order: order != seeds), label="reordered")
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def run(name: str, run_seeds: list[int]) -> dict[str, bytes]:
+            out_dir = Path(tmp) / name
+            run_toy(out_dir, seeds=run_seeds, epochs=epochs, systems=systems, metric=metric)
+            return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+        together = run("together", seeds)
+        for seed in seeds:
+            alone = run(f"alone{seed}", [seed])
+            own = {path for path in together if path.split("/")[0] in PER_SEED_STAGES and f"/seed{seed}/" in path}
+            assert own == {path for path in alone if path.split("/")[0] in PER_SEED_STAGES}
+            assert {path: together[path] for path in own} == {path: alone[path] for path in own}
+        shuffled = run("reordered", reordered)
+    pooled = [path for path in together if path.startswith(POOLED)]
+    assert len(pooled) == len(systems) + 2
+    assert {path: shuffled[path] for path in pooled} == {path: together[path] for path in pooled}
 
 
 class TestPipelineFailureModes:
@@ -1099,7 +1142,8 @@ class TestCliVerbs:
     def test_align_threshold_option_sets_the_candidates(self, runner, dialogue_corpus_file, tmp_path):
         corpus = load_corpus(dialogue_corpus_file, Task.CQA)
         candidates = infer_in_process(corpus, StubBackend(StubMode.MARKOV), n_per_prompt=2, seed=0, max_tokens=8)
-        candidates_file = write_candidates(candidates, tmp_path / "c.jsonl")
+        candidates_file = tmp_path / "c.jsonl"
+        candidates_file.write_text(candidates_jsonl(candidates), encoding="utf-8")
         for thresholds in ((0.15,), (0.1, 0.3)):
             out = tmp_path / "aligned.jsonl"
             result = invoke_ok(runner, [
@@ -1111,7 +1155,7 @@ class TestCliVerbs:
                 Task.CQA, corpus.samples, candidates, AlignmentConfig(candidate_thresholds=thresholds)
             )
             assert f"calibrated threshold {threshold:g}\n" in result.output
-            assert out.read_bytes() == write_aligned(aligned, tmp_path / "want.jsonl").read_bytes()
+            assert out.read_bytes() == aligned_jsonl(aligned).encode("utf-8")
             if len(thresholds) == 1:
                 assert threshold == thresholds[0]
 

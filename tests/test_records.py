@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posdebias.backends import GenerationResult
-from posdebias.msa_align import AlignedResponse, RejectionReason
-from posdebias.records import candidate_line, load_candidates, verdict_line, write_candidates
+from posdebias.msa_align import RejectionReason
+from posdebias.records import candidate_line, load_candidates, verdict_head, verdict_tail
+from oracles import candidates_jsonl, verdict_record
 
 #: Quotes, backslashes, control characters, line separators, non-ASCII and
 #: non-BMP characters (no lone surrogates: no output file can hold one).
@@ -42,33 +43,20 @@ def test_candidate_line_is_json_dumps_of_the_record(sample_id, index, result):
 
 
 @settings(max_examples=100, deadline=None)
-@given(sample_id=TEXT, result=results(), reasons=st.frozensets(st.sampled_from(list(RejectionReason))), linked=st.booleans())
-def test_verdict_line_is_json_dumps_of_the_record(sample_id, result, reasons, linked):
-    # A verdict from align_responses reuses its candidate's cached text; one
-    # read from a file encodes its own logprobs.
-    verdict = AlignedResponse(
-        sample_id, result.text, result.token_logprobs, not reasons, reasons, result if linked else None
-    )
-    record = {
-        "sample_id": sample_id,
-        "text": result.text,
-        "token_logprobs": list(result.token_logprobs),
-        "kept": not reasons,
-        "rejection_reasons": sorted(r.value for r in reasons),
-    }
-    assert verdict_line(verdict) == json.dumps(record, ensure_ascii=False)
-
-
-def test_verdict_with_other_logprobs_than_its_candidate_encodes_its_own():
-    result = GenerationResult("a", ("a",), (-0.5,), "b")
-    verdict = AlignedResponse("s", "a", (-0.25,), True, frozenset(), result)
-    assert json.loads(verdict_line(verdict))["token_logprobs"] == [-0.25]
+@given(sample_id=TEXT, result=results(), reasons=st.frozensets(st.sampled_from(list(RejectionReason))))
+def test_verdict_line_is_json_dumps_of_the_record(sample_id, result, reasons):
+    # An aligned line is its candidate's head, with the cached logprob text,
+    # and the tail its threshold decides.
+    line = verdict_head(sample_id, result.text, result.logprobs_json) + verdict_tail(reasons)
+    record = verdict_record(sample_id, result.text, result.token_logprobs, reasons)
+    assert line == json.dumps(record, ensure_ascii=False)
 
 
 @settings(max_examples=40, deadline=None)
 @given(candidates=st.dictionaries(TEXT, st.lists(results(), min_size=1, max_size=3), max_size=3))
 def test_integer_and_signed_zero_logprobs_round_trip(tmp_path_factory, candidates):
-    path = write_candidates(candidates, tmp_path_factory.mktemp("c") / "c.jsonl")
+    path = tmp_path_factory.mktemp("c") / "c.jsonl"
+    path.write_text(candidates_jsonl(candidates), encoding="utf-8")
     loaded = load_candidates(path)
     assert loaded == candidates
     for sample_id, got in loaded.items():

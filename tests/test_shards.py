@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import multiprocessing
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -50,12 +51,19 @@ def write_corpus(path: Path, records: list[dict]) -> Path:
     return path
 
 
+def run_on(shards: int, raw: dict) -> dict:
+    """``run_pipeline`` on ``shards`` usable CPUs, so on as many sample ranges."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(shards)))
+        return run_pipeline(parse_config(raw))
+
+
 def run(corpus: Path, task: str, out_dir: Path, shards: int, thresholds=None) -> dict[str, bytes]:
     """Run data mode on ``shards`` ranges; every output file's bytes by path."""
     raw = {"out_dir": str(out_dir), "corpus": str(corpus), "task": task, "backend": "markov", "n_per_prompt": 2}
     if thresholds is not None:
         raw["align"] = {"candidate_thresholds": thresholds}
-    run_pipeline(parse_config(raw), _shards=shards)
+    run_on(shards, raw)
     assert multiprocessing.active_children() == []
     return {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
@@ -129,7 +137,7 @@ def test_a_backend_error_fails_infer_with_the_first_failing_prompt_of_the_corpus
     out_dir = tmp_path / "out"
     raw = {"out_dir": str(out_dir), "corpus": str(dialogues), "task": "cqa", "backend": f"table:{table}"}
     with pytest.raises(PipelineError, match=f"^stage 'infer' failed: prompt {first}: stub table has no entry") as info:
-        run_pipeline(parse_config(raw), _shards=2)
+        run_on(2, raw)
     assert info.value.__cause__.prompt_index == first
     assert multiprocessing.active_children() == []
     assert manifest_stages(out_dir) == [("split", "ok"), ("infer", "failed")]
@@ -143,7 +151,7 @@ def test_a_gate_statistic_error_fails_align_not_infer(tmp_path, dialogues, monke
     out_dir = tmp_path / "out"
     raw = {"out_dir": str(out_dir), "corpus": str(dialogues), "task": "cqa"}
     with pytest.raises(PipelineError, match="^stage 'align' failed: injected gate failure$"):
-        run_pipeline(parse_config(raw), _shards=2)
+        run_on(2, raw)
     assert multiprocessing.active_children() == []
     assert manifest_stages(out_dir) == [("split", "ok"), ("infer", "ok"), ("align", "failed")]
     assert (out_dir / "infer" / "seed0" / "candidates.jsonl").read_text().count("\n") == 10 * 3
@@ -160,7 +168,7 @@ def test_an_exception_that_cannot_be_pickled_keeps_its_stage_and_message(tmp_pat
     monkeypatch.setattr(pipeline, "gate_statistic", gate_statistic)
     raw = {"out_dir": str(tmp_path / "out"), "corpus": str(dialogues), "task": "cqa"}
     with pytest.raises(PipelineError, match="^stage 'align' failed: gate/broken$"):
-        run_pipeline(parse_config(raw), _shards=2)
+        run_on(2, raw)
     assert multiprocessing.active_children() == []
 
 
@@ -203,7 +211,7 @@ def test_a_wrapped_per_sample_function_sees_every_call(tmp_path, dialogues, monk
 
     monkeypatch.setattr(pipeline, "gate_statistic", traced)
     out_dir = tmp_path / "out"
-    run_pipeline(parse_config({"out_dir": str(out_dir), "corpus": str(dialogues), "task": "cqa"}), _shards=2)
+    run_on(2, {"out_dir": str(out_dir), "corpus": str(dialogues), "task": "cqa"})
     verdicts = (out_dir / "align" / "seed0" / "aligned.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
     assert calls == [json.loads(line)["text"] for line in verdicts]
     assert len(calls) == 10 * 3
