@@ -24,6 +24,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineError,
     align_shards,
+    check_words,
     infer_shards,
     parse_config,
     run_pipeline,
@@ -58,9 +59,12 @@ def _task(value: str) -> Task:
 
 def _positions(value: str) -> frozenset[int]:
     try:
-        return frozenset(int(part) for part in value.split(",") if part.strip())
+        positions = frozenset(int(part) for part in value.split(",") if part.strip())
     except ValueError:
-        _fail(f"bad positions {value!r}; expected comma-separated integers like '0,1'")
+        positions = frozenset()
+    if not positions:
+        _fail(f"bad --positions {value!r}; expected comma-separated integers like '0,1'")
+    return positions
 
 
 @click.group()
@@ -88,7 +92,10 @@ def split(corpus_path, task_name, out_dir, positions, triggers):
         options["positions"] = _positions(positions)
     if triggers is not None:
         options["triggers"] = tuple(t.strip() for t in triggers.split(",") if t.strip())
+        if not options["triggers"]:
+            _fail(f"bad --triggers {triggers!r}; expected comma-separated words like 'not,never'")
     try:
+        check_words("split: --triggers", options.get("triggers", ()))
         corpus = load_corpus(corpus_path, task)
         shards = split_shards(corpus, **options)
     except (CorpusError, ValueError) as exc:
@@ -230,10 +237,11 @@ def train_toy(train_path, task_name, aligned_path, alpha, epochs, learning_rate,
 def eval_cmd(model_path, corpus_path, task_name, metric, positions, system, out_path):
     """Evaluate a trained model on the biased / non-biased partition."""
     task = _task(task_name)
+    biased_positions = _positions(positions)
     try:
         model = load_model(model_path)
         corpus = load_corpus(corpus_path, task)
-        partition = split_by_relative_position(corpus, _positions(positions))
+        partition = split_by_relative_position(corpus, biased_positions)
         result = evaluate(model, partition, metric, system)
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))

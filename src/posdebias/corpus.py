@@ -6,6 +6,7 @@ shape, with task-specific fields left unset where they do not apply.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -310,13 +311,30 @@ def sample_to_record(sample: Sample) -> dict:
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
+#: ``{path: SHA-256 hex}`` of the files ``write_blocks`` writes while it is a
+#: dict, partial ones too; ``run_pipeline`` sets one per stage, else ``None``.
+written: dict[Path, str] | None = None
+
+
 def write_blocks(blocks: Iterable[str], path: str | Path) -> Path:
     """Write the text blocks in order as UTF-8, newlines untranslated,
-    creating parent directories; the one writer of every artifact file."""
+    creating parent directories, and hash the bytes (``written``); the one
+    writer of every artifact file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        handle.writelines(blocks)
+    digest = hashlib.sha256()
+
+    def encoded(block: str) -> bytes:
+        data = block.encode("utf-8")
+        digest.update(data)
+        return data
+
+    with path.open("wb") as handle:
+        try:  # through ``map``, each block and its bytes are freed before the next is built
+            handle.writelines(map(encoded, blocks))
+        finally:
+            if written is not None:
+                written[path] = digest.hexdigest()
     return path
 
 

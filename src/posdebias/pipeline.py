@@ -9,9 +9,10 @@ Two modes share the same stage machinery:
   candidates, and report partition and alignment statistics; an NLI corpus,
   whose candidates nothing prunes or trains on, is only split and reported.
 
-Every stage appends its artifacts (with SHA-256 checksums) to
-``manifest.json`` as soon as it finishes, so a failed run preserves all
-artifacts produced before the failure and marks the failing stage.
+Every stage appends the files it wrote, with the SHA-256 checksums that
+``corpus.write_blocks`` took as it wrote them, to ``manifest.json`` as soon
+as it finishes or fails, so a failed run preserves all artifacts produced
+before the failure and marks the failing stage.
 
 Stage bodies are plain functions (``split_shards``, ``write_split``,
 ``infer_shards``, ``align_shards``, ``write_verdicts``, ``pool_evals``,
@@ -21,12 +22,10 @@ record formats live in ``posdebias.records``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import operator
 import os
-import stat
 import sys
 from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import corpus as corpus_mod
 from . import report as report_mod
 from .backends import Backend, GenerationResult, StubBackend, StubMode, reads_max_tokens, resolve_backend
 from .bias_split import (
@@ -66,6 +66,7 @@ from .records import candidate_line, verdict_head, verdict_tail, write_epochs, w
 from .report import SystemEval
 from .toy_model import (
     METRICS,
+    EpochSummary,
     SynthSpec,
     ToyModel,
     TrainJob,
@@ -285,14 +286,10 @@ def parse_config(raw: dict) -> PipelineConfig:
         raise ValueError(f"config: keys {unread} are not read by a {run}")
     if raw.get("train_sizes") and len(raw.get("alphas", [0.2])) > 1:
         raise ValueError("config: sweep either alphas or train_sizes, not both")
-    # A word that tokenizes to nothing matches nothing: a trigger fails the
-    # split, a question word rejects every candidate, a pattern never matches.
     align = raw.get("align", {})
     words = {"triggers": raw.get("triggers", ()), **{f"align.{k}": align.get(k, ()) for k in ("instruction_keywords", "dull_patterns")}}
     for name, entries in words.items():
-        for i, word in enumerate(entries):
-            if not tokenize(word):
-                raise ValueError(f"config: {name}[{i}] tokenizes to nothing: {word!r}")
+        check_words(f"config: {name}", entries)
     fields = dict(raw)
     fields.pop("bias", None)
     fields["task"] = task
@@ -322,38 +319,17 @@ def parse_config(raw: dict) -> PipelineConfig:
     return PipelineConfig(**fields)
 
 
-def _file_stats(root: Path) -> dict[Path, tuple[int, int]]:
-    """``(mtime in ns, size)`` of every file under ``root``."""
-    return {p: (st.st_mtime_ns, st.st_size) for p in root.rglob("*") if stat.S_ISREG((st := p.stat()).st_mode)}
+def check_words(name: str, words: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming ``name[i]`` for the first word that
+    tokenizes to nothing. Such a word matches nothing: a trigger fails the
+    split, a question word rejects every candidate, a pattern never matches."""
+    for i, word in enumerate(words):
+        if not tokenize(word):
+            raise ValueError(f"{name}[{i}] tokenizes to nothing: {word!r}")
 
 
-class _Manifest:
-    """Incrementally written record of stages and artifact checksums."""
-
-    def __init__(self, out_dir: Path, config_echo: dict) -> None:
-        self.out_dir = out_dir
-        self.path = out_dir / "manifest.json"
-        self.before = _file_stats(out_dir)  # what an earlier run left: no stage of this one wrote it
-        self.data: dict = {"config": config_echo, "stages": []}
-        self._write()
-
-    def _write(self) -> None:
-        write_blocks([json.dumps(self.data, indent=2, sort_keys=True)], self.path)
-
-    def written(self) -> list[Path]:
-        """Files this run wrote under ``out_dir`` that no entry lists, bar the manifest."""
-        listed = {self.path, *(self.out_dir / a["path"] for s in self.data["stages"] for a in s["artifacts"])}
-        return [p for p, seen in _file_stats(self.out_dir).items() if p not in listed and self.before.get(p) != seen]
-
-    def record(self, stage: str, status: str, artifacts: list[Path], error: str | None = None) -> None:
-        entry: dict = {"stage": stage, "status": status, "artifacts": [
-            {"path": str(p.relative_to(self.out_dir)), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
-            for p in sorted(artifacts)
-        ]}
-        if error:
-            entry["error"] = error
-        self.data["stages"].append(entry)
-        self._write()
+def _write_manifest(manifest: dict, out_dir: Path) -> None:
+    write_blocks([json.dumps(manifest, indent=2, sort_keys=True)], out_dir / "manifest.json")
 
 
 def _config_echo(config: PipelineConfig) -> dict:
@@ -377,7 +353,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if config.corpus is not None and not Path(config.corpus).exists():
         raise ValueError(f"run_pipeline: corpus path {config.corpus!r} does not exist")
     out_dir = Path(config.out_dir)
-    manifest = _Manifest(out_dir, _config_echo(config))
+    manifest: dict = {"config": _config_echo(config), "stages": []}
+    _write_manifest(manifest, out_dir)
     state: dict = {}
     if config.synth is not None:
         stages = _TOY_STAGES
@@ -386,16 +363,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
     else:
         stages = _DATA_STAGES
     for name, fn in stages:
+        corpus_mod.written = written = {}  # the stage's files, hashed as they are written
+        entry: dict = {"stage": name, "status": "failed"}
         try:
-            artifacts = fn(config, out_dir, state)
+            fn(config, out_dir, state)
+            entry["status"] = "ok"
         except Exception as exc:  # noqa: BLE001 - every failure must land in the manifest
-            try:
-                manifest.record(name, "failed", manifest.written(), error=str(exc))
-            except OSError:  # a partial file vanished or cannot be read: list none
-                manifest.record(name, "failed", [], error=str(exc))
+            entry["error"] = str(exc)
             raise PipelineError(f"stage {name!r} failed: {exc}") from exc
-        manifest.record(name, "ok", artifacts)
-    return manifest.data
+        finally:  # a failed stage's entry lists the files it wrote, partial ones too
+            corpus_mod.written = None
+            entry["artifacts"] = [{"path": str(p.relative_to(out_dir)), "sha256": h} for p, h in sorted(written.items())]
+            manifest["stages"].append(entry)
+            _write_manifest(manifest, out_dir)
+    return manifest
 
 
 # -- stages, shared by run_pipeline and the CLI verbs ----------------------
@@ -625,19 +606,17 @@ def write_split(
     samples: Sequence[Sample],
     out_dir: Path,
     names: tuple[str, str] = ("biased.jsonl", "non_biased.jsonl"),
-) -> list[Path]:
+) -> None:
     """Save each non-empty side of the split of ``samples`` with its split
     name in every record, plus the evidence JSONL in id order; ``names`` are
     the biased and non-biased file names."""
-    artifacts = []
     for side, name in enumerate(names):
         blocks = [shard.split[side] for shard in shards]
         if any(blocks):
-            artifacts.append(write_blocks(blocks, out_dir / name))
+            write_blocks(blocks, out_dir / name)
     evidence = "".join(shard.split[2] for shard in shards).split("\n")
     by_id = sorted(range(len(samples)), key=lambda i: samples[i].id)
-    artifacts.append(write_blocks((evidence[i] + "\n" for i in by_id), out_dir / "evidence.jsonl"))
-    return artifacts
+    write_blocks((evidence[i] + "\n" for i in by_id), out_dir / "evidence.jsonl")
 
 
 def infer_shards(
@@ -773,47 +752,38 @@ def pool_evals(system: str, metric: str, evals: Sequence[SystemEval]) -> SystemE
     return SystemEval(system, metric, splits, tuple(rows))
 
 
-def write_report(evals: Sequence[SystemEval], out_dir: Path, metric: str) -> list[Path]:
+def write_report(evals: Sequence[SystemEval], out_dir: Path, metric: str) -> None:
     """Score and per-position CSVs, the split chart, and the position chart
     when any system has per-position rows."""
-    artifacts = [
-        report_mod.write_scores_csv(evals, out_dir / "report.csv"),
-        report_mod.write_position_csv(evals, out_dir / "report_by_relpos.csv"),
-        report_mod.write_split_chart(evals, out_dir / "splits.svg", metric),
-    ]
+    report_mod.write_scores_csv(evals, out_dir / "report.csv")
+    report_mod.write_position_csv(evals, out_dir / "report_by_relpos.csv")
+    report_mod.write_split_chart(evals, out_dir / "splits.svg", metric)
     if any(ev.by_position for ev in evals):
-        artifacts.append(report_mod.write_position_chart(evals, out_dir / "relpos.svg", metric))
-    return artifacts
+        report_mod.write_position_chart(evals, out_dir / "relpos.svg", metric)
 
 
 # -- toy-mode stages -------------------------------------------------------
 
 
-def _stage_synth(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
-    artifacts = []
+def _stage_synth(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     state["data"] = {}
     for seed in config.seeds:
         spec = dataclasses.replace(config.synth, seed=config.synth.seed + seed)
         train_c, eval_b, eval_n = synth_corpus(spec)
         state["data"][seed] = {"train": train_c, "eval_biased": eval_b, "eval_nonbiased": eval_n}
         seed_dir = out_dir / "data" / f"seed{seed}"
-        artifacts.append(save_corpus(train_c, seed_dir / "train.jsonl"))
-        artifacts.append(save_corpus(eval_b, seed_dir / "eval_biased.jsonl"))
-        artifacts.append(save_corpus(eval_n, seed_dir / "eval_nonbiased.jsonl"))
-    return artifacts
+        save_corpus(train_c, seed_dir / "train.jsonl")
+        save_corpus(eval_b, seed_dir / "eval_biased.jsonl")
+        save_corpus(eval_n, seed_dir / "eval_nonbiased.jsonl")
 
 
-def _stage_split(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
+def _stage_split(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     """Re-derive the eval partition with the real splitter (not generator labels)."""
-    artifacts = []
     for seed, data in state["data"].items():
         pool = Corpus(tuple(data["eval_biased"]) + tuple(data["eval_nonbiased"]), config.task)
         (shard,) = split_shards(pool, config.biased_positions, config.triggers, shards=1)
         data["partition"] = shard.partition
-        artifacts += write_split(
-            [shard], pool.samples, out_dir / "split" / f"seed{seed}", names=("eval_biased.jsonl", "eval_nonbiased.jsonl")
-        )
-    return artifacts
+        write_split([shard], pool.samples, out_dir / "split" / f"seed{seed}", names=("eval_biased.jsonl", "eval_nonbiased.jsonl"))
 
 
 def _resolve_toy_backend(config: PipelineConfig, train_corpus: Corpus, seed: int):
@@ -828,10 +798,9 @@ def _resolve_toy_backend(config: PipelineConfig, train_corpus: Corpus, seed: int
     return resolve_backend(config.backend)
 
 
-def _stage_infer(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
+def _stage_infer(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     """Draw each seed's candidates, with their gate statistics and verdict
     heads for the align stage, which raises any error of that work."""
-    artifacts = []
     for seed, data in state["data"].items():
         data["shards"] = infer_shards(
             data["train"],
@@ -842,13 +811,10 @@ def _stage_infer(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
             align=config.align,
             shards=1 if config.synth is not None else None,
         )
-        path = out_dir / "infer" / f"seed{seed}" / "candidates.jsonl"
-        artifacts.append(write_blocks((shard.candidates for shard in data["shards"]), path))
-    return artifacts
+        write_blocks((shard.candidates for shard in data["shards"]), out_dir / "infer" / f"seed{seed}" / "candidates.jsonl")
 
 
-def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
-    artifacts = []
+def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     for seed, data in state["data"].items():
         shards = data.pop("shards")
         _raise_for(shards, "align")
@@ -856,7 +822,6 @@ def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
         threshold, data["kept"], data["verdicts"] = write_verdicts(
             config.task, shards, config.align, seed_dir / "aligned.jsonl"
         )
-        artifacts.append(seed_dir / "aligned.jsonl")
         # A range that ran in-process keeps its objects: training reads its
         # verdicts, and a tracer in this process counts them.
         if shards[0].results is not None:
@@ -864,8 +829,7 @@ def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pat
         calibration: dict = {"calibrated": threshold is not None}
         if threshold is not None:
             calibration["threshold"] = threshold
-        artifacts.append(write_blocks([json.dumps(calibration, sort_keys=True)], seed_dir / "calibration.json"))
-    return artifacts
+        write_blocks([json.dumps(calibration, sort_keys=True)], seed_dir / "calibration.json")
 
 
 def _sweep_points(config: PipelineConfig) -> list[dict]:
@@ -908,13 +872,13 @@ def _train_job(config: PipelineConfig, point: dict, seed: int, data: dict) -> Tr
     )
 
 
-def _train_group(stage: tuple, group: list[int]) -> list[tuple[SystemEval | Exception, list[Path]]]:
-    """Train one lockstep group of the stage's ``(config, out_dir, jobs)``,
-    write each job's run directory and score each trained model on its
-    seed's partition. A job whose scoring raised carries the exception
-    (``_portable``) in place of its ``SystemEval``, for the eval stage to
-    raise."""
-    config, out_dir, jobs = stage
+def _train_group(stage: tuple, group: list[int]) -> list[tuple[ToyModel, list[EpochSummary], SystemEval | Exception]]:
+    """Train one lockstep group of the stage's ``(config, jobs)`` and score
+    each trained model on its seed's partition; returns each job's model,
+    epoch summaries and ``SystemEval``. A job whose scoring raised carries
+    the exception (``_portable``) in place of its ``SystemEval``, for the
+    eval stage to raise."""
+    config, jobs = stage
     runs = train_lockstep(
         [_train_job(config, *jobs[i]) for i in group],
         epochs=config.epochs,
@@ -923,14 +887,12 @@ def _train_group(stage: tuple, group: list[int]) -> list[tuple[SystemEval | Exce
     )
     results = []
     for i, run in zip(group, runs):
-        point, seed, data = jobs[i]
-        run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
-        paths = [save_model(run.model, run_dir / "model.json"), write_epochs(run.epoch_summaries(), run_dir / "epochs.jsonl")]
+        point, _, data = jobs[i]
         try:
             scored: SystemEval | Exception = evaluate(run.model, data["partition"], config.metric, point["label"])
         except Exception as exc:  # noqa: BLE001 - a scoring failure is the eval stage's, not training's
             scored = _portable(exc)
-        results.append((scored, paths))
+        results.append((run.model, run.epoch_summaries(), scored))
     return results
 
 
@@ -949,43 +911,43 @@ def _lockstep_groups(sizes: Sequence[int], n_groups: int) -> list[list[int]]:
     ]
 
 
-def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
+def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     """Train every (sweep point, seed) job on forked workers (``_fork_map``).
 
     The jobs are cut into one lockstep group per worker (see
     ``_lockstep_groups``), and each worker advances its group's jobs
     together, one batched SGD step at a time. Workers inherit the job list
-    at fork (the pipeline holds no thread of its own by then), so nothing
-    but job indices and ``SystemEval``s (or scoring errors) crosses a
-    process boundary: each worker writes its jobs' run directories and
-    scores their models on their seeds' partitions for the eval stage. A
-    training failure cancels the groups not yet started; the stage then
-    raises the error of the first failed job in sweep order.
+    at fork (the pipeline holds no thread of its own by then), so only job
+    indices go out; each worker scores its jobs' models on their seeds'
+    partitions for the eval stage and sends back the models, epoch
+    summaries and ``SystemEval``s (or scoring errors), from which the
+    parent writes the run directories. A training failure cancels the
+    groups not yet started; the stage then raises the error of the first
+    failed job in sweep order and writes no run directory.
     """
     jobs = [(point, seed, data) for point in _sweep_points(config) for seed, data in state["data"].items()]
     sizes = [point["size"] or len(data["train"]) for point, _, data in jobs]
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
     groups = _lockstep_groups(sizes, workers)
-    futures = _fork_map(_train_group, (config, out_dir, jobs), groups, workers)
+    futures = _fork_map(_train_group, (config, jobs), groups, workers)
     errors = [(group, future.exception()) for group, future in zip(groups, futures) if not future.cancelled()]
     # A diverged group names its job; any other error counts as its first job's.
     failed = [(group[getattr(exc, "job", 0)], exc) for group, exc in errors if exc is not None]
     if failed:
         raise min(failed, key=operator.itemgetter(0))[1]
     state["scores"] = {}
-    artifacts = []
     for group, future in zip(groups, futures):
-        for i, (scored, paths) in zip(group, future.result()):
+        for i, (model, summaries, scored) in zip(group, future.result()):
             point, seed, _ = jobs[i]
+            run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
+            save_model(model, run_dir / "model.json")
+            write_epochs(summaries, run_dir / "epochs.jsonl")
             state["scores"][(point["label"], seed)] = scored
-            artifacts += paths
-    return artifacts
 
 
-def _stage_eval(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
+def _stage_eval(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     """Pool the per-seed scores the train workers computed; the first
     scoring error in sweep and seed order is raised here."""
-    artifacts = []
     state["evals"] = []
     for point in _sweep_points(config):
         label = point["label"]
@@ -995,25 +957,21 @@ def _stage_eval(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path
                 raise scored
         pooled = pool_evals(label, config.metric, per_seed)
         state["evals"].append((point, pooled))
-        path = out_dir / "eval" / f"{label}.json"
-        artifacts.append(write_eval(pooled, path, alpha=point["alpha"], n_train=point["size"]))
-    return artifacts
+        write_eval(pooled, out_dir / "eval" / f"{label}.json", alpha=point["alpha"], n_train=point["size"])
 
 
-def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
+def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     report_dir = out_dir / "report"
-    artifacts = write_report([ev for _, ev in state["evals"]], report_dir, config.metric)
+    write_report([ev for _, ev in state["evals"]], report_dir, config.metric)
     if len(config.alphas) > 1:
         zoe = [(point["alpha"], ev.splits) for point, ev in state["evals"] if point["system"] == "zoe"]
         series = {
             side: [(alpha, splits[side][0]) for alpha, splits in zoe]
             for side in ("non_biased", "biased")
         }
-        artifacts.append(
-            report_mod.write_sweep_chart(
-                series, report_dir / "alpha_sweep.svg",
-                f"{config.metric} vs alpha", "alpha", config.metric,
-            )
+        report_mod.write_sweep_chart(
+            series, report_dir / "alpha_sweep.svg",
+            f"{config.metric} vs alpha", "alpha", config.metric,
         )
     if config.train_sizes and len(config.train_sizes) > 1:
         series = {}
@@ -1021,27 +979,24 @@ def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Pa
             series.setdefault(point["system"], []).append(
                 (float(point["size"]), ev.splits["non_biased"][0])
             )
-        artifacts.append(
-            report_mod.write_sweep_chart(
-                series, report_dir / "train_size_sweep.svg",
-                f"non-biased {config.metric} vs training size", "training samples", config.metric,
-            )
+        report_mod.write_sweep_chart(
+            series, report_dir / "train_size_sweep.svg",
+            f"non-biased {config.metric} vs training size", "training samples", config.metric,
         )
-    return artifacts
 
 
 # -- data-mode stages ------------------------------------------------------
 
 
-def _stage_data_split(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
+def _stage_data_split(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     corpus = load_corpus(config.corpus, config.task)
     shards = split_shards(corpus, config.biased_positions, config.triggers)
     # The whole corpus is the candidate source, as the train split is in toy mode.
     state["data"] = {0: {"train": corpus, "biased": sum(shard.n_biased for shard in shards)}}
-    return write_split(shards, corpus.samples, out_dir / "split")
+    write_split(shards, corpus.samples, out_dir / "split")
 
 
-def _stage_data_report(config: PipelineConfig, out_dir: Path, state: dict) -> list[Path]:
+def _stage_data_report(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     data = state["data"][0]
     total, biased = len(data["train"]), data["biased"]
     evals = [
@@ -1059,7 +1014,7 @@ def _stage_data_report(config: PipelineConfig, out_dir: Path, state: dict) -> li
                 splits={"all": (data["kept"] / data["verdicts"], data["verdicts"])},
             )
         )
-    return [report_mod.write_scores_csv(evals, out_dir / "report" / "report.csv")]
+    report_mod.write_scores_csv(evals, out_dir / "report" / "report.csv")
 
 
 _TOY_STAGES = (

@@ -5,6 +5,7 @@ import ast
 import json
 import re
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -354,32 +355,39 @@ class TestReadJsonl:
         assert [r.text for r in read(path)["a"]] == ["u", "u"]
 
 
+def scoped_calls(source: str) -> Iterator[tuple[str, ast.Call]]:
+    """``(function, call)`` for every call in ``source``, with the dotted
+    name of the function or class it is in."""
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> Iterator[tuple[str, ast.Call]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                yield ".".join(scope), child
+            yield from visit(child, scope)
+
+    return visit(ast.parse(source), ())
+
+
 def file_writes(source: str) -> list[tuple[str, str]]:
     """``(function, call)`` for every call in ``source`` that writes a file:
     ``write_text``, ``write_bytes``, and ``open`` (the builtin's second
     argument, a method's first, or ``mode=``) with a mode that is not a
     string constant or that holds ``w``, ``a``, ``x`` or ``+``."""
     found = []
-
-    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("write_text", "write_bytes"):
-                    found.append((".".join(scope), name))
-                elif name == "open":
-                    args = child.args[1:] if isinstance(func, ast.Name) else child.args
-                    mode = next((kw.value for kw in child.keywords if kw.arg == "mode"), args[0] if args else None)
-                    reads = isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+")
-                    if mode is not None and not reads:
-                        found.append((".".join(scope), f"open({ast.unparse(mode)})"))
-            visit(child, scope)
-
-    visit(ast.parse(source), ())
+    for scope, call in scoped_calls(source):
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            found.append((scope, name))
+        elif name == "open":
+            args = call.args[1:] if isinstance(func, ast.Name) else call.args
+            mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), args[0] if args else None)
+            reads = isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+")
+            if mode is not None and not reads:
+                found.append((scope, f"open({ast.unparse(mode)})"))
     return found
 
 
@@ -413,4 +421,15 @@ def test_write_blocks_is_the_one_code_that_writes_a_file():
         for path in sorted(Path(posdebias.__file__).parent.glob("*.py"))
         for write in file_writes(path.read_text(encoding="utf-8"))
     }
-    assert writes == {("corpus", "write_blocks", "open('w')"), ("backends", "RecordingBackend._record", "open('a')")}
+    assert writes == {("corpus", "write_blocks", "open('wb')"), ("backends", "RecordingBackend._record", "open('a')")}
+
+
+def test_write_blocks_is_the_one_code_that_takes_an_artifact_checksum():
+    # The manifest's checksums are the writer's: no other code hashes a file.
+    calls = {
+        (path.stem, scope)
+        for path in sorted(Path(posdebias.__file__).parent.glob("*.py"))
+        for scope, call in scoped_calls(path.read_text(encoding="utf-8"))
+        if getattr(call.func, "attr", None) == "hexdigest"
+    }
+    assert calls == {("corpus", "write_blocks")}

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 from conftest import nli_sample
 from oracles import aligned_jsonl, candidates_jsonl
 from test_msa_align import align_corpus
+from posdebias import corpus as corpus_mod
 from posdebias import lowbias_infer, pipeline
 from posdebias.backends import BackendError, RecordingBackend, StubBackend, StubMode
 from posdebias.bias_split import BIAS_BY_TASK, BiasKind
 from posdebias.cli import main
-from posdebias.corpus import Corpus, Task, load_corpus, save_corpus
+from posdebias.corpus import Corpus, Task, load_corpus, save_corpus, write_blocks
 from posdebias.lowbias_infer import DEFAULT_DIVERSE_PROMPTS, DEFAULT_ICL_K, build_prompt, default_prompt_spec
 from posdebias.msa_align import AlignmentConfig
 from posdebias.objective import LossConfig
@@ -464,12 +465,14 @@ def test_a_seed_outputs_do_not_depend_on_the_other_seeds(seeds, epochs, systems,
 class TestPipelineFailureModes:
     @pytest.mark.parametrize(
         "mode, failing",
-        [(mode, name) for mode, stages in (("toy", pipeline._TOY_STAGES), ("data", pipeline._DATA_STAGES))
+        [(mode, name) for mode, stages in (("toy", pipeline._TOY_STAGES), ("data", pipeline._DATA_STAGES), ("nli", pipeline._NLI_DATA_STAGES))
          for name in (None, *(name for name, _ in stages))],
     )
-    def test_manifest_lists_every_file_once_with_its_checksum(self, tmp_path, dialogue_corpus_file, monkeypatch, mode, failing):
+    def test_manifest_lists_every_file_once_with_its_checksum(
+        self, tmp_path, dialogue_corpus_file, nli_corpus_file, monkeypatch, mode, failing
+    ):
         # ``failing`` writes all it would, then raises: the failed entry lists what it wrote.
-        stages_name = "_TOY_STAGES" if mode == "toy" else "_DATA_STAGES"
+        stages_name = {"toy": "_TOY_STAGES", "data": "_DATA_STAGES", "nli": "_NLI_DATA_STAGES"}[mode]
         real_stages = getattr(pipeline, stages_name)
 
         def fail_after(fn):
@@ -481,11 +484,13 @@ class TestPipelineFailureModes:
         def run(out_dir, failing):
             stages = tuple((name, fail_after(fn) if name == failing else fn) for name, fn in real_stages)
             monkeypatch.setattr(pipeline, stages_name, stages)
-            raw = {"out_dir": str(out_dir), "n_per_prompt": 2}
+            raw = {"out_dir": str(out_dir)}
             if mode == "toy":
-                raw.update(synth={**TOY_RAW["synth"], "n_train": 8, "n_eval": 8}, seeds=[0], systems=["ft", "zoe"], epochs=1)
+                raw.update(n_per_prompt=2, synth={**TOY_RAW["synth"], "n_train": 8, "n_eval": 8}, seeds=[0], systems=["ft", "zoe"], epochs=1)
+            elif mode == "data":
+                raw.update(n_per_prompt=2, corpus=str(dialogue_corpus_file), task="cqa", max_tokens=8)
             else:
-                raw.update(corpus=str(dialogue_corpus_file), task="cqa", max_tokens=8)
+                raw.update(corpus=str(nli_corpus_file), task="nli")
             if failing:
                 with pytest.raises(PipelineError, match=f"^stage '{failing}' failed: injected$"):
                     run_pipeline(parse_config(raw))
@@ -510,6 +515,31 @@ class TestPipelineFailureModes:
         for path in out_dir.rglob("*"):
             os.utime(path, ns=(0, 0))
         run(out_dir, failing)
+
+    def test_a_write_that_fails_part_way_is_listed_with_the_bytes_on_disk(self, tmp_path, nli_corpus_file, monkeypatch, runner):
+        def blocks():
+            yield "first block\n"
+            raise RuntimeError("second block")
+
+        def report(config, out_dir, state):
+            write_blocks(blocks(), out_dir / "report" / "partial.txt")
+
+        raw = {"out_dir": str(tmp_path / "ok"), "corpus": str(nli_corpus_file), "task": "nli"}
+        run_pipeline(parse_config(raw))
+        assert corpus_mod.written is None
+        monkeypatch.setattr(pipeline, "_NLI_DATA_STAGES", (pipeline._NLI_DATA_STAGES[0], ("report", report)))
+        out_dir = tmp_path / "failed"
+        with pytest.raises(PipelineError, match="^stage 'report' failed: second block$"):
+            run_pipeline(parse_config({**raw, "out_dir": str(out_dir)}))
+        assert corpus_mod.written is None  # a later CLI verb records nothing
+        entry = json.loads((out_dir / "manifest.json").read_text())["stages"][-1]
+        on_disk = (out_dir / "report" / "partial.txt").read_bytes()
+        assert on_disk == b"first block\n"
+        assert (entry["status"], entry["artifacts"]) == (
+            "failed", [{"path": "report/partial.txt", "sha256": hashlib.sha256(on_disk).hexdigest()}]
+        )
+        invoke_ok(runner, ["split", "--corpus", str(nli_corpus_file), "--task", "nli", "--out-dir", str(tmp_path / "cli")])
+        assert corpus_mod.written is None
 
     def test_missing_corpus_fails_before_any_stage(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -929,6 +959,39 @@ class TestCliVerbs:
         ])
         assert result.exit_code == 2
         assert f"Invalid value for '{option}'" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("verb", "task", "option", "value", "message"),
+        [
+            ("split", "cqa", "--positions", "", "bad --positions ''"),
+            ("split", "cqa", "--positions", ",", "bad --positions ','"),
+            ("split", "cqa", "--positions", "0,x", "bad --positions '0,x'"),
+            ("eval", "cqa", "--positions", "", "bad --positions ''"),
+            ("eval", "cqa", "--positions", " , ", "bad --positions ' , '"),
+            ("split", "nli", "--triggers", "", "bad --triggers ''"),
+            ("split", "nli", "--triggers", " ,", "bad --triggers ' ,'"),
+            ("split", "nli", "--triggers", "!!", "split: --triggers[0] tokenizes to nothing: '!!'"),
+            ("split", "nli", "--triggers", "sky,?", "split: --triggers[1] tokenizes to nothing: '?'"),
+        ],
+    )
+    def test_split_and_eval_reject_a_bad_option_value_before_loading(
+        self, runner, dialogue_corpus_file, tmp_path, monkeypatch, verb, task, option, value, message
+    ):
+        def load(*args):
+            raise AssertionError("loaded before the options were checked")
+
+        monkeypatch.setattr("posdebias.cli.load_corpus", load)
+        monkeypatch.setattr("posdebias.cli.load_model", load)
+        out = tmp_path / "out"
+        args = [verb, "--corpus", str(dialogue_corpus_file), "--task", task, option, value]
+        if verb == "split":
+            args += ["--out-dir", str(out)]
+        else:
+            args += ["--model", str(dialogue_corpus_file), "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert f"Error: {message}" in result.output
         assert not out.exists()
 
     def test_split_rejects_unknown_task(self, runner, dialogue_corpus_file, tmp_path):
