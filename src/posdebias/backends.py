@@ -18,12 +18,11 @@ import math
 import os
 import random
 import threading
+import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 from .corpus import _check_utf8, encode_json, json_field, json_list, read_jsonl
 
@@ -220,10 +219,16 @@ class HttpBackend:
     def __init__(self, url: str, timeout: float = 30.0) -> None:
         self.url = url
         self.timeout = timeout
+        # Imported here: only an HTTP backend needs the HTTP stack, and a
+        # module-level import slows every ``posdebias`` start-up.
+        import requests
+
         self.session = requests.Session()
         self.backend_id = f"http:{url}"
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
+        import requests
+
         payload = _complete_payload(prompt, max_tokens, seed)
         try:
             response = self.session.post(self.url, json=payload, timeout=self.timeout)
@@ -319,8 +324,9 @@ def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
     to ``StubBackend`` table value), ``replay:FILE`` (a ``RecordingBackend``
     file) and ``url:ENDPOINT`` or a bare ``http(s)`` URL, which the
     ``POSDEBIAS_BACKEND_URL`` environment variable overrides when set. A
-    table or replay file is decoded whole here, so an unknown spec, a missing
-    or unreadable file or a bad entry raises ``ValueError`` naming the spec.
+    table or replay file is decoded whole here, and an endpoint must be an
+    absolute http(s) URL, so an unknown spec, a missing or unreadable file, a
+    bad entry or a bad endpoint raises ``ValueError`` naming the spec.
     """
     kind, colon, arg = spec.partition(":")
     if spec.startswith(("http://", "https://")):
@@ -328,7 +334,17 @@ def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
     elif kind not in (("url", "table", "replay") if colon else (StubMode.ECHO.value, StubMode.MARKOV.value)):
         raise ValueError(f"unknown backend spec {spec!r}")
     if kind == "url":
-        return HttpBackend((os.environ if env is None else env).get(BACKEND_URL_ENV) or arg)
+        override = (os.environ if env is None else env).get(BACKEND_URL_ENV)
+        url = override or arg
+        try:
+            parts = urllib.parse.urlsplit(url)
+            absolute = parts.scheme in ("http", "https") and bool(parts.hostname)
+        except ValueError:
+            absolute = False
+        if not absolute:
+            source = f" (from {BACKEND_URL_ENV})" if override else ""
+            raise ValueError(f"backend {spec!r}: endpoint {url!r}{source} is not an absolute http(s) URL")
+        return HttpBackend(url)
     if not colon:
         return StubBackend(StubMode(kind))
     if not Path(arg).is_file():

@@ -13,17 +13,16 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
+from pathlib import Path
 
 from .backends import Backend, BackendError, GenerationResult
 from .corpus import Corpus, Sample, Task
 
 
 def _load_defaults() -> dict:
-    with resources.files("posdebias.data").joinpath("defaults.json").open(
-        "r", encoding="utf-8"
-    ) as handle:
-        return json.load(handle)
+    # Read by path, where the package data is installed: ``importlib.resources``
+    # costs start-up time wherever nothing has imported it yet.
+    return json.loads((Path(__file__).parent / "data" / "defaults.json").read_text(encoding="utf-8"))
 
 
 DEFAULTS = _load_defaults()

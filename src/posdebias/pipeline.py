@@ -812,6 +812,9 @@ def _stage_infer(config: PipelineConfig, out_dir: Path, state: dict) -> None:
             shards=1 if config.synth is not None else None,
         )
         write_blocks((shard.candidates for shard in data["shards"]), out_dir / "infer" / f"seed{seed}" / "candidates.jsonl")
+        # Written, the text is dead weight: align reads no candidate line.
+        for shard in data["shards"]:
+            shard.candidates = ""
 
 
 def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> None:

@@ -2,13 +2,17 @@
 and record/replay round-trips."""
 from __future__ import annotations
 
+import ast
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -438,6 +442,73 @@ class TestResolveBackend:
         # Stub specs are not hijacked by the endpoint override.
         assert isinstance(resolve_backend("echo", env=env), StubBackend)
 
+    @pytest.mark.parametrize("url", ["", "notaurl", "ftp://host/x", "http://", "http:///x", "http://[::1"])
+    def test_endpoint_must_be_an_absolute_http_url(self, url):
+        pattern = rf"^backend 'url:{re.escape(url)}': endpoint {re.escape(repr(url))} is not an absolute http\(s\) URL$"
+        with pytest.raises(ValueError, match=pattern):
+            resolve_backend(f"url:{url}", env={})
+        if url:  # an empty override is no override
+            pattern = rf"^backend 'url:http://host/a': endpoint {re.escape(repr(url))} \(from {BACKEND_URL_ENV}\) is not"
+            with pytest.raises(ValueError, match=pattern):
+                resolve_backend("url:http://host/a", env={BACKEND_URL_ENV: url})
+
     def test_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown backend spec"):
             resolve_backend("carrier-pigeon", env={})
+
+
+#: Modules of the HTTP stack that only an ``url:`` backend needs.
+HTTP_STACK = ("requests", "urllib3")
+
+SRC = Path(backends.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    ("code", "loads"),
+    [
+        ("import posdebias.cli", False),
+        ("import posdebias.pipeline", False),
+        ("from posdebias.pipeline import parse_config; parse_config({'out_dir': 'out', 'synth': {}})", False),
+        ("from posdebias.pipeline import parse_config; parse_config({'out_dir': 'out', 'corpus': 'c.jsonl', 'backend': 'markov'})", False),
+        ("from posdebias.backends import resolve_backend; resolve_backend('url:http://127.0.0.1:9/x', env={})", True),
+    ],
+    ids=["import-cli", "import-pipeline", "parse-toy-config", "parse-markov-data-config", "resolve-url-backend"],
+)
+def test_http_stack_is_loaded_only_for_an_url_backend(tmp_path, code, loads):
+    # A fresh interpreter, so that no other test's imports count.
+    script = f"{code}\nimport sys\nprint(sorted(m for m in {HTTP_STACK!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop(BACKEND_URL_ENV, None)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == repr(sorted(HTTP_STACK) if loads else [])
+
+
+def module_level_imports(source: str) -> Iterator[str]:
+    """The top-level package of every import that runs when ``source`` is
+    imported: any not inside a function (class bodies run)."""
+
+    def visit(node: ast.AST) -> Iterator[str]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                yield from (alias.name.partition(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                yield child.module.partition(".")[0]
+            yield from visit(child)
+
+    return visit(ast.parse(source))
+
+
+def test_no_module_imports_the_http_stack_at_import_time():
+    # Every ``posdebias`` start-up pays for what a module imports at its top.
+    found = {
+        (path.stem, name)
+        for path in sorted(SRC.joinpath("posdebias").glob("*.py"))
+        for name in module_level_imports(path.read_text(encoding="utf-8"))
+        if name in HTTP_STACK
+    }
+    assert found == set()
+    sample = "import json.decoder\nfrom . import corpus\ndef f():\n    import requests\nclass C:\n    from urllib3 import util\n"
+    assert list(module_level_imports(sample)) == ["json", "urllib3"]

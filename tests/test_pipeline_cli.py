@@ -21,7 +21,7 @@ from oracles import aligned_jsonl, candidates_jsonl
 from test_msa_align import align_corpus
 from posdebias import corpus as corpus_mod
 from posdebias import lowbias_infer, pipeline
-from posdebias.backends import BackendError, RecordingBackend, StubBackend, StubMode
+from posdebias.backends import BACKEND_URL_ENV, BackendError, RecordingBackend, StubBackend, StubMode
 from posdebias.bias_split import BIAS_BY_TASK, BiasKind
 from posdebias.cli import main
 from posdebias.corpus import Corpus, Task, load_corpus, save_corpus, write_blocks
@@ -205,6 +205,10 @@ class TestParseConfig:
             ({"corpus": "c.jsonl", "task": "nli", "triggers": ["not", "!!"]}, r"triggers\[1\] tokenizes"),
             ({"synth": {}, "align": {"instruction_keywords": ["?"]}}, r"align\.instruction_keywords\[0\] tokenizes"),
             ({"corpus": "c.jsonl", "task": "cqg", "align": {"dull_patterns": ["what", " ..."]}}, r"align\.dull_patterns\[1\] tokenizes"),
+            ({"corpus": "c.jsonl", "task": "cqa", "backend": "url:"}, r"backend 'url:': endpoint '' is not an absolute"),
+            ({"corpus": "c.jsonl", "backend": "url:notaurl"}, r"backend 'url:notaurl': endpoint 'notaurl' is not"),
+            ({"corpus": "c.jsonl", "backend": "url:ftp://host/x"}, r"backend 'url:ftp://host/x': .* not an absolute http\(s\) URL"),
+            ({"synth": {}, "backend": "http://"}, r"backend 'http://': .* not an absolute http\(s\) URL"),
         ],
         ids=[
             "alphas-above-one", "systems-empty", "seeds-not-integer", "seeds-repeated", "task-nli-in-toy",
@@ -222,11 +226,13 @@ class TestParseConfig:
             "systems-repeated", "alphas-repeated", "train-sizes-repeated",
             "backend-replay-file-not-jsonl", "backend-replay-line-without-response", "alphas-without-zoe",
             "learning-rate-too-large-for-a-float", "trigger-without-a-word", "instruction-keyword-without-a-word",
-            "dull-pattern-without-a-word",
+            "dull-pattern-without-a-word", "backend-url-empty", "backend-url-without-scheme",
+            "backend-url-not-http", "backend-bare-url-without-host",
         ],
     )
     def test_bad_field_rejected_before_any_stage(self, tmp_path, monkeypatch, raw, field):
         monkeypatch.chdir(tmp_path)  # relative backend files resolve here; only these three exist
+        monkeypatch.delenv(BACKEND_URL_ENV, raising=False)
         (tmp_path / "bad.json").write_text("{not json")
         (tmp_path / "table.json").write_text("{}")
         (tmp_path / "tape.jsonl").write_text('{"request": {}, "response": {"tokens": [], "token_logprobs": []}}\n{"request": {}}\n')
@@ -992,6 +998,30 @@ class TestCliVerbs:
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert f"Error: {message}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("backend", "env_url", "message"),
+        [
+            ("url:", None, "backend 'url:': endpoint '' is not an absolute http(s) URL"),
+            ("url:notaurl", None, "backend 'url:notaurl': endpoint 'notaurl' is not an absolute http(s) URL"),
+            ("url:http://host/x", "notaurl", f"endpoint 'notaurl' (from {BACKEND_URL_ENV}) is not an absolute"),
+        ],
+    )
+    def test_infer_rejects_a_bad_endpoint_before_loading(
+        self, runner, dialogue_corpus_file, tmp_path, monkeypatch, backend, env_url, message
+    ):
+        def load(*args):
+            raise AssertionError("loaded before the endpoint was checked")
+
+        monkeypatch.setattr("posdebias.cli.load_corpus", load)
+        monkeypatch.delenv(BACKEND_URL_ENV, raising=False)
+        if env_url:
+            monkeypatch.setenv(BACKEND_URL_ENV, env_url)
+        out = tmp_path / "candidates.jsonl"
+        result = runner.invoke(main, ["infer", "--corpus", str(dialogue_corpus_file), "--task", "cqa", "--backend", backend, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert message in result.output
         assert not out.exists()
 
     def test_split_rejects_unknown_task(self, runner, dialogue_corpus_file, tmp_path):
