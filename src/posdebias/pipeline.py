@@ -147,6 +147,7 @@ CONFIG_SCHEMA: dict = {
         "train_sizes": {
             "type": "array",
             "items": {"type": "integer", "minimum": 1},
+            "minItems": 1,
             "uniqueItems": True,
             "description": "Optional training-size sweep; incompatible with a multi-alpha sweep.",
         },
@@ -193,13 +194,16 @@ _BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"
 
 def _check_schema(name: str, value, schema: dict) -> None:
     """Reject ``value`` unless it has the schema's type (by ``json_value``),
-    enum member, bounds, item count, distinct items where asked and (for
-    objects) only known keys; errors name the field."""
+    a finite value if a number, enum member, bounds, item count, distinct
+    items where asked and (for objects) only known keys; errors name the
+    field."""
     kind = schema["type"]
     try:
         json_value(value, _JSON_TYPES[kind], name or "config")
     except ValueError as exc:
         raise ValueError(f"config: {exc} (expected {kind})") from None
+    if kind == "number" and not math.isfinite(value):
+        raise ValueError(f"config: {name} must be a finite number, got {value!r}")
     if "enum" in schema and value not in schema["enum"]:
         raise ValueError(f"config: unknown {name} {value!r}; expected one of {schema['enum']}")
     for key, holds, sign in _BOUNDS:
@@ -284,7 +288,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     unread = [key for key in dict.fromkeys(unread) if key in raw]
     if unread:
         raise ValueError(f"config: keys {unread} are not read by a {run}")
-    if raw.get("train_sizes") and len(raw.get("alphas", [0.2])) > 1:
+    if "train_sizes" in raw and len(raw.get("alphas", [0.2])) > 1:
         raise ValueError("config: sweep either alphas or train_sizes, not both")
     align = raw.get("align", {})
     words = {"triggers": raw.get("triggers", ()), **{f"align.{k}": align.get(k, ()) for k in ("instruction_keywords", "dull_patterns")}}
@@ -309,7 +313,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     for key in ("triggers", "seeds", "systems", "alphas"):
         if key in raw:
             fields[key] = tuple(raw[key])
-    fields["train_sizes"] = tuple(raw["train_sizes"]) if raw.get("train_sizes") else None
+    fields["train_sizes"] = tuple(raw["train_sizes"]) if "train_sizes" in raw else None
     fields["backend"] = backend
     if backend != "table":
         try:
@@ -875,22 +879,21 @@ def _train_job(config: PipelineConfig, point: dict, seed: int, data: dict) -> Tr
     )
 
 
-def _train_group(stage: tuple, group: list[int]) -> list[tuple[ToyModel, list[EpochSummary], SystemEval | Exception]]:
-    """Train one lockstep group of the stage's ``(config, jobs)`` and score
-    each trained model on its seed's partition; returns each job's model,
-    epoch summaries and ``SystemEval``. A job whose scoring raised carries
-    the exception (``_portable``) in place of its ``SystemEval``, for the
-    eval stage to raise."""
-    config, jobs = stage
+def _train_point(stage: tuple, point: dict) -> list[tuple[ToyModel, list[EpochSummary], SystemEval | Exception]]:
+    """Train one sweep point's jobs, one per seed in ``seeds`` order, in
+    lockstep, and score each trained model on its seed's partition; returns
+    each job's model, epoch summaries and ``SystemEval``. A job whose
+    scoring raised carries the exception (``_portable``) in place of its
+    ``SystemEval``, for the eval stage to raise."""
+    config, data_by_seed = stage
     runs = train_lockstep(
-        [_train_job(config, *jobs[i]) for i in group],
+        [_train_job(config, point, seed, data) for seed, data in data_by_seed.items()],
         epochs=config.epochs,
         learning_rate=config.learning_rate,
         clip_norm=config.clip_norm,
     )
     results = []
-    for i, run in zip(group, runs):
-        point, _, data = jobs[i]
+    for run, data in zip(runs, data_by_seed.values()):
         try:
             scored: SystemEval | Exception = evaluate(run.model, data["partition"], config.metric, point["label"])
         except Exception as exc:  # noqa: BLE001 - a scoring failure is the eval stage's, not training's
@@ -899,49 +902,32 @@ def _train_group(stage: tuple, group: list[int]) -> list[tuple[ToyModel, list[Ep
     return results
 
 
-def _lockstep_groups(sizes: Sequence[int], n_groups: int) -> list[list[int]]:
-    """Job indices in lockstep groups: the jobs whose corpora have one size
-    (so one step count), in job order, cut into chunks of at most
-    ``ceil(len(sizes) / n_groups)`` jobs."""
-    per_group = -(-len(sizes) // n_groups)
-    by_size: dict[int, list[int]] = {}
-    for i, size in enumerate(sizes):
-        by_size.setdefault(size, []).append(i)
-    return [
-        indices[start : start + per_group]
-        for indices in by_size.values()
-        for start in range(0, len(indices), per_group)
-    ]
-
-
 def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> None:
     """Train every (sweep point, seed) job on forked workers (``_fork_map``).
 
-    The jobs are cut into one lockstep group per worker (see
-    ``_lockstep_groups``), and each worker advances its group's jobs
-    together, one batched SGD step at a time. Workers inherit the job list
-    at fork (the pipeline holds no thread of its own by then), so only job
-    indices go out; each worker scores its jobs' models on their seeds'
-    partitions for the eval stage and sends back the models, epoch
-    summaries and ``SystemEval``s (or scoring errors), from which the
-    parent writes the run directories. A training failure cancels the
-    groups not yet started; the stage then raises the error of the first
-    failed job in sweep order and writes no run directory.
+    Each sweep point's jobs, its seeds in ``seeds`` order, form one
+    lockstep group, which one worker advances together, one batched SGD
+    step at a time; its jobs share one corpus size, so one step count. The
+    CPU count sets only how many workers run, so no byte depends on it.
+    Workers inherit the per-seed data at fork (the pipeline holds no thread
+    of its own by then), so only sweep points go out; each worker scores
+    its jobs' models on their seeds' partitions for the eval stage and
+    sends back the models, epoch summaries and ``SystemEval``s (or scoring
+    errors), from which the parent writes the run directories. A training
+    failure cancels the points not yet started; the stage then raises the
+    error of the first failed point in sweep order (its first diverged job)
+    and writes no run directory.
     """
-    jobs = [(point, seed, data) for point in _sweep_points(config) for seed, data in state["data"].items()]
-    sizes = [point["size"] or len(data["train"]) for point, _, data in jobs]
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    groups = _lockstep_groups(sizes, workers)
-    futures = _fork_map(_train_group, (config, jobs), groups, workers)
-    errors = [(group, future.exception()) for group, future in zip(groups, futures) if not future.cancelled()]
-    # A diverged group names its job; any other error counts as its first job's.
-    failed = [(group[getattr(exc, "job", 0)], exc) for group, exc in errors if exc is not None]
-    if failed:
-        raise min(failed, key=operator.itemgetter(0))[1]
+    points = _sweep_points(config)
+    workers = min(len(points), len(os.sched_getaffinity(0)))
+    futures = _fork_map(_train_point, (config, state["data"]), points, workers)
+    # Points start in sweep order, so no point before a failed one was cancelled.
+    for future in futures:
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
     state["scores"] = {}
-    for group, future in zip(groups, futures):
-        for i, (model, summaries, scored) in zip(group, future.result()):
-            point, seed, _ = jobs[i]
+    for point, future in zip(points, futures):
+        for seed, (model, summaries, scored) in zip(state["data"], future.result()):
             run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
             save_model(model, run_dir / "model.json")
             write_epochs(summaries, run_dir / "epochs.jsonl")

@@ -9,7 +9,6 @@ name the file and line of the first bad record.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from pathlib import Path
 from typing import Iterable
@@ -54,11 +53,6 @@ def load_candidates(path: str | Path) -> dict[str, list[GenerationResult]]:
     }
 
 
-@functools.lru_cache(maxsize=16)
-def _reasons_json(reasons: frozenset[RejectionReason]) -> str:
-    return encode_json(sorted(r.value for r in reasons))
-
-
 def verdict_head(sample_id: str, text: str, logprobs_json: str) -> str:
     """The part of an aligned JSONL line that no threshold decides, up to the
     space before ``"kept"``. With ``verdict_tail`` it is ``json.dumps``
@@ -68,7 +62,7 @@ def verdict_head(sample_id: str, text: str, logprobs_json: str) -> str:
 
 def verdict_tail(reasons: frozenset[RejectionReason]) -> str:
     """The rest of an aligned JSONL line: ``kept`` (no reason) and the reasons."""
-    return f'"kept": {"false" if reasons else "true"}, "rejection_reasons": {_reasons_json(reasons)}}}'
+    return f'"kept": {"false" if reasons else "true"}, "rejection_reasons": {encode_json(sorted(r.value for r in reasons))}}}'
 
 
 def _aligned_from_record(record: object) -> AlignedResponse:

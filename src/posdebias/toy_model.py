@@ -57,12 +57,7 @@ DEFAULT_WINDOW_SCALE = 2.0
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss stops being finite; names the offending step and
-    sample. ``job`` is the diverged job's index among those trained in
-    lockstep."""
-
-    def __init__(self, message: str, job: int = 0) -> None:
-        super().__init__(message)
-        self.job = job
+    sample."""
 
 
 @dataclass(frozen=True)
@@ -524,12 +519,12 @@ def train_lockstep(
     step where any job's loss is not finite, the ``TrainingDivergedError``
     of the first such job in ``jobs`` order is raised.
     """
-    if learning_rate < 0:
-        raise ValueError(f"train: negative learning_rate {learning_rate}")
+    if not 0 <= learning_rate < math.inf:
+        raise ValueError(f"train: learning_rate must be finite and >= 0, got {learning_rate}")
     if epochs < 0:
         raise ValueError(f"train: negative epochs {epochs}")
-    if clip_norm <= 0:
-        raise ValueError(f"train: clip_norm must be positive, got {clip_norm}")
+    if not 0 < clip_norm < math.inf:
+        raise ValueError(f"train: clip_norm must be finite and positive, got {clip_norm}")
     if not jobs:
         return []
     if len({len(job.corpus) for job in jobs}) > 1 or len({job.model.weights.shape for job in jobs}) > 1:
@@ -558,7 +553,7 @@ def train_lockstep(
             if not np.isfinite(step_losses).all():
                 j = int(np.argmin(np.isfinite(step_losses).all(axis=1)))
                 sample_id = jobs[j].corpus.samples[order[step, j]].id
-                raise TrainingDivergedError(f"non-finite loss at step {step} (sample {sample_id!r})", job=j)
+                raise TrainingDivergedError(f"non-finite loss at step {step} (sample {sample_id!r})")
             norm = np.sqrt(np.einsum("jav,jav->j", grad, grad))
             grad *= (learning_rate * (clip_norm / np.maximum(norm, clip_norm)))[:, None, None]
             weights[rows] = active_weights - grad

@@ -32,7 +32,6 @@ from posdebias.pipeline import (
     CONFIG_SCHEMA,
     PipelineConfig,
     PipelineError,
-    _lockstep_groups,
     infer_shards,
     parse_config,
     run_pipeline,
@@ -202,6 +201,9 @@ class TestParseConfig:
             ({"synth": {}, "backend": "replay:tape.jsonl"}, r"backend.*tape\.jsonl: line 2: missing field 'response"),
             ({"synth": {}, "systems": ["ft"], "alphas": [0.5, 0.7]}, "alphas"),
             ({"synth": {}, "learning_rate": 10**400}, "learning_rate"),
+            ({"synth": {}, "learning_rate": 1e400}, "learning_rate"),
+            ({"synth": {}, "clip_norm": json.loads("Infinity")}, "clip_norm"),
+            ({"synth": {}, "train_sizes": []}, "train_sizes"),
             ({"corpus": "c.jsonl", "task": "nli", "triggers": ["not", "!!"]}, r"triggers\[1\] tokenizes"),
             ({"synth": {}, "align": {"instruction_keywords": ["?"]}}, r"align\.instruction_keywords\[0\] tokenizes"),
             ({"corpus": "c.jsonl", "task": "cqg", "align": {"dull_patterns": ["what", " ..."]}}, r"align\.dull_patterns\[1\] tokenizes"),
@@ -225,7 +227,8 @@ class TestParseConfig:
             "toy-table-file-max-tokens", "data-mode-echo-max-tokens", "data-mode-table-file-max-tokens",
             "systems-repeated", "alphas-repeated", "train-sizes-repeated",
             "backend-replay-file-not-jsonl", "backend-replay-line-without-response", "alphas-without-zoe",
-            "learning-rate-too-large-for-a-float", "trigger-without-a-word", "instruction-keyword-without-a-word",
+            "learning-rate-too-large-for-a-float", "learning-rate-infinite", "clip-norm-infinite",
+            "train-sizes-empty", "trigger-without-a-word", "instruction-keyword-without-a-word",
             "dull-pattern-without-a-word", "backend-url-empty", "backend-url-without-scheme",
             "backend-url-not-http", "backend-bare-url-without-host",
         ],
@@ -617,10 +620,8 @@ class TestParallelTrain:
             )
             for seed in (1, 0)
         }
-        jobs = [(system, seed) for system in ("ft", "zoe") for seed in (1, 0)]
-        groups = _lockstep_groups([12] * len(jobs), min(len(jobs), len(os.sched_getaffinity(0))))
-        assert sorted(i for group in groups for i in group) == list(range(len(jobs)))
-        for group in groups:
+        # One lockstep group per system: its seeds, in ``seeds`` order.
+        for system in ("ft", "zoe"):
             runs = train_lockstep(
                 [
                     TrainJob(
@@ -630,14 +631,13 @@ class TestParallelTrain:
                         config=LossConfig(alpha=0.2 if system == "zoe" else 0.0),
                         seed=seed,
                     )
-                    for system, seed in (jobs[i] for i in group)
+                    for seed in (1, 0)
                 ],
                 epochs=3,
                 learning_rate=0.5,
                 clip_norm=1.0,
             )
-            for i, run in zip(group, runs):
-                system, seed = jobs[i]
+            for seed, run in zip((1, 0), runs):
                 run_dir = out_dir / "runs" / system / f"seed{seed}"
                 direct = tmp_path / "direct" / system / f"seed{seed}"
                 expected_model = save_model(run.model, direct / "model.json").read_bytes()
@@ -645,6 +645,21 @@ class TestParallelTrain:
                 assert (run_dir / "model.json").read_bytes() == expected_model
                 assert (run_dir / "epochs.jsonl").read_bytes() == expected_epochs
                 assert sorted(p.name for p in run_dir.iterdir()) == ["epochs.jsonl", "model.json"]
+
+    def test_output_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        raw = {
+            "synth": {"n_train": 100, "n_eval": 20, "vocab_size": 12},
+            "seeds": [0, 1, 2], "systems": ["ft", "zoe"], "epochs": 5,
+        }
+        outputs = {}
+        for cpus in (1, 2, 4):
+            # The CPU count the train stage sizes its pool by; the real cores stay as they are.
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            out_dir = tmp_path / f"cpus{cpus}"
+            run_pipeline(parse_config({**raw, "out_dir": str(out_dir)}))
+            outputs[cpus] = {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        assert sum(name.startswith("runs/") for name in outputs[2]) == 12
+        assert outputs[1] == outputs[2] == outputs[4]
 
     def test_scoring_error_in_a_worker_fails_eval_not_train_and_leaves_no_worker(self, tmp_path, monkeypatch):
         def evaluate(model, partition, metric, system):
@@ -1481,6 +1496,16 @@ class TestCliVerbs:
         assert result.exit_code == 1 and result.exception.__class__ is SystemExit
         (line,) = result.output.strip().splitlines()
         assert problem in line
+        assert not out.exists()
+
+    def test_train_toy_rejects_an_infinite_learning_rate(self, runner, tmp_path, dialogue_corpus_file):
+        out = tmp_path / "model.json"
+        result = runner.invoke(main, [
+            "train-toy", "--train", str(dialogue_corpus_file), "--learning-rate", "inf", "--out", str(out),
+        ])
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert line == "Error: train: learning_rate must be finite and >= 0, got inf"
         assert not out.exists()
 
     def test_run_requires_config(self, runner):

@@ -416,6 +416,11 @@ class TestTraining:
             train(model, train_c, epochs=-1)
         with pytest.raises(ValueError, match="clip_norm"):
             train(model, train_c, clip_norm=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
+                train(model, train_c, learning_rate=bad)
+            with pytest.raises(ValueError, match="clip_norm must be finite"):
+                train(model, train_c, clip_norm=bad)
 
 
 class TestStackedStep:
@@ -565,7 +570,6 @@ class TestLockstep:
                 train_lockstep(jobs, epochs=1)
             with pytest.raises(TrainingDivergedError) as alone:
                 train(huge, train_c, epochs=1, seed=1)
-        assert together.value.job == 1
         assert str(together.value) == str(alone.value)
 
     def test_jobs_with_empty_corpora_make_no_steps(self):
