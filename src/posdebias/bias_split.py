@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus, Document, Sample, Task, make_document, render_input, write_jsonl
-from .lowbias_infer import DEFAULTS
 from .metrics import (
     contains_phrase,
     rouge_l,  # not called here; perfbench's harness self-test reads ``bias_split.rouge_l``
@@ -32,7 +31,7 @@ from .metrics import (
 DEFAULT_BIASED_POSITIONS = frozenset({0, 1})
 
 #: Whole-token trigger words for the lexical splitter's default list.
-DEFAULT_LEXICAL_TRIGGERS: tuple[str, ...] = tuple(DEFAULTS["lexical_triggers"])
+DEFAULT_LEXICAL_TRIGGERS: tuple[str, ...] = ("no", "not", "never", "nothing", "nobody", "none")
 
 
 class BiasKind(str, Enum):

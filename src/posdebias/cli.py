@@ -254,13 +254,16 @@ def eval_cmd(model_path, corpus_path, task_name, metric, positions, system, out_
 @click.argument("eval_files", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def report(eval_files, out_dir):
-    """Combine eval JSON files into CSV tables and SVG charts."""
+    """Combine eval JSON files of one metric, one per system, into CSV tables and SVG charts."""
     try:
         evals = [load_eval(path) for path in eval_files]
     except ValueError as exc:
         _fail(f"report: bad eval file: {exc}")
+    if len({ev.metric for ev in evals}) > 1 or len({ev.system for ev in evals}) < len(evals):
+        shown = ", ".join(f"{path} ({ev.system}, {ev.metric})" for path, ev in zip(eval_files, evals))
+        _fail(f"report: eval files must score one metric and name each system once: {shown}")
     out = Path(out_dir)
-    write_report(evals, out, evals[-1].metric)
+    write_report(evals, out, evals[0].metric)
     click.echo(f"report: {len(evals)} systems -> {out}")
 
 

@@ -9,30 +9,26 @@ be explicit, since accidentally swapping strategies changes the experiment.
 """
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .backends import Backend, BackendError, GenerationResult
 from .corpus import Corpus, Sample, Task
 
 
-def _load_defaults() -> dict:
-    # Read by path, where the package data is installed: ``importlib.resources``
-    # costs start-up time wherever nothing has imported it yet.
-    return json.loads((Path(__file__).parent / "data" / "defaults.json").read_text(encoding="utf-8"))
-
-
-DEFAULTS = _load_defaults()
-
 #: Question-type prompts used by the diverse strategy; user-replaceable.
-DEFAULT_DIVERSE_PROMPTS: tuple[str, ...] = tuple(DEFAULTS["diverse_prompts"])
+DEFAULT_DIVERSE_PROMPTS: tuple[str, ...] = tuple(
+    f"Ask a '{word}' question about the dialogue so far." for word in ("what", "who", "when", "where", "why")
+)
 
 #: Per-task instruction lines used when the caller supplies none.
 DEFAULT_INSTRUCTIONS: dict[Task, str] = {
-    Task(k): v for k, v in DEFAULTS["instructions"].items()
+    Task.CQA: "Answer the question using the document and the dialogue so far.",
+    Task.CQG: "Ask a question about the document and the dialogue so far.",
+    Task.KGC: "Write the next reply grounded in the document.",
+    Task.SUM: "Summarize the document.",
+    Task.NLI: "Decide whether the premise entails the hypothesis. Answer with one of: entailment, neutral, contradiction.",
 }
 
 #: How many exemplars the in-context strategy uses by default.

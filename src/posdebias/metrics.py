@@ -73,19 +73,18 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return lcs_lengths(b, (a,))[0]
 
 
-def _f_score(lcs: int, n_cand: int, n_ref: int, beta: float) -> float:
-    """P = LCS/|candidate|, R = LCS/|reference|,
+def _f_score(lcs: int, n_cand: int, n_ref: int) -> float:
+    """P = LCS/|candidate|, R = LCS/|reference|, beta = ``ROUGE_BETA``,
     F = (1 + beta^2) * P * R / (R + beta^2 * P); 0 without a common token."""
     if lcs == 0:
         return 0.0
     precision = lcs / n_cand
     recall = lcs / n_ref
-    return ((1 + beta * beta) * precision * recall) / (recall + beta * beta * precision)
+    beta2 = ROUGE_BETA * ROUGE_BETA
+    return ((1 + beta2) * precision * recall) / (recall + beta2 * precision)
 
 
-def rouge_l_tokens(
-    cand_tokens: Sequence[str], ref_tokens: Sequence[str], beta: float = ROUGE_BETA
-) -> float:
+def rouge_l_tokens(cand_tokens: Sequence[str], ref_tokens: Sequence[str]) -> float:
     """ROUGE-L F-score between a tokenized candidate and reference.
 
     An empty candidate scores 0; an empty reference is an error because the
@@ -95,25 +94,23 @@ def rouge_l_tokens(
         raise ValueError("rouge_l: empty reference")
     if not cand_tokens:
         return 0.0
-    return _f_score(lcs_length(cand_tokens, ref_tokens), len(cand_tokens), len(ref_tokens), beta)
+    return _f_score(lcs_length(cand_tokens, ref_tokens), len(cand_tokens), len(ref_tokens))
 
 
-def rouge_l_scores(
-    cand_tokens: Sequence[str], refs: Sequence[Sequence[str]], beta: float = ROUGE_BETA
-) -> list[float]:
+def rouge_l_scores(cand_tokens: Sequence[str], refs: Sequence[Sequence[str]]) -> list[float]:
     """``rouge_l_tokens`` of one tokenized candidate against each of
     ``refs`` in one ``lcs_lengths`` call (LCS is symmetric, so the candidate
     is the pattern). An empty reference scores 0 here."""
     n = len(cand_tokens)
     return [
-        _f_score(lcs, n, len(ref), beta) if ref else 0.0
+        _f_score(lcs, n, len(ref)) if ref else 0.0
         for lcs, ref in zip(lcs_lengths(cand_tokens, refs), refs)
     ]
 
 
-def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
+def rouge_l(candidate: str, reference: str) -> float:
     """``rouge_l_tokens`` on the tokens of two strings."""
-    return rouge_l_tokens(tokenize(candidate), tokenize(reference), beta)
+    return rouge_l_tokens(tokenize(candidate), tokenize(reference))
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:

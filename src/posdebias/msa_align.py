@@ -25,14 +25,16 @@ from typing import Sequence
 
 from .backends import GenerationResult
 from .corpus import Sample, Task
-from .lowbias_infer import DEFAULTS
 from .metrics import contains_phrase, rouge_l_tokens, tokenize
 
 #: Boilerplate question patterns rejected as dull; user-replaceable.
-DEFAULT_DULL_PATTERNS: tuple[str, ...] = tuple(DEFAULTS["dull_patterns"])
+DEFAULT_DULL_PATTERNS: tuple[str, ...] = (
+    "what is the title of the passage", "what is the passage about",
+    "what is the article about", "what is this passage mainly about",
+)
 
 #: Question words the question-generation compliance gate looks for.
-DEFAULT_INSTRUCTION_KEYWORDS: tuple[str, ...] = tuple(DEFAULTS["instruction_keywords"])
+DEFAULT_INSTRUCTION_KEYWORDS: tuple[str, ...] = ("what", "who", "when", "where", "why", "how", "which")
 
 #: Candidate thresholds considered during calibration.
 DEFAULT_CANDIDATE_THRESHOLDS: tuple[float, ...] = (0.1, 0.15, 0.2)
@@ -87,20 +89,6 @@ class AlignedResponse:
             raise ValueError("AlignedResponse: kept flag inconsistent with reasons")
 
 
-def identify_noncompliant(response: GenerationResult, keywords: tuple[str, ...]) -> bool:
-    """True iff no instruction keyword occurs as a whole token (case folded)."""
-    if not keywords:
-        raise ValueError("identify_noncompliant: empty keyword list")
-    tokens = tokenize(response.text)
-    return not any(contains_phrase(tokens, tokenize(kw)) for kw in keywords)
-
-
-def identify_dull(response: GenerationResult, patterns: tuple[str, ...]) -> bool:
-    """True iff the response matches any boilerplate pattern after normalization."""
-    tokens = tokenize(response.text)
-    return any(contains_phrase(tokens, tokenize(pattern)) for pattern in patterns)
-
-
 def align_responses(
     task: Task,
     sample: Sample,
@@ -146,14 +134,18 @@ def threshold_reason(task: Task) -> RejectionReason:
 
 
 def form_reasons(task: Task, candidate: GenerationResult, config: AlignmentConfig) -> frozenset[RejectionReason]:
-    """The reasons no threshold decides: question generation's non-compliant
-    and dull gates; none for the other tasks."""
+    """The reasons no threshold decides, on case-folded whole tokens: a
+    question is non-compliant without an instruction keyword and dull with a
+    boilerplate pattern; other tasks have none."""
     if task != Task.CQG:
         return frozenset()
+    if not config.instruction_keywords:
+        raise ValueError("form_reasons: empty keyword list")
+    tokens = tokenize(candidate.text)
     reasons = set()
-    if identify_noncompliant(candidate, config.instruction_keywords):
+    if not any(contains_phrase(tokens, tokenize(kw)) for kw in config.instruction_keywords):
         reasons.add(RejectionReason.NON_COMPLIANT)
-    if identify_dull(candidate, config.dull_patterns):
+    if any(contains_phrase(tokens, tokenize(pattern)) for pattern in config.dull_patterns):
         reasons.add(RejectionReason.DULL)
     return frozenset(reasons)
 

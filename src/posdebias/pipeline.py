@@ -50,8 +50,6 @@ from .corpus import Corpus, Sample, Task, encode_json, json_value, load_corpus, 
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
 from .metrics import PositionRow, tokenize
 from .msa_align import (
-    DEFAULT_DULL_PATTERNS,
-    DEFAULT_INSTRUCTION_KEYWORDS,
     AlignedResponse,
     AlignmentConfig,
     RejectionReason,
@@ -98,6 +96,29 @@ _SPLIT_KEYS = {BiasKind.RELATIVE_POSITION: "biased_positions", BiasKind.LEXICAL:
 KEEP_FRACTION_SLACK = 0.025
 
 
+@dataclass
+class PipelineConfig:
+    out_dir: str
+    task: Task = Task.CQA
+    synth: SynthSpec | None = None
+    corpus: str | None = None
+    biased_positions: frozenset[int] = DEFAULT_BIASED_POSITIONS
+    triggers: tuple[str, ...] = DEFAULT_LEXICAL_TRIGGERS
+    seeds: tuple[int, ...] = (0,)
+    systems: tuple[str, ...] = ("ft", "zoe")
+    alphas: tuple[float, ...] = (0.2,)
+    train_sizes: tuple[int, ...] | None = None
+    epochs: int = 28
+    learning_rate: float = 0.1
+    clip_norm: float = 1.0
+    n_per_prompt: int = DEFAULT_N_PER_PROMPT
+    max_tokens: int = DEFAULT_MAX_TOKENS
+    garbage_rate: float = 0.25
+    metric: str = "accuracy"
+    backend: str = "table"
+    align: AlignmentConfig = field(default_factory=AlignmentConfig)
+
+
 CONFIG_SCHEMA: dict = {
     "type": "object",
     "description": "Pipeline run configuration; exactly one of 'synth' or 'corpus' must be set; unread keys are rejected.",
@@ -106,19 +127,19 @@ CONFIG_SCHEMA: dict = {
         "task": {
             "type": "string",
             "enum": [t.value for t in Task],
-            "default": "cqa",
+            "default": PipelineConfig.task.value,
             "description": "Toy mode takes only 'cqa'.",
         },
         "synth": {
             "type": "object",
             "description": "Synthetic corpus shape (toy mode).",
             "properties": {
-                "n_utterances": {"type": "integer", "default": 6},
-                "n_train": {"type": "integer", "default": 500},
-                "n_eval": {"type": "integer", "default": 500},
-                "biased_fraction": {"type": "number", "default": 0.95},
-                "vocab_size": {"type": "integer", "default": 24},
-                "seed": {"type": "integer", "default": 0},
+                "n_utterances": {"type": "integer", "default": SynthSpec.n_utterances},
+                "n_train": {"type": "integer", "default": SynthSpec.n_train},
+                "n_eval": {"type": "integer", "default": SynthSpec.n_eval},
+                "biased_fraction": {"type": "number", "default": SynthSpec.biased_fraction},
+                "vocab_size": {"type": "integer", "default": SynthSpec.vocab_size},
+                "seed": {"type": "integer", "default": SynthSpec.seed},
             },
         },
         "corpus": {"type": "string", "description": "JSONL corpus path (data mode)."},
@@ -127,22 +148,22 @@ CONFIG_SCHEMA: dict = {
             "enum": [k.value for k in BiasKind],
             "description": "Optional: the task picks the kind (cqa, cqg: relative_position; sum, kgc: lead; nli: lexical).",
         },
-        "biased_positions": {"type": "array", "items": {"type": "integer"}, "minItems": 1, "default": [0, 1]},
-        "triggers": {"type": "array", "items": {"type": "string"}, "minItems": 1, "default": list(DEFAULT_LEXICAL_TRIGGERS)},
-        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1, "uniqueItems": True, "default": [0]},
+        "biased_positions": {"type": "array", "items": {"type": "integer"}, "minItems": 1, "default": sorted(PipelineConfig.biased_positions)},
+        "triggers": {"type": "array", "items": {"type": "string"}, "minItems": 1, "default": list(PipelineConfig.triggers)},
+        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1, "uniqueItems": True, "default": list(PipelineConfig.seeds)},
         "systems": {
             "type": "array",
             "items": {"type": "string", "enum": ["ft", "zoe", "rp"]},
             "minItems": 1,
             "uniqueItems": True,
-            "default": ["ft", "zoe"],
+            "default": list(PipelineConfig.systems),
         },
         "alphas": {
             "type": "array",
             "items": {"type": "number", "minimum": 0, "maximum": 1},
             "minItems": 1,
             "uniqueItems": True,
-            "default": [0.2],
+            "default": list(PipelineConfig.alphas),
         },
         "train_sizes": {
             "type": "array",
@@ -151,20 +172,20 @@ CONFIG_SCHEMA: dict = {
             "uniqueItems": True,
             "description": "Optional training-size sweep; incompatible with a multi-alpha sweep.",
         },
-        "epochs": {"type": "integer", "minimum": 0, "default": 28},
-        "learning_rate": {"type": "number", "minimum": 0, "default": 0.1},
-        "clip_norm": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
-        "n_per_prompt": {"type": "integer", "minimum": 1, "default": 3},
-        "max_tokens": {"type": "integer", "minimum": 1, "default": 16},
-        "garbage_rate": {"type": "number", "minimum": 0, "maximum": 1, "default": 0.25},
-        "metric": {"type": "string", "enum": list(METRICS), "default": "accuracy"},
+        "epochs": {"type": "integer", "minimum": 0, "default": PipelineConfig.epochs},
+        "learning_rate": {"type": "number", "minimum": 0, "default": PipelineConfig.learning_rate},
+        "clip_norm": {"type": "number", "exclusiveMinimum": 0, "default": PipelineConfig.clip_norm},
+        "n_per_prompt": {"type": "integer", "minimum": 1, "default": PipelineConfig.n_per_prompt},
+        "max_tokens": {"type": "integer", "minimum": 1, "default": PipelineConfig.max_tokens},
+        "garbage_rate": {"type": "number", "minimum": 0, "maximum": 1, "default": PipelineConfig.garbage_rate},
+        "metric": {"type": "string", "enum": list(METRICS), "default": PipelineConfig.metric},
         "backend": {
             "type": "string",
             "description": "Backend spec: echo | markov | table | table:FILE | replay:FILE | url:ENDPOINT. "
             "'table' is the lookup table built from the synthetic corpus, toy mode's default; "
             "data mode cannot take it. "
             "POSDEBIAS_BACKEND_URL overrides any configured endpoint.",
-            "default": "table",
+            "default": PipelineConfig.backend,
         },
         "align": {
             "type": "object",
@@ -172,15 +193,15 @@ CONFIG_SCHEMA: dict = {
             "properties": {
                 "instruction_keywords": {
                     "type": "array", "items": {"type": "string"}, "minItems": 1,
-                    "default": list(DEFAULT_INSTRUCTION_KEYWORDS),
+                    "default": list(AlignmentConfig.instruction_keywords),
                     "description": "cqg compliance gate: a kept candidate contains one of these words.",
                 },
-                "dull_patterns": {"type": "array", "items": {"type": "string"}, "default": list(DEFAULT_DULL_PATTERNS)},
+                "dull_patterns": {"type": "array", "items": {"type": "string"}, "default": list(AlignmentConfig.dull_patterns)},
                 "candidate_thresholds": {
-                    "type": "array", "items": {"type": "number"}, "default": [0.1, 0.15, 0.2],
+                    "type": "array", "items": {"type": "number"}, "default": list(AlignmentConfig.candidate_thresholds),
                     "description": "Gate thresholds calibration picks from; one entry fixes the threshold.",
                 },
-                "target_keep_fraction": {"type": "number", "default": 0.2},
+                "target_keep_fraction": {"type": "number", "default": AlignmentConfig.target_keep_fraction},
             },
         },
     },
@@ -225,29 +246,6 @@ def _check_schema(name: str, value, schema: dict) -> None:
             _check_schema(prefix + key, item, schema["properties"][key])
 
 
-@dataclass
-class PipelineConfig:
-    out_dir: str
-    task: Task = Task.CQA
-    synth: SynthSpec | None = None
-    corpus: str | None = None
-    biased_positions: frozenset[int] = DEFAULT_BIASED_POSITIONS
-    triggers: tuple[str, ...] = DEFAULT_LEXICAL_TRIGGERS
-    seeds: tuple[int, ...] = (0,)
-    systems: tuple[str, ...] = ("ft", "zoe")
-    alphas: tuple[float, ...] = (0.2,)
-    train_sizes: tuple[int, ...] | None = None
-    epochs: int = 28
-    learning_rate: float = 0.1
-    clip_norm: float = 1.0
-    n_per_prompt: int = DEFAULT_N_PER_PROMPT
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    garbage_rate: float = 0.25
-    metric: str = "accuracy"
-    backend: str = "table"
-    align: AlignmentConfig = field(default_factory=AlignmentConfig)
-
-
 def parse_config(raw: dict) -> PipelineConfig:
     """Validate a raw config dict against ``CONFIG_SCHEMA`` and the modes.
 
@@ -260,7 +258,7 @@ def parse_config(raw: dict) -> PipelineConfig:
         raise ValueError("config: 'out_dir' is required")
     if ("synth" in raw) == ("corpus" in raw):
         raise ValueError("config: exactly one of 'synth' or 'corpus' must be set")
-    task = Task(raw.get("task", "cqa"))
+    task = Task(raw.get("task", PipelineConfig.task))
     kind = BIAS_BY_TASK[task]
     if "synth" in raw and task != Task.CQA:
         raise ValueError(f"config: task must be 'cqa' in toy mode (synth), got {task.value!r}")
@@ -288,7 +286,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     unread = [key for key in dict.fromkeys(unread) if key in raw]
     if unread:
         raise ValueError(f"config: keys {unread} are not read by a {run}")
-    if "train_sizes" in raw and len(raw.get("alphas", [0.2])) > 1:
+    if "train_sizes" in raw and len(raw.get("alphas", PipelineConfig.alphas)) > 1:
         raise ValueError("config: sweep either alphas or train_sizes, not both")
     align = raw.get("align", {})
     words = {"triggers": raw.get("triggers", ()), **{f"align.{k}": align.get(k, ()) for k in ("instruction_keywords", "dull_patterns")}}
@@ -340,7 +338,13 @@ def _config_echo(config: PipelineConfig) -> dict:
     echo = dataclasses.asdict(config)
     echo["task"] = config.task.value
     echo["biased_positions"] = sorted(config.biased_positions)
-    echo["out_dir"] = "."  # keep the manifest byte-identical across run roots
+    # The run root as "." and input files by name: the manifest's bytes do not depend on where they live.
+    echo["out_dir"] = "."
+    if config.corpus is not None:
+        echo["corpus"] = Path(config.corpus).name
+    kind, colon, path = config.backend.partition(":")
+    if colon and kind in ("table", "replay"):
+        echo["backend"] = f"{kind}:{Path(path).name}"
     return json.loads(json.dumps(echo, sort_keys=True, default=list))
 
 

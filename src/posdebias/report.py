@@ -17,6 +17,12 @@ from .metrics import PositionRow
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+#: Width and height of every chart, in pixels.
+_CHART_SIZE = (640, 400)
+
+#: Corners (x0, y0, x1, y1) of the plot inside the margins; the legend sits right of x1.
+_PLOT_AREA = (70, 40, _CHART_SIZE[0] - 150, _CHART_SIZE[1] - 50)
+
 
 @dataclass(frozen=True)
 class SystemEval:
@@ -70,7 +76,8 @@ def _relpos_sort_key(relpos: str) -> tuple[int, int]:
     return (0, int(relpos))
 
 
-def _svg_header(width: int, height: int, title: str) -> list[str]:
+def _svg_header(title: str) -> list[str]:
+    width, height = _CHART_SIZE
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -94,11 +101,6 @@ def _axes(
     ]
 
 
-def _plot_area(width: int, height: int) -> tuple[int, int, int, int]:
-    """Corners (x0, y0, x1, y1) inside the margins; the legend sits right of x1."""
-    return 70, 40, width - 150, height - 50
-
-
 def _y_ticks(x0: float, values: Sequence[float], sy) -> list[str]:
     return [
         f'<text x="{x0 - 8:.1f}" y="{sy(value) + 4:.1f}" text-anchor="end" '
@@ -120,11 +122,9 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 640,
-    height: int = 400,
 ) -> str:
     """Multi-series line chart; each series is a list of (x, y) points."""
-    x0, y0, x1, y1 = _plot_area(width, height)
+    x0, y0, x1, y1 = _PLOT_AREA
     points = [pt for pts in series.values() for pt in pts]
     if not points:
         raise ValueError("line_chart: no data points")
@@ -141,7 +141,7 @@ def line_chart(
     def sy(y: float) -> float:
         return y1 - (y - y_min) / y_span * (y1 - y0)
 
-    parts = _svg_header(width, height, title)
+    parts = _svg_header(title)
     parts.extend(_axes(x0, y0, x1, y1, x_label, y_label))
     parts.extend(_y_ticks(x0, [y_min + y_span * i / 4 for i in range(5)], sy))
     for x_val in sorted({p[0] for p in points}):
@@ -170,11 +170,9 @@ def bar_chart(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 640,
-    height: int = 400,
 ) -> str:
     """Grouped bar chart; each series maps category labels to heights."""
-    x0, y0, x1, y1 = _plot_area(width, height)
+    x0, y0, x1, y1 = _PLOT_AREA
     categories: list[str] = []
     for pts in series.values():
         for label, _ in pts:
@@ -190,7 +188,7 @@ def bar_chart(
     def sy(y: float) -> float:
         return y1 - y / y_max * (y1 - y0)
 
-    parts = _svg_header(width, height, title)
+    parts = _svg_header(title)
     parts.extend(_axes(x0, y0, x1, y1, x_label, y_label))
     parts.extend(_y_ticks(x0, [y_max * i / 4 for i in range(5)], sy))
     for c, category in enumerate(categories):

@@ -1,6 +1,9 @@
 """Prompt construction per strategy and candidate generation."""
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from posdebias.backends import BackendError, StubBackend, StubMode
@@ -37,6 +40,20 @@ class TestDefaults:
     def test_every_task_has_instruction(self):
         for task in Task:
             assert DEFAULT_INSTRUCTIONS[task].strip()
+
+    def test_default_prompts_are_pinned(self):
+        # One fixed sample under each task's default strategy covers every
+        # instruction and every diverse prompt.
+        exemplars = tuple(nli_sample(f"n{i}", f"premise {i}", f"hypothesis {i}", "neutral") for i in range(6))
+        corpus = Corpus(exemplars, Task.NLI)
+        prompts = {}
+        for task in Task:
+            sample = exemplars[0] if task == Task.NLI else dialogue_sample(
+                "s", ["u0 alpha", "u1 beta"], "pq", "u0 alpha", "q", "u1 beta", task=task
+            )
+            prompts[task.value] = build_prompt(sample, default_prompt_spec(task, corpus))
+        blob = json.dumps(prompts, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == "61150f458a9c9c4ac3aae2e7be929409d210678566ad73ffb54ec93be31dfe63"
 
 
 class TestPromptSpec:

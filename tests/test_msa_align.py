@@ -24,9 +24,8 @@ from posdebias.msa_align import (
     RejectionReason,
     align_responses,
     calibrate_threshold,
+    form_reasons,
     gate_statistic,
-    identify_dull,
-    identify_noncompliant,
 )
 from posdebias.pipeline import align_shards, parse_config
 
@@ -71,24 +70,30 @@ def reasons(task: Task, cand: GenerationResult, threshold: float) -> frozenset[R
     return align_fixed(task, gate_sample(task), [cand], threshold)[0].rejection_reasons
 
 
+def form(text: str, keywords=DEFAULT_INSTRUCTION_KEYWORDS, patterns=DEFAULT_DULL_PATTERNS) -> frozenset[RejectionReason]:
+    """``form_reasons`` of one question-generation candidate."""
+    config = AlignmentConfig(instruction_keywords=keywords, dull_patterns=patterns)
+    return form_reasons(Task.CQG, result(text), config)
+
+
 class TestNonCompliant:
     def test_keyword_present_is_compliant(self):
-        assert identify_noncompliant(result("What is the capital?"), ("what",)) is False
+        assert RejectionReason.NON_COMPLIANT not in form("What is the capital?", ("what",))
 
     def test_keyword_absent_is_noncompliant(self):
-        assert identify_noncompliant(result("Who won the game?"), ("what",)) is True
+        assert RejectionReason.NON_COMPLIANT in form("Who won the game?", ("what",))
 
     def test_whole_token_matching(self):
         # "what" inside "whatever" must not count as compliance
-        assert identify_noncompliant(result("whatever happened"), ("what",)) is True
+        assert RejectionReason.NON_COMPLIANT in form("whatever happened", ("what",))
 
     def test_any_keyword_suffices(self):
         keywords = ("what", "who")
-        assert identify_noncompliant(result("Who won?"), keywords) is False
+        assert RejectionReason.NON_COMPLIANT not in form("Who won?", keywords)
 
     def test_empty_keywords_rejected(self):
         with pytest.raises(ValueError, match="empty keyword"):
-            identify_noncompliant(result("x"), ())
+            form("x", ())
 
     def test_default_keywords_cover_question_words(self):
         for word in ("what", "who", "when", "where", "why", "how"):
@@ -97,27 +102,22 @@ class TestNonCompliant:
 
 class TestDull:
     def test_boilerplate_pattern_matches(self):
-        assert identify_dull(
-            result("What is the title of the passage?"),
-            ("what is the title of the passage",),
-        ) is True
+        assert RejectionReason.DULL in form(
+            "What is the title of the passage?", patterns=("what is the title of the passage",)
+        )
 
     def test_pattern_matches_inside_longer_response(self):
-        assert identify_dull(
-            result("so, what is the title of the passage then"),
-            ("what is the title of the passage",),
-        ) is True
+        assert RejectionReason.DULL in form(
+            "so, what is the title of the passage then", patterns=("what is the title of the passage",)
+        )
 
     def test_non_boilerplate_passes(self):
-        assert identify_dull(
-            result("Why did the treaty collapse?"), DEFAULT_DULL_PATTERNS
-        ) is False
+        assert RejectionReason.DULL not in form("Why did the treaty collapse?", patterns=DEFAULT_DULL_PATTERNS)
 
     def test_normalization(self):
-        assert identify_dull(
-            result("WHAT IS THE TITLE OF THE PASSAGE?!"),
-            ("what is the title of the passage",),
-        ) is True
+        assert RejectionReason.DULL in form(
+            "WHAT IS THE TITLE OF THE PASSAGE?!", patterns=("what is the title of the passage",)
+        )
 
 
 class TestIncoherent:

@@ -373,6 +373,24 @@ class TestToyPipeline:
         assert json.loads((out_dir / "manifest.json").read_text()) == manifest
         assert manifest["config"]["out_dir"] == "."
 
+    def test_manifest_records_the_inputs_by_file_name(self, dialogue_corpus_file, tmp_path):
+        # One corpus and table, run from roots whose paths differ in length.
+        spec = default_prompt_spec(Task.CQA)
+        table = json.dumps({build_prompt(s, spec)[0]: "x" for s in load_corpus(dialogue_corpus_file, Task.CQA)})
+        manifests = []
+        for root in (tmp_path / "a", tmp_path / "a-much-longer-directory-name" / "b"):
+            root.mkdir(parents=True)
+            (root / "corpus.jsonl").write_bytes(dialogue_corpus_file.read_bytes())
+            (root / "table.json").write_text(table)
+            run_pipeline(parse_config({
+                "out_dir": str(root / "out"), "corpus": str(root / "corpus.jsonl"),
+                "backend": f"table:{root / 'table.json'}",
+            }))
+            manifests.append((root / "out" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        config = json.loads(manifests[0])["config"]
+        assert (config["corpus"], config["backend"]) == ("corpus.jsonl", "table:table.json")
+
     def test_candidate_counts(self, toy_run):
         out_dir, _ = toy_run
         for seed in (0, 1):
@@ -917,6 +935,14 @@ class TestCliVerbs:
         assert schema["required"] == ["out_dir"]
         assert "synth" in schema["properties"]
 
+    def test_print_schema_bytes_are_pinned(self, runner):
+        # The schema shows every built-in default: the split triggers, the
+        # alignment keywords and dull patterns, and each dataclass default.
+        output = invoke_ok(runner, ["run", "--print-schema"]).output
+        assert hashlib.sha256(output.encode()).hexdigest() == (
+            "95f5134685e27c9a57c6ea0a4f927dd8feda9e1630d8feef4b246fd6ddc6b013"
+        )
+
     def test_split_verb(self, runner, dialogue_corpus_file, tmp_path):
         out = tmp_path / "splitout"
         result = invoke_ok(runner, [
@@ -1358,6 +1384,21 @@ class TestCliVerbs:
         (line,) = result.output.strip().splitlines()
         assert str(path) in line and field in line
         assert not (tmp_path / "e.json").exists() and not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "second", [{"system": "zoe", "metric": "rouge_l"}, {"system": "ft", "metric": "accuracy"}],
+        ids=["mixed-metrics", "repeated-system"],
+    )
+    def test_report_rejects_eval_files_it_cannot_chart_together(self, runner, tmp_path, second):
+        paths = []
+        for name, entry in (("a.json", {"system": "ft", "metric": "accuracy"}), ("b.json", second)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps({**entry, "splits": {"biased": {"score": 0.5, "count": 2}}}))
+        result = runner.invoke(main, ["report", *map(str, paths), "--out-dir", str(tmp_path / "report")])
+        assert result.exit_code == 1
+        (line,) = result.output.strip().splitlines()
+        assert "one metric and name each system once" in line and all(str(path) in line for path in paths)
+        assert not (tmp_path / "report").exists()
 
     @BAD_TABLE_ENTRIES
     def test_infer_rejects_a_bad_table_file_entry_in_one_line(self, runner, tmp_path, dialogue_corpus_file, entry, message):
