@@ -176,9 +176,9 @@ def align(candidates_path, task_name, corpus_path, out_path, thresholds):
     if not any(shard.stats for shard in shards):
         _fail("align: no candidates matched the corpus; nothing to calibrate")
     out = Path(out_path)
-    threshold, kept, total = write_verdicts(task, shards, config, out)
+    threshold, verdicts = write_verdicts(task, shards, config, out)
     click.echo(f"align: calibrated threshold {threshold:g}")
-    click.echo(f"align: kept {kept}/{total} candidates -> {out}")
+    click.echo(f"align: kept {sum(verdict.kept for verdict in verdicts)}/{len(verdicts)} candidates -> {out}")
 
 
 @main.command("train-toy")
@@ -259,6 +259,9 @@ def report(eval_files, out_dir):
         evals = [load_eval(path) for path in eval_files]
     except ValueError as exc:
         _fail(f"report: bad eval file: {exc}")
+    for path, ev in zip(eval_files, evals):
+        if not ev.splits:
+            _fail(f"report: eval file {path} has no split scores to report")
     if len({ev.metric for ev in evals}) > 1 or len({ev.system for ev in evals}) < len(evals):
         shown = ", ".join(f"{path} ({ev.system}, {ev.metric})" for path, ev in zip(eval_files, evals))
         _fail(f"report: eval files must score one metric and name each system once: {shown}")

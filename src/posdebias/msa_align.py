@@ -15,16 +15,22 @@ unreliability against the target. The incoherent and unreliable gates are
 one predicate, ``gate_statistic`` below the task's threshold, which is what
 calibration counts; calibration over one candidate threshold fixes it. NLI
 has no gate here: its candidates are not pruned.
+
+The align pass computes each candidate's statistic and the bits of its
+threshold-free reasons (``form_reasons``) once; ``align_responses`` is the
+one rule that turns them into verdicts, at the calibrated threshold.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from .backends import GenerationResult
-from .corpus import Sample, Task
+from .corpus import Task
 from .metrics import contains_phrase, rouge_l_tokens, tokenize
 
 #: Boilerplate question patterns rejected as dull; user-replaceable.
@@ -73,81 +79,81 @@ class AlignmentConfig:
                     f"AlignmentConfig: candidate threshold {value} outside (0, 1)"
                 )
 
+    @cached_property
+    def phrase_tokens(self) -> tuple[tuple[list[str], ...], tuple[list[str], ...]]:
+        """The instruction keywords and the dull patterns, tokenized once per config."""
+        return tuple(map(tokenize, self.instruction_keywords)), tuple(map(tokenize, self.dull_patterns))
 
-@dataclass(frozen=True)
-class AlignedResponse:
-    """One candidate with its verdict; kept iff no gate rejected it."""
 
-    sample_id: str
-    text: str
-    token_logprobs: tuple[float, ...]
+@dataclass(frozen=True, eq=False)
+class Verdict:
+    """A candidate's verdict: kept iff no gate rejected it. ``VERDICTS``
+    holds the one instance of each reason set."""
+
+    rejection_reasons: frozenset[RejectionReason]
     kept: bool
-    rejection_reasons: frozenset[RejectionReason] = field(default_factory=frozenset)
 
-    def __post_init__(self) -> None:
-        if self.kept != (not self.rejection_reasons):
-            raise ValueError("AlignedResponse: kept flag inconsistent with reasons")
+
+#: Each reason's bit in the reason bits ``form_reasons`` returns.
+_BIT = {reason: 1 << i for i, reason in enumerate(RejectionReason)}
+
+#: The verdict of each reason set, indexed by its bits.
+VERDICTS = tuple(
+    Verdict(frozenset(reason for reason, bit in _BIT.items() if bits & bit), not bits) for bits in range(1 << len(_BIT))
+)
+
+#: How far the share of statistics at or above the calibrated threshold may
+#: miss the keep target before ``align_responses`` reports it on stderr.
+KEEP_FRACTION_SLACK = 0.025
 
 
 def align_responses(
     task: Task,
-    sample: Sample,
-    candidates: list[GenerationResult],
-    config: AlignmentConfig,
-    threshold: float,
     stats: Sequence[float],
-) -> list[AlignedResponse]:
-    """Apply the task's gate combination to every candidate.
+    reasons: Sequence[int],
+    config: AlignmentConfig,
+    threshold: float | None,
+) -> list[Verdict]:
+    """The verdict of every candidate, from its ``gate_statistic`` (``stats``)
+    and the bits of its ``form_reasons`` (``reasons``), in order.
 
-    Question generation rejects on non-compliant, dull, or incoherent;
-    answer-style tasks (CQA, SUM, KGC) reject only on unreliable. A
-    candidate whose ``gate_statistic`` (``stats``, one per candidate) is
-    below ``threshold`` is incoherent (CQG) or unreliable (otherwise); one
-    equal to it is kept. Every candidate receives a verdict, kept or not.
+    A candidate is rejected for its form reasons, and as incoherent (question
+    generation) or unreliable (other tasks) when its statistic is below
+    ``threshold``; one equal to it passes. When the share of statistics at or
+    above ``threshold`` misses ``config.target_keep_fraction`` by more than
+    ``KEEP_FRACTION_SLACK``, one line on stderr says so. No candidate (and
+    ``threshold`` ``None``) has no verdict.
     """
     if task == Task.NLI:
         raise ValueError("align_responses: nli candidates are not pruned")
-    if not candidates:
-        raise ValueError("align_responses: no candidates")
-    below = frozenset({threshold_reason(task)})
-    out: list[AlignedResponse] = []
-    for cand, stat in zip(candidates, stats, strict=True):
-        reasons = form_reasons(task, cand, config)
-        if stat < threshold:
-            reasons |= below
-        out.append(
-            AlignedResponse(
-                sample_id=sample.id,
-                text=cand.text,
-                token_logprobs=cand.token_logprobs,
-                kept=not reasons,
-                rejection_reasons=reasons,
-            )
+    if not stats:
+        return []
+    passed = sum(1 for stat in stats if stat >= threshold) / len(stats)
+    if abs(passed - config.target_keep_fraction) > KEEP_FRACTION_SLACK:
+        print(
+            f"align: kept {passed:.1%} of {len(stats)} candidates against a "
+            f"{config.target_keep_fraction:.1%} calibration target",
+            file=sys.stderr,
         )
-    return out
+    below = _BIT[RejectionReason.INCOHERENT if task == Task.CQG else RejectionReason.UNRELIABLE]
+    return [
+        VERDICTS[bits | below] if stat < threshold else VERDICTS[bits]
+        for stat, bits in zip(stats, reasons, strict=True)
+    ]
 
 
-def threshold_reason(task: Task) -> RejectionReason:
-    """The reason a candidate whose ``gate_statistic`` is below the threshold
-    is rejected for: incoherent (question generation) or unreliable."""
-    return RejectionReason.INCOHERENT if task == Task.CQG else RejectionReason.UNRELIABLE
-
-
-def form_reasons(task: Task, candidate: GenerationResult, config: AlignmentConfig) -> frozenset[RejectionReason]:
-    """The reasons no threshold decides, on case-folded whole tokens: a
-    question is non-compliant without an instruction keyword and dull with a
-    boilerplate pattern; other tasks have none."""
+def form_reasons(task: Task, candidate: GenerationResult, config: AlignmentConfig) -> int:
+    """The bits of the reasons no threshold decides, on case-folded whole
+    tokens: a question is non-compliant without an instruction keyword and
+    dull with a boilerplate pattern; other tasks have none."""
     if task != Task.CQG:
-        return frozenset()
+        return 0
     if not config.instruction_keywords:
         raise ValueError("form_reasons: empty keyword list")
-    tokens = tokenize(candidate.text)
-    reasons = set()
-    if not any(contains_phrase(tokens, tokenize(kw)) for kw in config.instruction_keywords):
-        reasons.add(RejectionReason.NON_COMPLIANT)
-    if any(contains_phrase(tokens, tokenize(pattern)) for pattern in config.dull_patterns):
-        reasons.add(RejectionReason.DULL)
-    return frozenset(reasons)
+    tokens, (keywords, patterns) = tokenize(candidate.text), config.phrase_tokens
+    non_compliant = not any(contains_phrase(tokens, keyword) for keyword in keywords)
+    dull = any(contains_phrase(tokens, pattern) for pattern in patterns)
+    return non_compliant * _BIT[RejectionReason.NON_COMPLIANT] | dull * _BIT[RejectionReason.DULL]
 
 
 def gate_statistic(task: Task, target_tokens: Sequence[str], candidate: GenerationResult) -> float:

@@ -17,7 +17,9 @@ before the failure and marks the failing stage.
 Stage bodies are plain functions (``split_shards``, ``write_split``,
 ``infer_shards``, ``align_shards``, ``write_verdicts``, ``pool_evals``,
 ``write_report``, and ``toy_model.evaluate``) that the CLI verbs call as well;
-record formats live in ``posdebias.records``.
+record formats live in ``posdebias.records``. Each candidate's verdict is
+decided once, by ``msa_align.align_responses`` in ``write_verdicts``; toy
+training reads the texts it keeps.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ import json
 import math
 import operator
 import os
-import sys
 from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
 from itertools import islice
@@ -49,16 +50,7 @@ from .bias_split import (
 from .corpus import Corpus, Sample, Task, encode_json, json_value, load_corpus, sample_to_record, save_corpus, write_blocks
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
 from .metrics import PositionRow, tokenize
-from .msa_align import (
-    AlignedResponse,
-    AlignmentConfig,
-    RejectionReason,
-    align_responses,
-    calibrate_threshold,
-    form_reasons,
-    gate_statistic,
-    threshold_reason,
-)
+from .msa_align import VERDICTS, AlignmentConfig, Verdict, align_responses, calibrate_threshold, form_reasons, gate_statistic
 from .objective import LossConfig
 from .records import candidate_line, verdict_head, verdict_tail, write_epochs, write_eval
 from .report import SystemEval
@@ -90,10 +82,6 @@ class PipelineError(RuntimeError):
 _TOY_ONLY_KEYS = ("seeds", "systems", "alphas", "train_sizes", "epochs", "learning_rate", "clip_norm", "garbage_rate", "metric")
 _CANDIDATE_KEYS = ("n_per_prompt", "max_tokens", "backend", "align")
 _SPLIT_KEYS = {BiasKind.RELATIVE_POSITION: "biased_positions", BiasKind.LEXICAL: "triggers"}
-
-#: How far calibration's keep fraction may miss its target before
-#: ``_calibrate`` reports the miss on stderr.
-KEEP_FRACTION_SLACK = 0.025
 
 
 @dataclass
@@ -394,8 +382,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
 # into contiguous ranges, one per usable CPU, and runs ``_shard`` on each in a
 # forked worker (or, for one range, in-process). A worker sends back encoded
 # lines, one text block per output file, and its gate statistics; the parent
-# calibrates on the statistics in sample order, completes the verdict lines at
-# that threshold and writes each file as the blocks in range order.
+# calibrates on the statistics in sample order, decides every verdict at that
+# threshold (``align_responses``), completes the verdict lines and writes each
+# file as the blocks in range order.
 
 
 @dataclass(frozen=True)
@@ -421,7 +410,8 @@ class Shard:
     in a newline: the biased, non-biased and evidence lines of the split,
     the candidates, and the head of each verdict line (``verdict_head``).
     ``stats`` holds each candidate's gate statistic (an ``array('d')``) and
-    ``reasons`` the bits of its threshold-free reasons (``form_reasons``).
+    ``reasons`` the bits of its threshold-free reasons (``form_reasons``),
+    for ``write_verdicts`` to decide (``align_responses``).
     ``error`` is ``(stage, exception)`` for the first failure; no later part
     ran. ``partition`` and ``results`` are the objects; a worker drops them.
     """
@@ -435,13 +425,6 @@ class Shard:
     error: tuple[str, Exception] | None = None
     partition: BiasPartition | None = None
     results: Mapping[str, Sequence[GenerationResult]] | None = None
-
-
-_REASONS = tuple(RejectionReason)
-
-
-def _reason_bits(reasons: frozenset[RejectionReason]) -> int:
-    return sum(1 << _REASONS.index(reason) for reason in reasons)
 
 
 def _shard(job: _Job, lo: int, hi: int) -> Shard:
@@ -489,7 +472,7 @@ def _shard(job: _Job, lo: int, hi: int) -> Shard:
                 target_tokens = tokenize(sample.target)
                 for candidate in candidates:
                     stats.append(gate_statistic(job.task, target_tokens, candidate))
-                    reasons.append(_reason_bits(form_reasons(job.task, candidate, job.align)))
+                    reasons.append(form_reasons(job.task, candidate, job.align))
                     heads.append(verdict_head(sample.id, candidate.text, candidate.logprobs_json))
             shard.heads, shard.stats, shard.reasons = _lines(heads), stats, bytes(reasons)
     except Exception as exc:  # noqa: BLE001 - raised by the stage it belongs to
@@ -675,63 +658,23 @@ def align_shards(
     return result
 
 
-def _calibrate(stats: Sequence[float], config: AlignmentConfig) -> float | None:
-    """The gate threshold (incoherence for question generation, unreliability
-    otherwise): the candidate threshold whose keep fraction on ``stats`` lands
-    nearest the target, or ``None`` with no statistic to calibrate on. When
-    the share of statistics at or above it misses the target by more than
-    ``KEEP_FRACTION_SLACK``, one line on stderr says so."""
-    if not stats:
-        return None
-    threshold = calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction)
-    kept = sum(1 for stat in stats if stat >= threshold) / len(stats)
-    if abs(kept - config.target_keep_fraction) > KEEP_FRACTION_SLACK:
-        print(
-            f"align: kept {kept:.1%} of {len(stats)} candidates against a "
-            f"{config.target_keep_fraction:.1%} calibration target",
-            file=sys.stderr,
-        )
-    return threshold
-
-
-def write_verdicts(task: Task, shards: Sequence[Shard], config: AlignmentConfig, path: Path) -> tuple[float | None, int, int]:
-    """Calibrate on the statistics of ``shards`` in sample order, complete
-    every verdict line at that threshold and write the aligned JSONL.
-    Returns the threshold (``None`` with no candidate), the kept count and
-    the verdict count."""
+def write_verdicts(task: Task, shards: Sequence[Shard], config: AlignmentConfig, path: Path) -> tuple[float | None, list[Verdict]]:
+    """Calibrate on the statistics of ``shards`` in sample order, decide
+    every candidate at that threshold (``align_responses``), complete each
+    verdict line and write the aligned JSONL. Returns the threshold
+    (``None`` with no candidate) and the verdicts in sample order."""
     from array import array
 
     stats = array("d")
     for shard in shards:
         stats.extend(shard.stats)
-    threshold = _calibrate(stats, config)
-    below = _reason_bits(frozenset({threshold_reason(task)}))
-    tails = {
-        bits: verdict_tail(frozenset(r for i, r in enumerate(_REASONS) if bits >> i & 1))
-        for bits in range(1 << len(_REASONS))
-    }
-    kept = 0
-
-    def blocks():
-        nonlocal kept
-        for shard in shards:
-            tail_of = [tails[bits | below] if stat < threshold else tails[bits] for stat, bits in zip(shard.stats, shard.reasons)]
-            kept += tail_of.count(tails[0])
-            yield _lines(map(operator.add, shard.heads.split("\n"), tail_of))
-
-    write_blocks(blocks(), path)
-    return threshold, kept, len(stats)
-
-
-def _verdicts(task: Task, samples: Sequence[Sample], shard: Shard, config: AlignmentConfig, threshold: float) -> dict[str, list[AlignedResponse]]:
-    """The verdict objects of an in-process range at ``threshold``."""
-    rows = iter(shard.stats)
-    aligned = {}
-    for sample in samples:
-        candidates = list(shard.results.get(sample.id) or ())
-        if candidates:
-            aligned[sample.id] = align_responses(task, sample, candidates, config, threshold, list(islice(rows, len(candidates))))
-    return aligned
+    threshold = calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction) if stats else None
+    verdicts = align_responses(task, stats, b"".join(shard.reasons for shard in shards), config, threshold)
+    tails = map({v: verdict_tail(v.rejection_reasons) for v in VERDICTS}.__getitem__, verdicts)
+    write_blocks(
+        (_lines(map(operator.add, shard.heads.split("\n"), islice(tails, len(shard.stats)))) for shard in shards), path
+    )
+    return threshold, verdicts
 
 
 def _weighted_mean(pairs: Sequence[tuple[float, int]]) -> tuple[float, int]:
@@ -762,11 +705,11 @@ def pool_evals(system: str, metric: str, evals: Sequence[SystemEval]) -> SystemE
 
 def write_report(evals: Sequence[SystemEval], out_dir: Path, metric: str) -> None:
     """Score and per-position CSVs, the split chart, and the position chart
-    when any system has per-position rows."""
+    when any system has a per-position row with a known position."""
     report_mod.write_scores_csv(evals, out_dir / "report.csv")
     report_mod.write_position_csv(evals, out_dir / "report_by_relpos.csv")
     report_mod.write_split_chart(evals, out_dir / "splits.svg", metric)
-    if any(ev.by_position for ev in evals):
+    if any(row.position is not None for ev in evals for row in ev.by_position):
         report_mod.write_position_chart(evals, out_dir / "relpos.svg", metric)
 
 
@@ -830,13 +773,17 @@ def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> None:
         shards = data.pop("shards")
         _raise_for(shards, "align")
         seed_dir = out_dir / "align" / f"seed{seed}"
-        threshold, data["kept"], data["verdicts"] = write_verdicts(
-            config.task, shards, config.align, seed_dir / "aligned.jsonl"
-        )
-        # A range that ran in-process keeps its objects: training reads its
-        # verdicts, and a tracer in this process counts them.
-        if shards[0].results is not None:
-            data["aligned"] = _verdicts(config.task, data["train"].samples, shards[0], config.align, threshold)
+        threshold, data["verdicts"] = write_verdicts(config.task, shards, config.align, seed_dir / "aligned.jsonl")
+        if config.synth is not None:
+            # Training reads each sample's kept texts. Toy ranges run
+            # in-process; ``zip`` takes a sample's verdicts after its candidates.
+            verdicts = iter(data["verdicts"])
+            data["aligned"] = {
+                sample_id: [c.text for c, verdict in zip(candidates, verdicts) if verdict.kept]
+                for shard in shards
+                for sample_id, candidates in shard.results.items()
+                if candidates
+            }
         calibration: dict = {"calibrated": threshold is not None}
         if threshold is not None:
             calibration["threshold"] = threshold
@@ -999,12 +946,14 @@ def _stage_data_report(config: PipelineConfig, out_dir: Path, state: dict) -> No
             splits={"biased": (biased / total, biased), "non_biased": ((total - biased) / total, total - biased)},
         )
     ]
-    if data.get("verdicts"):
+    verdicts = data.get("verdicts")
+    if verdicts:
+        kept = sum(verdict.kept for verdict in verdicts)
         evals.append(
             SystemEval(
                 system="align",
                 metric="kept_fraction",
-                splits={"all": (data["kept"] / data["verdicts"], data["verdicts"])},
+                splits={"all": (kept / len(verdicts), len(verdicts))},
             )
         )
     report_mod.write_scores_csv(evals, out_dir / "report" / "report.csv")

@@ -16,7 +16,7 @@ from typing import Iterable
 from .backends import GenerationResult, _result_from_body
 from .corpus import encode_json, json_field, json_list, read_jsonl, write_blocks, write_jsonl
 from .metrics import PositionRow
-from .msa_align import AlignedResponse, RejectionReason
+from .msa_align import RejectionReason
 from .report import SystemEval
 from .toy_model import EpochSummary, TraceEntry
 
@@ -65,16 +65,16 @@ def verdict_tail(reasons: frozenset[RejectionReason]) -> str:
     return f'"kept": {"false" if reasons else "true"}, "rejection_reasons": {encode_json(sorted(r.value for r in reasons))}}}'
 
 
-def _aligned_from_record(record: object) -> AlignedResponse:
-    return AlignedResponse(
-        sample_id=json_field(record, "sample_id", str),
-        text=json_field(record, "text", str),
-        token_logprobs=tuple(json_list(record, "token_logprobs", (int, float))),
-        kept=json_field(record, "kept", bool),
-        rejection_reasons=frozenset(
-            _reason(value, i) for i, value in enumerate(json_list(record, "rejection_reasons", str, []))
-        ),
-    )
+def _aligned_from_record(record: object) -> tuple[str, list[str]]:
+    """The sample id, and the text in a list when the verdict kept it. Every
+    field is checked, ``token_logprobs`` too, though training reads none."""
+    sample_id, text = json_field(record, "sample_id", str), json_field(record, "text", str)
+    json_list(record, "token_logprobs", (int, float))
+    kept = json_field(record, "kept", bool)
+    reasons = [_reason(value, i) for i, value in enumerate(json_list(record, "rejection_reasons", str, []))]
+    if kept == bool(reasons):
+        raise ValueError("field 'kept' disagrees with 'rejection_reasons'")
+    return sample_id, [text] if kept else []
 
 
 def _reason(value: str, i: int) -> RejectionReason:
@@ -84,11 +84,12 @@ def _reason(value: str, i: int) -> RejectionReason:
         raise ValueError(f"field 'rejection_reasons[{i}]' is not a rejection reason: {value!r}") from None
 
 
-def load_aligned(path: str | Path) -> dict[str, list[AlignedResponse]]:
-    """Verdicts by sample id, in file order."""
-    grouped: dict[str, list[AlignedResponse]] = {}
-    for _, verdict in read_jsonl(path, _aligned_from_record):
-        grouped.setdefault(verdict.sample_id, []).append(verdict)
+def load_aligned(path: str | Path) -> dict[str, list[str]]:
+    """The kept texts by sample id, for every sample with a verdict, in file
+    order: what training reads."""
+    grouped: dict[str, list[str]] = {}
+    for _, (sample_id, kept) in read_jsonl(path, _aligned_from_record):
+        grouped.setdefault(sample_id, []).extend(kept)
     return grouped
 
 

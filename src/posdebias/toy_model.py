@@ -43,7 +43,6 @@ from .corpus import (
 )
 from .lowbias_infer import build_prompt, default_prompt_spec
 from .metrics import bleu_2, per_position_table, rouge_l, tokenize
-from .msa_align import AlignedResponse
 from .objective import LossConfig, combined_loss, loss_term_weights
 from .report import SystemEval
 
@@ -356,12 +355,13 @@ def _stacked_loss_and_grad(
 
 @dataclass(frozen=True)
 class TrainJob:
-    """One model to train: start weights, corpus, aligned responses (read
-    when ``config.alpha > 0``) and the seed of its epoch shuffles."""
+    """One model to train: start weights, corpus, the kept aligned texts of
+    each sample id (read when ``config.alpha > 0``) and the seed of its epoch
+    shuffles."""
 
     model: ToyModel
     corpus: Corpus
-    aligned: Mapping[str, Sequence[AlignedResponse]] | None = None
+    aligned: Mapping[str, Sequence[str]] | None = None
     config: LossConfig = LossConfig(alpha=0.0)
     seed: int = 0
 
@@ -429,8 +429,8 @@ def _job_blocks(jobs: Sequence[TrainJob]):
     model, loss config, sample and token lists (target, then kept aligned)."""
     for j, job in enumerate(jobs):
         for sample in job.corpus:
-            responses = (job.aligned or {}).get(sample.id, ()) if job.config.alpha > 0.0 else ()
-            sequences = [sample.target.split() + [EOS]] + [r.text.split() + [EOS] for r in responses if r.kept]
+            texts = (job.aligned or {}).get(sample.id, ()) if job.config.alpha > 0.0 else ()
+            sequences = [sample.target.split() + [EOS]] + [text.split() + [EOS] for text in texts]
             yield j, job.model, job.config, sample, sequences
 
 
@@ -576,7 +576,7 @@ def train_lockstep(
 def train(
     model: ToyModel,
     corpus: Corpus,
-    aligned: Mapping[str, Sequence[AlignedResponse]] | None = None,
+    aligned: Mapping[str, Sequence[str]] | None = None,
     config: LossConfig = LossConfig(alpha=0.0),
     epochs: int = 10,
     learning_rate: float = 0.1,

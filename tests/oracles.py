@@ -197,11 +197,12 @@ def verdict_record(sample_id: str, text: str, token_logprobs, reasons) -> dict:
     }
 
 
-def aligned_jsonl(aligned) -> str:
+def aligned_jsonl(candidates, verdicts) -> str:
     """The text of an aligned file by ``json.dumps`` (``ensure_ascii=False``):
-    one ``verdict_record`` line per ``AlignedResponse`` of each sample id."""
+    one ``verdict_record`` line per candidate of each sample id in
+    ``verdicts``, with the verdict in the same place of ``verdicts``."""
     return "".join(
-        json.dumps(verdict_record(v.sample_id, v.text, v.token_logprobs, v.rejection_reasons), ensure_ascii=False) + "\n"
-        for verdicts in aligned.values()
-        for v in verdicts
+        json.dumps(verdict_record(sid, c.text, c.token_logprobs, v.rejection_reasons), ensure_ascii=False) + "\n"
+        for sid, sample_verdicts in verdicts.items()
+        for c, v in zip(candidates[sid], sample_verdicts, strict=True)
     )

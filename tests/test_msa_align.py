@@ -1,10 +1,11 @@
 """Rejection gates, task-specific gate combinations and threshold
 calibration; the gates run through ``align_corpus``, the pipeline's align
 pass on one in-process range, which calibrates the threshold (one candidate
-threshold fixes it)."""
+threshold fixes it) and decides the verdicts (``align_responses``)."""
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from posdebias.msa_align import (
     DEFAULT_DULL_PATTERNS,
     DEFAULT_INSTRUCTION_KEYWORDS,
     DEFAULT_TARGET_KEEP_FRACTION,
-    AlignedResponse,
+    VERDICTS,
     AlignmentConfig,
     RejectionReason,
     align_responses,
@@ -37,10 +38,11 @@ def align_corpus(task: Task, samples, candidates, config: AlignmentConfig):
     and the calibrated threshold (``None``, with no verdict, when there is
     no candidate), from ``align_shards`` on one in-process range."""
     (shard,) = align_shards(task, samples, candidates, config, shards=1)
-    threshold = pipeline._calibrate(shard.stats, config)
-    if threshold is None:
+    if not shard.stats:
         return {}, None
-    return pipeline._verdicts(task, samples, shard, config, threshold), threshold
+    threshold = calibrate_threshold(shard.stats, config.candidate_thresholds, config.target_keep_fraction)
+    verdicts = iter(align_responses(task, shard.stats, shard.reasons, config, threshold))
+    return {s.id: list(islice(verdicts, len(candidates[s.id]))) for s in samples if candidates.get(s.id)}, threshold
 
 
 def result(text: str, logprobs: tuple[float, ...] | None = None) -> GenerationResult:
@@ -71,9 +73,9 @@ def reasons(task: Task, cand: GenerationResult, threshold: float) -> frozenset[R
 
 
 def form(text: str, keywords=DEFAULT_INSTRUCTION_KEYWORDS, patterns=DEFAULT_DULL_PATTERNS) -> frozenset[RejectionReason]:
-    """``form_reasons`` of one question-generation candidate."""
+    """``form_reasons`` of one question-generation candidate, decoded."""
     config = AlignmentConfig(instruction_keywords=keywords, dull_patterns=patterns)
-    return form_reasons(Task.CQG, result(text), config)
+    return VERDICTS[form_reasons(Task.CQG, result(text), config)].rejection_reasons
 
 
 class TestNonCompliant:
@@ -306,17 +308,31 @@ class TestAlignResponses:
             assert verdicts[0].rejection_reasons == frozenset({RejectionReason.UNRELIABLE})
 
     def test_nli_rejected(self):
-        sample = self._sample(Task.CQA)
         with pytest.raises(ValueError, match="nli candidates are not pruned"):
-            align_responses(Task.NLI, sample, [result("x")], self._config(), 0.15, [0.0])
+            align_responses(Task.NLI, [0.0], b"\0", self._config(), 0.15)
 
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError, match="no candidates"):
-            align_responses(Task.CQA, self._sample(), [], self._config(), 0.15, [])
+    def test_no_candidate_has_no_verdict(self, capsys):
+        assert align_responses(Task.CQA, [], b"", self._config(), None) == []
+        assert capsys.readouterr() == ("", "")
 
-    def test_kept_flag_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            AlignedResponse("s", "t", (), kept=True, rejection_reasons=frozenset({RejectionReason.DULL}))
+    def test_one_shared_verdict_per_reason_set(self):
+        sets = {v.rejection_reasons for v in VERDICTS}
+        assert len(VERDICTS) == len(sets) == 2 ** len(RejectionReason)
+        assert [v for v in VERDICTS if v.kept] == [VERDICTS[0]] and not VERDICTS[0].rejection_reasons
+        stats, bits = [0.1, 0.2, 0.05, 0.3], bytes([0, 1, 2, 3])
+        verdicts = align_responses(Task.CQG, stats, bits, self._config(), 0.15)
+        # ``Verdict`` compares by identity: these are the shared instances.
+        assert verdicts == [VERDICTS[4], VERDICTS[1], VERDICTS[6], VERDICTS[3]]
+
+
+def test_form_reasons_tokenizes_the_candidate_once(monkeypatch):
+    # The keywords and patterns are tokenized once per config, not once per candidate.
+    texts = []
+    monkeypatch.setattr(msa_align, "tokenize", lambda text: texts.append(text) or tokenize(text))
+    config = AlignmentConfig()
+    for text in ("what is the passage about", "tell me more", "who won"):
+        form_reasons(Task.CQG, result(text), config)
+    assert texts == ["what is the passage about", *DEFAULT_INSTRUCTION_KEYWORDS, *DEFAULT_DULL_PATTERNS, "tell me more", "who won"]
 
 
 class TestGateStatistic:

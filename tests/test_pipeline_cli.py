@@ -13,14 +13,14 @@ from statistics import mean
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import nli_sample
 from oracles import aligned_jsonl, candidates_jsonl
 from test_msa_align import align_corpus
 from posdebias import corpus as corpus_mod
-from posdebias import lowbias_infer, pipeline
+from posdebias import lowbias_infer, msa_align, pipeline
 from posdebias.backends import BACKEND_URL_ENV, BackendError, RecordingBackend, StubBackend, StubMode
 from posdebias.bias_split import BIAS_BY_TASK, BiasKind
 from posdebias.cli import main
@@ -427,8 +427,8 @@ class TestToyPipeline:
 
     def test_benchmark_tracer_counts_the_verdicts_written(self, tmp_path, monkeypatch):
         # The benchmark's tracer counts verdicts, and reads the keep target,
-        # through ``align_responses(task, sample, candidates, config)``, which
-        # toy mode calls per seed for the verdicts training reads.
+        # through ``align_responses(task, stats, reasons, config, threshold)``,
+        # the rule that decides every verdict, once per seed.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         from tracer import Tracer
 
@@ -449,6 +449,56 @@ class TestToyPipeline:
         assert tracer.target_keep_fraction == 0.2
         gate_spans = [span for span in tracer.spans if tracer.names[span[1]] == "msa_align.gate_statistic"]
         assert len(gate_spans) == len(verdicts)
+
+    def test_each_candidate_is_decided_once(self, tmp_path, monkeypatch):
+        # ``form_reasons`` runs once per candidate, in the align pass, and
+        # ``align_responses`` once per seed, over all of the seed's candidates.
+        calls = dict.fromkeys(("form_reasons", "align_responses"), 0)
+        for name in calls:
+
+            def counted(*args, fn=getattr(msa_align, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            for module in (msa_align, pipeline):
+                monkeypatch.setattr(module, name, counted)
+        out_dir = tmp_path / "out"
+        run_toy(out_dir, systems=["ft"], epochs=1)
+        verdicts = sum(
+            len((out_dir / "align" / f"seed{seed}" / "aligned.jsonl").read_text().splitlines()) for seed in TOY_RAW["seeds"]
+        )
+        assert calls == {"form_reasons": verdicts, "align_responses": len(TOY_RAW["seeds"])}
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n_train=st.integers(2, 8),
+    n_per_prompt=st.integers(1, 3),
+    thresholds=st.sampled_from([(0.15,), (0.1, 0.5, 0.9), (0.3, 0.6)]),
+    garbage_rate=st.sampled_from([0.0, 0.25, 0.75]),
+    seeds=st.lists(st.integers(0, 20), min_size=1, max_size=2, unique=True),
+)
+# Every candidate noise: no threshold keeps one.
+@example(n_train=4, n_per_prompt=2, thresholds=(0.1,), garbage_rate=1.0, seeds=[0])
+def test_training_reads_the_kept_lines_of_the_aligned_file(n_train, n_per_prompt, thresholds, garbage_rate, seeds):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        config = parse_config({
+            **TOY_RAW, "out_dir": tmp, "synth": {**TOY_RAW["synth"], "n_train": n_train}, "seeds": seeds,
+            "n_per_prompt": n_per_prompt, "garbage_rate": garbage_rate, "align": {"candidate_thresholds": list(thresholds)},
+        })
+        state: dict = {}
+        for stage in (pipeline._stage_synth, pipeline._stage_infer, pipeline._stage_align):
+            stage(config, out_dir, state)
+        for seed, data in state["data"].items():
+            path = out_dir / "align" / f"seed{seed}" / "aligned.jsonl"
+            kept: dict[str, list[str]] = {}
+            for verdict in map(json.loads, path.read_text().splitlines()):
+                kept.setdefault(verdict["sample_id"], []).extend([verdict["text"]] if verdict["kept"] else [])
+            assert data["aligned"] == load_aligned(path) == kept
+            assert list(kept) == [sample.id for sample in data["train"]]
+            if garbage_rate == 1.0:
+                assert not any(kept.values())
 
 
 #: The stages whose files a seed writes alone, in its own ``seed*`` directory.
@@ -865,7 +915,7 @@ class TestDataModePipeline:
 
     def test_benchmark_tracer_counts_the_verdicts_written(self, dialogue_corpus_file, tmp_path, monkeypatch):
         # The benchmark's tracer counts verdicts, and reads the keep target,
-        # through ``align_responses(task, sample, candidates, config)``.
+        # through ``align_responses(task, stats, reasons, config, threshold)``.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         from tracer import Tracer
 
@@ -1289,7 +1339,7 @@ class TestCliVerbs:
                 Task.CQA, corpus.samples, candidates, AlignmentConfig(candidate_thresholds=thresholds)
             )
             assert f"calibrated threshold {threshold:g}\n" in result.output
-            assert out.read_bytes() == aligned_jsonl(aligned).encode("utf-8")
+            assert out.read_bytes() == aligned_jsonl(candidates, aligned).encode("utf-8")
             if len(thresholds) == 1:
                 assert threshold == thresholds[0]
 
@@ -1399,6 +1449,26 @@ class TestCliVerbs:
         (line,) = result.output.strip().splitlines()
         assert "one metric and name each system once" in line and all(str(path) in line for path in paths)
         assert not (tmp_path / "report").exists()
+
+    def test_report_rejects_an_eval_file_without_splits_before_writing(self, runner, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"system": "a", "metric": "accuracy"}))
+        result = runner.invoke(main, ["report", str(path), "--out-dir", str(tmp_path / "report")])
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert line == f"Error: report: eval file {path} has no split scores to report"
+        assert not (tmp_path / "report").exists()
+
+    def test_report_draws_no_position_chart_without_a_known_position(self, runner, tmp_path):
+        # ``eval`` writes such rows when no sample has an answered turn.
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({
+            "system": "a", "metric": "accuracy", "splits": {"biased": {"score": 0.5, "count": 2}},
+            "by_position": [{"position": None, "score": 0.5, "count": 2}],
+        }))
+        report_dir = tmp_path / "report"
+        invoke_ok(runner, ["report", str(path), "--out-dir", str(report_dir)])
+        assert sorted(p.name for p in report_dir.iterdir()) == ["report.csv", "report_by_relpos.csv", "splits.svg"]
 
     @BAD_TABLE_ENTRIES
     def test_infer_rejects_a_bad_table_file_entry_in_one_line(self, runner, tmp_path, dialogue_corpus_file, entry, message):
@@ -1537,6 +1607,26 @@ class TestCliVerbs:
         assert result.exit_code == 1 and result.exception.__class__ is SystemExit
         (line,) = result.output.strip().splitlines()
         assert problem in line
+        assert not out.exists()
+
+    def test_train_toy_rejects_a_kept_verdict_with_reasons(self, runner, tmp_path, dialogue_corpus_file):
+        known = load_corpus(dialogue_corpus_file, Task.CQA).samples[0].id
+        aligned = tmp_path / "aligned.jsonl"
+        aligned.write_text("".join(
+            json.dumps({"sample_id": known, "text": "a b", "token_logprobs": [-0.1, -0.2], "kept": kept, "rejection_reasons": ["dull"]}) + "\n"
+            for kept in (False, True)
+        ))
+        problem = f"{aligned}: line 2: field 'kept' disagrees with 'rejection_reasons'"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            load_aligned(aligned)
+        out = tmp_path / "model.json"
+        result = runner.invoke(main, [
+            "train-toy", "--train", str(dialogue_corpus_file), "--aligned", str(aligned), "--alpha", "0.2",
+            "--epochs", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
+        (line,) = result.output.strip().splitlines()
+        assert line == f"Error: {problem}"
         assert not out.exists()
 
     def test_train_toy_rejects_an_infinite_learning_rate(self, runner, tmp_path, dialogue_corpus_file):

@@ -17,7 +17,6 @@ from posdebias.bias_split import (
 )
 from posdebias.corpus import Corpus, Task
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec
-from posdebias.msa_align import AlignedResponse
 from posdebias.objective import LossConfig
 from posdebias.toy_model import (
     BOS,
@@ -374,10 +373,7 @@ class TestTraining:
         for sample in train_c:
             doc_line = sample.document.utterances[2]
             topic_tok, content_tok = doc_line.split()
-            aligned[sample.id] = [
-                AlignedResponse(sample.id, f"ans {topic_tok} is {content_tok}", (math.log(0.5),) * 4, True),
-                AlignedResponse(sample.id, "noise", (math.log(0.5),), False, frozenset({"unreliable"})),
-            ]
+            aligned[sample.id] = [f"ans {topic_tok} is {content_tok}"]
         model = ToyModel.initialize(12)
         _, trace = train(
             model, train_c, aligned=aligned, config=LossConfig(alpha=0.2), epochs=1,
@@ -390,7 +386,7 @@ class TestTraining:
     def test_samples_without_kept_responses_fall_back_to_target(self):
         train_c, _, _ = synth_corpus(small_spec())
         some_id = next(iter(train_c)).id
-        aligned = {some_id: [AlignedResponse(some_id, "x", (0.0,), False, frozenset({"dull"}))]}
+        aligned = {some_id: []}  # its one candidate was rejected
         model = ToyModel.initialize(12)
         _, trace = train(
             model, train_c, aligned=aligned, config=LossConfig(alpha=0.2), epochs=1,
@@ -446,12 +442,7 @@ class TestStackedStep:
         train_c, _, _ = synth_corpus(small_spec(n_train=5, n_eval=1, seed=corpus_seed))
         sample = tuple(train_c)[sample_index]
         model = random_model(seed=weight_seed, scale=scale)
-        aligned = {
-            sample.id: [
-                AlignedResponse(sample.id, " ".join(tokens), (0.0,) * len(tokens), True, frozenset())
-                for tokens in responses
-            ]
-        }
+        aligned = {sample.id: [" ".join(tokens) for tokens in responses]}
         config = LossConfig(alpha=alpha)
         trained, trace = train(
             model, Corpus((sample,), Task.CQA), aligned=aligned, config=config, epochs=1,
@@ -510,12 +501,7 @@ class TestLockstep:
         for sample_index, alpha, responses, weight_seed in jobs:
             sample = samples[sample_index]
             model = random_model(seed=weight_seed, scale=0.5)
-            aligned = {
-                sample.id: [
-                    AlignedResponse(sample.id, " ".join(tokens), (0.0,) * len(tokens), True, frozenset())
-                    for tokens in responses
-                ]
-            }
+            aligned = {sample.id: [" ".join(tokens) for tokens in responses]}
             train_jobs.append(TrainJob(model, Corpus((sample,), Task.CQA), aligned, LossConfig(alpha=alpha)))
             base = context_features(model, sample)
             target_seq = sequence_features(model, base, sample.target.split() + [EOS])
@@ -541,7 +527,7 @@ class TestLockstep:
     def test_jobs_trained_together_match_each_trained_alone(self):
         corpora = [synth_corpus(small_spec(seed=seed))[0] for seed in (7, 8)]
         aligned = {
-            s.id: [AlignedResponse(s.id, f"ans t{i % 12} is c{i % 7}", (0.0,) * 4, True)]
+            s.id: [f"ans t{i % 12} is c{i % 7}"]
             for corpus in corpora
             for i, s in enumerate(corpus)
             if i % 3
