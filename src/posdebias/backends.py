@@ -17,7 +17,6 @@ import json
 import math
 import os
 import random
-import threading
 import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
@@ -31,11 +30,13 @@ BACKEND_URL_ENV = "POSDEBIAS_BACKEND_URL"
 
 
 class BackendError(RuntimeError):
-    """Backend failure; ``prompt_index`` is the failing prompt's, when known."""
+    """Backend failure; ``prompt_index`` is the failing prompt's, when known,
+    and ``results`` what ``generate`` drew for the prompts before it."""
 
     def __init__(self, message: str, *, prompt_index: int | None = None) -> None:
         super().__init__(message)
         self.prompt_index = prompt_index
+        self.results: list[GenerationResult] = []
 
 
 @dataclass(frozen=True)
@@ -194,6 +195,12 @@ def _complete_payload(prompt: str, max_tokens: int, seed: int) -> dict:
     return {"prompt": prompt, "max_tokens": max_tokens, "seed": seed, "logprobs": True}
 
 
+def record_line(prompt: str, max_tokens: int, seed: int, result: GenerationResult) -> str:
+    """One exchange of an ``infer --record`` file, as ``ReplayBackend`` reads
+    it: ``json.dumps`` (``ensure_ascii=False``) of the request and response bodies."""
+    return encode_json({"request": _complete_payload(prompt, max_tokens, seed), "response": result.body()})
+
+
 def _result_from_body(body: object, backend_id: str) -> GenerationResult:
     """A served or recorded response body, or a candidates line, as a result:
     the one decoder of a result from JSON. ``tokens`` and ``token_logprobs``
@@ -253,26 +260,15 @@ def _request_key(payload: dict) -> str:
 
 
 class RecordingBackend:
-    """Wrap another backend and append each exchange to a JSONL file."""
+    """Calls ``inner``, and nothing in ``posdebias`` calls it: ``infer
+    --record`` builds its lines in the pass (``record_line``). It stays
+    because perfbench's tracer patches ``RecordingBackend.complete``."""
 
-    def __init__(self, inner: Backend, path: str | Path) -> None:
-        self.inner = inner
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.backend_id = inner.backend_id
-        # Concurrent ``generate`` calls record from several threads at once.
-        self._lock = threading.Lock()
-
-    def _record(self, payload: dict, result: GenerationResult) -> None:
-        line = json.dumps({"request": payload, "response": result.body()}, ensure_ascii=False) + "\n"
-        with self._lock, self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line)
+    def __init__(self, inner: Backend) -> None:
+        self.inner, self.backend_id = inner, inner.backend_id
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
-        payload = _complete_payload(prompt, max_tokens, seed)
-        result = self.inner.complete(prompt, max_tokens=max_tokens, seed=seed)
-        self._record(payload, result)
-        return result
+        return self.inner.complete(prompt, max_tokens=max_tokens, seed=seed)
 
 
 class ReplayBackend:
@@ -321,7 +317,7 @@ def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
     """Build the backend a spec names; the one parser of backend specs.
 
     Specs: ``echo``, ``markov``, ``table:FILE`` (a JSON object from prompt
-    to ``StubBackend`` table value), ``replay:FILE`` (a ``RecordingBackend``
+    to ``StubBackend`` table value), ``replay:FILE`` (an ``infer --record``
     file) and ``url:ENDPOINT`` or a bare ``http(s)`` URL, which the
     ``POSDEBIAS_BACKEND_URL`` environment variable overrides when set. A
     table or replay file is decoded whole here, and an endpoint must be an

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .backends import BackendError, RecordingBackend, reads_max_tokens, resolve_backend
+from .backends import BackendError, reads_max_tokens, resolve_backend
 from .bias_split import BIAS_BY_TASK, DEFAULT_BIASED_POSITIONS, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position
 from .corpus import CorpusError, Sample, Task, load_corpus, write_blocks
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy
@@ -116,7 +116,7 @@ def split(corpus_path, task_name, out_dir, positions, triggers):
 @click.option("--max-tokens", default=None, type=click.IntRange(min=1), help=f"Longest candidate in tokens (markov, replay, url).  [default: {DEFAULT_MAX_TOKENS}]")
 @click.option("--max-in-flight", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--strategy", default=None, type=click.Choice([s.value for s in PromptStrategy]))
-@click.option("--record", "record_path", default=None, type=click.Path(dir_okay=False), help="Record raw backend traffic to this JSONL file.")
+@click.option("--record", "record_path", default=None, type=click.Path(dir_okay=False), help="Write the raw backend traffic to this JSONL file, in prompt order.")
 def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tokens, max_in_flight, strategy, record_path):
     """Generate low-bias candidate responses for every sample."""
     task = _task(task_name)
@@ -126,8 +126,6 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
     try:
         engine = resolve_backend(backend)
         corpus = load_corpus(corpus_path, task)
-        if record_path:
-            engine = RecordingBackend(engine, record_path)
         shards = infer_shards(
             corpus,
             engine,
@@ -136,6 +134,7 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
             max_tokens=max_tokens or DEFAULT_MAX_TOKENS,
             strategy=strategy,
             max_in_flight=max_in_flight,
+            record=record_path,
         )
     except (CorpusError, BackendError, ValueError) as exc:
         _fail(str(exc))

@@ -144,12 +144,11 @@ def generate(
     so outputs are a pure function of (prompt, seed) and never of list
     position. ``max_in_flight`` bounds concurrent backend requests; results
     are reassembled in deterministic order regardless. A ``BackendError``
-    names its prompt as ``prompt_offset`` plus its index in ``prompts``.
+    names its prompt as ``prompt_offset`` plus its index in ``prompts``, and
+    its ``results`` are those of the prompts before it.
     """
     if n_per_prompt < 1:
         raise ValueError("generate: n_per_prompt must be >= 1")
-    if not prompts:
-        return []
 
     def run_one(job: tuple[int, int, str]) -> GenerationResult:
         index, k, prompt = job
@@ -159,8 +158,17 @@ def generate(
             raise BackendError(f"prompt {index}: {exc}", prompt_index=index) from exc
 
     jobs = [(i, k, p) for i, p in enumerate(prompts, start=prompt_offset) for k in range(n_per_prompt)]
-    if max_in_flight <= 1:
-        return [run_one(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(run_one, jobs))
+    done: list[GenerationResult] = []
+    try:
+        if max_in_flight <= 1:
+            for job in jobs:
+                done.append(run_one(job))
+        else:
+            with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+                for result in pool.map(run_one, jobs):
+                    done.append(result)
+    except BackendError as exc:
+        exc.results = done[: (exc.prompt_index - prompt_offset) * n_per_prompt]
+        raise
+    return done
 

@@ -23,7 +23,6 @@ one rule that turns them into verdicts, at the calibrated threshold.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -102,11 +101,6 @@ VERDICTS = tuple(
     Verdict(frozenset(reason for reason, bit in _BIT.items() if bits & bit), not bits) for bits in range(1 << len(_BIT))
 )
 
-#: How far the share of statistics at or above the calibrated threshold may
-#: miss the keep target before ``align_responses`` reports it on stderr.
-KEEP_FRACTION_SLACK = 0.025
-
-
 def align_responses(
     task: Task,
     stats: Sequence[float],
@@ -119,22 +113,14 @@ def align_responses(
 
     A candidate is rejected for its form reasons, and as incoherent (question
     generation) or unreliable (other tasks) when its statistic is below
-    ``threshold``; one equal to it passes. When the share of statistics at or
-    above ``threshold`` misses ``config.target_keep_fraction`` by more than
-    ``KEEP_FRACTION_SLACK``, one line on stderr says so. No candidate (and
-    ``threshold`` ``None``) has no verdict.
+    ``threshold``; one equal to it passes. No candidate (and ``threshold``
+    ``None``) has no verdict. ``config`` is not read here; perfbench's
+    tracer reads the keep target from this call.
     """
     if task == Task.NLI:
         raise ValueError("align_responses: nli candidates are not pruned")
     if not stats:
         return []
-    passed = sum(1 for stat in stats if stat >= threshold) / len(stats)
-    if abs(passed - config.target_keep_fraction) > KEEP_FRACTION_SLACK:
-        print(
-            f"align: kept {passed:.1%} of {len(stats)} candidates against a "
-            f"{config.target_keep_fraction:.1%} calibration target",
-            file=sys.stderr,
-        )
     below = _BIT[RejectionReason.INCOHERENT if task == Task.CQG else RejectionReason.UNRELIABLE]
     return [
         VERDICTS[bits | below] if stat < threshold else VERDICTS[bits]

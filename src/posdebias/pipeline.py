@@ -28,6 +28,7 @@ import json
 import math
 import operator
 import os
+import sys
 from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
 from itertools import islice
@@ -36,7 +37,7 @@ from typing import Mapping, Sequence
 
 from . import corpus as corpus_mod
 from . import report as report_mod
-from .backends import Backend, GenerationResult, StubBackend, StubMode, reads_max_tokens, resolve_backend
+from .backends import Backend, BackendError, GenerationResult, StubBackend, StubMode, reads_max_tokens, record_line, resolve_backend
 from .bias_split import (
     BIAS_BY_TASK,
     DEFAULT_BIASED_POSITIONS,
@@ -391,13 +392,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
 class _Job:
     """The per-sample work of one pass over ``samples``: the split's
     ``(positions, triggers)``; the backend, prompt spec and ``generate``
-    keywords to infer with; the ``candidates`` to align when nothing is
-    inferred; the gate config to align with. A part left ``None`` is skipped."""
+    keywords to infer with, and whether to build the record lines of that
+    traffic; the ``candidates`` to align when nothing is inferred; the gate
+    config to align with. A part left ``None`` is skipped."""
 
     task: Task
     samples: tuple[Sample, ...]
     split: tuple | None = None
     infer: tuple | None = None
+    record: bool = False
     candidates: Mapping[str, Sequence[GenerationResult]] | None = None
     align: AlignmentConfig | None = None
 
@@ -408,7 +411,8 @@ class Shard:
 
     Each text block holds the range's lines of one output file, each ending
     in a newline: the biased, non-biased and evidence lines of the split,
-    the candidates, and the head of each verdict line (``verdict_head``).
+    the candidates, the record lines of the backend traffic in prompt order
+    (``record_line``), and the head of each verdict line (``verdict_head``).
     ``stats`` holds each candidate's gate statistic (an ``array('d')``) and
     ``reasons`` the bits of its threshold-free reasons (``form_reasons``),
     for ``write_verdicts`` to decide (``align_responses``).
@@ -419,6 +423,7 @@ class Shard:
     split: tuple[str, str, str] = ("", "", "")
     n_biased: int = 0
     candidates: str = ""
+    record: str = ""
     heads: str = ""
     stats: Sequence[float] = ()
     reasons: bytes = b""
@@ -450,14 +455,19 @@ def _shard(job: _Job, lo: int, hi: int) -> Shard:
         if job.infer is not None:
             backend, spec, options = job.infer
             prompts = [build_prompt(s, spec) for s in samples]
-            # Every sample has as many prompts as the first (``build_prompt``).
-            flat = iter(generate(
-                [prompt for sample_prompts in prompts for prompt in sample_prompts],
-                backend,
-                prompt_offset=lo * len(prompts[0]) if prompts else 0,
-                **options,
-            ))
-            results = {s.id: list(islice(flat, len(p) * options["n_per_prompt"])) for s, p in zip(samples, prompts)}
+            flat, n = [prompt for sample_prompts in prompts for prompt in sample_prompts], options["n_per_prompt"]
+            drawn: list[GenerationResult] = []
+            try:
+                # Every sample has as many prompts as the first (``build_prompt``).
+                drawn = generate(flat, backend, prompt_offset=lo * len(prompts[0]) if prompts else 0, **options)
+            except BackendError as exc:  # its results are recorded here: they need not cross a pipe
+                drawn, exc.results = exc.results, []
+                raise
+            finally:  # so a failing prompt's range records the prompts before it
+                if job.record:
+                    shard.record = _lines(record_line(flat[j // n], options["max_tokens"], options["seed"] + j % n, r) for j, r in enumerate(drawn))
+            drawn = iter(drawn)
+            results = {s.id: list(islice(drawn, len(p) * n)) for s, p in zip(samples, prompts)}
             shard.candidates = _lines(
                 candidate_line(sample_id, k, result) for sample_id, rs in results.items() for k, result in enumerate(rs)
             )
@@ -620,6 +630,7 @@ def infer_shards(
     max_in_flight: int = 1,
     align: AlignmentConfig | None = None,
     shards: int | None = None,
+    record: str | Path | None = None,
 ) -> list[Shard]:
     """Low-bias candidates for every sample, drawn per sample range (see
     ``_run_shards``; one range for a backend that does not set
@@ -628,14 +639,19 @@ def infer_shards(
     ``strategy`` overrides the task's default prompt strategy, whose spec
     is built once from the whole corpus. A ``BackendError``'s prompt index
     counts prompts across the corpus, and the first failing prompt's is
-    raised. With ``align`` each range also computes its gate statistics and
-    verdict heads; an error there is ``align_shards``' to raise.
+    raised. With ``record`` the backend traffic is written there first, one
+    line per candidate in prompt order, up to the first failing prompt.
+    With ``align`` each range also computes its gate statistics and verdict
+    heads; an error there is ``align_shards``' to raise.
     """
     spec = default_prompt_spec(
         corpus.task, corpus=corpus, strategy=None if strategy is None else PromptStrategy(strategy)
     )
     options = {"n_per_prompt": n_per_prompt, "seed": seed, "max_tokens": max_tokens, "max_in_flight": max_in_flight}
-    result = _run_shards(_Job(corpus.task, corpus.samples, infer=(backend, spec, options), align=align), shards)
+    result = _run_shards(_Job(corpus.task, corpus.samples, infer=(backend, spec, options), record=record is not None, align=align), shards)
+    if record is not None:
+        failed = [i for i, shard in enumerate(result) if shard.error is not None and shard.error[0] == "infer"]
+        write_blocks((shard.record for shard in result[: failed[0] + 1 if failed else None]), record)
     _raise_for(result, "infer")
     return result
 
@@ -662,7 +678,10 @@ def write_verdicts(task: Task, shards: Sequence[Shard], config: AlignmentConfig,
     """Calibrate on the statistics of ``shards`` in sample order, decide
     every candidate at that threshold (``align_responses``), complete each
     verdict line and write the aligned JSONL. Returns the threshold
-    (``None`` with no candidate) and the verdicts in sample order."""
+    (``None`` with no candidate) and the verdicts in sample order. When the
+    share of statistics at or above the threshold misses the keep target
+    by more than 2.5 points, one line on stderr says so, and names the
+    share of candidates kept."""
     from array import array
 
     stats = array("d")
@@ -670,6 +689,14 @@ def write_verdicts(task: Task, shards: Sequence[Shard], config: AlignmentConfig,
         stats.extend(shard.stats)
     threshold = calibrate_threshold(stats, config.candidate_thresholds, config.target_keep_fraction) if stats else None
     verdicts = align_responses(task, stats, b"".join(shard.reasons for shard in shards), config, threshold)
+    passed = sum(1 for stat in stats if stat >= threshold) / len(stats) if stats else None
+    if passed is not None and abs(passed - config.target_keep_fraction) > 0.025:
+        kept = sum(verdict.kept for verdict in verdicts)
+        print(
+            f"align: {passed:.1%} of {len(stats)} gate statistics at or above threshold {threshold:g} against a "
+            f"{config.target_keep_fraction:.1%} calibration target; {kept / len(stats):.1%} of candidates kept",
+            file=sys.stderr,
+        )
     tails = map({v: verdict_tail(v.rejection_reasons) for v in VERDICTS}.__getitem__, verdicts)
     write_blocks(
         (_lines(map(operator.add, shard.heads.split("\n"), islice(tails, len(shard.stats)))) for shard in shards), path

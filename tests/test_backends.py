@@ -24,15 +24,18 @@ from posdebias.backends import (
     BackendError,
     GenerationResult,
     HttpBackend,
-    RecordingBackend,
     ReplayBackend,
     StubBackend,
     StubMode,
+    record_line,
     resolve_backend,
 )
-from posdebias.lowbias_infer import generate
+from posdebias.corpus import Corpus, Task, write_blocks
+from posdebias.lowbias_infer import build_prompt, default_prompt_spec, generate
+from posdebias.pipeline import infer_shards
 from posdebias.records import load_candidates
 
+from conftest import dialogue_sample
 from oracles import candidates_jsonl, markov_complete
 
 #: Text that JSON, JSONL line splitting or UTF-8 could mangle: non-ASCII,
@@ -280,31 +283,37 @@ class TestHttpBackend:
         assert len(posts) == 1
 
 
+def tape(path: Path, backend, prompt: str, seeds=(0,)) -> Path:
+    """A recording of ``backend``'s answer to ``prompt`` at each seed, as the
+    infer pass writes one: a ``record_line`` per exchange."""
+    return write_blocks((record_line(prompt, 16, seed, backend.complete(prompt, seed=seed)) + "\n" for seed in seeds), path)
+
+
+def small_corpus(n: int) -> Corpus:
+    return Corpus(tuple(dialogue_sample(f"s{i}", [f"u{i} a", "b c"], "pq", f"u{i} a", "q", "b c") for i in range(n)), Task.CQA)
+
+
 class TestRecordReplay:
     def test_record_then_replay_identical(self, tmp_path, local_server):
-        _, url = local_server
+        server, url = local_server
         record_path = tmp_path / "tape.jsonl"
-        live = RecordingBackend(HttpBackend(url), record_path)
-        first = live.complete("hello", max_tokens=8, seed=3)
+        corpus = small_corpus(3)
+        (live,) = infer_shards(corpus, HttpBackend(url), 2, 3, 8, record=record_path)
+        assert len(server.requests) == 6
 
-        replay = ReplayBackend(record_path)
-        replayed = replay.complete("hello", max_tokens=8, seed=3)
-        assert replayed.text == first.text
-        assert replayed.tokens == first.tokens
-        assert replayed.token_logprobs == first.token_logprobs
+        (replayed,) = infer_shards(corpus, ReplayBackend(record_path), 2, 3, 8, shards=1)
+        for sample in corpus:
+            for want, got in zip(live.results[sample.id], replayed.results[sample.id], strict=True):
+                assert (got.text, got.tokens, got.token_logprobs) == (want.text, want.tokens, want.token_logprobs)
 
     def test_replay_unknown_request_is_error(self, tmp_path):
-        record_path = tmp_path / "tape.jsonl"
-        RecordingBackend(StubBackend(StubMode.ECHO), record_path).complete("known")
+        record_path = tape(tmp_path / "tape.jsonl", StubBackend(StubMode.ECHO), "known")
         replay = ReplayBackend(record_path)
         with pytest.raises(BackendError, match="no response"):
             replay.complete("different prompt")
 
     def test_replay_response_without_logprobs_fails_when_the_file_is_read(self, tmp_path):
-        record_path = tmp_path / "tape.jsonl"
-        live = RecordingBackend(StubBackend(StubMode.MARKOV), record_path)
-        live.complete("p q r", seed=0)
-        live.complete("p q r", seed=1)
+        record_path = tape(tmp_path / "tape.jsonl", StubBackend(StubMode.MARKOV), "p q r", seeds=(0, 1))
         first, second = (json.loads(line) for line in record_path.read_text().splitlines())
         del second["response"]["token_logprobs"]
         record_path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
@@ -330,11 +339,7 @@ class TestRecordReplay:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(results=st.lists(generation_results(), min_size=1, max_size=4))
     def test_any_result_round_trips_through_record_and_replay(self, tmp_path, results):
-        record_path = tmp_path / "tape.jsonl"
-        record_path.unlink(missing_ok=True)
-        live = RecordingBackend(_ScriptedBackend(results), record_path)
-        for seed in range(len(results)):
-            live.complete("p", seed=seed)
+        record_path = tape(tmp_path / "tape.jsonl", _ScriptedBackend(results), "p", seeds=range(len(results)))
         replay = ReplayBackend(record_path)
         for seed, want in enumerate(results):
             got = replay.complete("p", seed=seed)
@@ -348,9 +353,7 @@ class TestRecordReplay:
         assert load_candidates(path) == candidates
 
     def test_replay_distinguishes_seeds(self, tmp_path):
-        record_path = tmp_path / "tape.jsonl"
-        live = RecordingBackend(StubBackend(StubMode.MARKOV), record_path)
-        live.complete("p q r", seed=0)
+        record_path = tape(tmp_path / "tape.jsonl", StubBackend(StubMode.MARKOV), "p q r")
         replay = ReplayBackend(record_path)
         replay.complete("p q r", seed=0)
         with pytest.raises(BackendError):
@@ -380,23 +383,20 @@ class _LongAnswerBackend:
 
 
 class TestConcurrentRecording:
-    def test_every_concurrent_call_records_one_whole_line(self, tmp_path):
+    def test_concurrent_calls_record_whole_lines_in_prompt_order(self, tmp_path):
         record_path = tmp_path / "tape.jsonl"
-        backend = RecordingBackend(_LongAnswerBackend(), record_path)
-        prompts = [f"p{i}" for i in range(32)]
+        corpus = small_corpus(32)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = generate(prompts, backend, n_per_prompt=4, max_in_flight=8)
+            infer_shards(corpus, _LongAnswerBackend(), 4, 0, 8, max_in_flight=8, record=record_path)
         finally:
             sys.setswitchinterval(interval)
         lines = record_path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == len(results) == 128
-        requests = sorted(
-            (entry["request"]["prompt"], entry["request"]["seed"])
-            for entry in map(json.loads, lines)
-        )
-        assert requests == sorted((p, k) for p in prompts for k in range(4))
+        spec = default_prompt_spec(Task.CQA)
+        requests = [(entry["request"]["prompt"], entry["request"]["seed"]) for entry in map(json.loads, lines)]
+        assert requests == [(build_prompt(s, spec)[0], k) for s in corpus for k in range(4)]
+        assert all(entry["response"]["text"].startswith(prompt) for entry, (prompt, _) in zip(map(json.loads, lines), requests))
 
 
 class TestResolveBackend:
@@ -426,8 +426,7 @@ class TestResolveBackend:
         assert backend.complete("p").text == "from disk"
 
     def test_replay_file(self, tmp_path):
-        record_path = tmp_path / "tape.jsonl"
-        RecordingBackend(StubBackend(StubMode.ECHO), record_path).complete("x")
+        record_path = tape(tmp_path / "tape.jsonl", StubBackend(StubMode.ECHO), "x")
         backend = resolve_backend(f"replay:{record_path}", env={})
         assert backend.complete("x").text == "x"
 

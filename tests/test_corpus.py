@@ -415,13 +415,13 @@ def test_file_writes_finds_each_way_to_write_a_file(call, found):
 
 def test_write_blocks_is_the_one_code_that_writes_a_file():
     # One writer decides how an artifact is encoded and where its directory
-    # comes from; a recording appends one exchange at a time.
+    # comes from; an ``infer --record`` file too.
     writes = {
         (path.stem, *write)
         for path in sorted(Path(posdebias.__file__).parent.glob("*.py"))
         for write in file_writes(path.read_text(encoding="utf-8"))
     }
-    assert writes == {("corpus", "write_blocks", "open('wb')"), ("backends", "RecordingBackend._record", "open('a')")}
+    assert writes == {("corpus", "write_blocks", "open('wb')")}
 
 
 def test_write_blocks_is_the_one_code_that_takes_an_artifact_checksum():

@@ -233,14 +233,36 @@ def test_align_corpus_tokenizes_each_target_once(monkeypatch):
     assert texts == ["the cat", "zebra", "a", "a b", "c"]
 
 
-def test_keep_fraction_miss_is_reported_on_stderr(capsys):
+def write_verdicts_of(tmp_path, task: Task, samples, candidates) -> list[bool]:
+    """``write_verdicts`` on ``align_shards`` of one in-process range; which
+    candidates it kept."""
+    shards = align_shards(task, samples, candidates, AlignmentConfig(), shards=1)
+    return [v.kept for v in pipeline.write_verdicts(task, shards, AlignmentConfig(), tmp_path / "aligned.jsonl")[1]]
+
+
+def test_keep_fraction_miss_is_reported_on_stderr(tmp_path, capsys):
     samples = [dialogue_sample("t", ["a b"], "pq", "a b", "q", "a b")]
     # Every candidate threshold keeps "a b" and "a" alone: 40% against 20%.
-    align_corpus(Task.CQA, samples, {"t": [result(t) for t in ("a b", "a", "c", "c d", "x")]}, AlignmentConfig())
-    assert capsys.readouterr() == ("", "align: kept 40.0% of 5 candidates against a 20.0% calibration target\n")
+    write_verdicts_of(tmp_path, Task.CQA, samples, {"t": [result(t) for t in ("a b", "a", "c", "c d", "x")]})
+    assert capsys.readouterr() == (
+        "",
+        "align: 40.0% of 5 gate statistics at or above threshold 0.1 against a 20.0% calibration target; "
+        "40.0% of candidates kept\n",
+    )
     # 1 of 5 meets the target exactly: nothing is printed.
-    align_corpus(Task.CQA, samples, {"t": [result(t) for t in ("a b", "c", "c d", "x", "y")]}, AlignmentConfig())
+    write_verdicts_of(tmp_path, Task.CQA, samples, {"t": [result(t) for t in ("a b", "c", "c d", "x", "y")]})
     assert capsys.readouterr() == ("", "")
+
+
+def test_the_stderr_line_names_the_share_kept_apart_from_the_share_that_passes(tmp_path, capsys):
+    # Every question passes the probability gate; the form gates reject two.
+    samples = [dialogue_sample("t", ["a b"], "pq", "a b", "q", "a b", task=Task.CQG)]
+    kept = write_verdicts_of(tmp_path, Task.CQG, samples, {"t": [result(t) for t in ("what now", "tell me", "who", "a story")]})
+    assert kept == [True, False, True, False]
+    assert capsys.readouterr().err == (
+        "align: 100.0% of 4 gate statistics at or above threshold 0.1 against a 20.0% calibration target; "
+        "50.0% of candidates kept\n"
+    )
 
 
 class TestAlignResponses:

@@ -21,7 +21,7 @@ from oracles import aligned_jsonl, candidates_jsonl
 from test_msa_align import align_corpus
 from posdebias import corpus as corpus_mod
 from posdebias import lowbias_infer, msa_align, pipeline
-from posdebias.backends import BACKEND_URL_ENV, BackendError, RecordingBackend, StubBackend, StubMode
+from posdebias.backends import BACKEND_URL_ENV, BackendError, StubBackend, StubMode
 from posdebias.bias_split import BIAS_BY_TASK, BiasKind
 from posdebias.cli import main
 from posdebias.corpus import Corpus, Task, load_corpus, save_corpus, write_blocks
@@ -1177,8 +1177,9 @@ class TestCliVerbs:
         assert len(lines) == 3
         assert (report_dir / "relpos.svg").exists()
 
+    @pytest.mark.parametrize("in_flight", ["1", "4"])
     @pytest.mark.parametrize("backend", ["markov", "table"])
-    def test_infer_record_then_replay_writes_the_same_bytes(self, runner, tmp_path, backend):
+    def test_infer_record_then_replay_writes_the_same_bytes(self, runner, tmp_path, backend, in_flight):
         spec = SynthSpec(n_utterances=6, n_train=4, n_eval=1, biased_fraction=0.9, vocab_size=12, seed=5)
         train_c, _, _ = synth_corpus(spec)
         corpus_file = save_corpus(train_c, tmp_path / "c.jsonl")
@@ -1189,10 +1190,11 @@ class TestCliVerbs:
             (tmp_path / "table.json").write_text(json.dumps(dict.fromkeys(prompts, entries)))
             backend = f"table:{tmp_path / 'table.json'}"
         recording = tmp_path / "traffic.jsonl"
+        recording.write_text("an older recording, replaced\n")
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
         invoke_ok(runner, [
-            "infer", "--corpus", str(corpus_file), "--task", "cqa",
+            "infer", "--corpus", str(corpus_file), "--task", "cqa", "--max-in-flight", in_flight,
             "--backend", backend, "--record", str(recording), "--out", str(first),
         ])
         invoke_ok(runner, [
@@ -1206,6 +1208,22 @@ class TestCliVerbs:
         assert content(first) == content(second)
         if backend != "markov":  # the table's logprobs reach both files as written
             assert '"token_logprobs": [-1, -0.0, -0.25, 0]' in second.read_text()
+
+    def test_infer_record_keeps_the_traffic_before_a_failing_prompt(self, runner, tmp_path):
+        spec = SynthSpec(n_utterances=6, n_train=6, n_eval=1, biased_fraction=0.9, vocab_size=12, seed=5)
+        train_c, _, _ = synth_corpus(spec)
+        corpus_file = save_corpus(train_c, tmp_path / "c.jsonl")
+        prompts = [build_prompt(s, default_prompt_spec(Task.CQA))[0] for s in train_c]
+        (tmp_path / "table.json").write_text(json.dumps({p: ["a", "b"] for p in prompts[:3] + prompts[4:]}))
+        recording = tmp_path / "traffic.jsonl"
+        result = runner.invoke(main, [
+            "infer", "--corpus", str(corpus_file), "--task", "cqa", "--backend", f"table:{tmp_path / 'table.json'}",
+            "--n-per-prompt", "2", "--record", str(recording), "--out", str(tmp_path / "candidates.jsonl"),
+        ])
+        assert result.exit_code == 1 and "prompt 3: stub table has no entry" in result.output
+        entries = [json.loads(line) for line in recording.read_text().splitlines()]
+        assert [(e["request"]["prompt"], e["response"]["text"]) for e in entries] == [(p, t) for p in prompts[:3] for t in "ab"]
+        assert not (tmp_path / "candidates.jsonl").exists()
 
     @pytest.mark.parametrize("strategy", ["diverse", "icl"])
     def test_infer_strategy_override_on_instruction_task(self, runner, tmp_path, strategy):
@@ -1232,8 +1250,7 @@ class TestCliVerbs:
         spec = SynthSpec(n_utterances=6, n_train=6, n_eval=1, biased_fraction=0.9, vocab_size=12, seed=5)
         train_c, _, _ = synth_corpus(spec)
         recording = tmp_path / "traffic.jsonl"
-        backend = RecordingBackend(StubBackend(StubMode.MARKOV), recording)
-        infer_in_process(train_c, backend, n_per_prompt=1, seed=0, max_tokens=8, strategy="icl")
+        infer_shards(train_c, StubBackend(StubMode.MARKOV), n_per_prompt=1, seed=0, max_tokens=8, strategy="icl", record=recording)
         prompts = [json.loads(line)["request"]["prompt"] for line in recording.read_text().splitlines()]
         assert len(prompts) == len(train_c) == 6
         for sample, prompt in zip(train_c, prompts):

@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posdebias import pipeline
-from posdebias.backends import GenerationResult, RecordingBackend, StubBackend, StubMode
-from posdebias.corpus import Task, load_corpus
+from posdebias.backends import BackendError, GenerationResult, StubBackend, StubMode
+from posdebias.corpus import Corpus, Task, load_corpus
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec
 from posdebias.metrics import tokenize
 from posdebias.msa_align import DEFAULT_CANDIDATE_THRESHOLDS, DEFAULT_TARGET_KEEP_FRACTION, calibrate_threshold, gate_statistic
@@ -172,15 +172,80 @@ def test_an_exception_that_cannot_be_pickled_keeps_its_stage_and_message(tmp_pat
     assert multiprocessing.active_children() == []
 
 
-def test_a_recording_backend_stays_on_one_range(tmp_path, dialogues):
+def test_a_recorded_pass_forks_and_records_in_prompt_order(tmp_path, dialogues):
     corpus = load_corpus(dialogues, Task.CQA)
     recording = tmp_path / "traffic.jsonl"
-    shards = infer_shards(corpus, RecordingBackend(StubBackend(StubMode.MARKOV), recording), 1, 0, 8, shards=2)
-    assert len(shards) == 1
+    shards = infer_shards(corpus, StubBackend(StubMode.MARKOV), 1, 0, 8, shards=2, record=recording)
+    assert len(shards) == 2
+    assert multiprocessing.active_children() == []
     spec = default_prompt_spec(Task.CQA)
     # A str line break is not a JSONL one: some dialogue words hold U+2028.
     prompts = [json.loads(line)["request"]["prompt"] for line in recording.read_text(encoding="utf-8").split("\n") if line]
     assert prompts == [build_prompt(s, spec)[0] for s in corpus]
+
+
+def record_oracle(corpus: Corpus, backend, n_per_prompt: int, seed: int, max_tokens: int) -> list[str]:
+    """The record lines of ``corpus``, one per candidate in prompt order, as
+    ``json.dumps`` writes each exchange, from ``backend`` called directly."""
+    spec = default_prompt_spec(corpus.task)
+    lines = []
+    for sample in corpus:
+        for prompt in build_prompt(sample, spec):
+            for k in range(n_per_prompt):
+                result = backend.complete(prompt, max_tokens=max_tokens, seed=seed + k)
+                request = {"prompt": prompt, "max_tokens": max_tokens, "seed": seed + k, "logprobs": True}
+                response = {"text": result.text, "tokens": list(result.tokens), "token_logprobs": list(result.token_logprobs)}
+                lines.append(json.dumps({"request": request, "response": response}, ensure_ascii=False) + "\n")
+    return lines
+
+
+@settings(max_examples=8, deadline=None)
+@given(task=st.sampled_from(["cqa", "cqg", "sum"]), seed=st.integers(0, 2**16), n=st.integers(1, 7), n_per_prompt=st.integers(1, 3))
+def test_record_bytes_do_not_depend_on_requests_in_flight_or_ranges(task, seed, n, n_per_prompt):
+    # cqg prompts each sample five times (the diverse strategy).
+    records = [{**r, "task": "cqg"} for r in dialogue_records(seed, n)] if task == "cqg" else RECORDS[task](seed, n)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = load_corpus(write_corpus(Path(tmp) / "corpus.jsonl", records), Task(task))
+        backend = StubBackend(StubMode.MARKOV)
+        want = "".join(record_oracle(corpus, backend, n_per_prompt, seed, 6)).encode("utf-8")
+        for max_in_flight, shards in ((1, 1), (2, 1), (4, 1), (1, 2), (1, 3), (4, 3)):
+            recording = Path(tmp) / f"record-{max_in_flight}-{shards}.jsonl"
+            infer_shards(corpus, backend, n_per_prompt, seed, 6, max_in_flight=max_in_flight, shards=shards, record=recording)
+            assert recording.read_bytes() == want, (max_in_flight, shards)
+    assert multiprocessing.active_children() == []
+
+
+class FailingMarkov:
+    """The markov stub, but a ``BackendError`` for the second candidate
+    (seed 1) of the prompts in ``failing``: their first is drawn, and not
+    recorded."""
+
+    forks_safely = True
+    backend_id = "stub-markov"
+
+    def __init__(self, failing: set[str]) -> None:
+        self.failing, self.markov = failing, StubBackend(StubMode.MARKOV)
+
+    def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
+        if prompt in self.failing and seed == 1:
+            raise BackendError("scripted failure")
+        return self.markov.complete(prompt, max_tokens=max_tokens, seed=seed)
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 3])
+@pytest.mark.parametrize("shards", [1, 2, 3])
+@pytest.mark.parametrize("failing, first", [({0}, 0), ({4}, 4), ({6, 2}, 2), ({9}, 9)])
+def test_a_failing_prompt_leaves_the_record_lines_of_the_prompts_before_it(tmp_path, dialogues, failing, first, shards, max_in_flight):
+    corpus = load_corpus(dialogues, Task.CQA)
+    prompts = [build_prompt(s, default_prompt_spec(Task.CQA))[0] for s in corpus]
+    recording = tmp_path / "traffic.jsonl"
+    recording.write_text("an older recording\n", encoding="utf-8")
+    backend = FailingMarkov({prompts[i] for i in failing})
+    with pytest.raises(BackendError, match=f"^prompt {first}: scripted failure$"):
+        infer_shards(corpus, backend, 2, 0, 8, max_in_flight=max_in_flight, shards=shards, record=recording)
+    want = record_oracle(corpus, StubBackend(StubMode.MARKOV), 2, 0, 8)[: 2 * first]
+    assert recording.read_bytes() == "".join(want).encode("utf-8")
+    assert multiprocessing.active_children() == []
 
 
 class EchoBackend:
