@@ -33,13 +33,7 @@ from .pipeline import (
     write_split,
     write_verdicts,
 )
-from .records import (
-    load_aligned,
-    load_candidates,
-    load_eval,
-    write_eval,
-    write_trace,
-)
+from .records import load_aligned, load_candidates, load_eval, write_epochs, write_eval
 from .toy_model import METRICS, SynthSpec, ToyModel, evaluate, load_model, save_model, train
 
 #: ``--positions`` default of ``split`` and ``eval``.
@@ -191,7 +185,7 @@ def align(candidates_path, task_name, corpus_path, out_path, thresholds):
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--vocab-size", default=SynthSpec.vocab_size, show_default=True, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--trace", "trace_path", default=None, type=click.Path(dir_okay=False))
+@click.option("--trace", "trace_path", default=None, type=click.Path(dir_okay=False), help="Write the epoch summaries (epochs JSONL) here.")
 def train_toy(train_path, task_name, aligned_path, alpha, epochs, learning_rate, clip_norm, seed, vocab_size, out_path, trace_path):
     """Train the toy sequence model, optionally with an alignment loss term."""
     task = _task(task_name)
@@ -206,23 +200,23 @@ def train_toy(train_path, task_name, aligned_path, alpha, epochs, learning_rate,
         unknown = sorted(set(aligned or ()) - {s.id for s in corpus})
         if unknown:
             raise ValueError(f"train-toy: aligned sample id {unknown[0]!r} not in --train")
-        trained, trace = train(
+        trained, summaries = train(
             ToyModel.initialize(vocab_size, seed=seed),
             corpus,
             aligned=aligned,
             config=LossConfig(alpha=alpha),
             epochs=epochs,
             learning_rate=learning_rate,
-            seed=seed,
             clip_norm=clip_norm,
+            seed=seed,
         )
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
     save_model(trained, out_path)
     if trace_path:
-        write_trace(trace, trace_path)
-    final = trace[-1].combined if trace else float("nan")
-    click.echo(f"train-toy: {len(trace)} updates, final loss {final:.6f} -> {out_path}")
+        write_epochs(summaries, trace_path)
+    final = summaries[-1].combined if summaries else float("nan")
+    click.echo(f"train-toy: {len(summaries)} epochs, final epoch loss {final:.6f} -> {out_path}")
 
 
 @main.command("eval")

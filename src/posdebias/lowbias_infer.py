@@ -17,7 +17,7 @@ from .backends import Backend, BackendError, GenerationResult
 from .corpus import Corpus, Sample, Task
 
 
-#: Question-type prompts used by the diverse strategy; user-replaceable.
+#: Question-type prompts of the diverse strategy; each sample gets one prompt per entry.
 DEFAULT_DIVERSE_PROMPTS: tuple[str, ...] = tuple(
     f"Ask a '{word}' question about the dialogue so far." for word in ("what", "who", "when", "where", "why")
 )

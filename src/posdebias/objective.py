@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LossConfig:
     """Weighting between the target and alignment objectives."""
 
-    alpha: float = 0.1
+    alpha: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:

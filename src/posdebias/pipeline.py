@@ -411,11 +411,12 @@ class Shard:
 
     Each text block holds the range's lines of one output file, each ending
     in a newline: the biased, non-biased and evidence lines of the split,
-    the candidates, the record lines of the backend traffic in prompt order
-    (``record_line``), and the head of each verdict line (``verdict_head``).
-    ``stats`` holds each candidate's gate statistic (an ``array('d')``) and
-    ``reasons`` the bits of its threshold-free reasons (``form_reasons``),
-    for ``write_verdicts`` to decide (``align_responses``).
+    the candidates, and the record lines of the backend traffic in prompt
+    order (``record_line``). ``heads`` holds the head of each candidate's
+    verdict line (``verdict_head``), ``stats`` its gate statistic (an
+    ``array('d')``) and ``reasons`` the bits of its threshold-free reasons
+    (``form_reasons``), for ``write_verdicts`` to decide
+    (``align_responses``) and complete.
     ``error`` is ``(stage, exception)`` for the first failure; no later part
     ran. ``partition`` and ``results`` are the objects; a worker drops them.
     """
@@ -424,7 +425,7 @@ class Shard:
     n_biased: int = 0
     candidates: str = ""
     record: str = ""
-    heads: str = ""
+    heads: Sequence[str] = ()
     stats: Sequence[float] = ()
     reasons: bytes = b""
     error: tuple[str, Exception] | None = None
@@ -484,7 +485,7 @@ def _shard(job: _Job, lo: int, hi: int) -> Shard:
                     stats.append(gate_statistic(job.task, target_tokens, candidate))
                     reasons.append(form_reasons(job.task, candidate, job.align))
                     heads.append(verdict_head(sample.id, candidate.text, candidate.logprobs_json))
-            shard.heads, shard.stats, shard.reasons = _lines(heads), stats, bytes(reasons)
+            shard.heads, shard.stats, shard.reasons = heads, stats, bytes(reasons)
     except Exception as exc:  # noqa: BLE001 - raised by the stage it belongs to
         shard.error = (stage, exc)
     return shard
@@ -697,10 +698,8 @@ def write_verdicts(task: Task, shards: Sequence[Shard], config: AlignmentConfig,
             f"{config.target_keep_fraction:.1%} calibration target; {kept / len(stats):.1%} of candidates kept",
             file=sys.stderr,
         )
-    tails = map({v: verdict_tail(v.rejection_reasons) for v in VERDICTS}.__getitem__, verdicts)
-    write_blocks(
-        (_lines(map(operator.add, shard.heads.split("\n"), islice(tails, len(shard.stats)))) for shard in shards), path
-    )
+    tails = map({v: verdict_tail(v.rejection_reasons) + "\n" for v in VERDICTS}.__getitem__, verdicts)
+    write_blocks(("".join(map(operator.add, shard.heads, islice(tails, len(shard.heads)))) for shard in shards), path)
     return threshold, verdicts
 
 

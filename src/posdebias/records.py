@@ -1,10 +1,10 @@
 """JSONL and JSON record formats shared by ``posdebias run`` and the CLI verbs.
 
 One encoder and one decoder per artifact kind: low-bias candidates,
-aligned verdicts, per-step training traces, per-epoch training summaries,
-and eval entries (the JSON form of a ``report.SystemEval``). Writers emit
-records in the order given; the JSONL readers (``corpus.read_jsonl``)
-name the file and line of the first bad record.
+aligned verdicts, per-epoch training summaries, and eval entries (the
+JSON form of a ``report.SystemEval``). Writers emit records in the order
+given; the JSONL readers (``corpus.read_jsonl``) name the file and line
+of the first bad record.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .corpus import encode_json, json_field, json_list, read_jsonl, write_blocks
 from .metrics import PositionRow
 from .msa_align import RejectionReason
 from .report import SystemEval
-from .toy_model import EpochSummary, TraceEntry
+from .toy_model import EpochSummary
 
 
 def candidate_line(sample_id: str, index: int, result: GenerationResult) -> str:
@@ -91,24 +91,6 @@ def load_aligned(path: str | Path) -> dict[str, list[str]]:
     for _, (sample_id, kept) in read_jsonl(path, _aligned_from_record):
         grouped.setdefault(sample_id, []).extend(kept)
     return grouped
-
-
-def write_trace(trace: Iterable[TraceEntry], path: str | Path) -> Path:
-    """Trace JSONL: one line per gradient step with its loss terms."""
-    return write_jsonl(
-        (
-            {
-                "step": t.step,
-                "epoch": t.epoch,
-                "sample_id": t.sample_id,
-                "l_target": t.l_target,
-                "l_align": t.l_align,
-                "combined": t.combined,
-            }
-            for t in trace
-        ),
-        path,
-    )
 
 
 def write_epochs(summaries: Iterable[EpochSummary], path: str | Path) -> Path:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -43,7 +43,7 @@ from .corpus import (
 )
 from .lowbias_infer import build_prompt, default_prompt_spec
 from .metrics import bleu_2, per_position_table, rouge_l, tokenize
-from .objective import LossConfig, combined_loss, loss_term_weights
+from .objective import LossConfig, loss_term_weights
 from .report import SystemEval
 
 BOS = "<bos>"
@@ -304,18 +304,6 @@ def generate_response(model: ToyModel, sample: Sample, max_len: int = 8) -> str:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    """One gradient step's loss record."""
-
-    step: int
-    epoch: int
-    sample_id: str
-    l_target: float
-    l_align: float | None
-    combined: float
-
-
-@dataclass(frozen=True)
 class EpochSummary:
     """One epoch of one job: mean loss terms over its steps (``l_align`` over
     the steps that had one, ``None`` when none did), the mean and max gradient
@@ -362,7 +350,8 @@ class TrainJob:
     model: ToyModel
     corpus: Corpus
     aligned: Mapping[str, Sequence[str]] | None = None
-    config: LossConfig = LossConfig(alpha=0.0)
+    _: KW_ONLY
+    config: LossConfig
     seed: int = 0
 
 
@@ -503,10 +492,7 @@ def _lockstep_step(weights: np.ndarray, batch: _LockstepBatch, entry) -> tuple[n
 
 
 def train_lockstep(
-    jobs: Sequence[TrainJob],
-    epochs: int = 10,
-    learning_rate: float = 0.1,
-    clip_norm: float = 1.0,
+    jobs: Sequence[TrainJob], *, epochs: int, learning_rate: float, clip_norm: float
 ) -> list[TrainingRun]:
     """Gradient descent on the combined loss for several jobs at once.
 
@@ -577,25 +563,20 @@ def train(
     model: ToyModel,
     corpus: Corpus,
     aligned: Mapping[str, Sequence[str]] | None = None,
-    config: LossConfig = LossConfig(alpha=0.0),
-    epochs: int = 10,
-    learning_rate: float = 0.1,
+    *,
+    config: LossConfig,
+    epochs: int,
+    learning_rate: float,
+    clip_norm: float,
     seed: int = 0,
-    clip_norm: float = 1.0,
-) -> tuple[ToyModel, list[TraceEntry]]:
-    """``train_lockstep`` with one job; returns the model and one trace entry
-    per step."""
-    (run,) = train_lockstep([TrainJob(model, corpus, aligned, config, seed)], epochs, learning_rate, clip_norm)
-    trace = []
-    for step, (index, (l_target, l_align, _)) in enumerate(zip(run.order.tolist(), run.losses.tolist())):
-        breakdown = combined_loss(l_target, None if math.isnan(l_align) else l_align, config)
-        trace.append(
-            TraceEntry(
-                step, step // len(corpus), run.sample_ids[index],
-                breakdown.l_target, breakdown.l_align, breakdown.combined,
-            )
-        )
-    return run.model, trace
+) -> tuple[ToyModel, list[EpochSummary]]:
+    """``train_lockstep`` with one job; returns the model and its epoch
+    summaries, what the train stage writes for a job."""
+    (run,) = train_lockstep(
+        [TrainJob(model, corpus, aligned, config=config, seed=seed)],
+        epochs=epochs, learning_rate=learning_rate, clip_norm=clip_norm,
+    )
+    return run.model, run.epoch_summaries()
 
 
 #: Evaluation metrics ``evaluate`` accepts.
@@ -610,52 +591,6 @@ def _score_prediction(metric: str, prediction: str, target: str) -> float:
     if metric == "bleu_2":
         return bleu_2(prediction, target)
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def finite_diff_check(
-    model: ToyModel,
-    sample: Sample,
-    response: str,
-    epsilon: float = 1e-5,
-    config: LossConfig | None = None,
-    aligned_responses: Sequence[str] = (),
-    n_probes: int = 100,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The probed loss is the combined objective of ``response`` (target term)
-    and ``aligned_responses`` (alignment term) under ``config``, as the
-    training step computes it on a one-block batch. Probes are drawn
-    uniformly over the entries of the active feature rows, the only rows the
-    loss depends on; the gradient of every other row is zero.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"finite_diff_check: epsilon must be positive, got {epsilon}")
-    config = config or LossConfig(alpha=0.0)
-    n_features, n_cols = model.weights.shape
-    sequences = [response.split(), *(text.split() for text in aligned_responses)]
-    batch = _pack(lambda: [(0, model, config, sample, sequences)], n_features + 1)
-    active = batch.rows[0][batch.rows[0] < n_features]
-    weights = np.vstack([model.weights, np.zeros((1, n_cols))])  # plus the spare row
-
-    def combined(weights: np.ndarray) -> float:
-        return float(_lockstep_step(weights, batch, [0])[2][0, 2])
-
-    analytic = _lockstep_step(weights, batch, [0])[3][0]  # the active rows, then padding
-    rng = np.random.default_rng(seed)
-    flat_count = len(active) * n_cols
-    probes = rng.choice(flat_count, size=min(n_probes, flat_count), replace=False)
-    worst = 0.0
-    for flat_index in probes:
-        active_index, col = divmod(int(flat_index), n_cols)
-        bump = np.zeros_like(weights)
-        bump[active[active_index], col] = epsilon
-        numeric = (combined(weights + bump) - combined(weights - bump)) / (2 * epsilon)
-        ana = float(analytic[active_index, col])
-        rel = abs(numeric - ana) / max(1.0, abs(numeric), abs(ana))
-        worst = max(worst, rel)
-    return worst
 
 
 def evaluate(model: ToyModel, partition: BiasPartition, metric: str, system: str) -> SystemEval:

@@ -2,7 +2,7 @@
 
 Deliberately written with different algorithms than the package (memoized
 recursion instead of iterative DP, Counter-based n-gram clipping, brute
-force search) so agreement is meaningful.
+force search, central differences) so agreement is meaningful.
 """
 from __future__ import annotations
 
@@ -14,6 +14,9 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+
+from posdebias.objective import LossConfig
+from posdebias.toy_model import _lockstep_step, _pack
 
 
 def lcs_recursive(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -145,22 +148,78 @@ def dense_sgd_step(
     return l_target, l_align, weights - learning_rate * grad
 
 
+def finite_diff_check(
+    model,
+    sample,
+    response: str,
+    epsilon: float = 1e-5,
+    config: LossConfig = LossConfig(alpha=0.0),
+    aligned_responses=(),
+    n_probes: int = 100,
+    seed: int = 0,
+) -> float:
+    """Max relative error between the training step's analytic gradient and
+    central differences of its loss.
+
+    The probed loss is the combined objective of ``response`` (target term)
+    and ``aligned_responses`` (alignment term) under ``config``, as the
+    training step computes it on a one-block batch. Probes are drawn
+    uniformly over the entries of the active feature rows, the only rows the
+    loss depends on; the gradient of every other row is zero.
+    """
+    if epsilon <= 0:
+        raise ValueError(f"finite_diff_check: epsilon must be positive, got {epsilon}")
+    n_features, n_cols = model.weights.shape
+    sequences = [response.split(), *(text.split() for text in aligned_responses)]
+    batch = _pack(lambda: [(0, model, config, sample, sequences)], n_features + 1)
+    active = batch.rows[0][batch.rows[0] < n_features]
+    weights = np.vstack([model.weights, np.zeros((1, n_cols))])  # plus the spare row
+
+    def combined(weights: np.ndarray) -> float:
+        return float(_lockstep_step(weights, batch, [0])[2][0, 2])
+
+    analytic = _lockstep_step(weights, batch, [0])[3][0]  # the active rows, then padding
+    rng = np.random.default_rng(seed)
+    flat_count = len(active) * n_cols
+    probes = rng.choice(flat_count, size=min(n_probes, flat_count), replace=False)
+    worst = 0.0
+    for flat_index in probes:
+        active_index, col = divmod(int(flat_index), n_cols)
+        bump = np.zeros_like(weights)
+        bump[active[active_index], col] = epsilon
+        numeric = (combined(weights + bump) - combined(weights - bump)) / (2 * epsilon)
+        ana = float(analytic[active_index, col])
+        rel = abs(numeric - ana) / max(1.0, abs(numeric), abs(ana))
+        worst = max(worst, rel)
+    return worst
+
+
 def greedy_decode_one(model, base: np.ndarray, max_len: int = 8) -> str:
     """Greedy decode of one sample from its context features ``base``, one
     (F,) @ (F, V) product per step, until ``<eos>`` or ``max_len`` tokens."""
+    return greedy_decode_gap(model, base, max_len)[0]
+
+
+def greedy_decode_gap(model, base: np.ndarray, max_len: int = 8) -> tuple[str, float]:
+    """``greedy_decode_one``'s decode, and the smallest gap between the two
+    largest logits over its steps: how far the decode sits from a tie."""
     v = len(model.vocabulary)
     eos_id = model.token_id("<eos>")
     prev_id = model.token_id("<bos>")
     out: list[str] = []
+    gap = math.inf
     for _ in range(max_len):
         feats = base.copy()
         feats[2 * v + prev_id] = 1.0
-        next_id = int(np.argmax(feats @ model.weights))
+        logits = feats @ model.weights
+        runner_up, top = np.partition(logits, -2)[-2:]
+        gap = min(gap, float(top - runner_up))
+        next_id = int(np.argmax(logits))
         if next_id == eos_id:
             break
         out.append(model.vocabulary[next_id])
         prev_id = next_id
-    return " ".join(out)
+    return " ".join(out), gap
 
 
 def candidates_jsonl(candidates) -> str:

@@ -24,8 +24,9 @@ from posdebias.corpus import Corpus, Sample, Task, make_document
 from posdebias.metrics import ROUGE_BETA, rouge_l, rouge_l_scores
 from posdebias.msa_align import calibrate_threshold
 from posdebias.objective import LossConfig, combined_loss
-from posdebias.pipeline import parse_config, run_pipeline
+from posdebias.pipeline import parse_config, pool_evals, run_pipeline
 from posdebias.toy_model import (
+    BOS,
     EOS,
     SynthSpec,
     ToyModel,
@@ -33,13 +34,12 @@ from posdebias.toy_model import (
     build_vocabulary,
     context_features,
     evaluate,
-    finite_diff_check,
     load_model,
     synth_corpus,
 )
 
 from conftest import dialogue_sample, nli_sample
-from oracles import greedy_decode_one
+from oracles import finite_diff_check, greedy_decode_gap, greedy_decode_one
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -292,6 +292,21 @@ def toy_experiment(tmp_path_factory):
     return out_dir, manifest, wall
 
 
+@pytest.fixture(scope="module")
+def trained_models(toy_experiment):
+    """``(label, seed, model, partition)`` for every trained model of the
+    toy experiment, with its seed's eval pool split by relative position."""
+    out_dir, _, _ = toy_experiment
+    base = SynthSpec(**EXPERIMENT_SYNTH)
+    found = []
+    for seed in EXPERIMENT_RAW["seeds"]:
+        _, eval_b, eval_n = synth_corpus(dataclasses.replace(base, seed=base.seed + seed))
+        partition = split_by_relative_position(Corpus(tuple(eval_b) + tuple(eval_n), Task.CQA))
+        for label in EXPERIMENT_RAW["systems"]:
+            found.append((label, seed, load_model(out_dir / "runs" / label / f"seed{seed}" / "model.json"), partition))
+    return found
+
+
 def _split_scores(out_dir, label: str) -> dict[str, float]:
     entry = json.loads((out_dir / "eval" / f"{label}.json").read_text())
     return {k: v["score"] for k, v in entry["splits"].items()}
@@ -317,7 +332,7 @@ def test_toy_debiasing_beats_fine_tuning_off_bias(toy_experiment):
     )
 
 
-def test_position_curve_shapes(toy_experiment):
+def test_position_curve_shapes(toy_experiment, trained_models):
     out_dir, _, _ = toy_experiment
     ft_entry = json.loads((out_dir / "eval" / "ft.json").read_text())
     curve = {
@@ -328,19 +343,11 @@ def test_position_curve_shapes(toy_experiment):
     off_peak = [score for pos, score in curve.items() if pos not in (0, 1)]
     peak_ok = all(curve[p] > max(off_peak) for p in (0, 1))
 
-    base = SynthSpec(**EXPERIMENT_SYNTH)
     spreads: dict[str, list[float]] = {"ft": [], "zoe": []}
-    for seed in EXPERIMENT_RAW["seeds"]:
-        spec = dataclasses.replace(base, seed=base.seed + seed)
-        _, eval_b, eval_n = synth_corpus(spec)
-        partition = split_by_relative_position(
-            Corpus(tuple(eval_b) + tuple(eval_n), Task.CQA)
-        )
-        for label in ("ft", "zoe"):
-            model = load_model(out_dir / "runs" / label / f"seed{seed}" / "model.json")
-            result = evaluate(model, partition, "accuracy", label)
-            scores = [row.mean_score for row in result.by_position if row.position is not None]
-            spreads[label].append(max(scores) - min(scores))
+    for label, _, model, partition in trained_models:
+        result = evaluate(model, partition, "accuracy", label)
+        scores = [row.mean_score for row in result.by_position if row.position is not None]
+        spreads[label].append(max(scores) - min(scores))
     ft_spread, zoe_spread = mean(spreads["ft"]), mean(spreads["zoe"])
     _verdict(
         "position-curve-shape",
@@ -350,24 +357,82 @@ def test_position_curve_shapes(toy_experiment):
     )
 
 
-def test_batched_decode_matches_the_per_sample_reference(toy_experiment):
-    out_dir, _, _ = toy_experiment
-    base = SynthSpec(**EXPERIMENT_SYNTH)
+def test_batched_decode_matches_the_per_sample_reference(trained_models):
     total = matched = 0
-    for seed in EXPERIMENT_RAW["seeds"]:
-        _, eval_b, eval_n = synth_corpus(dataclasses.replace(base, seed=base.seed + seed))
-        partition = split_by_relative_position(Corpus(tuple(eval_b) + tuple(eval_n), Task.CQA))
-        for label in ("ft", "zoe"):
-            model = load_model(out_dir / "runs" / label / f"seed{seed}" / "model.json")
-            for side in (partition.biased, partition.non_biased):  # as ``evaluate`` batches them
-                want = [greedy_decode_one(model, context_features(model, s)) for s in side]
-                got = _greedy_decode(model, side.samples)
-                total += len(want)
-                matched += sum(g == w for g, w in zip(got, want, strict=True))
+    for _, _, model, partition in trained_models:
+        for side in (partition.biased, partition.non_biased):  # as ``evaluate`` batches them
+            want = [greedy_decode_one(model, context_features(model, s)) for s in side]
+            got = _greedy_decode(model, side.samples)
+            total += len(want)
+            matched += sum(g == w for g, w in zip(got, want, strict=True))
     _verdict(
         "batched-decode",
         matched == total == 10 * 2 * EXPERIMENT_SYNTH["n_eval"],
         f"{matched} of {total} batched decodes of the 10 trained models match the per-sample reference",
+    )
+
+
+#: How far every greedy-decode step of a pinned score must sit from a tie
+#: between its two largest logits. Summation-order changes have moved the
+#: trained weights by about 1e-14, far inside this margin.
+TIE_MARGIN = 1e-6
+
+
+def _smallest_decode_gap(model, partition) -> float:
+    """The smallest top-2 logit gap over every decode step of the pool."""
+    samples = partition.biased.samples + partition.non_biased.samples
+    return min(greedy_decode_gap(model, context_features(model, s))[1] for s in samples)
+
+
+def test_pinned_decodes_sit_clear_of_a_tie(trained_models):
+    gaps = {(label, seed): _smallest_decode_gap(model, partition) for label, seed, model, partition in trained_models}
+    (label, seed), smallest = min(gaps.items(), key=lambda item: item[1])
+    _verdict(
+        "decode-tie-margin",
+        smallest > TIE_MARGIN,
+        f"smallest top-2 logit gap {smallest:.2e} > {TIE_MARGIN:g} ({label} seed {seed}) over 10 models x 1000 samples",
+    )
+
+
+def test_a_tie_at_one_decode_step_fails_the_margin(trained_models):
+    _, _, model, partition = trained_models[0]
+    sample = partition.biased.samples[0]
+    v = len(model.vocabulary)
+    bos_row = 2 * v + model.token_id(BOS)
+    features = context_features(model, sample)
+    features[bos_row] = 1.0
+    logits = features @ model.weights
+    runner_up, top = np.argsort(logits)[-2:]
+    weights = model.weights.copy()
+    # The first step of this sample now scores the runner-up as high as the top token.
+    weights[bos_row, runner_up] += logits[top] - logits[runner_up]
+    tied = dataclasses.replace(model, weights=weights)
+    assert _smallest_decode_gap(model, partition) > TIE_MARGIN
+    assert greedy_decode_gap(tied, context_features(tied, sample))[1] <= TIE_MARGIN
+    assert _smallest_decode_gap(tied, partition) <= TIE_MARGIN
+
+
+def test_pinned_scores_survive_a_relative_weight_perturbation(trained_models):
+    # A seeded relative change of up to 1e-12 to every weight: more than any
+    # change of summation order has moved a trained weight (1.07e-14).
+    moved = []
+    for perturbation_seed in range(3):
+        rng = np.random.default_rng(perturbation_seed)
+        evals: dict[str, list] = {label: [] for label in EXPERIMENT_RAW["systems"]}
+        for label, seed, model, partition in trained_models:
+            noise = rng.uniform(-1e-12, 1e-12, size=model.weights.shape)
+            perturbed = dataclasses.replace(model, weights=model.weights * (1.0 + noise))
+            got = evaluate(perturbed, partition, "accuracy", label)
+            if got != evaluate(model, partition, "accuracy", label):
+                moved.append((perturbation_seed, label, seed))
+            evals[label].append(got)
+        for label, splits in PINNED_SCORES.items():
+            pooled = pool_evals(label, "accuracy", evals[label]).splits
+            moved += [(perturbation_seed, label, split) for split, want in splits.items() if abs(pooled[split][0] - want) > 1e-9]
+    _verdict(
+        "pins-under-perturbation",
+        not moved,
+        f"3 seeded relative perturbations of 1e-12 on 10 models; moved: {moved or 'none'}",
     )
 
 

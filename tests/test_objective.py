@@ -27,6 +27,13 @@ class TestLossConfig:
         with pytest.raises(ValueError, match="alpha"):
             LossConfig(alpha=1.01)
 
+    def test_alpha_is_a_required_keyword(self):
+        # Each caller states its weighting: ``run`` its sweep point's, ``train-toy`` its ``--alpha``.
+        with pytest.raises(TypeError):
+            LossConfig()
+        with pytest.raises(TypeError):
+            LossConfig(0.2)
+
 
 class TestCombinedLoss:
     def test_worked_example(self):
@@ -72,9 +79,9 @@ class TestCombinedLoss:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="l_target"):
-            combined_loss(float("nan"), 1.0, LossConfig())
+            combined_loss(float("nan"), 1.0, LossConfig(alpha=0.2))
         with pytest.raises(ValueError, match="l_align"):
-            combined_loss(1.0, float("inf"), LossConfig())
+            combined_loss(1.0, float("inf"), LossConfig(alpha=0.2))
 
     def test_term_weights(self):
         assert loss_term_weights(LossConfig(alpha=0.2), align_present=True) == (0.8, 0.2)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -777,7 +778,7 @@ class TestParallelTrain:
             with pytest.raises(TrainingDivergedError) as serial:
                 train(
                     ToyModel.initialize(12, seed=0), train_c, aligned=aligned,
-                    config=LossConfig(alpha=0.2), epochs=2, learning_rate=1e308, seed=0,
+                    config=LossConfig(alpha=0.2), epochs=2, learning_rate=1e308, clip_norm=1.0, seed=0,
                 )
         by_stage = {s["stage"]: s for s in json.loads((out_dir / "manifest.json").read_text())["stages"]}
         assert by_stage["train"]["status"] == "failed"
@@ -786,33 +787,51 @@ class TestParallelTrain:
 
 
 class TestEpochSummaries:
-    """``runs/<label>/seed<N>/epochs.jsonl`` against the per-step trace of
-    ``train-toy --trace`` on the same job."""
+    """``runs/<label>/seed<N>/epochs.jsonl`` against ``train-toy`` and the
+    per-step losses of ``train_lockstep`` on the same job."""
 
-    def test_epoch_means_match_the_per_step_trace(self, runner, tmp_path):
+    def test_train_toy_writes_the_bytes_of_the_run_job(self, runner, tmp_path):
         out_dir = tmp_path / "out"
         run_toy(out_dir, seeds=[0], systems=["ft", "zoe"], epochs=3)
+        train_file = out_dir / "data" / "seed0" / "train.jsonl"
+        aligned_file = out_dir / "align" / "seed0" / "aligned.jsonl"
         for system in ("ft", "zoe"):
+            run_dir = out_dir / "runs" / system / "seed0"
+            model_file, trace_file = tmp_path / f"{system}.json", tmp_path / f"{system}-epochs.jsonl"
+            args = [
+                "train-toy", "--train", str(train_file), "--vocab-size", "12", "--epochs", "3",
+                "--learning-rate", "0.5", "--clip-norm", "1.0", "--seed", "0",
+                "--out", str(model_file), "--trace", str(trace_file),
+            ]
+            if system == "zoe":
+                args += ["--aligned", str(aligned_file), "--alpha", "0.2"]
+            result = invoke_ok(runner, args)
+            assert model_file.read_bytes() == (run_dir / "model.json").read_bytes()
+            assert trace_file.read_bytes() == (run_dir / "epochs.jsonl").read_bytes()
+            summaries = [json.loads(line) for line in trace_file.read_text().splitlines()]
+            assert result.output == (
+                f"train-toy: 3 epochs, final epoch loss {summaries[-1]['combined']:.6f} -> {model_file}\n"
+            )
+
+    def test_epoch_means_match_the_per_step_losses(self, tmp_path):
+        out_dir = tmp_path / "out"
+        run_toy(out_dir, seeds=[0], systems=["ft", "zoe"], epochs=3)
+        corpus = load_corpus(out_dir / "data" / "seed0" / "train.jsonl", Task.CQA)
+        aligned = load_aligned(out_dir / "align" / "seed0" / "aligned.jsonl")
+        for system, alpha in (("ft", 0.0), ("zoe", 0.2)):
             epochs_file = out_dir / "runs" / system / "seed0" / "epochs.jsonl"
             summaries = [json.loads(line) for line in epochs_file.read_text().splitlines()]
             assert [s["epoch"] for s in summaries] == [0, 1, 2]
-            trace_file = tmp_path / f"{system}-trace.jsonl"
-            args = [
-                "train-toy", "--train", str(out_dir / "data" / "seed0" / "train.jsonl"), "--vocab-size", "12",
-                "--epochs", "3", "--learning-rate", "0.5", "--seed", "0",
-                "--out", str(tmp_path / f"{system}.json"), "--trace", str(trace_file),
-            ]
-            if system == "zoe":
-                args += ["--aligned", str(out_dir / "align" / "seed0" / "aligned.jsonl"), "--alpha", "0.2"]
-            invoke_ok(runner, args)
-            trace = [json.loads(line) for line in trace_file.read_text().splitlines()]
+            job = TrainJob(ToyModel.initialize(12, seed=0), corpus, aligned, config=LossConfig(alpha=alpha), seed=0)
+            (run,) = train_lockstep([job], epochs=3, learning_rate=0.5, clip_norm=1.0)
+            n = len(corpus)
             for summary in summaries:
-                steps = [t for t in trace if t["epoch"] == summary["epoch"]]
-                assert summary["l_target"] == pytest.approx(mean(t["l_target"] for t in steps), rel=1e-12)
-                assert summary["combined"] == pytest.approx(mean(t["combined"] for t in steps), rel=1e-12)
-                aligned = [t["l_align"] for t in steps if t["l_align"] is not None]
-                if aligned:
-                    assert summary["l_align"] == pytest.approx(mean(aligned), rel=1e-12)
+                steps = run.losses[summary["epoch"] * n : (summary["epoch"] + 1) * n].tolist()
+                assert summary["l_target"] == pytest.approx(mean(t for t, _, _ in steps), rel=1e-12)
+                assert summary["combined"] == pytest.approx(mean(c for _, _, c in steps), rel=1e-12)
+                kept = [a for _, a, _ in steps if not math.isnan(a)]
+                if kept:
+                    assert summary["l_align"] == pytest.approx(mean(kept), rel=1e-12)
                 else:
                     assert summary["l_align"] is None
                 assert 0.0 <= summary["clip_fraction"] <= 1.0
@@ -1152,13 +1171,13 @@ class TestCliVerbs:
         assert all(v["kept"] == (not v["rejection_reasons"]) for v in verdicts)
 
         model_file = tmp_path / "model.json"
-        trace_file = tmp_path / "trace.jsonl"
+        trace_file = tmp_path / "epochs.jsonl"
         invoke_ok(runner, [
             "train-toy", "--train", str(train_file), "--aligned", str(aligned),
             "--alpha", "0.2", "--epochs", "2", "--vocab-size", "12",
             "--out", str(model_file), "--trace", str(trace_file),
         ])
-        assert len(trace_file.read_text().splitlines()) == 16
+        assert [json.loads(line)["epoch"] for line in trace_file.read_text().splitlines()] == [0, 1]
 
         eval_file = tmp_path / "eval.json"
         invoke_ok(runner, [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_sgd_step, greedy_decode_one, sequence_features, sequence_loss_and_grad
+from oracles import dense_sgd_step, finite_diff_check, greedy_decode_one, sequence_features, sequence_loss_and_grad
 from posdebias import toy_model
 from posdebias.bias_split import (
     BiasEvidence,
@@ -29,7 +29,6 @@ from posdebias.toy_model import (
     build_vocabulary,
     context_features,
     evaluate,
-    finite_diff_check,
     generate_response,
     load_model,
     save_model,
@@ -73,7 +72,19 @@ def random_model(vocab_size: int = 12, seed: int = 5, scale: float = 0.1) -> Toy
     return ToyModel(vocabulary, rng.normal(scale=scale, size=(3 * v + 1, v)))
 
 
-def packed_block(model: ToyModel, sample, sequences, config=LossConfig(alpha=0.0)):
+TARGET_ONLY = LossConfig(alpha=0.0)
+
+
+def train_run(model, corpus, aligned=None, config=TARGET_ONLY, seed=0, *, epochs, learning_rate, clip_norm):
+    """``train_lockstep`` on one job: its ``TrainingRun``, with every step."""
+    (run,) = train_lockstep(
+        [TrainJob(model, corpus, aligned, config=config, seed=seed)],
+        epochs=epochs, learning_rate=learning_rate, clip_norm=clip_norm,
+    )
+    return run
+
+
+def packed_block(model: ToyModel, sample, sequences, config=TARGET_ONLY):
     """One sample's token lists packed as training packs them, and the (3,)
     losses the training step computes at the model's weights (plus the spare
     zero row that padded columns point at)."""
@@ -334,37 +345,61 @@ class TestTraining:
     def test_zero_learning_rate_keeps_parameters(self):
         train_c, _, _ = synth_corpus(small_spec())
         model = ToyModel.initialize(12)
-        trained, trace = train(model, train_c, epochs=1, learning_rate=0.0, seed=0)
+        trained, summaries = train(model, train_c, config=TARGET_ONLY, epochs=1, learning_rate=0.0, clip_norm=1.0)
         assert np.array_equal(trained.weights, model.weights)
-        assert len(trace) == len(train_c)
+        assert [s.epoch for s in summaries] == [0]
+
+    def test_train_returns_the_model_and_epoch_summaries_of_its_one_job(self):
+        train_c, _, _ = synth_corpus(small_spec())
+        aligned = {s.id: [f"ans t{i % 12} is c{i % 7}"] for i, s in enumerate(train_c) if i % 3}
+        model, config = random_model(seed=2), LossConfig(alpha=0.3)
+        trained, summaries = train(
+            model, train_c, aligned, config=config, epochs=3, learning_rate=0.2, clip_norm=0.5, seed=9
+        )
+        run = train_run(model, train_c, aligned, config, seed=9, epochs=3, learning_rate=0.2, clip_norm=0.5)
+        assert np.array_equal(trained.weights, run.model.weights)
+        assert summaries == run.epoch_summaries()
+        assert [s.epoch for s in summaries] == [0, 1, 2]
+
+    def test_trainer_settings_have_no_defaults(self):
+        train_c, _, _ = synth_corpus(small_spec())
+        model = ToyModel.initialize(12)
+        with pytest.raises(TypeError):
+            train_lockstep([TrainJob(model, train_c, config=TARGET_ONLY)])
+        with pytest.raises(TypeError):
+            train(model, train_c, config=TARGET_ONLY)
+        with pytest.raises(TypeError):
+            TrainJob(model, train_c)
+        with pytest.raises(TypeError):
+            train_lockstep([TrainJob(model, train_c, config=TARGET_ONLY)], 1, 0.1, 1.0)
 
     def test_alpha_zero_trains_on_target_alone(self):
         train_c, _, _ = synth_corpus(small_spec())
-        model = ToyModel.initialize(12)
-        _, trace = train(model, train_c, epochs=1, learning_rate=0.1, seed=0)
-        assert all(e.l_align is None and e.combined == e.l_target for e in trace)
+        run = train_run(ToyModel.initialize(12), train_c, epochs=1, learning_rate=0.1, clip_norm=1.0)
+        assert len(run.losses) == len(train_c)
+        assert np.isnan(run.losses[:, 1]).all()
+        assert np.array_equal(run.losses[:, 2], run.losses[:, 0])
 
     def test_loss_decreases_over_fifty_epochs(self):
         train_c, _, _ = synth_corpus(small_spec(n_eval=1))
-        model = ToyModel.initialize(12)
-        _, trace = train(model, train_c, epochs=50, learning_rate=0.1, seed=0)
+        run = train_run(ToyModel.initialize(12), train_c, epochs=50, learning_rate=0.1, clip_norm=1.0)
         n = len(train_c)
-        assert len(trace) == 50 * n
-        first_epoch = sum(e.combined for e in trace[:n]) / n
-        last_epoch = sum(e.combined for e in trace[-n:]) / n
+        assert len(run.losses) == 50 * n
+        first_epoch = sum(run.losses[:n, 2].tolist()) / n
+        last_epoch = sum(run.losses[-n:, 2].tolist()) / n
         assert last_epoch < first_epoch
         # Frozen run fixture: start at the uniform-model loss, land near 0.4.
-        assert trace[0].combined == pytest.approx(5 * math.log(29), rel=1e-12)
+        assert run.losses[0, 2] == pytest.approx(5 * math.log(29), rel=1e-12)
         assert first_epoch == pytest.approx(15.784291880040332, rel=1e-9)
         assert last_epoch == pytest.approx(0.39735406412276936, rel=1e-9)
 
     def test_identical_runs_yield_identical_parameters(self):
         train_c, _, _ = synth_corpus(small_spec())
         model = ToyModel.initialize(12)
-        a, _ = train(model, train_c, epochs=3, learning_rate=0.1, seed=4)
-        b, _ = train(model, train_c, epochs=3, learning_rate=0.1, seed=4)
+        a, _ = train(model, train_c, config=TARGET_ONLY, epochs=3, learning_rate=0.1, clip_norm=1.0, seed=4)
+        b, _ = train(model, train_c, config=TARGET_ONLY, epochs=3, learning_rate=0.1, clip_norm=1.0, seed=4)
         assert np.array_equal(a.weights, b.weights)
-        c, _ = train(model, train_c, epochs=3, learning_rate=0.1, seed=5)
+        c, _ = train(model, train_c, config=TARGET_ONLY, epochs=3, learning_rate=0.1, clip_norm=1.0, seed=5)
         assert not np.array_equal(a.weights, c.weights)
 
     def test_positive_alpha_blends_alignment_term(self):
@@ -374,25 +409,21 @@ class TestTraining:
             doc_line = sample.document.utterances[2]
             topic_tok, content_tok = doc_line.split()
             aligned[sample.id] = [f"ans {topic_tok} is {content_tok}"]
-        model = ToyModel.initialize(12)
-        _, trace = train(
-            model, train_c, aligned=aligned, config=LossConfig(alpha=0.2), epochs=1,
-            learning_rate=0.1, seed=0,
+        run = train_run(
+            ToyModel.initialize(12), train_c, aligned, LossConfig(alpha=0.2), epochs=1, learning_rate=0.1, clip_norm=1.0
         )
-        assert all(e.l_align is not None for e in trace)
-        for e in trace:
-            assert e.combined == pytest.approx(0.8 * e.l_target + 0.2 * e.l_align, rel=1e-12)
+        l_target, l_align, combined = run.losses.T
+        assert not np.isnan(l_align).any()
+        assert combined == pytest.approx(0.8 * l_target + 0.2 * l_align, rel=1e-12)
 
     def test_samples_without_kept_responses_fall_back_to_target(self):
         train_c, _, _ = synth_corpus(small_spec())
         some_id = next(iter(train_c)).id
         aligned = {some_id: []}  # its one candidate was rejected
-        model = ToyModel.initialize(12)
-        _, trace = train(
-            model, train_c, aligned=aligned, config=LossConfig(alpha=0.2), epochs=1,
-            learning_rate=0.1, seed=0,
+        run = train_run(
+            ToyModel.initialize(12), train_c, aligned, LossConfig(alpha=0.2), epochs=1, learning_rate=0.1, clip_norm=1.0
         )
-        assert all(e.l_align is None for e in trace)
+        assert np.isnan(run.losses[:, 1]).all()
 
     def test_divergence_error_names_the_step(self):
         train_c, _, _ = synth_corpus(small_spec())
@@ -401,26 +432,30 @@ class TestTraining:
         model = ToyModel(vocab, np.full((3 * v + 1, v), 1e308))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="step 0"):
-                train(model, train_c, epochs=1, learning_rate=0.1, seed=0)
+                train(model, train_c, config=TARGET_ONLY, epochs=1, learning_rate=0.1, clip_norm=1.0)
 
     def test_hyperparameter_validation(self):
         train_c, _, _ = synth_corpus(small_spec())
         model = ToyModel.initialize(12)
+
+        def settings(**bad):
+            return {"config": TARGET_ONLY, "epochs": 1, "learning_rate": 0.1, "clip_norm": 1.0, **bad}
+
         with pytest.raises(ValueError, match="learning_rate"):
-            train(model, train_c, learning_rate=-0.1)
+            train(model, train_c, **settings(learning_rate=-0.1))
         with pytest.raises(ValueError, match="epochs"):
-            train(model, train_c, epochs=-1)
+            train(model, train_c, **settings(epochs=-1))
         with pytest.raises(ValueError, match="clip_norm"):
-            train(model, train_c, clip_norm=0.0)
+            train(model, train_c, **settings(clip_norm=0.0))
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="learning_rate must be finite"):
-                train(model, train_c, learning_rate=bad)
+                train(model, train_c, **settings(learning_rate=bad))
             with pytest.raises(ValueError, match="clip_norm must be finite"):
-                train(model, train_c, clip_norm=bad)
+                train(model, train_c, **settings(clip_norm=bad))
 
 
 class TestStackedStep:
-    """One ``train`` step against the dense per-sequence reference step."""
+    """One training step against the dense per-sequence reference step."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -443,10 +478,9 @@ class TestStackedStep:
         sample = tuple(train_c)[sample_index]
         model = random_model(seed=weight_seed, scale=scale)
         aligned = {sample.id: [" ".join(tokens) for tokens in responses]}
-        config = LossConfig(alpha=alpha)
-        trained, trace = train(
-            model, Corpus((sample,), Task.CQA), aligned=aligned, config=config, epochs=1,
-            learning_rate=learning_rate, seed=0, clip_norm=clip_norm,
+        run = train_run(
+            model, Corpus((sample,), Task.CQA), aligned, LossConfig(alpha=alpha), epochs=1,
+            learning_rate=learning_rate, clip_norm=clip_norm,
         )
 
         base = context_features(model, sample)
@@ -457,18 +491,18 @@ class TestStackedStep:
         ref_target, ref_align, ref_weights = dense_sgd_step(
             model.weights, target_seq, align_seqs, alpha, learning_rate, clip_norm
         )
-        (entry,) = trace
-        assert entry.l_target == pytest.approx(ref_target, rel=1e-12, abs=0)
+        (l_target, l_align, combined), = run.losses
+        assert l_target == pytest.approx(ref_target, rel=1e-12, abs=0)
         if align_seqs:
-            assert entry.l_align == pytest.approx(ref_align, rel=1e-12, abs=0)
+            assert l_align == pytest.approx(ref_align, rel=1e-12, abs=0)
         else:
-            assert entry.l_align is None
-            assert entry.combined == entry.l_target
-        update = trained.weights - model.weights
+            assert math.isnan(l_align)
+            assert combined == l_target
+        update = run.model.weights - model.weights
         ref_update = ref_weights - model.weights
         assert np.abs(update - ref_update).max() <= 1e-12 * np.abs(ref_update).max()
         inactive = ~np.concatenate([target_seq[0], *(phi for phi, _ in align_seqs)]).any(axis=0)
-        assert np.array_equal(trained.weights[inactive], model.weights[inactive])
+        assert np.array_equal(run.model.weights[inactive], model.weights[inactive])
 
 
 class TestLockstep:
@@ -502,7 +536,7 @@ class TestLockstep:
             sample = samples[sample_index]
             model = random_model(seed=weight_seed, scale=0.5)
             aligned = {sample.id: [" ".join(tokens) for tokens in responses]}
-            train_jobs.append(TrainJob(model, Corpus((sample,), Task.CQA), aligned, LossConfig(alpha=alpha)))
+            train_jobs.append(TrainJob(model, Corpus((sample,), Task.CQA), aligned, config=LossConfig(alpha=alpha)))
             base = context_features(model, sample)
             target_seq = sequence_features(model, base, sample.target.split() + [EOS])
             align_seqs = [sequence_features(model, base, tokens + [EOS]) for tokens in responses] if alpha > 0 else []
@@ -533,34 +567,34 @@ class TestLockstep:
             if i % 3
         }
         jobs = [
-            TrainJob(ToyModel.initialize(12, seed=0), corpora[0], None, LossConfig(alpha=0.0), seed=0),
-            TrainJob(ToyModel.initialize(12, seed=1), corpora[1], aligned, LossConfig(alpha=0.2), seed=1),
-            TrainJob(random_model(seed=3), corpora[0], aligned, LossConfig(alpha=0.5), seed=2),
+            TrainJob(ToyModel.initialize(12, seed=0), corpora[0], None, config=TARGET_ONLY, seed=0),
+            TrainJob(ToyModel.initialize(12, seed=1), corpora[1], aligned, config=LossConfig(alpha=0.2), seed=1),
+            TrainJob(random_model(seed=3), corpora[0], aligned, config=LossConfig(alpha=0.5), seed=2),
         ]
         runs = train_lockstep(jobs, epochs=3, learning_rate=0.3, clip_norm=1.0)
         for job, run in zip(jobs, runs):
-            alone, trace = train(
-                job.model, job.corpus, job.aligned, job.config, epochs=3, learning_rate=0.3, seed=job.seed, clip_norm=1.0
-            )
-            assert np.abs(run.model.weights - alone.weights).max() <= 1e-12
-            assert [run.sample_ids[i] for i in run.order] == [e.sample_id for e in trace]
+            (alone,) = train_lockstep([job], epochs=3, learning_rate=0.3, clip_norm=1.0)
+            assert np.abs(run.model.weights - alone.model.weights).max() <= 1e-12
+            assert run.sample_ids == alone.sample_ids
+            assert np.array_equal(run.order, alone.order)
 
     def test_first_diverged_job_in_order_raises_its_own_error(self):
         train_c, _, _ = synth_corpus(small_spec())
         vocab = build_vocabulary(12)
         v = len(vocab)
         huge = ToyModel(vocab, np.full((3 * v + 1, v), 1e308))
-        jobs = [TrainJob(ToyModel.initialize(12), train_c), TrainJob(huge, train_c, seed=1), TrainJob(huge, train_c, seed=2)]
+        jobs = [TrainJob(m, train_c, config=TARGET_ONLY, seed=seed) for seed, m in enumerate((ToyModel.initialize(12), huge, huge))]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="step 0") as together:
-                train_lockstep(jobs, epochs=1)
+                train_lockstep(jobs, epochs=1, learning_rate=0.1, clip_norm=1.0)
             with pytest.raises(TrainingDivergedError) as alone:
-                train(huge, train_c, epochs=1, seed=1)
+                train(huge, train_c, config=TARGET_ONLY, epochs=1, learning_rate=0.1, clip_norm=1.0, seed=1)
         assert str(together.value) == str(alone.value)
 
     def test_jobs_with_empty_corpora_make_no_steps(self):
         model = random_model()
-        runs = train_lockstep([TrainJob(model, Corpus((), Task.CQA)), TrainJob(model, Corpus((), Task.CQA), seed=1)], epochs=2)
+        jobs = [TrainJob(model, Corpus((), Task.CQA), config=TARGET_ONLY, seed=seed) for seed in (0, 1)]
+        runs = train_lockstep(jobs, epochs=2, learning_rate=0.1, clip_norm=1.0)
         assert [len(run.order) for run in runs] == [0, 0]
         assert all(np.array_equal(run.model.weights, model.weights) for run in runs)
 
@@ -569,7 +603,8 @@ class TestLockstep:
         short = Corpus(train_c.samples[:5], Task.CQA)
         model = ToyModel.initialize(12)
         with pytest.raises(ValueError, match="one size"):
-            train_lockstep([TrainJob(model, train_c), TrainJob(model, short)])
+            jobs = [TrainJob(model, corpus, config=TARGET_ONLY) for corpus in (train_c, short)]
+            train_lockstep(jobs, epochs=1, learning_rate=0.1, clip_norm=1.0)
 
 
 class TestFiniteDifference:
