@@ -15,8 +15,9 @@ import click
 
 from .backends import BackendError, reads_max_tokens, resolve_backend
 from .bias_split import BIAS_BY_TASK, DEFAULT_BIASED_POSITIONS, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position
-from .corpus import CorpusError, Sample, Task, load_corpus, write_blocks
+from .corpus import CorpusError, Sample, SynthSpec, Task, load_corpus, write_blocks
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy
+from .metrics import METRICS
 from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, AlignmentConfig
 from .objective import LossConfig
 from .pipeline import (
@@ -34,7 +35,6 @@ from .pipeline import (
     write_verdicts,
 )
 from .records import load_aligned, load_candidates, load_eval, write_epochs, write_eval
-from .toy_model import METRICS, SynthSpec, ToyModel, evaluate, load_model, save_model, train
 
 #: ``--positions`` default of ``split`` and ``eval``.
 _DEFAULT_POSITIONS = ",".join(map(str, sorted(DEFAULT_BIASED_POSITIONS)))
@@ -178,10 +178,10 @@ def align(candidates_path, task_name, corpus_path, out_path, thresholds):
 @click.option("--train", "train_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--task", "task_name", default="cqa", show_default=True)
 @click.option("--aligned", "aligned_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--alpha", default=0.0, show_default=True, type=float)
-@click.option("--epochs", default=PipelineConfig.epochs, show_default=True, type=int)
-@click.option("--learning-rate", default=PipelineConfig.learning_rate, show_default=True, type=float)
-@click.option("--clip-norm", default=PipelineConfig.clip_norm, show_default=True, type=float)
+@click.option("--alpha", default=0.0, show_default=True, type=click.FloatRange(0, 1))
+@click.option("--epochs", default=PipelineConfig.epochs, show_default=True, type=click.IntRange(min=0))
+@click.option("--learning-rate", default=PipelineConfig.learning_rate, show_default=True, type=click.FloatRange(min=0))
+@click.option("--clip-norm", default=PipelineConfig.clip_norm, show_default=True, type=click.FloatRange(min=0, min_open=True))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--vocab-size", default=SynthSpec.vocab_size, show_default=True, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
@@ -194,6 +194,10 @@ def train_toy(train_path, task_name, aligned_path, alpha, epochs, learning_rate,
         _fail("train-toy: --aligned is not read with --alpha 0")
     if alpha != 0 and not aligned_path:
         _fail(f"train-toy: --alpha {alpha:g} is not read without --aligned")
+    # Imported here: only the train-toy and eval verbs need numpy, and a
+    # module-level import slows every ``posdebias`` start-up.
+    from .toy_model import ToyModel, save_model, train
+
     try:
         corpus = load_corpus(train_path, task)
         aligned = load_aligned(aligned_path) if aligned_path else None
@@ -231,6 +235,8 @@ def eval_cmd(model_path, corpus_path, task_name, metric, positions, system, out_
     """Evaluate a trained model on the biased / non-biased partition."""
     task = _task(task_name)
     biased_positions = _positions(positions)
+    from .toy_model import evaluate, load_model
+
     try:
         model = load_model(model_path)
         corpus = load_corpus(corpus_path, task)

@@ -121,6 +121,33 @@ class Corpus:
         return iter(self.samples)
 
 
+@dataclass(frozen=True)
+class SynthSpec:
+    """Shape of the synthetic corpus ``toy_model.synth_corpus`` generates.
+    It lives here, where the config schema reads it without loading numpy."""
+
+    n_utterances: int = 6
+    n_train: int = 500
+    n_eval: int = 500
+    biased_fraction: float = 0.95
+    vocab_size: int = 24
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_utterances < 3:
+            raise ValueError(f"SynthSpec: n_utterances must be >= 3, got {self.n_utterances}")
+        if self.n_train < 1 or self.n_eval < 1:
+            raise ValueError("SynthSpec: corpus sizes must be >= 1")
+        if not 0.0 <= self.biased_fraction <= 1.0:
+            raise ValueError(
+                f"SynthSpec: biased_fraction must be in [0, 1], got {self.biased_fraction}"
+            )
+        if self.vocab_size < self.n_utterances:
+            raise ValueError(
+                "SynthSpec: vocab_size must be >= n_utterances so utterances are distinct"
+            )
+
+
 def render_input(
     task: Task,
     document: Document | None = None,

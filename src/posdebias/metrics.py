@@ -148,6 +148,10 @@ def bleu_2(candidate: str, reference: str) -> float:
     return brevity * math.sqrt(p1 * p2)
 
 
+#: Evaluation metrics ``toy_model.evaluate`` accepts.
+METRICS = ("accuracy", "rouge_l", "bleu_2")
+
+
 @dataclass(frozen=True)
 class PositionRow:
     """Mean score and support for one relative position (None = unknown)."""

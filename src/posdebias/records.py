@@ -11,14 +11,16 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .backends import GenerationResult, _result_from_body
 from .corpus import encode_json, json_field, json_list, read_jsonl, write_blocks, write_jsonl
 from .metrics import PositionRow
 from .msa_align import RejectionReason
 from .report import SystemEval
-from .toy_model import EpochSummary
+
+if TYPE_CHECKING:
+    from .toy_model import EpochSummary
 
 
 def candidate_line(sample_id: str, index: int, result: GenerationResult) -> str:

@@ -33,6 +33,7 @@ from .corpus import (
     Corpus,
     DialogueTurn,
     Sample,
+    SynthSpec,
     Task,
     json_field,
     json_list,
@@ -57,32 +58,6 @@ DEFAULT_WINDOW_SCALE = 2.0
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss stops being finite; names the offending step and
     sample."""
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Shape of the synthetic corpus."""
-
-    n_utterances: int = 6
-    n_train: int = 500
-    n_eval: int = 500
-    biased_fraction: float = 0.95
-    vocab_size: int = 24
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_utterances < 3:
-            raise ValueError(f"SynthSpec: n_utterances must be >= 3, got {self.n_utterances}")
-        if self.n_train < 1 or self.n_eval < 1:
-            raise ValueError("SynthSpec: corpus sizes must be >= 1")
-        if not 0.0 <= self.biased_fraction <= 1.0:
-            raise ValueError(
-                f"SynthSpec: biased_fraction must be in [0, 1], got {self.biased_fraction}"
-            )
-        if self.vocab_size < self.n_utterances:
-            raise ValueError(
-                "SynthSpec: vocab_size must be >= n_utterances so utterances are distinct"
-            )
 
 
 def build_vocabulary(vocab_size: int) -> tuple[str, ...]:
@@ -577,10 +552,6 @@ def train(
         epochs=epochs, learning_rate=learning_rate, clip_norm=clip_norm,
     )
     return run.model, run.epoch_summaries()
-
-
-#: Evaluation metrics ``evaluate`` accepts.
-METRICS = ("accuracy", "rouge_l", "bleu_2")
 
 
 def _score_prediction(metric: str, prediction: str, target: str) -> float:

@@ -12,7 +12,7 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,10 +30,11 @@ from posdebias.backends import (
     record_line,
     resolve_backend,
 )
-from posdebias.corpus import Corpus, Task, write_blocks
+from posdebias.corpus import Corpus, SynthSpec, Task, save_corpus, write_blocks
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec, generate
 from posdebias.pipeline import infer_shards
 from posdebias.records import load_candidates
+from posdebias.toy_model import synth_corpus
 
 from conftest import dialogue_sample
 from oracles import candidates_jsonl, markov_complete
@@ -462,52 +463,114 @@ HTTP_STACK = ("requests", "urllib3")
 SRC = Path(backends.__file__).resolve().parent.parent
 
 
+def fresh_interpreter(code: str, cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter, so that no other test's imports count."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop(BACKEND_URL_ENV, None)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize(
     ("code", "loads"),
     [
-        ("import posdebias.cli", False),
-        ("import posdebias.pipeline", False),
-        ("from posdebias.pipeline import parse_config; parse_config({'out_dir': 'out', 'synth': {}})", False),
-        ("from posdebias.pipeline import parse_config; parse_config({'out_dir': 'out', 'corpus': 'c.jsonl', 'backend': 'markov'})", False),
-        ("from posdebias.backends import resolve_backend; resolve_backend('url:http://127.0.0.1:9/x', env={})", True),
+        ("import posdebias.cli", []),
+        ("import posdebias.pipeline", []),
+        ("from posdebias.pipeline import parse_config; parse_config({'out_dir': 'out', 'synth': {}})", ["numpy"]),
+        ("from posdebias.pipeline import parse_config; parse_config({'out_dir': 'out', 'corpus': 'c.jsonl', 'backend': 'markov'})", []),
+        ("from posdebias.backends import resolve_backend; resolve_backend('url:http://127.0.0.1:9/x', env={})", sorted(HTTP_STACK)),
     ],
     ids=["import-cli", "import-pipeline", "parse-toy-config", "parse-markov-data-config", "resolve-url-backend"],
 )
 def test_http_stack_is_loaded_only_for_an_url_backend(tmp_path, code, loads):
-    # A fresh interpreter, so that no other test's imports count.
-    script = f"{code}\nimport sys\nprint(sorted(m for m in {HTTP_STACK!r} if m in sys.modules))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    env.pop(BACKEND_URL_ENV, None)
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    # numpy too: only toy runs and the train-toy and eval verbs need it.
+    script = f"{code}\nimport sys\nprint(sorted(m for m in {HTTP_STACK + ('numpy',)!r} if m in sys.modules))"
+    done = fresh_interpreter(script, tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == repr(sorted(HTTP_STACK) if loads else [])
+    assert done.stdout.splitlines()[-1] == repr(loads)
+
+
+#: Data mode and the verbs it shares, then a toy config, run with numpy
+#: importable or (argument ``blocked``) not.
+DATA_MODE_SCRIPT = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # every import of numpy raises ImportError
+from posdebias.cli import main
+from posdebias.pipeline import parse_config
+
+for args in (
+    "run --config data.json",
+    "split --corpus c.jsonl --task cqa --out-dir split",
+    "infer --corpus c.jsonl --task cqa --out candidates.jsonl",
+    "align --candidates candidates.jsonl --task cqa --corpus c.jsonl --out aligned.jsonl",
+    "report a.json b.json --out-dir report",
+):
+    main.main(args=args.split(), prog_name="posdebias", standalone_mode=False)
+try:
+    parse_config({"out_dir": "toy", "synth": {}})
+    print("toy config parsed")
+except ImportError:
+    print("toy config: ImportError")
+"""
+
+
+def test_data_mode_and_its_verbs_run_without_numpy(tmp_path):
+    train_c, _, _ = synth_corpus(SynthSpec(n_train=40, n_eval=1, seed=3))
+    outputs = {}
+    for mode in ("blocked", "normal"):
+        work = tmp_path / mode
+        save_corpus(train_c, work / "c.jsonl")
+        (work / "data.json").write_text(json.dumps({"out_dir": "run", "corpus": "c.jsonl"}))
+        for name, system in (("a.json", "ft"), ("b.json", "zoe")):
+            (work / name).write_text(json.dumps({"system": system, "metric": "accuracy", "splits": {"biased": {"score": 0.5, "count": 4}}}))
+        done = fresh_interpreter(DATA_MODE_SCRIPT, work, mode)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == ("toy config: ImportError" if mode == "blocked" else "toy config parsed")
+        assert not (work / "toy").exists()
+        outputs[mode] = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+    assert {"run/manifest.json", "split/evidence.jsonl", "candidates.jsonl", "aligned.jsonl", "report/report.csv"} <= set(outputs["normal"])
+    assert outputs["blocked"] == outputs["normal"]
 
 
 def module_level_imports(source: str) -> Iterator[str]:
     """The top-level package of every import that runs when ``source`` is
-    imported: any not inside a function (class bodies run)."""
+    imported: any not inside a function (class bodies run) or an
+    ``if TYPE_CHECKING:`` block. A relative import is reported as ``.`` and
+    the sibling module, ``.corpus`` for ``from . import corpus`` as for
+    ``from .corpus import Sample``."""
 
-    def visit(node: ast.AST) -> Iterator[str]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def visit(nodes: Iterable[ast.AST]) -> Iterator[str]:
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if isinstance(child, ast.Import):
-                yield from (alias.name.partition(".")[0] for alias in child.names)
-            elif isinstance(child, ast.ImportFrom) and not child.level:
-                yield child.module.partition(".")[0]
-            yield from visit(child)
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+                yield from visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                yield from (alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                modules = [node.module] if node.module else [alias.name for alias in node.names]
+                yield from ("." + module.partition(".")[0] for module in modules)
+            elif isinstance(node, ast.ImportFrom):
+                yield node.module.partition(".")[0]
+            yield from visit(ast.iter_child_nodes(node))
 
-    return visit(ast.parse(source))
+    return visit([ast.parse(source)])
 
 
 def test_no_module_imports_the_http_stack_at_import_time():
-    # Every ``posdebias`` start-up pays for what a module imports at its top.
+    # Every ``posdebias`` start-up pays for what a module imports at its top:
+    # not the HTTP stack, and numpy only through ``toy_model``, which no
+    # module imports there.
     found = {
         (path.stem, name)
         for path in sorted(SRC.joinpath("posdebias").glob("*.py"))
         for name in module_level_imports(path.read_text(encoding="utf-8"))
-        if name in HTTP_STACK
+        if name in HTTP_STACK or name == ".toy_model" or (name == "numpy" and path.stem != "toy_model")
     }
     assert found == set()
-    sample = "import json.decoder\nfrom . import corpus\ndef f():\n    import requests\nclass C:\n    from urllib3 import util\n"
-    assert list(module_level_imports(sample)) == ["json", "urllib3"]
+    sample = (
+        "import json.decoder\nfrom . import corpus, toy_model\nfrom .metrics.sub import x\ndef f():\n    import requests\n"
+        "class C:\n    from urllib3 import util\nif TYPE_CHECKING:\n    import numpy\nelse:\n    from .report import y\n"
+    )
+    assert list(module_level_imports(sample)) == ["json", ".corpus", ".toy_model", ".metrics", "urllib3", ".report"]

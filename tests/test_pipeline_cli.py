@@ -21,7 +21,7 @@ from conftest import nli_sample
 from oracles import aligned_jsonl, candidates_jsonl
 from test_msa_align import align_corpus
 from posdebias import corpus as corpus_mod
-from posdebias import lowbias_infer, msa_align, pipeline
+from posdebias import lowbias_infer, msa_align, pipeline, toy_model
 from posdebias.backends import BACKEND_URL_ENV, BackendError, StubBackend, StubMode
 from posdebias.bias_split import BIAS_BY_TASK, BiasKind
 from posdebias.cli import main
@@ -734,10 +734,10 @@ class TestParallelTrain:
         def evaluate(model, partition, metric, system):
             if system != "ft":
                 raise ValueError(f"cannot score {system}")
-            return pipeline.evaluate.__wrapped__(model, partition, metric, system)
+            return toy_model.evaluate.__wrapped__(model, partition, metric, system)
 
-        evaluate.__wrapped__ = pipeline.evaluate
-        monkeypatch.setattr(pipeline, "evaluate", evaluate)  # forked workers inherit the patch
+        evaluate.__wrapped__ = toy_model.evaluate
+        monkeypatch.setattr(toy_model, "evaluate", evaluate)  # forked workers inherit the patch
         out_dir = tmp_path / "out"
         # The first failure in sweep order (ft, zoe, rp) is zoe's.
         with pytest.raises(PipelineError, match="^stage 'eval' failed: cannot score zoe$"):
@@ -761,7 +761,7 @@ class TestParallelTrain:
         def fail(*args, **kwargs):
             raise TwoPartError(name, "broken")
 
-        monkeypatch.setattr(pipeline, name, fail)  # forked workers inherit the patch
+        monkeypatch.setattr(toy_model, name, fail)  # forked workers inherit the patch
         with pytest.raises(PipelineError, match=f"^stage '{stage}' failed: {name}/broken$"):
             run_toy(tmp_path / "out", systems=["ft"])
         assert multiprocessing.active_children() == []
@@ -1089,6 +1089,11 @@ class TestCliVerbs:
             ("split", "nli", "--triggers", " ,", "bad --triggers ' ,'"),
             ("split", "nli", "--triggers", "!!", "split: --triggers[0] tokenizes to nothing: '!!'"),
             ("split", "nli", "--triggers", "sky,?", "split: --triggers[1] tokenizes to nothing: '?'"),
+            # Click's ranges, the bounds of CONFIG_SCHEMA; --aligned names a bad aligned file.
+            ("train-toy", "cqa", "--epochs", "-1", "Invalid value for '--epochs': -1 is not in the range x>=0."),
+            ("train-toy", "cqa", "--learning-rate", "-1", "Invalid value for '--learning-rate': -1.0 is not in the range x>=0."),
+            ("train-toy", "cqa", "--clip-norm", "0", "Invalid value for '--clip-norm': 0.0 is not in the range x>0."),
+            ("train-toy", "cqa", "--alpha", "1.5", "Invalid value for '--alpha': 1.5 is not in the range 0<=x<=1."),
         ],
     )
     def test_split_and_eval_reject_a_bad_option_value_before_loading(
@@ -1098,15 +1103,17 @@ class TestCliVerbs:
             raise AssertionError("loaded before the options were checked")
 
         monkeypatch.setattr("posdebias.cli.load_corpus", load)
-        monkeypatch.setattr("posdebias.cli.load_model", load)
+        monkeypatch.setattr("posdebias.cli.load_aligned", load)
+        monkeypatch.setattr("posdebias.toy_model.load_model", load)
         out = tmp_path / "out"
-        args = [verb, "--corpus", str(dialogue_corpus_file), "--task", task, option, value]
-        if verb == "split":
-            args += ["--out-dir", str(out)]
+        if verb == "train-toy":
+            args = [verb, "--train", str(dialogue_corpus_file), "--aligned", str(dialogue_corpus_file), "--out", str(out)]
         else:
-            args += ["--model", str(dialogue_corpus_file), "--out", str(out)]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 1, result.output
+            args = [verb, "--corpus", str(dialogue_corpus_file)]
+            args += ["--out-dir", str(out)] if verb == "split" else ["--model", str(dialogue_corpus_file), "--out", str(out)]
+        result = runner.invoke(main, args + ["--task", task, option, value])
+        # A click parameter error exits with 2, a verb's own check with 1.
+        assert result.exit_code == (2 if message.startswith("Invalid value") else 1), result.output
         assert f"Error: {message}" in result.output
         assert not out.exists()
 
