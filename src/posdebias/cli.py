@@ -8,6 +8,7 @@ record codec in ``posdebias.records``, and prints one line.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,6 +60,17 @@ def _positions(value: str) -> frozenset[int]:
     if not positions:
         _fail(f"bad --positions {value!r}; expected comma-separated integers like '0,1'")
     return positions
+
+
+class _Finite(click.FloatRange):
+    """A ``FloatRange`` that also rejects nan and infinity: nan fails no
+    bound's comparison, and a range open above takes infinity."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{number} is not a finite number.", param, ctx)
+        return number
 
 
 @click.group()
@@ -142,7 +154,7 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
 @click.option("--task", "task_name", required=True)
 @click.option("--corpus", "corpus_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Required for tasks whose gates compare against the target.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--threshold", "thresholds", multiple=True, type=float, default=DEFAULT_CANDIDATE_THRESHOLDS, show_default=True, help="Candidate gate threshold; repeatable, one fixes it.")
+@click.option("--threshold", "thresholds", multiple=True, type=_Finite(0, 1, min_open=True, max_open=True), default=DEFAULT_CANDIDATE_THRESHOLDS, show_default=True, help="Candidate gate threshold; repeatable, one fixes it.")
 def align(candidates_path, task_name, corpus_path, out_path, thresholds):
     """Filter candidates with the task's rejection gates.
 
@@ -178,10 +190,10 @@ def align(candidates_path, task_name, corpus_path, out_path, thresholds):
 @click.option("--train", "train_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--task", "task_name", default="cqa", show_default=True)
 @click.option("--aligned", "aligned_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--alpha", default=0.0, show_default=True, type=click.FloatRange(0, 1))
+@click.option("--alpha", default=0.0, show_default=True, type=_Finite(0, 1))
 @click.option("--epochs", default=PipelineConfig.epochs, show_default=True, type=click.IntRange(min=0))
-@click.option("--learning-rate", default=PipelineConfig.learning_rate, show_default=True, type=click.FloatRange(min=0))
-@click.option("--clip-norm", default=PipelineConfig.clip_norm, show_default=True, type=click.FloatRange(min=0, min_open=True))
+@click.option("--learning-rate", default=PipelineConfig.learning_rate, show_default=True, type=_Finite(min=0))
+@click.option("--clip-norm", default=PipelineConfig.clip_norm, show_default=True, type=_Finite(min=0, min_open=True))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--vocab-size", default=SynthSpec.vocab_size, show_default=True, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))

@@ -1,20 +1,23 @@
 """End-to-end orchestration with a checksummed run manifest.
 
-Two modes share the same stage machinery:
+Each mode is one function that runs its stages in order:
 
-* toy mode (``synth`` configured): generate a synthetic corpus, split the
-  eval pool, draw low-bias candidates from the stub backend, align them,
-  train the configured systems, evaluate, and report;
-* data mode (``corpus`` configured): split a user corpus, draw and align
-  candidates, and report partition and alignment statistics; an NLI corpus,
-  whose candidates nothing prunes or trains on, is only split and reported.
+* toy mode (``synth``, ``_run_toy``): generate a synthetic corpus, split
+  the eval pool, draw low-bias candidates from the stub backend, align
+  them, train the configured systems, evaluate, and report;
+* data mode (``corpus``, ``_run_data``): split a user corpus, draw and
+  align candidates, and report partition and alignment statistics; an NLI
+  corpus, whose candidates nothing prunes or trains on, is only split and
+  reported.
 
-Every stage appends the files it wrote, with the SHA-256 checksums that
-``corpus.write_blocks`` took as it wrote them, to ``manifest.json`` as soon
-as it finishes or fails, so a failed run preserves all artifacts produced
-before the failure and marks the failing stage.
+Each stage is one ``with _stage(...)`` block that hands its results to the
+later ones as local variables. ``_stage`` appends the files the block
+wrote, with the SHA-256 checksums ``corpus.write_blocks`` took as it wrote
+them, to ``manifest.json`` as soon as the block finishes or fails, so a
+failed run keeps all artifacts made before the failure and marks the
+failing stage.
 
-Stage bodies are plain functions (``split_shards``, ``write_split``,
+Stage bodies call plain functions (``split_shards``, ``write_split``,
 ``infer_shards``, ``align_shards``, ``write_verdicts``, ``pool_evals``,
 ``write_report``, and ``toy_model.evaluate``) that the CLI verbs call as well;
 record formats live in ``posdebias.records``. Each candidate's verdict is
@@ -30,6 +33,7 @@ import operator
 import os
 import sys
 from concurrent.futures import FIRST_EXCEPTION, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -57,7 +61,7 @@ from .records import candidate_line, verdict_head, verdict_tail, write_epochs, w
 from .report import SystemEval
 
 if TYPE_CHECKING:
-    from .toy_model import EpochSummary, ToyModel, TrainJob
+    from .toy_model import EpochSummary, ToyModel
 
 
 def __getattr__(name: str):
@@ -341,7 +345,9 @@ def _config_echo(config: PipelineConfig) -> dict:
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Execute all stages; returns the manifest dict.
+    """Run the configured mode, ``_run_toy`` or ``_run_data``, whose every
+    stage writes its manifest entry as it finishes or fails (``_stage``);
+    returns the manifest dict.
 
     Configuration problems (missing corpus file, bad mode combinations) are
     raised before any stage runs or any artifact is written. Data mode
@@ -355,27 +361,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     out_dir = Path(config.out_dir)
     manifest: dict = {"config": _config_echo(config), "stages": []}
     _write_manifest(manifest, out_dir)
-    state: dict = {}
-    if config.synth is not None:
-        stages = _TOY_STAGES
-    elif config.task == Task.NLI:
-        stages = _NLI_DATA_STAGES
-    else:
-        stages = _DATA_STAGES
-    for name, fn in stages:
-        corpus_mod.written = written = {}  # the stage's files, hashed as they are written
-        entry: dict = {"stage": name, "status": "failed"}
-        try:
-            fn(config, out_dir, state)
-            entry["status"] = "ok"
-        except Exception as exc:  # noqa: BLE001 - every failure must land in the manifest
-            entry["error"] = str(exc)
-            raise PipelineError(f"stage {name!r} failed: {exc}") from exc
-        finally:  # a failed stage's entry lists the files it wrote, partial ones too
-            corpus_mod.written = None
-            entry["artifacts"] = [{"path": str(p.relative_to(out_dir)), "sha256": h} for p, h in sorted(written.items())]
-            manifest["stages"].append(entry)
-            _write_manifest(manifest, out_dir)
+    (_run_toy if config.synth is not None else _run_data)(config, out_dir, manifest)
     return manifest
 
 
@@ -742,86 +728,137 @@ def write_report(evals: Sequence[SystemEval], out_dir: Path, metric: str) -> Non
         report_mod.write_position_chart(evals, out_dir / "relpos.svg", metric)
 
 
-# -- toy-mode stages -------------------------------------------------------
+# -- the two runs, one ``with _stage`` block per manifest entry ------------
+#
+# Nothing runs between two blocks, where an exception would escape the
+# manifest; per-seed work runs in a helper or a comprehension, so a finished
+# stage's objects die with it.
 
 
-def _stage_synth(config: PipelineConfig, out_dir: Path, state: dict) -> None:
-    # Toy stages import ``toy_model`` (and numpy) here: data mode never does.
-    from .toy_model import synth_corpus
-
-    state["data"] = {}
-    for seed in config.seeds:
-        spec = dataclasses.replace(config.synth, seed=config.synth.seed + seed)
-        train_c, eval_b, eval_n = synth_corpus(spec)
-        state["data"][seed] = {"train": train_c, "eval_biased": eval_b, "eval_nonbiased": eval_n}
-        seed_dir = out_dir / "data" / f"seed{seed}"
-        save_corpus(train_c, seed_dir / "train.jsonl")
-        save_corpus(eval_b, seed_dir / "eval_biased.jsonl")
-        save_corpus(eval_n, seed_dir / "eval_nonbiased.jsonl")
-
-
-def _stage_split(config: PipelineConfig, out_dir: Path, state: dict) -> None:
-    """Re-derive the eval partition with the real splitter (not generator labels)."""
-    for seed, data in state["data"].items():
-        pool = Corpus(tuple(data["eval_biased"]) + tuple(data["eval_nonbiased"]), config.task)
-        (shard,) = split_shards(pool, config.biased_positions, config.triggers, shards=1)
-        data["partition"] = shard.partition
-        write_split([shard], pool.samples, out_dir / "split" / f"seed{seed}", names=("eval_biased.jsonl", "eval_nonbiased.jsonl"))
+@contextmanager
+def _stage(name: str, out_dir: Path, manifest: dict):
+    """Run the block as stage ``name``: its files are hashed as they are
+    written (``corpus.written``), and its manifest entry, ok or failed, lists
+    them, partial ones too. A failure is raised as ``PipelineError``."""
+    corpus_mod.written = written = {}
+    entry: dict = {"stage": name, "status": "failed"}
+    try:
+        yield
+        entry["status"] = "ok"
+    except Exception as exc:  # noqa: BLE001 - every failure must land in the manifest
+        entry["error"] = str(exc)
+        raise PipelineError(f"stage {name!r} failed: {exc}") from exc
+    finally:
+        corpus_mod.written = None
+        entry["artifacts"] = [{"path": str(p.relative_to(out_dir)), "sha256": h} for p, h in sorted(written.items())]
+        manifest["stages"].append(entry)
+        _write_manifest(manifest, out_dir)
 
 
-def _resolve_toy_backend(config: PipelineConfig, train_corpus: Corpus, seed: int):
-    if config.backend == "table":
-        from .toy_model import build_lowbias_table
-
-        table = build_lowbias_table(
-            train_corpus,
-            garbage_rate=config.garbage_rate,
-            n_candidates=config.n_per_prompt,
-            seed=1009 + seed,
-        )
-        return StubBackend(StubMode.TABLE, table=table)
-    return resolve_backend(config.backend)
-
-
-def _stage_infer(config: PipelineConfig, out_dir: Path, state: dict) -> None:
-    """Draw each seed's candidates, with their gate statistics and verdict
-    heads for the align stage, which raises any error of that work."""
-    for seed, data in state["data"].items():
-        data["shards"] = infer_shards(
-            data["train"],
-            _resolve_toy_backend(config, data["train"], seed),
-            n_per_prompt=config.n_per_prompt,
-            seed=seed,
-            max_tokens=config.max_tokens,
-            align=config.align,
-            shards=1 if config.synth is not None else None,
-        )
-        write_blocks((shard.candidates for shard in data["shards"]), out_dir / "infer" / f"seed{seed}" / "candidates.jsonl")
-        # Written, the text is dead weight: align reads no candidate line.
-        for shard in data["shards"]:
-            shard.candidates = ""
+def _infer_pass(config: PipelineConfig, out_dir: Path, seed: int, corpus: Corpus, backend: Backend, shards: int | None = None) -> list[Shard]:
+    """Draw one seed's candidates, with their gate statistics and verdict
+    heads for ``_align_pass``, which raises any error of that work, and
+    write the candidates JSONL."""
+    result = infer_shards(
+        corpus, backend, n_per_prompt=config.n_per_prompt, seed=seed, max_tokens=config.max_tokens, align=config.align, shards=shards
+    )
+    write_blocks((shard.candidates for shard in result), out_dir / "infer" / f"seed{seed}" / "candidates.jsonl")
+    # Written, the text is dead weight: align reads no candidate line.
+    for shard in result:
+        shard.candidates = ""
+    return result
 
 
-def _stage_align(config: PipelineConfig, out_dir: Path, state: dict) -> None:
-    for seed, data in state["data"].items():
-        shards = data.pop("shards")
-        _raise_for(shards, "align")
-        seed_dir = out_dir / "align" / f"seed{seed}"
-        threshold, data["verdicts"] = write_verdicts(config.task, shards, config.align, seed_dir / "aligned.jsonl")
-        if config.synth is not None:
-            # Training reads each sample's kept texts. Toy ranges run
-            # in-process; ``zip`` takes a sample's verdicts after its candidates.
-            verdicts = iter(data["verdicts"])
-            data["aligned"] = {
-                sample_id: [c.text for c, verdict in zip(candidates, verdicts) if verdict.kept]
-                for shard in shards
-                for sample_id, candidates in shard.results.items()
-                if candidates
-            }
-        calibration: dict = {"calibrated": threshold is not None}
-        if threshold is not None:
-            calibration["threshold"] = threshold
-        write_blocks([json.dumps(calibration, sort_keys=True)], seed_dir / "calibration.json")
+def _align_pass(config: PipelineConfig, out_dir: Path, seed: int, shards: Sequence[Shard]) -> list[Verdict]:
+    """Calibrate and decide one seed's verdicts (``write_verdicts``) and
+    write its calibration; returns the verdicts in sample order."""
+    _raise_for(shards, "align")
+    seed_dir = out_dir / "align" / f"seed{seed}"
+    threshold, verdicts = write_verdicts(config.task, shards, config.align, seed_dir / "aligned.jsonl")
+    calibration = {"calibrated": False} if threshold is None else {"calibrated": True, "threshold": threshold}
+    write_blocks([json.dumps(calibration, sort_keys=True)], seed_dir / "calibration.json")
+    return verdicts
+
+
+def _run_toy(config: PipelineConfig, out_dir: Path, manifest: dict) -> None:
+    """Toy mode: synthesize each seed's corpora, split its eval pool, draw
+    and align candidates from its train split, train every sweep point,
+    pool the scores and report."""
+    with _stage("synth", out_dir, manifest):
+        # Imported here: data mode never loads ``toy_model`` (and numpy).
+        from .toy_model import build_lowbias_table, synth_corpus
+
+        corpora = {}  # seed -> (train, eval_biased, eval_nonbiased)
+        for seed in config.seeds:
+            corpora[seed] = synth_corpus(dataclasses.replace(config.synth, seed=config.synth.seed + seed))
+            for name, corpus in zip(("train", "eval_biased", "eval_nonbiased"), corpora[seed]):
+                save_corpus(corpus, out_dir / "data" / f"seed{seed}" / f"{name}.jsonl")
+    with _stage("split", out_dir, manifest):
+        partitions = {seed: _split_eval_pool(config, out_dir, seed, eval_b, eval_n) for seed, (_, eval_b, eval_n) in corpora.items()}
+    with _stage("infer", out_dir, manifest):
+        # The default backend looks each prompt up in a table built from the seed's train split.
+        passes = {
+            seed: _infer_pass(
+                config, out_dir, seed, train, shards=1,
+                backend=resolve_backend(config.backend) if config.backend != "table" else StubBackend(
+                    StubMode.TABLE,
+                    table=build_lowbias_table(train, garbage_rate=config.garbage_rate, n_candidates=config.n_per_prompt, seed=1009 + seed),
+                ),
+            )
+            for seed, (train, _, _) in corpora.items()
+        }
+    with _stage("align", out_dir, manifest):
+        kept = {seed: _kept_texts(config, out_dir, seed, passes.pop(seed)) for seed in config.seeds}
+    with _stage("train", out_dir, manifest):
+        scores = _train(config, out_dir, {seed: (corpora[seed][0], kept[seed], partitions[seed]) for seed in config.seeds})
+    with _stage("eval", out_dir, manifest):
+        # The first scoring error in sweep and seed order is raised here.
+        evals = []
+        for point in _sweep_points(config):
+            per_seed = scores[point["label"]]
+            for scored in per_seed:
+                if isinstance(scored, Exception):
+                    raise scored
+            pooled = pool_evals(point["label"], config.metric, per_seed)
+            evals.append((point, pooled))
+            write_eval(pooled, out_dir / "eval" / f"{point['label']}.json", alpha=point["alpha"], n_train=point["size"])
+    with _stage("report", out_dir, manifest):
+        report_dir = out_dir / "report"
+        write_report([ev for _, ev in evals], report_dir, config.metric)
+        if len(config.alphas) > 1:
+            zoe = [(point["alpha"], ev.splits) for point, ev in evals if point["system"] == "zoe"]
+            series = {side: [(alpha, splits[side][0]) for alpha, splits in zoe] for side in ("non_biased", "biased")}
+            report_mod.write_sweep_chart(series, report_dir / "alpha_sweep.svg", f"{config.metric} vs alpha", "alpha", config.metric)
+        if config.train_sizes and len(config.train_sizes) > 1:
+            series = {}
+            for point, ev in evals:
+                series.setdefault(point["system"], []).append((float(point["size"]), ev.splits["non_biased"][0]))
+            report_mod.write_sweep_chart(
+                series, report_dir / "train_size_sweep.svg",
+                f"non-biased {config.metric} vs training size", "training samples", config.metric,
+            )
+
+
+def _split_eval_pool(config: PipelineConfig, out_dir: Path, seed: int, eval_b: Corpus, eval_n: Corpus) -> BiasPartition:
+    """Re-derive one seed's eval partition with the real splitter (not the
+    generator's labels) and write its split."""
+    pool = Corpus(tuple(eval_b) + tuple(eval_n), config.task)
+    (shard,) = split_shards(pool, config.biased_positions, config.triggers, shards=1)
+    write_split([shard], pool.samples, out_dir / "split" / f"seed{seed}", names=("eval_biased.jsonl", "eval_nonbiased.jsonl"))
+    return shard.partition
+
+
+def _kept_texts(config: PipelineConfig, out_dir: Path, seed: int, shards: Sequence[Shard]) -> dict[str, list[str]]:
+    """Align one seed's pass (``_align_pass``); returns each sample's kept
+    texts, which training reads. Toy ranges run in-process, so they hold
+    their results; ``zip`` takes a sample's verdicts after its candidates."""
+    verdicts = iter(_align_pass(config, out_dir, seed, shards))
+    return {
+        sample_id: [c.text for c, verdict in zip(candidates, verdicts) if verdict.kept]
+        for shard in shards
+        for sample_id, candidates in shard.results.items()
+        if candidates
+    }
 
 
 def _sweep_points(config: PipelineConfig) -> list[dict]:
@@ -843,179 +880,91 @@ def _sweep_points(config: PipelineConfig) -> list[dict]:
     return points
 
 
-def _train_job(config: PipelineConfig, point: dict, seed: int, data: dict) -> TrainJob:
-    """One (sweep point, seed) job: the seed's train corpus, cut to the point's
-    size and position-perturbed for ``rp``, with aligned responses for ``zoe``."""
-    from .toy_model import ToyModel, TrainJob
-
-    train_corpus: Corpus = data["train"]
-    if point["size"] is not None:
-        train_corpus = Corpus(train_corpus.samples[: point["size"]], config.task)
-    if point["system"] == "rp":
-        perturbed = tuple(
-            perturb_positions(s, seed=seed * 100003 + i)
-            for i, s in enumerate(train_corpus)
-        )
-        train_corpus = Corpus(perturbed, config.task)
-    return TrainJob(
-        ToyModel.initialize(config.synth.vocab_size, seed=seed),
-        train_corpus,
-        aligned=data["aligned"] if point["system"] == "zoe" else None,
-        config=LossConfig(alpha=point["alpha"]),
-        seed=seed,
-    )
-
-
-def _train_point(stage: tuple, point: dict) -> list[tuple[ToyModel, list[EpochSummary], SystemEval | Exception]]:
+def _train_point(inherited: tuple, point: dict) -> list[tuple[ToyModel, list[EpochSummary], SystemEval | Exception]]:
     """Train one sweep point's jobs, one per seed in ``seeds`` order, in
-    lockstep, and score each trained model on its seed's partition; returns
-    each job's model, epoch summaries and ``SystemEval``. A job whose
-    scoring raised carries the exception (``_portable``) in place of its
-    ``SystemEval``, for the eval stage to raise."""
-    from .toy_model import evaluate, train_lockstep
+    lockstep: each on its seed's train corpus, cut to the point's size and
+    position-perturbed for ``rp``, with its kept texts for ``zoe``. Score
+    each trained model on its seed's partition; returns each job's model,
+    epoch summaries and ``SystemEval``. A job whose scoring raised carries
+    the exception (``_portable``) in place of its ``SystemEval``, for the
+    eval stage to raise."""
+    from .toy_model import ToyModel, TrainJob, evaluate, train_lockstep
 
-    config, data_by_seed = stage
-    runs = train_lockstep(
-        [_train_job(config, point, seed, data) for seed, data in data_by_seed.items()],
-        epochs=config.epochs,
-        learning_rate=config.learning_rate,
-        clip_norm=config.clip_norm,
-    )
+    config, by_seed = inherited
+    jobs = []
+    for seed, (train_corpus, kept, _) in by_seed.items():
+        if point["size"] is not None:
+            train_corpus = Corpus(train_corpus.samples[: point["size"]], config.task)
+        if point["system"] == "rp":
+            train_corpus = Corpus(tuple(perturb_positions(s, seed=seed * 100003 + i) for i, s in enumerate(train_corpus)), config.task)
+        aligned = kept if point["system"] == "zoe" else None
+        model = ToyModel.initialize(config.synth.vocab_size, seed=seed)
+        jobs.append(TrainJob(model, train_corpus, aligned=aligned, config=LossConfig(alpha=point["alpha"]), seed=seed))
+    runs = train_lockstep(jobs, epochs=config.epochs, learning_rate=config.learning_rate, clip_norm=config.clip_norm)
     results = []
-    for run, data in zip(runs, data_by_seed.values()):
+    for run, (_, _, partition) in zip(runs, by_seed.values()):
         try:
-            scored: SystemEval | Exception = evaluate(run.model, data["partition"], config.metric, point["label"])
+            scored: SystemEval | Exception = evaluate(run.model, partition, config.metric, point["label"])
         except Exception as exc:  # noqa: BLE001 - a scoring failure is the eval stage's, not training's
             scored = _portable(exc)
         results.append((run.model, run.epoch_summaries(), scored))
     return results
 
 
-def _stage_train(config: PipelineConfig, out_dir: Path, state: dict) -> None:
-    """Train every (sweep point, seed) job on forked workers (``_fork_map``).
+def _train(config: PipelineConfig, out_dir: Path, by_seed: dict[int, tuple]) -> dict[str, list[SystemEval | Exception]]:
+    """Train every (sweep point, seed) job on forked workers (``_fork_map``),
+    write the run directories and return each point's per-seed scores (or
+    scoring errors) by label.
 
-    Each sweep point's jobs, its seeds in ``seeds`` order, form one
-    lockstep group, which one worker advances together, one batched SGD
-    step at a time; its jobs share one corpus size, so one step count. The
-    CPU count sets only how many workers run, so no byte depends on it.
-    Workers inherit the per-seed data at fork (the pipeline holds no thread
-    of its own by then), so only sweep points go out; each worker scores
-    its jobs' models on their seeds' partitions for the eval stage and
-    sends back the models, epoch summaries and ``SystemEval``s (or scoring
-    errors), from which the parent writes the run directories. A training
-    failure cancels the points not yet started; the stage then raises the
-    error of the first failed point in sweep order (its first diverged job)
-    and writes no run directory.
+    Each point's jobs, one per seed of ``by_seed`` (train corpus, kept
+    texts, eval partition) in order, form one lockstep group, which one
+    worker advances one batched SGD step at a time, so the CPU count sets
+    only how many workers run and no byte depends on it. Workers inherit
+    ``by_seed`` at fork, so only sweep points go out. A training failure
+    cancels the points not yet started; the first failed point's error (its
+    first diverged job) is raised, and no run directory is written.
     """
     from .toy_model import save_model
 
     points = _sweep_points(config)
     workers = min(len(points), len(os.sched_getaffinity(0)))
-    futures = _fork_map(_train_point, (config, state["data"]), points, workers)
+    futures = _fork_map(_train_point, (config, by_seed), points, workers)
     # Points start in sweep order, so no point before a failed one was cancelled.
     for future in futures:
         if not future.cancelled() and future.exception() is not None:
             raise future.exception()
-    state["scores"] = {}
+    scores = {}
     for point, future in zip(points, futures):
-        for seed, (model, summaries, scored) in zip(state["data"], future.result()):
+        scores[point["label"]] = []
+        for seed, (model, summaries, scored) in zip(by_seed, future.result()):
             run_dir = out_dir / "runs" / point["label"] / f"seed{seed}"
             save_model(model, run_dir / "model.json")
             write_epochs(summaries, run_dir / "epochs.jsonl")
-            state["scores"][(point["label"], seed)] = scored
+            scores[point["label"]].append(scored)
+    return scores
 
 
-def _stage_eval(config: PipelineConfig, out_dir: Path, state: dict) -> None:
-    """Pool the per-seed scores the train workers computed; the first
-    scoring error in sweep and seed order is raised here."""
-    state["evals"] = []
-    for point in _sweep_points(config):
-        label = point["label"]
-        per_seed = [state["scores"][(label, seed)] for seed in state["data"]]
-        for scored in per_seed:
-            if isinstance(scored, Exception):
-                raise scored
-        pooled = pool_evals(label, config.metric, per_seed)
-        state["evals"].append((point, pooled))
-        write_eval(pooled, out_dir / "eval" / f"{label}.json", alpha=point["alpha"], n_train=point["size"])
-
-
-def _stage_report(config: PipelineConfig, out_dir: Path, state: dict) -> None:
-    report_dir = out_dir / "report"
-    write_report([ev for _, ev in state["evals"]], report_dir, config.metric)
-    if len(config.alphas) > 1:
-        zoe = [(point["alpha"], ev.splits) for point, ev in state["evals"] if point["system"] == "zoe"]
-        series = {
-            side: [(alpha, splits[side][0]) for alpha, splits in zoe]
-            for side in ("non_biased", "biased")
-        }
-        report_mod.write_sweep_chart(
-            series, report_dir / "alpha_sweep.svg",
-            f"{config.metric} vs alpha", "alpha", config.metric,
-        )
-    if config.train_sizes and len(config.train_sizes) > 1:
-        series = {}
-        for point, ev in state["evals"]:
-            series.setdefault(point["system"], []).append(
-                (float(point["size"]), ev.splits["non_biased"][0])
-            )
-        report_mod.write_sweep_chart(
-            series, report_dir / "train_size_sweep.svg",
-            f"non-biased {config.metric} vs training size", "training samples", config.metric,
-        )
-
-
-# -- data-mode stages ------------------------------------------------------
-
-
-def _stage_data_split(config: PipelineConfig, out_dir: Path, state: dict) -> None:
-    corpus = load_corpus(config.corpus, config.task)
-    shards = split_shards(corpus, config.biased_positions, config.triggers)
-    # The whole corpus is the candidate source, as the train split is in toy mode.
-    state["data"] = {0: {"train": corpus, "biased": sum(shard.n_biased for shard in shards)}}
-    write_split(shards, corpus.samples, out_dir / "split")
-
-
-def _stage_data_report(config: PipelineConfig, out_dir: Path, state: dict) -> None:
-    data = state["data"][0]
-    total, biased = len(data["train"]), data["biased"]
-    evals = [
-        SystemEval(
-            system="corpus",
-            metric="fraction",
-            splits={"biased": (biased / total, biased), "non_biased": ((total - biased) / total, total - biased)},
-        )
-    ]
-    verdicts = data.get("verdicts")
-    if verdicts:
-        kept = sum(verdict.kept for verdict in verdicts)
-        evals.append(
-            SystemEval(
-                system="align",
-                metric="kept_fraction",
-                splits={"all": (kept / len(verdicts), len(verdicts))},
-            )
-        )
-    report_mod.write_scores_csv(evals, out_dir / "report" / "report.csv")
-
-
-_TOY_STAGES = (
-    ("synth", _stage_synth),
-    ("split", _stage_split),
-    ("infer", _stage_infer),
-    ("align", _stage_align),
-    ("train", _stage_train),
-    ("eval", _stage_eval),
-    ("report", _stage_report),
-)
-
-_DATA_STAGES = (
-    ("split", _stage_data_split),
-    ("infer", _stage_infer),
-    ("align", _stage_align),
-    ("report", _stage_data_report),
-)
-
-# No gate prunes NLI candidates and data mode does not train, so nothing
-# would read what infer and align produce.
-_NLI_DATA_STAGES = (("split", _stage_data_split), ("report", _stage_data_report))
+def _run_data(config: PipelineConfig, out_dir: Path, manifest: dict) -> None:
+    """Data mode: split the corpus, draw candidates from all of it and align
+    them, and report partition and alignment counts. An nli run, whose
+    candidates nothing prunes or trains on, only splits and reports."""
+    with _stage("split", out_dir, manifest):
+        corpus = load_corpus(config.corpus, config.task)
+        shards = split_shards(corpus, config.biased_positions, config.triggers)
+        biased = sum(shard.n_biased for shard in shards)
+        write_split(shards, corpus.samples, out_dir / "split")
+        del shards
+        verdicts: list[Verdict] = []  # what align decides; an nli run has no align stage
+    if config.task != Task.NLI:
+        with _stage("infer", out_dir, manifest):
+            shards = _infer_pass(config, out_dir, 0, corpus, resolve_backend(config.backend))
+        with _stage("align", out_dir, manifest):
+            verdicts = _align_pass(config, out_dir, 0, shards)
+            del shards
+    with _stage("report", out_dir, manifest):
+        total = len(corpus)
+        evals = [SystemEval("corpus", "fraction", {"biased": (biased / total, biased), "non_biased": ((total - biased) / total, total - biased)})]
+        if verdicts:
+            kept = sum(verdict.kept for verdict in verdicts)
+            evals.append(SystemEval("align", "kept_fraction", {"all": (kept / len(verdicts), len(verdicts))}))
+        report_mod.write_scores_csv(evals, out_dir / "report" / "report.csv")

@@ -1,4 +1,6 @@
 """End-to-end pipeline and CLI tests on small corpora."""
+import ast
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -8,6 +10,7 @@ import multiprocessing
 import os
 import re
 import tempfile
+import textwrap
 from pathlib import Path
 from statistics import mean
 
@@ -488,16 +491,26 @@ def test_training_reads_the_kept_lines_of_the_aligned_file(n_train, n_per_prompt
             **TOY_RAW, "out_dir": tmp, "synth": {**TOY_RAW["synth"], "n_train": n_train}, "seeds": seeds,
             "n_per_prompt": n_per_prompt, "garbage_rate": garbage_rate, "align": {"candidate_thresholds": list(thresholds)},
         })
-        state: dict = {}
-        for stage in (pipeline._stage_synth, pipeline._stage_infer, pipeline._stage_align):
-            stage(config, out_dir, state)
-        for seed, data in state["data"].items():
+        inherited = []
+
+        def fork_map(fn, state, items, workers):
+            # In a toy run only the train stage forks: what its workers would inherit.
+            inherited.append(state)
+            raise RuntimeError("not trained")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "_fork_map", fork_map)
+            with pytest.raises(PipelineError, match="^stage 'train' failed: not trained$"):
+                run_pipeline(config)
+        ((_, by_seed),) = inherited
+        assert list(by_seed) == seeds
+        for seed, (train_corpus, aligned, _) in by_seed.items():
             path = out_dir / "align" / f"seed{seed}" / "aligned.jsonl"
             kept: dict[str, list[str]] = {}
             for verdict in map(json.loads, path.read_text().splitlines()):
                 kept.setdefault(verdict["sample_id"], []).extend([verdict["text"]] if verdict["kept"] else [])
-            assert data["aligned"] == load_aligned(path) == kept
-            assert list(kept) == [sample.id for sample in data["train"]]
+            assert aligned == load_aligned(path) == kept
+            assert list(kept) == [sample.id for sample in train_corpus]
             if garbage_rate == 1.0:
                 assert not any(kept.values())
 
@@ -540,28 +553,99 @@ def test_a_seed_outputs_do_not_depend_on_the_other_seeds(seeds, epochs, systems,
     assert {path: shuffled[path] for path in pooled} == {path: together[path] for path in pooled}
 
 
+def outside_stage_blocks(source: str) -> list[str]:
+    """The statements of a run function's body that run outside its
+    ``with _stage(...)`` blocks, one line each, bar its docstring, imports,
+    ``def``s, ``del``s, and an ``if`` that calls nothing, whose branches
+    keep the same rule. A ``_stage`` argument must be a name or a constant.
+    An exception raised by any such statement would escape the manifest."""
+
+    def is_stage(item: ast.withitem) -> bool:
+        call = item.context_expr
+        return (
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_stage"
+            and all(isinstance(arg, (ast.Name, ast.Constant)) for arg in call.args) and not call.keywords
+        )
+
+    def visit(body: list[ast.stmt]):
+        for i, node in enumerate(body):
+            if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.Delete)):
+                continue
+            if i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+                continue
+            if isinstance(node, ast.With) and all(map(is_stage, node.items)):
+                continue
+            if isinstance(node, ast.If) and not any(isinstance(n, ast.Call) for n in ast.walk(node.test)):
+                yield from visit(node.body)
+                yield from visit(node.orelse)
+                continue
+            yield ast.unparse(node).splitlines()[0]
+
+    (function,) = ast.parse(textwrap.dedent(source)).body
+    return list(visit(function.body))
+
+
+@pytest.mark.parametrize("run", [pipeline._run_toy, pipeline._run_data])
+def test_nothing_runs_between_two_stage_blocks(run):
+    assert outside_stage_blocks(inspect.getsource(run)) == []
+
+
+def test_a_call_between_two_stage_blocks_fails_the_guard():
+    source = """
+    def run(config, out_dir, manifest):
+        \"\"\"Docstring.\"\"\"
+        from x import load
+        with _stage("split", out_dir, manifest):
+            corpus = load(config)
+        _sweep_points(config)
+        points = _sweep_points(config)
+        if config.task != "nli":
+            with _stage("infer", out_dir, manifest):
+                pass
+            backend = resolve_backend(config.backend)
+        if check(config):
+            pass
+        with _stage(name(), out_dir, manifest):
+            pass
+        with _stage("report", out_dir, manifest):
+            write(points)
+    """
+    assert outside_stage_blocks(source) == [
+        "_sweep_points(config)",
+        "points = _sweep_points(config)",
+        "backend = resolve_backend(config.backend)",
+        "if check(config):",
+        "with _stage(name(), out_dir, manifest):",
+    ]
+
+
+#: Each mode's stages, in manifest order.
+STAGES = {
+    "toy": ("synth", "split", "infer", "align", "train", "eval", "report"),
+    "data": ("split", "infer", "align", "report"),
+    "nli": ("split", "report"),
+}
+
+
 class TestPipelineFailureModes:
-    @pytest.mark.parametrize(
-        "mode, failing",
-        [(mode, name) for mode, stages in (("toy", pipeline._TOY_STAGES), ("data", pipeline._DATA_STAGES), ("nli", pipeline._NLI_DATA_STAGES))
-         for name in (None, *(name for name, _ in stages))],
-    )
+    @pytest.mark.parametrize("mode, failing", [(mode, name) for mode, stages in STAGES.items() for name in (None, *stages)])
     def test_manifest_lists_every_file_once_with_its_checksum(
         self, tmp_path, dialogue_corpus_file, nli_corpus_file, monkeypatch, mode, failing
     ):
         # ``failing`` writes all it would, then raises: the failed entry lists what it wrote.
-        stages_name = {"toy": "_TOY_STAGES", "data": "_DATA_STAGES", "nli": "_NLI_DATA_STAGES"}[mode]
-        real_stages = getattr(pipeline, stages_name)
+        real_stage, injected = pipeline._stage, {}
 
-        def fail_after(fn):
-            def stage(*args):
-                fn(*args)
-                raise RuntimeError("injected")
-            return stage
+        @contextlib.contextmanager
+        def stage(name, *args):
+            with real_stage(name, *args):
+                yield
+                if name == injected["stage"]:
+                    raise RuntimeError("injected")
+
+        monkeypatch.setattr(pipeline, "_stage", stage)
 
         def run(out_dir, failing):
-            stages = tuple((name, fail_after(fn) if name == failing else fn) for name, fn in real_stages)
-            monkeypatch.setattr(pipeline, stages_name, stages)
+            injected["stage"] = failing
             raw = {"out_dir": str(out_dir)}
             if mode == "toy":
                 raw.update(n_per_prompt=2, synth={**TOY_RAW["synth"], "n_train": 8, "n_eval": 8}, seeds=[0], systems=["ft", "zoe"], epochs=1)
@@ -575,7 +659,8 @@ class TestPipelineFailureModes:
             else:
                 run_pipeline(parse_config(raw))
             entries = json.loads((out_dir / "manifest.json").read_text())["stages"]
-            assert (entries[-1]["stage"], entries[-1]["status"]) == (failing or stages[-1][0], "failed" if failing else "ok")
+            assert [e["stage"] for e in entries] == list(STAGES[mode][: STAGES[mode].index(failing) + 1 if failing else None])
+            assert (entries[-1]["stage"], entries[-1]["status"]) == (failing or STAGES[mode][-1], "failed" if failing else "ok")
             listed = [a for e in entries for a in e["artifacts"]]
             for artifact in listed:
                 assert hashlib.sha256((out_dir / artifact["path"]).read_bytes()).hexdigest() == artifact["sha256"]
@@ -599,22 +684,23 @@ class TestPipelineFailureModes:
             yield "first block\n"
             raise RuntimeError("second block")
 
-        def report(config, out_dir, state):
-            write_blocks(blocks(), out_dir / "report" / "partial.txt")
+        def write_scores_csv(evals, path):
+            write_blocks(blocks(), path)
 
         raw = {"out_dir": str(tmp_path / "ok"), "corpus": str(nli_corpus_file), "task": "nli"}
         run_pipeline(parse_config(raw))
         assert corpus_mod.written is None
-        monkeypatch.setattr(pipeline, "_NLI_DATA_STAGES", (pipeline._NLI_DATA_STAGES[0], ("report", report)))
+        # The nli report stage writes one file, its scores CSV.
+        monkeypatch.setattr("posdebias.report.write_scores_csv", write_scores_csv)
         out_dir = tmp_path / "failed"
         with pytest.raises(PipelineError, match="^stage 'report' failed: second block$"):
             run_pipeline(parse_config({**raw, "out_dir": str(out_dir)}))
         assert corpus_mod.written is None  # a later CLI verb records nothing
         entry = json.loads((out_dir / "manifest.json").read_text())["stages"][-1]
-        on_disk = (out_dir / "report" / "partial.txt").read_bytes()
+        on_disk = (out_dir / "report" / "report.csv").read_bytes()
         assert on_disk == b"first block\n"
         assert (entry["status"], entry["artifacts"]) == (
-            "failed", [{"path": "report/partial.txt", "sha256": hashlib.sha256(on_disk).hexdigest()}]
+            "failed", [{"path": "report/report.csv", "sha256": hashlib.sha256(on_disk).hexdigest()}]
         )
         invoke_ok(runner, ["split", "--corpus", str(nli_corpus_file), "--task", "nli", "--out-dir", str(tmp_path / "cli")])
         assert corpus_mod.written is None
@@ -1094,6 +1180,12 @@ class TestCliVerbs:
             ("train-toy", "cqa", "--learning-rate", "-1", "Invalid value for '--learning-rate': -1.0 is not in the range x>=0."),
             ("train-toy", "cqa", "--clip-norm", "0", "Invalid value for '--clip-norm': 0.0 is not in the range x>0."),
             ("train-toy", "cqa", "--alpha", "1.5", "Invalid value for '--alpha': 1.5 is not in the range 0<=x<=1."),
+            # nan fails no comparison, and a range open above takes inf: both are rejected as not finite.
+            ("train-toy", "cqa", "--learning-rate", "nan", "Invalid value for '--learning-rate': nan is not a finite number."),
+            ("train-toy", "cqa", "--learning-rate", "inf", "Invalid value for '--learning-rate': inf is not a finite number."),
+            ("train-toy", "cqa", "--clip-norm", "inf", "Invalid value for '--clip-norm': inf is not a finite number."),
+            ("train-toy", "cqa", "--clip-norm", "nan", "Invalid value for '--clip-norm': nan is not a finite number."),
+            ("train-toy", "cqa", "--alpha", "nan", "Invalid value for '--alpha': nan is not a finite number."),
         ],
     )
     def test_split_and_eval_reject_a_bad_option_value_before_loading(
@@ -1365,6 +1457,31 @@ class TestCliVerbs:
         ])
         assert result.exit_code != 0
         assert "--corpus is required" in result.output
+
+    @pytest.mark.parametrize(
+        ("value", "message"),
+        [
+            ("nan", "nan is not a finite number."),
+            ("1.5", "1.5 is not in the range 0<x<1."),
+            ("1", "1.0 is not in the range 0<x<1."),
+            ("0", "0.0 is not in the range 0<x<1."),
+            ("inf", "inf is not in the range 0<x<1."),
+        ],
+    )
+    def test_align_rejects_a_bad_threshold_before_reading(self, runner, dialogue_corpus_file, tmp_path, monkeypatch, value, message):
+        def load(*args):
+            raise AssertionError("read before --threshold was checked")
+
+        monkeypatch.setattr("posdebias.cli.load_candidates", load)
+        monkeypatch.setattr("posdebias.cli.load_corpus", load)
+        out = tmp_path / "aligned.jsonl"
+        result = runner.invoke(main, [
+            "align", "--candidates", str(dialogue_corpus_file), "--corpus", str(dialogue_corpus_file), "--task", "cqa",
+            "--out", str(out), "--threshold", "0.15", "--threshold", value,
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"Error: Invalid value for '--threshold': {message}" in result.output
+        assert not out.exists()
 
     def test_align_threshold_option_sets_the_candidates(self, runner, dialogue_corpus_file, tmp_path):
         corpus = load_corpus(dialogue_corpus_file, Task.CQA)
@@ -1670,16 +1787,6 @@ class TestCliVerbs:
         assert result.exit_code == 1 and result.exception.__class__ is SystemExit
         (line,) = result.output.strip().splitlines()
         assert line == f"Error: {problem}"
-        assert not out.exists()
-
-    def test_train_toy_rejects_an_infinite_learning_rate(self, runner, tmp_path, dialogue_corpus_file):
-        out = tmp_path / "model.json"
-        result = runner.invoke(main, [
-            "train-toy", "--train", str(dialogue_corpus_file), "--learning-rate", "inf", "--out", str(out),
-        ])
-        assert result.exit_code == 1 and result.exception.__class__ is SystemExit
-        (line,) = result.output.strip().splitlines()
-        assert line == "Error: train: learning_rate must be finite and >= 0, got inf"
         assert not out.exists()
 
     def test_run_requires_config(self, runner):
