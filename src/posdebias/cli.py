@@ -107,7 +107,7 @@ def split(corpus_path, task_name, out_dir, positions, triggers):
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
     out = Path(out_dir)
-    write_split(shards, corpus.samples, out)
+    write_split(shards, [sample.id for sample in corpus], out)
     biased = sum(shard.n_biased for shard in shards)
     click.echo(f"split: {biased} biased, {len(corpus) - biased} non-biased -> {out}")
 

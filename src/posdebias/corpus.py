@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class Task(str, Enum):
@@ -290,28 +290,55 @@ def json_list(record: object, key: str, kinds: type | tuple[type, ...], default=
 
 
 def load_corpus(path: str | Path, task: Task) -> Corpus:
-    """Load a JSONL corpus through ``read_jsonl``. A record that breaks the
-    schema, the task, id uniqueness or ``validate_sample`` raises
-    ``CorpusError`` naming the file and line, as do bad UTF-8 and no records."""
-    seen: set[str] = set()
+    """Load a JSONL corpus: ``decode_samples`` and ``join_ranges`` on the
+    whole file. A record that breaks the schema, the task, id uniqueness or
+    ``validate_sample`` raises ``CorpusError`` naming the file and line, as
+    do bad UTF-8 and no records."""
+    samples, ids, error = decode_samples(Path(path), read_text(path), task)
+    join_ranges(path, [(ids, error)])
+    return Corpus(samples, task)
+
+
+def decode_samples(path: Path, text: str, task: Task, first_line: int = 1) -> tuple[tuple[Sample, ...], dict[str, int], CorpusError | None]:
+    """The samples of ``text`` (``read_lines``) before the first line that
+    breaks the schema, the task, ``validate_sample`` or id uniqueness, their
+    ids with line numbers, and that line's ``CorpusError`` or ``None``."""
+    samples: list[Sample] = []
+    ids: dict[str, int] = {}
 
     def decode(record: object) -> Sample:
         sample = _sample_from_record(record, task)
         violations = validate_sample(sample)
         if violations:
             raise CorpusError(violations[0])
-        if sample.id in seen:
+        if sample.id in ids:
             raise CorpusError(f"duplicate sample id {sample.id!r}")
-        seen.add(sample.id)
         return sample
 
     try:
-        samples = tuple(sample for _, sample in read_jsonl(path, decode))
+        for line_no, sample in read_lines(path, text, decode, first_line):
+            ids[sample.id] = line_no
+            samples.append(sample)
     except ValueError as exc:
-        raise CorpusError(str(exc)) from exc
-    if not samples:
+        return tuple(samples), ids, CorpusError(str(exc))
+    return tuple(samples), ids, None
+
+
+def join_ranges(path: str | Path, ranges: Iterable[tuple[dict[str, int], Exception | None]]) -> dict[str, int]:
+    """The ids and line numbers of ``decode_samples`` ranges, in file order.
+    Raises the first bad line, an id an earlier range holds or the range's
+    own error, then an empty corpus."""
+    seen: dict[str, int] = {}
+    for ids, error in ranges:
+        for sample_id, line_no in ids.items():
+            if sample_id in seen:
+                raise CorpusError(f"{Path(path)}: line {line_no}: duplicate sample id {sample_id!r}")
+        seen.update(ids)
+        if error is not None:
+            raise error
+    if not seen:
         raise CorpusError(f"{path}: empty corpus")
-    return Corpus(samples, task)
+    return seen
 
 
 def sample_to_record(sample: Sample) -> dict:
@@ -391,25 +418,24 @@ def _check_utf8(value, where: str = ""):
     return value
 
 
-def read_jsonl(path: str | Path, decode: Callable[[object], object]) -> Iterator[tuple[int, object]]:
-    """``(line number, decode(record))`` for every non-blank line of a JSONL
-    file; the one reader of what ``write_jsonl`` writes.
-
-    The file is decoded as UTF-8 once; bad UTF-8 raises ``ValueError``
-    naming the file. Malformed JSON, and a ``KeyError`` (read as a missing
-    field), ``TypeError`` or ``ValueError`` from ``decode``, raise
-    ``ValueError`` naming the file and the line, as does a string that no
-    output file could hold (``_check_utf8``; only a line with a ``\\u``
-    escape can have one). Lines end at ``\\n``, ``\\r\\n`` or ``\\r``
-    only, so a string may hold the other line separators (U+2028, U+0085,
-    ...) that ``write_jsonl`` leaves unescaped.
-    """
-    path = Path(path)
+def read_text(path: str | Path) -> str:
+    """A JSONL file decoded as UTF-8 once (bad UTF-8 raises ``CorpusError``
+    naming the file and offset), each ``\\r\\n`` or ``\\r`` made ``\\n``: a
+    string may hold the other line separators (U+2028, U+0085, ...)."""
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
-    for line_no, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        raise CorpusError(f"{Path(path)}: not valid UTF-8: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_lines(path: Path, text: str, decode: Callable[[object], object], first_line: int = 1) -> Iterator[tuple[int, object]]:
+    """``(line number, decode(record))`` for every non-blank line of
+    ``text`` (``read_text``), lines of ``path`` from ``first_line`` on.
+    Malformed JSON, a ``KeyError`` (a missing field), ``TypeError`` or
+    ``ValueError`` from ``decode`` and a string no output file could hold
+    (``_check_utf8``) raise ``ValueError`` naming the file and line."""
+    for line_no, line in enumerate(text.split("\n"), start=first_line):
         if not line.strip():
             continue
         try:
@@ -424,6 +450,25 @@ def read_jsonl(path: str | Path, decode: Callable[[object], object]) -> Iterator
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from exc
         yield line_no, item
+
+
+def line_ranges(text: str, bounds: Sequence[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    """Each ``(lo, hi)`` run of the lines of ``text`` (0-based), given in
+    order from the first, as its start and end offsets, first line number
+    and count of records (non-blank lines) before it."""
+    ranges, end, records = [], 0, 0
+    for lo, hi in bounds:
+        start = end
+        for _ in range(hi - lo):
+            end = text.find("\n", end) + 1 or len(text)
+        ranges.append((start, end, lo + 1, records))
+        records += sum(1 for line in text[start:end].split("\n") if line.strip())
+    return ranges
+
+
+def read_jsonl(path: str | Path, decode: Callable[[object], object]) -> Iterator[tuple[int, object]]:
+    """``read_lines`` of a whole file; the one reader of ``write_jsonl``'s."""
+    yield from read_lines(Path(path), read_text(path), decode)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> Path:

@@ -52,7 +52,7 @@ from .bias_split import (
     perturb_positions,
     split_corpus,
 )
-from .corpus import Corpus, Sample, SynthSpec, Task, encode_json, json_value, load_corpus, sample_to_record, save_corpus, write_blocks
+from .corpus import Corpus, Sample, SynthSpec, Task, decode_samples, encode_json, join_ranges, json_value, line_ranges, read_text, sample_to_record, save_corpus, write_blocks
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
 from .metrics import METRICS, PositionRow, tokenize
 from .msa_align import VERDICTS, AlignmentConfig, Verdict, align_responses, calibrate_threshold, form_reasons, gate_statistic
@@ -283,6 +283,10 @@ def parse_config(raw: dict) -> PipelineConfig:
         raise ValueError(f"config: keys {unread} are not read by a {run}")
     if "train_sizes" in raw and len(raw.get("alphas", PipelineConfig.alphas)) > 1:
         raise ValueError("config: sweep either alphas or train_sizes, not both")
+    labels = [f"{alpha:g}" for alpha in raw.get("alphas", ())]  # as ``_sweep_points`` labels a zoe point
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"config: alphas[{i}] labels its sweep point zoe@a={label}, as alphas[{labels.index(label)}] does, got {raw['alphas'][i]!r}")
     align = raw.get("align", {})
     words = {"triggers": raw.get("triggers", ()), **{f"align.{k}": align.get(k, ()) for k in ("instruction_keywords", "dull_patterns")}}
     for name, entries in words.items():
@@ -351,7 +355,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     Configuration problems (missing corpus file, bad mode combinations) are
     raised before any stage runs or any artifact is written. Data mode
-    splits, infers and aligns per sample range on every usable CPU; toy
+    splits, infers and aligns per line range on every usable CPU; toy
     mode runs them in-process, since training reads their objects.
     """
     if (config.synth is None) == (config.corpus is None):
@@ -369,24 +373,30 @@ def run_pipeline(config: PipelineConfig) -> dict:
 #
 # Split, infer and align do per-sample work only; the one decision that spans
 # samples is the calibrated gate threshold. ``_run_shards`` cuts the samples
-# into contiguous ranges, one per usable CPU, and runs ``_shard`` on each in a
-# forked worker (or, for one range, in-process). A worker sends back encoded
-# lines, one text block per output file, and its gate statistics; the parent
-# calibrates on the statistics in sample order, decides every verdict at that
-# threshold (``align_responses``), completes the verdict lines and writes each
-# file as the blocks in range order.
+# (data mode: the corpus file's lines, which each worker decodes) into
+# contiguous ranges and runs ``_shard`` on each in a forked worker (or, for
+# one range, in-process). A worker sends back encoded lines, one text block
+# per output file, and its gate statistics; the parent calibrates on the
+# statistics in sample order, decides every verdict at that threshold
+# (``align_responses``), completes the verdict lines and writes each file as
+# the blocks in range order.
+
+#: Samples (data mode: lines) per range, which sets what a process holds; a
+#: pass over no more runs in-process (two forked ranges win from 200-500 on).
+RANGE_LINES = 500
 
 
 @dataclass(frozen=True)
 class _Job:
-    """The per-sample work of one pass over ``samples``: the split's
-    ``(positions, triggers)``; the backend, prompt spec and ``generate``
-    keywords to infer with, and whether to build the record lines of that
-    traffic; the ``candidates`` to align when nothing is inferred; the gate
-    config to align with. A part left ``None`` is skipped."""
+    """The per-sample work of one pass over ``samples`` or ``source`` (a
+    corpus file's path and text): the split's ``(positions, triggers)``;
+    the backend, prompt spec and ``generate`` keywords to infer with, and
+    whether to build the record lines of that traffic; the ``candidates`` to
+    align when nothing is inferred; the gate config. ``None`` skips a part."""
 
     task: Task
-    samples: tuple[Sample, ...]
+    samples: tuple[Sample, ...] = ()
+    source: tuple[Path, str] | None = None
     split: tuple | None = None
     infer: tuple | None = None
     record: bool = False
@@ -407,10 +417,12 @@ class Shard:
     (``form_reasons``), for ``write_verdicts`` to decide
     (``align_responses``) and complete.
     ``error`` is ``(stage, exception)`` for the first failure; no later part
-    ran. ``partition`` and ``results`` are the objects; a worker drops them.
+    ran. ``ids`` maps a ``source`` range's ids to their line numbers.
+    ``partition`` and ``results`` are the objects; a worker drops them.
     """
 
     split: tuple[str, str, str] = ("", "", "")
+    ids: dict[str, int] = field(default_factory=dict)
     n_biased: int = 0
     candidates: str = ""
     record: str = ""
@@ -422,15 +434,24 @@ class Shard:
     results: Mapping[str, Sequence[GenerationResult]] | None = None
 
 
-def _shard(job: _Job, lo: int, hi: int) -> Shard:
-    """Run ``job`` on ``job.samples[lo:hi]``. An exception is caught and
-    kept with the stage it belongs to."""
+def _shard(job: _Job, bounds: tuple[int, ...]) -> Shard:
+    """Run ``job`` on ``job.samples[lo:hi]``, or on the ``source`` lines
+    of one of ``line_ranges``, which a bad line stops. An exception is
+    caught and kept with the stage it belongs to."""
     from array import array
 
     shard = Shard()
-    samples = job.samples[lo:hi]
-    stage = "split"
+    stage = "corpus"
     try:
+        if job.source is None:
+            lo, hi = bounds
+            samples = job.samples[lo:hi]
+        else:
+            start, end, first_line, lo = bounds
+            samples, shard.ids, error = decode_samples(job.source[0], job.source[1][start:end], job.task, first_line)
+            if error is not None:
+                raise error
+        stage = "split"
         if job.split is not None:
             corpus = Corpus(samples, job.task)
             partition = split_corpus(corpus, *job.split)
@@ -484,10 +505,10 @@ def _lines(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _shard_in_worker(job: _Job, bounds: tuple[int, int]) -> Shard:
+def _shard_in_worker(job: _Job, bounds: tuple[int, ...]) -> Shard:
     """``_shard`` in a forked worker, without its objects and with its error
     ``_portable``."""
-    shard = _shard(job, *bounds)
+    shard = _shard(job, bounds)
     shard.partition = shard.results = None
     if shard.error is not None:
         shard.error = (shard.error[0], _portable(shard.error[1]))
@@ -501,23 +522,24 @@ _PER_SAMPLE = ("split_corpus", "build_prompt", "generate", "gate_statistic", "to
 
 
 def _run_shards(job: _Job, shards: int | None = None) -> list[Shard]:
-    """``_shard`` over ``shards`` contiguous ranges of ``job.samples`` (every
-    usable CPU when ``None``, never more ranges than samples), in range
-    order, in forked workers (``_fork_map``). One range runs in-process, and
-    so does the whole pass when its backend does not set ``forks_safely``
-    or a per-sample function is wrapped (``_PER_SAMPLE``)."""
-    if shards is None:
-        shards = len(os.sched_getaffinity(0))
-    n = len(job.samples)
-    shards = max(1, min(shards, n))
+    """``_shard`` over ``shards`` ranges of ``job.samples`` or ``source``
+    lines (one per ``RANGE_LINES`` when ``None``), in order, on forked
+    workers, one per usable CPU (``_fork_map``). One range runs in-process,
+    and so does the whole pass when its backend does not set
+    ``forks_safely`` or a per-sample function is wrapped (``_PER_SAMPLE``)."""
+    n = len(job.samples) if job.source is None else job.source[1].count("\n") + (not job.source[1].endswith("\n"))
+    shards = max(1, min(-(-n // RANGE_LINES) if shards is None else shards, n))
     if job.infer is not None and not getattr(job.infer[0], "forks_safely", False):
         shards = 1
     if any(hasattr(globals()[name], "__wrapped__") for name in _PER_SAMPLE):
         shards = 1
-    if shards == 1:
-        return [_shard(job, 0, n)]
     bounds = [(n * i // shards, n * (i + 1) // shards) for i in range(shards)]
-    return [future.result() for future in _fork_map(_shard_in_worker, job, bounds, shards)]
+    if job.source is not None:
+        bounds = line_ranges(job.source[1], bounds)
+    if shards == 1:
+        return [_shard(job, bounds[0])]
+    workers = min(shards, len(os.sched_getaffinity(0)))
+    return [future.result() for future in _fork_map(_shard_in_worker, job, bounds, workers)]
 
 
 #: What the workers of a ``_fork_map`` inherit: the ``state`` it was given.
@@ -594,19 +616,19 @@ def split_shards(
 
 def write_split(
     shards: Sequence[Shard],
-    samples: Sequence[Sample],
+    ids: Sequence[str],
     out_dir: Path,
     names: tuple[str, str] = ("biased.jsonl", "non_biased.jsonl"),
 ) -> None:
-    """Save each non-empty side of the split of ``samples`` with its split
-    name in every record, plus the evidence JSONL in id order; ``names`` are
-    the biased and non-biased file names."""
+    """Save each non-empty side of the split of the samples with ``ids``,
+    in order, with its split name in every record, plus the evidence JSONL
+    in id order; ``names`` are the biased and non-biased file names."""
     for side, name in enumerate(names):
         blocks = [shard.split[side] for shard in shards]
         if any(blocks):
             write_blocks(blocks, out_dir / name)
     evidence = "".join(shard.split[2] for shard in shards).split("\n")
-    by_id = sorted(range(len(samples)), key=lambda i: samples[i].id)
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
     write_blocks((evidence[i] + "\n" for i in by_id), out_dir / "evidence.jsonl")
 
 
@@ -755,18 +777,14 @@ def _stage(name: str, out_dir: Path, manifest: dict):
         _write_manifest(manifest, out_dir)
 
 
-def _infer_pass(config: PipelineConfig, out_dir: Path, seed: int, corpus: Corpus, backend: Backend, shards: int | None = None) -> list[Shard]:
-    """Draw one seed's candidates, with their gate statistics and verdict
-    heads for ``_align_pass``, which raises any error of that work, and
-    write the candidates JSONL."""
-    result = infer_shards(
-        corpus, backend, n_per_prompt=config.n_per_prompt, seed=seed, max_tokens=config.max_tokens, align=config.align, shards=shards
-    )
-    write_blocks((shard.candidates for shard in result), out_dir / "infer" / f"seed{seed}" / "candidates.jsonl")
+def _write_candidates(out_dir: Path, seed: int, shards: list[Shard]) -> list[Shard]:
+    """Write one seed's candidates JSONL from its pass, whose gate
+    statistics and verdict heads ``_align_pass`` reads."""
+    write_blocks((shard.candidates for shard in shards), out_dir / "infer" / f"seed{seed}" / "candidates.jsonl")
     # Written, the text is dead weight: align reads no candidate line.
-    for shard in result:
+    for shard in shards:
         shard.candidates = ""
-    return result
+    return shards
 
 
 def _align_pass(config: PipelineConfig, out_dir: Path, seed: int, shards: Sequence[Shard]) -> list[Verdict]:
@@ -798,13 +816,14 @@ def _run_toy(config: PipelineConfig, out_dir: Path, manifest: dict) -> None:
     with _stage("infer", out_dir, manifest):
         # The default backend looks each prompt up in a table built from the seed's train split.
         passes = {
-            seed: _infer_pass(
-                config, out_dir, seed, train, shards=1,
-                backend=resolve_backend(config.backend) if config.backend != "table" else StubBackend(
+            seed: _write_candidates(out_dir, seed, infer_shards(
+                train,
+                resolve_backend(config.backend) if config.backend != "table" else StubBackend(
                     StubMode.TABLE,
                     table=build_lowbias_table(train, garbage_rate=config.garbage_rate, n_candidates=config.n_per_prompt, seed=1009 + seed),
                 ),
-            )
+                config.n_per_prompt, seed, config.max_tokens, align=config.align, shards=1,
+            ))
             for seed, (train, _, _) in corpora.items()
         }
     with _stage("align", out_dir, manifest):
@@ -844,7 +863,7 @@ def _split_eval_pool(config: PipelineConfig, out_dir: Path, seed: int, eval_b: C
     generator's labels) and write its split."""
     pool = Corpus(tuple(eval_b) + tuple(eval_n), config.task)
     (shard,) = split_shards(pool, config.biased_positions, config.triggers, shards=1)
-    write_split([shard], pool.samples, out_dir / "split" / f"seed{seed}", names=("eval_biased.jsonl", "eval_nonbiased.jsonl"))
+    write_split([shard], [sample.id for sample in pool], out_dir / "split" / f"seed{seed}", names=("eval_biased.jsonl", "eval_nonbiased.jsonl"))
     return shard.partition
 
 
@@ -945,24 +964,39 @@ def _train(config: PipelineConfig, out_dir: Path, by_seed: dict[int, tuple]) -> 
 
 
 def _run_data(config: PipelineConfig, out_dir: Path, manifest: dict) -> None:
-    """Data mode: split the corpus, draw candidates from all of it and align
-    them, and report partition and alignment counts. An nli run, whose
-    candidates nothing prunes or trains on, only splits and reports."""
+    """Data mode: one pass over the corpus file's lines (``_run_shards``)
+    splits, infers and aligns; each stage raises its errors from it (split
+    the corpus's first) and writes its files, and the report counts. An nli
+    run, whose candidates nothing prunes or trains on, only splits."""
     with _stage("split", out_dir, manifest):
-        corpus = load_corpus(config.corpus, config.task)
-        shards = split_shards(corpus, config.biased_positions, config.triggers)
+        backend = unresolved = None
+        if config.task != Task.NLI:
+            try:
+                backend = resolve_backend(config.backend)
+            except ValueError as exc:  # the infer stage's failure, as when that stage resolved it
+                unresolved = exc
+        options = {"n_per_prompt": config.n_per_prompt, "seed": 0, "max_tokens": config.max_tokens, "max_in_flight": 1}
+        shards = _run_shards(_Job(
+            config.task, source=(Path(config.corpus), read_text(config.corpus)), split=(config.biased_positions, config.triggers),
+            infer=None if backend is None else (backend, default_prompt_spec(config.task), options),
+            align=None if backend is None else config.align,
+        ))
+        ids = join_ranges(config.corpus, [(s.ids, s.error[1] if s.error and s.error[0] == "corpus" else None) for s in shards])
+        _raise_for(shards, "split")
         biased = sum(shard.n_biased for shard in shards)
-        write_split(shards, corpus.samples, out_dir / "split")
-        del shards
+        write_split(shards, list(ids), out_dir / "split")
         verdicts: list[Verdict] = []  # what align decides; an nli run has no align stage
     if config.task != Task.NLI:
         with _stage("infer", out_dir, manifest):
-            shards = _infer_pass(config, out_dir, 0, corpus, resolve_backend(config.backend))
+            if unresolved is not None:
+                raise unresolved
+            _raise_for(shards, "infer")
+            _write_candidates(out_dir, 0, shards)
         with _stage("align", out_dir, manifest):
             verdicts = _align_pass(config, out_dir, 0, shards)
             del shards
     with _stage("report", out_dir, manifest):
-        total = len(corpus)
+        total = len(ids)
         evals = [SystemEval("corpus", "fraction", {"biased": (biased / total, biased), "non_biased": ((total - biased) / total, total - biased)})]
         if verdicts:
             kept = sum(verdict.kept for verdict in verdicts)

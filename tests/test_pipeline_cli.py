@@ -200,6 +200,7 @@ class TestParseConfig:
             ({"corpus": "c.jsonl", "backend": "table:table.json", "max_tokens": 8}, "max_tokens"),
             ({"synth": {}, "systems": ["ft", "ft"]}, "systems"),
             ({"synth": {}, "alphas": [0.2, 0.2, 0.5]}, "alphas"),
+            ({"synth": {}, "alphas": [0.1, 0.1000001]}, r"alphas\[1\] labels its sweep point zoe@a=0\.1, as alphas\[0\] does"),
             ({"synth": {}, "train_sizes": [10, 10, 20]}, "train_sizes"),
             ({"synth": {}, "backend": "replay:bad.json"}, r"backend.*bad\.json: line 1: malformed JSON"),
             ({"synth": {}, "backend": "replay:tape.jsonl"}, r"backend.*tape\.jsonl: line 2: missing field 'response"),
@@ -229,7 +230,7 @@ class TestParseConfig:
             "biased-positions-on-nli", "nli-n-per-prompt", "nli-max-tokens", "nli-backend", "nli-align",
             "toy-table-max-tokens", "toy-markov-garbage-rate", "toy-echo-max-tokens",
             "toy-table-file-max-tokens", "data-mode-echo-max-tokens", "data-mode-table-file-max-tokens",
-            "systems-repeated", "alphas-repeated", "train-sizes-repeated",
+            "systems-repeated", "alphas-repeated", "alphas-with-one-sweep-label", "train-sizes-repeated",
             "backend-replay-file-not-jsonl", "backend-replay-line-without-response", "alphas-without-zoe",
             "learning-rate-too-large-for-a-float", "learning-rate-infinite", "clip-norm-infinite",
             "train-sizes-empty", "trigger-without-a-word", "instruction-keyword-without-a-word",

@@ -1,10 +1,11 @@
 """Data mode per sample range: outputs do not depend on how the corpus is cut.
 
 Split, infer and align run on contiguous sample ranges, in forked workers
-when there is more than one. Every output byte must be the one-range run's,
-the calibrated threshold must be the one picked on the statistics of all
-ranges together, and a failure must land in the stage it belongs to, naming
-the first failing sample in corpus order.
+when there is more than one; in data mode each worker decodes its own lines
+of the corpus file. Every output byte must be the one-range run's, the
+calibrated threshold must be the one picked on the statistics of all ranges
+together, and a failure must land in the stage it belongs to, naming the
+first failing sample, or the first bad line, in corpus order.
 """
 from __future__ import annotations
 
@@ -20,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posdebias import corpus as corpus_mod
 from posdebias import pipeline
 from posdebias.backends import BackendError, GenerationResult, StubBackend, StubMode
-from posdebias.corpus import Corpus, Task, load_corpus
+from posdebias.corpus import Corpus, CorpusError, Task, load_corpus
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec
 from posdebias.metrics import tokenize
 from posdebias.msa_align import DEFAULT_CANDIDATE_THRESHOLDS, DEFAULT_TARGET_KEEP_FRACTION, calibrate_threshold, gate_statistic
@@ -52,9 +54,11 @@ def write_corpus(path: Path, records: list[dict]) -> Path:
 
 
 def run_on(shards: int, raw: dict) -> dict:
-    """``run_pipeline`` on ``shards`` usable CPUs, so on as many sample ranges."""
+    """``run_pipeline`` with ``RANGE_LINES`` set to cut the corpus file into
+    ``shards`` line ranges (fewer when it has too few lines)."""
+    lines = Path(raw["corpus"]).read_bytes().count(b"\n")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(shards)))
+        patch.setattr(pipeline, "RANGE_LINES", max(1, -(-lines // shards)))
         return run_pipeline(parse_config(raw))
 
 
@@ -128,8 +132,9 @@ def manifest_stages(out_dir: Path) -> list[tuple[str, str]]:
     return [(s["stage"], s["status"]) for s in json.loads((out_dir / "manifest.json").read_text())["stages"]]
 
 
+@pytest.mark.parametrize("ranges", [2, 3])
 @pytest.mark.parametrize("missing, first", [({7}, 7), ({2, 7}, 2), ({8, 6}, 6)], ids=["second-range", "both-ranges", "twice-in-second"])
-def test_a_backend_error_fails_infer_with_the_first_failing_prompt_of_the_corpus(tmp_path, dialogues, missing, first):
+def test_a_backend_error_fails_infer_with_the_first_failing_prompt_of_the_corpus(tmp_path, dialogues, missing, first, ranges):
     spec = default_prompt_spec(Task.CQA)
     prompts = [build_prompt(s, spec)[0] for s in load_corpus(dialogues, Task.CQA)]
     table = tmp_path / "table.json"
@@ -137,10 +142,86 @@ def test_a_backend_error_fails_infer_with_the_first_failing_prompt_of_the_corpus
     out_dir = tmp_path / "out"
     raw = {"out_dir": str(out_dir), "corpus": str(dialogues), "task": "cqa", "backend": f"table:{table}"}
     with pytest.raises(PipelineError, match=f"^stage 'infer' failed: prompt {first}: stub table has no entry") as info:
-        run_on(2, raw)
+        run_on(ranges, raw)
     assert info.value.__cause__.prompt_index == first
     assert multiprocessing.active_children() == []
     assert manifest_stages(out_dir) == [("split", "ok"), ("infer", "failed")]
+
+
+#: One bad line of each kind, as the corpus line it replaces would be
+#: written, for ``test_the_first_bad_line_fails_split_whatever_the_ranges``.
+BAD_LINES = {
+    "malformed-json": lambda record, first: b'{"id": "cut short", ',
+    "invalid-sample": lambda record, first: json.dumps({**record, "target": "  "}).encode(),
+    "duplicate-id": lambda record, first: json.dumps({**record, "id": first["id"]}).encode(),
+    "bad-utf8": lambda record, first: json.dumps(record).encode().replace(b"dlg-", b"dlg-\xff"),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from([*BAD_LINES, "blank-only"]), n=st.integers(5, 9), where=st.floats(0, 1), seed=st.integers(0, 2**16))
+def test_the_first_bad_line_fails_split_whatever_the_ranges(kind, n, where, seed):
+    # The bad line replaces any line but the first, so a duplicate's first use sits in an earlier range.
+    records = dialogue_records(seed, n)
+    lines = [json.dumps(r).encode() for r in records]
+    if kind == "blank-only":
+        lines = [b" \t" if i % 2 else b"" for i in range(n)]
+    else:
+        bad = 1 + int(where * (n - 2))
+        lines[bad] = BAD_LINES[kind](records[bad], records[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        corpus.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(corpus, Task.CQA)
+        want = f"stage 'split' failed: {info.value}"
+        manifests = set()
+        for ranges in (1, 2, 3):
+            out_dir = Path(tmp) / f"r{ranges}"
+            raw = {"out_dir": str(out_dir), "corpus": str(corpus), "task": "cqa", "backend": "markov"}
+            with pytest.raises(PipelineError) as failed:
+                run_on(ranges, raw)
+            assert str(failed.value) == want
+            assert multiprocessing.active_children() == []
+            assert [p.name for p in out_dir.rglob("*")] == ["manifest.json"]
+            manifests.add((out_dir / "manifest.json").read_bytes())
+    (manifest,) = manifests
+    assert json.loads(manifest)["stages"] == [{"stage": "split", "status": "failed", "error": str(info.value), "artifacts": []}]
+
+
+def test_a_range_stops_at_its_own_first_bad_line(tmp_path):
+    text = "".join(json.dumps(r) + "\n" for r in dialogue_records(3, 6)).replace('"dlg-0004"', '"dlg-0004",', 1)
+    job = pipeline._Job(Task.CQA, source=(tmp_path / "c.jsonl", text), split=(frozenset({0}), ()))
+    first, second = corpus_mod.line_ranges(text, [(0, 3), (3, 6)])
+    assert (first[2:], second[2:]) == ((1, 0), (4, 3))
+    shard = pipeline._shard(job, second)
+    assert list(shard.ids.items()) == [("dlg-0003", 4)]
+    assert shard.error[0] == "corpus" and str(shard.error[1]).startswith(f"{tmp_path / 'c.jsonl'}: line 5: malformed JSON")
+    assert (shard.split, shard.n_biased) == (("", "", ""), 0)
+    assert pipeline._shard(job, first).error is None
+
+
+def test_a_forked_data_run_decodes_no_line_in_the_parent_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", dialogue_records(11, 24))
+    decoded = tmp_path / "decoded-by"
+    decode = corpus_mod._sample_from_record
+
+    def recorded(record, task):  # forked workers inherit the patch, and append to the same file
+        with decoded.open("a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return decode(record, task)
+
+    monkeypatch.setattr(corpus_mod, "_sample_from_record", recorded)
+    outputs = {}
+    for ranges in (1, 2, 3, 8):
+        decoded.unlink(missing_ok=True)
+        outputs[ranges] = run(corpus, "cqa", tmp_path / f"r{ranges}", ranges)
+        pids = decoded.read_text().split()
+        assert len(pids) == 24
+        assert (str(os.getpid()) in pids) == (ranges == 1)
+    assert "manifest.json" in outputs[1]
+    for ranges in (2, 3, 8):
+        assert outputs[ranges] == outputs[1], ranges
 
 
 def test_a_gate_statistic_error_fails_align_not_infer(tmp_path, dialogues, monkeypatch):
