@@ -144,8 +144,8 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
         )
     except (CorpusError, BackendError, ValueError) as exc:
         _fail(str(exc))
-    out = write_blocks((shard.candidates for shard in shards), Path(out_path))
-    total = sum(shard.candidates.count("\n") for shard in shards)
+    out = write_blocks((shard.take("candidates") for shard in shards), Path(out_path))
+    total = sum(shard.n_candidates for shard in shards)
     click.echo(f"infer: {total} candidates -> {out}")
 
 
@@ -296,6 +296,8 @@ def run(config_path, out_dir, print_schema):
         raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         _fail(f"run: config is not valid JSON: {exc}")
+    except RecursionError:
+        _fail("run: config JSON is nested too deeply")
     if out_dir and isinstance(raw, dict):  # parse_config names any other top level
         raw["out_dir"] = out_dir
     try:

@@ -432,9 +432,10 @@ def read_text(path: str | Path) -> str:
 def read_lines(path: Path, text: str, decode: Callable[[object], object], first_line: int = 1) -> Iterator[tuple[int, object]]:
     """``(line number, decode(record))`` for every non-blank line of
     ``text`` (``read_text``), lines of ``path`` from ``first_line`` on.
-    Malformed JSON, a ``KeyError`` (a missing field), ``TypeError`` or
-    ``ValueError`` from ``decode`` and a string no output file could hold
-    (``_check_utf8``) raise ``ValueError`` naming the file and line."""
+    Malformed JSON, JSON nested deeper than the interpreter's recursion
+    limit, a ``KeyError`` (a missing field), ``TypeError`` or ``ValueError``
+    from ``decode`` and a string no output file could hold (``_check_utf8``)
+    raise ``ValueError`` naming the file and line."""
     for line_no, line in enumerate(text.split("\n"), start=first_line):
         if not line.strip():
             continue
@@ -445,6 +446,8 @@ def read_lines(path: Path, text: str, decode: Callable[[object], object], first_
                 _check_utf8(record)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {line_no}: malformed JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: line {line_no}: JSON nested too deeply") from None
         except KeyError as exc:
             raise ValueError(f"{path}: line {line_no}: missing field {exc.args[0]!r}") from exc
         except (TypeError, ValueError) as exc:

@@ -37,7 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import corpus as corpus_mod
 from . import report as report_mod
@@ -375,11 +375,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
 # samples is the calibrated gate threshold. ``_run_shards`` cuts the samples
 # (data mode: the corpus file's lines, which each worker decodes) into
 # contiguous ranges and runs ``_shard`` on each in a forked worker (or, for
-# one range, in-process). A worker sends back encoded lines, one text block
-# per output file, and its gate statistics; the parent calibrates on the
-# statistics in sample order, decides every verdict at that threshold
-# (``align_responses``), completes the verdict lines and writes each file as
-# the blocks in range order.
+# one range, in-process). A worker encodes its lines, one text block per
+# output file, writes the blocks to a part file and sends back their lengths
+# and its gate statistics; the parent calibrates on the statistics in sample
+# order, decides every verdict at that threshold (``align_responses``),
+# completes the verdict lines and writes each file as the blocks in range
+# order, read back one range at a time (``Shard.take``).
 
 #: Samples (data mode: lines) per range, which sets what a process holds; a
 #: pass over no more runs in-process (two forked ranges win from 200-500 on).
@@ -404,34 +405,69 @@ class _Job:
     align: AlignmentConfig | None = None
 
 
+#: The text blocks a forked range hands over in its part file, in file order.
+#: The evidence lines cross the pipe: ``write_split`` sorts them by id across
+#: ranges.
+_PART_BLOCKS = ("biased", "non_biased", "candidates", "record", "heads")
+
+
 @dataclass
 class Shard:
     """What a pass yields for one contiguous sample range.
 
     Each text block holds the range's lines of one output file, each ending
-    in a newline: the biased, non-biased and evidence lines of the split,
-    the candidates, and the record lines of the backend traffic in prompt
-    order (``record_line``). ``heads`` holds the head of each candidate's
-    verdict line (``verdict_head``), ``stats`` its gate statistic (an
-    ``array('d')``) and ``reasons`` the bits of its threshold-free reasons
-    (``form_reasons``), for ``write_verdicts`` to decide
-    (``align_responses``) and complete.
+    in a newline: the ``biased``, ``non_biased`` and ``evidence`` lines of
+    the split, the ``candidates``, and the ``record`` lines of the backend
+    traffic in prompt order (``record_line``). ``heads`` holds the head of
+    each candidate's verdict line (``verdict_head``), joined by newlines,
+    ``stats`` its gate statistic (an ``array('d')``) and ``reasons`` the
+    bits of its threshold-free reasons (``form_reasons``), for
+    ``write_verdicts`` to decide (``align_responses``) and complete.
+    A forked range holds its ``_PART_BLOCKS`` in the file ``part`` instead,
+    at the offset and byte length ``spans`` gives each non-empty one; read
+    every block with ``take``. ``n_candidates`` counts the candidates.
     ``error`` is ``(stage, exception)`` for the first failure; no later part
     ran. ``ids`` maps a ``source`` range's ids to their line numbers.
     ``partition`` and ``results`` are the objects; a worker drops them.
     """
 
-    split: tuple[str, str, str] = ("", "", "")
-    ids: dict[str, int] = field(default_factory=dict)
-    n_biased: int = 0
+    biased: str = ""
+    non_biased: str = ""
+    evidence: str = ""
     candidates: str = ""
     record: str = ""
-    heads: Sequence[str] = ()
+    heads: str = ""
+    ids: dict[str, int] = field(default_factory=dict)
+    n_biased: int = 0
+    n_candidates: int = 0
     stats: Sequence[float] = ()
     reasons: bytes = b""
     error: tuple[str, Exception] | None = None
     partition: BiasPartition | None = None
     results: Mapping[str, Sequence[GenerationResult]] | None = None
+    part: str | None = None
+    spans: dict[str, tuple[int, int]] = field(default_factory=dict)
+    #: Removes the part file (``_drop_part``), once: when the last block is
+    #: taken, or when the shard dies.
+    drop: Callable[[], object] | None = None
+
+    def has(self, name: str) -> bool:
+        """Whether block ``name`` holds a line."""
+        return bool(getattr(self, name)) or name in self.spans
+
+    def take(self, name: str) -> str:
+        """Block ``name``, which the shard then no longer holds: its text, or
+        its bytes read back from the part file."""
+        text = getattr(self, name)
+        setattr(self, name, "")
+        if name in self.spans:
+            offset, size = self.spans.pop(name)
+            with open(self.part, "rb") as handle:
+                handle.seek(offset)
+                text = handle.read(size).decode("utf-8")
+            if not self.spans:
+                self.drop()
+        return text
 
 
 def _shard(job: _Job, bounds: tuple[int, ...]) -> Shard:
@@ -455,11 +491,9 @@ def _shard(job: _Job, bounds: tuple[int, ...]) -> Shard:
         if job.split is not None:
             corpus = Corpus(samples, job.task)
             partition = split_corpus(corpus, *job.split)
-            shard.split = (
-                _lines(encode_json({**sample_to_record(s), "split": "biased"}) for s in partition.biased),
-                _lines(encode_json({**sample_to_record(s), "split": "non_biased"}) for s in partition.non_biased),
-                _lines(encode_json(evidence_record(s.id, partition.evidence[s.id])) for s in corpus),
-            )
+            shard.biased = _lines(encode_json({**sample_to_record(s), "split": "biased"}) for s in partition.biased)
+            shard.non_biased = _lines(encode_json({**sample_to_record(s), "split": "non_biased"}) for s in partition.non_biased)
+            shard.evidence = _lines(encode_json(evidence_record(s.id, partition.evidence[s.id])) for s in corpus)
             shard.n_biased, shard.partition = len(partition.biased), partition
         stage = "infer"
         results = job.candidates
@@ -477,7 +511,7 @@ def _shard(job: _Job, bounds: tuple[int, ...]) -> Shard:
             finally:  # so a failing prompt's range records the prompts before it
                 if job.record:
                     shard.record = _lines(record_line(flat[j // n], options["max_tokens"], options["seed"] + j % n, r) for j, r in enumerate(drawn))
-            drawn = iter(drawn)
+            shard.n_candidates, drawn = len(drawn), iter(drawn)
             results = {s.id: list(islice(drawn, len(p) * n)) for s, p in zip(samples, prompts)}
             shard.candidates = _lines(
                 candidate_line(sample_id, k, result) for sample_id, rs in results.items() for k, result in enumerate(rs)
@@ -495,7 +529,7 @@ def _shard(job: _Job, bounds: tuple[int, ...]) -> Shard:
                     stats.append(gate_statistic(job.task, target_tokens, candidate))
                     reasons.append(form_reasons(job.task, candidate, job.align))
                     heads.append(verdict_head(sample.id, candidate.text, candidate.logprobs_json))
-            shard.heads, shard.stats, shard.reasons = heads, stats, bytes(reasons)
+            shard.heads, shard.stats, shard.reasons = "\n".join(heads), stats, bytes(reasons)
     except Exception as exc:  # noqa: BLE001 - raised by the stage it belongs to
         shard.error = (stage, exc)
     return shard
@@ -505,14 +539,52 @@ def _lines(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _shard_in_worker(job: _Job, bounds: tuple[int, ...]) -> Shard:
-    """``_shard`` in a forked worker, without its objects and with its error
-    ``_portable``."""
+def _shard_in_worker(job: _Job, item: tuple[tuple[int, ...], str]) -> Shard:
+    """``_shard`` on ``item``'s bounds in a forked worker, without its
+    objects, with its ``_PART_BLOCKS`` in the part file ``item[1]``
+    (``_spill``) and with its error ``_portable``. A part file that cannot
+    be written fails the range at the job's first stage: its blocks are lost."""
+    bounds, part = item
     shard = _shard(job, bounds)
     shard.partition = shard.results = None
+    try:
+        _spill(shard, part)
+    except OSError as exc:
+        shard.spans = {}
+        shard.error = ("split" if job.split else "infer" if job.infer else "align", exc)
     if shard.error is not None:
         shard.error = (shard.error[0], _portable(shard.error[1]))
     return shard
+
+
+def _spill(shard: Shard, path: str) -> None:
+    """Write the shard's non-empty ``_PART_BLOCKS`` one after another to a
+    part file at ``path``, noting each one's offset and byte length in
+    ``spans``, and drop their text; write no file when all are empty."""
+    names = [name for name in _PART_BLOCKS if getattr(shard, name)]
+    if not names:
+        return
+    shard.part, offset = path, 0
+    for name in names:
+        size = len(getattr(shard, name).encode("utf-8"))
+        shard.spans[name], offset = (offset, size), offset + size
+    corpus_mod.written = None  # a part file is no artifact: no stage hashes it
+    write_blocks([getattr(shard, name) for name in names], path)
+    for name in names:
+        setattr(shard, name, "")
+
+
+def _drop_part(path: str) -> None:
+    """Remove a part file, if it was written, and then its directory, if no
+    other part file is left in it."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:  # the range wrote none
+        pass
+    try:
+        os.rmdir(os.path.dirname(path))
+    except OSError:  # another part file is left
+        pass
 
 
 #: The names of what a pass calls per sample. One that wraps another
@@ -526,7 +598,9 @@ def _run_shards(job: _Job, shards: int | None = None) -> list[Shard]:
     lines (one per ``RANGE_LINES`` when ``None``), in order, on forked
     workers, one per usable CPU (``_fork_map``). One range runs in-process,
     and so does the whole pass when its backend does not set
-    ``forks_safely`` or a per-sample function is wrapped (``_PER_SAMPLE``)."""
+    ``forks_safely`` or a per-sample function is wrapped (``_PER_SAMPLE``).
+    Forked ranges hand their text blocks over in part files, in a directory
+    of ``tempfile``'s own (``_shard_in_worker``, ``Shard.take``)."""
     n = len(job.samples) if job.source is None else job.source[1].count("\n") + (not job.source[1].endswith("\n"))
     shards = max(1, min(-(-n // RANGE_LINES) if shards is None else shards, n))
     if job.infer is not None and not getattr(job.infer[0], "forks_safely", False):
@@ -538,8 +612,26 @@ def _run_shards(job: _Job, shards: int | None = None) -> list[Shard]:
         bounds = line_ranges(job.source[1], bounds)
     if shards == 1:
         return [_shard(job, bounds[0])]
+    # Imported here, as ``_fork_map`` imports ``multiprocessing``.
+    import shutil
+    import tempfile
+    import weakref
+
     workers = min(shards, len(os.sched_getaffinity(0)))
-    return [future.result() for future in _fork_map(_shard_in_worker, job, bounds, workers)]
+    directory = tempfile.mkdtemp(prefix="posdebias-")
+    parts = [os.path.join(directory, f"{i}.part") for i in range(shards)]
+    try:
+        result = [future.result() for future in _fork_map(_shard_in_worker, job, list(zip(bounds, parts)), workers)]
+    except BaseException:
+        shutil.rmtree(directory, ignore_errors=True)
+        raise
+    # A part file goes once its last block is taken, else when its shard
+    # dies: after a failed stage, with the failure (at the latest at exit).
+    for shard, part in zip(result, parts):
+        shard.drop = weakref.finalize(shard, _drop_part, part)
+        if not shard.spans:
+            shard.drop()
+    return result
 
 
 #: What the workers of a ``_fork_map`` inherit: the ``state`` it was given.
@@ -623,11 +715,10 @@ def write_split(
     """Save each non-empty side of the split of the samples with ``ids``,
     in order, with its split name in every record, plus the evidence JSONL
     in id order; ``names`` are the biased and non-biased file names."""
-    for side, name in enumerate(names):
-        blocks = [shard.split[side] for shard in shards]
-        if any(blocks):
-            write_blocks(blocks, out_dir / name)
-    evidence = "".join(shard.split[2] for shard in shards).split("\n")
+    for side, name in zip(("biased", "non_biased"), names):
+        if any(shard.has(side) for shard in shards):
+            write_blocks((shard.take(side) for shard in shards), out_dir / name)
+    evidence = "".join(shard.take("evidence") for shard in shards).split("\n")
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     write_blocks((evidence[i] + "\n" for i in by_id), out_dir / "evidence.jsonl")
 
@@ -663,7 +754,7 @@ def infer_shards(
     result = _run_shards(_Job(corpus.task, corpus.samples, infer=(backend, spec, options), record=record is not None, align=align), shards)
     if record is not None:
         failed = [i for i, shard in enumerate(result) if shard.error is not None and shard.error[0] == "infer"]
-        write_blocks((shard.record for shard in result[: failed[0] + 1 if failed else None]), record)
+        write_blocks((shard.take("record") for shard in result[: failed[0] + 1 if failed else None]), record)
     _raise_for(result, "infer")
     return result
 
@@ -710,7 +801,8 @@ def write_verdicts(task: Task, shards: Sequence[Shard], config: AlignmentConfig,
             file=sys.stderr,
         )
     tails = map({v: verdict_tail(v.rejection_reasons) + "\n" for v in VERDICTS}.__getitem__, verdicts)
-    write_blocks(("".join(map(operator.add, shard.heads, islice(tails, len(shard.heads)))) for shard in shards), path)
+    # One range's heads at a time; a head is JSON, so it holds no raw newline.
+    write_blocks(("".join(map(operator.add, shard.take("heads").split("\n"), islice(tails, len(shard.stats)))) for shard in shards), path)
     return threshold, verdicts
 
 
@@ -780,10 +872,7 @@ def _stage(name: str, out_dir: Path, manifest: dict):
 def _write_candidates(out_dir: Path, seed: int, shards: list[Shard]) -> list[Shard]:
     """Write one seed's candidates JSONL from its pass, whose gate
     statistics and verdict heads ``_align_pass`` reads."""
-    write_blocks((shard.candidates for shard in shards), out_dir / "infer" / f"seed{seed}" / "candidates.jsonl")
-    # Written, the text is dead weight: align reads no candidate line.
-    for shard in shards:
-        shard.candidates = ""
+    write_blocks((shard.take("candidates") for shard in shards), out_dir / "infer" / f"seed{seed}" / "candidates.jsonl")
     return shards
 
 

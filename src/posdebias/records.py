@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .backends import GenerationResult, _result_from_body
-from .corpus import encode_json, json_field, json_list, read_jsonl, write_blocks, write_jsonl
+from .corpus import _check_utf8, encode_json, json_field, json_list, read_jsonl, write_blocks, write_jsonl
 from .metrics import PositionRow
 from .msa_align import RejectionReason
 from .report import SystemEval
@@ -124,10 +124,11 @@ def _score_and_count(record: object, where: str) -> tuple[float, int]:
 def load_eval(path: str | Path) -> SystemEval:
     """Inverse of ``write_eval``; missing optional keys default to empty.
 
-    Raises ``ValueError`` naming the file and the first bad field.
+    Raises ``ValueError`` naming the file and the first bad field, a key or
+    string that does not encode as UTF-8 (``_check_utf8``) too.
     """
     try:
-        entry = json.loads(Path(path).read_text(encoding="utf-8"))
+        entry = _check_utf8(json.loads(Path(path).read_text(encoding="utf-8")))
         splits, rows = json_field(entry, "splits", dict, {}), json_field(entry, "by_position", list, [])
         return SystemEval(
             system=json_field(entry, "system", str),

@@ -279,11 +279,13 @@ class TestReadJsonl:
     """The one JSONL reader's error contract, through each reader that calls it."""
 
     @pytest.mark.parametrize("reader", READERS)
-    @pytest.mark.parametrize("defect", ["malformed-json", "missing-field", "wrong-type", "not-an-object"])
+    @pytest.mark.parametrize("defect", ["malformed-json", "too-deep", "missing-field", "wrong-type", "not-an-object"])
     def test_bad_line_fails_in_one_line_naming_file_and_line(self, tmp_path, reader, defect):
         read, good, key = READERS[reader]
         bad = {
             "malformed-json": "{not json",
+            # Deeper than the interpreter's recursion limit, which RFC 8259 section 9 lets a parser set.
+            "too-deep": json.dumps(good)[:-1] + ', "deep": ' + "[" * 5000 + "]" * 5000 + "}",
             "missing-field": json.dumps({k: v for k, v in good.items() if k != key}),
             "wrong-type": json.dumps({**good, key: 3}),
             "not-an-object": "[1]",
@@ -296,6 +298,7 @@ class TestReadJsonl:
         assert message.startswith(f"{path}: line 3: ") and "\n" not in message
         assert {
             "malformed-json": "malformed JSON",
+            "too-deep": "JSON nested too deeply",
             "missing-field": f"missing field {key!r}",
             "wrong-type": f"field {key!r} has the wrong type",
             "not-an-object": "must be a JSON object",

@@ -1548,8 +1548,12 @@ class TestCliVerbs:
 
     @pytest.mark.parametrize(
         "content, problem",
-        [(b"[1, 2]", "config: field 'config' has the wrong type: [1, 2] (expected object)"), (b'{"out_dir": "\xff"}', "can't decode byte 0xff")],
-        ids=["top-level-not-an-object", "not-utf8"],
+        [
+            (b"[1, 2]", "config: field 'config' has the wrong type: [1, 2] (expected object)"),
+            (b'{"out_dir": "\xff"}', "can't decode byte 0xff"),
+            (b'{"seeds": ' + b"[" * 3000 + b"]" * 3000 + b"}", "Error: run: config JSON is nested too deeply"),
+        ],
+        ids=["top-level-not-an-object", "not-utf8", "too-deep"],
     )
     def test_run_rejects_an_unreadable_config_in_one_line(self, runner, tmp_path, content, problem):
         config_file = tmp_path / "config.json"
@@ -1573,12 +1577,14 @@ class TestCliVerbs:
             ("report", {"system": "ft", "splits": {"biased": {"score": 10**400, "count": 3}}}, "'splits.biased.score'"),
             ("report", {"system": "ft", "by_position": [{"position": 0, "score": 1.0}]}, "'by_position[0].count'"),
             ("report", [], "must be a JSON object"),
+            # No output file can hold a lone surrogate: the report fails before it writes one.
+            ("report", {"system": "\ud800x", "splits": {"biased": {"score": 0.5, "count": 2}}}, "field 'system' does not encode as UTF-8"),
         ],
         ids=[
             "model-empty-object", "model-weights-not-numbers", "model-window-scale-string", "model-weight-too-large",
             "model-weights-booleans",
             "eval-splits-a-list", "eval-score-a-string", "eval-score-too-large", "eval-position-row-without-count",
-            "eval-not-an-object",
+            "eval-not-an-object", "eval-system-lone-surrogate",
         ],
     )
     def test_bad_model_or_eval_file_fails_in_one_line_naming_the_field(
@@ -1715,11 +1721,14 @@ class TestCliVerbs:
             ("align", {"text": None}, "missing field 'text'"),
             ("train-toy", {"token_logprobs": ["x", {}]}, "field 'token_logprobs' has an item of the wrong type: 'x'"),
             ("train-toy", {"kept": False, "rejection_reasons": ["bogus"]}, "field 'rejection_reasons[0]' is not a rejection reason: 'bogus'"),
+            # DEEP: 5,000 nested lists, deeper than the interpreter's recursion limit.
+            ("split", {"document": "DEEP"}, "JSON nested too deeply"),
+            ("align", {"tokens": "DEEP"}, "JSON nested too deeply"),
         ],
         ids=[
             "split-surrogate", "infer-surrogate", "align-surrogate-text", "align-surrogate-token",
             "align-bool-logprob", "align-string-logprob", "align-huge-logprob", "align-no-text",
-            "train-toy-non-number-logprobs", "train-toy-unknown-reason",
+            "train-toy-non-number-logprobs", "train-toy-unknown-reason", "split-too-deep", "align-too-deep",
         ],
     )
     def test_bad_jsonl_record_fails_at_read_in_one_line(self, runner, tmp_path, dialogue_corpus_file, verb, edit, message):
@@ -1730,7 +1739,7 @@ class TestCliVerbs:
         }.get(verb, {"id": "s0", "task": "cqa", "document": ["t1 c1"], "target": "t1 c1"})
         record = {k: v for k, v in {**record, **edit}.items() if v is not None}
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        bad.write_text(json.dumps(record).replace('"DEEP"', "[" * 5000 + "]" * 5000) + "\n", encoding="utf-8")
         out = tmp_path / "out"
         args = {
             "split": ["split", "--corpus", str(bad), "--task", "cqa", "--out-dir", str(out)],

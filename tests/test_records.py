@@ -47,9 +47,11 @@ def test_candidate_line_is_json_dumps_of_the_record(sample_id, index, result):
 def test_verdict_line_is_json_dumps_of_the_record(sample_id, result, reasons):
     # An aligned line is its candidate's head, with the cached logprob text,
     # and the tail its threshold decides.
-    line = verdict_head(sample_id, result.text, result.logprobs_json) + verdict_tail(reasons)
+    head = verdict_head(sample_id, result.text, result.logprobs_json)
     record = verdict_record(sample_id, result.text, result.token_logprobs, reasons)
-    assert line == json.dumps(record, ensure_ascii=False)
+    assert head + verdict_tail(reasons) == json.dumps(record, ensure_ascii=False)
+    # A range's heads travel joined by newlines (``Shard.heads``).
+    assert "\n" not in head
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,26 +9,33 @@ first failing sample, or the first bad line, in corpus order.
 """
 from __future__ import annotations
 
+import dataclasses
+import errno
 import functools
+import gc
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posdebias import corpus as corpus_mod
 from posdebias import pipeline
 from posdebias.backends import BackendError, GenerationResult, StubBackend, StubMode
-from posdebias.corpus import Corpus, CorpusError, Task, load_corpus
+from posdebias.cli import main
+from posdebias.corpus import Corpus, CorpusError, Task, load_corpus, read_text
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec
 from posdebias.metrics import tokenize
-from posdebias.msa_align import DEFAULT_CANDIDATE_THRESHOLDS, DEFAULT_TARGET_KEEP_FRACTION, calibrate_threshold, gate_statistic
-from posdebias.pipeline import PipelineError, infer_shards, parse_config, run_pipeline
+from posdebias.msa_align import DEFAULT_CANDIDATE_THRESHOLDS, DEFAULT_TARGET_KEEP_FRACTION, AlignmentConfig, calibrate_threshold, gate_statistic
+from posdebias.pipeline import PipelineConfig, PipelineError, infer_shards, parse_config, run_pipeline
 from posdebias.records import load_candidates
 from test_data_mode_bytes import dialogue_records
 
@@ -155,6 +162,8 @@ BAD_LINES = {
     "invalid-sample": lambda record, first: json.dumps({**record, "target": "  "}).encode(),
     "duplicate-id": lambda record, first: json.dumps({**record, "id": first["id"]}).encode(),
     "bad-utf8": lambda record, first: json.dumps(record).encode().replace(b"dlg-", b"dlg-\xff"),
+    # Deeper than the interpreter's recursion limit, which RFC 8259 section 9 lets a parser set.
+    "too-deep": lambda record, first: b'{"document": ' + b"[" * 5000 + b"]" * 5000 + b"}",
 }
 
 
@@ -197,7 +206,7 @@ def test_a_range_stops_at_its_own_first_bad_line(tmp_path):
     shard = pipeline._shard(job, second)
     assert list(shard.ids.items()) == [("dlg-0003", 4)]
     assert shard.error[0] == "corpus" and str(shard.error[1]).startswith(f"{tmp_path / 'c.jsonl'}: line 5: malformed JSON")
-    assert (shard.split, shard.n_biased) == (("", "", ""), 0)
+    assert (shard.biased, shard.non_biased, shard.evidence, shard.n_biased) == ("", "", "", 0)
     assert pipeline._shard(job, first).error is None
 
 
@@ -361,3 +370,135 @@ def test_a_wrapped_per_sample_function_sees_every_call(tmp_path, dialogues, monk
     verdicts = (out_dir / "align" / "seed0" / "aligned.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
     assert calls == [json.loads(line)["text"] for line in verdicts]
     assert len(calls) == 10 * 3
+
+
+# -- part files: a forked range hands its text blocks over on disk ----------
+
+
+@pytest.fixture
+def temp_dir(tmp_path, monkeypatch) -> Path:
+    """``tempfile``'s directory, where a forked pass makes its part files."""
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    return temp
+
+
+@pytest.fixture
+def dropped(monkeypatch) -> list[Path]:
+    """The part files ``_drop_part`` is called on, in order."""
+    paths = []
+    drop = pipeline._drop_part
+    monkeypatch.setattr(pipeline, "_drop_part", lambda path: (paths.append(Path(path)), drop(path)))
+    return paths
+
+
+def test_a_forked_range_sends_under_a_tenth_of_its_output_bytes(tmp_path, temp_dir):
+    # The pass of a data-mode run: the pipe carries the evidence, ids, gate
+    # statistics and reasons; every other block goes through the part file.
+    corpus = write_corpus(tmp_path / "corpus.jsonl", dialogue_records(7, 90))
+    options = {"n_per_prompt": PipelineConfig.n_per_prompt, "seed": 0, "max_tokens": PipelineConfig.max_tokens, "max_in_flight": 1}
+    job = pipeline._Job(
+        Task.CQA, source=(corpus, read_text(corpus)), split=(PipelineConfig.biased_positions, PipelineConfig.triggers),
+        infer=(StubBackend(StubMode.MARKOV), default_prompt_spec(Task.CQA), options), align=AlignmentConfig(),
+    )
+    shards = pipeline._run_shards(job, 3)
+    assert multiprocessing.active_children() == []
+    for shard in shards:
+        sent = len(pickle.dumps(dataclasses.replace(shard, drop=None)))  # ``drop`` is the parent's own
+        output = len(shard.evidence.encode("utf-8")) + sum(size for _, size in shard.spans.values())
+        assert sent < output / 10, (sent, output)
+    # A part file goes as its last block is read, while its shard lives on.
+    for name in ("biased", "non_biased", "candidates"):
+        assert all(shard.take(name) for shard in shards)
+    assert all(Path(shard.part).exists() for shard in shards)
+    assert all(shard.take("heads") for shard in shards)
+    assert list(temp_dir.iterdir()) == []
+
+
+def test_a_pass_whose_workers_break_leaves_no_part_directory(tmp_path, temp_dir, dialogues, monkeypatch):
+    def fork_map(fn, state, items, workers):
+        raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(pipeline, "_fork_map", fork_map)
+    with pytest.raises(PipelineError, match="^stage 'split' failed: a worker died$"):
+        run_on(3, {"out_dir": str(tmp_path / "out"), "corpus": str(dialogues), "task": "cqa"})
+    assert list(temp_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["ok", "bad-line", "missing-prompt", "gate-error", "part-write"])
+def test_a_forked_run_leaves_no_part_file_and_no_worker(tmp_path, temp_dir, dropped, monkeypatch, case):
+    records = dialogue_records(5, 9)
+    lines = [json.dumps(r) for r in records]
+    raw = {"out_dir": str(tmp_path / "out"), "corpus": str(tmp_path / "corpus.jsonl"), "task": "cqa"}
+    failure = None
+    if case == "bad-line":  # in range 2 of 3
+        lines[4] = '{"id": "cut short", '
+        failure = f"^stage 'split' failed: {tmp_path / 'corpus.jsonl'}: line 5: malformed JSON"
+    elif case == "missing-prompt":
+        spec = default_prompt_spec(Task.CQA)
+        prompts = [build_prompt(s, spec)[0] for s in load_corpus(write_corpus(tmp_path / "corpus.jsonl", records), Task.CQA)]
+        (tmp_path / "table.json").write_text(json.dumps({p: "a b" for p in prompts[:7]}), encoding="utf-8")
+        raw["backend"] = f"table:{tmp_path / 'table.json'}"
+        failure = "^stage 'infer' failed: prompt 7: stub table has no entry"
+    elif case == "gate-error":
+        def gate_statistic(task, target_tokens, candidate):
+            raise ValueError("injected gate failure")
+
+        monkeypatch.setattr(pipeline, "gate_statistic", gate_statistic)
+        failure = "^stage 'align' failed: injected gate failure$"
+    elif case == "part-write":
+        spill = pipeline._spill
+
+        def full(shard, path):  # the part file is there, but not whole
+            spill(shard, path)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "_spill", full)
+        failure = r"^stage 'split' failed: \[Errno 28\] No space left on device$"
+    (tmp_path / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if failure is None:
+        run_on(3, raw)
+    else:
+        with pytest.raises(PipelineError, match=failure):
+            run_on(3, raw)
+        # The failure's traceback holds the pass in a reference cycle, so its
+        # parts go when the collector frees it (at the latest, at exit).
+        gc.collect()
+    assert multiprocessing.active_children() == []
+    assert list(temp_dir.iterdir()) == []
+    (directory,) = {path.parent for path in dropped}
+    assert directory.parent == temp_dir and len(dropped) == 3
+
+
+VERBS = {
+    "split": lambda corpus, out: ["split", "--corpus", corpus, "--task", "cqa", "--out-dir", out],
+    "infer": lambda corpus, out: ["infer", "--corpus", corpus, "--task", "cqa", "--out", f"{out}/candidates.jsonl"],
+    "infer-record": lambda corpus, out: [
+        "infer", "--corpus", corpus, "--task", "cqa", "--out", f"{out}/candidates.jsonl", "--record", f"{out}/traffic.jsonl",
+    ],
+    "align": lambda corpus, out: [
+        "align", "--candidates", str(Path(corpus).parent / "candidates.jsonl"), "--task", "cqa", "--corpus", corpus,
+        "--out", f"{out}/aligned.jsonl",
+    ],
+}
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_a_forking_verb_writes_the_same_bytes_at_one_and_three_ranges(tmp_path, temp_dir, dropped, monkeypatch, verb):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", dialogue_records(9, 12))
+    runner = CliRunner()
+    runner.invoke(main, VERBS["infer"](str(corpus), str(tmp_path)), catch_exceptions=False)  # what align reads
+    seen = []
+    for ranges in (1, 3):
+        out = tmp_path / f"r{ranges}"
+        monkeypatch.setattr(pipeline, "RANGE_LINES", 12 // ranges)
+        result = runner.invoke(main, VERBS[verb](str(corpus), str(out)), catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert multiprocessing.active_children() == []
+        assert list(temp_dir.iterdir()) == []
+        assert len(dropped) == (3 if ranges == 3 else 0)  # the three ranges forked
+        seen.append((result.output.replace(str(out), "OUT"), {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert seen[0] == seen[1]
+    if verb.startswith("infer"):
+        assert seen[0][0] == "infer: 36 candidates -> OUT/candidates.jsonl\n"
