@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol
 
-from .corpus import _check_utf8, encode_json, json_field, json_list, read_jsonl
+from .corpus import _check_utf8, encode_json, json_field, json_list, parse_json, read_jsonl, read_text
 
 #: Environment variable that overrides any configured HTTP endpoint.
 BACKEND_URL_ENV = "POSDEBIAS_BACKEND_URL"
@@ -246,11 +246,7 @@ class HttpBackend:
         if response.status_code != 200:
             raise BackendError(f"backend rejected request with status {response.status_code}")
         try:
-            body = response.json()
-        except ValueError as exc:
-            raise BackendError(f"backend returned invalid JSON: {exc}") from exc
-        try:
-            return _result_from_body(body, self.backend_id)
+            return parse_json(response.content, self.url, lambda body: _result_from_body(body, self.backend_id))
         except ValueError as exc:
             raise BackendError(f"bad backend response, tokens and logprobs required: {exc}") from None
 
@@ -303,14 +299,11 @@ def reads_max_tokens(spec: str) -> bool:
     return not (spec in (StubMode.ECHO.value, StubMode.TABLE.value) or spec.startswith("table:"))
 
 
-def _read_table(path: str) -> dict:
-    try:
-        table = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"file {path!r} is not valid JSON: {exc}") from None
+def _table_backend(table: object) -> StubBackend:
+    """The ``table:FILE`` backend of the file's JSON object."""
     if not isinstance(table, dict):
-        raise ValueError(f"file {path!r} is not a JSON object")
-    return table
+        raise ValueError(f"a table must be a JSON object, got {type(table).__name__}")
+    return StubBackend(StubMode.TABLE, table=table)
 
 
 def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
@@ -348,6 +341,6 @@ def resolve_backend(spec: str, *, env: dict | None = None) -> Backend:
     try:
         if kind == "replay":
             return ReplayBackend(arg)
-        return StubBackend(StubMode.TABLE, table=_read_table(arg))
+        return parse_json(read_text(arg), arg, _table_backend)
     except ValueError as exc:
         raise ValueError(f"backend {spec!r}: {exc}") from None

@@ -16,7 +16,7 @@ import click
 
 from .backends import BackendError, reads_max_tokens, resolve_backend
 from .bias_split import BIAS_BY_TASK, DEFAULT_BIASED_POSITIONS, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position
-from .corpus import CorpusError, Sample, SynthSpec, Task, load_corpus, write_blocks
+from .corpus import CorpusError, Sample, SynthSpec, Task, load_corpus, parse_json, read_text, write_blocks
 from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy
 from .metrics import METRICS
 from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, AlignmentConfig
@@ -292,16 +292,11 @@ def run(config_path, out_dir, print_schema):
         return
     if not config_path:
         _fail("run: --config is required (or use --print-schema)")
-    try:
-        raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        _fail(f"run: config is not valid JSON: {exc}")
-    except RecursionError:
-        _fail("run: config JSON is nested too deeply")
-    if out_dir and isinstance(raw, dict):  # parse_config names any other top level
-        raw["out_dir"] = out_dir
-    try:
-        config = parse_config(raw)
+    def configure(raw: object) -> PipelineConfig:  # parse_config names a top level other than an object
+        return parse_config({**raw, "out_dir": out_dir} if out_dir and isinstance(raw, dict) else raw)
+
+    try:  # a bad config fails naming the file, before any stage runs
+        config = parse_json(read_text(config_path), config_path, configure)
         manifest = run_pipeline(config)
     except (PipelineError, CorpusError, ValueError) as exc:
         _fail(str(exc))

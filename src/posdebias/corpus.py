@@ -334,8 +334,8 @@ def join_ranges(path: str | Path, ranges: Iterable[tuple[dict[str, int], Excepti
             if sample_id in seen:
                 raise CorpusError(f"{Path(path)}: line {line_no}: duplicate sample id {sample_id!r}")
         seen.update(ids)
-        if error is not None:
-            raise error
+        if error is not None:  # a new error: the range's own, raised here, would hold this frame and its caller's ranges
+            raise CorpusError(str(error))
     if not seen:
         raise CorpusError(f"{path}: empty corpus")
     return seen
@@ -419,7 +419,7 @@ def _check_utf8(value, where: str = ""):
 
 
 def read_text(path: str | Path) -> str:
-    """A JSONL file decoded as UTF-8 once (bad UTF-8 raises ``CorpusError``
+    """A JSON or JSONL file decoded as UTF-8 once (bad UTF-8 raises ``CorpusError``
     naming the file and offset), each ``\\r\\n`` or ``\\r`` made ``\\n``: a
     string may hold the other line separators (U+2028, U+0085, ...)."""
     try:
@@ -429,30 +429,44 @@ def read_text(path: str | Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _reject_constant(name: str):  # NaN, Infinity or -Infinity: RFC 8259 section 6 has none
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode  # json.loads' C scanner too
+
+
+def parse_json(text: str | bytes, source: object, decode: Callable[[object], object], line: int | None = None):
+    """``decode`` of the JSON value of ``text`` (bytes: UTF-8), all of
+    ``source`` (a file or URL) or its line ``line``: the one parser of
+    outside JSON. Malformed JSON, JSON nested deeper than the recursion
+    limit (RFC 8259 section 9 lets a parser set one), a ``NaN``, a
+    ``TypeError`` or ``ValueError`` from ``decode``, then a key or string
+    no output file could hold (``_check_utf8``) raise one ``ValueError``
+    that begins ``SOURCE[: line N]: ``."""
+    try:
+        text = text.decode("utf-8") if type(text) is bytes else text
+        value = _decode_json(text)
+        item = decode(value)
+        if "\\u" in text:
+            _check_utf8(value)
+        return item
+    except json.JSONDecodeError as exc:  # its line, in a whole file too
+        line, problem = (line or 1) + exc.lineno - 1, f"malformed JSON: {exc.msg}"
+    except RecursionError:
+        problem = "JSON nested too deeply"
+    except (TypeError, ValueError) as exc:
+        problem = str(exc)
+    raise ValueError(f"{source}: line {line}: {problem}" if line else f"{source}: {problem}")
+
+
 def read_lines(path: Path, text: str, decode: Callable[[object], object], first_line: int = 1) -> Iterator[tuple[int, object]]:
-    """``(line number, decode(record))`` for every non-blank line of
-    ``text`` (``read_text``), lines of ``path`` from ``first_line`` on.
-    Malformed JSON, JSON nested deeper than the interpreter's recursion
-    limit, a ``KeyError`` (a missing field), ``TypeError`` or ``ValueError``
-    from ``decode`` and a string no output file could hold (``_check_utf8``)
-    raise ``ValueError`` naming the file and line."""
+    """``(line number, parse_json(line, path, decode, line number))`` for
+    every non-blank line of ``text`` (``read_text``), lines of ``path`` from
+    ``first_line`` on."""
     for line_no, line in enumerate(text.split("\n"), start=first_line):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            item = decode(record)
-            if "\\u" in line:
-                _check_utf8(record)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {line_no}: malformed JSON: {exc.msg}") from exc
-        except RecursionError:
-            raise ValueError(f"{path}: line {line_no}: JSON nested too deeply") from None
-        except KeyError as exc:
-            raise ValueError(f"{path}: line {line_no}: missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-        yield line_no, item
+        if line.strip():
+            yield line_no, parse_json(line, path, decode, line_no)
 
 
 def line_ranges(text: str, bounds: Sequence[tuple[int, int]]) -> list[tuple[int, int, int, int]]:

@@ -469,6 +469,12 @@ class Shard:
                 self.drop()
         return text
 
+    def take_error(self) -> Exception:
+        """``error``'s exception, which the shard lets go of: raised, its
+        traceback holds the pass, so the pass must not hold it back."""
+        exc, self.error = self.error[1], None
+        return exc
+
 
 def _shard(job: _Job, bounds: tuple[int, ...]) -> Shard:
     """Run ``job`` on ``job.samples[lo:hi]``, or on the ``source`` lines
@@ -690,7 +696,7 @@ def _raise_for(shards: Sequence[Shard], stage: str) -> None:
     sample's in corpus order."""
     for shard in shards:
         if shard.error is not None and shard.error[0] == stage:
-            raise shard.error[1]
+            raise shard.take_error()
 
 
 def split_shards(

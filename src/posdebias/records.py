@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .backends import GenerationResult, _result_from_body
-from .corpus import _check_utf8, encode_json, json_field, json_list, read_jsonl, write_blocks, write_jsonl
+from .corpus import encode_json, json_field, json_list, parse_json, read_jsonl, read_text, write_blocks, write_jsonl
 from .metrics import PositionRow
 from .msa_align import RejectionReason
 from .report import SystemEval
@@ -123,24 +123,21 @@ def _score_and_count(record: object, where: str) -> tuple[float, int]:
 
 def load_eval(path: str | Path) -> SystemEval:
     """Inverse of ``write_eval``; missing optional keys default to empty.
+    Raises ``ValueError`` naming the file and the first bad field (``parse_json``)."""
+    return parse_json(read_text(path), path, _eval_from_entry)
 
-    Raises ``ValueError`` naming the file and the first bad field, a key or
-    string that does not encode as UTF-8 (``_check_utf8``) too.
-    """
-    try:
-        entry = _check_utf8(json.loads(Path(path).read_text(encoding="utf-8")))
-        splits, rows = json_field(entry, "splits", dict, {}), json_field(entry, "by_position", list, [])
-        return SystemEval(
-            system=json_field(entry, "system", str),
-            metric=json_field(entry, "metric", str, "score"),
-            splits={k: _score_and_count(v, f"splits.{k}.") for k, v in splits.items()},
-            by_position=tuple(
-                PositionRow(
-                    json_field(r, "position", (int, type(None)), where=f"by_position[{i}]."),
-                    *_score_and_count(r, f"by_position[{i}]."),
-                )
-                for i, r in enumerate(rows)
-            ),
-        )
-    except ValueError as exc:  # a JSON or UTF-8 decoding error too
-        raise ValueError(f"{path}: {exc}") from None
+
+def _eval_from_entry(entry: object) -> SystemEval:
+    splits, rows = json_field(entry, "splits", dict, {}), json_field(entry, "by_position", list, [])
+    return SystemEval(
+        system=json_field(entry, "system", str),
+        metric=json_field(entry, "metric", str, "score"),
+        splits={k: _score_and_count(v, f"splits.{k}.") for k, v in splits.items()},
+        by_position=tuple(
+            PositionRow(
+                json_field(r, "position", (int, type(None)), where=f"by_position[{i}]."),
+                *_score_and_count(r, f"by_position[{i}]."),
+            )
+            for i, r in enumerate(rows)
+        ),
+    )

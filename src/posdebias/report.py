@@ -63,17 +63,9 @@ def write_position_csv(evals: Sequence[SystemEval], path: str | Path) -> Path:
     for ev in evals:
         for row in ev.by_position:
             relpos = "none" if row.position is None else str(row.position)
-            rows.append(
-                (ev.system, "all", ev.metric, _fmt(row.mean_score), str(row.count), relpos)
-            )
-    rows.sort(key=lambda r: (r[0], _relpos_sort_key(r[5])))
+            rows.append((ev.system, "all", ev.metric, _fmt(row.mean_score), str(row.count), relpos))
+    rows.sort(key=lambda r: (r[0], r[5] == "none", 0 if r[5] == "none" else int(r[5])))
     return _write_csv(path, ["system", "split", "metric", "score", "count", "relpos"], rows)
-
-
-def _relpos_sort_key(relpos: str) -> tuple[int, int]:
-    if relpos == "none":
-        return (1, 0)
-    return (0, int(relpos))
 
 
 def _svg_header(title: str) -> list[str]:

@@ -39,6 +39,8 @@ from .corpus import (
     json_list,
     json_value,
     make_document,
+    parse_json,
+    read_text,
     render_input,
     write_blocks,
 )
@@ -597,20 +599,19 @@ def save_model(model: ToyModel, path: str | Path) -> Path:
 
 
 def load_model(path: str | Path) -> ToyModel:
-    """Inverse of ``save_model``; raises ``ValueError`` naming the file and
-    the first bad field."""
+    """Inverse of ``save_model``; a bad field fails naming the file (``parse_json``)."""
+    return parse_json(read_text(path), path, _model_from_payload)
+
+
+def _model_from_payload(payload: object) -> ToyModel:
+    vocabulary, rows = json_list(payload, "vocabulary", str), json_field(payload, "weights", list)
+    for row in rows:
+        for value in row if isinstance(row, list) else (row,):
+            json_value(value, (int, float), "weights", item=True)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        vocabulary, rows = json_list(payload, "vocabulary", str), json_field(payload, "weights", list)
-        for row in rows:
-            for value in row if isinstance(row, list) else (row,):
-                json_value(value, (int, float), "weights", item=True)
-        try:
-            weights = np.asarray(rows, dtype=np.float64)
-        except ValueError:  # ragged rows
-            raise ValueError("field 'weights' must be a matrix of numbers") from None
-        seed = json_field(payload, "seed", int, 0)
-        window_scale = json_field(payload, "window_scale", (int, float), DEFAULT_WINDOW_SCALE)
-        return ToyModel(tuple(vocabulary), weights, seed, window_scale)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        weights = np.asarray(rows, dtype=np.float64)
+    except ValueError:  # ragged rows
+        raise ValueError("field 'weights' must be a matrix of numbers") from None
+    seed = json_field(payload, "seed", int, 0)
+    window_scale = json_field(payload, "window_scale", (int, float), DEFAULT_WINDOW_SCALE)
+    return ToyModel(tuple(vocabulary), weights, seed, window_scale)

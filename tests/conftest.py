@@ -1,5 +1,11 @@
-"""Shared fixtures: small hand-built corpora with known properties."""
+"""Shared fixtures: small hand-built corpora with known properties, and a
+scriptable completion server."""
 from __future__ import annotations
+
+import json
+import math
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -86,3 +92,59 @@ def planted_relpos_corpus() -> tuple[Corpus, set[str], dict[str, int]]:
     corpus = Corpus(tuple(samples), Task.CQA)
     biased_ids = {sid for sid, rel in expected_rel.items() if rel in (0, 1)}
     return corpus, biased_ids, expected_rel
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Scriptable completion server; behavior is keyed on the prompt text."""
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        length = int(self.headers["Content-Length"])
+        payload = json.loads(self.rfile.read(length))
+        prompt = payload.get("prompt", "")
+        self.server.requests.append(payload)
+        if prompt == "flaky" and self.server.failures_left > 0:
+            self.server.failures_left -= 1
+            self.send_response(503)
+            self.end_headers()
+            return
+        if prompt == "forbidden":
+            self.send_response(403)
+            self.end_headers()
+            return
+        if prompt == "no-logprobs":
+            body = {"text": "x", "tokens": ["x"]}
+        elif prompt == "surrogate":
+            body = {"text": "x \ud800", "tokens": ["x"], "token_logprobs": [-0.1]}
+        elif prompt == "huge-logprob":
+            body = {"text": "x", "tokens": ["x"], "token_logprobs": [-(10**400)]}
+        elif "nan-logprob" in prompt:  # a substring, so a corpus sample's prompt can ask for it
+            body = {"text": "x", "tokens": ["x"], "token_logprobs": [math.nan]}
+        elif "too-deep" in prompt:
+            body = "DEEP"
+        else:
+            body = {
+                "text": f"reply to {prompt}",
+                "tokens": ["reply", "to", prompt],
+                "token_logprobs": [-0.1, -0.2, -0.3],
+            }
+        data = json.dumps(body).replace('"DEEP"', "[" * 3000 + "]" * 3000).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):  # silence request logging
+        pass
+
+
+@pytest.fixture
+def local_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.requests = []
+    server.failures_left = 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/complete"
+    server.shutdown()
+    server.server_close()

@@ -9,8 +9,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -181,58 +179,6 @@ class TestMarkovStub:
         prompts = ["p q r", "s t", "p q r u"]
         results = generate(prompts, StubBackend(StubMode.MARKOV), n_per_prompt=3, seed=5, max_tokens=4)
         assert len(results) == 9 and hashed == prompts
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Scriptable completion server; behavior is keyed on the prompt text."""
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        prompt = payload.get("prompt", "")
-        self.server.requests.append(payload)
-        if prompt == "flaky" and self.server.failures_left > 0:
-            self.server.failures_left -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        if prompt == "forbidden":
-            self.send_response(403)
-            self.end_headers()
-            return
-        if prompt == "no-logprobs":
-            body = {"text": "x", "tokens": ["x"]}
-        elif prompt == "surrogate":
-            body = {"text": "x \ud800", "tokens": ["x"], "token_logprobs": [-0.1]}
-        elif prompt == "huge-logprob":
-            body = {"text": "x", "tokens": ["x"], "token_logprobs": [-(10**400)]}
-        else:
-            body = {
-                "text": f"reply to {prompt}",
-                "tokens": ["reply", "to", prompt],
-                "token_logprobs": [-0.1, -0.2, -0.3],
-            }
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):  # silence request logging
-        pass
-
-
-@pytest.fixture
-def local_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    server.requests = []
-    server.failures_left = 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/complete"
-    server.shutdown()
-    server.server_close()
 
 
 class TestHttpBackend:
@@ -420,8 +366,8 @@ class TestResolveBackend:
     def test_table_file(self, tmp_path, monkeypatch):
         table_path = tmp_path / "table.json"
         table_path.write_text(json.dumps({"p": "from disk"}), encoding="utf-8")
-        reads, read_text = [], Path.read_text
-        monkeypatch.setattr(Path, "read_text", lambda path, *a, **k: reads.append(path) or read_text(path, *a, **k))
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
         backend = resolve_backend(f"table:{table_path}", env={})
         assert reads == [table_path]
         assert backend.complete("p").text == "from disk"

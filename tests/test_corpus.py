@@ -506,3 +506,46 @@ def test_every_module_level_name_is_used_in_the_package():
         for path in sorted(Path(posdebias.__file__).parent.glob("*.py"))
     }
     assert unreferenced_definitions(sources) == HARNESS_ONLY_NAMES
+
+
+#: Each top-level definition outside ``corpus`` that parses JSON, with
+#: why it need not go through ``corpus.parse_json``, the one parser of
+#: outside input.
+JSON_PARSES_OUTSIDE_CORPUS = {
+    ("pipeline", "_config_echo"): "round-trips its own json.dumps: it parses no outside input",
+}
+
+
+def json_parses(tree: ast.Module) -> Iterator[str]:
+    """The top-level definition around each call in ``tree`` of
+    ``json.loads``, ``json.load``, ``JSONDecoder`` or a ``.json()`` method."""
+    for node in tree.body:
+        for call in ast.walk(node):
+            func = getattr(call, "func", None) if isinstance(call, ast.Call) else None
+            if (
+                isinstance(func, ast.Name) and func.id == "JSONDecoder"
+                or isinstance(func, ast.Attribute) and (
+                    func.attr == "json"
+                    or func.attr in ("loads", "load", "JSONDecoder") and getattr(func.value, "id", None) == "json"
+                )
+            ):
+                yield getattr(node, "name", None) or node.targets[0].id
+
+
+def test_json_parses_sees_every_kind_of_parse():
+    source = (
+        "import json\nfrom json import JSONDecoder\nX = json.JSONDecoder().decode\nY = JSONDecoder().decode\n"
+        "def f(response):\n    return response.json()\ndef g(s):\n    return json.loads(s)\n"
+        "class C:\n    def h(self, f):\n        return json.load(f)\ndef k(p):\n    return pickle.loads(p), json.dumps(p)\n"
+    )
+    assert sorted(json_parses(ast.parse(source))) == ["C", "X", "Y", "f", "g"]
+
+
+def test_no_module_but_corpus_parses_json():
+    found = {
+        (path.stem, name)
+        for path in sorted(Path(posdebias.__file__).parent.glob("*.py"))
+        if path.stem != "corpus"
+        for name in json_parses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set(JSON_PARSES_OUTSIDE_CORPUS)

@@ -107,9 +107,9 @@ def write_bad_replay(path: Path, response: dict) -> None:
 
 def write_bad_table(path: Path, entry) -> str:
     """Write a table file whose entry for a two-line prompt is ``entry``;
-    return the pattern of that prompt as errors quote it, on one line."""
+    return the pattern of the file and that prompt as errors name them, on one line."""
     path.write_text(json.dumps({"fine": "a b", "bad\nprompt": entry}), encoding="utf-8")
-    return rf"table entry for prompt 'bad\\nprompt'"
+    return rf"{re.escape(str(path))}: table entry for prompt 'bad\\nprompt'"
 
 
 def infer_in_process(corpus: Corpus, backend, **options) -> dict:
@@ -1544,14 +1544,14 @@ class TestCliVerbs:
         config_file.write_text("{not json")
         result = runner.invoke(main, ["run", "--config", str(config_file)])
         assert result.exit_code != 0
-        assert "not valid JSON" in result.output
+        assert result.output == f"Error: {config_file}: line 1: malformed JSON: Expecting property name enclosed in double quotes\n"
 
     @pytest.mark.parametrize(
         "content, problem",
         [
             (b"[1, 2]", "config: field 'config' has the wrong type: [1, 2] (expected object)"),
             (b'{"out_dir": "\xff"}', "can't decode byte 0xff"),
-            (b'{"seeds": ' + b"[" * 3000 + b"]" * 3000 + b"}", "Error: run: config JSON is nested too deeply"),
+            (b'{"seeds": ' + b"[" * 3000 + b"]" * 3000 + b"}", "Error: CONFIG: JSON nested too deeply"),
         ],
         ids=["top-level-not-an-object", "not-utf8", "too-deep"],
     )
@@ -1561,7 +1561,7 @@ class TestCliVerbs:
         out_dir = tmp_path / "out"
         result = runner.invoke(main, ["run", "--config", str(config_file), "--out-dir", str(out_dir)])
         assert result.exit_code == 1 and result.exception.__class__ is SystemExit
-        assert problem in result.output and len(result.output.strip().splitlines()) == 1
+        assert problem.replace("CONFIG", str(config_file)) in result.output and len(result.output.strip().splitlines()) == 1
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

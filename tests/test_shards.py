@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import errno
 import functools
-import gc
 import json
 import multiprocessing
 import os
@@ -462,9 +461,6 @@ def test_a_forked_run_leaves_no_part_file_and_no_worker(tmp_path, temp_dir, drop
     else:
         with pytest.raises(PipelineError, match=failure):
             run_on(3, raw)
-        # The failure's traceback holds the pass in a reference cycle, so its
-        # parts go when the collector frees it (at the latest, at exit).
-        gc.collect()
     assert multiprocessing.active_children() == []
     assert list(temp_dir.iterdir()) == []
     (directory,) = {path.parent for path in dropped}
