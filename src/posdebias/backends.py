@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol
 
-from .corpus import _check_utf8, encode_json, json_field, json_list, parse_json, read_jsonl, read_text
+from .corpus import _check_utf8, _shown, encode_json, json_field, json_list, parse_json, read_jsonl, read_text
 
 #: Environment variable that overrides any configured HTTP endpoint.
 BACKEND_URL_ENV = "POSDEBIAS_BACKEND_URL"
@@ -181,7 +181,7 @@ class StubBackend:
         if isinstance(entry, str):
             entry = {"text": entry}
         elif not isinstance(entry, dict):
-            raise ValueError(f"entry must be a string or a JSON object, got {entry!r}")
+            raise ValueError(f"entry must be a string or a JSON object, got {_shown(entry)}")
         text = _check_utf8(json_field(entry, "text", str), "text")
         tokens = json_list(entry, "tokens", str, None) or text.split()
         logprobs = json_list(entry, "token_logprobs", (int, float), None)

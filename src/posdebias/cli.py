@@ -3,7 +3,9 @@
 Verbs mirror the pipeline stages so each can be run standalone on JSONL
 artifacts, plus ``run`` for the full configured pipeline. Each verb parses
 its options, calls the stage function in ``posdebias.pipeline`` and the
-record codec in ``posdebias.records``, and prints one line.
+record codec in ``posdebias.records``, and prints one line. ``split``,
+``infer`` and ``align --corpus`` run ``run``'s own pass over the corpus
+file (``pipeline.corpus_pass``), each forked range decoding its own lines.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import click
 from .backends import BackendError, reads_max_tokens, resolve_backend
 from .bias_split import BIAS_BY_TASK, DEFAULT_BIASED_POSITIONS, DEFAULT_LEXICAL_TRIGGERS, BiasKind, split_by_relative_position
 from .corpus import CorpusError, Sample, SynthSpec, Task, load_corpus, parse_json, read_text, write_blocks
-from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy
+from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, DEFAULT_STRATEGY_BY_TASK, PromptStrategy, default_prompt_spec
 from .metrics import METRICS
 from .msa_align import DEFAULT_CANDIDATE_THRESHOLDS, AlignmentConfig
 from .objective import LossConfig
@@ -25,12 +27,13 @@ from .pipeline import (
     CONFIG_SCHEMA,
     PipelineConfig,
     PipelineError,
-    align_shards,
+    _Job,
+    _raise_for,
+    _run_shards,
     check_words,
-    infer_shards,
+    corpus_pass,
     parse_config,
     run_pipeline,
-    split_shards,
     write_report,
     write_split,
     write_verdicts,
@@ -93,23 +96,22 @@ def split(corpus_path, task_name, out_dir, positions, triggers):
     for option, value, reader in (("--positions", positions, BiasKind.RELATIVE_POSITION), ("--triggers", triggers, BiasKind.LEXICAL)):
         if value is not None and reader != kind:
             _fail(f"split: {option} is not read by a {task.value} split (bias kind {kind.value})")
-    options = {}
-    if positions is not None:
-        options["positions"] = _positions(positions)
+    biased_positions = DEFAULT_BIASED_POSITIONS if positions is None else _positions(positions)
+    words = DEFAULT_LEXICAL_TRIGGERS
     if triggers is not None:
-        options["triggers"] = tuple(t.strip() for t in triggers.split(",") if t.strip())
-        if not options["triggers"]:
+        words = tuple(t.strip() for t in triggers.split(",") if t.strip())
+        if not words:
             _fail(f"bad --triggers {triggers!r}; expected comma-separated words like 'not,never'")
     try:
-        check_words("split: --triggers", options.get("triggers", ()))
-        corpus = load_corpus(corpus_path, task)
-        shards = split_shards(corpus, **options)
+        check_words("split: --triggers", words)
+        shards, ids = corpus_pass(corpus_path, task, split=(biased_positions, words))
+        _raise_for(shards, "split")
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
     out = Path(out_dir)
-    write_split(shards, [sample.id for sample in corpus], out)
+    write_split(shards, list(ids), out)
     biased = sum(shard.n_biased for shard in shards)
-    click.echo(f"split: {biased} biased, {len(corpus) - biased} non-biased -> {out}")
+    click.echo(f"split: {biased} biased, {len(ids) - biased} non-biased -> {out}")
 
 
 @main.command()
@@ -129,19 +131,17 @@ def infer(corpus_path, task_name, backend, out_path, n_per_prompt, seed, max_tok
     # Only backends that cap a length read it, as parse_config reads max_tokens.
     if max_tokens is not None and not reads_max_tokens(backend):
         _fail(f"infer: --max-tokens is not read by backend {backend!r}")
+    strategy = PromptStrategy(strategy) if strategy else DEFAULT_STRATEGY_BY_TASK[task]
+    options = {"n_per_prompt": n_per_prompt, "seed": seed, "max_tokens": max_tokens or DEFAULT_MAX_TOKENS, "max_in_flight": max_in_flight}
     try:
         engine = resolve_backend(backend)
-        corpus = load_corpus(corpus_path, task)
-        shards = infer_shards(
-            corpus,
-            engine,
-            n_per_prompt=n_per_prompt,
-            seed=seed,
-            max_tokens=max_tokens or DEFAULT_MAX_TOKENS,
-            strategy=strategy,
-            max_in_flight=max_in_flight,
-            record=record_path,
-        )
+        # ICL draws its exemplars from the whole corpus: the one verb input the parent decodes.
+        spec = default_prompt_spec(task, load_corpus(corpus_path, task) if strategy == PromptStrategy.ICL else None, strategy)
+        shards, _ = corpus_pass(corpus_path, task, infer=(engine, spec, options), record=record_path is not None)
+        if record_path is not None:  # the traffic of the ranges up to the first failing prompt
+            failed = [i for i, shard in enumerate(shards) if shard.error is not None and shard.error[0] == "infer"]
+            write_blocks((shard.take("record") for shard in shards[: failed[0] + 1 if failed else None]), record_path)
+        _raise_for(shards, "infer")
     except (CorpusError, BackendError, ValueError) as exc:
         _fail(str(exc))
     out = write_blocks((shard.take("candidates") for shard in shards), Path(out_path))
@@ -167,15 +167,18 @@ def align(candidates_path, task_name, corpus_path, out_path, thresholds):
         _fail("align: nli candidates are not pruned; no alignment file to produce")
     try:
         candidates = load_candidates(candidates_path)
-        if corpus_path:
-            samples = load_corpus(corpus_path, task).samples
-        elif task == Task.CQG:
-            # Question-generation gates never look at the reference target.
-            samples = tuple(Sample(id=sid, task=task, target="") for sid in candidates)
-        else:
+        if not corpus_path and task != Task.CQG:
             _fail(f"align: --corpus is required for task {task.value!r} (gates compare against targets)")
         config = AlignmentConfig(candidate_thresholds=thresholds)
-        shards = align_shards(task, samples, candidates, config)
+        if corpus_path:  # the workers inherit ``candidates`` at fork
+            shards, ids = corpus_pass(corpus_path, task, candidates=candidates, align=config)
+            unknown = sorted(set(candidates).difference(ids))
+            if unknown:
+                raise ValueError(f"align: candidate sample id {unknown[0]!r} not in corpus")
+        else:  # question-generation gates never look at the reference target
+            samples = tuple(Sample(id=sid, task=task, target="") for sid in candidates)
+            shards = _run_shards(_Job(task, samples, candidates=candidates, align=config))
+        _raise_for(shards, "align")
     except (CorpusError, ValueError) as exc:
         _fail(str(exc))
     if not any(shard.stats for shard in shards):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -229,7 +230,7 @@ def _sample_from_record(record: object, task: Task) -> Sample:
                 raise CorpusError(f"history entry {i}: 'answer' must be a string or null")
             turn_index = turn.get("turn_index", i)
             if type(turn_index) is not int:
-                raise CorpusError(f"field 'history[{i}].turn_index' must be an integer, got {turn_index!r}")
+                raise CorpusError(f"field 'history[{i}].turn_index' must be an integer, got {_shown(turn_index)}")
             built.append(DialogueTurn(turn_index, turn["question"], answer))
         history = tuple(built)
     input_text = json_field(record, "input_text", str, "") or render_input(task, document, history, premise, hypothesis)
@@ -246,18 +247,27 @@ def _sample_from_record(record: object, task: Task) -> Sample:
     )
 
 
+def _shown(value: object) -> str:
+    """``repr(value)``, cut after 80 characters, as an error line shows it."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def json_value(value: object, kinds: type | tuple[type, ...], field: str, item: bool = False):
     """``value``, decoded JSON from outside the program, if it is one of
     ``kinds``, else ``ValueError`` naming ``field`` (``item``: an item of that
-    list). The one type rule: a bool is one only of ``kinds`` ``bool``, and an
-    integer must fit a float (RFC 8259 section 6), as readers convert it."""
+    list). The one type rule: a bool is one only of ``kinds`` ``bool``, and a
+    number must fit a float (RFC 8259 section 6): an integer as readers
+    convert it, and a float as it was decoded (``1e400`` decodes to infinity)."""
     if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
-        raise ValueError(f"field {field!r} has {'an item of ' if item else ''}the wrong type: {value!r}")
+        raise ValueError(f"field {field!r} has {'an item of ' if item else ''}the wrong type: {_shown(value)}")
     if type(value) is int:
         try:
             float(value)
         except OverflowError:
             raise ValueError(f"field {field!r} has a number too large for a float: {str(value)[:20]}...") from None
+    elif type(value) is float and abs(value) == math.inf:
+        raise ValueError(f"field {field!r} has a number too large for a float: {value}")
     return value
 
 
@@ -267,14 +277,14 @@ def json_field(record: object, key: str, kinds: type | tuple[type, ...], default
     ``record`` is not an object, the key is missing, or the value breaks
     ``json_value`` for ``kinds``."""
     if not isinstance(record, dict):
-        raise ValueError(f"{where.rstrip('.') or 'record'} must be a JSON object, got {record!r}")
+        raise ValueError(f"{where.rstrip('.') or 'record'} must be a JSON object, got {_shown(record)}")
     if key not in record:
         if default is ...:
             raise ValueError(f"missing field {where + key!r}")
         return default
     value = record[key]
-    exact = type(value)  # a str, float, None, ... of a kind asked for passes as it is: no call
-    if exact is int or not (exact is kinds or type(kinds) is tuple and exact in kinds):
+    exact = type(value)  # a str, None, ... of a kind asked for passes as it is: no call
+    if exact is int or exact is float or not (exact is kinds or type(kinds) is tuple and exact in kinds):
         json_value(value, kinds, where + key)
     return value
 

@@ -17,12 +17,14 @@ them, to ``manifest.json`` as soon as the block finishes or fails, so a
 failed run keeps all artifacts made before the failure and marks the
 failing stage.
 
-Stage bodies call plain functions (``split_shards``, ``write_split``,
-``infer_shards``, ``align_shards``, ``write_verdicts``, ``pool_evals``,
-``write_report``, and ``toy_model.evaluate``) that the CLI verbs call as well;
-record formats live in ``posdebias.records``. Each candidate's verdict is
-decided once, by ``msa_align.align_responses`` in ``write_verdicts``; toy
-training reads the texts it keeps.
+Stage bodies call plain functions (``corpus_pass``, ``write_split``,
+``write_verdicts``, ``pool_evals``, ``write_report``, and
+``toy_model.evaluate``) that the CLI verbs call as well: ``corpus_pass`` is
+the one pass that splits, infers or aligns a corpus file, for ``run`` and
+for the ``split``, ``infer`` and ``align --corpus`` verbs alike. Record
+formats live in ``posdebias.records``. Each candidate's verdict is decided
+once, by ``msa_align.align_responses`` in ``write_verdicts``; toy training
+reads the texts it keeps.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import corpus as corpus_mod
 from . import report as report_mod
-from .backends import Backend, BackendError, GenerationResult, StubBackend, StubMode, reads_max_tokens, record_line, resolve_backend
+from .backends import BackendError, GenerationResult, StubBackend, StubMode, reads_max_tokens, record_line, resolve_backend
 from .bias_split import (
     BIAS_BY_TASK,
     DEFAULT_BIASED_POSITIONS,
@@ -53,7 +55,7 @@ from .bias_split import (
     split_corpus,
 )
 from .corpus import Corpus, Sample, SynthSpec, Task, decode_samples, encode_json, join_ranges, json_value, line_ranges, read_text, sample_to_record, save_corpus, write_blocks
-from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, PromptStrategy, build_prompt, default_prompt_spec, generate
+from .lowbias_infer import DEFAULT_MAX_TOKENS, DEFAULT_N_PER_PROMPT, build_prompt, default_prompt_spec, generate
 from .metrics import METRICS, PositionRow, tokenize
 from .msa_align import VERDICTS, AlignmentConfig, Verdict, align_responses, calibrate_threshold, form_reasons, gate_statistic
 from .objective import LossConfig
@@ -372,17 +374,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
 # -- stages, shared by run_pipeline and the CLI verbs ----------------------
 #
 # Split, infer and align do per-sample work only; the one decision that spans
-# samples is the calibrated gate threshold. ``_run_shards`` cuts the samples
-# (data mode: the corpus file's lines, which each worker decodes) into
-# contiguous ranges and runs ``_shard`` on each in a forked worker (or, for
-# one range, in-process). A worker encodes its lines, one text block per
-# output file, writes the blocks to a part file and sends back their lengths
-# and its gate statistics; the parent calibrates on the statistics in sample
-# order, decides every verdict at that threshold (``align_responses``),
-# completes the verdict lines and writes each file as the blocks in range
-# order, read back one range at a time (``Shard.take``).
+# samples is the calibrated gate threshold. ``_run_shards`` cuts a corpus
+# file's lines (``corpus_pass``; each worker decodes its own), or the samples
+# of a ``cqg`` align without a corpus, into contiguous ranges and runs
+# ``_shard`` on each in a forked worker (or, for one range, in-process; toy
+# mode calls ``_shard`` on its samples directly). A worker encodes its lines,
+# one text block per output file, writes the blocks to a part file and sends
+# back their lengths and its gate statistics; the parent calibrates on the
+# statistics in sample order, decides every verdict at that threshold
+# (``align_responses``), completes the verdict lines and writes each file as
+# the blocks in range order, read back one range at a time (``Shard.take``).
 
-#: Samples (data mode: lines) per range, which sets what a process holds; a
+#: Lines (or samples) per range, which sets what a process holds; a
 #: pass over no more runs in-process (two forked ranges win from 200-500 on).
 RANGE_LINES = 500
 
@@ -599,16 +602,16 @@ def _drop_part(path: str) -> None:
 _PER_SAMPLE = ("split_corpus", "build_prompt", "generate", "gate_statistic", "tokenize", "form_reasons")
 
 
-def _run_shards(job: _Job, shards: int | None = None) -> list[Shard]:
-    """``_shard`` over ``shards`` ranges of ``job.samples`` or ``source``
-    lines (one per ``RANGE_LINES`` when ``None``), in order, on forked
-    workers, one per usable CPU (``_fork_map``). One range runs in-process,
-    and so does the whole pass when its backend does not set
-    ``forks_safely`` or a per-sample function is wrapped (``_PER_SAMPLE``).
-    Forked ranges hand their text blocks over in part files, in a directory
-    of ``tempfile``'s own (``_shard_in_worker``, ``Shard.take``)."""
+def _run_shards(job: _Job) -> list[Shard]:
+    """``_shard`` over ranges of ``RANGE_LINES`` of ``job.samples`` or
+    ``source`` lines, in order, on forked workers, one per usable CPU
+    (``_fork_map``). One range runs in-process, and so does the whole pass
+    when its backend does not set ``forks_safely`` or a per-sample function
+    is wrapped (``_PER_SAMPLE``). Forked ranges hand their text blocks over
+    in part files, in a directory of ``tempfile``'s own
+    (``_shard_in_worker``, ``Shard.take``)."""
     n = len(job.samples) if job.source is None else job.source[1].count("\n") + (not job.source[1].endswith("\n"))
-    shards = max(1, min(-(-n // RANGE_LINES) if shards is None else shards, n))
+    shards = max(1, -(-n // RANGE_LINES))
     if job.infer is not None and not getattr(job.infer[0], "forks_safely", False):
         shards = 1
     if any(hasattr(globals()[name], "__wrapped__") for name in _PER_SAMPLE):
@@ -699,17 +702,20 @@ def _raise_for(shards: Sequence[Shard], stage: str) -> None:
             raise shard.take_error()
 
 
-def split_shards(
-    corpus: Corpus,
-    positions: frozenset[int] = DEFAULT_BIASED_POSITIONS,
-    triggers: Sequence[str] = DEFAULT_LEXICAL_TRIGGERS,
-    shards: int | None = None,
-) -> list[Shard]:
-    """``split_corpus`` run per sample range (see ``_run_shards``); raises
-    the first error in corpus order."""
-    result = _run_shards(_Job(corpus.task, corpus.samples, split=(positions, triggers)), shards)
-    _raise_for(result, "split")
-    return result
+def corpus_pass(path: str | Path, task: Task, **parts) -> tuple[list[Shard], dict[str, int]]:
+    """One pass (``_run_shards``) over the lines of the corpus file at
+    ``path``, read once (``read_text``), doing the ``_Job`` ``parts``:
+    ``split=(positions, triggers)``; ``infer=(backend, prompt spec,
+    generate keywords)``, with ``record=True`` for the traffic's lines; the
+    ``candidates`` to align when nothing is inferred; ``align``, the gate
+    config. The one way a corpus file is split, inferred or aligned.
+
+    Raises the first bad line in file order, then an empty corpus
+    (``join_ranges``); each stage's own errors stay on the shards for the
+    caller to raise (``_raise_for``). Returns the shards and the corpus's
+    ids with their line numbers, in file order."""
+    shards = _run_shards(_Job(task, source=(Path(path), read_text(path)), **parts))
+    return shards, join_ranges(path, [(s.ids, s.error[1] if s.error and s.error[0] == "corpus" else None) for s in shards])
 
 
 def write_split(
@@ -727,60 +733,6 @@ def write_split(
     evidence = "".join(shard.take("evidence") for shard in shards).split("\n")
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     write_blocks((evidence[i] + "\n" for i in by_id), out_dir / "evidence.jsonl")
-
-
-def infer_shards(
-    corpus: Corpus,
-    backend: Backend,
-    n_per_prompt: int,
-    seed: int,
-    max_tokens: int,
-    strategy: str | None = None,
-    max_in_flight: int = 1,
-    align: AlignmentConfig | None = None,
-    shards: int | None = None,
-    record: str | Path | None = None,
-) -> list[Shard]:
-    """Low-bias candidates for every sample, drawn per sample range (see
-    ``_run_shards``; one range for a backend that does not set
-    ``forks_safely``).
-
-    ``strategy`` overrides the task's default prompt strategy, whose spec
-    is built once from the whole corpus. A ``BackendError``'s prompt index
-    counts prompts across the corpus, and the first failing prompt's is
-    raised. With ``record`` the backend traffic is written there first, one
-    line per candidate in prompt order, up to the first failing prompt.
-    With ``align`` each range also computes its gate statistics and verdict
-    heads; an error there is ``align_shards``' to raise.
-    """
-    spec = default_prompt_spec(
-        corpus.task, corpus=corpus, strategy=None if strategy is None else PromptStrategy(strategy)
-    )
-    options = {"n_per_prompt": n_per_prompt, "seed": seed, "max_tokens": max_tokens, "max_in_flight": max_in_flight}
-    result = _run_shards(_Job(corpus.task, corpus.samples, infer=(backend, spec, options), record=record is not None, align=align), shards)
-    if record is not None:
-        failed = [i for i, shard in enumerate(result) if shard.error is not None and shard.error[0] == "infer"]
-        write_blocks((shard.take("record") for shard in result[: failed[0] + 1 if failed else None]), record)
-    _raise_for(result, "infer")
-    return result
-
-
-def align_shards(
-    task: Task,
-    samples: Sequence[Sample],
-    candidates: Mapping[str, Sequence[GenerationResult]],
-    config: AlignmentConfig,
-    shards: int | None = None,
-) -> list[Shard]:
-    """Gate statistics and verdict heads of ``candidates`` per sample range
-    (see ``_run_shards``), in ``samples`` order. Candidates of an id not in
-    ``samples`` are rejected before anything runs."""
-    unknown = sorted(set(candidates) - {s.id for s in samples})
-    if unknown:
-        raise ValueError(f"align: candidate sample id {unknown[0]!r} not in corpus")
-    result = _run_shards(_Job(task, tuple(samples), candidates=candidates, align=config), shards)
-    _raise_for(result, "align")
-    return result
 
 
 def write_verdicts(task: Task, shards: Sequence[Shard], config: AlignmentConfig, path: Path) -> tuple[float | None, list[Verdict]]:
@@ -899,7 +851,7 @@ def _run_toy(config: PipelineConfig, out_dir: Path, manifest: dict) -> None:
     pool the scores and report."""
     with _stage("synth", out_dir, manifest):
         # Imported here: data mode never loads ``toy_model`` (and numpy).
-        from .toy_model import build_lowbias_table, synth_corpus
+        from .toy_model import synth_corpus
 
         corpora = {}  # seed -> (train, eval_biased, eval_nonbiased)
         for seed in config.seeds:
@@ -909,18 +861,7 @@ def _run_toy(config: PipelineConfig, out_dir: Path, manifest: dict) -> None:
     with _stage("split", out_dir, manifest):
         partitions = {seed: _split_eval_pool(config, out_dir, seed, eval_b, eval_n) for seed, (_, eval_b, eval_n) in corpora.items()}
     with _stage("infer", out_dir, manifest):
-        # The default backend looks each prompt up in a table built from the seed's train split.
-        passes = {
-            seed: _write_candidates(out_dir, seed, infer_shards(
-                train,
-                resolve_backend(config.backend) if config.backend != "table" else StubBackend(
-                    StubMode.TABLE,
-                    table=build_lowbias_table(train, garbage_rate=config.garbage_rate, n_candidates=config.n_per_prompt, seed=1009 + seed),
-                ),
-                config.n_per_prompt, seed, config.max_tokens, align=config.align, shards=1,
-            ))
-            for seed, (train, _, _) in corpora.items()
-        }
+        passes = {seed: _infer_train(config, out_dir, seed, train) for seed, (train, _, _) in corpora.items()}
     with _stage("align", out_dir, manifest):
         kept = {seed: _kept_texts(config, out_dir, seed, passes.pop(seed)) for seed in config.seeds}
     with _stage("train", out_dir, manifest):
@@ -957,9 +898,26 @@ def _split_eval_pool(config: PipelineConfig, out_dir: Path, seed: int, eval_b: C
     """Re-derive one seed's eval partition with the real splitter (not the
     generator's labels) and write its split."""
     pool = Corpus(tuple(eval_b) + tuple(eval_n), config.task)
-    (shard,) = split_shards(pool, config.biased_positions, config.triggers, shards=1)
-    write_split([shard], [sample.id for sample in pool], out_dir / "split" / f"seed{seed}", names=("eval_biased.jsonl", "eval_nonbiased.jsonl"))
-    return shard.partition
+    shards = [_shard(_Job(config.task, pool.samples, split=(config.biased_positions, config.triggers)), (0, len(pool)))]
+    _raise_for(shards, "split")
+    write_split(shards, [sample.id for sample in pool], out_dir / "split" / f"seed{seed}", names=("eval_biased.jsonl", "eval_nonbiased.jsonl"))
+    return shards[0].partition
+
+
+def _infer_train(config: PipelineConfig, out_dir: Path, seed: int, train: Corpus) -> list[Shard]:
+    """Draw one seed's candidates from its train split, with their gate
+    statistics and verdict heads, and write them (``_write_candidates``).
+    The default backend looks each prompt up in a table built from the split."""
+    from .toy_model import build_lowbias_table
+
+    backend = resolve_backend(config.backend) if config.backend != "table" else StubBackend(
+        StubMode.TABLE,
+        table=build_lowbias_table(train, garbage_rate=config.garbage_rate, n_candidates=config.n_per_prompt, seed=1009 + seed),
+    )
+    options = {"n_per_prompt": config.n_per_prompt, "seed": seed, "max_tokens": config.max_tokens, "max_in_flight": 1}
+    shards = [_shard(_Job(config.task, train.samples, infer=(backend, default_prompt_spec(config.task), options), align=config.align), (0, len(train)))]
+    _raise_for(shards, "infer")
+    return _write_candidates(out_dir, seed, shards)
 
 
 def _kept_texts(config: PipelineConfig, out_dir: Path, seed: int, shards: Sequence[Shard]) -> dict[str, list[str]]:
@@ -1059,7 +1017,7 @@ def _train(config: PipelineConfig, out_dir: Path, by_seed: dict[int, tuple]) -> 
 
 
 def _run_data(config: PipelineConfig, out_dir: Path, manifest: dict) -> None:
-    """Data mode: one pass over the corpus file's lines (``_run_shards``)
+    """Data mode: one pass over the corpus file's lines (``corpus_pass``)
     splits, infers and aligns; each stage raises its errors from it (split
     the corpus's first) and writes its files, and the report counts. An nli
     run, whose candidates nothing prunes or trains on, only splits."""
@@ -1071,12 +1029,11 @@ def _run_data(config: PipelineConfig, out_dir: Path, manifest: dict) -> None:
             except ValueError as exc:  # the infer stage's failure, as when that stage resolved it
                 unresolved = exc
         options = {"n_per_prompt": config.n_per_prompt, "seed": 0, "max_tokens": config.max_tokens, "max_in_flight": 1}
-        shards = _run_shards(_Job(
-            config.task, source=(Path(config.corpus), read_text(config.corpus)), split=(config.biased_positions, config.triggers),
+        shards, ids = corpus_pass(
+            config.corpus, config.task, split=(config.biased_positions, config.triggers),
             infer=None if backend is None else (backend, default_prompt_spec(config.task), options),
             align=None if backend is None else config.align,
-        ))
-        ids = join_ranges(config.corpus, [(s.ids, s.error[1] if s.error and s.error[0] == "corpus" else None) for s in shards])
+        )
         _raise_for(shards, "split")
         biased = sum(shard.n_biased for shard in shards)
         write_split(shards, list(ids), out_dir / "split")

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .backends import GenerationResult, _result_from_body
-from .corpus import encode_json, json_field, json_list, parse_json, read_jsonl, read_text, write_blocks, write_jsonl
+from .corpus import _shown, encode_json, json_field, json_list, parse_json, read_jsonl, read_text, write_blocks, write_jsonl
 from .metrics import PositionRow
 from .msa_align import RejectionReason
 from .report import SystemEval
@@ -83,7 +83,7 @@ def _reason(value: str, i: int) -> RejectionReason:
     try:
         return RejectionReason(value)
     except ValueError:
-        raise ValueError(f"field 'rejection_reasons[{i}]' is not a rejection reason: {value!r}") from None
+        raise ValueError(f"field 'rejection_reasons[{i}]' is not a rejection reason: {_shown(value)}") from None
 
 
 def load_aligned(path: str | Path) -> dict[str, list[str]]:

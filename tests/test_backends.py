@@ -30,7 +30,7 @@ from posdebias.backends import (
 )
 from posdebias.corpus import Corpus, SynthSpec, Task, save_corpus, write_blocks
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec, generate
-from posdebias.pipeline import infer_shards
+from posdebias.pipeline import _raise_for, corpus_pass
 from posdebias.records import load_candidates
 from posdebias.toy_model import synth_corpus
 
@@ -240,15 +240,28 @@ def small_corpus(n: int) -> Corpus:
     return Corpus(tuple(dialogue_sample(f"s{i}", [f"u{i} a", "b c"], "pq", f"u{i} a", "q", "b c") for i in range(n)), Task.CQA)
 
 
+def infer_pass(path: Path, corpus: Corpus, backend, n_per_prompt: int, seed: int, max_tokens: int, max_in_flight: int = 1, record: Path | None = None) -> list:
+    """The shards of ``corpus_pass`` inferring on ``corpus``, saved to
+    ``path``; with ``record``, the traffic is written there first, as
+    ``infer --record`` writes it."""
+    options = {"n_per_prompt": n_per_prompt, "seed": seed, "max_tokens": max_tokens, "max_in_flight": max_in_flight}
+    infer = (backend, default_prompt_spec(corpus.task), options)
+    shards, _ = corpus_pass(save_corpus(corpus, path), corpus.task, infer=infer, record=record is not None)
+    if record is not None:
+        write_blocks((shard.take("record") for shard in shards), record)
+    _raise_for(shards, "infer")
+    return shards
+
+
 class TestRecordReplay:
     def test_record_then_replay_identical(self, tmp_path, local_server):
         server, url = local_server
         record_path = tmp_path / "tape.jsonl"
         corpus = small_corpus(3)
-        (live,) = infer_shards(corpus, HttpBackend(url), 2, 3, 8, record=record_path)
+        (live,) = infer_pass(tmp_path / "corpus.jsonl", corpus, HttpBackend(url), 2, 3, 8, record=record_path)
         assert len(server.requests) == 6
 
-        (replayed,) = infer_shards(corpus, ReplayBackend(record_path), 2, 3, 8, shards=1)
+        (replayed,) = infer_pass(tmp_path / "corpus.jsonl", corpus, ReplayBackend(record_path), 2, 3, 8)
         for sample in corpus:
             for want, got in zip(live.results[sample.id], replayed.results[sample.id], strict=True):
                 assert (got.text, got.tokens, got.token_logprobs) == (want.text, want.tokens, want.token_logprobs)
@@ -336,7 +349,7 @@ class TestConcurrentRecording:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            infer_shards(corpus, _LongAnswerBackend(), 4, 0, 8, max_in_flight=8, record=record_path)
+            infer_pass(tmp_path / "corpus.jsonl", corpus, _LongAnswerBackend(), 4, 0, 8, max_in_flight=8, record=record_path)
         finally:
             sys.setswitchinterval(interval)
         lines = record_path.read_text(encoding="utf-8").splitlines()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,7 +109,7 @@ def spots(value, kind: str, path=()) -> list[tuple]:
     elif isinstance(value, list):
         for i, item in enumerate(value):
             found += spots(item, kind, path + (i,))
-    elif kind == "string" and isinstance(value, str) or kind == "number" and type(value) in (int, float):
+    elif kind == "string" and isinstance(value, str) or kind == "number" and type(value) in (int, float) or kind == "float" and type(value) is float:
         found.append(path)
     return found
 
@@ -133,11 +134,16 @@ def mutated(value, mutation: str, draw) -> bytes:
     ``mutation``; ``draw(n)`` picks one of ``n`` choices."""
     if mutation == "not-an-object":
         return json.dumps([[1], 2.5, "text", None, True][draw(5)]).encode()
-    if mutation in ("deep", "surrogate", "nan"):
-        found = spots(value, {"deep": "value", "surrogate": "string", "nan": "number"}[mutation])
+    if mutation == "big":  # 2,000 x 50 zeros: a weight matrix where an object is read
+        return json.dumps([[0] * 50] * 2000).encode()
+    if mutation in ("deep", "surrogate", "nan", "huge"):
+        # ``huge`` hits a float the reader reads, else any number (a corpus holds only integers).
+        found = spots(value, {"deep": "value", "surrogate": "string", "nan": "number", "huge": "float"}[mutation]) or spots(value, "number")
         where = found[draw(len(found))]
         if mutation == "deep":
             text = json.dumps(replaced(value, where, lambda _: "DEEP")).replace('"DEEP"', "[" * 3000 + "]" * 3000)
+        elif mutation == "huge":  # a JSON number that decodes to infinity
+            text = json.dumps(replaced(value, where, lambda _: "HUGE")).replace('"HUGE"', "1e400")
         elif mutation == "surrogate":  # json.dumps escapes it: "\udxxx"
             at, surrogate = draw(100), chr(0xD800 + draw(0x800))
             text = json.dumps(replaced(value, where, lambda s: s[:at] + surrogate + s[at:]))
@@ -153,7 +159,7 @@ def mutated(value, mutation: str, draw) -> bytes:
     return b"\xef\xbb\xbf" + data  # a BOM
 
 
-MUTATIONS = ("deep", "surrogate", "bad-utf8", "bom", "truncated", "not-an-object", "nan")
+MUTATIONS = ("deep", "surrogate", "bad-utf8", "bom", "truncated", "not-an-object", "nan", "huge")
 
 
 def hostile(reader: str, mutation: str, draw) -> tuple[bytes, int | None]:
@@ -199,6 +205,8 @@ def test_a_hostile_file_fails_as_one_value_error_naming_the_file(tmp_path, reade
     if line is not None and mutation != "bad-utf8":  # bad UTF-8 is named by its byte offset
         assert message.startswith(f"{source}: line {line}: "), message
     assert "\n" not in message
+    if mutation == "huge":
+        assert re.search(r"field '[^']+'", message), message
 
 
 @pytest.fixture
@@ -221,7 +229,7 @@ VERBS = {
 }
 
 
-@pytest.mark.parametrize("mutation", ["deep", "nan", "surrogate"])
+@pytest.mark.parametrize("mutation", ["deep", "nan", "surrogate", "huge", "big"])
 @pytest.mark.parametrize("verb", VERBS)
 def test_every_verb_fails_on_a_hostile_file_in_one_line_and_writes_nothing(tmp_path, corpus_file, verb, mutation):
     reader, args = VERBS[verb]
@@ -232,6 +240,9 @@ def test_every_verb_fails_on_a_hostile_file_in_one_line_and_writes_nothing(tmp_p
     assert result.exit_code == 1 and result.exception.__class__ is SystemExit, result.output
     (line,) = result.output.strip().splitlines()
     assert line.startswith("Error: ") and str(bad) in line
+    assert len(line.replace(str(bad), "BAD")) < 300, line  # a value is shown cut to 80 characters
+    if mutation == "huge":
+        assert re.search(r"field '[^']+'", line), line
     assert not out.exists()
 
 

@@ -28,16 +28,24 @@ from posdebias.msa_align import (
     form_reasons,
     gate_statistic,
 )
-from posdebias.pipeline import align_shards, parse_config
+from posdebias.pipeline import parse_config
 
 from conftest import dialogue_sample
+
+
+def align_in_process(task: Task, samples, candidates, config: AlignmentConfig) -> list[pipeline.Shard]:
+    """The gate statistics and verdict heads of ``candidates`` in ``samples``
+    order, from ``_shard`` on one in-process range."""
+    shards = [pipeline._shard(pipeline._Job(task, tuple(samples), candidates=candidates, align=config), (0, len(samples)))]
+    pipeline._raise_for(shards, "align")
+    return shards
 
 
 def align_corpus(task: Task, samples, candidates, config: AlignmentConfig):
     """Verdicts for every candidate, keyed by sample id in ``samples`` order,
     and the calibrated threshold (``None``, with no verdict, when there is
-    no candidate), from ``align_shards`` on one in-process range."""
-    (shard,) = align_shards(task, samples, candidates, config, shards=1)
+    no candidate), from ``align_in_process``."""
+    (shard,) = align_in_process(task, samples, candidates, config)
     if not shard.stats:
         return {}, None
     threshold = calibrate_threshold(shard.stats, config.candidate_thresholds, config.target_keep_fraction)
@@ -234,9 +242,8 @@ def test_align_corpus_tokenizes_each_target_once(monkeypatch):
 
 
 def write_verdicts_of(tmp_path, task: Task, samples, candidates) -> list[bool]:
-    """``write_verdicts`` on ``align_shards`` of one in-process range; which
-    candidates it kept."""
-    shards = align_shards(task, samples, candidates, AlignmentConfig(), shards=1)
+    """``write_verdicts`` on ``align_in_process``; which candidates it kept."""
+    shards = align_in_process(task, samples, candidates, AlignmentConfig())
     return [v.kept for v in pipeline.write_verdicts(task, shards, AlignmentConfig(), tmp_path / "aligned.jsonl")[1]]
 
 

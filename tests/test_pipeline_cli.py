@@ -36,7 +36,6 @@ from posdebias.pipeline import (
     CONFIG_SCHEMA,
     PipelineConfig,
     PipelineError,
-    infer_shards,
     parse_config,
     run_pipeline,
 )
@@ -113,10 +112,11 @@ def write_bad_table(path: Path, entry) -> str:
 
 
 def infer_in_process(corpus: Corpus, backend, **options) -> dict:
-    """The candidates of every sample, keyed by sample id, from
-    ``infer_shards`` on one in-process range."""
-    (shard,) = infer_shards(corpus, backend, shards=1, **options)
-    return shard.results
+    """The candidates of every sample, keyed by sample id, from ``_shard``
+    on one in-process range; ``options`` are ``generate``'s keywords."""
+    shards = [pipeline._shard(pipeline._Job(corpus.task, corpus.samples, infer=(backend, default_prompt_spec(corpus.task), options)), (0, len(corpus)))]
+    pipeline._raise_for(shards, "infer")
+    return shards[0].results
 
 
 def run_toy(out_dir, **overrides) -> dict:
@@ -1192,10 +1192,11 @@ class TestCliVerbs:
     def test_split_and_eval_reject_a_bad_option_value_before_loading(
         self, runner, dialogue_corpus_file, tmp_path, monkeypatch, verb, task, option, value, message
     ):
-        def load(*args):
+        def load(*args, **kwargs):
             raise AssertionError("loaded before the options were checked")
 
         monkeypatch.setattr("posdebias.cli.load_corpus", load)
+        monkeypatch.setattr("posdebias.cli.corpus_pass", load)
         monkeypatch.setattr("posdebias.cli.load_aligned", load)
         monkeypatch.setattr("posdebias.toy_model.load_model", load)
         out = tmp_path / "out"
@@ -1221,10 +1222,11 @@ class TestCliVerbs:
     def test_infer_rejects_a_bad_endpoint_before_loading(
         self, runner, dialogue_corpus_file, tmp_path, monkeypatch, backend, env_url, message
     ):
-        def load(*args):
+        def load(*args, **kwargs):
             raise AssertionError("loaded before the endpoint was checked")
 
         monkeypatch.setattr("posdebias.cli.load_corpus", load)
+        monkeypatch.setattr("posdebias.cli.corpus_pass", load)
         monkeypatch.delenv(BACKEND_URL_ENV, raising=False)
         if env_url:
             monkeypatch.setenv(BACKEND_URL_ENV, env_url)
@@ -1365,11 +1367,15 @@ class TestCliVerbs:
                 (prompt,) = own
                 assert prompt.count("input: ") == DEFAULT_ICL_K + 1
 
-    def test_icl_prompts_never_hold_the_samples_own_pair(self, tmp_path):
+    def test_icl_prompts_never_hold_the_samples_own_pair(self, runner, tmp_path):
         spec = SynthSpec(n_utterances=6, n_train=6, n_eval=1, biased_fraction=0.9, vocab_size=12, seed=5)
         train_c, _, _ = synth_corpus(spec)
+        corpus_file = save_corpus(train_c, tmp_path / "c.jsonl")
         recording = tmp_path / "traffic.jsonl"
-        infer_shards(train_c, StubBackend(StubMode.MARKOV), n_per_prompt=1, seed=0, max_tokens=8, strategy="icl", record=recording)
+        invoke_ok(runner, [
+            "infer", "--corpus", str(corpus_file), "--task", "cqa", "--strategy", "icl", "--backend", "markov",
+            "--n-per-prompt", "1", "--seed", "0", "--max-tokens", "8", "--record", str(recording), "--out", str(tmp_path / "candidates.jsonl"),
+        ])
         prompts = [json.loads(line)["request"]["prompt"] for line in recording.read_text().splitlines()]
         assert len(prompts) == len(train_c) == 6
         for sample, prompt in zip(train_c, prompts):
@@ -1470,11 +1476,12 @@ class TestCliVerbs:
         ],
     )
     def test_align_rejects_a_bad_threshold_before_reading(self, runner, dialogue_corpus_file, tmp_path, monkeypatch, value, message):
-        def load(*args):
+        def load(*args, **kwargs):
             raise AssertionError("read before --threshold was checked")
 
         monkeypatch.setattr("posdebias.cli.load_candidates", load)
         monkeypatch.setattr("posdebias.cli.load_corpus", load)
+        monkeypatch.setattr("posdebias.cli.corpus_pass", load)
         out = tmp_path / "aligned.jsonl"
         result = runner.invoke(main, [
             "align", "--candidates", str(dialogue_corpus_file), "--corpus", str(dialogue_corpus_file), "--task", "cqa",

@@ -34,7 +34,7 @@ from posdebias.corpus import Corpus, CorpusError, Task, load_corpus, read_text
 from posdebias.lowbias_infer import build_prompt, default_prompt_spec
 from posdebias.metrics import tokenize
 from posdebias.msa_align import DEFAULT_CANDIDATE_THRESHOLDS, DEFAULT_TARGET_KEEP_FRACTION, AlignmentConfig, calibrate_threshold, gate_statistic
-from posdebias.pipeline import PipelineConfig, PipelineError, infer_shards, parse_config, run_pipeline
+from posdebias.pipeline import PipelineConfig, PipelineError, corpus_pass, parse_config, run_pipeline
 from posdebias.records import load_candidates
 from test_data_mode_bytes import dialogue_records
 
@@ -261,15 +261,20 @@ def test_an_exception_that_cannot_be_pickled_keeps_its_stage_and_message(tmp_pat
     assert multiprocessing.active_children() == []
 
 
-def test_a_recorded_pass_forks_and_records_in_prompt_order(tmp_path, dialogues):
+def infer_options(n_per_prompt: int, seed: int, max_tokens: int) -> dict:
+    """The ``generate`` keywords of a ``corpus_pass`` that infers, one request at a time."""
+    return {"n_per_prompt": n_per_prompt, "seed": seed, "max_tokens": max_tokens, "max_in_flight": 1}
+
+
+def test_a_recorded_pass_forks_and_records_in_prompt_order(tmp_path, dialogues, monkeypatch):
     corpus = load_corpus(dialogues, Task.CQA)
-    recording = tmp_path / "traffic.jsonl"
-    shards = infer_shards(corpus, StubBackend(StubMode.MARKOV), 1, 0, 8, shards=2, record=recording)
+    spec = default_prompt_spec(Task.CQA)
+    monkeypatch.setattr(pipeline, "RANGE_LINES", 5)  # two ranges of the ten lines
+    shards, _ = corpus_pass(dialogues, Task.CQA, infer=(StubBackend(StubMode.MARKOV), spec, infer_options(1, 0, 8)), record=True)
     assert len(shards) == 2
     assert multiprocessing.active_children() == []
-    spec = default_prompt_spec(Task.CQA)
     # A str line break is not a JSONL one: some dialogue words hold U+2028.
-    prompts = [json.loads(line)["request"]["prompt"] for line in recording.read_text(encoding="utf-8").split("\n") if line]
+    prompts = [json.loads(line)["request"]["prompt"] for line in "".join(shard.take("record") for shard in shards).split("\n") if line]
     assert prompts == [build_prompt(s, spec)[0] for s in corpus]
 
 
@@ -293,13 +298,19 @@ def record_oracle(corpus: Corpus, backend, n_per_prompt: int, seed: int, max_tok
 def test_record_bytes_do_not_depend_on_requests_in_flight_or_ranges(task, seed, n, n_per_prompt):
     # cqg prompts each sample five times (the diverse strategy).
     records = [{**r, "task": "cqg"} for r in dialogue_records(seed, n)] if task == "cqg" else RECORDS[task](seed, n)
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus = load_corpus(write_corpus(Path(tmp) / "corpus.jsonl", records), Task(task))
-        backend = StubBackend(StubMode.MARKOV)
-        want = "".join(record_oracle(corpus, backend, n_per_prompt, seed, 6)).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        corpus_file = write_corpus(Path(tmp) / "corpus.jsonl", records)
+        corpus = load_corpus(corpus_file, Task(task))
+        want = "".join(record_oracle(corpus, StubBackend(StubMode.MARKOV), n_per_prompt, seed, 6)).encode("utf-8")
         for max_in_flight, shards in ((1, 1), (2, 1), (4, 1), (1, 2), (1, 3), (4, 3)):
             recording = Path(tmp) / f"record-{max_in_flight}-{shards}.jsonl"
-            infer_shards(corpus, backend, n_per_prompt, seed, 6, max_in_flight=max_in_flight, shards=shards, record=recording)
+            patch.setattr(pipeline, "RANGE_LINES", -(-n // shards))
+            result = CliRunner().invoke(main, [
+                "infer", "--corpus", str(corpus_file), "--task", task, "--backend", "markov", "--out", str(Path(tmp) / "candidates.jsonl"),
+                "--n-per-prompt", str(n_per_prompt), "--seed", str(seed), "--max-tokens", "6", "--max-in-flight", str(max_in_flight),
+                "--record", str(recording),
+            ], catch_exceptions=False)
+            assert result.exit_code == 0, result.output
             assert recording.read_bytes() == want, (max_in_flight, shards)
     assert multiprocessing.active_children() == []
 
@@ -324,14 +335,19 @@ class FailingMarkov:
 @pytest.mark.parametrize("max_in_flight", [1, 3])
 @pytest.mark.parametrize("shards", [1, 2, 3])
 @pytest.mark.parametrize("failing, first", [({0}, 0), ({4}, 4), ({6, 2}, 2), ({9}, 9)])
-def test_a_failing_prompt_leaves_the_record_lines_of_the_prompts_before_it(tmp_path, dialogues, failing, first, shards, max_in_flight):
+def test_a_failing_prompt_leaves_the_record_lines_of_the_prompts_before_it(tmp_path, dialogues, monkeypatch, failing, first, shards, max_in_flight):
     corpus = load_corpus(dialogues, Task.CQA)
     prompts = [build_prompt(s, default_prompt_spec(Task.CQA))[0] for s in corpus]
     recording = tmp_path / "traffic.jsonl"
     recording.write_text("an older recording\n", encoding="utf-8")
     backend = FailingMarkov({prompts[i] for i in failing})
-    with pytest.raises(BackendError, match=f"^prompt {first}: scripted failure$"):
-        infer_shards(corpus, backend, 2, 0, 8, max_in_flight=max_in_flight, shards=shards, record=recording)
+    monkeypatch.setattr("posdebias.cli.resolve_backend", lambda spec: backend)
+    monkeypatch.setattr(pipeline, "RANGE_LINES", -(-10 // shards))
+    result = CliRunner().invoke(main, [
+        "infer", "--corpus", str(dialogues), "--task", "cqa", "--out", str(tmp_path / "candidates.jsonl"),
+        "--n-per-prompt", "2", "--max-tokens", "8", "--max-in-flight", str(max_in_flight), "--record", str(recording),
+    ])
+    assert (result.exit_code, result.output) == (1, f"Error: prompt {first}: scripted failure\n")
     want = record_oracle(corpus, StubBackend(StubMode.MARKOV), 2, 0, 8)[: 2 * first]
     assert recording.read_bytes() == "".join(want).encode("utf-8")
     assert multiprocessing.active_children() == []
@@ -347,8 +363,9 @@ class EchoBackend:
 
 
 @pytest.mark.parametrize("backend, ranges", [(EchoBackend(), 1), (StubBackend(StubMode.MARKOV), 2)], ids=["own", "stub"])
-def test_only_a_backend_that_sets_forks_safely_is_forked(dialogues, backend, ranges):
-    shards = infer_shards(load_corpus(dialogues, Task.CQA), backend, 1, 0, 8, shards=2)
+def test_only_a_backend_that_sets_forks_safely_is_forked(dialogues, monkeypatch, backend, ranges):
+    monkeypatch.setattr(pipeline, "RANGE_LINES", 5)  # two ranges of the ten lines
+    shards, _ = corpus_pass(dialogues, Task.CQA, infer=(backend, default_prompt_spec(Task.CQA), infer_options(1, 0, 8)))
     assert len(shards) == ranges
     assert all(shard.results is None for shard in shards) == (ranges > 1)
     assert multiprocessing.active_children() == []
@@ -392,16 +409,18 @@ def dropped(monkeypatch) -> list[Path]:
     return paths
 
 
-def test_a_forked_range_sends_under_a_tenth_of_its_output_bytes(tmp_path, temp_dir):
+def test_a_forked_range_sends_under_a_tenth_of_its_output_bytes(tmp_path, temp_dir, monkeypatch):
     # The pass of a data-mode run: the pipe carries the evidence, ids, gate
     # statistics and reasons; every other block goes through the part file.
     corpus = write_corpus(tmp_path / "corpus.jsonl", dialogue_records(7, 90))
+    monkeypatch.setattr(pipeline, "RANGE_LINES", 30)  # three ranges
     options = {"n_per_prompt": PipelineConfig.n_per_prompt, "seed": 0, "max_tokens": PipelineConfig.max_tokens, "max_in_flight": 1}
     job = pipeline._Job(
         Task.CQA, source=(corpus, read_text(corpus)), split=(PipelineConfig.biased_positions, PipelineConfig.triggers),
         infer=(StubBackend(StubMode.MARKOV), default_prompt_spec(Task.CQA), options), align=AlignmentConfig(),
     )
-    shards = pipeline._run_shards(job, 3)
+    shards = pipeline._run_shards(job)
+    assert len(shards) == 3
     assert multiprocessing.active_children() == []
     for shard in shards:
         sent = len(pickle.dumps(dataclasses.replace(shard, drop=None)))  # ``drop`` is the parent's own
@@ -473,9 +492,16 @@ VERBS = {
     "infer-record": lambda corpus, out: [
         "infer", "--corpus", corpus, "--task", "cqa", "--out", f"{out}/candidates.jsonl", "--record", f"{out}/traffic.jsonl",
     ],
+    "infer-icl": lambda corpus, out: [
+        "infer", "--corpus", corpus, "--task", "cqa", "--strategy", "icl", "--out", f"{out}/candidates.jsonl",
+    ],
     "align": lambda corpus, out: [
         "align", "--candidates", str(Path(corpus).parent / "candidates.jsonl"), "--task", "cqa", "--corpus", corpus,
         "--out", f"{out}/aligned.jsonl",
+    ],
+    # Without a corpus, the ranges are of the samples built from the candidates' ids.
+    "align-cqg": lambda corpus, out: [
+        "align", "--candidates", str(Path(corpus).parent / "candidates.jsonl"), "--task", "cqg", "--out", f"{out}/aligned.jsonl",
     ],
 }
 
@@ -485,15 +511,30 @@ def test_a_forking_verb_writes_the_same_bytes_at_one_and_three_ranges(tmp_path, 
     corpus = write_corpus(tmp_path / "corpus.jsonl", dialogue_records(9, 12))
     runner = CliRunner()
     runner.invoke(main, VERBS["infer"](str(corpus), str(tmp_path)), catch_exceptions=False)  # what align reads
+    decoded = tmp_path / "decoded-by"
+    decode = corpus_mod._sample_from_record
+
+    def recorded(record, task):  # forked workers inherit the patch, and append to the same file
+        with decoded.open("a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return decode(record, task)
+
+    monkeypatch.setattr(corpus_mod, "_sample_from_record", recorded)
+    # The corpus lines the pass decodes, and those ICL's exemplars take in the parent.
+    lines, exemplar_lines = (0 if verb == "align-cqg" else 12), (12 if verb == "infer-icl" else 0)
     seen = []
     for ranges in (1, 3):
         out = tmp_path / f"r{ranges}"
         monkeypatch.setattr(pipeline, "RANGE_LINES", 12 // ranges)
+        decoded.unlink(missing_ok=True)
         result = runner.invoke(main, VERBS[verb](str(corpus), str(out)), catch_exceptions=False)
         assert result.exit_code == 0, result.output
         assert multiprocessing.active_children() == []
         assert list(temp_dir.iterdir()) == []
         assert len(dropped) == (3 if ranges == 3 else 0)  # the three ranges forked
+        pids = decoded.read_text().split() if decoded.exists() else []
+        in_parent = pids.count(str(os.getpid()))
+        assert (in_parent, len(pids) - in_parent) == ((exemplar_lines + lines, 0) if ranges == 1 else (exemplar_lines, lines))
         seen.append((result.output.replace(str(out), "OUT"), {p.name: p.read_bytes() for p in out.iterdir()}))
     assert seen[0] == seen[1]
     if verb.startswith("infer"):
