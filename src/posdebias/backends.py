@@ -78,8 +78,8 @@ class GenerationResult:
 
 class Backend(Protocol):
     """A completion source. A backend that holds no connection, lock or
-    per-call state sets ``forks_safely = True``, and the pipeline may then
-    call it from forked workers; any other runs in the calling process."""
+    per-call state sets ``forks_safely = True``, and a pass may then call it
+    from forked workers; for any other, its ranges run one by one in-process."""
 
     backend_id: str
 

@@ -5,7 +5,7 @@ artifacts, plus ``run`` for the full configured pipeline. Each verb parses
 its options, calls the stage function in ``posdebias.pipeline`` and the
 record codec in ``posdebias.records``, and prints one line. ``split``,
 ``infer`` and ``align --corpus`` run ``run``'s own pass over the corpus
-file (``pipeline.corpus_pass``), each forked range decoding its own lines.
+file (``pipeline.corpus_pass``), each range decoding its own lines.
 """
 from __future__ import annotations
 
@@ -165,10 +165,10 @@ def align(candidates_path, task_name, corpus_path, out_path, thresholds):
     task = _task(task_name)
     if task == Task.NLI:
         _fail("align: nli candidates are not pruned; no alignment file to produce")
+    if not corpus_path and task != Task.CQG:
+        _fail(f"align: --corpus is required for task {task.value!r} (gates compare against targets)")
     try:
         candidates = load_candidates(candidates_path)
-        if not corpus_path and task != Task.CQG:
-            _fail(f"align: --corpus is required for task {task.value!r} (gates compare against targets)")
         config = AlignmentConfig(candidate_thresholds=thresholds)
         if corpus_path:  # the workers inherit ``candidates`` at fork
             shards, ids = corpus_pass(corpus_path, task, candidates=candidates, align=config)

@@ -357,8 +357,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     Configuration problems (missing corpus file, bad mode combinations) are
     raised before any stage runs or any artifact is written. Data mode
-    splits, infers and aligns per line range on every usable CPU; toy
-    mode runs them in-process, since training reads their objects.
+    splits, infers and aligns per line range (``corpus_pass``); toy mode
+    runs them on whole corpora, since training reads their objects.
     """
     if (config.synth is None) == (config.corpus is None):
         raise ValueError("run_pipeline: exactly one of synth/corpus must be configured")
@@ -375,18 +375,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
 #
 # Split, infer and align do per-sample work only; the one decision that spans
 # samples is the calibrated gate threshold. ``_run_shards`` cuts a corpus
-# file's lines (``corpus_pass``; each worker decodes its own), or the samples
-# of a ``cqg`` align without a corpus, into contiguous ranges and runs
-# ``_shard`` on each in a forked worker (or, for one range, in-process; toy
-# mode calls ``_shard`` on its samples directly). A worker encodes its lines,
-# one text block per output file, writes the blocks to a part file and sends
-# back their lengths and its gate statistics; the parent calibrates on the
-# statistics in sample order, decides every verdict at that threshold
+# file's lines (``corpus_pass``; each range decodes its own), or the samples
+# of a ``cqg`` align without a corpus, into contiguous ranges of
+# ``RANGE_LINES`` and runs ``_shard`` on each, in a forked worker or in this
+# process (toy mode calls ``_shard`` on its samples directly). A range encodes
+# its lines, one text block per output file, writes the blocks to a part file
+# and hands over their lengths and its gate statistics; the parent calibrates
+# on the statistics in sample order, decides every verdict at that threshold
 # (``align_responses``), completes the verdict lines and writes each file as
 # the blocks in range order, read back one range at a time (``Shard.take``).
 
-#: Lines (or samples) per range, which sets what a process holds; a
-#: pass over no more runs in-process (two forked ranges win from 200-500 on).
+#: Lines (or samples) per range, which sets what a process holds, forked or
+#: not: a range's samples, partition and results die with it.
 RANGE_LINES = 500
 
 
@@ -426,12 +426,13 @@ class Shard:
     ``stats`` its gate statistic (an ``array('d')``) and ``reasons`` the
     bits of its threshold-free reasons (``form_reasons``), for
     ``write_verdicts`` to decide (``align_responses``) and complete.
-    A forked range holds its ``_PART_BLOCKS`` in the file ``part`` instead,
-    at the offset and byte length ``spans`` gives each non-empty one; read
-    every block with ``take``. ``n_candidates`` counts the candidates.
-    ``error`` is ``(stage, exception)`` for the first failure; no later part
-    ran. ``ids`` maps a ``source`` range's ids to their line numbers.
-    ``partition`` and ``results`` are the objects; a worker drops them.
+    A range of a pass (``_run_shards``) holds its ``_PART_BLOCKS`` in the
+    file ``part`` instead, at the offset and byte length ``spans`` gives
+    each non-empty one; read every block with ``take``. ``n_candidates``
+    counts the candidates. ``error`` is ``(stage, exception)`` for the first
+    failure; no later part ran. ``ids`` maps a ``source`` range's ids to
+    their line numbers. ``partition`` and ``results`` are the objects; a
+    pass drops them, and only toy, which calls ``_shard``, reads them.
     """
 
     biased: str = ""
@@ -481,8 +482,8 @@ class Shard:
 
 def _shard(job: _Job, bounds: tuple[int, ...]) -> Shard:
     """Run ``job`` on ``job.samples[lo:hi]``, or on the ``source`` lines
-    of one of ``line_ranges``, which a bad line stops. An exception is
-    caught and kept with the stage it belongs to."""
+    of one of ``line_ranges``, which a bad line stops. An exception is kept
+    with its stage, without its traceback: that holds this frame and shard."""
     from array import array
 
     shard = Shard()
@@ -540,7 +541,7 @@ def _shard(job: _Job, bounds: tuple[int, ...]) -> Shard:
                     heads.append(verdict_head(sample.id, candidate.text, candidate.logprobs_json))
             shard.heads, shard.stats, shard.reasons = "\n".join(heads), stats, bytes(reasons)
     except Exception as exc:  # noqa: BLE001 - raised by the stage it belongs to
-        shard.error = (stage, exc)
+        shard.error = (stage, exc.with_traceback(None))
     return shard
 
 
@@ -548,12 +549,13 @@ def _lines(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _shard_in_worker(job: _Job, item: tuple[tuple[int, ...], str]) -> Shard:
-    """``_shard`` on ``item``'s bounds in a forked worker, without its
-    objects, with its ``_PART_BLOCKS`` in the part file ``item[1]``
-    (``_spill``) and with its error ``_portable``. A part file that cannot
-    be written fails the range at the job's first stage: its blocks are lost."""
-    bounds, part = item
+def _range(job: _Job, item: tuple[tuple[int, ...], str, bool]) -> Shard:
+    """``_shard`` on bounds ``item[0]`` without its objects, with its
+    ``_PART_BLOCKS`` in the part file ``item[1]`` (``_spill``) and, in a
+    forked worker (``item[2]``), with its error ``_portable``. A part file
+    that cannot be written fails the range at the job's first stage: its
+    blocks are lost."""
+    bounds, part, forked = item
     shard = _shard(job, bounds)
     shard.partition = shard.results = None
     try:
@@ -561,7 +563,7 @@ def _shard_in_worker(job: _Job, item: tuple[tuple[int, ...], str]) -> Shard:
     except OSError as exc:
         shard.spans = {}
         shard.error = ("split" if job.split else "infer" if job.infer else "align", exc)
-    if shard.error is not None:
+    if forked and shard.error is not None:
         shard.error = (shard.error[0], _portable(shard.error[1]))
     return shard
 
@@ -577,8 +579,12 @@ def _spill(shard: Shard, path: str) -> None:
     for name in names:
         size = len(getattr(shard, name).encode("utf-8"))
         shard.spans[name], offset = (offset, size), offset + size
-    corpus_mod.written = None  # a part file is no artifact: no stage hashes it
-    write_blocks([getattr(shard, name) for name in names], path)
+    # A part file is no artifact: the open stage, if any, does not hash it.
+    written, corpus_mod.written = corpus_mod.written, None
+    try:
+        write_blocks([getattr(shard, name) for name in names], path)
+    finally:
+        corpus_mod.written = written
     for name in names:
         setattr(shard, name, "")
 
@@ -603,34 +609,38 @@ _PER_SAMPLE = ("split_corpus", "build_prompt", "generate", "gate_statistic", "to
 
 
 def _run_shards(job: _Job) -> list[Shard]:
-    """``_shard`` over ranges of ``RANGE_LINES`` of ``job.samples`` or
-    ``source`` lines, in order, on forked workers, one per usable CPU
-    (``_fork_map``). One range runs in-process, and so does the whole pass
-    when its backend does not set ``forks_safely`` or a per-sample function
-    is wrapped (``_PER_SAMPLE``). Forked ranges hand their text blocks over
-    in part files, in a directory of ``tempfile``'s own
-    (``_shard_in_worker``, ``Shard.take``)."""
-    n = len(job.samples) if job.source is None else job.source[1].count("\n") + (not job.source[1].endswith("\n"))
-    shards = max(1, -(-n // RANGE_LINES))
-    if job.infer is not None and not getattr(job.infer[0], "forks_safely", False):
-        shards = 1
-    if any(hasattr(globals()[name], "__wrapped__") for name in _PER_SAMPLE):
-        shards = 1
-    bounds = [(n * i // shards, n * (i + 1) // shards) for i in range(shards)]
-    if job.source is not None:
-        bounds = line_ranges(job.source[1], bounds)
-    if shards == 1:
-        return [_shard(job, bounds[0])]
+    """``_range`` over ranges of ``RANGE_LINES`` of ``job.samples`` or
+    ``source`` lines, in order, each handing its text blocks over in a part
+    file, in a directory of ``tempfile``'s own. The ranges run on forked
+    workers, one per usable CPU (``_fork_map``), or one after another in
+    this process: with one range, a backend without ``forks_safely`` or a
+    wrapped per-sample function (``_PER_SAMPLE``). There, once a range
+    fails before align, the later ones skip infer and align, so a backend
+    gets no call after its first failing prompt."""
     # Imported here, as ``_fork_map`` imports ``multiprocessing``.
     import shutil
     import tempfile
     import weakref
 
-    workers = min(shards, len(os.sched_getaffinity(0)))
+    n = len(job.samples) if job.source is None else job.source[1].count("\n") + (not job.source[1].endswith("\n"))
+    shards = max(1, -(-n // RANGE_LINES))
+    bounds = [(n * i // shards, n * (i + 1) // shards) for i in range(shards)]
+    if job.source is not None:
+        bounds = line_ranges(job.source[1], bounds)
+    wrapped = any(hasattr(globals()[name], "__wrapped__") for name in _PER_SAMPLE)
+    forks = shards > 1 and not wrapped and (job.infer is None or getattr(job.infer[0], "forks_safely", False))
     directory = tempfile.mkdtemp(prefix="posdebias-")
     parts = [os.path.join(directory, f"{i}.part") for i in range(shards)]
+    items = list(zip(bounds, parts, [forks] * shards))
     try:
-        result = [future.result() for future in _fork_map(_shard_in_worker, job, list(zip(bounds, parts)), workers)]
+        if forks:
+            result = [future.result() for future in _fork_map(_range, job, items, min(shards, len(os.sched_getaffinity(0))))]
+        else:
+            result = []
+            for item in items:
+                result.append(_range(job, item))
+                if result[-1].error is not None and result[-1].error[0] != "align":
+                    job = dataclasses.replace(job, infer=None, align=None)
     except BaseException:
         shutil.rmtree(directory, ignore_errors=True)
         raise

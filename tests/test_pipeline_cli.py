@@ -1455,9 +1455,10 @@ class TestCliVerbs:
         assert verdicts[0]["kept"]
         assert "incoherent" in verdicts[1]["rejection_reasons"]
 
-    def test_align_missing_corpus_for_target_gates(self, runner, tmp_path):
+    @pytest.mark.parametrize("text", ["", '{"sample_id": "cut short", \n'], ids=["empty", "malformed"])
+    def test_align_missing_corpus_for_target_gates(self, runner, tmp_path, text):
         candidates = tmp_path / "c.jsonl"
-        candidates.write_text("")
+        candidates.write_text(text)
         result = runner.invoke(main, [
             "align", "--candidates", str(candidates), "--task", "cqa",
             "--out", str(tmp_path / "a.jsonl"),

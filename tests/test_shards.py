@@ -68,9 +68,9 @@ def run_on(shards: int, raw: dict) -> dict:
         return run_pipeline(parse_config(raw))
 
 
-def run(corpus: Path, task: str, out_dir: Path, shards: int, thresholds=None) -> dict[str, bytes]:
+def run(corpus: Path, task: str, out_dir: Path, shards: int, thresholds=None, backend: str = "markov") -> dict[str, bytes]:
     """Run data mode on ``shards`` ranges; every output file's bytes by path."""
-    raw = {"out_dir": str(out_dir), "corpus": str(corpus), "task": task, "backend": "markov", "n_per_prompt": 2}
+    raw = {"out_dir": str(out_dir), "corpus": str(corpus), "task": task, "backend": backend, "n_per_prompt": 2}
     if thresholds is not None:
         raw["align"] = {"candidate_thresholds": thresholds}
     run_on(shards, raw)
@@ -102,6 +102,10 @@ def test_outputs_do_not_depend_on_the_shard_count(task, seed, n, thresholds):
         want = run(corpus, task, tmp / "one", 1, thresholds)
         for shards in (2, 3):
             assert run(corpus, task, tmp / f"s{shards}", shards, thresholds) == want
+        with pytest.MonkeyPatch.context() as patch:  # a backend of the caller's own: its ranges run in-process
+            patch.setattr(StubBackend, "forks_safely", False)
+            for shards in (1, 2, 3):
+                assert run(corpus, task, tmp / f"own{shards}", shards, thresholds) == want
         calibration = json.loads(want["align/seed0/calibration.json"])
         stats = all_stats(task, corpus, tmp / "one" / "infer" / "seed0" / "candidates.jsonl")
         assert len(stats) == 2 * n
@@ -246,7 +250,8 @@ def test_a_gate_statistic_error_fails_align_not_infer(tmp_path, dialogues, monke
     assert (out_dir / "infer" / "seed0" / "candidates.jsonl").read_text().count("\n") == 10 * 3
 
 
-def test_an_exception_that_cannot_be_pickled_keeps_its_stage_and_message(tmp_path, dialogues, monkeypatch):
+@pytest.mark.parametrize("forks", [True, False], ids=["forked", "in-process"])
+def test_an_exception_that_cannot_be_pickled_keeps_its_stage_and_message(tmp_path, dialogues, monkeypatch, forks):
     class TwoPartError(Exception):
         def __init__(self, left, right):
             super().__init__(f"{left}/{right}")
@@ -255,10 +260,13 @@ def test_an_exception_that_cannot_be_pickled_keeps_its_stage_and_message(tmp_pat
         raise TwoPartError("gate", "broken")
 
     monkeypatch.setattr(pipeline, "gate_statistic", gate_statistic)
+    monkeypatch.setattr(StubBackend, "forks_safely", forks)
     raw = {"out_dir": str(tmp_path / "out"), "corpus": str(dialogues), "task": "cqa"}
-    with pytest.raises(PipelineError, match="^stage 'align' failed: gate/broken$"):
+    with pytest.raises(PipelineError, match="^stage 'align' failed: gate/broken$") as info:
         run_on(2, raw)
     assert multiprocessing.active_children() == []
+    # Only a forked range's exception crosses a pipe; an in-process one is kept as raised.
+    assert type(info.value.__cause__) is (RuntimeError if forks else TwoPartError)
 
 
 def infer_options(n_per_prompt: int, seed: int, max_tokens: int) -> dict:
@@ -318,29 +326,31 @@ def test_record_bytes_do_not_depend_on_requests_in_flight_or_ranges(task, seed, 
 class FailingMarkov:
     """The markov stub, but a ``BackendError`` for the second candidate
     (seed 1) of the prompts in ``failing``: their first is drawn, and not
-    recorded."""
+    recorded. Without ``forks_safely`` it is a caller's own backend."""
 
-    forks_safely = True
     backend_id = "stub-markov"
 
-    def __init__(self, failing: set[str]) -> None:
-        self.failing, self.markov = failing, StubBackend(StubMode.MARKOV)
+    def __init__(self, failing: set[str], forks_safely: bool = True) -> None:
+        self.failing, self.markov, self.forks_safely = failing, StubBackend(StubMode.MARKOV), forks_safely
+        self.called: list[str] = []  # the prompts of the calls made in this process
 
     def complete(self, prompt: str, max_tokens: int = 16, seed: int = 0) -> GenerationResult:
+        self.called.append(prompt)
         if prompt in self.failing and seed == 1:
             raise BackendError("scripted failure")
         return self.markov.complete(prompt, max_tokens=max_tokens, seed=seed)
 
 
+@pytest.mark.parametrize("forks", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize("max_in_flight", [1, 3])
 @pytest.mark.parametrize("shards", [1, 2, 3])
 @pytest.mark.parametrize("failing, first", [({0}, 0), ({4}, 4), ({6, 2}, 2), ({9}, 9)])
-def test_a_failing_prompt_leaves_the_record_lines_of_the_prompts_before_it(tmp_path, dialogues, monkeypatch, failing, first, shards, max_in_flight):
+def test_a_failing_prompt_leaves_the_record_lines_of_the_prompts_before_it(tmp_path, dialogues, monkeypatch, failing, first, shards, max_in_flight, forks):
     corpus = load_corpus(dialogues, Task.CQA)
     prompts = [build_prompt(s, default_prompt_spec(Task.CQA))[0] for s in corpus]
     recording = tmp_path / "traffic.jsonl"
     recording.write_text("an older recording\n", encoding="utf-8")
-    backend = FailingMarkov({prompts[i] for i in failing})
+    backend = FailingMarkov({prompts[i] for i in failing}, forks)
     monkeypatch.setattr("posdebias.cli.resolve_backend", lambda spec: backend)
     monkeypatch.setattr(pipeline, "RANGE_LINES", -(-10 // shards))
     result = CliRunner().invoke(main, [
@@ -351,6 +361,31 @@ def test_a_failing_prompt_leaves_the_record_lines_of_the_prompts_before_it(tmp_p
     want = record_oracle(corpus, StubBackend(StubMode.MARKOV), 2, 0, 8)[: 2 * first]
     assert recording.read_bytes() == "".join(want).encode("utf-8")
     assert multiprocessing.active_children() == []
+    if not forks:  # no call from a range after the failing prompt's, which ends before line ``end``
+        end = min(10 * k // shards for k in range(1, shards + 1) if first < 10 * k // shards)
+        assert max(map(prompts.index, backend.called)) < end
+
+
+def test_an_in_process_pass_calls_no_range_after_its_first_failing_prompt(tmp_path, dialogues, monkeypatch):
+    prompts = [build_prompt(s, default_prompt_spec(Task.CQA))[0] for s in load_corpus(dialogues, Task.CQA)]
+    whole = run(dialogues, "cqa", tmp_path / "whole", 1)
+    backend = FailingMarkov({prompts[1]}, forks_safely=False)
+    monkeypatch.setattr(pipeline, "resolve_backend", lambda spec: backend)
+    out_dir = tmp_path / "out"
+    raw = {"out_dir": str(out_dir), "corpus": str(dialogues), "task": "cqa", "n_per_prompt": 2}
+    with pytest.raises(PipelineError, match="^stage 'infer' failed: prompt 1: scripted failure$"):
+        run_on(3, raw)  # ranges of lines 1-3, 4-6 and 7-10
+    assert set(backend.called) == set(prompts[:2])
+    assert manifest_stages(out_dir) == [("split", "ok"), ("infer", "failed")]
+    for name in ("biased.jsonl", "non_biased.jsonl", "evidence.jsonl"):
+        assert (out_dir / "split" / name).read_bytes() == whole[f"split/{name}"]
+
+
+def test_a_url_run_writes_the_same_bytes_at_one_and_three_ranges(tmp_path, dialogues, local_server):
+    server, url = local_server
+    one, three = (run(dialogues, "cqa", tmp_path / f"r{ranges}", ranges, backend=f"url:{url}") for ranges in (1, 3))
+    assert "manifest.json" in one and three == one
+    assert len(server.requests) == 2 * 10 * 2
 
 
 class EchoBackend:
@@ -362,12 +397,15 @@ class EchoBackend:
         return GenerationResult("a b", ("a", "b"), (-0.5, -0.5), self.backend_id)
 
 
-@pytest.mark.parametrize("backend, ranges", [(EchoBackend(), 1), (StubBackend(StubMode.MARKOV), 2)], ids=["own", "stub"])
-def test_only_a_backend_that_sets_forks_safely_is_forked(dialogues, monkeypatch, backend, ranges):
+@pytest.mark.parametrize("backend, forks", [(EchoBackend(), False), (StubBackend(StubMode.MARKOV), True)], ids=["own", "stub"])
+def test_only_a_backend_that_sets_forks_safely_is_forked(dialogues, monkeypatch, backend, forks):
     monkeypatch.setattr(pipeline, "RANGE_LINES", 5)  # two ranges of the ten lines
+    forked, fork_map = [], pipeline._fork_map
+    monkeypatch.setattr(pipeline, "_fork_map", lambda *args: (forked.append(args), fork_map(*args))[1])
     shards, _ = corpus_pass(dialogues, Task.CQA, infer=(backend, default_prompt_spec(Task.CQA), infer_options(1, 0, 8)))
-    assert len(shards) == ranges
-    assert all(shard.results is None for shard in shards) == (ranges > 1)
+    assert len(shards) == 2
+    assert bool(forked) == forks
+    assert all(shard.results is None for shard in shards)
     assert multiprocessing.active_children() == []
 
 
@@ -444,8 +482,10 @@ def test_a_pass_whose_workers_break_leaves_no_part_directory(tmp_path, temp_dir,
     assert list(temp_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("forks", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize("case", ["ok", "bad-line", "missing-prompt", "gate-error", "part-write"])
-def test_a_forked_run_leaves_no_part_file_and_no_worker(tmp_path, temp_dir, dropped, monkeypatch, case):
+def test_a_forked_run_leaves_no_part_file_and_no_worker(tmp_path, temp_dir, dropped, monkeypatch, case, forks):
+    monkeypatch.setattr(StubBackend, "forks_safely", forks)  # the markov and table: stubs, or as a caller's own
     records = dialogue_records(5, 9)
     lines = [json.dumps(r) for r in records]
     raw = {"out_dir": str(tmp_path / "out"), "corpus": str(tmp_path / "corpus.jsonl"), "task": "cqa"}
@@ -527,11 +567,12 @@ def test_a_forking_verb_writes_the_same_bytes_at_one_and_three_ranges(tmp_path, 
         out = tmp_path / f"r{ranges}"
         monkeypatch.setattr(pipeline, "RANGE_LINES", 12 // ranges)
         decoded.unlink(missing_ok=True)
+        dropped.clear()
         result = runner.invoke(main, VERBS[verb](str(corpus), str(out)), catch_exceptions=False)
         assert result.exit_code == 0, result.output
         assert multiprocessing.active_children() == []
         assert list(temp_dir.iterdir()) == []
-        assert len(dropped) == (3 if ranges == 3 else 0)  # the three ranges forked
+        assert len(dropped) == ranges  # one part file per range, forked or not
         pids = decoded.read_text().split() if decoded.exists() else []
         in_parent = pids.count(str(os.getpid()))
         assert (in_parent, len(pids) - in_parent) == ((exemplar_lines + lines, 0) if ranges == 1 else (exemplar_lines, lines))
